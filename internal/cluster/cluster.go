@@ -21,6 +21,7 @@ var (
 	cmRepairs, cmCorrupt, cmStale         *telemetry.Counter
 	cmQuorumFailures, cmRebalancedRecords *telemetry.Counter
 	cmReplicaErrors                       *telemetry.Counter
+	cmPutBlind, cmPutCompared             *telemetry.Counter
 )
 
 func cm() {
@@ -35,6 +36,8 @@ func cm() {
 		cmQuorumFailures = r.Counter("cluster_quorum_failures_total", "operations failing to reach quorum")
 		cmRebalancedRecords = r.Counter("cluster_rebalanced_records_total", "records copied during rebalancing")
 		cmReplicaErrors = r.Counter("cluster_replica_errors_total", "per-replica call failures")
+		cmPutBlind = r.Counter("cluster_put_blind_total", "replica puts written without reading the stored record")
+		cmPutCompared = r.Counter("cluster_put_compared_total", "replica puts that read and compared the stored record first")
 	})
 }
 
@@ -289,10 +292,10 @@ func (c *Cluster) writeQuorum(ctx context.Context, key []byte, method string, re
 	return nil
 }
 
-// Get reads key from its replica set: every reachable replica up to the
-// read quorum is consulted, the highest-version checksum-valid record
-// wins, and any replica that returned stale, missing, or corrupt data is
-// repaired with the winner before Get returns.
+// Get reads key from its replica set: every owner is consulted (the read
+// fails unless a quorum of them answers), the highest-version
+// checksum-valid record wins, and any replica that returned stale, missing,
+// or corrupt data is repaired with the winner before Get returns.
 func (c *Cluster) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	if len(key) == 0 {
 		return nil, false, kvstore.ErrEmptyKey
@@ -372,7 +375,6 @@ func (c *Cluster) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 			if _, err := pools[r.idx].call(ctx, MethodPut, req); err == nil {
 				cmRepairs.Inc()
 				c.repairs.Add(1)
-				_ = names // names kept for debuggability in future logging
 			}
 		}
 	}

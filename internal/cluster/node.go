@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/datacomp/datacomp/internal/codec"
@@ -160,14 +161,32 @@ type Node struct {
 	wg      sync.WaitGroup
 
 	// putMu serializes the version-compare-and-put in handlePut so a
-	// concurrent older write can never clobber a newer record.
+	// concurrent older write can never clobber a newer record. It also
+	// guards versions.
 	putMu sync.Mutex
+
+	// versions maps a key to the highest record version handlePut has
+	// accepted for it since start(). While a key is present, no
+	// checksum-valid stored record for it carries a higher version, so a
+	// put above the entry needs no read-before-write. It is hot metadata
+	// kept outside the compressed tier: without it every replica put decodes
+	// an SST block to read eight bytes. start() replaces it, because a
+	// crash can lose the WAL tail and with it records the old table counted.
+	versions map[string]uint64
+
+	// Which path each replica put took (see handlePut).
+	blindPuts, comparedPuts atomic.Int64
 
 	// lifeMu serializes Stop/Crash/Restart so two lifecycle transitions
 	// can never interleave (e.g. concurrent Restarts double-opening the
 	// store over one persister).
 	lifeMu sync.Mutex
 }
+
+// maxTrackedVersions bounds Node.versions. A key outside the table costs one
+// read-before-write, which is what every put cost before the table existed,
+// so the bound is a memory cap (a few MiB of short keys), not a tuning knob.
+const maxTrackedVersions = 1 << 16
 
 // ErrNodeDown is returned when dialing or serving on a stopped node.
 var ErrNodeDown = errors.New("cluster: node down")
@@ -187,6 +206,7 @@ func NewNode(ctx context.Context, name string, opts ...NodeOption) (*Node, error
 	if !cfg.syncPolicySet {
 		cfg.syncPolicy = kvstore.SyncAlways
 	}
+	cm()
 	n := &Node{name: name, cfg: cfg}
 	if err := n.start(ctx); err != nil {
 		return nil, err
@@ -225,6 +245,10 @@ func (n *Node) start(ctx context.Context) error {
 	srv.Register(MethodGet, n.handleGet)
 	srv.Register(MethodDelete, n.handleDelete)
 	srv.Register(MethodDump, n.handleDump)
+
+	n.putMu.Lock()
+	n.versions = make(map[string]uint64)
+	n.putMu.Unlock()
 
 	nctx, cancel := context.WithCancel(context.Background())
 	n.mu.Lock()
@@ -322,7 +346,9 @@ func (n *Node) Running() bool {
 
 // Store exposes the node's live kvstore (nil when the node is down).
 // Chaos tests use it to corrupt a replica in place; treat it as
-// read-mostly in real harnesses.
+// read-mostly in real harnesses. A writer must not store a checksum-valid
+// record of a higher version than the key already has: handlePut would not
+// know of it and could overwrite it without comparing.
 func (n *Node) Store() *kvstore.DB {
 	db, err := n.store()
 	if err != nil {
@@ -341,7 +367,26 @@ func (n *Node) store() (*kvstore.DB, error) {
 	return n.db, nil
 }
 
+// PutStats counts replica puts by the path handlePut took.
+type PutStats struct {
+	Blind    int64 // written without reading the stored record
+	Compared int64 // stored record read and compared first
+}
+
+// PutStats reports the node's put-path counters (the telemetry registry
+// carries the process-wide versions).
+func (n *Node) PutStats() PutStats {
+	return PutStats{Blind: n.blindPuts.Load(), Compared: n.comparedPuts.Load()}
+}
+
 // handlePut applies a versioned record if it is newer than the stored one.
+//
+// Blind path: the version table holds the key and the record is above the
+// entry, hence above anything stored, and is written without a read.
+// Compared path, for everything else (a key the table does not hold, and
+// duplicates, stale writers, read-repair and rebalance re-puts at or below
+// the entry): the stored record is read and only a checksum-valid one of an
+// equal or higher version vetoes the write.
 func (n *Node) handlePut(ctx context.Context, req []byte) ([]byte, error) {
 	key, rest, err := splitKey(req)
 	if err != nil {
@@ -357,19 +402,49 @@ func (n *Node) handlePut(ctx context.Context, req []byte) ([]byte, error) {
 	}
 	n.putMu.Lock()
 	defer n.putMu.Unlock()
-	cur, ok, err := db.Get(ctx, key)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		// Only a checksum-valid stored record can veto the write; a
-		// corrupt one must be replaceable by read-repair regardless of
-		// the version its damaged header claims.
-		if curRec, err := parseRecord(cur); err == nil && curRec.sumOK(cur) && curRec.version >= rec.version {
-			return nil, nil // stale or duplicate: idempotent no-op
+	seen, tracked := n.versions[string(key)]
+	if tracked && rec.version > seen {
+		n.blindPuts.Add(1)
+		cmPutBlind.Inc()
+	} else {
+		n.comparedPuts.Add(1)
+		cmPutCompared.Inc()
+		cur, ok, err := db.Get(ctx, key)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			// Only a checksum-valid stored record can veto the write; a
+			// corrupt one must be replaceable by read-repair regardless of
+			// the version its damaged header claims.
+			if curRec, err := parseRecord(cur); err == nil && curRec.sumOK(cur) && curRec.version >= rec.version {
+				n.trackVersion(key, tracked, max(seen, curRec.version))
+				return nil, nil // stale or duplicate: idempotent no-op
+			}
 		}
 	}
-	return nil, db.Put(ctx, key, rest)
+	if err := db.Put(ctx, key, rest); err != nil {
+		// The store may or may not hold the record now (a flush can fail
+		// after the memtable took it): forget the key rather than guess.
+		delete(n.versions, string(key))
+		return nil, err
+	}
+	n.trackVersion(key, tracked, max(seen, rec.version))
+	return nil, nil
+}
+
+// trackVersion records version as the highest accepted for key; tracked
+// says whether the table already holds the key. Callers hold putMu. A full
+// table makes room by dropping an arbitrary entry: the dropped key's next
+// put takes the compared path and re-enters.
+func (n *Node) trackVersion(key []byte, tracked bool, version uint64) {
+	if !tracked && len(n.versions) >= maxTrackedVersions {
+		for victim := range n.versions {
+			delete(n.versions, victim)
+			break
+		}
+	}
+	n.versions[string(key)] = version
 }
 
 // handleGet returns the stored record (tombstones included — the caller

@@ -1,0 +1,423 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"maps"
+	"math/rand"
+	"testing"
+
+	"github.com/datacomp/datacomp/internal/kvstore"
+)
+
+// smallStore makes a node flush and compact after a few dozen records, so
+// the puts under test land on SST-resident records, not only the memtable.
+func smallStore() NodeOption {
+	return WithNodeStoreOptions(
+		kvstore.WithMemtableBytes(4<<10),
+		kvstore.WithBlockSize(512),
+		kvstore.WithMaxTableBytes(8<<10),
+		kvstore.WithL0CompactionTrigger(2),
+	)
+}
+
+func testNode(t *testing.T, opts ...NodeOption) *Node {
+	t.Helper()
+	n, err := NewNode(tctx, "solo", opts...)
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	t.Cleanup(func() { n.Stop() })
+	return n
+}
+
+// putRec sends one replica put straight to the node's handler.
+func putRec(t *testing.T, n *Node, key string, rec []byte) {
+	t.Helper()
+	if _, err := n.handlePut(tctx, appendKeyRecord(nil, []byte(key), rec)); err != nil {
+		t.Fatalf("put %s: %v", key, err)
+	}
+}
+
+// stored reads key's raw record from the node's store (nil when absent).
+func stored(t *testing.T, n *Node, key string) []byte {
+	t.Helper()
+	raw, ok, err := n.Store().Get(tctx, []byte(key))
+	if err != nil {
+		t.Fatalf("direct get %s: %v", key, err)
+	}
+	if !ok {
+		return nil
+	}
+	return raw
+}
+
+func valid(raw []byte) (record, bool) {
+	rec, err := parseRecord(raw)
+	return rec, err == nil && rec.sumOK(raw)
+}
+
+// corruptInPlace damages key's stored record through Store() without
+// touching its version bytes (the checksum does not cover the header, and a
+// Store() writer must not raise a version — see DESIGN.md §11).
+func corruptInPlace(t *testing.T, n *Node, key string) []byte {
+	t.Helper()
+	bad := append([]byte{}, stored(t, n, key)...)
+	bad[len(bad)-1] ^= 0xFF // last payload byte, or last checksum byte of a tombstone
+	if _, ok := valid(bad); ok {
+		t.Fatalf("corruption of %s left a valid record", key)
+	}
+	if err := n.Store().Put(tctx, []byte(key), bad); err != nil {
+		t.Fatalf("corrupt put: %v", err)
+	}
+	return bad
+}
+
+// TestNodePutModel drives one node with a seeded interleaving of fresh puts,
+// deletes, duplicates, stale versions, read-repair re-puts, in-place
+// corruption, checkpoints, graceful restarts and crashes that lose the WAL
+// tail, and checks the store against a model of the put rule: a record
+// replaces the stored one iff that one is absent, checksum-invalid, or of a
+// lower version. Blind and compared puts must be indistinguishable.
+func TestNodePutModel(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			n := testNode(t, smallStore(), WithNodeSyncPolicy(kvstore.SyncOnCheckpoint))
+
+			model := map[string][]byte{}   // what the store must hold, raw
+			durable := map[string][]byte{} // model as of the last sync
+			var version uint64
+			const keys = 40
+			payload := func() []byte {
+				p := make([]byte, rng.Intn(300))
+				rng.Read(p)
+				return p
+			}
+			apply := func(key string, rec []byte) {
+				in, _ := parseRecord(rec)
+				if cur, ok := valid(model[key]); !ok || in.version > cur.version {
+					model[key] = rec
+				}
+			}
+			check := func(step int, op string) {
+				t.Helper()
+				for key, want := range model {
+					if got := stored(t, n, key); !bytes.Equal(got, want) {
+						gr, _ := parseRecord(got)
+						wr, _ := parseRecord(want)
+						t.Fatalf("step %d (%s): %s holds version %d (%d B), model has version %d (%d B)",
+							step, op, key, gr.version, len(got), wr.version, len(want))
+					}
+				}
+			}
+
+			for step := 0; step < 3000; step++ {
+				key := fmt.Sprintf("k%02d", rng.Intn(keys))
+				op := "put"
+				switch r := rng.Intn(100); {
+				case r < 50: // fresh put
+					version++
+					rec := appendRecord(nil, version, false, payload())
+					putRec(t, n, key, rec)
+					apply(key, rec)
+				case r < 58: // delete
+					op = "delete"
+					version++
+					req := appendKeyRecord(nil, []byte(key), binary.LittleEndian.AppendUint64(nil, version))
+					if _, err := n.handleDelete(tctx, req); err != nil {
+						t.Fatalf("delete: %v", err)
+					}
+					apply(key, appendRecord(nil, version, true, nil))
+				case r < 70: // stale writer: any version up to the newest minted
+					op = "stale"
+					if version == 0 {
+						continue
+					}
+					rec := appendRecord(nil, 1+uint64(rng.Int63n(int64(version))), false, payload())
+					putRec(t, n, key, rec)
+					apply(key, rec)
+				case r < 82: // duplicate delivery / read-repair or rebalance re-put
+					op = "re-put"
+					rec, ok := valid(model[key])
+					if !ok {
+						continue
+					}
+					raw := appendRecord(nil, rec.version, rec.tombstone, rec.payload)
+					putRec(t, n, key, raw)
+					apply(key, raw)
+				case r < 90: // bit rot under the store, then sometimes the repair
+					op = "corrupt"
+					good, ok := valid(model[key])
+					if !ok {
+						continue
+					}
+					model[key] = corruptInPlace(t, n, key)
+					if rng.Intn(2) == 0 {
+						raw := appendRecord(nil, good.version, good.tombstone, good.payload)
+						putRec(t, n, key, raw)
+						apply(key, raw)
+					}
+				case r < 94: // checkpoint: everything so far survives a crash
+					op = "checkpoint"
+					if err := n.Store().Checkpoint(tctx); err != nil {
+						t.Fatalf("checkpoint: %v", err)
+					}
+					durable = maps.Clone(model)
+				case r < 97: // graceful restart: Close syncs the WAL
+					op = "restart"
+					if err := n.Stop(); err != nil {
+						t.Fatalf("stop: %v", err)
+					}
+					if err := n.Restart(tctx); err != nil {
+						t.Fatalf("restart: %v", err)
+					}
+					durable = maps.Clone(model)
+				default: // crash: the unsynced WAL tail is gone
+					op = "crash"
+					n.Crash()
+					if err := n.Restart(tctx); err != nil {
+						t.Fatalf("restart after crash: %v", err)
+					}
+					for key := range model {
+						if _, kept := durable[key]; !kept && stored(t, n, key) != nil {
+							t.Fatalf("step %d: %s survived a crash without a sync", step, key)
+						}
+					}
+					model = maps.Clone(durable)
+				}
+				if step%25 == 0 || op == "crash" || op == "restart" {
+					check(step, op)
+				}
+			}
+			check(3000, "end")
+			st := n.PutStats()
+			if st.Blind == 0 || st.Compared == 0 {
+				t.Fatalf("model run took one path only: %+v", st)
+			}
+		})
+	}
+}
+
+// TestNodeBlindPutCounters proves the blind path is actually taken: the
+// first put of a key compares (the table has not seen it), every strictly
+// newer put after that is blind, and the telemetry counters move with the
+// per-node ones.
+func TestNodeBlindPutCounters(t *testing.T) {
+	n := testNode(t, smallStore())
+	blind0, compared0 := cmPutBlind.Value(), cmPutCompared.Value()
+	const keys, rounds = 20, 30
+	var version uint64
+	for r := 0; r < rounds; r++ {
+		for k := 0; k < keys; k++ {
+			version++
+			putRec(t, n, fmt.Sprintf("key-%02d", k), appendRecord(nil, version, false, bytes.Repeat([]byte{byte(r)}, 200)))
+		}
+	}
+	st := n.PutStats()
+	if st.Compared != keys || st.Blind != keys*(rounds-1) {
+		t.Fatalf("put paths = %+v, want %d compared and %d blind", st, keys, keys*(rounds-1))
+	}
+	if d := cmPutBlind.Value() - blind0; d < st.Blind {
+		t.Fatalf("cluster_put_blind_total moved by %d, node counted %d", d, st.Blind)
+	}
+	if d := cmPutCompared.Value() - compared0; d < st.Compared {
+		t.Fatalf("cluster_put_compared_total moved by %d, node counted %d", d, st.Compared)
+	}
+	// Blind puts skip the store's read path entirely.
+	if gets := n.Store().Stats().Gets; gets != keys {
+		t.Fatalf("store served %d gets for %d puts, want one per first put (%d)", gets, keys*rounds, keys)
+	}
+	for k := 0; k < keys; k++ {
+		rec, ok := valid(stored(t, n, fmt.Sprintf("key-%02d", k)))
+		if want := uint64((rounds-1)*keys + k + 1); !ok || rec.version != want {
+			t.Fatalf("key-%02d holds version %d (valid=%v), want %d", k, rec.version, ok, want)
+		}
+	}
+}
+
+// An older put after a blind put is a no-op, and so is a duplicate of it.
+func TestNodeOlderPutAfterBlindPutIsNoop(t *testing.T) {
+	n := testNode(t)
+	putRec(t, n, "k", appendRecord(nil, 10, false, []byte("ten")))    // compared (first sight)
+	putRec(t, n, "k", appendRecord(nil, 20, false, []byte("twenty"))) // blind
+	if st := n.PutStats(); st.Blind != 1 {
+		t.Fatalf("second put not blind: %+v", st)
+	}
+	putRec(t, n, "k", appendRecord(nil, 15, false, []byte("fifteen")))
+	putRec(t, n, "k", appendRecord(nil, 20, false, []byte("twenty")))
+	req := appendKeyRecord(nil, []byte("k"), binary.LittleEndian.AppendUint64(nil, 19))
+	if _, err := n.handleDelete(tctx, req); err != nil {
+		t.Fatal(err)
+	}
+	rec, ok := valid(stored(t, n, "k"))
+	if !ok || rec.version != 20 || string(rec.payload) != "twenty" || rec.tombstone {
+		t.Fatalf("stored = version %d %q tombstone=%v valid=%v, want version 20 \"twenty\"", rec.version, rec.payload, rec.tombstone, ok)
+	}
+	if st := n.PutStats(); st.Blind != 1 || st.Compared != 4 {
+		t.Fatalf("put paths = %+v, want 1 blind and 4 compared", st)
+	}
+}
+
+// A corrupt stored record is repaired by a same-version re-put even though
+// the table holds exactly that version, and by an older one too: a corrupt
+// record vetoes nothing.
+func TestNodeCorruptRecordRepairedBySameVersion(t *testing.T) {
+	n := testNode(t)
+	good := appendRecord(nil, 7, false, []byte("intact"))
+	putRec(t, n, "k", appendRecord(nil, 3, false, []byte("old")))
+	putRec(t, n, "k", good) // blind: the table now holds 7
+	corruptInPlace(t, n, "k")
+	putRec(t, n, "k", good)
+	if got := stored(t, n, "k"); !bytes.Equal(got, good) {
+		t.Fatalf("same-version re-put did not repair the corrupt record: %x", got)
+	}
+	corruptInPlace(t, n, "k")
+	older := appendRecord(nil, 5, false, []byte("older but whole"))
+	putRec(t, n, "k", older)
+	if got := stored(t, n, "k"); !bytes.Equal(got, older) {
+		t.Fatalf("older put did not replace the corrupt record: %x", got)
+	}
+	// The table still remembers 7, so version 6 is compared, finds 5, wins.
+	six := appendRecord(nil, 6, false, []byte("six"))
+	putRec(t, n, "k", six)
+	if got := stored(t, n, "k"); !bytes.Equal(got, six) {
+		t.Fatalf("version 6 did not replace version 5: %x", got)
+	}
+}
+
+// A full table drops entries instead of growing; the dropped keys fall back
+// to the compared path and stay correct.
+func TestNodeVersionTableOverflow(t *testing.T) {
+	n := testNode(t)
+	const extra = 500
+	total := maxTrackedVersions + extra
+	val := []byte("v")
+	for i := 0; i < total; i++ {
+		putRec(t, n, fmt.Sprintf("key-%06d", i), appendRecord(nil, uint64(i+1), false, val))
+	}
+	n.putMu.Lock()
+	size := len(n.versions)
+	n.putMu.Unlock()
+	if size != maxTrackedVersions {
+		t.Fatalf("table holds %d entries, bound is %d", size, maxTrackedVersions)
+	}
+	before := n.PutStats()
+	if before.Blind != 0 || before.Compared != int64(total) {
+		t.Fatalf("first puts: %+v, want %d compared", before, total)
+	}
+	// A second, newer round: keys still in the table go blind, the evicted
+	// ones compare; an older record loses on every key either way.
+	for i := 0; i < total; i++ {
+		key := fmt.Sprintf("key-%06d", i)
+		putRec(t, n, key, appendRecord(nil, uint64(total+i+1), false, val))
+	}
+	after := n.PutStats()
+	if compared := after.Compared - before.Compared; compared < extra || compared == int64(total) {
+		t.Fatalf("second round compared %d puts, want at least the %d evicted keys and not all %d", compared, extra, total)
+	}
+	for i := 0; i < total; i += 97 {
+		key := fmt.Sprintf("key-%06d", i)
+		putRec(t, n, key, appendRecord(nil, uint64(i+1), false, []byte("stale")))
+		rec, ok := valid(stored(t, n, key))
+		if !ok || rec.version != uint64(total+i+1) {
+			t.Fatalf("%s holds version %d (valid=%v), want %d", key, rec.version, ok, total+i+1)
+		}
+	}
+}
+
+// A put whose store write fails may still have reached the memtable (here:
+// the automatic checkpoint after it fails). The table must forget the key,
+// or the next in-between version would overwrite the newer record blind.
+func TestNodeFailedPutForgetsVersion(t *testing.T) {
+	fp := kvstore.NewFaultPersister(kvstore.NewMemPersister())
+	n := testNode(t, WithNodePersister(fp), WithNodeStoreOptions(kvstore.WithWALRotateBytes(1)))
+	putRec(t, n, "k", appendRecord(nil, 1, false, []byte("one")))
+	putRec(t, n, "k", appendRecord(nil, 2, false, []byte("two")))
+
+	fp.FailSnapshot(true)
+	_, err := n.handlePut(tctx, appendKeyRecord(nil, []byte("k"), appendRecord(nil, 9, false, []byte("nine"))))
+	if !errors.Is(err, kvstore.ErrInjected) {
+		t.Fatalf("put with a failing checkpoint: err = %v, want the injected fault", err)
+	}
+	fp.FailSnapshot(false)
+	if rec, ok := valid(stored(t, n, "k")); !ok || rec.version != 9 {
+		t.Fatalf("precondition: the failed put should sit in the memtable, found version %d", rec.version)
+	}
+	putRec(t, n, "k", appendRecord(nil, 5, false, []byte("five")))
+	if rec, ok := valid(stored(t, n, "k")); !ok || rec.version != 9 {
+		t.Fatalf("version 5 overwrote version 9 after a failed put (stored version %d)", rec.version)
+	}
+}
+
+// Restart begins with a cold table: the first put of each key after a crash
+// compares, whatever the table held before.
+func TestNodeRestartColdTable(t *testing.T) {
+	n := testNode(t, WithNodeSyncPolicy(kvstore.SyncOnCheckpoint))
+	putRec(t, n, "k", appendRecord(nil, 1, false, []byte("one")))
+	if err := n.Store().Checkpoint(tctx); err != nil {
+		t.Fatal(err)
+	}
+	putRec(t, n, "k", appendRecord(nil, 8, false, []byte("eight"))) // blind, unsynced
+	n.Crash()
+	if err := n.Restart(tctx); err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := valid(stored(t, n, "k")); !ok || rec.version != 1 {
+		t.Fatalf("after crash the store holds version %d, want the checkpointed 1", rec.version)
+	}
+	before := n.PutStats()
+	putRec(t, n, "k", appendRecord(nil, 4, false, []byte("four")))
+	after := n.PutStats()
+	if after.Compared != before.Compared+1 || after.Blind != before.Blind {
+		t.Fatalf("first put after restart: %+v → %+v, want one compared put", before, after)
+	}
+	if rec, ok := valid(stored(t, n, "k")); !ok || rec.version != 4 {
+		t.Fatalf("version 4 not stored after restart (stored version %d)", rec.version)
+	}
+}
+
+// On a healthy cluster every overwrite of a known key is blind on all of
+// its replicas: the counters sum to replication × puts.
+func TestClusterOverwritesAreBlind(t *testing.T) {
+	c := testCluster(t, 3)
+	const keys, rounds = 50, 4
+	put := func(round int) {
+		for k := 0; k < keys; k++ {
+			if err := c.Put(tctx, []byte(fmt.Sprintf("user:%04d", k)), []byte(fmt.Sprintf("round-%d", round))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sum := func() (st PutStats) {
+		for _, name := range c.Nodes() {
+			s := c.Node(name).PutStats()
+			st.Blind += s.Blind
+			st.Compared += s.Compared
+		}
+		return st
+	}
+	put(0)
+	preload := sum()
+	if preload.Blind != 0 || preload.Compared != 3*keys {
+		t.Fatalf("preload: %+v, want %d compared puts", preload, 3*keys)
+	}
+	for r := 1; r <= rounds; r++ {
+		put(r)
+	}
+	if st := sum(); st.Blind != 3*keys*rounds || st.Compared != preload.Compared {
+		t.Fatalf("overwrites: %+v, want %d blind and no more compared than the preload's %d", st, 3*keys*rounds, preload.Compared)
+	}
+	// A healthy read repairs nothing and so puts nothing.
+	for k := 0; k < keys; k++ {
+		v, ok, err := c.Get(tctx, []byte(fmt.Sprintf("user:%04d", k)))
+		if err != nil || !ok || string(v) != fmt.Sprintf("round-%d", rounds) {
+			t.Fatalf("get user:%04d = %q ok=%v err=%v", k, v, ok, err)
+		}
+	}
+	if st := sum(); st.Blind != 3*keys*rounds || st.Compared != preload.Compared {
+		t.Fatalf("reads changed the put counters: %+v", st)
+	}
+}

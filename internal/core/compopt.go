@@ -159,9 +159,8 @@ type CompEngine struct {
 
 	// engines caches one constructed engine per configuration signature.
 	// Matcher tables run to megabytes at high levels, so re-evaluating the
-	// same candidate list every AutoTuner.Retune or adaptive shadow round
-	// must not rebuild them; the cache makes Evaluate's steady state
-	// measurement-only.
+	// same candidate list every adaptive shadow round must not rebuild
+	// them; the cache makes Evaluate's steady state measurement-only.
 	engines map[string]codec.Engine
 }
 

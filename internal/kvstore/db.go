@@ -26,6 +26,7 @@ var (
 	tmRawBytesWritten, tmStoredBytesWritten *telemetry.Counter
 	tmBytesDecompressed                     *telemetry.Counter
 	tmWALAppends, tmWALBytes, tmWALSyncs    *telemetry.Counter
+	tmWALCompNS                             *telemetry.Counter
 	tmSnapshots, tmSnapshotBytes            *telemetry.Counter
 	tmReplayedBatches, tmRecoveries         *telemetry.Counter
 )
@@ -51,6 +52,7 @@ func tm() {
 		tmWALAppends = r.Counter("kvstore_wal_appends_total", "WAL record batches appended")
 		tmWALBytes = r.Counter("kvstore_wal_bytes_total", "framed WAL bytes appended")
 		tmWALSyncs = r.Counter("kvstore_wal_syncs_total", "WAL fsyncs")
+		tmWALCompNS = r.Counter("kvstore_wal_compress_ns_total", "time coding WAL records (compress + checksum + frame)")
 		tmSnapshots = r.Counter("kvstore_snapshots_total", "snapshot checkpoints written")
 		tmSnapshotBytes = r.Counter("kvstore_snapshot_bytes_total", "snapshot container bytes written")
 		tmReplayedBatches = r.Counter("kvstore_wal_replayed_batches_total", "WAL batches applied during recovery")
@@ -88,6 +90,7 @@ type Stats struct {
 	WALAppends      int64 // record batches appended
 	WALBytes        int64 // framed bytes appended
 	WALSyncs        int64
+	WALCompressTime time.Duration // coding WAL records: compress + checksum + frame
 	Snapshots       int64
 	ReplayedBatches int64 // WAL batches applied during recovery
 }
@@ -345,10 +348,14 @@ func (db *DB) applyLocked(ctx context.Context, b *Batch) error {
 	if db.persister != nil {
 		db.walBuf = appendBatchPayload(db.walBuf[:0], db.seq+1, b)
 		var err error
+		t0 := time.Now()
 		db.walFrame, db.walComp, err = container.AppendRecord(db.walFrame[:0], db.walComp, db.walEng, db.walBuf)
+		dt := time.Since(t0)
 		if err != nil {
 			return err
 		}
+		db.stats.WALCompressTime += dt
+		tmWALCompNS.Add(dt.Nanoseconds())
 		if err := db.persister.AppendWAL(db.walFrame); err != nil {
 			return err
 		}
@@ -367,17 +374,16 @@ func (db *DB) applyLocked(ctx context.Context, b *Batch) error {
 	}
 	db.seq++
 
+	// The memtable takes the batch's own copies: Batch.Put/Delete made them
+	// private, nothing writes to them afterwards, and Reset only drops the
+	// batch's references.
 	for _, op := range b.ops {
 		if op.del {
-			db.mem.set(append([]byte{}, op.key...), nil)
+			db.mem.set(op.key, nil)
 			db.stats.Deletes++
 			tmDeletes.Inc()
 		} else {
-			v := append([]byte{}, op.value...)
-			if v == nil {
-				v = []byte{}
-			}
-			db.mem.set(append([]byte{}, op.key...), v)
+			db.mem.set(op.key, op.value)
 			db.stats.Puts++
 			tmPuts.Inc()
 		}
@@ -709,7 +715,7 @@ func (db *DB) mergeTablesLocked(ctx context.Context, inputs []*sstable, targetLe
 		}
 	}
 
-	mi := newMergeIterator(inputs, &db.stats, db.cache)
+	mi := newMergeIterator(inputs, &db.stats)
 	var out []*sstable
 	w := newTableWriter(db.nextID, db.cfg.codecName, db.eng, db.cfg.blockSize, &db.stats)
 	db.nextID++
@@ -802,10 +808,10 @@ func (h *mergeHeap) Pop() interface{} {
 	return x
 }
 
-func newMergeIterator(inputs []*sstable, stats *Stats, cache *blockCache) *mergeIterator {
+func newMergeIterator(inputs []*sstable, stats *Stats) *mergeIterator {
 	mi := &mergeIterator{}
 	for i, t := range inputs {
-		it := t.iterator(stats, cache)
+		it := t.iterator(stats)
 		if it.err != nil {
 			mi.err = it.err
 			return mi
@@ -829,38 +835,34 @@ func (mi *mergeIterator) tombstone() bool { return mi.cur.tombstone }
 
 // next advances to the next distinct key.
 func (mi *mergeIterator) next() error {
-	for {
-		if mi.h.Len() == 0 {
-			mi.done = true
-			return nil
-		}
-		src := mi.h[0]
-		key := append([]byte{}, src.it.key()...)
-		value := append([]byte{}, src.it.value()...)
-		tomb := src.it.tombstone()
-		// Pop every source entry with this key; the first (lowest index,
-		// newest) defines the value.
-		for mi.h.Len() > 0 && bytes.Equal(mi.h[0].it.key(), key) {
-			s := mi.h[0]
-			s.it.next()
-			if s.it.err != nil {
-				return s.it.err
-			}
-			if s.it.valid() {
-				heap.Fix(&mi.h, 0)
-			} else {
-				heap.Pop(&mi.h)
-			}
-		}
-		mi.cur.key = key
-		mi.cur.value = value
-		mi.cur.tombstone = tomb
+	if mi.h.Len() == 0 {
+		mi.done = true
 		return nil
 	}
+	// The winning entry is taken by reference: a tableIterator's keys and
+	// values outlive its advance (see tableIterator).
+	src := mi.h[0].it
+	mi.cur.key, mi.cur.value, mi.cur.tombstone = src.key(), src.value(), src.tombstone()
+	// Pop every source entry with this key; the first (lowest index,
+	// newest) defined the value.
+	for mi.h.Len() > 0 && bytes.Equal(mi.h[0].it.key(), mi.cur.key) {
+		s := mi.h[0]
+		s.it.next()
+		if s.it.err != nil {
+			return s.it.err
+		}
+		if s.it.valid() {
+			heap.Fix(&mi.h, 0)
+		} else {
+			heap.Pop(&mi.h)
+		}
+	}
+	return nil
 }
 
 // Scan walks every live key in order, stopping when fn returns false. ctx
-// cancellation is honored between entries.
+// cancellation is honored between entries. key and value point into the
+// scan's own buffers: fn must not modify them, and copies what it keeps.
 func (db *DB) Scan(ctx context.Context, fn func(key, value []byte) bool) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -178,7 +178,9 @@ func (w *tableWriter) finish() (*sstable, error) {
 
 // decodeBlock expands one data block — exactly one container block is read
 // and decompressed — and returns its entry region (the restart array is
-// validated and stripped).
+// validated and stripped). The result is freshly allocated and never reused
+// as scratch, so callers may keep it, or slices of it, for as long as they
+// like.
 func decodeBlock(t *sstable, bi int, stats *Stats) ([]byte, error) {
 	t0 := time.Now()
 	raw, err := t.ra.DecodeBlock(nil, bi)
@@ -319,19 +321,24 @@ func (t *sstable) loadBlock(bi int, stats *Stats, cache *blockCache) ([]byte, er
 	return entries, nil
 }
 
-// tableIterator walks a whole table in key order.
+// tableIterator walks a whole table in key order — the scan path behind
+// compaction, snapshots and Scan. It decodes each block exactly once and
+// neither consults nor fills the block cache: a scan touches every block
+// of its inputs once, which would only push the point-read working set out.
+// Entry values alias the decoded block; keys are private copies (the block
+// stores them prefix-compressed). Both stay valid after the iterator moves
+// on.
 type tableIterator struct {
 	t       *sstable
 	stats   *Stats
-	cache   *blockCache
 	block   int
 	entries []blockEntry
 	pos     int
 	err     error
 }
 
-func (t *sstable) iterator(stats *Stats, cache *blockCache) *tableIterator {
-	it := &tableIterator{t: t, stats: stats, cache: cache, block: -1}
+func (t *sstable) iterator(stats *Stats) *tableIterator {
+	it := &tableIterator{t: t, stats: stats, block: -1}
 	it.nextBlock()
 	return it
 }
@@ -343,17 +350,14 @@ func (it *tableIterator) nextBlock() {
 	if it.block >= it.t.numBlocks() {
 		return
 	}
-	raw, err := it.t.loadBlock(it.block, it.stats, it.cache)
+	raw, err := decodeBlock(it.t, it.block, it.stats)
 	if err != nil {
 		it.err = err
 		return
 	}
 	err = walkBlock(raw, func(e blockEntry) bool {
-		it.entries = append(it.entries, blockEntry{
-			key:       append([]byte{}, e.key...),
-			value:     append([]byte{}, e.value...),
-			tombstone: e.tombstone,
-		})
+		e.key = append([]byte{}, e.key...)
+		it.entries = append(it.entries, e)
 		return true
 	})
 	if err != nil {
@@ -391,6 +395,8 @@ func (c *blockCache) get(table int64, block int) ([]byte, bool) {
 	return b, ok
 }
 
+// put caches entries, taking ownership of the slice: the caller hands over
+// a block fresh from decodeBlock and must not write to it afterwards.
 func (c *blockCache) put(table int64, block int, entries []byte) {
 	k := [2]int64{table, int64(block)}
 	if _, ok := c.m[k]; ok {
@@ -401,7 +407,7 @@ func (c *blockCache) put(table int64, block int, entries []byte) {
 		c.order = c.order[1:]
 		delete(c.m, victim)
 	}
-	c.m[k] = append([]byte{}, entries...)
+	c.m[k] = entries
 	c.order = append(c.order, k)
 }
 

@@ -226,7 +226,7 @@ func (db *DB) fullMergeIteratorLocked() (*mergeIterator, error) {
 	for lvl := 1; lvl < numLevels; lvl++ {
 		inputs = append(inputs, db.levels[lvl]...)
 	}
-	return newMergeIterator(inputs, &db.stats, nil), nil
+	return newMergeIterator(inputs, &db.stats), nil
 }
 
 // loadSnapshotLocked rebuilds the bottom level from a snapshot container
