@@ -95,6 +95,9 @@ type summary struct {
 	AckedKeys      int              `json:"acked_keys"`
 	LostAcked      int              `json:"lost_acked_writes"`
 	ReadRepairs    int64            `json:"read_repairs"`
+	DigestReads    int64            `json:"get_digest"`
+	FullReads      int64            `json:"get_full"`
+	EscalatedReads int64            `json:"get_escalated"`
 	Rebalanced     int64            `json:"rebalanced_records"`
 	Adaptive       *adaptiveSummary `json:"adaptive,omitempty"`
 }
@@ -399,6 +402,9 @@ func run(ctx context.Context, cfg config, errw io.Writer) (*summary, error) {
 		AckedKeys:      ackedKeys,
 		LostAcked:      lost,
 		ReadRepairs:    st.ReadRepairs,
+		DigestReads:    st.DigestReads,
+		FullReads:      st.FullReads,
+		EscalatedReads: st.EscalatedReads,
 		Rebalanced:     st.RebalancedRecords,
 		Adaptive:       asum,
 	}, nil
@@ -462,6 +468,7 @@ func printHuman(w io.Writer, s *summary) {
 		fmt.Fprintf(w, "verify: %d acked keys, %d lost\n", s.AckedKeys, s.LostAcked)
 	}
 	fmt.Fprintf(w, "repair: %d read-repairs   rebalanced: %d records\n", s.ReadRepairs, s.Rebalanced)
+	fmt.Fprintf(w, "reads : %d by digest   %d in full (%d escalated)\n", s.DigestReads, s.FullReads, s.EscalatedReads)
 	if s.Adaptive != nil {
 		fmt.Fprintf(w, "adapt : %d swaps across %d classes (%d infeasible)\n",
 			s.Adaptive.Swaps, len(s.Adaptive.Classes), s.Adaptive.Infeasible)
@@ -518,6 +525,12 @@ func main() {
 	}
 	if s.LostAcked > 0 {
 		fmt.Fprintf(os.Stderr, "loadchar: FAIL: %d acked writes lost\n", s.LostAcked)
+		os.Exit(1)
+	}
+	// With more than one replica every healthy get is answered mostly by
+	// digests; none at all means the read path fell back to full reads.
+	if s.Replicas > 1 && s.Nodes > 1 && s.Reads.Count > 0 && s.DigestReads == 0 {
+		fmt.Fprintln(os.Stderr, "loadchar: FAIL: no replica read was served by digest")
 		os.Exit(1)
 	}
 	// Adaptive gates: the controller must have found at least one better

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -16,12 +17,14 @@ import (
 
 // Package-level telemetry on the shared registry.
 var (
-	cmOnce                                sync.Once
-	cmPuts, cmGets, cmDeletes             *telemetry.Counter
-	cmRepairs, cmCorrupt, cmStale         *telemetry.Counter
-	cmQuorumFailures, cmRebalancedRecords *telemetry.Counter
-	cmReplicaErrors                       *telemetry.Counter
-	cmPutBlind, cmPutCompared             *telemetry.Counter
+	cmOnce                                 sync.Once
+	cmPuts, cmGets, cmDeletes              *telemetry.Counter
+	cmRepairs, cmCorrupt, cmStale          *telemetry.Counter
+	cmMissing                              *telemetry.Counter
+	cmGetDigest, cmGetFull, cmGetEscalated *telemetry.Counter
+	cmQuorumFailures, cmRebalancedRecords  *telemetry.Counter
+	cmReplicaErrors                        *telemetry.Counter
+	cmPutBlind, cmPutCompared              *telemetry.Counter
 )
 
 func cm() {
@@ -33,6 +36,10 @@ func cm() {
 		cmRepairs = r.Counter("cluster_read_repairs_total", "replica records rewritten by read-repair")
 		cmCorrupt = r.Counter("cluster_corrupt_replicas_total", "replica reads failing the record checksum")
 		cmStale = r.Counter("cluster_stale_replicas_total", "replica reads returning an older version")
+		cmMissing = r.Counter("cluster_missing_replicas_total", "replica reads finding no record where another owner held one")
+		cmGetDigest = r.Counter("cluster_get_digest_total", "replica reads answered by kv.digest (header only)")
+		cmGetFull = r.Counter("cluster_get_full_total", "replica reads answered by kv.get (whole record)")
+		cmGetEscalated = r.Counter("cluster_get_escalated_total", "kv.get calls beyond the first owner's: a digest was newer, disagreed or failed, or the first owner had no valid record")
 		cmQuorumFailures = r.Counter("cluster_quorum_failures_total", "operations failing to reach quorum")
 		cmRebalancedRecords = r.Counter("cluster_rebalanced_records_total", "records copied during rebalancing")
 		cmReplicaErrors = r.Counter("cluster_replica_errors_total", "per-replica call failures")
@@ -44,6 +51,11 @@ func cm() {
 // ErrNoQuorum is returned when fewer replicas than the required quorum
 // acknowledged an operation.
 var ErrNoQuorum = errors.New("cluster: quorum not reached")
+
+// ErrAllReplicasCorrupt is returned by Get when no owner holds a
+// checksum-valid record for the key and at least one holds a corrupt one:
+// the key was written and what is left of it cannot be trusted.
+var ErrAllReplicasCorrupt = errors.New("cluster: every stored replica is corrupt")
 
 // ErrNoNodes is returned for operations on an empty cluster.
 var ErrNoNodes = errors.New("cluster: no nodes")
@@ -69,8 +81,10 @@ func WithReplication(n int) Option { return func(c *clusterConfig) { c.replicati
 // (default 64).
 func WithVirtualNodes(n int) Option { return func(c *clusterConfig) { c.vnodes = n } }
 
-// WithClientsPerNode sizes the per-node rpc client pool (default 2) —
-// concurrent cluster callers beyond the pool size queue per node.
+// WithClientsPerNode sets how many idle rpc clients are kept per node
+// (default 2). An operation holds one client per owner while its calls are
+// in flight; callers beyond the pool size dial a connection for the call
+// and drop it afterwards.
 func WithClientsPerNode(n int) Option { return func(c *clusterConfig) { c.clientsPerNode = n } }
 
 // WithCompression sets the transport compression used on node links. It
@@ -108,6 +122,9 @@ type Cluster struct {
 	repairs   atomic.Int64
 	corrupt   atomic.Int64
 	rebalance atomic.Int64
+	digests   atomic.Int64
+	fulls     atomic.Int64
+	escalated atomic.Int64
 }
 
 // New builds an empty cluster; add members with AddNode or Join.
@@ -224,19 +241,64 @@ func (c *Cluster) Close() error {
 	return first
 }
 
-// owners resolves the replica set and pools for key.
-func (c *Cluster) owners(key []byte) ([]string, []*clientPool, error) {
+// replica is one owner of a key for the length of an operation: its client
+// pool and the slot its latest reply lands in.
+type replica struct {
+	pool *clientPool
+	resp []byte
+	err  error
+	// Set by Get: full says the latest call was a kv.get (a failed call is
+	// not retried after one), state what its reply amounted to.
+	full  bool
+	state replicaState
+}
+
+type replicaState uint8
+
+const (
+	repFailed  replicaState = iota // call failed
+	repMissing                     // owner holds no record
+	repDigest                      // header only
+	repFull                        // whole record, checksum-valid
+	repLost                        // whole record, checksum-invalid
+)
+
+// version reads the record version out of a digest or kv.get reply.
+func (r *replica) version() uint64 { return binary.LittleEndian.Uint64(r.resp[1:9]) }
+
+// header is the 17 record header bytes of a digest or kv.get reply.
+func (r *replica) header() []byte { return r.resp[1 : 1+recHeaderLen] }
+
+// owners resolves key's replica set in ring order.
+func (c *Cluster) owners(key []byte) ([]replica, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.ring.Len() == 0 {
-		return nil, nil, ErrNoNodes
+		return nil, ErrNoNodes
 	}
 	names := c.ring.Owners(key, c.cfg.replication)
-	pools := make([]*clientPool, len(names))
+	reps := make([]replica, len(names))
 	for i, name := range names {
-		pools[i] = c.clients[name]
+		reps[i].pool = c.clients[name]
 	}
-	return names, pools, nil
+	return reps, nil
+}
+
+// fanOut sends req to every owner at once — method first to reps[0] on the
+// caller's goroutine, rest to the others on their own — and returns when all
+// of them have answered or failed, so an operation costs its slowest call,
+// not the sum.
+func fanOut(ctx context.Context, reps []replica, first, rest string, req []byte) {
+	var wg sync.WaitGroup
+	for i := 1; i < len(reps); i++ {
+		wg.Add(1)
+		go func(r *replica) {
+			defer wg.Done()
+			r.resp, r.err = r.pool.call(ctx, rest, req)
+		}(&reps[i])
+	}
+	reps[0].resp, reps[0].err = reps[0].pool.call(ctx, first, req)
+	wg.Wait()
 }
 
 // NextVersion mints a monotonically increasing write version. Exposed so
@@ -268,121 +330,175 @@ func (c *Cluster) Delete(ctx context.Context, key []byte) error {
 }
 
 func (c *Cluster) writeQuorum(ctx context.Context, key []byte, method string, req []byte) error {
-	_, pools, err := c.owners(key)
+	reps, err := c.owners(key)
 	if err != nil {
 		return err
 	}
+	fanOut(ctx, reps, method, method, req)
 	acks := 0
 	var lastErr error
-	for _, p := range pools {
-		if _, err := p.call(ctx, method, req); err != nil {
+	for i := range reps {
+		if reps[i].err != nil {
 			cmReplicaErrors.Inc()
-			lastErr = err
+			lastErr = reps[i].err
 			continue
 		}
 		acks++
 	}
-	if acks < c.quorum(len(pools)) {
+	if acks < c.quorum(len(reps)) {
 		cmQuorumFailures.Inc()
 		if lastErr != nil {
-			return fmt.Errorf("%w: %d/%d acks: %w", ErrNoQuorum, acks, len(pools), lastErr)
+			return fmt.Errorf("%w: %d/%d acks: %w", ErrNoQuorum, acks, len(reps), lastErr)
 		}
-		return fmt.Errorf("%w: %d/%d acks", ErrNoQuorum, acks, len(pools))
+		return fmt.Errorf("%w: %d/%d acks", ErrNoQuorum, acks, len(reps))
 	}
 	return nil
 }
 
-// Get reads key from its replica set: every owner is consulted (the read
-// fails unless a quorum of them answers), the highest-version
-// checksum-valid record wins, and any replica that returned stale, missing,
-// or corrupt data is repaired with the winner before Get returns.
+// Get reads key from its replica set. Every owner is consulted at once: the
+// first in ring order for the record, the others for its 17-byte header
+// only (kv.digest), and the read fails unless a quorum of them answers. The
+// record is accepted when its payload checksum holds and no header carries a
+// higher version. Otherwise — a newer or disagreeing header, a digest call
+// that failed, or a first owner that is down or holds no valid record —
+// the owner in question is asked for its whole record too, until the
+// highest-version checksum-valid record is in hand; that one wins, and every
+// owner that answered with something older, nothing, or a corrupt record is
+// repaired with it before Get returns.
 func (c *Cluster) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	if len(key) == 0 {
 		return nil, false, kvstore.ErrEmptyKey
 	}
 	cmGets.Inc()
-	names, pools, err := c.owners(key)
+	reps, err := c.owners(key)
 	if err != nil {
 		return nil, false, err
 	}
-	type reply struct {
-		idx  int
-		rec  record
-		raw  []byte // full record bytes, nil when the replica had none
-		ok   bool   // call succeeded
-		lost bool   // record present but checksum-invalid
-	}
-	replies := make([]reply, 0, len(pools))
-	responded := 0
-	var callErrs []error
-	for i, p := range pools {
-		resp, err := p.call(ctx, MethodGet, key)
-		if err != nil {
-			cmReplicaErrors.Inc()
-			callErrs = append(callErrs, fmt.Errorf("%s: %w", names[i], err))
-			replies = append(replies, reply{idx: i})
-			continue
-		}
-		responded++
-		r := reply{idx: i, ok: true}
-		if len(resp) >= 1 && resp[0] == 0x01 {
-			raw := resp[1:]
-			rec, perr := parseRecord(raw)
-			switch {
-			case perr != nil || !rec.sumOK(raw):
-				r.lost = true
-				cmCorrupt.Inc()
-				c.corrupt.Add(1)
-			default:
-				r.rec = rec
-				r.raw = append([]byte{}, raw...)
-			}
-		}
-		replies = append(replies, r)
-	}
-	if responded < c.quorum(len(pools)) {
-		cmQuorumFailures.Inc()
-		return nil, false, fmt.Errorf("get: %w: %d/%d replicas: %w", ErrNoQuorum, responded, len(pools), errors.Join(callErrs...))
+	fanOut(ctx, reps, MethodGet, MethodDigest, key)
+	for i := range reps {
+		c.classify(&reps[i], i == 0)
 	}
 
-	// Pick the winner: highest version among checksum-valid records.
-	var best *reply
-	for i := range replies {
-		r := &replies[i]
-		if r.raw == nil {
+	// Escalate until no owner is known to hold something newer than, or
+	// different from, the best whole record: each pass reads one owner in
+	// full, and no owner twice.
+	var best *replica
+	for {
+		best = nil
+		for i := range reps {
+			if r := &reps[i]; r.state == repFull && (best == nil || r.version() > best.version()) {
+				best = r
+			}
+		}
+		var next *replica
+		for i := range reps {
+			r := &reps[i]
+			switch {
+			case r.full: // read in full already, or failed to be: not asked again
+			case r.state == repFailed:
+				next = r
+			case r.state == repDigest && (best == nil || r.version() > best.version() ||
+				r.version() == best.version() && !bytes.Equal(r.header(), best.header())):
+				if next == nil || next.state == repDigest && r.version() > next.version() {
+					next = r
+				}
+			}
+		}
+		if next == nil {
+			break
+		}
+		cmGetEscalated.Inc()
+		c.escalated.Add(1)
+		next.resp, next.err = next.pool.call(ctx, MethodGet, key)
+		c.classify(next, true)
+	}
+
+	responded, lost := 0, 0
+	var callErrs []error
+	for i := range reps {
+		switch r := &reps[i]; r.state {
+		case repFailed:
+			callErrs = append(callErrs, fmt.Errorf("%s: %w", r.pool.node.Name(), r.err))
 			continue
+		case repLost:
+			lost++
 		}
-		if best == nil || r.rec.version > best.rec.version {
-			best = r
+		responded++
+	}
+	if responded < c.quorum(len(reps)) {
+		cmQuorumFailures.Inc()
+		return nil, false, fmt.Errorf("get: %w: %d/%d replicas: %w", ErrNoQuorum, responded, len(reps), errors.Join(callErrs...))
+	}
+	if best == nil {
+		if lost > 0 {
+			return nil, false, fmt.Errorf("get: %w: %d of %d answering replicas", ErrAllReplicasCorrupt, lost, responded)
 		}
+		return nil, false, nil
 	}
 
 	// Read-repair: push the winner to every responsive replica that
 	// disagrees (stale version, missing, or corrupt).
-	if best != nil {
-		req := appendKeyRecord(nil, key, best.raw)
-		for _, r := range replies {
-			if !r.ok || r.idx == best.idx {
-				continue
-			}
-			needs := r.lost || r.raw == nil || r.rec.version < best.rec.version
-			if !needs {
-				continue
-			}
-			if r.raw != nil && !r.lost {
-				cmStale.Inc()
-			}
-			if _, err := pools[r.idx].call(ctx, MethodPut, req); err == nil {
-				cmRepairs.Inc()
-				c.repairs.Add(1)
-			}
+	var req []byte
+	for i := range reps {
+		r := &reps[i]
+		switch {
+		case r == best || r.state == repFailed:
+			continue
+		case r.state == repLost: // counted when it was read
+		case r.state == repMissing:
+			cmMissing.Inc()
+		case r.version() < best.version():
+			cmStale.Inc()
+		default:
+			continue
+		}
+		if req == nil {
+			req = appendKeyRecord(nil, key, best.resp[1:])
+		}
+		if _, err := r.pool.call(ctx, MethodPut, req); err == nil {
+			cmRepairs.Inc()
+			c.repairs.Add(1)
 		}
 	}
 
-	if best == nil || best.rec.tombstone {
+	if best.resp[1+8]&flagTombstone != 0 {
 		return nil, false, nil
 	}
-	return append([]byte{}, best.rec.payload...), true, nil
+	return best.resp[1+recHeaderLen:], true, nil
+}
+
+// classify sets r.state from the reply r holds; full says it came from a
+// kv.get rather than a kv.digest.
+func (c *Cluster) classify(r *replica, full bool) {
+	r.full = full
+	switch {
+	case r.err != nil:
+		cmReplicaErrors.Inc()
+		r.state = repFailed
+		return
+	case len(r.resp) < 1 || r.resp[0] != 0x01:
+		r.state = repMissing
+	case len(r.resp) < 1+recHeaderLen:
+		r.state = repLost
+	case !r.full:
+		r.state = repDigest
+	default:
+		r.state = repFull
+		if _, valid := validRecord(r.resp[1:]); !valid {
+			r.state = repLost
+		}
+	}
+	if r.full {
+		cmGetFull.Inc()
+		c.fulls.Add(1)
+	} else {
+		cmGetDigest.Inc()
+		c.digests.Add(1)
+	}
+	if r.state == repLost {
+		cmCorrupt.Inc()
+		c.corrupt.Add(1)
+	}
 }
 
 // Rebalance copies every record to its current owner set — run after ring
@@ -413,16 +529,16 @@ func (c *Cluster) drainFrom(ctx context.Context, src *clientPool) error {
 		return fmt.Errorf("rebalance dump from %s: %w", src.node.Name(), err)
 	}
 	return walkDump(dumpResp, func(key, rec []byte) error {
-		_, pools, err := c.owners(key)
+		reps, err := c.owners(key)
 		if err != nil {
 			return err
 		}
 		req := appendKeyRecord(nil, key, rec)
-		for _, p := range pools {
-			if p == src {
+		for _, r := range reps {
+			if r.pool == src {
 				continue
 			}
-			if _, err := p.call(ctx, MethodPut, req); err != nil {
+			if _, err := r.pool.call(ctx, MethodPut, req); err != nil {
 				cmReplicaErrors.Inc()
 				continue // best-effort: quorum reads tolerate a lagging copy
 			}
@@ -433,11 +549,14 @@ func (c *Cluster) drainFrom(ctx context.Context, src *clientPool) error {
 	})
 }
 
-// Stats is a per-cluster view of repair and rebalance activity.
+// Stats is a per-cluster view of read, repair and rebalance activity.
 type Stats struct {
 	ReadRepairs       int64
 	CorruptReplicas   int64
 	RebalancedRecords int64
+	DigestReads       int64 // replica reads answered by kv.digest
+	FullReads         int64 // replica reads answered by kv.get
+	EscalatedReads    int64 // kv.get calls beyond the first owner's
 }
 
 // Stats returns per-cluster counters (the telemetry registry carries the
@@ -447,6 +566,9 @@ func (c *Cluster) Stats() Stats {
 		ReadRepairs:       c.repairs.Load(),
 		CorruptReplicas:   c.corrupt.Load(),
 		RebalancedRecords: c.rebalance.Load(),
+		DigestReads:       c.digests.Load(),
+		FullReads:         c.fulls.Load(),
+		EscalatedReads:    c.escalated.Load(),
 	}
 }
 

@@ -24,6 +24,29 @@ func testCluster(t *testing.T, n int, opts ...Option) *Cluster {
 	return c
 }
 
+// ownerNodes returns key's owners in ring order: a get asks the first for the
+// record and the others for a digest.
+func ownerNodes(t *testing.T, c *Cluster, key []byte) []*Node {
+	t.Helper()
+	reps, err := c.owners(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]*Node, len(reps))
+	for i, r := range reps {
+		nodes[i] = r.pool.node
+	}
+	return nodes
+}
+
+// forget drops key from the node's version table: what a Store() backdoor
+// writer owes the node when a digest must see the write (see Node.Store).
+func (n *Node) forget(key []byte) {
+	n.putMu.Lock()
+	delete(n.versions, string(key))
+	n.putMu.Unlock()
+}
+
 func TestClusterPutGetDelete(t *testing.T) {
 	c := testCluster(t, 3)
 	for i := 0; i < 100; i++ {
@@ -116,13 +139,9 @@ func TestClusterReadRepairCorruptReplica(t *testing.T) {
 		t.Fatalf("put: %v", err)
 	}
 
-	// Corrupt one replica in place: flip payload bits so the record
-	// checksum no longer matches.
-	names, _, err := c.owners(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := c.Node(names[1])
+	// Corrupt the data owner's replica in place: flip payload bits so the
+	// record checksum no longer matches.
+	victim := ownerNodes(t, c, k)[0]
 	db := victim.Store()
 	raw, ok, err := db.Get(tctx, k)
 	if err != nil || !ok {
@@ -134,8 +153,8 @@ func TestClusterReadRepairCorruptReplica(t *testing.T) {
 		t.Fatalf("corrupt put: %v", err)
 	}
 
-	// The quorum read must still return the intact value and repair the
-	// victim.
+	// The quorum read must still return the intact value — served by the
+	// next owner — and repair the victim.
 	v, ok, err := c.Get(tctx, k)
 	if err != nil || !ok || string(v) != "intact-value" {
 		t.Fatalf("get after corruption = %q ok=%v err=%v", v, ok, err)
@@ -143,6 +162,9 @@ func TestClusterReadRepairCorruptReplica(t *testing.T) {
 	st := c.Stats()
 	if st.CorruptReplicas == 0 {
 		t.Fatal("corrupt replica not detected")
+	}
+	if st.EscalatedReads != 1 {
+		t.Fatalf("escalated reads = %d, want the one kv.get to the next owner", st.EscalatedReads)
 	}
 	if st.ReadRepairs == 0 {
 		t.Fatal("no read-repair issued")
@@ -169,12 +191,8 @@ func TestClusterReadRepairStaleReplica(t *testing.T) {
 	if err := c.Put(tctx, k, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	names, _, err := c.owners(k)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Roll one replica back to an older record.
-	victim := c.Node(names[0])
+	victim := ownerNodes(t, c, k)[0]
 	stale := appendRecord(nil, 1, false, []byte("ancient"))
 	if err := victim.Store().Put(tctx, k, stale); err != nil {
 		t.Fatal(err)

@@ -27,6 +27,10 @@ const (
 	// MethodGet fetches the record for a key: request is the raw key,
 	// response is 0x00 (none) or 0x01 followed by the record.
 	MethodGet = "kv.get"
+	// MethodDigest fetches only the record header for a key: request is the
+	// raw key, response is 0x00 (none) or 0x01 followed by the 17 header
+	// bytes (version | flags | payload checksum) of the stored record.
+	MethodDigest = "kv.digest"
 	// MethodDelete writes a versioned tombstone: uvarint klen | key |
 	// 8-byte version.
 	MethodDelete = "kv.delete"
@@ -51,6 +55,10 @@ const (
 )
 
 var errBadRecord = errors.New("cluster: malformed record")
+
+// errStoredCorrupt fails a digest of a record whose payload no longer matches
+// its checksum: the header alone would pass for a healthy replica.
+var errStoredCorrupt = errors.New("cluster: stored record fails its checksum")
 
 // appendRecord frames payload as a versioned record.
 func appendRecord(dst []byte, version uint64, tombstone bool, payload []byte) []byte {
@@ -85,6 +93,13 @@ func parseRecord(b []byte) (record, error) {
 // sumOK verifies the embedded payload checksum.
 func (r record) sumOK(raw []byte) bool {
 	return binary.LittleEndian.Uint64(raw[9:17]) == xxhash.Sum64(r.payload)
+}
+
+// validRecord parses raw and reports whether it is well-formed and its
+// payload matches its checksum.
+func validRecord(raw []byte) (record, bool) {
+	rec, err := parseRecord(raw)
+	return rec, err == nil && rec.sumOK(raw)
 }
 
 // NodeOption configures a Node.
@@ -165,14 +180,16 @@ type Node struct {
 	// guards versions.
 	putMu sync.Mutex
 
-	// versions maps a key to the highest record version handlePut has
-	// accepted for it since start(). While a key is present, no
-	// checksum-valid stored record for it carries a higher version, so a
-	// put above the entry needs no read-before-write. It is hot metadata
-	// kept outside the compressed tier: without it every replica put decodes
-	// an SST block to read eight bytes. start() replaces it, because a
-	// crash can lose the WAL tail and with it records the old table counted.
-	versions map[string]uint64
+	// versions maps a key to the header (version | flags | checksum) of the
+	// record the store holds for it, as last written by handlePut or read by
+	// handleDigest since start(). While a key is present its entry equals
+	// the stored record's header, so a put above the entry needs no
+	// read-before-write and a digest needs no read at all. It is hot
+	// metadata kept outside the compressed tier: without it every replica
+	// put and two of three replica reads decode an SST block to look at
+	// eight bytes. start() replaces it, because a crash can lose the WAL
+	// tail and with it records the old table described.
+	versions map[string][recHeaderLen]byte
 
 	// Which path each replica put took (see handlePut).
 	blindPuts, comparedPuts atomic.Int64
@@ -184,8 +201,9 @@ type Node struct {
 }
 
 // maxTrackedVersions bounds Node.versions. A key outside the table costs one
-// read-before-write, which is what every put cost before the table existed,
-// so the bound is a memory cap (a few MiB of short keys), not a tuning knob.
+// store read on its next put or digest, which is what each cost before the
+// table existed, so the bound is a memory cap (a few MiB of short keys), not
+// a tuning knob.
 const maxTrackedVersions = 1 << 16
 
 // ErrNodeDown is returned when dialing or serving on a stopped node.
@@ -243,11 +261,12 @@ func (n *Node) start(ctx context.Context) error {
 	srv := rpc.NewServer(n.cfg.comp, srvOpts...)
 	srv.Register(MethodPut, n.handlePut)
 	srv.Register(MethodGet, n.handleGet)
+	srv.Register(MethodDigest, n.handleDigest)
 	srv.Register(MethodDelete, n.handleDelete)
 	srv.Register(MethodDump, n.handleDump)
 
 	n.putMu.Lock()
-	n.versions = make(map[string]uint64)
+	n.versions = make(map[string][recHeaderLen]byte)
 	n.putMu.Unlock()
 
 	nctx, cancel := context.WithCancel(context.Background())
@@ -348,7 +367,11 @@ func (n *Node) Running() bool {
 // Chaos tests use it to corrupt a replica in place; treat it as
 // read-mostly in real harnesses. A writer must not store a checksum-valid
 // record of a higher version than the key already has: handlePut would not
-// know of it and could overwrite it without comparing.
+// know of it and could overwrite it without comparing. Any write here also
+// leaves the version table describing the record it replaced, so the node
+// keeps answering kv.digest with the old header until a kv.get finds the
+// record corrupt, a put rewrites it, or the entry is evicted; a test that
+// wants a digest owner to notice must drop the entry itself (forget).
 func (n *Node) Store() *kvstore.DB {
 	db, err := n.store()
 	if err != nil {
@@ -403,7 +426,7 @@ func (n *Node) handlePut(ctx context.Context, req []byte) ([]byte, error) {
 	n.putMu.Lock()
 	defer n.putMu.Unlock()
 	seen, tracked := n.versions[string(key)]
-	if tracked && rec.version > seen {
+	if tracked && rec.version > binary.LittleEndian.Uint64(seen[:8]) {
 		n.blindPuts.Add(1)
 		cmPutBlind.Inc()
 	} else {
@@ -413,14 +436,12 @@ func (n *Node) handlePut(ctx context.Context, req []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			// Only a checksum-valid stored record can veto the write; a
-			// corrupt one must be replaceable by read-repair regardless of
-			// the version its damaged header claims.
-			if curRec, err := parseRecord(cur); err == nil && curRec.sumOK(cur) && curRec.version >= rec.version {
-				n.trackVersion(key, tracked, max(seen, curRec.version))
-				return nil, nil // stale or duplicate: idempotent no-op
-			}
+		// Only a checksum-valid stored record can veto the write; a
+		// corrupt one must be replaceable by read-repair regardless of
+		// the version its damaged header claims.
+		if curRec, valid := validRecord(cur); ok && valid && curRec.version >= rec.version {
+			n.track(key, tracked, cur)
+			return nil, nil // stale or duplicate: idempotent no-op
 		}
 	}
 	if err := db.Put(ctx, key, rest); err != nil {
@@ -429,26 +450,28 @@ func (n *Node) handlePut(ctx context.Context, req []byte) ([]byte, error) {
 		delete(n.versions, string(key))
 		return nil, err
 	}
-	n.trackVersion(key, tracked, max(seen, rec.version))
+	n.track(key, tracked, rest)
 	return nil, nil
 }
 
-// trackVersion records version as the highest accepted for key; tracked
+// track records rec's header as the one the store holds for key; tracked
 // says whether the table already holds the key. Callers hold putMu. A full
 // table makes room by dropping an arbitrary entry: the dropped key's next
-// put takes the compared path and re-enters.
-func (n *Node) trackVersion(key []byte, tracked bool, version uint64) {
+// put or digest reads the store and re-enters.
+func (n *Node) track(key []byte, tracked bool, rec []byte) {
 	if !tracked && len(n.versions) >= maxTrackedVersions {
 		for victim := range n.versions {
 			delete(n.versions, victim)
 			break
 		}
 	}
-	n.versions[string(key)] = version
+	n.versions[string(key)] = [recHeaderLen]byte(rec)
 }
 
 // handleGet returns the stored record (tombstones included — the caller
-// needs their versions for repair ordering).
+// needs their versions for repair ordering). A record that fails its
+// checksum is returned as stored, for the caller to count and repair, and
+// leaves the version table so no digest vouches for it meanwhile.
 func (n *Node) handleGet(ctx context.Context, req []byte) ([]byte, error) {
 	if len(req) == 0 {
 		return nil, errBadRecord
@@ -464,7 +487,47 @@ func (n *Node) handleGet(ctx context.Context, req []byte) ([]byte, error) {
 	if !ok {
 		return []byte{0x00}, nil
 	}
+	if _, valid := validRecord(v); !valid {
+		n.putMu.Lock()
+		delete(n.versions, string(req))
+		n.putMu.Unlock()
+	}
 	return append([]byte{0x01}, v...), nil
+}
+
+// handleDigest answers with the header of the stored record: from the
+// version table when it holds the key, else from the store, and then the key
+// enters the table — which must happen under putMu, or a put landing between
+// the read and the insert would leave the table behind the store.
+func (n *Node) handleDigest(ctx context.Context, req []byte) ([]byte, error) {
+	if len(req) == 0 {
+		return nil, errBadRecord
+	}
+	db, err := n.store()
+	if err != nil {
+		return nil, err
+	}
+	n.putMu.Lock()
+	defer n.putMu.Unlock()
+	hdr, tracked := n.versions[string(req)]
+	if !tracked {
+		cur, ok, err := db.Get(ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return []byte{0x00}, nil
+		}
+		if _, valid := validRecord(cur); !valid {
+			return nil, errStoredCorrupt
+		}
+		n.track(req, false, cur)
+		hdr = [recHeaderLen]byte(cur)
+	}
+	resp := make([]byte, 1+recHeaderLen)
+	resp[0] = 0x01
+	copy(resp[1:], hdr[:])
+	return resp, nil
 }
 
 // handleDelete stores a versioned tombstone via the same newer-wins rule.

@@ -54,11 +54,6 @@ func stored(t *testing.T, n *Node, key string) []byte {
 	return raw
 }
 
-func valid(raw []byte) (record, bool) {
-	rec, err := parseRecord(raw)
-	return rec, err == nil && rec.sumOK(raw)
-}
-
 // corruptInPlace damages key's stored record through Store() without
 // touching its version bytes (the checksum does not cover the header, and a
 // Store() writer must not raise a version — see DESIGN.md §11).
@@ -66,7 +61,7 @@ func corruptInPlace(t *testing.T, n *Node, key string) []byte {
 	t.Helper()
 	bad := append([]byte{}, stored(t, n, key)...)
 	bad[len(bad)-1] ^= 0xFF // last payload byte, or last checksum byte of a tombstone
-	if _, ok := valid(bad); ok {
+	if _, ok := validRecord(bad); ok {
 		t.Fatalf("corruption of %s left a valid record", key)
 	}
 	if err := n.Store().Put(tctx, []byte(key), bad); err != nil {
@@ -75,12 +70,31 @@ func corruptInPlace(t *testing.T, n *Node, key string) []byte {
 	return bad
 }
 
+// tracked reports whether the node's version table holds key.
+func tracked(n *Node, key string) bool {
+	n.putMu.Lock()
+	defer n.putMu.Unlock()
+	_, ok := n.versions[key]
+	return ok
+}
+
+// tableLen is the number of keys the node's version table holds.
+func tableLen(n *Node) int {
+	n.putMu.Lock()
+	defer n.putMu.Unlock()
+	return len(n.versions)
+}
+
+// digestOf calls the digest handler directly.
+func digestOf(n *Node, key string) ([]byte, error) { return n.handleDigest(tctx, []byte(key)) }
+
 // TestNodePutModel drives one node with a seeded interleaving of fresh puts,
-// deletes, duplicates, stale versions, read-repair re-puts, in-place
+// deletes, duplicates, stale versions, read-repair re-puts, digests, in-place
 // corruption, checkpoints, graceful restarts and crashes that lose the WAL
 // tail, and checks the store against a model of the put rule: a record
 // replaces the stored one iff that one is absent, checksum-invalid, or of a
-// lower version. Blind and compared puts must be indistinguishable.
+// lower version. Blind and compared puts must be indistinguishable, and
+// while a key is tracked its digest is the header of what a get returns.
 func TestNodePutModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -98,8 +112,32 @@ func TestNodePutModel(t *testing.T) {
 			}
 			apply := func(key string, rec []byte) {
 				in, _ := parseRecord(rec)
-				if cur, ok := valid(model[key]); !ok || in.version > cur.version {
+				if cur, ok := validRecord(model[key]); !ok || in.version > cur.version {
 					model[key] = rec
+				}
+			}
+			// digest checks one key's digest against the model: the stored
+			// header when the record is whole (and the key is tracked from
+			// then on), 0x00 when there is none, an error — and no entry —
+			// when an untracked key's record is corrupt.
+			digest := func(step int, key string) {
+				t.Helper()
+				want, was := model[key], tracked(n, key)
+				got, err := digestOf(n, key)
+				_, whole := validRecord(want)
+				switch {
+				case want == nil:
+					if err != nil || !bytes.Equal(got, []byte{0x00}) || tracked(n, key) {
+						t.Fatalf("step %d: digest of absent %s = %x, %v (tracked=%v)", step, key, got, err, tracked(n, key))
+					}
+				case whole:
+					if err != nil || !bytes.Equal(got, append([]byte{0x01}, want[:recHeaderLen]...)) || !tracked(n, key) {
+						t.Fatalf("step %d: digest of %s = %x, %v (tracked %v→%v), want header %x", step, key, got, err, was, tracked(n, key), want[:recHeaderLen])
+					}
+				default:
+					if !errors.Is(err, errStoredCorrupt) || tracked(n, key) {
+						t.Fatalf("step %d: digest of corrupt untracked %s = %x, %v (tracked=%v)", step, key, got, err, tracked(n, key))
+					}
 				}
 			}
 			check := func(step int, op string) {
@@ -112,12 +150,29 @@ func TestNodePutModel(t *testing.T) {
 							step, op, key, gr.version, len(got), wr.version, len(want))
 					}
 				}
+				// The table invariant: a tracked key's digest is the header
+				// of the record a get returns.
+				n.putMu.Lock()
+				table := maps.Clone(n.versions)
+				n.putMu.Unlock()
+				for key, hdr := range table {
+					got, err := n.handleGet(tctx, []byte(key))
+					if err != nil || len(got) < 1+recHeaderLen || !bytes.Equal(got[1:1+recHeaderLen], hdr[:]) {
+						t.Fatalf("step %d (%s): %s tracked with header %x, get returns %x (%v)", step, op, key, hdr, got, err)
+					}
+					if d, err := digestOf(n, key); err != nil || !bytes.Equal(d[1:], hdr[:]) {
+						t.Fatalf("step %d (%s): digest of tracked %s = %x, %v, table holds %x", step, op, key, d, err, hdr)
+					}
+				}
 			}
 
 			for step := 0; step < 3000; step++ {
 				key := fmt.Sprintf("k%02d", rng.Intn(keys))
 				op := "put"
-				switch r := rng.Intn(100); {
+				switch r := rng.Intn(115); {
+				case r >= 100: // digest, as a get's non-first owners send
+					op = "digest"
+					digest(step, key)
 				case r < 50: // fresh put
 					version++
 					rec := appendRecord(nil, version, false, payload())
@@ -141,7 +196,7 @@ func TestNodePutModel(t *testing.T) {
 					apply(key, rec)
 				case r < 82: // duplicate delivery / read-repair or rebalance re-put
 					op = "re-put"
-					rec, ok := valid(model[key])
+					rec, ok := validRecord(model[key])
 					if !ok {
 						continue
 					}
@@ -150,11 +205,21 @@ func TestNodePutModel(t *testing.T) {
 					apply(key, raw)
 				case r < 90: // bit rot under the store, then sometimes the repair
 					op = "corrupt"
-					good, ok := valid(model[key])
+					good, ok := validRecord(model[key])
 					if !ok {
 						continue
 					}
 					model[key] = corruptInPlace(t, n, key)
+					// A backdoor writer owes the table an invalidation: by
+					// hand, or by the data read that finds the damage.
+					if rng.Intn(2) == 0 {
+						n.forget([]byte(key))
+					} else if got, err := n.handleGet(tctx, []byte(key)); err != nil || !bytes.Equal(got[1:], model[key]) {
+						t.Fatalf("step %d: get of corrupt %s = %x, %v", step, key, got, err)
+					}
+					if tracked(n, key) {
+						t.Fatalf("step %d: corrupt %s still tracked", step, key)
+					}
 					if rng.Intn(2) == 0 {
 						raw := appendRecord(nil, good.version, good.tombstone, good.payload)
 						putRec(t, n, key, raw)
@@ -187,6 +252,18 @@ func TestNodePutModel(t *testing.T) {
 						}
 					}
 					model = maps.Clone(durable)
+				}
+				if op == "crash" || op == "restart" {
+					// The table is rebuilt empty; the first digest of a key
+					// is served from the recovered store.
+					if size := tableLen(n); size != 0 {
+						t.Fatalf("step %d: %d keys tracked across a %s", step, size, op)
+					}
+					gets := n.Store().Stats().Gets
+					digest(step, key)
+					if d := n.Store().Stats().Gets - gets; d != 1 {
+						t.Fatalf("step %d: first digest after a %s read the store %d times, want 1", step, op, d)
+					}
 				}
 				if step%25 == 0 || op == "crash" || op == "restart" {
 					check(step, op)
@@ -231,7 +308,7 @@ func TestNodeBlindPutCounters(t *testing.T) {
 		t.Fatalf("store served %d gets for %d puts, want one per first put (%d)", gets, keys*rounds, keys)
 	}
 	for k := 0; k < keys; k++ {
-		rec, ok := valid(stored(t, n, fmt.Sprintf("key-%02d", k)))
+		rec, ok := validRecord(stored(t, n, fmt.Sprintf("key-%02d", k)))
 		if want := uint64((rounds-1)*keys + k + 1); !ok || rec.version != want {
 			t.Fatalf("key-%02d holds version %d (valid=%v), want %d", k, rec.version, ok, want)
 		}
@@ -252,7 +329,7 @@ func TestNodeOlderPutAfterBlindPutIsNoop(t *testing.T) {
 	if _, err := n.handleDelete(tctx, req); err != nil {
 		t.Fatal(err)
 	}
-	rec, ok := valid(stored(t, n, "k"))
+	rec, ok := validRecord(stored(t, n, "k"))
 	if !ok || rec.version != 20 || string(rec.payload) != "twenty" || rec.tombstone {
 		t.Fatalf("stored = version %d %q tombstone=%v valid=%v, want version 20 \"twenty\"", rec.version, rec.payload, rec.tombstone, ok)
 	}
@@ -280,7 +357,11 @@ func TestNodeCorruptRecordRepairedBySameVersion(t *testing.T) {
 	if got := stored(t, n, "k"); !bytes.Equal(got, older) {
 		t.Fatalf("older put did not replace the corrupt record: %x", got)
 	}
-	// The table still remembers 7, so version 6 is compared, finds 5, wins.
+	// The table follows the store down to 5 (it holds the stored header, not
+	// the highest version seen), so the digest says 5 and version 6 wins.
+	if d, err := digestOf(n, "k"); err != nil || !bytes.Equal(d[1:], older[:recHeaderLen]) {
+		t.Fatalf("digest after the older put = %x, %v, want the header of version 5", d, err)
+	}
 	six := appendRecord(nil, 6, false, []byte("six"))
 	putRec(t, n, "k", six)
 	if got := stored(t, n, "k"); !bytes.Equal(got, six) {
@@ -298,10 +379,7 @@ func TestNodeVersionTableOverflow(t *testing.T) {
 	for i := 0; i < total; i++ {
 		putRec(t, n, fmt.Sprintf("key-%06d", i), appendRecord(nil, uint64(i+1), false, val))
 	}
-	n.putMu.Lock()
-	size := len(n.versions)
-	n.putMu.Unlock()
-	if size != maxTrackedVersions {
+	if size := tableLen(n); size != maxTrackedVersions {
 		t.Fatalf("table holds %d entries, bound is %d", size, maxTrackedVersions)
 	}
 	before := n.PutStats()
@@ -321,10 +399,26 @@ func TestNodeVersionTableOverflow(t *testing.T) {
 	for i := 0; i < total; i += 97 {
 		key := fmt.Sprintf("key-%06d", i)
 		putRec(t, n, key, appendRecord(nil, uint64(i+1), false, []byte("stale")))
-		rec, ok := valid(stored(t, n, key))
+		rec, ok := validRecord(stored(t, n, key))
 		if !ok || rec.version != uint64(total+i+1) {
 			t.Fatalf("%s holds version %d (valid=%v), want %d", key, rec.version, ok, total+i+1)
 		}
+	}
+	// Digests agree with the store for evicted and resident keys alike; an
+	// evicted key re-enters by evicting another, so the table stays full.
+	gets := n.Store().Stats().Gets
+	for i := 0; i < total; i++ {
+		key := fmt.Sprintf("key-%06d", i)
+		want := appendRecord(nil, uint64(total+i+1), false, val)[:recHeaderLen]
+		if d, err := digestOf(n, key); err != nil || !bytes.Equal(d[1:], want) {
+			t.Fatalf("digest of %s = %x, %v, want header %x", key, d, err, want)
+		}
+	}
+	if reads := n.Store().Stats().Gets - gets; reads < extra || reads == int64(total) {
+		t.Fatalf("%d digests read the store %d times, want at least the %d evicted keys and not all", total, reads, extra)
+	}
+	if size := tableLen(n); size != maxTrackedVersions {
+		t.Fatalf("table holds %d entries after the digests, bound is %d", size, maxTrackedVersions)
 	}
 }
 
@@ -343,11 +437,20 @@ func TestNodeFailedPutForgetsVersion(t *testing.T) {
 		t.Fatalf("put with a failing checkpoint: err = %v, want the injected fault", err)
 	}
 	fp.FailSnapshot(false)
-	if rec, ok := valid(stored(t, n, "k")); !ok || rec.version != 9 {
+	if rec, ok := validRecord(stored(t, n, "k")); !ok || rec.version != 9 {
 		t.Fatalf("precondition: the failed put should sit in the memtable, found version %d", rec.version)
 	}
+	if tracked(n, "k") {
+		t.Fatal("the failed put left its key in the table")
+	}
+	// A digest now reads the store, so it reports what is there, not what
+	// the table last believed.
+	if d, err := digestOf(n, "k"); err != nil || binary.LittleEndian.Uint64(d[1:9]) != 9 {
+		t.Fatalf("digest after the failed put = %x, %v, want version 9", d, err)
+	}
+	n.forget([]byte("k")) // the rest checks the put path from a cold entry
 	putRec(t, n, "k", appendRecord(nil, 5, false, []byte("five")))
-	if rec, ok := valid(stored(t, n, "k")); !ok || rec.version != 9 {
+	if rec, ok := validRecord(stored(t, n, "k")); !ok || rec.version != 9 {
 		t.Fatalf("version 5 overwrote version 9 after a failed put (stored version %d)", rec.version)
 	}
 }
@@ -365,7 +468,7 @@ func TestNodeRestartColdTable(t *testing.T) {
 	if err := n.Restart(tctx); err != nil {
 		t.Fatal(err)
 	}
-	if rec, ok := valid(stored(t, n, "k")); !ok || rec.version != 1 {
+	if rec, ok := validRecord(stored(t, n, "k")); !ok || rec.version != 1 {
 		t.Fatalf("after crash the store holds version %d, want the checkpointed 1", rec.version)
 	}
 	before := n.PutStats()
@@ -374,7 +477,7 @@ func TestNodeRestartColdTable(t *testing.T) {
 	if after.Compared != before.Compared+1 || after.Blind != before.Blind {
 		t.Fatalf("first put after restart: %+v → %+v, want one compared put", before, after)
 	}
-	if rec, ok := valid(stored(t, n, "k")); !ok || rec.version != 4 {
+	if rec, ok := validRecord(stored(t, n, "k")); !ok || rec.version != 4 {
 		t.Fatalf("version 4 not stored after restart (stored version %d)", rec.version)
 	}
 }
