@@ -147,8 +147,8 @@ func WithNodePersister(p kvstore.Persister) NodeOption {
 	return func(c *nodeConfig) { c.persister = p }
 }
 
-// WithNodeDir stores the node's WAL and snapshots under dir instead of the
-// in-memory persister.
+// WithNodeDir stores the node's WAL, tables and manifest under dir instead
+// of the in-memory persister.
 func WithNodeDir(dir string) NodeOption {
 	return func(c *nodeConfig) { c.storeDir = dir }
 }
@@ -343,7 +343,7 @@ func (n *Node) Crash() {
 }
 
 // Restart brings a stopped or crashed node back: the store reopens from
-// the persister, replaying the snapshot and WAL.
+// the persister — the manifest's tables, then the WAL tail.
 func (n *Node) Restart(ctx context.Context) error {
 	n.lifeMu.Lock()
 	defer n.lifeMu.Unlock()

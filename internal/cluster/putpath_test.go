@@ -102,7 +102,7 @@ func TestNodePutModel(t *testing.T) {
 			n := testNode(t, smallStore(), WithNodeSyncPolicy(kvstore.SyncOnCheckpoint))
 
 			model := map[string][]byte{}   // what the store must hold, raw
-			durable := map[string][]byte{} // model as of the last sync
+			durable := map[string][]byte{} // model as of the last sync or checkpoint
 			var version uint64
 			const keys = 40
 			payload := func() []byte {
@@ -110,11 +110,22 @@ func TestNodePutModel(t *testing.T) {
 				rng.Read(p)
 				return p
 			}
+			// settle runs after every store write: one that filled the
+			// memtable flushed it, and a flush is a checkpoint — that write
+			// and everything before it now survive a crash.
+			var commits int64
+			settle := func() {
+				if c := n.Store().Stats().ManifestCommits; c != commits {
+					commits = c
+					durable = maps.Clone(model)
+				}
+			}
 			apply := func(key string, rec []byte) {
 				in, _ := parseRecord(rec)
 				if cur, ok := validRecord(model[key]); !ok || in.version > cur.version {
 					model[key] = rec
 				}
+				settle()
 			}
 			// digest checks one key's digest against the model: the stored
 			// header when the record is whole (and the key is tracked from
@@ -210,6 +221,7 @@ func TestNodePutModel(t *testing.T) {
 						continue
 					}
 					model[key] = corruptInPlace(t, n, key)
+					settle()
 					// A backdoor writer owes the table an invalidation: by
 					// hand, or by the data read that finds the damage.
 					if rng.Intn(2) == 0 {
@@ -227,10 +239,10 @@ func TestNodePutModel(t *testing.T) {
 					}
 				case r < 94: // checkpoint: everything so far survives a crash
 					op = "checkpoint"
-					if err := n.Store().Checkpoint(tctx); err != nil {
+					if err := n.Store().Flush(tctx); err != nil {
 						t.Fatalf("checkpoint: %v", err)
 					}
-					durable = maps.Clone(model)
+					durable, commits = maps.Clone(model), n.Store().Stats().ManifestCommits
 				case r < 97: // graceful restart: Close syncs the WAL
 					op = "restart"
 					if err := n.Stop(); err != nil {
@@ -254,6 +266,7 @@ func TestNodePutModel(t *testing.T) {
 					model = maps.Clone(durable)
 				}
 				if op == "crash" || op == "restart" {
+					commits = n.Store().Stats().ManifestCommits // a new store counts from its recovery
 					// The table is rebuilt empty; the first digest of a key
 					// is served from the recovered store.
 					if size := tableLen(n); size != 0 {
@@ -422,23 +435,24 @@ func TestNodeVersionTableOverflow(t *testing.T) {
 	}
 }
 
-// A put whose store write fails may still have reached the memtable (here:
-// the automatic checkpoint after it fails). The table must forget the key,
-// or the next in-between version would overwrite the newer record blind.
+// A put whose store write fails may still have reached the store (here: the
+// flush it triggers builds the table, then the checkpoint's table write
+// fails). The version table must forget the key, or the next in-between
+// version would overwrite the newer record blind.
 func TestNodeFailedPutForgetsVersion(t *testing.T) {
 	fp := kvstore.NewFaultPersister(kvstore.NewMemPersister())
-	n := testNode(t, WithNodePersister(fp), WithNodeStoreOptions(kvstore.WithWALRotateBytes(1)))
+	n := testNode(t, WithNodePersister(fp), WithNodeStoreOptions(kvstore.WithMemtableBytes(1)))
 	putRec(t, n, "k", appendRecord(nil, 1, false, []byte("one")))
 	putRec(t, n, "k", appendRecord(nil, 2, false, []byte("two")))
 
-	fp.FailSnapshot(true)
+	fp.FailBlobs(true)
 	_, err := n.handlePut(tctx, appendKeyRecord(nil, []byte("k"), appendRecord(nil, 9, false, []byte("nine"))))
 	if !errors.Is(err, kvstore.ErrInjected) {
 		t.Fatalf("put with a failing checkpoint: err = %v, want the injected fault", err)
 	}
-	fp.FailSnapshot(false)
+	fp.FailBlobs(false)
 	if rec, ok := validRecord(stored(t, n, "k")); !ok || rec.version != 9 {
-		t.Fatalf("precondition: the failed put should sit in the memtable, found version %d", rec.version)
+		t.Fatalf("precondition: the failed put should sit in the store, found version %d", rec.version)
 	}
 	if tracked(n, "k") {
 		t.Fatal("the failed put left its key in the table")
@@ -460,7 +474,7 @@ func TestNodeFailedPutForgetsVersion(t *testing.T) {
 func TestNodeRestartColdTable(t *testing.T) {
 	n := testNode(t, WithNodeSyncPolicy(kvstore.SyncOnCheckpoint))
 	putRec(t, n, "k", appendRecord(nil, 1, false, []byte("one")))
-	if err := n.Store().Checkpoint(tctx); err != nil {
+	if err := n.Store().Flush(tctx); err != nil {
 		t.Fatal(err)
 	}
 	putRec(t, n, "k", appendRecord(nil, 8, false, []byte("eight"))) // blind, unsynced

@@ -6,6 +6,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -53,8 +56,10 @@ func tm() {
 		tmWALBytes = r.Counter("kvstore_wal_bytes_total", "framed WAL bytes appended")
 		tmWALSyncs = r.Counter("kvstore_wal_syncs_total", "WAL fsyncs")
 		tmWALCompNS = r.Counter("kvstore_wal_compress_ns_total", "time coding WAL records (compress + checksum + frame)")
-		tmSnapshots = r.Counter("kvstore_snapshots_total", "snapshot checkpoints written")
-		tmSnapshotBytes = r.Counter("kvstore_snapshot_bytes_total", "snapshot container bytes written")
+		// The checkpoint counters keep their names from when a checkpoint was a
+		// snapshot: dashboards and the serving benchmark read them.
+		tmSnapshots = r.Counter("kvstore_snapshots_total", "checkpoints: manifest commits")
+		tmSnapshotBytes = r.Counter("kvstore_snapshot_bytes_total", "manifest bytes written by checkpoints")
 		tmReplayedBatches = r.Counter("kvstore_wal_replayed_batches_total", "WAL batches applied during recovery")
 		tmRecoveries = r.Counter("kvstore_recoveries_total", "DB opens that recovered prior state")
 	})
@@ -91,8 +96,8 @@ type Stats struct {
 	WALBytes        int64 // framed bytes appended
 	WALSyncs        int64
 	WALCompressTime time.Duration // coding WAL records: compress + checksum + frame
-	Snapshots       int64
-	ReplayedBatches int64 // WAL batches applied during recovery
+	ManifestCommits int64         // checkpoints: the table set made durable, the WAL reset
+	ReplayedBatches int64         // WAL batches applied during recovery
 }
 
 // WriteAmplification is stored bytes written per raw byte ingested.
@@ -121,7 +126,7 @@ func (s Stats) DecompressPerBlock() time.Duration {
 }
 
 // DB is an embedded LSM key-value store with a compressed write-ahead log
-// and snapshot checkpoints. Safe for concurrent use (a single mutex
+// and durable tables named by a manifest. Safe for concurrent use (a single mutex
 // serializes operations; the paper's experiments measure compression work,
 // not lock scalability).
 type DB struct {
@@ -138,16 +143,18 @@ type DB struct {
 	// Durability state (nil persister / nil walEng when WithoutWAL).
 	persister Persister
 	walEng    codec.Engine
-	seq       uint64 // last acknowledged batch sequence
-	walBytes  int64  // framed bytes in the current WAL generation
-	oneOp     Batch  // scratch batch for Put/Delete
-	walBuf    []byte // batch payload scratch
-	walFrame  []byte // framed record scratch
-	walComp   []byte // compressed payload scratch
+	seq       uint64   // last acknowledged batch sequence
+	walBytes  int64    // framed bytes in the current WAL generation
+	dirty     bool     // the table set differs from the committed manifest
+	obsolete  []string // persisted tables compaction consumed, deleted after the next commit
+	oneOp     Batch    // scratch batch for Put/Delete
+	walBuf    []byte   // batch payload scratch
+	walFrame  []byte   // framed record scratch
+	walComp   []byte   // compressed payload scratch
 }
 
-// Open opens a DB, recovering any state its persister holds: snapshot
-// first, then WAL batches past the snapshot's sequence. path names the
+// Open opens a DB, recovering any state its persister holds: the tables the
+// manifest names, then WAL batches past the manifest's sequence. path names the
 // directory of a DirPersister; an empty path without WithPersister runs on
 // an in-memory MemPersister (diskless, but still crash-modelable).
 func Open(ctx context.Context, path string, opts ...Option) (*DB, error) {
@@ -190,6 +197,9 @@ func Open(ctx context.Context, path string, opts ...Option) (*DB, error) {
 			}
 		}
 		if err := db.recover(ctx); err != nil {
+			if cfg.persister == nil {
+				db.persister.Close() // ours, and only read so far
+			}
 			return nil, err
 		}
 	}
@@ -205,22 +215,57 @@ func OpenLegacy(opts Options) (*DB, error) {
 	return Open(context.Background(), "", append(opts.opts(), WithoutWAL())...)
 }
 
-// recover loads the persisted snapshot and replays the WAL tail.
+// recover opens the tables the manifest names — no data block is decoded —
+// deletes table blobs it does not name (a crash between persisting a table
+// and committing, or between committing and deleting compaction inputs),
+// and replays the WAL tail.
 func (db *DB) recover(ctx context.Context) error {
-	snap, err := db.persister.LoadSnapshot()
+	names, err := db.persister.ListBlobs()
 	if err != nil {
 		return err
 	}
-	var snapSeq uint64
-	recovered := false
-	if len(snap) > 0 {
-		snapSeq, err = db.loadSnapshotLocked(snap)
+	if slices.Contains(names, legacySnapshotName) {
+		return ErrLegacySnapshot
+	}
+	live := map[string]bool{}
+	recovered := slices.Contains(names, manifestName)
+	if recovered {
+		raw, err := db.persister.GetBlob(manifestName)
 		if err != nil {
 			return err
 		}
-		db.seq = snapSeq
-		recovered = true
+		m, err := decodeManifest(raw)
+		if err != nil {
+			return err
+		}
+		db.seq, db.nextID = m.seq, m.nextID
+		for lvl, ids := range m.levels {
+			for _, id := range ids {
+				blob, err := db.persister.GetBlob(tableName(id))
+				if err != nil {
+					return err
+				}
+				t, err := openTable(id, blob, db.eng)
+				if err != nil {
+					return err
+				}
+				t.persisted = true
+				live[tableName(id)] = true
+				db.levels[lvl] = append(db.levels[lvl], t)
+			}
+		}
 	}
+	orphans := slices.DeleteFunc(names, func(name string) bool {
+		return !strings.HasSuffix(name, tableSuffix) || live[name]
+	})
+	if err := db.persister.DeleteBlobs(orphans...); err != nil {
+		return err
+	}
+
+	// The persister is walking its log under its own lock: a memtable that
+	// fills during replay is flushed to tables in memory only, and made
+	// durable, with the rest of the replay, after the walk.
+	manifestSeq := db.seq
 	replayed := 0
 	err = db.persister.ReplayWAL(func(rec []byte) error {
 		if err := ctx.Err(); err != nil {
@@ -232,51 +277,46 @@ func (db *DB) recover(ctx context.Context) error {
 			return ErrStopReplay
 		}
 		db.walBuf = raw[:0]
+		// The whole batch is parsed, into private copies, before any of it
+		// is applied.
+		db.oneOp.Reset()
 		seq, err := decodeBatchPayload(raw, func(key, value []byte, del bool) error {
-			return nil // validate the whole batch before applying any of it
-		})
-		if err != nil {
-			return ErrStopReplay
-		}
-		if seq <= snapSeq {
-			// Stale batch already covered by the snapshot (crash landed
-			// between snapshot rename and WAL truncate).
-			db.walBytes += int64(len(rec))
-			return nil
-		}
-		_, err = decodeBatchPayload(raw, func(key, value []byte, del bool) error {
 			if del {
-				db.mem.set(append([]byte{}, key...), nil)
+				db.oneOp.Delete(key)
 			} else {
-				v := append([]byte{}, value...)
-				if v == nil {
-					v = []byte{}
-				}
-				db.mem.set(append([]byte{}, key...), v)
+				db.oneOp.Put(key, value)
 			}
 			return nil
 		})
 		if err != nil {
 			return ErrStopReplay
 		}
-		db.seq = seq
 		db.walBytes += int64(len(rec))
+		if seq <= manifestSeq {
+			// Stale batch the tables already hold (crash landed between
+			// the manifest commit and the WAL reset).
+			return nil
+		}
+		for _, op := range db.oneOp.ops {
+			db.mem.set(op.key, op.value) // a delete's value is nil: a tombstone
+		}
+		db.seq = seq
 		replayed++
-		if err := db.maybeFlushLocked(ctx); err != nil {
-			return err
+		if db.mem.approximateBytes() >= db.cfg.memtableBytes {
+			return db.flushMemLocked(ctx)
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	if replayed > 0 {
-		recovered = true
-	}
 	db.stats.ReplayedBatches += int64(replayed)
 	tmReplayedBatches.Add(int64(replayed))
-	if recovered {
+	if recovered || replayed > 0 {
 		tmRecoveries.Inc()
+	}
+	if db.dirty {
+		return db.flushLocked(ctx)
 	}
 	return nil
 }
@@ -388,19 +428,10 @@ func (db *DB) applyLocked(ctx context.Context, b *Batch) error {
 			tmPuts.Inc()
 		}
 	}
-	if err := db.maybeFlushLocked(ctx); err != nil {
-		return err
+	if db.mem.approximateBytes() >= db.cfg.memtableBytes {
+		return db.flushLocked(ctx)
 	}
-	return db.maybeCheckpointLocked(ctx)
-}
-
-// maybeCheckpointLocked rotates the WAL into a snapshot once it outgrows
-// the configured budget.
-func (db *DB) maybeCheckpointLocked(ctx context.Context) error {
-	if db.persister == nil || db.cfg.walRotateBytes < 0 || db.walBytes < db.cfg.walRotateBytes {
-		return nil
-	}
-	return db.checkpointLocked(ctx)
+	return nil
 }
 
 // Get fetches the value for key.
@@ -474,14 +505,8 @@ func (db *DB) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
-func (db *DB) maybeFlushLocked(ctx context.Context) error {
-	if db.mem.approximateBytes() < db.cfg.memtableBytes {
-		return nil
-	}
-	return db.flushLocked(ctx)
-}
-
-// Flush forces the memtable into L0.
+// Flush forces the memtable into L0 and checkpoints: every write before it
+// is in a durable table the committed manifest names, and the WAL is empty.
 func (db *DB) Flush(ctx context.Context) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -492,76 +517,76 @@ func (db *DB) Flush(ctx context.Context) error {
 }
 
 func (db *DB) flushLocked(ctx context.Context) error {
+	if err := db.flushMemLocked(ctx); err != nil {
+		return err
+	}
+	return db.commitLocked()
+}
+
+// flushMemLocked moves the memtable into L0 and compacts, in memory only.
+func (db *DB) flushMemLocked(ctx context.Context) error {
 	if db.mem.len() == 0 {
 		return nil
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	w := newTableWriter(db.nextID, db.cfg.codecName, db.eng, db.cfg.blockSize, &db.stats)
-	db.nextID++
-	for it := db.mem.iterator(); it.valid(); it.next() {
-		var v []byte
-		if !it.tombstone() {
-			v = it.value()
-			if v == nil {
-				v = []byte{}
-			}
-		}
-		if err := w.add(it.key(), v); err != nil {
-			return err
-		}
-	}
-	t, err := w.finish()
+	// One table however large the memtable, tombstones kept: older tables
+	// on every level may hold what they shadow.
+	out, err := db.writeTablesLocked(ctx, newMergeIterator([]entryIterator{db.mem.iterator()}), math.MaxInt, false)
 	if err != nil {
 		return err
 	}
-	if t != nil {
-		db.levels[0] = append([]*sstable{t}, db.levels[0]...)
-	}
+	db.levels[0] = append(out, db.levels[0]...)
 	db.mem = newMemtable(db.cfg.seed + db.nextID)
+	db.dirty = true
 	db.stats.Flushes++
 	tmFlushes.Inc()
 	return db.maybeCompactLocked(ctx)
 }
 
-// Checkpoint writes a snapshot of the full live state and resets the WAL —
-// the log-compaction step that bounds recovery time. It runs automatically
-// when the WAL exceeds WithWALRotateBytes.
-func (db *DB) Checkpoint(ctx context.Context) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return db.checkpointLocked(ctx)
-}
-
-func (db *DB) checkpointLocked(ctx context.Context) error {
-	if db.persister == nil {
+// commitLocked is the checkpoint: it makes the in-memory table set the
+// durable one. The order is what makes every crash point recoverable —
+// tables not yet persisted, then the manifest naming them (the commit),
+// then the WAL reset (its batches are all ≤ the manifest's seq by now),
+// then the delete of tables the manifest no longer names. Callers hold an
+// empty memtable, so db.seq is exactly what the tables cover. A table that
+// was flushed and compacted away since the last commit is never written.
+func (db *DB) commitLocked() error {
+	if db.persister == nil || !db.dirty {
 		return nil
 	}
-	snap, err := db.buildSnapshotLocked(ctx)
-	if err != nil {
+	m := manifest{seq: db.seq, nextID: db.nextID}
+	for lvl, tables := range db.levels {
+		for _, t := range tables {
+			if !t.persisted {
+				if err := db.persister.PutBlob(tableName(t.id), t.blob); err != nil {
+					return err
+				}
+				t.persisted = true
+			}
+			m.levels[lvl] = append(m.levels[lvl], t.id)
+		}
+	}
+	enc := m.encode()
+	if err := db.persister.PutBlob(manifestName, enc); err != nil {
 		return err
 	}
-	if err := db.persister.WriteSnapshot(snap); err != nil {
+	db.dirty = false
+	db.stats.ManifestCommits++
+	tmSnapshots.Inc()
+	tmSnapshotBytes.Add(int64(len(enc)))
+	if err := db.persister.ResetWAL(); err != nil {
 		return err
 	}
 	db.walBytes = 0
-	db.stats.Snapshots++
-	tmSnapshots.Inc()
-	tmSnapshotBytes.Add(int64(len(snap)))
+	if err := db.persister.DeleteBlobs(db.obsolete...); err != nil {
+		return err // retried by the next commit, or swept as orphans by Open
+	}
+	db.obsolete = db.obsolete[:0]
 	return nil
 }
 
-// Close syncs the WAL and closes the persister. The DB rejects operations
-// afterwards. Close is not a checkpoint: reopening replays the WAL.
+// Close syncs the WAL and closes the persister, which it does even when the
+// sync fails. The DB rejects operations afterwards. Close is not a
+// checkpoint: reopening replays the WAL.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -572,12 +597,12 @@ func (db *DB) Close() error {
 	if db.persister == nil {
 		return nil
 	}
-	if err := db.persister.Sync(); err != nil {
-		return err
+	err := db.persister.Sync()
+	if err == nil {
+		db.stats.WALSyncs++
+		tmWALSyncs.Inc()
 	}
-	db.stats.WALSyncs++
-	tmWALSyncs.Inc()
-	return db.persister.Close()
+	return errors.Join(err, db.persister.Close())
 }
 
 func levelBytes(tables []*sstable) int64 {
@@ -600,14 +625,14 @@ func (db *DB) maybeCompactLocked(ctx context.Context) error {
 	for {
 		progressed := false
 		if len(db.levels[0]) >= db.cfg.l0Trigger {
-			if err := db.compactL0Locked(ctx); err != nil {
+			if err := db.compactLocked(ctx, 0, len(db.levels[0])); err != nil {
 				return err
 			}
 			progressed = true
 		}
 		for lvl := 1; lvl < numLevels-1; lvl++ {
 			if levelBytes(db.levels[lvl]) > db.levelLimit(lvl) {
-				if err := db.compactLevelLocked(ctx, lvl); err != nil {
+				if err := db.compactLocked(ctx, lvl, 1); err != nil {
 					return err
 				}
 				progressed = true
@@ -624,11 +649,14 @@ func overlaps(t *sstable, lo, hi []byte) bool {
 	return bytes.Compare(t.largest, lo) >= 0 && bytes.Compare(t.smallest, hi) <= 0
 }
 
-func (db *DB) compactL0Locked(ctx context.Context) error {
-	sources := db.levels[0]
-	lo := sources[0].smallest
-	hi := sources[0].largest
-	for _, t := range sources {
+// compactLocked merges the first n tables of level lvl — all of L0, newest
+// first, or one table of a deeper level — into the next level, together
+// with every table there that their key range touches. On duplicate keys
+// the sources win, in level order.
+func (db *DB) compactLocked(ctx context.Context, lvl, n int) error {
+	inputs := slices.Clone(db.levels[lvl][:n])
+	lo, hi := inputs[0].smallest, inputs[0].largest
+	for _, t := range inputs[1:] {
 		if bytes.Compare(t.smallest, lo) < 0 {
 			lo = t.smallest
 		}
@@ -636,75 +664,38 @@ func (db *DB) compactL0Locked(ctx context.Context) error {
 			hi = t.largest
 		}
 	}
-	var keep, merge []*sstable
-	for _, t := range db.levels[1] {
-		if overlaps(t, lo, hi) {
-			merge = append(merge, t)
-		} else {
-			keep = append(keep, t)
-		}
-	}
-	// Priority: L0 newest first, then L1.
-	inputs := append(append([]*sstable{}, sources...), merge...)
-	out, err := db.mergeTablesLocked(ctx, inputs, 1)
-	if err != nil {
-		return err
-	}
-	db.levels[0] = nil
-	db.levels[1] = sortTables(append(keep, out...))
-	for _, t := range inputs {
-		if db.cache != nil {
-			db.cache.dropTable(t.id)
-		}
-	}
-	db.stats.Compactions++
-	tmCompactions.Inc()
-	return nil
-}
-
-func (db *DB) compactLevelLocked(ctx context.Context, lvl int) error {
-	if len(db.levels[lvl]) == 0 {
-		return nil
-	}
-	src := db.levels[lvl][0]
-	var keep, merge []*sstable
+	var keep []*sstable
 	for _, t := range db.levels[lvl+1] {
-		if overlaps(t, src.smallest, src.largest) {
-			merge = append(merge, t)
+		if overlaps(t, lo, hi) {
+			inputs = append(inputs, t)
 		} else {
 			keep = append(keep, t)
 		}
 	}
-	inputs := append([]*sstable{src}, merge...)
 	out, err := db.mergeTablesLocked(ctx, inputs, lvl+1)
 	if err != nil {
 		return err
 	}
-	db.levels[lvl] = db.levels[lvl][1:]
-	db.levels[lvl+1] = sortTables(append(keep, out...))
+	db.levels[lvl] = append([]*sstable(nil), db.levels[lvl][n:]...)
+	db.levels[lvl+1] = append(keep, out...)
+	slices.SortFunc(db.levels[lvl+1], func(a, b *sstable) int { return bytes.Compare(a.smallest, b.smallest) })
 	for _, t := range inputs {
 		if db.cache != nil {
 			db.cache.dropTable(t.id)
 		}
+		if t.persisted {
+			db.obsolete = append(db.obsolete, tableName(t.id))
+		}
 	}
+	db.dirty = true
 	db.stats.Compactions++
 	tmCompactions.Inc()
 	return nil
 }
 
-func sortTables(ts []*sstable) []*sstable {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && bytes.Compare(ts[j].smallest, ts[j-1].smallest) < 0; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
-	return ts
-}
-
 // mergeTablesLocked k-way merges input tables (earlier inputs shadow later
 // ones) into new tables for targetLevel. Tombstones are dropped when the
-// target is the bottom level. ctx cancellation is honored between merged
-// entries, so a deadline propagates into compaction work.
+// target is the bottom level.
 func (db *DB) mergeTablesLocked(ctx context.Context, inputs []*sstable, targetLevel int) ([]*sstable, error) {
 	// Tombstones can be dropped only when no deeper level holds data they
 	// might still be shadowing.
@@ -714,8 +705,13 @@ func (db *DB) mergeTablesLocked(ctx context.Context, inputs []*sstable, targetLe
 			bottom = false
 		}
 	}
+	return db.writeTablesLocked(ctx, newMergeIterator(db.tableIterators(nil, inputs)), db.cfg.maxTableBytes, bottom)
+}
 
-	mi := newMergeIterator(inputs, &db.stats)
+// writeTablesLocked drains mi into new tables, starting another every
+// maxTableBytes of raw entries. ctx cancellation is honored between
+// entries, so a deadline propagates into flush and compaction work.
+func (db *DB) writeTablesLocked(ctx context.Context, mi *mergeIterator, maxTableBytes int, dropTombstones bool) ([]*sstable, error) {
 	var out []*sstable
 	w := newTableWriter(db.nextID, db.cfg.codecName, db.eng, db.cfg.blockSize, &db.stats)
 	db.nextID++
@@ -728,19 +724,12 @@ func (db *DB) mergeTablesLocked(ctx context.Context, inputs []*sstable, targetLe
 			}
 		}
 		entries++
-		if !(mi.tombstone() && bottom) {
-			var v []byte
-			if !mi.tombstone() {
-				v = mi.value()
-				if v == nil {
-					v = []byte{}
-				}
-			}
-			if err := w.add(mi.key(), v); err != nil {
+		if !(mi.tombstone() && dropTombstones) {
+			if err := w.add(mi.key(), mi.value(), mi.tombstone()); err != nil {
 				return nil, err
 			}
 			rawInTable += len(mi.key()) + len(mi.value())
-			if rawInTable >= db.cfg.maxTableBytes {
+			if rawInTable >= maxTableBytes {
 				t, err := w.finish()
 				if err != nil {
 					return nil, err
@@ -770,7 +759,27 @@ func (db *DB) mergeTablesLocked(ctx context.Context, inputs []*sstable, targetLe
 	return out, nil
 }
 
-// mergeIterator k-way merges table iterators; on duplicate keys the source
+// entryIterator is one sorted input of a merge: a table (tableIterator) or
+// the memtable itself (memIterator). Keys and values stay valid after the
+// iterator advances.
+type entryIterator interface {
+	valid() bool
+	key() []byte
+	value() []byte
+	tombstone() bool
+	next()
+	err() error
+}
+
+// tableIterators appends an iterator per table to dst.
+func (db *DB) tableIterators(dst []entryIterator, tables []*sstable) []entryIterator {
+	for _, t := range tables {
+		dst = append(dst, t.iterator(&db.stats))
+	}
+	return dst
+}
+
+// mergeIterator k-way merges sorted inputs; on duplicate keys the source
 // with the lowest index wins.
 type mergeIterator struct {
 	h   mergeHeap
@@ -784,7 +793,7 @@ type mergeIterator struct {
 }
 
 type mergeSource struct {
-	it  *tableIterator
+	it  entryIterator
 	idx int
 }
 
@@ -808,12 +817,10 @@ func (h *mergeHeap) Pop() interface{} {
 	return x
 }
 
-func newMergeIterator(inputs []*sstable, stats *Stats) *mergeIterator {
+func newMergeIterator(inputs []entryIterator) *mergeIterator {
 	mi := &mergeIterator{}
-	for i, t := range inputs {
-		it := t.iterator(stats)
-		if it.err != nil {
-			mi.err = it.err
+	for i, it := range inputs {
+		if mi.err = it.err(); mi.err != nil {
 			return mi
 		}
 		if it.valid() {
@@ -839,8 +846,8 @@ func (mi *mergeIterator) next() error {
 		mi.done = true
 		return nil
 	}
-	// The winning entry is taken by reference: a tableIterator's keys and
-	// values outlive its advance (see tableIterator).
+	// The winning entry is taken by reference: an entryIterator's keys and
+	// values outlive its advance.
 	src := mi.h[0].it
 	mi.cur.key, mi.cur.value, mi.cur.tombstone = src.key(), src.value(), src.tombstone()
 	// Pop every source entry with this key; the first (lowest index,
@@ -848,8 +855,8 @@ func (mi *mergeIterator) next() error {
 	for mi.h.Len() > 0 && bytes.Equal(mi.h[0].it.key(), mi.cur.key) {
 		s := mi.h[0]
 		s.it.next()
-		if s.it.err != nil {
-			return s.it.err
+		if err := s.it.err(); err != nil {
+			return err
 		}
 		if s.it.valid() {
 			heap.Fix(&mi.h, 0)
@@ -862,17 +869,19 @@ func (mi *mergeIterator) next() error {
 
 // Scan walks every live key in order, stopping when fn returns false. ctx
 // cancellation is honored between entries. key and value point into the
-// scan's own buffers: fn must not modify them, and copies what it keeps.
+// store's own memory (the memtable is merged in place, as the newest
+// source): fn must not modify them, and copies what it keeps.
 func (db *DB) Scan(ctx context.Context, fn func(key, value []byte) bool) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
 	}
-	mi, err := db.fullMergeIteratorLocked()
-	if err != nil {
-		return err
+	srcs := []entryIterator{db.mem.iterator()}
+	for _, tables := range db.levels {
+		srcs = db.tableIterators(srcs, tables)
 	}
+	mi := newMergeIterator(srcs)
 	entries := 0
 	for mi.valid() {
 		if ctx != nil && entries&0x3ff == 0 {
@@ -925,13 +934,15 @@ func (db *DB) TableCounts() []int {
 	return out
 }
 
-// DiskBytes reports the stored size of all tables.
+// DiskBytes reports the stored size of all tables, key indexes included.
 func (db *DB) DiskBytes() int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var n int64
-	for _, lvl := range db.levels {
-		n += levelBytes(lvl)
+	for _, tables := range db.levels {
+		for _, t := range tables {
+			n += int64(len(t.blob))
+		}
 	}
 	return n
 }

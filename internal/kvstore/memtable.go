@@ -115,3 +115,4 @@ func (it *memIterator) key() []byte     { return it.n.key }
 func (it *memIterator) value() []byte   { return it.n.value }
 func (it *memIterator) tombstone() bool { return it.n.value == nil }
 func (it *memIterator) next()           { it.n = it.n.next[0] }
+func (it *memIterator) err() error      { return nil }

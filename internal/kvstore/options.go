@@ -11,9 +11,10 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncOnCheckpoint (the default) appends WAL records without fsync and
-	// syncs only at checkpoints and Close. A crash loses the unsynced tail;
-	// replay recovers everything up to the last sync.
+	// SyncOnCheckpoint (the default) appends WAL records without fsync:
+	// writes become durable at the next flush (tables + manifest commit) or
+	// Close. A crash loses the unsynced tail; replay recovers everything up
+	// to the last sync.
 	SyncOnCheckpoint SyncPolicy = iota
 	// SyncAlways fsyncs the WAL before acknowledging every batch: no
 	// acknowledged write is ever lost to a crash.
@@ -43,11 +44,10 @@ type config struct {
 	blockCacheEntries int
 	seed              int64
 
-	persister      Persister
-	walDisabled    bool
-	sync           SyncPolicy
-	walCodec       string
-	walRotateBytes int64
+	persister   Persister
+	walDisabled bool
+	sync        SyncPolicy
+	walCodec    string
 }
 
 // Option configures Open, mirroring the functional-option vocabulary of
@@ -105,8 +105,8 @@ func WithPersister(p Persister) Option { return func(c *config) { c.persister = 
 // SyncOnCheckpoint). The WAL itself is always on unless WithoutWAL.
 func WithWAL(policy SyncPolicy) Option { return func(c *config) { c.sync = policy } }
 
-// WithoutWAL disables the write-ahead log and snapshots entirely: the DB
-// is purely in-memory and nothing survives a crash. This is the v1
+// WithoutWAL disables the write-ahead log and the persister entirely: the
+// DB is purely in-memory and nothing survives a crash. This is the v1
 // behavior, kept for benchmarks and characterization runs that measure
 // block compression alone.
 func WithoutWAL() Option { return func(c *config) { c.walDisabled = true } }
@@ -115,11 +115,6 @@ func WithoutWAL() Option { return func(c *config) { c.walDisabled = true } }
 // sits on the write ack path, so the cheapest codec wins; blocks keep
 // their own, denser codec).
 func WithWALCodec(name string) Option { return func(c *config) { c.walCodec = name } }
-
-// WithWALRotateBytes sets the WAL size that triggers an automatic
-// checkpoint (snapshot + WAL reset; default 8 MiB, 0 keeps the default,
-// negative disables auto-checkpointing).
-func WithWALRotateBytes(n int64) Option { return func(c *config) { c.walRotateBytes = n } }
 
 func buildConfig(opts []Option) config {
 	c := config{}
@@ -152,9 +147,6 @@ func buildConfig(opts []Option) config {
 	}
 	if c.walCodec == "" {
 		c.walCodec = "lz4"
-	}
-	if c.walRotateBytes == 0 {
-		c.walRotateBytes = 8 << 20
 	}
 	return c
 }

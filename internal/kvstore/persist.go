@@ -3,19 +3,22 @@ package kvstore
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"github.com/datacomp/datacomp/internal/container"
 )
 
 // Persister is the DB's durability backend: an append-only write-ahead log
-// of opaque framed records plus one atomic snapshot slot. The DB owns the
-// record format (container record framing, compressed batches); the
+// of opaque framed records plus a flat namespace of named blobs (one per
+// table, one manifest). The DB owns the formats and the commit order; the
 // persister owns bytes, boundaries, and fsync. Implementations must make
 // ReplayWAL discard the torn or corrupt tail it stops at, so subsequent
-// appends extend a clean log.
+// appends extend a clean log, and must not be called back from inside
+// ReplayWAL's fn.
 type Persister interface {
 	// AppendWAL appends one framed record. Durability follows Sync, not
 	// AppendWAL.
@@ -27,13 +30,21 @@ type Persister interface {
 	// discarded. fn returning ErrStopReplay discards that record and the
 	// remainder of the log; any other fn error aborts the replay.
 	ReplayWAL(fn func(rec []byte) error) error
-	// WriteSnapshot atomically replaces the snapshot and resets the WAL
-	// to empty. The old snapshot or the new one survives a crash, never a
-	// mix; the seq embedded in the snapshot makes a stale WAL harmless.
-	WriteSnapshot(snap []byte) error
-	// LoadSnapshot returns the current snapshot, or (nil, nil) when none
-	// was ever written.
-	LoadSnapshot() ([]byte, error)
+	// ResetWAL durably empties the log.
+	ResetWAL() error
+	// PutBlob atomically and durably creates or replaces the blob: after a
+	// crash the old content or the new survives, never a mix. The persister
+	// takes ownership of data; the caller may keep reading it but never
+	// writes to it again.
+	PutBlob(name string, data []byte) error
+	// GetBlob returns the blob's content, which the caller must not
+	// modify. A missing blob is an error matching fs.ErrNotExist.
+	GetBlob(name string) ([]byte, error)
+	// DeleteBlobs durably removes the blobs — one directory fsync for the
+	// lot, not one each; a missing one is not an error.
+	DeleteBlobs(names ...string) error
+	// ListBlobs names every blob.
+	ListBlobs() ([]string, error)
 	// Close releases resources. The persister may be reopened or reused
 	// afterwards by a recovering DB where the implementation allows it.
 	Close() error
@@ -67,19 +78,19 @@ func walkWAL(log []byte, fn func(rec []byte) error) (keep int, err error) {
 	}
 }
 
-// MemPersister is the diskless Persister: the WAL is a byte slice, the
-// snapshot a buffer. It distinguishes synced from merely appended bytes so
-// tests (and the cluster's chaos harness) can model a machine crash —
-// Crash drops everything not yet fsynced — without touching a filesystem.
+// MemPersister is the diskless Persister: the WAL is a byte slice, blobs a
+// map. It distinguishes synced from merely appended bytes so tests (and
+// the cluster's chaos harness) can model a machine crash — Crash drops
+// everything not yet fsynced — without touching a filesystem.
 type MemPersister struct {
 	mu     sync.Mutex
 	wal    []byte
 	synced int
-	snap   []byte
+	blobs  map[string][]byte
 }
 
 // NewMemPersister returns an empty in-memory persister.
-func NewMemPersister() *MemPersister { return &MemPersister{} }
+func NewMemPersister() *MemPersister { return &MemPersister{blobs: map[string][]byte{}} }
 
 // AppendWAL implements Persister.
 func (p *MemPersister) AppendWAL(rec []byte) error {
@@ -112,24 +123,50 @@ func (p *MemPersister) ReplayWAL(fn func(rec []byte) error) error {
 	return nil
 }
 
-// WriteSnapshot implements Persister.
-func (p *MemPersister) WriteSnapshot(snap []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.snap = append(p.snap[:0], snap...)
-	p.wal = p.wal[:0]
-	p.synced = 0
+// ResetWAL implements Persister.
+func (p *MemPersister) ResetWAL() error {
+	p.TruncateWAL(0)
 	return nil
 }
 
-// LoadSnapshot implements Persister.
-func (p *MemPersister) LoadSnapshot() ([]byte, error) {
+// PutBlob implements Persister; the map keeps data itself, no copy.
+func (p *MemPersister) PutBlob(name string, data []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.snap == nil {
-		return nil, nil
+	p.blobs[name] = data
+	return nil
+}
+
+// GetBlob implements Persister.
+func (p *MemPersister) GetBlob(name string) ([]byte, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	data, ok := p.blobs[name]
+	if !ok {
+		return nil, fmt.Errorf("kvstore: blob %s: %w", name, fs.ErrNotExist)
 	}
-	return append([]byte{}, p.snap...), nil
+	return data, nil
+}
+
+// DeleteBlobs implements Persister.
+func (p *MemPersister) DeleteBlobs(names ...string) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, name := range names {
+		delete(p.blobs, name)
+	}
+	return nil
+}
+
+// ListBlobs implements Persister.
+func (p *MemPersister) ListBlobs() ([]string, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	names := make([]string, 0, len(p.blobs))
+	for name := range p.blobs {
+		names = append(names, name)
+	}
+	return names, nil
 }
 
 // Close implements Persister; a MemPersister stays reusable after Close,
@@ -137,7 +174,7 @@ func (p *MemPersister) LoadSnapshot() ([]byte, error) {
 func (p *MemPersister) Close() error { return nil }
 
 // Crash models the machine dying: every WAL byte not covered by a Sync is
-// lost. The snapshot (always written atomically) survives.
+// lost. Blobs (always written atomically and durably) survive.
 func (p *MemPersister) Crash() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -170,39 +207,63 @@ func (p *MemPersister) WALBytes() int64 {
 
 // Directory layout of DirPersister.
 const (
-	walFileName  = "wal.log"
-	snapFileName = "snapshot.zsxs"
-	snapTempName = "snapshot.tmp"
+	walFileName = "wal.log"
+	tmpSuffix   = ".tmp"
 )
 
-// DirPersister stores the WAL and snapshot as files in one directory:
+// DirPersister stores the WAL and each blob as a file in one directory:
 //
-//	<dir>/wal.log        append-only framed records
-//	<dir>/snapshot.zsxs  container snapshot, replaced via rename
+//	<dir>/wal.log   append-only framed records
+//	<dir>/<blob>    written as <blob>.tmp, fsynced, renamed into place
 //
-// WriteSnapshot writes a temp file, fsyncs, renames it over the snapshot,
-// then truncates the WAL — if the crash lands between rename and truncate,
-// replay skips the stale batches by sequence number.
+// A create, rename or remove is durable only once the directory itself is
+// fsynced, so every one of them is followed by that fsync.
 type DirPersister struct {
 	dir string
 	mu  sync.Mutex
 	wal *os.File
 }
 
-// NewDirPersister opens (creating if needed) a directory-backed persister.
+// NewDirPersister opens (creating if needed) a directory-backed persister
+// and removes the temp files a crash mid-PutBlob left behind.
 func NewDirPersister(dir string) (*DirPersister, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("kvstore: persister dir: %w", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("kvstore: persister dir: %w", err)
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), tmpSuffix) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return nil, fmt.Errorf("kvstore: persister dir: %w", err)
+			}
+		}
 	}
 	wal, err := os.OpenFile(filepath.Join(dir, walFileName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: wal: %w", err)
 	}
-	return &DirPersister{dir: dir, wal: wal}, nil
+	p := &DirPersister{dir: dir, wal: wal}
+	if err := p.syncDir(); err != nil {
+		wal.Close()
+		return nil, fmt.Errorf("kvstore: persister dir: %w", err)
+	}
+	return p, nil
 }
 
 // Dir reports the backing directory.
 func (p *DirPersister) Dir() string { return p.dir }
+
+func (p *DirPersister) syncDir() error {
+	d, err := os.Open(p.dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
 
 // AppendWAL implements Persister.
 func (p *DirPersister) AppendWAL(rec []byte) error {
@@ -240,44 +301,81 @@ func (p *DirPersister) ReplayWAL(fn func(rec []byte) error) error {
 	return nil
 }
 
-// WriteSnapshot implements Persister.
-func (p *DirPersister) WriteSnapshot(snap []byte) error {
+// ResetWAL implements Persister.
+func (p *DirPersister) ResetWAL() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tmp := filepath.Join(p.dir, snapTempName)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(snap); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(p.dir, snapFileName)); err != nil {
-		return err
-	}
 	if err := p.wal.Truncate(0); err != nil {
 		return err
 	}
 	return p.wal.Sync()
 }
 
-// LoadSnapshot implements Persister.
-func (p *DirPersister) LoadSnapshot() ([]byte, error) {
+// PutBlob implements Persister.
+func (p *DirPersister) PutBlob(name string, data []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	snap, err := os.ReadFile(filepath.Join(p.dir, snapFileName))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
+	path := filepath.Join(p.dir, name)
+	f, err := os.OpenFile(path+tmpSuffix, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
 	}
-	return snap, err
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(path+tmpSuffix, path)
+	}
+	if err != nil {
+		return err
+	}
+	return p.syncDir()
+}
+
+// GetBlob implements Persister.
+func (p *DirPersister) GetBlob(name string) ([]byte, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return os.ReadFile(filepath.Join(p.dir, name))
+}
+
+// DeleteBlobs implements Persister.
+func (p *DirPersister) DeleteBlobs(names ...string) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	removed := false
+	for _, name := range names {
+		if err := os.Remove(filepath.Join(p.dir, name)); err == nil {
+			removed = true
+		} else if !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+	}
+	if !removed {
+		return nil
+	}
+	return p.syncDir()
+}
+
+// ListBlobs implements Persister: every regular file but the log.
+func (p *DirPersister) ListBlobs() ([]string, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	entries, err := os.ReadDir(p.dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if e.Type().IsRegular() && e.Name() != walFileName {
+			names = append(names, e.Name())
+		}
+	}
+	return names, nil
 }
 
 // Close implements Persister.
@@ -290,19 +388,20 @@ func (p *DirPersister) Close() error {
 // FaultPersister wraps a Persister with deterministic failure injection on
 // the durability path — the storage-side sibling of faultinject.Conn. It
 // is how tests prove a failed append is a failed ack, never a silent hole.
+// Calls it injects nothing into go straight to the embedded Persister.
 type FaultPersister struct {
-	P Persister
+	Persister
 
 	mu           sync.Mutex
 	appendBudget int64 // bytes accepted before appends fail; <0 = unlimited
 	appended     int64
 	failSync     bool
-	failSnapshot bool
+	failBlobs    bool
 }
 
 // NewFaultPersister wraps p with no faults armed.
 func NewFaultPersister(p Persister) *FaultPersister {
-	return &FaultPersister{P: p, appendBudget: -1}
+	return &FaultPersister{Persister: p, appendBudget: -1}
 }
 
 // FailAppendsAfter arms append failure once n more bytes have been
@@ -321,11 +420,12 @@ func (p *FaultPersister) FailSync(on bool) {
 	p.failSync = on
 }
 
-// FailSnapshot makes WriteSnapshot fail while on is true.
-func (p *FaultPersister) FailSnapshot(on bool) {
+// FailBlobs makes PutBlob — every table write and manifest commit — fail
+// while on is true.
+func (p *FaultPersister) FailBlobs(on bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.failSnapshot = on
+	p.failBlobs = on
 }
 
 // ErrInjected is the failure FaultPersister injects.
@@ -342,7 +442,7 @@ func (p *FaultPersister) AppendWAL(rec []byte) error {
 		p.appended += int64(len(rec))
 	}
 	p.mu.Unlock()
-	return p.P.AppendWAL(rec)
+	return p.Persister.AppendWAL(rec)
 }
 
 // Sync implements Persister.
@@ -353,25 +453,16 @@ func (p *FaultPersister) Sync() error {
 	if fail {
 		return fmt.Errorf("sync: %w", ErrInjected)
 	}
-	return p.P.Sync()
+	return p.Persister.Sync()
 }
 
-// ReplayWAL implements Persister.
-func (p *FaultPersister) ReplayWAL(fn func(rec []byte) error) error { return p.P.ReplayWAL(fn) }
-
-// WriteSnapshot implements Persister.
-func (p *FaultPersister) WriteSnapshot(snap []byte) error {
+// PutBlob implements Persister.
+func (p *FaultPersister) PutBlob(name string, data []byte) error {
 	p.mu.Lock()
-	fail := p.failSnapshot
+	fail := p.failBlobs
 	p.mu.Unlock()
 	if fail {
-		return fmt.Errorf("snapshot: %w", ErrInjected)
+		return fmt.Errorf("put blob %s: %w", name, ErrInjected)
 	}
-	return p.P.WriteSnapshot(snap)
+	return p.Persister.PutBlob(name, data)
 }
-
-// LoadSnapshot implements Persister.
-func (p *FaultPersister) LoadSnapshot() ([]byte, error) { return p.P.LoadSnapshot() }
-
-// Close implements Persister.
-func (p *FaultPersister) Close() error { return p.P.Close() }

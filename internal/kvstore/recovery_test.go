@@ -186,30 +186,30 @@ func TestTornRecordEveryOffset(t *testing.T) {
 	}
 }
 
-// TestSnapshotWALEquivalence: a store recovered from snapshot+WAL and one
-// recovered from WAL alone hold identical data, and checkpointing at any
-// moment never changes the recovered contents.
-func TestSnapshotWALEquivalence(t *testing.T) {
-	pSnap := NewMemPersister()
+// TestCheckpointWALEquivalence: a store recovered from manifest + tables +
+// WAL tail and one recovered from the WAL alone hold identical data, and
+// checkpointing at any moment never changes the recovered contents.
+func TestCheckpointWALEquivalence(t *testing.T) {
+	pCkpt := NewMemPersister()
 	pWAL := NewMemPersister()
-	dbSnap, err := Open(tctx, "", WithPersister(pSnap), WithWAL(SyncAlways),
+	dbCkpt, err := Open(tctx, "", WithPersister(pCkpt), WithWAL(SyncAlways),
 		WithMemtableBytes(4<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dbWAL, err := Open(tctx, "", WithPersister(pWAL), WithWAL(SyncAlways),
-		WithMemtableBytes(4<<10))
+		WithMemtableBytes(1<<30)) // never flushes: everything stays in the log
 	if err != nil {
 		t.Fatal(err)
 	}
 	apply := func(i int) {
 		k := fmt.Sprintf("key-%04d", i%200) // overwrites exercise shadowing
 		v := fmt.Sprintf("val-%d", i)
-		mustPut(t, dbSnap, k, v)
+		mustPut(t, dbCkpt, k, v)
 		mustPut(t, dbWAL, k, v)
 		if i%7 == 0 {
 			d := []byte(fmt.Sprintf("key-%04d", (i*3)%200))
-			if err := dbSnap.Delete(tctx, d); err != nil {
+			if err := dbCkpt.Delete(tctx, d); err != nil {
 				t.Fatal(err)
 			}
 			if err := dbWAL.Delete(tctx, d); err != nil {
@@ -220,16 +220,18 @@ func TestSnapshotWALEquivalence(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		apply(i)
 		if i == 150 || i == 310 {
-			if err := dbSnap.Checkpoint(tctx); err != nil {
+			if err := dbCkpt.Flush(tctx); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if dbSnap.Stats().Snapshots != 2 {
-		t.Fatalf("snapshots=%d, want 2", dbSnap.Stats().Snapshots)
+	if n := dbCkpt.Stats().ManifestCommits; n < 2 {
+		t.Fatalf("manifest commits=%d, want the two forced ones at least", n)
 	}
-	p2 := pSnap // crash both and reopen
-	db2, err := Open(tctx, "", WithPersister(p2))
+	if n := dbWAL.Stats().ManifestCommits; n != 0 {
+		t.Fatalf("the WAL-only store committed %d manifests", n)
+	}
+	db2, err := Open(tctx, "", WithPersister(pCkpt)) // crash both and reopen
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,23 +241,23 @@ func TestSnapshotWALEquivalence(t *testing.T) {
 	}
 	a, b := dump(t, db2), dump(t, db3)
 	if len(a) != len(b) {
-		t.Fatalf("snapshot path has %d keys, WAL path %d", len(a), len(b))
+		t.Fatalf("checkpoint path has %d keys, WAL path %d", len(a), len(b))
 	}
 	for k, v := range b {
 		if a[k] != v {
-			t.Fatalf("key %q: snapshot path %q, WAL path %q", k, a[k], v)
+			t.Fatalf("key %q: checkpoint path %q, WAL path %q", k, a[k], v)
 		}
 	}
-	// The snapshot bounded the replay work.
+	// The checkpoints bounded the replay work.
 	if r1, r2 := db2.Stats().ReplayedBatches, db3.Stats().ReplayedBatches; r1 >= r2 {
-		t.Fatalf("snapshot recovery replayed %d batches, WAL-only %d", r1, r2)
+		t.Fatalf("checkpointed recovery replayed %d batches, WAL-only %d", r1, r2)
 	}
 }
 
-// TestStaleWALAfterSnapshot models the crash window between snapshot rename
-// and WAL truncate: replaying batches the snapshot already covers must not
-// double-apply or resurrect deleted keys.
-func TestStaleWALAfterSnapshot(t *testing.T) {
+// TestStaleWALAfterManifest models the crash window between the manifest
+// commit and the WAL reset: replaying batches the tables already hold must
+// not double-apply or resurrect deleted keys.
+func TestStaleWALAfterManifest(t *testing.T) {
 	p := NewMemPersister()
 	db, err := Open(tctx, "", WithPersister(p), WithWAL(SyncAlways))
 	if err != nil {
@@ -266,11 +268,14 @@ func TestStaleWALAfterSnapshot(t *testing.T) {
 	if err := db.Delete(tctx, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	// Snapshot the current state, but resurrect the pre-snapshot WAL — as if
-	// the crash hit after rename, before truncate.
+	// Checkpoint the current state, but resurrect the pre-commit WAL — as if
+	// the crash hit after the manifest was renamed in, before the reset.
 	staleWAL := append([]byte{}, p.wal...)
-	if err := db.Checkpoint(tctx); err != nil {
+	if err := db.Flush(tctx); err != nil {
 		t.Fatal(err)
+	}
+	if p.WALBytes() != 0 {
+		t.Fatalf("checkpoint left %d bytes in the WAL", p.WALBytes())
 	}
 	p.mu.Lock()
 	p.wal = append(p.wal[:0], staleWAL...)
@@ -291,26 +296,32 @@ func TestStaleWALAfterSnapshot(t *testing.T) {
 	if db2.Seq() != db.Seq() {
 		t.Fatalf("seq %d after stale-WAL recovery, want %d", db2.Seq(), db.Seq())
 	}
+	if n := db2.Stats().ReplayedBatches; n != 0 {
+		t.Fatalf("replayed %d batches the manifest already covers", n)
+	}
 }
 
-// TestAutoCheckpoint: the WAL rotates into a snapshot once it outgrows
-// WithWALRotateBytes, and the result still recovers everything.
+// TestAutoCheckpoint: every memtable flush is a checkpoint, so the WAL never
+// outgrows one memtable, and the result still recovers everything.
 func TestAutoCheckpoint(t *testing.T) {
 	p := NewMemPersister()
 	db, err := Open(tctx, "", WithPersister(p), WithWAL(SyncAlways),
-		WithWALRotateBytes(8<<10))
+		WithMemtableBytes(8<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
 		mustPut(t, db, fmt.Sprintf("key-%04d", i), fmt.Sprintf("value-%d", i))
+		if n := p.WALBytes(); n > 8<<10 {
+			t.Fatalf("put %d: the WAL holds %d bytes, more than a memtable", i, n)
+		}
 	}
 	st := db.Stats()
-	if st.Snapshots == 0 {
-		t.Fatal("WAL never rotated into a snapshot")
+	if st.ManifestCommits == 0 || st.ManifestCommits != st.Flushes {
+		t.Fatalf("%d flushes made %d manifest commits", st.Flushes, st.ManifestCommits)
 	}
-	if db.WALSize() >= st.WALBytes {
-		t.Fatal("rotation did not reset the live WAL size")
+	if db.WALSize() >= st.WALBytes || db.WALSize() != p.WALBytes() {
+		t.Fatalf("WALSize %d, persister holds %d, %d appended in all", db.WALSize(), p.WALBytes(), st.WALBytes)
 	}
 	db2, err := Open(tctx, "", WithPersister(p))
 	if err != nil {
@@ -332,7 +343,7 @@ func TestDirPersisterRecovery(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		mustPut(t, db, fmt.Sprintf("key-%03d", i), fmt.Sprintf("v-%d", i))
 	}
-	if err := db.Checkpoint(tctx); err != nil {
+	if err := db.Flush(tctx); err != nil {
 		t.Fatal(err)
 	}
 	for i := 200; i < 260; i++ {
@@ -341,8 +352,10 @@ func TestDirPersisterRecovery(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapFileName)); err != nil {
-		t.Fatalf("snapshot file: %v", err)
+	for _, name := range []string{manifestName, tableName(0)} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("checkpoint file: %v", err)
+		}
 	}
 
 	// Clean reopen first.
@@ -429,14 +442,25 @@ func TestFaultPersister(t *testing.T) {
 	}
 	fp.FailSync(false)
 
-	fp.FailSnapshot(true)
-	if err := db.Checkpoint(tctx); !errors.Is(err, ErrInjected) {
-		t.Fatalf("got %v, want ErrInjected on snapshot", err)
+	// A checkpoint whose table or manifest write fails leaves the WAL alone
+	// and is retried whole by the next one.
+	fp.FailBlobs(true)
+	if err := db.Flush(tctx); !errors.Is(err, ErrInjected) {
+		t.Fatalf("got %v, want ErrInjected on the table write", err)
 	}
-	fp.FailSnapshot(false)
+	if inner.WALBytes() == 0 || db.Stats().ManifestCommits != 0 {
+		t.Fatal("a failed checkpoint reset the WAL or counted as a commit")
+	}
+	fp.FailBlobs(false)
 
 	// After all faults clear, the store works and recovers cleanly.
 	mustPut(t, db, "post", "2")
+	if err := db.Flush(tctx); err != nil {
+		t.Fatal(err)
+	}
+	if inner.WALBytes() != 0 || db.Stats().ManifestCommits != 1 {
+		t.Fatal("the retried checkpoint did not commit")
+	}
 	db2, err := Open(tctx, "", WithPersister(inner))
 	if err != nil {
 		t.Fatal(err)

@@ -20,13 +20,13 @@ func cacheKeys(db *DB) map[[2]int64]bool {
 	return out
 }
 
-// TestScansBypassBlockCache: Scan, Checkpoint and compaction decode every
-// block of their inputs, but neither fill the block cache nor read from it —
-// the point-read working set and BlockCacheHits stay as the Gets left them.
-// Their decodes are still counted.
+// TestScansBypassBlockCache: Scan and compaction decode every block of their
+// inputs, but neither fill the block cache nor read from it — the point-read
+// working set and BlockCacheHits stay as the Gets left them. Their decodes
+// are still counted. A checkpoint decodes nothing at all.
 func TestScansBypassBlockCache(t *testing.T) {
 	db := testDB(t, WithBlockCacheEntries(64), WithBlockSize(1<<10),
-		WithMemtableBytes(1<<30), WithL0CompactionTrigger(100), WithWALRotateBytes(-1))
+		WithMemtableBytes(1<<30), WithL0CompactionTrigger(100))
 	put := func(prefix string, n int) {
 		for i := 0; i < n; i++ {
 			mustPut(t, db, fmt.Sprintf("%s-%04d", prefix, i), fmt.Sprintf("value-%s-%04d-%060d", prefix, i, i))
@@ -38,7 +38,7 @@ func TestScansBypassBlockCache(t *testing.T) {
 	compactL0 := func() {
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		if err := db.compactL0Locked(tctx); err != nil {
+		if err := db.compactLocked(tctx, 0, len(db.levels[0])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,13 +96,17 @@ func TestScansBypassBlockCache(t *testing.T) {
 		t.Fatalf("Scan changed the block cache: %d blocks → %d", len(warm), len(got))
 	}
 
-	step("Checkpoint", func() {
-		if err := db.Checkpoint(tctx); err != nil {
-			t.Fatal(err)
-		}
-	})
+	prev := db.Stats()
+	mustPut(t, db, "m-0000", "a third L0 table")
+	if err := db.Flush(tctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Stats(); st.ManifestCommits != prev.ManifestCommits+1 || st.BlocksDecompressed != prev.BlocksDecompressed {
+		t.Fatalf("checkpoint: %d → %d manifest commits, %d → %d blocks decoded, want one more and no more",
+			prev.ManifestCommits, st.ManifestCommits, prev.BlocksDecompressed, st.BlocksDecompressed)
+	}
 	if got := cacheKeys(db); !maps.Equal(got, warm) {
-		t.Fatalf("Checkpoint changed the block cache: %d blocks → %d", len(warm), len(got))
+		t.Fatalf("checkpoint changed the block cache: %d blocks → %d", len(warm), len(got))
 	}
 
 	// Compaction drops its input tables' blocks (those tables are gone) and
@@ -159,16 +163,17 @@ func TestGetDoesNotAliasStore(t *testing.T) {
 	}
 }
 
-// TestMergeOutputPinned pins the bytes compaction, snapshot and recovery
-// produce on a fixed seed. The digests below were taken at the commit before
-// scans stopped copying values and filling the block cache; a change here is
-// a format or merge-order change, not a refactor.
+// TestMergeOutputPinned pins the bytes flush and compaction produce on a
+// fixed seed, and that recovery reloads exactly those bytes. The digests
+// below were taken at the commit before scans stopped copying values and
+// filling the block cache; a change here is a format or merge-order change,
+// not a refactor.
 func TestMergeOutputPinned(t *testing.T) {
 	p := NewMemPersister()
 	open := func() *DB {
 		db, err := Open(tctx, "", WithPersister(p), WithSeed(7), WithBlockSize(1<<10),
 			WithMemtableBytes(8<<10), WithMaxTableBytes(32<<10), WithL0CompactionTrigger(3),
-			WithBaseLevelBytes(24<<10), WithWALRotateBytes(48<<10))
+			WithBaseLevelBytes(24<<10))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,8 +200,8 @@ func TestMergeOutputPinned(t *testing.T) {
 		}
 	}
 	st := db.Stats()
-	if st.Compactions < 5 || st.Snapshots < 2 {
-		t.Fatalf("workload too small to pin anything: %d compactions, %d snapshots", st.Compactions, st.Snapshots)
+	if st.Compactions < 5 || st.ManifestCommits < 2 {
+		t.Fatalf("workload too small to pin anything: %d compactions, %d manifest commits", st.Compactions, st.ManifestCommits)
 	}
 	tables := func(db *DB) string {
 		sum := sha256.New()
@@ -221,39 +226,36 @@ func TestMergeOutputPinned(t *testing.T) {
 		}
 		return fmt.Sprintf("%x", sum.Sum(nil)[:12])
 	}
-	if err := db.Checkpoint(tctx); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := p.LoadSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]string{
-		"tables":    tables(db),
-		"scan":      scan(db),
-		"snapshot":  fmt.Sprintf("%d:%x", len(snap), sha256.Sum256(snap))[:32],
-		"recovered": "",
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db2 := open()
-	defer db2.Close()
-	got["recovered"] = tables(db2)
-	if s := scan(db2); s != got["scan"] {
-		t.Fatalf("recovered DB scans to %s, original %s", s, got["scan"])
-	}
-
+	got := map[string]string{"tables": tables(db), "scan": scan(db)}
 	want := map[string]string{
-		"tables":    "1a5971fb961345404c9e5b28",
-		"scan":      "08a4057a94131b7bee3e02a7",
-		"snapshot":  "55247:a247de4b705aeb4d1f68e74d28",
-		"recovered": "c8f316975afcf2eb9f96945b",
+		"tables": "1a5971fb961345404c9e5b28",
+		"scan":   "08a4057a94131b7bee3e02a7",
 	}
 	for name, w := range want {
 		if got[name] != w {
 			t.Errorf("%s digest = %q, pinned %q", name, got[name], w)
 		}
+	}
+
+	// The final flush puts the memtable in a table too; what reopens is what
+	// closed, byte for byte, with nothing left to replay.
+	if err := db.Flush(tctx); err != nil {
+		t.Fatal(err)
+	}
+	live := tables(db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := open()
+	defer db2.Close()
+	if recovered := tables(db2); recovered != live {
+		t.Errorf("recovered tables digest = %q, the store closed with %q", recovered, live)
+	}
+	if s := scan(db2); s != got["scan"] {
+		t.Errorf("recovered DB scans to %s, original %s", s, got["scan"])
+	}
+	if st := db2.Stats(); st.ReplayedBatches != 0 || st.BlocksWritten != 0 {
+		t.Errorf("recovery replayed %d batches and wrote %d blocks, want neither", st.ReplayedBatches, st.BlocksWritten)
 	}
 }
 

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
 	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/container"
+	"github.com/datacomp/datacomp/internal/xxhash"
 )
 
 // ErrCorrupt is returned for undecodable table blocks.
@@ -20,21 +22,75 @@ const restartInterval = 16
 // sstable is one immutable sorted table. Data blocks live in a seekable
 // container (one container block per data block), so a point lookup
 // decompresses exactly the block covering the key — container.ReaderAt is
-// the random-access surface. Only the per-block last keys stay outside the
-// container (this store models files as buffers — see DESIGN.md).
+// the random-access surface. The table's blob — what the persister holds,
+// and what the table is reopened from without decoding a data block — is
+// that container followed by a checksummed key index (DESIGN.md §11):
+//
+//	container | index | 4-byte LE len(index) | 8-byte LE XXH64(index) | "KVTI"
+//	index: uvarint numEntries | uvarint klen | smallest key |
+//	       uvarint numBlocks | per block: uvarint klen | last key
 type sstable struct {
 	id         int64
-	data       []byte // complete container bytes
+	blob       []byte // container + index + trailer; shared with the persister, never written
+	data       []byte // the container: a prefix of blob
+	persisted  bool   // the persister holds blob under tableName(id)
 	ra         *container.ReaderAt
 	lastKeys   [][]byte // largest key per block, parallel to container blocks
 	smallest   []byte
 	largest    []byte
 	numEntries int
-	rawBytes   int
 }
 
-// size returns the stored (compressed) size of the table.
+const tableTrailerLen = 4 + 8 + 4
+
+var tableMagic = [4]byte{'K', 'V', 'T', 'I'}
+
+// size returns the stored (compressed) size of the table's data blocks, the
+// figure level budgets are set in.
 func (t *sstable) size() int { return len(t.data) }
+
+// openTable builds a table over blob, which it keeps and aliases (keys
+// included): every failure is ErrCorrupt, nothing is allocated beyond one
+// slice header per block, and no data block is decoded.
+func openTable(id int64, blob []byte, eng codec.Engine) (*sstable, error) {
+	bad := func(what string) (*sstable, error) {
+		return nil, fmt.Errorf("%w: table %d %s", ErrCorrupt, id, what)
+	}
+	end := len(blob) - tableTrailerLen
+	if end < 0 || [4]byte(blob[end+12:]) != tableMagic {
+		return bad("trailer")
+	}
+	n := int64(binary.LittleEndian.Uint32(blob[end:]))
+	if n > int64(end) {
+		return bad("index length")
+	}
+	idx := blob[end-int(n) : end]
+	if xxhash.Sum64(idx) != binary.LittleEndian.Uint64(blob[end+4:]) {
+		return bad("index checksum")
+	}
+	t := &sstable{id: id, blob: blob, data: blob[: end-int(n) : end-int(n)]}
+	r := metaReader{b: idx}
+	t.numEntries = int(min(r.uvarint(), math.MaxInt32))
+	t.smallest = r.bytes()
+	numBlocks := r.uvarint()
+	t.lastKeys = make([][]byte, min(numBlocks, uint64(len(r.b)+1))) // a key takes a byte at least
+	for i := range t.lastKeys {
+		t.lastKeys[i] = r.bytes()
+	}
+	if r.bad || len(r.b) != 0 || t.numEntries == 0 || len(t.lastKeys) == 0 {
+		return bad("index")
+	}
+	t.largest = t.lastKeys[len(t.lastKeys)-1]
+	ra, err := container.NewReaderAt(bytes.NewReader(t.data), int64(len(t.data)), container.WithEngine(eng))
+	if err != nil {
+		return nil, fmt.Errorf("%w: table %d: %v", ErrCorrupt, id, err)
+	}
+	if ra.NumBlocks() != len(t.lastKeys) {
+		return bad("index and container disagree on the block count")
+	}
+	t.ra = ra
+	return t, nil
+}
 
 // numBlocks reports the table's data-block count.
 func (t *sstable) numBlocks() int { return len(t.lastKeys) }
@@ -45,7 +101,10 @@ type tableWriter struct {
 	blockSize int
 	stats     *Stats
 
-	table    *sstable
+	id         int64
+	numEntries int
+	lastKeys   [][]byte // largest key per finished block
+
 	out      bytes.Buffer
 	bw       *container.Builder
 	bwErr    error
@@ -62,7 +121,7 @@ func newTableWriter(id int64, codecName string, eng codec.Engine, blockSize int,
 		eng:       eng,
 		blockSize: blockSize,
 		stats:     stats,
-		table:     &sstable{id: id},
+		id:        id,
 	}
 	w.bw, w.bwErr = container.NewBuilder(&w.out, codecName, eng, blockSize)
 	return w
@@ -77,8 +136,7 @@ func sharedPrefixLen(a, b []byte) int {
 }
 
 // add appends an entry; keys must arrive in strictly increasing order.
-// value nil records a tombstone.
-func (w *tableWriter) add(key, value []byte) error {
+func (w *tableWriter) add(key, value []byte, tombstone bool) error {
 	if w.prevKey != nil && bytes.Compare(key, w.prevKey) <= 0 {
 		return fmt.Errorf("kvstore: keys out of order: %q after %q", key, w.prevKey)
 	}
@@ -90,15 +148,15 @@ func (w *tableWriter) add(key, value []byte) error {
 	}
 	w.buf = binary.AppendUvarint(w.buf, uint64(shared))
 	w.buf = binary.AppendUvarint(w.buf, uint64(len(key)-shared))
-	if value == nil {
-		w.buf = binary.AppendUvarint(w.buf, 0) // tombstone
+	if tombstone {
+		w.buf = binary.AppendUvarint(w.buf, 0)
 	} else {
 		w.buf = binary.AppendUvarint(w.buf, uint64(len(value))+1)
 	}
 	w.buf = append(w.buf, key[shared:]...)
 	w.buf = append(w.buf, value...)
 	w.count++
-	w.table.numEntries++
+	w.numEntries++
 	w.prevKey = append(w.prevKey[:0], key...)
 	w.lastKey = w.prevKey
 	if w.firstKey == nil {
@@ -140,40 +198,37 @@ func (w *tableWriter) flushBlock() error {
 		tmRawBytesWritten.Add(int64(len(w.buf)))
 		tmStoredBytesWritten.Add(w.bw.Offset() - before)
 	}
-	w.table.lastKeys = append(w.table.lastKeys, append([]byte{}, w.lastKey...))
-	w.table.rawBytes += len(w.buf)
+	w.lastKeys = append(w.lastKeys, append([]byte{}, w.lastKey...))
 	w.buf = w.buf[:0]
 	w.restarts = w.restarts[:0]
 	w.count = 0
 	return nil
 }
 
-// finish seals the table: the container gains its footer index and the
-// table opens a ReaderAt over it sharing the writer's engine. Returns nil
-// when no entries were added.
+// finish seals the table: the container gains its footer, the key index
+// follows it in the same buffer, and the table is opened from that blob the
+// way recovery will open it. Returns nil when no entries were added.
 func (w *tableWriter) finish() (*sstable, error) {
 	if err := w.flushBlock(); err != nil {
 		return nil, err
 	}
-	if w.table.numEntries == 0 {
+	if w.numEntries == 0 {
 		return nil, nil
 	}
 	if err := w.bw.Close(); err != nil {
 		return nil, err
 	}
-	w.table.data = w.out.Bytes()
-	ra, err := container.NewReaderAt(bytes.NewReader(w.table.data), int64(len(w.table.data)),
-		container.WithEngine(w.eng))
-	if err != nil {
-		return nil, err
+	idx := binary.AppendUvarint(nil, uint64(w.numEntries))
+	idx = appendPrefixed(idx, w.firstKey)
+	idx = binary.AppendUvarint(idx, uint64(len(w.lastKeys)))
+	for _, k := range w.lastKeys {
+		idx = appendPrefixed(idx, k)
 	}
-	if ra.NumBlocks() != len(w.table.lastKeys) {
-		return nil, ErrCorrupt
-	}
-	w.table.ra = ra
-	w.table.smallest = w.firstKey
-	w.table.largest = append([]byte{}, w.lastKey...)
-	return w.table, nil
+	sum := xxhash.Sum64(idx)
+	idx = binary.LittleEndian.AppendUint32(idx, uint32(len(idx)))
+	idx = binary.LittleEndian.AppendUint64(idx, sum)
+	w.out.Write(append(idx, tableMagic[:]...))
+	return openTable(w.id, w.out.Bytes(), w.eng)
 }
 
 // decodeBlock expands one data block — exactly one container block is read
@@ -202,11 +257,10 @@ func decodeBlock(t *sstable, bi int, stats *Stats) ([]byte, error) {
 		return nil, ErrCorrupt
 	}
 	numRestarts := binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	trailer := 4 + 4*int(numRestarts)
-	if trailer > len(raw) {
+	if uint64(numRestarts) > uint64(len(raw)-4)/4 {
 		return nil, ErrCorrupt
 	}
-	return raw[:len(raw)-trailer], nil
+	return raw[:len(raw)-4-4*int(numRestarts)], nil
 }
 
 // blockEntry is one decoded entry.
@@ -237,7 +291,7 @@ func walkBlock(entries []byte, fn func(blockEntry) bool) error {
 			return ErrCorrupt
 		}
 		pos += n
-		if int(shared) > len(key) || pos+int(unshared) > len(entries) {
+		if shared > uint64(len(key)) || unshared > uint64(len(entries)-pos) {
 			return ErrCorrupt
 		}
 		key = append(key[:int(shared)], entries[pos:pos+int(unshared)]...)
@@ -247,10 +301,10 @@ func walkBlock(entries []byte, fn func(blockEntry) bool) error {
 		if vtag == 0 {
 			e.tombstone = true
 		} else {
-			vlen := int(vtag) - 1
-			if pos+vlen > len(entries) {
+			if vtag-1 > uint64(len(entries)-pos) {
 				return ErrCorrupt
 			}
+			vlen := int(vtag - 1)
 			e.value = entries[pos : pos+vlen]
 			pos += vlen
 		}
@@ -322,7 +376,7 @@ func (t *sstable) loadBlock(bi int, stats *Stats, cache *blockCache) ([]byte, er
 }
 
 // tableIterator walks a whole table in key order — the scan path behind
-// compaction, snapshots and Scan. It decodes each block exactly once and
+// compaction and Scan. It decodes each block exactly once and
 // neither consults nor fills the block cache: a scan touches every block
 // of its inputs once, which would only push the point-read working set out.
 // Entry values alias the decoded block; keys are private copies (the block
@@ -334,7 +388,7 @@ type tableIterator struct {
 	block   int
 	entries []blockEntry
 	pos     int
-	err     error
+	failed  error
 }
 
 func (t *sstable) iterator(stats *Stats) *tableIterator {
@@ -352,22 +406,20 @@ func (it *tableIterator) nextBlock() {
 	}
 	raw, err := decodeBlock(it.t, it.block, it.stats)
 	if err != nil {
-		it.err = err
+		it.failed = err
 		return
 	}
-	err = walkBlock(raw, func(e blockEntry) bool {
+	it.failed = walkBlock(raw, func(e blockEntry) bool {
 		e.key = append([]byte{}, e.key...)
 		it.entries = append(it.entries, e)
 		return true
 	})
-	if err != nil {
-		it.err = err
-	}
 }
 
 func (it *tableIterator) valid() bool {
-	return it.err == nil && it.block < it.t.numBlocks() && it.pos < len(it.entries)
+	return it.failed == nil && it.block < it.t.numBlocks() && it.pos < len(it.entries)
 }
+func (it *tableIterator) err() error      { return it.failed }
 func (it *tableIterator) key() []byte     { return it.entries[it.pos].key }
 func (it *tableIterator) value() []byte   { return it.entries[it.pos].value }
 func (it *tableIterator) tombstone() bool { return it.entries[it.pos].tombstone }

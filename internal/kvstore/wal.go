@@ -1,12 +1,11 @@
 package kvstore
 
 import (
-	"bytes"
-	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
-	"github.com/datacomp/datacomp/internal/container"
+	"github.com/datacomp/datacomp/internal/xxhash"
 )
 
 // Durability format (DESIGN.md §11).
@@ -18,18 +17,37 @@ import (
 //	per op: 1B kind (0=put, 1=delete) | uvarint klen | key |
 //	        (put only) uvarint vlen | value
 //
-// Snapshot: a full container whose block 0 is a meta block ("KVSN" |
-// uvarint seq = the WAL sequence the snapshot covers) and whose remaining
-// blocks pack live entries in key order (uvarint klen | key | uvarint
-// vlen | value). Recovery loads the snapshot straight into the bottom
-// level, then replays WAL batches with seq greater than the meta seq.
+// Manifest: the one mutable blob, replaced atomically whenever the table
+// set changes:
+//
+//	"KVM1" | uvarint seq | uvarint nextID |
+//	per level (numLevels of them): uvarint count | count × uvarint table id |
+//	8-byte LE XXH64 of everything before it
+//
+// seq is the last batch the named tables hold. Recovery opens those tables
+// (sst.go: no data block is decoded), then replays WAL batches with a
+// greater seq, so a stale log next to a newer manifest changes nothing.
 
 const (
 	opPut    = 0
 	opDelete = 1
 )
 
-var snapMeta = [4]byte{'K', 'V', 'S', 'N'}
+// Blob names. legacySnapshotName is the snapshot container of the format
+// before tables were persisted; no reader for it remains.
+const (
+	manifestName       = "MANIFEST"
+	tableSuffix        = ".sst"
+	legacySnapshotName = "snapshot.zsxs"
+)
+
+var manifestMagic = [4]byte{'K', 'V', 'M', '1'}
+
+// ErrLegacySnapshot is returned by Open for a store last written in the
+// snapshot format: its data is intact but this version cannot load it.
+var ErrLegacySnapshot = errors.New("kvstore: store holds a legacy snapshot (" + legacySnapshotName + "), which this version cannot read")
+
+func tableName(id int64) string { return fmt.Sprintf("%06d%s", id, tableSuffix) }
 
 // Batch accumulates writes that apply atomically through one WAL record —
 // the storage-side sibling of codec.CompressBatch: N small items share one
@@ -143,166 +161,81 @@ func decodeBatchPayload(raw []byte, fn func(key, value []byte, del bool) error) 
 	return seq, nil
 }
 
-// buildSnapshotLocked serializes the DB's full live state (memtable
-// overlaid on every level) into a snapshot container covering db.seq.
-func (db *DB) buildSnapshotLocked(ctx context.Context) ([]byte, error) {
-	var out bytes.Buffer
-	bw, err := container.NewBuilder(&out, db.cfg.codecName, db.eng, db.cfg.blockSize)
-	if err != nil {
-		return nil, err
-	}
-	meta := append([]byte{}, snapMeta[:]...)
-	meta = binary.AppendUvarint(meta, db.seq)
-	if err := bw.AppendBlock(meta); err != nil {
-		return nil, err
-	}
-
-	mi, err := db.fullMergeIteratorLocked()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, db.cfg.blockSize+4096)
-	entries := 0
-	for mi.valid() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if !mi.tombstone() {
-			buf = binary.AppendUvarint(buf, uint64(len(mi.key())))
-			buf = append(buf, mi.key()...)
-			buf = binary.AppendUvarint(buf, uint64(len(mi.value())))
-			buf = append(buf, mi.value()...)
-			entries++
-			if len(buf) >= db.cfg.blockSize {
-				if err := bw.AppendBlock(buf); err != nil {
-					return nil, err
-				}
-				buf = buf[:0]
-			}
-		}
-		if err := mi.next(); err != nil {
-			return nil, err
-		}
-	}
-	if mi.err != nil {
-		return nil, mi.err
-	}
-	if len(buf) > 0 {
-		if err := bw.AppendBlock(buf); err != nil {
-			return nil, err
-		}
-	}
-	if err := bw.Close(); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
+// manifest is the durable description of the table set.
+type manifest struct {
+	seq    uint64
+	nextID int64
+	levels [numLevels][]int64
 }
 
-// fullMergeIteratorLocked merges the memtable (as the newest source) with
-// every table on every level — the iterator behind Scan and snapshots.
-func (db *DB) fullMergeIteratorLocked() (*mergeIterator, error) {
-	w := newTableWriter(-1, db.cfg.codecName, db.eng, db.cfg.blockSize, nil)
-	for it := db.mem.iterator(); it.valid(); it.next() {
-		var v []byte
-		if !it.tombstone() {
-			v = it.value()
-			if v == nil {
-				v = []byte{}
-			}
-		}
-		if err := w.add(it.key(), v); err != nil {
-			return nil, err
+func (m *manifest) encode() []byte {
+	b := append([]byte{}, manifestMagic[:]...)
+	b = binary.AppendUvarint(b, m.seq)
+	b = binary.AppendUvarint(b, uint64(m.nextID))
+	for _, ids := range m.levels {
+		b = binary.AppendUvarint(b, uint64(len(ids)))
+		for _, id := range ids {
+			b = binary.AppendUvarint(b, uint64(id))
 		}
 	}
-	memTable, err := w.finish()
-	if err != nil {
-		return nil, err
-	}
-	var inputs []*sstable
-	if memTable != nil {
-		inputs = append(inputs, memTable)
-	}
-	inputs = append(inputs, db.levels[0]...)
-	for lvl := 1; lvl < numLevels; lvl++ {
-		inputs = append(inputs, db.levels[lvl]...)
-	}
-	return newMergeIterator(inputs, &db.stats), nil
+	return binary.LittleEndian.AppendUint64(b, xxhash.Sum64(b))
 }
 
-// loadSnapshotLocked rebuilds the bottom level from a snapshot container
-// and returns the WAL sequence it covers. Called only on an empty DB.
-func (db *DB) loadSnapshotLocked(snap []byte) (uint64, error) {
-	ra, err := container.NewReaderAt(bytes.NewReader(snap), int64(len(snap)),
-		container.WithEngine(db.eng))
-	if err != nil {
-		return 0, fmt.Errorf("kvstore: snapshot: %w", err)
-	}
-	if ra.NumBlocks() < 1 {
-		return 0, fmt.Errorf("%w: snapshot has no meta block", ErrCorrupt)
-	}
-	meta, err := ra.DecodeBlock(nil, 0)
-	if err != nil {
-		return 0, err
-	}
-	if len(meta) < len(snapMeta) || [4]byte(meta[:4]) != snapMeta {
-		return 0, fmt.Errorf("%w: snapshot meta magic", ErrCorrupt)
-	}
-	seq, n := binary.Uvarint(meta[4:])
+// metaReader parses the uvarint-framed metadata formats (manifest, table
+// index) off the front of b. Running past the end sets bad and yields zeros
+// from then on, so a parser reads straight through and checks once; counts
+// it is about to allocate for it checks against len(b) first.
+type metaReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *metaReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: snapshot meta seq", ErrCorrupt)
+		r.b, r.bad = nil, true
+		return 0
 	}
+	r.b = r.b[n:]
+	return v
+}
 
-	w := newTableWriter(db.nextID, db.cfg.codecName, db.eng, db.cfg.blockSize, &db.stats)
-	db.nextID++
-	var out []*sstable
-	rawInTable := 0
-	var blk []byte
-	for bi := 1; bi < ra.NumBlocks(); bi++ {
-		blk, err = ra.DecodeBlock(blk[:0], bi)
-		if err != nil {
-			return 0, err
-		}
-		pos := 0
-		for pos < len(blk) {
-			klen, n := binary.Uvarint(blk[pos:])
-			if n <= 0 || klen == 0 || klen > uint64(len(blk)-pos-n) {
-				return 0, fmt.Errorf("%w: snapshot entry key", ErrCorrupt)
-			}
-			pos += n
-			key := blk[pos : pos+int(klen)]
-			pos += int(klen)
-			vlen, n := binary.Uvarint(blk[pos:])
-			if n <= 0 || vlen > uint64(len(blk)-pos-n) {
-				return 0, fmt.Errorf("%w: snapshot entry value", ErrCorrupt)
-			}
-			pos += n
-			value := blk[pos : pos+int(vlen)]
-			pos += int(vlen)
-			if err := w.add(key, value); err != nil {
-				return 0, err
-			}
-			rawInTable += int(klen) + int(vlen)
-			if rawInTable >= db.cfg.maxTableBytes {
-				t, err := w.finish()
-				if err != nil {
-					return 0, err
-				}
-				if t != nil {
-					out = append(out, t)
-				}
-				w = newTableWriter(db.nextID, db.cfg.codecName, db.eng, db.cfg.blockSize, &db.stats)
-				db.nextID++
-				rawInTable = 0
-			}
+// appendPrefixed is what metaReader.bytes reads back.
+func appendPrefixed(dst, s []byte) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+// bytes cuts a uvarint-length-prefixed string, aliasing the input.
+func (r *metaReader) bytes() []byte {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.b, r.bad = nil, true
+		return nil
+	}
+	s := r.b[:n:n]
+	r.b = r.b[n:]
+	return s
+}
+
+// decodeManifest parses hostile bytes: every failure is ErrCorrupt and the
+// only allocations are id slices no longer than the input.
+func decodeManifest(b []byte) (manifest, error) {
+	n := len(b) - 8
+	if n < len(manifestMagic) || [4]byte(b[:4]) != manifestMagic || xxhash.Sum64(b[:n]) != binary.LittleEndian.Uint64(b[n:]) {
+		return manifest{}, fmt.Errorf("%w: manifest magic or checksum", ErrCorrupt)
+	}
+	r := metaReader{b: b[len(manifestMagic):n]}
+	m := manifest{seq: r.uvarint(), nextID: int64(min(r.uvarint(), 1<<62))}
+	for lvl := range m.levels {
+		count := r.uvarint()
+		m.levels[lvl] = make([]int64, min(count, uint64(len(r.b)+1))) // an id takes a byte at least
+		for i := range m.levels[lvl] {
+			m.levels[lvl][i] = int64(r.uvarint())
+			r.bad = r.bad || m.levels[lvl][i] < 0 || m.levels[lvl][i] >= m.nextID
 		}
 	}
-	t, err := w.finish()
-	if err != nil {
-		return 0, err
+	if r.bad || len(r.b) != 0 {
+		return manifest{}, fmt.Errorf("%w: manifest body", ErrCorrupt)
 	}
-	if t != nil {
-		out = append(out, t)
-	}
-	db.levels[numLevels-1] = out
-	return seq, nil
+	return m, nil
 }
