@@ -81,8 +81,30 @@ func (b *Builder) AppendBlock(raw []byte) error {
 		return err
 	}
 	b.comp = comp
-	sum := xxhash.Sum64(comp)
-	b.hdr = appendBlockHeader(b.hdr[:0], len(comp), len(raw), sum)
+	if err := b.write(comp, len(raw), xxhash.Sum64(comp)); err != nil {
+		return err
+	}
+	tmBlocksEnc.Inc()
+	return nil
+}
+
+// AppendFrame appends an already-encoded block — a payload ReaderAt.ReadFrame
+// returned from a container of this builder's codec, with its index entry —
+// without running the engine. The payload and its checksum are written as
+// they are; ReadFrame verified them.
+func (b *Builder) AppendFrame(frame []byte, info BlockInfo) error {
+	if b.closed {
+		return errors.New("container: append on closed builder")
+	}
+	if len(frame) == 0 || len(frame) != info.CompLen || info.RawLen <= 0 || info.RawLen > MaxBlockSize {
+		return fmt.Errorf("container: frame of %d bytes does not match its index entry %+v", len(frame), info)
+	}
+	return b.write(frame, info.RawLen, info.Sum)
+}
+
+// write emits one block header and payload and records its index entry.
+func (b *Builder) write(comp []byte, rawLen int, sum uint64) error {
+	b.hdr = appendBlockHeader(b.hdr[:0], len(comp), rawLen, sum)
 	if _, err := b.w.Write(b.hdr); err != nil {
 		return err
 	}
@@ -92,11 +114,10 @@ func (b *Builder) AppendBlock(raw []byte) error {
 	b.blocks = append(b.blocks, BlockInfo{
 		Off:     b.off + int64(len(b.hdr)),
 		CompLen: len(comp),
-		RawLen:  len(raw),
+		RawLen:  rawLen,
 		Sum:     sum,
 	})
 	b.off += int64(len(b.hdr)) + int64(len(comp))
-	tmBlocksEnc.Inc()
 	return nil
 }
 

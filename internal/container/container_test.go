@@ -348,6 +348,67 @@ func TestCorruptPayloadDetected(t *testing.T) {
 	}
 }
 
+// TestFrameCarry: a frame read from one container and appended to another
+// is byte-identical there, header included, and decodes; a frame whose
+// payload does not match its checksum is never returned.
+func TestFrameCarry(t *testing.T) {
+	blocks := [][]byte{corpus.LogLines(1, 8<<10), corpus.Records(2, 8<<10)}
+	src := buildSample(t, "zstd", blocks)
+	ra, err := NewReaderAt(bytes.NewReader(src), int64(len(src)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	b, err := NewBuilder(&buf, "zstd", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AppendBlock([]byte("a block of its own")); err != nil {
+		t.Fatal(err)
+	}
+	frame, info, err := ra.ReadFrame(nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AppendFrame(frame, info); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AppendFrame(frame[1:], info); err == nil {
+		t.Fatal("a frame shorter than its index entry was accepted")
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.Bytes()
+	oa, err := NewReaderAt(bytes.NewReader(out), int64(len(out)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The block header (uvarint compLen | uvarint rawLen | 8-byte sum)
+	// and payload are the source's, byte for byte.
+	hdrLen := len(appendBlockHeader(nil, info.CompLen, info.RawLen, info.Sum))
+	carried := oa.Block(1)
+	if !bytes.Equal(out[carried.Off-int64(hdrLen):carried.Off+int64(carried.CompLen)], src[info.Off-int64(hdrLen):info.Off+int64(info.CompLen)]) {
+		t.Fatal("carried block differs from its source")
+	}
+	if got, err := oa.DecodeBlock(nil, 1); err != nil || !bytes.Equal(got, blocks[1]) {
+		t.Fatalf("carried block decodes to %d bytes, %v", len(got), err)
+	}
+
+	mut := append([]byte{}, src...)
+	mut[info.Off+5] ^= 0x01
+	mra, err := NewReaderAt(bytes.NewReader(mut), int64(len(mut)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, _, err := mra.ReadFrame(nil, 1); !errors.Is(err, codec.ErrCorrupt) || f != nil {
+		t.Fatalf("ReadFrame of a flipped payload = %d bytes, %v; want codec.ErrCorrupt", len(f), err)
+	}
+	if _, _, err := ra.ReadFrame(nil, 2); err == nil {
+		t.Fatal("ReadFrame past the last block succeeded")
+	}
+}
+
 func TestHostileFooters(t *testing.T) {
 	data := buildSample(t, "lz4", [][]byte{corpus.LogLines(1, 8<<10), corpus.LogLines(2, 8<<10)})
 	cases := map[string]func([]byte) []byte{

@@ -3,6 +3,7 @@ package container
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -136,6 +137,26 @@ func (r *ReaderAt) DecodeBlock(dst []byte, i int) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.decodeLocked(dst, i)
+}
+
+// ReadFrame appends block i's compressed payload — the engine frame, not
+// decoded — to dst once its checksum verifies, and returns it with the
+// block's index entry: what Builder.AppendFrame needs to carry the block
+// into another container of the same codec unread.
+func (r *ReaderAt) ReadFrame(dst []byte, i int) ([]byte, BlockInfo, error) {
+	if i < 0 || i >= len(r.blocks) {
+		return nil, BlockInfo{}, fmt.Errorf("container: block %d out of range [0,%d)", i, len(r.blocks))
+	}
+	b := r.blocks[i]
+	base := len(dst)
+	dst = slices.Grow(dst, b.CompLen)[:base+b.CompLen]
+	if _, err := r.r.ReadAt(dst[base:], b.Off); err != nil {
+		return nil, b, errTruncated
+	}
+	if xxhash.Sum64(dst[base:]) != b.Sum {
+		return nil, b, errChecksum
+	}
+	return dst, b, nil
 }
 
 func (r *ReaderAt) decodeLocked(dst []byte, i int) ([]byte, error) {

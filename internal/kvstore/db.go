@@ -28,6 +28,8 @@ var (
 	tmBlocksDecompressed, tmBlockCacheHits  *telemetry.Counter
 	tmRawBytesWritten, tmStoredBytesWritten *telemetry.Counter
 	tmBytesDecompressed                     *telemetry.Counter
+	tmBlocksCarried, tmCarriedBytes         *telemetry.Counter
+	tmTrivialMoves                          *telemetry.Counter
 	tmWALAppends, tmWALBytes, tmWALSyncs    *telemetry.Counter
 	tmWALCompNS                             *telemetry.Counter
 	tmSnapshots, tmSnapshotBytes            *telemetry.Counter
@@ -52,6 +54,9 @@ func tm() {
 		tmRawBytesWritten = r.Counter("kvstore_raw_bytes_written_total", "raw bytes entering block compression")
 		tmStoredBytesWritten = r.Counter("kvstore_stored_bytes_written_total", "stored bytes after block compression")
 		tmBytesDecompressed = r.Counter("kvstore_bytes_decompressed_total", "uncompressed bytes produced by block decodes")
+		tmBlocksCarried = r.Counter("kvstore_blocks_carried_total", "data blocks compaction copied into its output unread")
+		tmCarriedBytes = r.Counter("kvstore_carried_bytes_total", "uncompressed bytes of the blocks compaction carried")
+		tmTrivialMoves = r.Counter("kvstore_trivial_moves_total", "compactions that moved their tables down a level unrewritten")
 		tmWALAppends = r.Counter("kvstore_wal_appends_total", "WAL record batches appended")
 		tmWALBytes = r.Counter("kvstore_wal_bytes_total", "framed WAL bytes appended")
 		tmWALSyncs = r.Counter("kvstore_wal_syncs_total", "WAL fsyncs")
@@ -88,8 +93,19 @@ type Stats struct {
 	// point reads keep proportional to block size, not value count.
 	BytesDecompressed int64
 
+	// RawBytesWritten is what entered block compression; StoredBytesWritten
+	// is every block byte a table gained, carried blocks included.
 	RawBytesWritten    int64
 	StoredBytesWritten int64
+
+	// Work compaction skipped. BlocksCarried (also in BlocksWritten) were
+	// copied into an output table unread; CarriedBytes is their
+	// uncompressed size, in neither RawBytesWritten nor BytesDecompressed.
+	// TrivialMoves (also in Compactions) changed their tables' level in the
+	// manifest and nothing else.
+	BlocksCarried int64
+	CarriedBytes  int64
+	TrivialMoves  int64
 
 	// Durability-side accounting.
 	WALAppends      int64 // record batches appended
@@ -102,18 +118,19 @@ type Stats struct {
 
 // WriteAmplification is stored bytes written per raw byte ingested.
 func (s Stats) WriteAmplification() float64 {
-	if s.RawBytesWritten == 0 {
+	if s.RawBytesWritten+s.CarriedBytes == 0 {
 		return 0
 	}
-	return float64(s.StoredBytesWritten) / float64(s.RawBytesWritten)
+	return float64(s.StoredBytesWritten) / float64(s.RawBytesWritten+s.CarriedBytes)
 }
 
-// CompressionRatio is raw/stored over all block writes.
+// CompressionRatio is raw/stored over all block writes, carried ones
+// included.
 func (s Stats) CompressionRatio() float64 {
 	if s.StoredBytesWritten == 0 {
 		return 0
 	}
-	return float64(s.RawBytesWritten) / float64(s.StoredBytesWritten)
+	return float64(s.RawBytesWritten+s.CarriedBytes) / float64(s.StoredBytesWritten)
 }
 
 // DecompressPerBlock is the mean block decompression latency, the quantity
@@ -130,15 +147,16 @@ func (s Stats) DecompressPerBlock() time.Duration {
 // serializes operations; the paper's experiments measure compression work,
 // not lock scalability).
 type DB struct {
-	mu     sync.Mutex
-	cfg    config
-	eng    codec.Engine
-	mem    *memtable
-	levels [numLevels][]*sstable // levels[0] newest-first; deeper levels sorted, disjoint
-	cache  *blockCache
-	nextID int64
-	stats  Stats
-	closed bool
+	mu       sync.Mutex
+	cfg      config
+	eng      codec.Engine
+	mem      *memtable
+	levels   [numLevels][]*sstable // levels[0] newest-first; deeper levels sorted, disjoint
+	cache    *blockCache
+	nextID   int64
+	stats    Stats
+	closed   bool
+	tableBuf bytes.Buffer // scratch every table writer builds its container in
 
 	// Durability state (nil persister / nil walEng when WithoutWAL).
 	persister Persister
@@ -530,7 +548,7 @@ func (db *DB) flushMemLocked(ctx context.Context) error {
 	}
 	// One table however large the memtable, tombstones kept: older tables
 	// on every level may hold what they shadow.
-	out, err := db.writeTablesLocked(ctx, newMergeIterator([]entryIterator{db.mem.iterator()}), math.MaxInt, false)
+	out, err := db.writeTablesLocked(ctx, newMergeIterator([]entryIterator{db.mem.iterator()}, nil), math.MaxInt, false)
 	if err != nil {
 		return err
 	}
@@ -652,7 +670,9 @@ func overlaps(t *sstable, lo, hi []byte) bool {
 // compactLocked merges the first n tables of level lvl — all of L0, newest
 // first, or one table of a deeper level — into the next level, together
 // with every table there that their key range touches. On duplicate keys
-// the sources win, in level order.
+// the sources win, in level order. When nothing there is touched and the
+// inputs are disjoint, the compaction is a trivial move: the tables change
+// level and keep their ids, blobs and cached blocks.
 func (db *DB) compactLocked(ctx context.Context, lvl, n int) error {
 	inputs := slices.Clone(db.levels[lvl][:n])
 	lo, hi := inputs[0].smallest, inputs[0].largest
@@ -672,30 +692,52 @@ func (db *DB) compactLocked(ctx context.Context, lvl, n int) error {
 			keep = append(keep, t)
 		}
 	}
-	out, err := db.mergeTablesLocked(ctx, inputs, lvl+1)
-	if err != nil {
-		return err
+	byKey := func(a, b *sstable) int { return bytes.Compare(a.smallest, b.smallest) }
+	out := slices.Clone(inputs)
+	slices.SortFunc(out, byKey)
+	moved := len(inputs) == n && disjoint(out)
+	if !moved {
+		var err error
+		if out, err = db.mergeTablesLocked(ctx, inputs, lvl+1); err != nil {
+			return err
+		}
+		for _, t := range inputs {
+			if db.cache != nil {
+				db.cache.dropTable(t.id)
+			}
+			if t.persisted {
+				db.obsolete = append(db.obsolete, tableName(t.id))
+			}
+		}
 	}
 	db.levels[lvl] = append([]*sstable(nil), db.levels[lvl][n:]...)
 	db.levels[lvl+1] = append(keep, out...)
-	slices.SortFunc(db.levels[lvl+1], func(a, b *sstable) int { return bytes.Compare(a.smallest, b.smallest) })
-	for _, t := range inputs {
-		if db.cache != nil {
-			db.cache.dropTable(t.id)
-		}
-		if t.persisted {
-			db.obsolete = append(db.obsolete, tableName(t.id))
-		}
-	}
+	slices.SortFunc(db.levels[lvl+1], byKey)
 	db.dirty = true
 	db.stats.Compactions++
 	tmCompactions.Inc()
+	if moved {
+		db.stats.TrivialMoves++
+		tmTrivialMoves.Inc()
+	}
 	return nil
 }
 
+// disjoint reports whether tables, sorted by smallest key, share no key
+// range.
+func disjoint(tables []*sstable) bool {
+	for i := 1; i < len(tables); i++ {
+		if bytes.Compare(tables[i-1].largest, tables[i].smallest) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // mergeTablesLocked k-way merges input tables (earlier inputs shadow later
-// ones) into new tables for targetLevel. Tombstones are dropped when the
-// target is the bottom level.
+// ones) into new tables for targetLevel, carrying every block it can.
+// Tombstones are dropped when the target is the bottom level — except
+// inside a carried block, where they cost space until it is next re-encoded.
 func (db *DB) mergeTablesLocked(ctx context.Context, inputs []*sstable, targetLevel int) ([]*sstable, error) {
 	// Tombstones can be dropped only when no deeper level holds data they
 	// might still be shadowing.
@@ -705,7 +747,13 @@ func (db *DB) mergeTablesLocked(ctx context.Context, inputs []*sstable, targetLe
 			bottom = false
 		}
 	}
-	return db.writeTablesLocked(ctx, newMergeIterator(db.tableIterators(nil, inputs)), db.cfg.maxTableBytes, bottom)
+	// A block is worth carrying when the output can decode it (same codec)
+	// and it is at least half full: the block in progress is cut short
+	// before it, and carrying fragments forever would cost ratio.
+	carry := func(t *sstable, b int) bool {
+		return t.ra.CodecName() == db.cfg.codecName && 2*t.ra.Block(b).RawLen >= db.cfg.blockSize
+	}
+	return db.writeTablesLocked(ctx, newMergeIterator(db.tableIterators(nil, inputs), carry), db.cfg.maxTableBytes, bottom)
 }
 
 // writeTablesLocked drains mi into new tables, starting another every
@@ -713,8 +761,11 @@ func (db *DB) mergeTablesLocked(ctx context.Context, inputs []*sstable, targetLe
 // entries, so a deadline propagates into flush and compaction work.
 func (db *DB) writeTablesLocked(ctx context.Context, mi *mergeIterator, maxTableBytes int, dropTombstones bool) ([]*sstable, error) {
 	var out []*sstable
-	w := newTableWriter(db.nextID, db.cfg.codecName, db.eng, db.cfg.blockSize, &db.stats)
-	db.nextID++
+	newWriter := func() *tableWriter {
+		db.nextID++
+		return newTableWriter(db.nextID-1, db.cfg.codecName, db.eng, db.cfg.blockSize, &db.stats, &db.tableBuf)
+	}
+	w := newWriter()
 	rawInTable := 0
 	entries := 0
 	for mi.valid() {
@@ -724,23 +775,27 @@ func (db *DB) writeTablesLocked(ctx context.Context, mi *mergeIterator, maxTable
 			}
 		}
 		entries++
-		if !(mi.tombstone() && dropTombstones) {
+		if src, b, ok := mi.carried(); ok {
+			if err := w.carry(src, b); err != nil {
+				return nil, err
+			}
+			rawInTable += src.ra.Block(b).RawLen
+		} else if !(mi.tombstone() && dropTombstones) {
 			if err := w.add(mi.key(), mi.value(), mi.tombstone()); err != nil {
 				return nil, err
 			}
 			rawInTable += len(mi.key()) + len(mi.value())
-			if rawInTable >= maxTableBytes {
-				t, err := w.finish()
-				if err != nil {
-					return nil, err
-				}
-				if t != nil {
-					out = append(out, t)
-				}
-				w = newTableWriter(db.nextID, db.cfg.codecName, db.eng, db.cfg.blockSize, &db.stats)
-				db.nextID++
-				rawInTable = 0
+		}
+		if rawInTable >= maxTableBytes {
+			t, err := w.finish()
+			if err != nil {
+				return nil, err
 			}
+			if t != nil {
+				out = append(out, t)
+			}
+			w = newWriter()
+			rawInTable = 0
 		}
 		if err := mi.next(); err != nil {
 			return nil, err
@@ -780,30 +835,61 @@ func (db *DB) tableIterators(dst []entryIterator, tables []*sstable) []entryIter
 }
 
 // mergeIterator k-way merges sorted inputs; on duplicate keys the source
-// with the lowest index wins.
+// with the lowest index wins. A table source's next block is decoded only
+// when it reaches the top of the heap, and then only if it cannot be carried:
+// when every other source's next key, or the lower bound of its undecoded
+// block, is past the block's last key, the merge's output for that range
+// is the block itself, and the iterator yields it whole (carried) if the
+// carry predicate accepts it. A nil predicate carries nothing.
 type mergeIterator struct {
-	h   mergeHeap
-	err error
-	cur struct {
+	h     mergeHeap
+	carry func(t *sstable, b int) bool
+	err   error
+	cur   struct {
 		key       []byte
 		value     []byte
 		tombstone bool
+		table     *sstable // non-nil: the current output is block `block` of table, whole
+		block     int
 	}
 	done bool
 }
 
 type mergeSource struct {
 	it  entryIterator
+	tab *tableIterator // it, when the source is a table; nil for the memtable
 	idx int
+}
+
+func (s *mergeSource) parked() bool { return s.tab != nil && s.tab.parked() }
+
+// bound is what orders a source in the heap: its entry's key (rank 0) or,
+// parked before an undecoded block, that block's lower bound — ranked
+// before an entry of the same key when inclusive (a table's smallest key)
+// and after it when exclusive (the previous block's last key). So no parked
+// source below the top can hold the top entry's key.
+func (s *mergeSource) bound() (key []byte, rank int) {
+	if !s.parked() {
+		return s.it.key(), 0
+	}
+	lo, inclusive := s.tab.t.lowerBound(s.tab.block)
+	if inclusive {
+		return lo, -1
+	}
+	return lo, 1
 }
 
 type mergeHeap []*mergeSource
 
 func (h mergeHeap) Len() int { return len(h) }
 func (h mergeHeap) Less(i, j int) bool {
-	c := bytes.Compare(h[i].it.key(), h[j].it.key())
-	if c != 0 {
+	ki, ri := h[i].bound()
+	kj, rj := h[j].bound()
+	if c := bytes.Compare(ki, kj); c != 0 {
 		return c < 0
+	}
+	if ri != rj {
+		return ri < rj
 	}
 	return h[i].idx < h[j].idx
 }
@@ -817,14 +903,15 @@ func (h *mergeHeap) Pop() interface{} {
 	return x
 }
 
-func newMergeIterator(inputs []entryIterator) *mergeIterator {
-	mi := &mergeIterator{}
+func newMergeIterator(inputs []entryIterator, carry func(t *sstable, b int) bool) *mergeIterator {
+	mi := &mergeIterator{carry: carry}
 	for i, it := range inputs {
 		if mi.err = it.err(); mi.err != nil {
 			return mi
 		}
 		if it.valid() {
-			mi.h = append(mi.h, &mergeSource{it: it, idx: i})
+			tab, _ := it.(*tableIterator)
+			mi.h = append(mi.h, &mergeSource{it: it, tab: tab, idx: i})
 		}
 	}
 	heap.Init(&mi.h)
@@ -840,8 +927,31 @@ func (mi *mergeIterator) key() []byte     { return mi.cur.key }
 func (mi *mergeIterator) value() []byte   { return mi.cur.value }
 func (mi *mergeIterator) tombstone() bool { return mi.cur.tombstone }
 
-// next advances to the next distinct key.
+// carried reports whether the current output is a whole block, to be
+// copied as it is stored, rather than an entry.
+func (mi *mergeIterator) carried() (*sstable, int, bool) {
+	return mi.cur.table, mi.cur.block, mi.cur.table != nil
+}
+
+// next advances to the next distinct key, or the next carried block.
 func (mi *mergeIterator) next() error {
+	mi.cur.table = nil
+	// Settle the top: a parked source there is carried past its block or
+	// decodes it.
+	for mi.h.Len() > 0 && mi.h[0].parked() {
+		s := mi.h[0]
+		if mi.carryable(s) {
+			mi.cur.table, mi.cur.block = s.tab.t, s.tab.block
+			s.tab.skip()
+			mi.fix()
+			return nil
+		}
+		s.tab.load()
+		if err := s.it.err(); err != nil {
+			return err
+		}
+		heap.Fix(&mi.h, 0)
+	}
 	if mi.h.Len() == 0 {
 		mi.done = true
 		return nil
@@ -851,20 +961,41 @@ func (mi *mergeIterator) next() error {
 	src := mi.h[0].it
 	mi.cur.key, mi.cur.value, mi.cur.tombstone = src.key(), src.value(), src.tombstone()
 	// Pop every source entry with this key; the first (lowest index,
-	// newest) defined the value.
-	for mi.h.Len() > 0 && bytes.Equal(mi.h[0].it.key(), mi.cur.key) {
+	// newest) defined the value. A parked source on top holds only greater
+	// keys, and so does everything below it.
+	for mi.h.Len() > 0 && !mi.h[0].parked() && bytes.Equal(mi.h[0].it.key(), mi.cur.key) {
 		s := mi.h[0]
 		s.it.next()
 		if err := s.it.err(); err != nil {
 			return err
 		}
-		if s.it.valid() {
-			heap.Fix(&mi.h, 0)
-		} else {
-			heap.Pop(&mi.h)
-		}
+		mi.fix()
 	}
 	return nil
+}
+
+// fix restores the heap after its top source advanced.
+func (mi *mergeIterator) fix() {
+	if mi.h[0].it.valid() {
+		heap.Fix(&mi.h, 0)
+	} else {
+		heap.Pop(&mi.h)
+	}
+}
+
+// carryable reports whether the block the top source s is parked before
+// can be the output whole: no other source can hold a key up to its last.
+func (mi *mergeIterator) carryable(s *mergeSource) bool {
+	if mi.carry == nil || !mi.carry(s.tab.t, s.tab.block) {
+		return false
+	}
+	hi := s.tab.t.lastKeys[s.tab.block]
+	for _, o := range mi.h[1:] {
+		if k, _ := o.bound(); bytes.Compare(k, hi) <= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Scan walks every live key in order, stopping when fn returns false. ctx
@@ -881,7 +1012,7 @@ func (db *DB) Scan(ctx context.Context, fn func(key, value []byte) bool) error {
 	for _, tables := range db.levels {
 		srcs = db.tableIterators(srcs, tables)
 	}
-	mi := newMergeIterator(srcs)
+	mi := newMergeIterator(srcs, nil)
 	entries := 0
 	for mi.valid() {
 		if ctx != nil && entries&0x3ff == 0 {

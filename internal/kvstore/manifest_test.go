@@ -101,14 +101,53 @@ func checkNoOrphans(t *testing.T, what string, db *DB, p Persister) {
 	}
 }
 
-// TestCrashPointMatrix runs a seeded put/delete/flush workload — small
-// enough tables that it compacts constantly — and crashes it at every
-// mutating persister call, in both modes. Whatever the crash point, the
-// reopened store holds every acknowledged write, resurrects no deleted key
-// and leaves no table the manifest does not name. The one op in flight at
-// the crash may have landed or not.
+// crashSchedule picks the key and the op (r < 1 flush, r < 5 delete, else
+// put) of step i of a crash-matrix workload, drawing from the run's rng.
+type crashSchedule func(i int) (key string, r int)
+
+// uniformSchedule draws keys uniformly from 60: every compaction merges.
+func uniformSchedule(rng *rand.Rand) crashSchedule {
+	return func(int) (string, int) {
+		return fmt.Sprintf("k%02d", rng.Intn(60)), rng.Intn(20)
+	}
+}
+
+// bulkThenZipfSchedule loads 100 keys in order — its compactions are
+// trivial moves — then overwrites and deletes them with a zipfian skew, so
+// merges find blocks of the cold keys nothing touched and carry them.
+func bulkThenZipfSchedule(rng *rand.Rand) crashSchedule {
+	const bulk = 100
+	zipf := rand.NewZipf(rng, 1.2, 1, bulk-1)
+	return func(i int) (string, int) {
+		if i < bulk {
+			return fmt.Sprintf("k%03d", i), 5
+		}
+		return fmt.Sprintf("k%03d", zipf.Uint64()), rng.Intn(20)
+	}
+}
+
+// TestCrashPointMatrix runs seeded put/delete/flush workloads — small
+// enough tables that they compact constantly, by merges that carry blocks
+// and by trivial moves — and crashes each at every mutating persister call,
+// in both modes. Whatever the crash point, the reopened store holds every
+// acknowledged write, resurrects no deleted key and leaves no table the
+// manifest does not name. The one op in flight at the crash may have landed
+// or not.
 func TestCrashPointMatrix(t *testing.T) {
-	const ops = 150
+	for _, sc := range []struct {
+		name     string
+		ops      int
+		schedule func(*rand.Rand) crashSchedule
+		reuse    bool // the uncrashed run must carry blocks and move tables
+	}{
+		{"uniform", 150, uniformSchedule, false},
+		{"bulk-then-zipf", 220, bulkThenZipfSchedule, true},
+	} {
+		t.Run(sc.name, func(t *testing.T) { crashPointMatrix(t, sc.ops, sc.schedule, sc.reuse) })
+	}
+}
+
+func crashPointMatrix(t *testing.T, ops int, schedule func(*rand.Rand) crashSchedule, reuse bool) {
 	for seed := int64(1); seed <= 2; seed++ {
 		// run drives the workload until the persister crashes and reports
 		// the acknowledged state plus the key in flight with its two
@@ -117,6 +156,7 @@ func TestCrashPointMatrix(t *testing.T) {
 			acked    map[string]string
 			inflight string
 			old, new *string
+			stats    Stats
 		}
 		run := func(cp *crashPersister) (out outcome) {
 			out.acked = map[string]string{}
@@ -124,12 +164,14 @@ func TestCrashPointMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: open of an empty store: %v", seed, err)
 			}
+			defer func() { out.stats = db.Stats() }()
 			rng := rand.New(rand.NewSource(seed))
+			step := schedule(rng)
 			for i := 0; i < ops; i++ {
-				key := fmt.Sprintf("k%02d", rng.Intn(60))
+				key, r := step(i)
 				var err error
 				var next *string
-				switch r := rng.Intn(20); {
+				switch {
 				case r == 0:
 					key = ""
 					err = db.Flush(tctx)
@@ -166,9 +208,15 @@ func TestCrashPointMatrix(t *testing.T) {
 
 		// Uncrashed: how many mutating calls there are to crash at.
 		probe := &crashPersister{Persister: NewMemPersister(), left: -1}
-		run(probe)
+		st := run(probe).stats
 		if probe.calls < 2*ops {
 			t.Fatalf("seed %d: only %d mutating calls", seed, probe.calls)
+		}
+		t.Logf("seed %d: %d crash points; %d compactions, %d of them moves, %d blocks carried",
+			seed, probe.calls, st.Compactions, st.TrivialMoves, st.BlocksCarried)
+		if reuse && (st.BlocksCarried == 0 || st.TrivialMoves == 0) {
+			t.Fatalf("seed %d: the workload carried %d blocks and moved %d times; the matrix must cover both",
+				seed, st.BlocksCarried, st.TrivialMoves)
 		}
 		var sawCompaction bool
 		for k := 0; k < probe.calls; k++ {
@@ -549,7 +597,7 @@ func realTableBlob(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newTableWriter(7, "zstd", eng, 256, nil)
+	w := newTableWriter(7, "zstd", eng, 256, nil, new(bytes.Buffer))
 	for i := 0; i < 40; i++ {
 		if err := w.add([]byte(fmt.Sprintf("key-%03d", i)), []byte(fmt.Sprintf("value-%d", i)), false); err != nil {
 			t.Fatal(err)
@@ -564,11 +612,12 @@ func realTableBlob(t testing.TB) []byte {
 
 // FuzzTableOpen feeds hostile blobs to the table index parser (ROADMAP 5(b)'s
 // contract): no panic, every rejection is ErrCorrupt, what it allocates is
-// bounded by the input, and a table it accepts answers lookups without
-// panicking.
+// bounded by the input, a table it accepts has the ordered bounds compaction
+// carries blocks on, and answers lookups without panicking.
 func FuzzTableOpen(f *testing.F) {
 	blob := realTableBlob(f)
 	f.Add(blob)
+	f.Add(carriedTableBlob(f))
 	f.Add(blob[:len(blob)-1])
 	f.Add(blob[len(blob)-tableTrailerLen:])
 	mut := append([]byte{}, blob...)
@@ -589,6 +638,14 @@ func FuzzTableOpen(f *testing.F) {
 		}
 		if len(tb.lastKeys) > len(blob) || len(tb.data) > len(blob) {
 			t.Fatalf("%d block keys from %d bytes", len(tb.lastKeys), len(blob))
+		}
+		if bytes.Compare(tb.smallest, tb.lastKeys[0]) > 0 {
+			t.Fatalf("accepted smallest %q past the first block's last key %q", tb.smallest, tb.lastKeys[0])
+		}
+		for i := 1; i < len(tb.lastKeys); i++ {
+			if bytes.Compare(tb.lastKeys[i-1], tb.lastKeys[i]) >= 0 {
+				t.Fatalf("accepted block keys out of order: %q then %q", tb.lastKeys[i-1], tb.lastKeys[i])
+			}
 		}
 		for _, key := range [][]byte{tb.smallest, tb.largest, []byte("key-020"), {0xff}} {
 			if _, _, _, err := tb.get(key, nil, nil); err != nil && !errors.Is(err, ErrCorrupt) {

@@ -2,7 +2,8 @@
 // key-value store in the RocksDB mold: a skiplist memtable is flushed into
 // block-based sorted-string-table (SST) files whose data blocks are
 // individually compressed, and background compaction merges tables down the
-// level hierarchy, re-compressing as it goes.
+// level hierarchy, re-compressing the blocks a merge changes and carrying
+// the rest unread.
 //
 // This is the substrate for the paper's KVSTORE1 characterization (§IV-E):
 // reads must decompress an entire block to fetch one key, so the block size

@@ -29,6 +29,13 @@ const restartInterval = 16
 //	container | index | 4-byte LE len(index) | 8-byte LE XXH64(index) | "KVTI"
 //	index: uvarint numEntries | uvarint klen | smallest key |
 //	       uvarint numBlocks | per block: uvarint klen | last key
+//
+// Block b holds keys in (lastKeys[b-1], lastKeys[b]], block 0 in
+// [smallest, lastKeys[0]]; smallest is a lower bound, not necessarily a key
+// (a table whose first block was carried records the tightest bound its
+// source's index gives). numEntries counts the entries the writer encoded
+// plus one per carried block: non-zero for every table, exact only for a
+// table that carried nothing.
 type sstable struct {
 	id         int64
 	blob       []byte // container + index + trailer; shared with the persister, never written
@@ -80,6 +87,16 @@ func openTable(id int64, blob []byte, eng codec.Engine) (*sstable, error) {
 	if r.bad || len(r.b) != 0 || t.numEntries == 0 || len(t.lastKeys) == 0 {
 		return bad("index")
 	}
+	// Compaction carries blocks on the strength of these bounds alone, so an
+	// index that misorders them is refused here rather than copied onward.
+	if bytes.Compare(t.smallest, t.lastKeys[0]) > 0 {
+		return bad("smallest key past the first block")
+	}
+	for i := 1; i < len(t.lastKeys); i++ {
+		if bytes.Compare(t.lastKeys[i-1], t.lastKeys[i]) >= 0 {
+			return bad("block keys out of order")
+		}
+	}
 	t.largest = t.lastKeys[len(t.lastKeys)-1]
 	ra, err := container.NewReaderAt(bytes.NewReader(t.data), int64(len(t.data)), container.WithEngine(eng))
 	if err != nil {
@@ -95,6 +112,16 @@ func openTable(id int64, blob []byte, eng codec.Engine) (*sstable, error) {
 // numBlocks reports the table's data-block count.
 func (t *sstable) numBlocks() int { return len(t.lastKeys) }
 
+// lowerBound returns a key no greater than any in block b: the previous
+// block's last key, exclusive, or for block 0 the table's smallest,
+// inclusive.
+func (t *sstable) lowerBound(b int) (key []byte, inclusive bool) {
+	if b == 0 {
+		return t.smallest, true
+	}
+	return t.lastKeys[b-1], false
+}
+
 // tableWriter accumulates sorted entries into container blocks.
 type tableWriter struct {
 	eng       codec.Engine
@@ -102,13 +129,14 @@ type tableWriter struct {
 	stats     *Stats
 
 	id         int64
-	numEntries int
+	numEntries int      // entries added, plus one per carried block
 	lastKeys   [][]byte // largest key per finished block
 
-	out      bytes.Buffer
+	out      *bytes.Buffer // the container so far; scratch the next table reuses
 	bw       *container.Builder
 	bwErr    error
 	buf      []byte // current block, uncompressed
+	frame    []byte // carried block scratch
 	restarts []uint32
 	count    int
 	lastKey  []byte
@@ -116,14 +144,18 @@ type tableWriter struct {
 	prevKey  []byte
 }
 
-func newTableWriter(id int64, codecName string, eng codec.Engine, blockSize int, stats *Stats) *tableWriter {
+// newTableWriter starts table id in out, which it resets: the finished blob
+// is copied out of it, so one buffer serves every table a DB writes.
+func newTableWriter(id int64, codecName string, eng codec.Engine, blockSize int, stats *Stats, out *bytes.Buffer) *tableWriter {
+	out.Reset()
 	w := &tableWriter{
 		eng:       eng,
 		blockSize: blockSize,
 		stats:     stats,
 		id:        id,
+		out:       out,
 	}
-	w.bw, w.bwErr = container.NewBuilder(&w.out, codecName, eng, blockSize)
+	w.bw, w.bwErr = container.NewBuilder(out, codecName, eng, blockSize)
 	return w
 }
 
@@ -205,9 +237,58 @@ func (w *tableWriter) flushBlock() error {
 	return nil
 }
 
+// carry appends block b of src as it is stored — its checksum verified,
+// neither decoded nor re-compressed — after cutting the block in progress
+// short. src must use the writer's codec, and every key added so far must
+// sort before the block's. Its keys are known only by their bounds, so a
+// carried first block gives the table the tightest smallest key src's
+// index allows.
+func (w *tableWriter) carry(src *sstable, b int) error {
+	lo, inclusive := src.lowerBound(b)
+	if c := bytes.Compare(w.prevKey, lo); w.prevKey != nil && (c > 0 || c == 0 && inclusive) {
+		return fmt.Errorf("kvstore: carried block %d of table %d (keys from %q) out of order after %q", b, src.id, lo, w.prevKey)
+	}
+	if err := w.flushBlock(); err != nil {
+		return err
+	}
+	frame, info, err := src.ra.ReadFrame(w.frame[:0], b)
+	if err != nil {
+		return fmt.Errorf("%w: table %d block %d: %v", ErrCorrupt, src.id, b, err)
+	}
+	w.frame = frame
+	before := w.bw.Offset()
+	if err := w.bw.AppendFrame(frame, info); err != nil {
+		return err
+	}
+	if w.firstKey == nil {
+		w.firstKey = append([]byte{}, lo...)
+		if !inclusive {
+			w.firstKey = append(w.firstKey, 0) // the least key above lo
+		}
+	}
+	hi := src.lastKeys[b]
+	w.lastKeys = append(w.lastKeys, hi)
+	w.prevKey = append(w.prevKey[:0], hi...)
+	w.lastKey = w.prevKey
+	w.numEntries++
+	if w.stats != nil {
+		stored := w.bw.Offset() - before
+		w.stats.BlocksWritten++
+		w.stats.StoredBytesWritten += stored
+		w.stats.BlocksCarried++
+		w.stats.CarriedBytes += int64(info.RawLen)
+		tmBlocksWritten.Inc()
+		tmStoredBytesWritten.Add(stored)
+		tmBlocksCarried.Inc()
+		tmCarriedBytes.Add(int64(info.RawLen))
+	}
+	return nil
+}
+
 // finish seals the table: the container gains its footer, the key index
-// follows it in the same buffer, and the table is opened from that blob the
-// way recovery will open it. Returns nil when no entries were added.
+// and trailer follow it, and the whole is copied out of the scratch buffer
+// at its exact size — the persister takes ownership of that blob — and
+// opened the way recovery will open it. Returns nil when the table is empty.
 func (w *tableWriter) finish() (*sstable, error) {
 	if err := w.flushBlock(); err != nil {
 		return nil, err
@@ -224,11 +305,13 @@ func (w *tableWriter) finish() (*sstable, error) {
 	for _, k := range w.lastKeys {
 		idx = appendPrefixed(idx, k)
 	}
-	sum := xxhash.Sum64(idx)
-	idx = binary.LittleEndian.AppendUint32(idx, uint32(len(idx)))
-	idx = binary.LittleEndian.AppendUint64(idx, sum)
-	w.out.Write(append(idx, tableMagic[:]...))
-	return openTable(w.id, w.out.Bytes(), w.eng)
+	blob := make([]byte, 0, w.out.Len()+len(idx)+tableTrailerLen)
+	blob = append(blob, w.out.Bytes()...)
+	blob = append(blob, idx...)
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(idx)))
+	blob = binary.LittleEndian.AppendUint64(blob, xxhash.Sum64(idx))
+	blob = append(blob, tableMagic[:]...)
+	return openTable(w.id, blob, w.eng)
 }
 
 // decodeBlock expands one data block — exactly one container block is read
@@ -376,34 +459,40 @@ func (t *sstable) loadBlock(bi int, stats *Stats, cache *blockCache) ([]byte, er
 }
 
 // tableIterator walks a whole table in key order — the scan path behind
-// compaction and Scan. It decodes each block exactly once and
+// compaction and Scan. It decodes each block at most once and
 // neither consults nor fills the block cache: a scan touches every block
 // of its inputs once, which would only push the point-read working set out.
 // Entry values alias the decoded block; keys are private copies (the block
 // stores them prefix-compressed). Both stay valid after the iterator moves
 // on.
+//
+// A block is decoded only on load: until then the iterator is parked
+// before it, known by its bounds alone, and the merge may skip it whole —
+// the block carried into compaction's output unread.
 type tableIterator struct {
 	t       *sstable
 	stats   *Stats
-	block   int
+	block   int  // the block entries came from, or the one parked before
+	loaded  bool // entries hold block's entries and pos is inside them
 	entries []blockEntry
 	pos     int
 	failed  error
 }
 
 func (t *sstable) iterator(stats *Stats) *tableIterator {
-	it := &tableIterator{t: t, stats: stats, block: -1}
-	it.nextBlock()
-	return it
+	return &tableIterator{t: t, stats: stats}
 }
 
-func (it *tableIterator) nextBlock() {
+// parked reports whether the iterator stands before a block it has not
+// decoded; key, value and tombstone are meaningful only after load.
+func (it *tableIterator) parked() bool {
+	return !it.loaded && it.failed == nil && it.block < it.t.numBlocks()
+}
+
+// load decodes the block the iterator is parked before.
+func (it *tableIterator) load() {
 	it.entries = it.entries[:0]
 	it.pos = 0
-	it.block++
-	if it.block >= it.t.numBlocks() {
-		return
-	}
 	raw, err := decodeBlock(it.t, it.block, it.stats)
 	if err != nil {
 		it.failed = err
@@ -414,10 +503,18 @@ func (it *tableIterator) nextBlock() {
 		it.entries = append(it.entries, e)
 		return true
 	})
+	if it.failed == nil && len(it.entries) == 0 {
+		it.failed = fmt.Errorf("%w: table %d block %d holds no entries", ErrCorrupt, it.t.id, it.block)
+	}
+	it.loaded = it.failed == nil
 }
 
+// skip moves past the block the iterator is parked before without decoding
+// it.
+func (it *tableIterator) skip() { it.block++ }
+
 func (it *tableIterator) valid() bool {
-	return it.failed == nil && it.block < it.t.numBlocks() && it.pos < len(it.entries)
+	return it.failed == nil && it.block < it.t.numBlocks()
 }
 func (it *tableIterator) err() error      { return it.failed }
 func (it *tableIterator) key() []byte     { return it.entries[it.pos].key }
@@ -426,7 +523,8 @@ func (it *tableIterator) tombstone() bool { return it.entries[it.pos].tombstone 
 func (it *tableIterator) next() {
 	it.pos++
 	if it.pos >= len(it.entries) {
-		it.nextBlock()
+		it.loaded = false
+		it.block++
 	}
 }
 
