@@ -158,6 +158,12 @@ type DB struct {
 	closed   bool
 	tableBuf bytes.Buffer // scratch every table writer builds its container in
 
+	// The store dictionary (storedict.go): nil until the first flush trains
+	// one, or for life when it does not; eng is coded against it.
+	dict          []byte
+	dictID        uint32
+	dictPersisted bool // the persister holds it under dictName
+
 	// Durability state (nil persister / nil walEng when WithoutWAL).
 	persister Persister
 	walEng    codec.Engine
@@ -233,10 +239,11 @@ func OpenLegacy(opts Options) (*DB, error) {
 	return Open(context.Background(), "", append(opts.opts(), WithoutWAL())...)
 }
 
-// recover opens the tables the manifest names — no data block is decoded —
-// deletes table blobs it does not name (a crash between persisting a table
-// and committing, or between committing and deleting compaction inputs),
-// and replays the WAL tail.
+// recover loads the store dictionary the manifest names and opens the tables
+// it names — no data block is decoded — deletes table and dictionary blobs
+// it does not name (a crash between persisting them and committing, or
+// between committing and deleting compaction inputs), and replays the WAL
+// tail.
 func (db *DB) recover(ctx context.Context) error {
 	names, err := db.persister.ListBlobs()
 	if err != nil {
@@ -257,6 +264,11 @@ func (db *DB) recover(ctx context.Context) error {
 			return err
 		}
 		db.seq, db.nextID = m.seq, m.nextID
+		if m.dictID != 0 {
+			if err := db.loadDictLocked(m.dictID); err != nil {
+				return err
+			}
+		}
 		for lvl, ids := range m.levels {
 			for _, id := range ids {
 				blob, err := db.persister.GetBlob(tableName(id))
@@ -274,6 +286,9 @@ func (db *DB) recover(ctx context.Context) error {
 		}
 	}
 	orphans := slices.DeleteFunc(names, func(name string) bool {
+		if name == dictName {
+			return db.dict != nil
+		}
 		return !strings.HasSuffix(name, tableSuffix) || live[name]
 	})
 	if err := db.persister.DeleteBlobs(orphans...); err != nil {
@@ -282,7 +297,8 @@ func (db *DB) recover(ctx context.Context) error {
 
 	// The persister is walking its log under its own lock: a memtable that
 	// fills during replay is flushed to tables in memory only, and made
-	// durable, with the rest of the replay, after the walk.
+	// durable, with the rest of the replay (the store dictionary too, if the
+	// flush trained one), after the walk.
 	manifestSeq := db.seq
 	replayed := 0
 	err = db.persister.ReplayWAL(func(rec []byte) error {
@@ -546,6 +562,13 @@ func (db *DB) flushMemLocked(ctx context.Context) error {
 	if db.mem.len() == 0 {
 		return nil
 	}
+	if db.nextID == 0 {
+		// The store's first table: it and every table after it are coded
+		// against the dictionary this memtable trains, if any.
+		if err := db.trainDictLocked(); err != nil {
+			return err
+		}
+	}
 	// One table however large the memtable, tombstones kept: older tables
 	// on every level may hold what they shadow.
 	out, err := db.writeTablesLocked(ctx, newMergeIterator([]entryIterator{db.mem.iterator()}, nil), math.MaxInt, false)
@@ -561,17 +584,25 @@ func (db *DB) flushMemLocked(ctx context.Context) error {
 }
 
 // commitLocked is the checkpoint: it makes the in-memory table set the
-// durable one. The order is what makes every crash point recoverable —
-// tables not yet persisted, then the manifest naming them (the commit),
-// then the WAL reset (its batches are all ≤ the manifest's seq by now),
-// then the delete of tables the manifest no longer names. Callers hold an
-// empty memtable, so db.seq is exactly what the tables cover. A table that
-// was flushed and compacted away since the last commit is never written.
+// durable one. The order is what makes every crash point recoverable — the
+// store dictionary if not yet persisted, then tables not yet persisted
+// (every one of them coded against it), then the manifest naming both (the
+// commit), then the WAL reset (its batches are all ≤ the manifest's seq by
+// now), then the delete of tables the manifest no longer names. Callers
+// hold an empty memtable, so db.seq is exactly what the tables cover. A
+// table that was flushed and compacted away since the last commit is never
+// written.
 func (db *DB) commitLocked() error {
 	if db.persister == nil || !db.dirty {
 		return nil
 	}
-	m := manifest{seq: db.seq, nextID: db.nextID}
+	if db.dict != nil && !db.dictPersisted {
+		if err := db.persister.PutBlob(dictName, encodeDict(db.dict)); err != nil {
+			return err
+		}
+		db.dictPersisted = true
+	}
+	m := manifest{seq: db.seq, nextID: db.nextID, dictID: db.dictID}
 	for lvl, tables := range db.levels {
 		for _, t := range tables {
 			if !t.persisted {
@@ -1065,11 +1096,15 @@ func (db *DB) TableCounts() []int {
 	return out
 }
 
-// DiskBytes reports the stored size of all tables, key indexes included.
+// DiskBytes reports the stored size of all tables, key indexes included,
+// plus the store dictionary.
 func (db *DB) DiskBytes() int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var n int64
+	if db.dict != nil {
+		n += int64(len(dictMagic) + len(db.dict) + 8)
+	}
 	for _, tables := range db.levels {
 		for _, t := range tables {
 			n += int64(len(t.blob))

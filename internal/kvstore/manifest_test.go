@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"github.com/datacomp/datacomp/internal/codec"
+	"github.com/datacomp/datacomp/internal/xxhash"
 )
 
 // crashPersister fails the k-th mutating call and every call after it: the
@@ -78,7 +80,7 @@ func crashOpts(p Persister) []Option {
 }
 
 // checkNoOrphans: the persister holds exactly the tables the DB's levels
-// name, plus the manifest.
+// name, plus the manifest, plus the store dictionary when the DB has one.
 func checkNoOrphans(t *testing.T, what string, db *DB, p Persister) {
 	t.Helper()
 	names, err := p.ListBlobs()
@@ -93,6 +95,9 @@ func checkNoOrphans(t *testing.T, what string, db *DB, p Persister) {
 	}
 	if len(want) > 0 {
 		want = append(want, manifestName)
+	}
+	if db.dict != nil {
+		want = append(want, dictName)
 	}
 	slices.Sort(names)
 	slices.Sort(want)
@@ -128,11 +133,13 @@ func bulkThenZipfSchedule(rng *rand.Rand) crashSchedule {
 
 // TestCrashPointMatrix runs seeded put/delete/flush workloads — small
 // enough tables that they compact constantly, by merges that carry blocks
-// and by trivial moves — and crashes each at every mutating persister call,
-// in both modes. Whatever the crash point, the reopened store holds every
-// acknowledged write, resurrects no deleted key and leaves no table the
-// manifest does not name. The one op in flight at the crash may have landed
-// or not.
+// and by trivial moves, all coded against the store dictionary the first
+// flush trains — and crashes each at every mutating persister call, in both
+// modes: before and after the dictionary's PutBlob among them. Whatever the
+// crash point, the reopened store decodes every table, holds every
+// acknowledged write, resurrects no deleted key and leaves no table or
+// dictionary the manifest does not name. The one op in flight at the crash
+// may have landed or not.
 func TestCrashPointMatrix(t *testing.T) {
 	for _, sc := range []struct {
 		name     string
@@ -148,6 +155,7 @@ func TestCrashPointMatrix(t *testing.T) {
 }
 
 func crashPointMatrix(t *testing.T, ops int, schedule func(*rand.Rand) crashSchedule, reuse bool) {
+	trained := 0 // seeds whose first flush trained a dictionary; the others take the dictless path
 	for seed := int64(1); seed <= 2; seed++ {
 		// run drives the workload until the persister crashes and reports
 		// the acknowledged state plus the key in flight with its two
@@ -157,6 +165,7 @@ func crashPointMatrix(t *testing.T, ops int, schedule func(*rand.Rand) crashSche
 			inflight string
 			old, new *string
 			stats    Stats
+			dictID   uint32
 		}
 		run := func(cp *crashPersister) (out outcome) {
 			out.acked = map[string]string{}
@@ -164,7 +173,7 @@ func crashPointMatrix(t *testing.T, ops int, schedule func(*rand.Rand) crashSche
 			if err != nil {
 				t.Fatalf("seed %d: open of an empty store: %v", seed, err)
 			}
-			defer func() { out.stats = db.Stats() }()
+			defer func() { out.stats, out.dictID = db.Stats(), db.dictID }()
 			rng := rand.New(rand.NewSource(seed))
 			step := schedule(rng)
 			for i := 0; i < ops; i++ {
@@ -208,12 +217,16 @@ func crashPointMatrix(t *testing.T, ops int, schedule func(*rand.Rand) crashSche
 
 		// Uncrashed: how many mutating calls there are to crash at.
 		probe := &crashPersister{Persister: NewMemPersister(), left: -1}
-		st := run(probe).stats
+		uncrashed := run(probe)
+		st := uncrashed.stats
 		if probe.calls < 2*ops {
 			t.Fatalf("seed %d: only %d mutating calls", seed, probe.calls)
 		}
-		t.Logf("seed %d: %d crash points; %d compactions, %d of them moves, %d blocks carried",
-			seed, probe.calls, st.Compactions, st.TrivialMoves, st.BlocksCarried)
+		if uncrashed.dictID != 0 {
+			trained++
+		}
+		t.Logf("seed %d: %d crash points; dictionary %08x; %d compactions, %d of them moves, %d blocks carried",
+			seed, probe.calls, uncrashed.dictID, st.Compactions, st.TrivialMoves, st.BlocksCarried)
 		if reuse && (st.BlocksCarried == 0 || st.TrivialMoves == 0) {
 			t.Fatalf("seed %d: the workload carried %d blocks and moved %d times; the matrix must cover both",
 				seed, st.BlocksCarried, st.TrivialMoves)
@@ -260,6 +273,9 @@ func crashPointMatrix(t *testing.T, ops int, schedule func(*rand.Rand) crashSche
 		if !sawCompaction {
 			t.Fatalf("seed %d: the workload never compacted into L2", seed)
 		}
+	}
+	if trained == 0 {
+		t.Fatal("no seed trained a store dictionary; the matrix must cover its commit")
 	}
 }
 
@@ -656,9 +672,10 @@ func FuzzTableOpen(f *testing.F) {
 }
 
 // FuzzManifest: same contract for the manifest parser, and whatever decodes
-// survives a round trip through the encoder.
+// survives a round trip through the encoder — the dictionary id included, and
+// a "KVM1" manifest decoding as dictless.
 func FuzzManifest(f *testing.F) {
-	m := manifest{seq: 812, nextID: 40}
+	m := manifest{seq: 812, nextID: 40, dictID: 0xb0d612a3}
 	m.levels[0] = []int64{39, 37}
 	m.levels[1] = []int64{12, 30, 31}
 	m.levels[6] = []int64{2}
@@ -666,9 +683,15 @@ func FuzzManifest(f *testing.F) {
 	f.Add(enc)
 	f.Add(enc[:len(enc)-1])
 	f.Add((&manifest{}).encode())
+	f.Add(encodeManifestV1(m))
 	mut := append([]byte{}, enc...)
 	mut[6] ^= 0x01
 	f.Add(mut)
+	// A dictionary id past 32 bits, with a valid checksum.
+	wide := binary.AppendUvarint(append([]byte{}, manifestMagic[:]...), 1)
+	wide = binary.AppendUvarint(binary.AppendUvarint(wide, 1), 1<<32)
+	wide = append(wide, make([]byte, numLevels)...)
+	f.Add(binary.LittleEndian.AppendUint64(wide, xxhash.Sum64(wide)))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := decodeManifest(b)
@@ -689,6 +712,9 @@ func FuzzManifest(f *testing.F) {
 		}
 		if n > len(b) {
 			t.Fatalf("%d table ids from %d bytes", n, len(b))
+		}
+		if [4]byte(b[:4]) == manifestMagicV1 && m.dictID != 0 {
+			t.Fatalf("a KVM1 manifest decoded with dictionary %08x", m.dictID)
 		}
 		if again, err := decodeManifest(m.encode()); err != nil || !reflect.DeepEqual(again, m) {
 			t.Fatalf("round trip of %+v = %+v, %v", m, again, err)

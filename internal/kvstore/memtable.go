@@ -104,6 +104,31 @@ func (m *memtable) approximateBytes() int { return m.bytes }
 // len returns the number of distinct keys (including tombstones).
 func (m *memtable) len() int { return m.count }
 
+// sampleValues returns at most limit bytes of the memtable's values, taken
+// at even spacing across its key order: the store dictionary's training set.
+func (m *memtable) sampleValues(limit int) [][]byte {
+	var vals [][]byte
+	total := 0
+	for n := m.head.next[0]; n != nil; n = n.next[0] {
+		if len(n.value) > 0 {
+			vals = append(vals, n.value)
+			total += len(n.value)
+		}
+	}
+	n, k := len(vals), len(vals)
+	if total > limit {
+		k = max(1, int(int64(n)*int64(limit)/int64(total)))
+	}
+	out := make([][]byte, 0, k)
+	for i := 0; i < k && limit > 0; i++ {
+		v := vals[i*n/k]
+		v = v[:min(len(v), limit)]
+		out = append(out, v)
+		limit -= len(v)
+	}
+	return out
+}
+
 // iterator walks the memtable in key order.
 type memIterator struct {
 	n *memNode

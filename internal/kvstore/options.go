@@ -30,6 +30,9 @@ func (p SyncPolicy) String() string {
 	}
 }
 
+// defaultBlockCacheBytes is the decoded-block cache's default budget.
+const defaultBlockCacheBytes = 4 << 20
+
 // config is the resolved Open configuration.
 type config struct {
 	codecName string
@@ -70,7 +73,11 @@ func WithLevel(level int) Option { return func(c *config) { c.level = level } }
 func WithEngine(eng codec.Engine) Option { return func(c *config) { c.engine = eng } }
 
 // WithBlockSize sets the uncompressed data-block granularity (default
-// 16 KiB; RocksDB commonly uses 16-64 KiB per the paper).
+// 8 KiB; RocksDB commonly uses 16-64 KiB per the paper). A point get decodes
+// one block, so the block size is its decode cost; the store dictionary a
+// zstd store trains at its first flush (DESIGN.md §11) wins back the ratio
+// that blocks this small lose. The block cache's default entry count
+// follows it.
 func WithBlockSize(n int) Option { return func(c *config) { c.blockSize = n } }
 
 // WithMemtableBytes triggers a flush when the memtable reaches this size
@@ -89,8 +96,9 @@ func WithL0CompactionTrigger(n int) Option { return func(c *config) { c.l0Trigge
 // gets 10x more (default 8 MiB).
 func WithBaseLevelBytes(n int64) Option { return func(c *config) { c.baseLevelBytes = n } }
 
-// WithBlockCacheEntries bounds the decoded-block cache (default 256;
-// negative disables).
+// WithBlockCacheEntries bounds the decoded-block cache in blocks (default
+// 4 MiB of decoded blocks: 4 MiB ÷ the block size, 512 at the default
+// 8 KiB; negative disables).
 func WithBlockCacheEntries(n int) Option { return func(c *config) { c.blockCacheEntries = n } }
 
 // WithSeed makes skiplist heights deterministic.
@@ -128,7 +136,7 @@ func buildConfig(opts []Option) config {
 		c.level = 1
 	}
 	if c.blockSize == 0 {
-		c.blockSize = 16 << 10
+		c.blockSize = 8 << 10
 	}
 	if c.memtableBytes == 0 {
 		c.memtableBytes = 1 << 20
@@ -143,7 +151,7 @@ func buildConfig(opts []Option) config {
 		c.baseLevelBytes = 8 << 20
 	}
 	if c.blockCacheEntries == 0 {
-		c.blockCacheEntries = 256
+		c.blockCacheEntries = max(1, defaultBlockCacheBytes/c.blockSize)
 	}
 	if c.walCodec == "" {
 		c.walCodec = "lz4"

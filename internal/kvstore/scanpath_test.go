@@ -7,6 +7,8 @@ import (
 	"maps"
 	"math/rand"
 	"testing"
+
+	"github.com/datacomp/datacomp/internal/codec"
 )
 
 // cacheKeys snapshots which (table, block) pairs the block cache holds.
@@ -166,16 +168,45 @@ func TestGetDoesNotAliasStore(t *testing.T) {
 // TestMergeOutputPinned pins the bytes flush and compaction produce on a
 // fixed seed, and that recovery reloads exactly those bytes. The scan digest
 // was taken at the commit before scans stopped copying values and filling
-// the block cache; the tables digest when compaction began carrying blocks
-// and moving tables (it was 1a5971fb961345404c9e5b28 before, and still is
-// with both switched off — the reuse row is the whole difference). A change
+// the block cache; the plain tables digest when compaction began carrying
+// blocks and moving tables (it was 1a5971fb961345404c9e5b28 before, and
+// still is with both switched off — the reuse row is the whole difference).
+// The store-dictionary row is the same workload coded against the
+// dictionary its first flush trains: the blocks are 1 KiB in both rows, so
+// the whole difference between them is the dictionary (the denser tables
+// also shift which compactions run, hence one more carried block). A change
 // here is a format or merge-order change, not a refactor.
 func TestMergeOutputPinned(t *testing.T) {
+	plain, err := codec.NewEngine("zstd", codec.WithLevel(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		opts []Option
+		want map[string]string
+	}{
+		{"store-dictionary", nil, map[string]string{
+			"tables": "dbcf9c5c7c52e9c5798da3c7",
+			"scan":   "08a4057a94131b7bee3e02a7",
+			"reuse":  "135 blocks carried (137591 raw bytes), 1 trivial moves",
+		}},
+		{"plain-engine", []Option{WithEngine(plain)}, map[string]string{
+			"tables": "17acfa7d480c493691279b68",
+			"scan":   "08a4057a94131b7bee3e02a7",
+			"reuse":  "134 blocks carried (137844 raw bytes), 1 trivial moves",
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) { mergeOutputPinned(t, c.opts, c.want) })
+	}
+}
+
+func mergeOutputPinned(t *testing.T, opts []Option, want map[string]string) {
 	p := NewMemPersister()
 	open := func() *DB {
-		db, err := Open(tctx, "", WithPersister(p), WithSeed(7), WithBlockSize(1<<10),
-			WithMemtableBytes(8<<10), WithMaxTableBytes(32<<10), WithL0CompactionTrigger(3),
-			WithBaseLevelBytes(24<<10))
+		db, err := Open(tctx, "", append([]Option{WithPersister(p), WithSeed(7), WithBlockSize(1 << 10),
+			WithMemtableBytes(8 << 10), WithMaxTableBytes(32 << 10), WithL0CompactionTrigger(3),
+			WithBaseLevelBytes(24 << 10)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,11 +263,6 @@ func TestMergeOutputPinned(t *testing.T) {
 		"tables": tables(db),
 		"scan":   scan(db),
 		"reuse":  fmt.Sprintf("%d blocks carried (%d raw bytes), %d trivial moves", st.BlocksCarried, st.CarriedBytes, st.TrivialMoves),
-	}
-	want := map[string]string{
-		"tables": "17acfa7d480c493691279b68",
-		"scan":   "08a4057a94131b7bee3e02a7",
-		"reuse":  "134 blocks carried (137844 raw bytes), 1 trivial moves",
 	}
 	for name, w := range want {
 		if got[name] != w {

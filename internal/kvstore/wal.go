@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/datacomp/datacomp/internal/xxhash"
 )
@@ -20,13 +21,16 @@ import (
 // Manifest: the one mutable blob, replaced atomically whenever the table
 // set changes:
 //
-//	"KVM1" | uvarint seq | uvarint nextID |
+//	"KVM2" | uvarint seq | uvarint nextID | uvarint dictID |
 //	per level (numLevels of them): uvarint count | count × uvarint table id |
 //	8-byte LE XXH64 of everything before it
 //
-// seq is the last batch the named tables hold. Recovery opens those tables
-// (sst.go: no data block is decoded), then replays WAL batches with a
-// greater seq, so a stale log next to a newer manifest changes nothing.
+// seq is the last batch the named tables hold. dictID is the zstd ID of the
+// store dictionary every table is coded against (storedict.go), 0 for none;
+// a "KVM1" manifest is the same without it, and decodes as dictless.
+// Recovery opens those tables (sst.go: no data block is decoded), then
+// replays WAL batches with a greater seq, so a stale log next to a newer
+// manifest changes nothing.
 
 const (
 	opPut    = 0
@@ -37,11 +41,15 @@ const (
 // before tables were persisted; no reader for it remains.
 const (
 	manifestName       = "MANIFEST"
+	dictName           = "store.dict"
 	tableSuffix        = ".sst"
 	legacySnapshotName = "snapshot.zsxs"
 )
 
-var manifestMagic = [4]byte{'K', 'V', 'M', '1'}
+var (
+	manifestMagic   = [4]byte{'K', 'V', 'M', '2'}
+	manifestMagicV1 = [4]byte{'K', 'V', 'M', '1'} // no dictID
+)
 
 // ErrLegacySnapshot is returned by Open for a store last written in the
 // snapshot format: its data is intact but this version cannot load it.
@@ -165,6 +173,7 @@ func decodeBatchPayload(raw []byte, fn func(key, value []byte, del bool) error) 
 type manifest struct {
 	seq    uint64
 	nextID int64
+	dictID uint32 // 0: the tables are coded without a dictionary
 	levels [numLevels][]int64
 }
 
@@ -172,6 +181,7 @@ func (m *manifest) encode() []byte {
 	b := append([]byte{}, manifestMagic[:]...)
 	b = binary.AppendUvarint(b, m.seq)
 	b = binary.AppendUvarint(b, uint64(m.nextID))
+	b = binary.AppendUvarint(b, uint64(m.dictID))
 	for _, ids := range m.levels {
 		b = binary.AppendUvarint(b, uint64(len(ids)))
 		for _, id := range ids {
@@ -221,11 +231,17 @@ func (r *metaReader) bytes() []byte {
 // only allocations are id slices no longer than the input.
 func decodeManifest(b []byte) (manifest, error) {
 	n := len(b) - 8
-	if n < len(manifestMagic) || [4]byte(b[:4]) != manifestMagic || xxhash.Sum64(b[:n]) != binary.LittleEndian.Uint64(b[n:]) {
+	if n < len(manifestMagic) || [4]byte(b[:4]) != manifestMagic && [4]byte(b[:4]) != manifestMagicV1 ||
+		xxhash.Sum64(b[:n]) != binary.LittleEndian.Uint64(b[n:]) {
 		return manifest{}, fmt.Errorf("%w: manifest magic or checksum", ErrCorrupt)
 	}
 	r := metaReader{b: b[len(manifestMagic):n]}
 	m := manifest{seq: r.uvarint(), nextID: int64(min(r.uvarint(), 1<<62))}
+	if [4]byte(b[:4]) == manifestMagic {
+		id := r.uvarint()
+		m.dictID = uint32(id)
+		r.bad = r.bad || id > math.MaxUint32
+	}
 	for lvl := range m.levels {
 		count := r.uvarint()
 		m.levels[lvl] = make([]int64, min(count, uint64(len(r.b)+1))) // an id takes a byte at least

@@ -96,9 +96,10 @@ func DecompressedSize(src []byte) (int, error) {
 // history buffer and entropy-table scratch across frames so a warmed Decoder
 // performs zero heap allocations per frame. Not safe for concurrent use.
 type Decoder struct {
-	dict []byte
-	buf  []byte // history: dict prefix + decoded content
-	bd   blockDecoder
+	dict   []byte
+	dictID uint32 // DictID(dict), hashed once: a frame only compares it
+	buf    []byte // history: dict prefix + decoded content
+	bd     blockDecoder
 }
 
 // SetStageHook installs a hook fired at stage transitions inside
@@ -110,14 +111,14 @@ func (dec *Decoder) SetStageHook(h stage.Hook) { dec.bd.hook = h }
 // NewDecoder returns a Decoder for frames compressed with dict (nil for
 // dictionary-less frames).
 func NewDecoder(dict []byte) *Decoder {
-	return &Decoder{dict: dict}
+	return &Decoder{dict: dict, dictID: DictID(dict)}
 }
 
 // Decompress decodes a frame, appending the content to dst. dict must be
 // the same content-prefix dictionary used at compression time (nil when the
 // frame was compressed without one).
 func Decompress(dst, src []byte, dict []byte) ([]byte, error) {
-	d := Decoder{dict: dict}
+	d := Decoder{dict: dict, dictID: DictID(dict)}
 	return d.Decompress(dst, src)
 }
 
@@ -132,7 +133,7 @@ func (dec *Decoder) Decompress(dst, src []byte) ([]byte, error) {
 		return nil, ErrCorrupt
 	}
 	if h.hasDict {
-		if DictID(dict) != h.dictID {
+		if dec.dictID != h.dictID {
 			return nil, ErrDictMismatch
 		}
 	} else if len(dict) > 0 {

@@ -415,19 +415,32 @@ func BenchmarkDecompress(b *testing.B) {
 	// Per-level decode benchmarks over log-like data: the shape the
 	// multi-stream entropy stage (4-stream literals, 2-state sequences) is
 	// tuned for, and the corpus the BENCH_codec.json regression gate tracks.
+	// The dict row decodes 8 KiB frames against a 64 KiB dictionary, the
+	// shape of a store-dictionary SST block read: the dictionary is hashed
+	// once per Decoder, not once per frame.
 	src := corpus.LogLines(7, 128<<10)
-	for _, level := range []int{1, 3, 9} {
-		b.Run("L"+itoa(level), func(b *testing.B) {
-			e, err := NewEncoder(Options{Level: level})
+	for _, c := range []struct {
+		name  string
+		level int
+		src   []byte
+		dict  []byte
+	}{
+		{"L1", 1, src, nil},
+		{"L3", 3, src, nil},
+		{"L9", 9, src, nil},
+		{"L1-8KiB-dict64KiB", 1, src[:8<<10], corpus.LogLines(8, 64<<10)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			e, err := NewEncoder(Options{Level: c.level, Dict: c.dict})
 			if err != nil {
 				b.Fatal(err)
 			}
-			out, err := e.Compress(nil, src)
+			out, err := e.Compress(nil, c.src)
 			if err != nil {
 				b.Fatal(err)
 			}
-			dec := NewDecoder(nil)
-			b.SetBytes(int64(len(src)))
+			dec := NewDecoder(c.dict)
+			b.SetBytes(int64(len(c.src)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			var back []byte
