@@ -312,9 +312,7 @@ func (c *Cluster) Put(ctx context.Context, key, value []byte) error {
 		return kvstore.ErrEmptyKey
 	}
 	cmPuts.Inc()
-	rec := appendRecord(nil, c.NextVersion(), false, value)
-	req := appendKeyRecord(nil, key, rec)
-	return c.writeQuorum(ctx, key, MethodPut, req)
+	return c.writeQuorum(ctx, key, MethodPut, putRequest(key, c.NextVersion(), false, value))
 }
 
 // Delete replicates a versioned tombstone for key.

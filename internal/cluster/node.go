@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -539,13 +541,7 @@ func (n *Node) handleDelete(ctx context.Context, req []byte) ([]byte, error) {
 	if len(rest) != 8 {
 		return nil, errBadRecord
 	}
-	version := binary.LittleEndian.Uint64(rest)
-	rec := appendRecord(nil, version, true, nil)
-	put := make([]byte, 0, len(req)+recHeaderLen)
-	put = binary.AppendUvarint(put, uint64(len(key)))
-	put = append(put, key...)
-	put = append(put, rec...)
-	return n.handlePut(ctx, put)
+	return n.handlePut(ctx, putRequest(key, binary.LittleEndian.Uint64(rest), true, nil))
 }
 
 // handleDump streams every stored record, tombstones included.
@@ -577,12 +573,25 @@ func splitKey(b []byte) (key, rest []byte, err error) {
 	return b[n : n+int(klen)], b[n+int(klen):], nil
 }
 
-// appendKeyRecord frames "uvarint klen | key | record" for MethodPut.
+// appendKeyRecord frames "uvarint klen | key | record" for MethodPut,
+// growing dst at most once.
 func appendKeyRecord(dst, key, rec []byte) []byte {
+	dst = slices.Grow(dst, uvarintLen(uint64(len(key)))+len(key)+len(rec))
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
 	return append(dst, rec...)
 }
+
+// putRequest frames a new record for MethodPut in one buffer of exact size:
+// the bytes of appendKeyRecord(nil, key, appendRecord(nil, version,
+// tombstone, payload)), with payload copied once.
+func putRequest(key []byte, version uint64, tombstone bool, payload []byte) []byte {
+	req := make([]byte, 0, uvarintLen(uint64(len(key)))+len(key)+recHeaderLen+len(payload))
+	return appendRecord(appendKeyRecord(req, key, nil), version, tombstone, payload)
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // walkDump iterates a MethodDump response.
 func walkDump(b []byte, fn func(key, rec []byte) error) error {

@@ -538,3 +538,46 @@ func TestClusterOverwritesAreBlind(t *testing.T) {
 		t.Fatalf("reads changed the put counters: %+v", st)
 	}
 }
+
+// TestPutRequestFraming: the kv.put request a coordinator builds in one
+// buffer is byte for byte the two-step framing (record, then key + record)
+// it replaces — wire bytes unchanged — at exactly its length, and so is a
+// re-framed record (read-repair, rebalance) and a replica's tombstone put.
+func TestPutRequestFraming(t *testing.T) {
+	for _, c := range []struct {
+		key       []byte
+		version   uint64
+		tombstone bool
+		payload   []byte
+	}{
+		{[]byte("k"), 1, false, []byte("v")},
+		{[]byte("user:0042"), 1 << 40, false, bytes.Repeat([]byte("2 KiB value "), 170)},
+		{bytes.Repeat([]byte("long-key"), 40), 7, false, nil}, // a two-byte key length
+		{[]byte("gone"), 9, true, nil},
+	} {
+		twoStep := appendKeyRecord(nil, c.key, appendRecord(nil, c.version, c.tombstone, c.payload))
+		req := putRequest(c.key, c.version, c.tombstone, c.payload)
+		if !bytes.Equal(req, twoStep) || cap(req) != len(req) {
+			t.Fatalf("key %.12q: putRequest = %d bytes (cap %d), want the %d of the two-step framing",
+				c.key, len(req), cap(req), len(twoStep))
+		}
+		rec := twoStep[uvarintLen(uint64(len(c.key)))+len(c.key):]
+		if reframed := appendKeyRecord(nil, c.key, rec); !bytes.Equal(reframed, twoStep) {
+			t.Fatalf("key %.12q: re-framed record differs from the two-step framing", c.key)
+		}
+		if got := testing.AllocsPerRun(10, func() { putRequest(c.key, c.version, c.tombstone, c.payload) }); got > 1 && testing.CoverMode() == "" {
+			t.Fatalf("key %.12q: putRequest makes %v allocations, want one", c.key, got)
+		}
+	}
+
+	n := testNode(t)
+	putRec(t, n, "k", appendRecord(nil, 3, false, []byte("three")))
+	del := binary.AppendUvarint(nil, 1)
+	del = append(append(del, 'k'), binary.LittleEndian.AppendUint64(nil, 4)...)
+	if _, err := n.handleDelete(tctx, del); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stored(t, n, "k"), appendRecord(nil, 4, true, nil); !bytes.Equal(got, want) {
+		t.Fatalf("after a delete the replica stores %x, want tombstone %x", got, want)
+	}
+}

@@ -27,14 +27,14 @@ func checkTablesLocked(t *testing.T, db *DB) {
 					tb.id, tb.smallest, tb.largest, tables[i-1].id, tables[i-1].smallest, tables[i-1].largest)
 			}
 			for b := range tb.lastKeys {
-				entries, err := decodeBlock(tb, b, nil)
+				entries, err := decodeBlock(nil, tb, b, nil)
 				if err != nil {
 					t.Fatalf("L%d table %d block %d: %v", lvl, tb.id, b, err)
 				}
 				lo, inclusive := tb.lowerBound(b)
 				prev := lo
 				first := true
-				err = walkBlock(entries, func(e blockEntry) bool {
+				_, err = walkBlock(entries, nil, func(e blockEntry) bool {
 					c := bytes.Compare(prev, e.key)
 					if c > 0 || c == 0 && !(first && inclusive) {
 						t.Fatalf("L%d table %d block %d: key %q after %q", lvl, tb.id, b, e.key, prev)

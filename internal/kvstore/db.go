@@ -846,8 +846,9 @@ func (db *DB) writeTablesLocked(ctx context.Context, mi *mergeIterator, maxTable
 }
 
 // entryIterator is one sorted input of a merge: a table (tableIterator) or
-// the memtable itself (memIterator). Keys and values stay valid after the
-// iterator advances.
+// the memtable itself (memIterator). A memtable entry stays valid as long as
+// the memtable; a table entry only until its iterator loads its next block,
+// which mergeIterator does in next's settle step and nowhere else.
 type entryIterator interface {
 	valid() bool
 	key() []byte
@@ -964,7 +965,10 @@ func (mi *mergeIterator) carried() (*sstable, int, bool) {
 	return mi.cur.table, mi.cur.block, mi.cur.table != nil
 }
 
-// next advances to the next distinct key, or the next carried block.
+// next advances to the next distinct key, or the next carried block. The
+// entry it leaves current is valid until the following call, whose settle
+// step may load a block over it: callers consume an entry before calling
+// next.
 func (mi *mergeIterator) next() error {
 	mi.cur.table = nil
 	// Settle the top: a parked source there is carried past its block or
@@ -987,8 +991,8 @@ func (mi *mergeIterator) next() error {
 		mi.done = true
 		return nil
 	}
-	// The winning entry is taken by reference: an entryIterator's keys and
-	// values outlive its advance.
+	// The winning entry is taken by reference: advancing its sources below
+	// never loads a block, so it survives until the next settle step.
 	src := mi.h[0].it
 	mi.cur.key, mi.cur.value, mi.cur.tombstone = src.key(), src.value(), src.tombstone()
 	// Pop every source entry with this key; the first (lowest index,
@@ -1031,8 +1035,9 @@ func (mi *mergeIterator) carryable(s *mergeSource) bool {
 
 // Scan walks every live key in order, stopping when fn returns false. ctx
 // cancellation is honored between entries. key and value point into the
-// store's own memory (the memtable is merged in place, as the newest
-// source): fn must not modify them, and copies what it keeps.
+// store's own memory (the memtable, merged in place as the newest source, or
+// a table iterator's recycled block buffers) and are valid only during the
+// call: fn must not modify them, and copies what it keeps.
 func (db *DB) Scan(ctx context.Context, fn func(key, value []byte) bool) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()

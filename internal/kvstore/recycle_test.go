@@ -1,0 +1,243 @@
+package kvstore
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"testing"
+)
+
+// blockTable is a store holding n keys in one L0 table of 1 KiB blocks
+// behind a block cache of the given entry count, and that table.
+func blockTable(t *testing.T, n, cacheEntries int, opts ...Option) (*DB, *sstable) {
+	t.Helper()
+	db := testDB(t, append([]Option{WithBlockSize(1 << 10), WithMemtableBytes(1 << 30),
+		WithL0CompactionTrigger(100), WithBlockCacheEntries(cacheEntries)}, opts...)...)
+	for i := 0; i < n; i++ {
+		mustPut(t, db, fmt.Sprintf("key-%06d", i), fmt.Sprintf("value-%06d-%048d", i, i))
+	}
+	if err := db.Flush(tctx); err != nil {
+		t.Fatal(err)
+	}
+	if c := db.TableCounts(); c[0] != 1 {
+		t.Fatalf("table layout %v, want one table at L0", c)
+	}
+	return db, db.levels[0][0]
+}
+
+// cacheBuffers is every buffer the block cache holds, cached or free, by
+// the address of its backing array.
+func cacheBuffers(db *DB) map[*byte]bool {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	out := map[*byte]bool{}
+	for _, b := range db.cache.m {
+		out[&b[:1][0]] = true
+	}
+	for _, b := range db.cache.free {
+		out[&b[:1][0]] = true
+	}
+	return out
+}
+
+// checkCacheBound fails unless the cache's buffers, cached and free, are
+// within its entry bound.
+func checkCacheBound(t *testing.T, db *DB) {
+	t.Helper()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if c := db.cache; len(c.m)+len(c.free) > len(c.order) {
+		t.Fatalf("block cache holds %d cached + %d free buffers, bound %d", len(c.m), len(c.free), len(c.order))
+	}
+}
+
+// getBlock reads the last key of block b — a key the block holds — and
+// returns its value.
+func getBlock(t *testing.T, db *DB, tb *sstable, b int) []byte {
+	t.Helper()
+	v, ok, err := db.Get(tctx, tb.lastKeys[b])
+	if err != nil || !ok {
+		t.Fatalf("get %q (block %d): ok=%v err=%v", tb.lastKeys[b], b, ok, err)
+	}
+	return v
+}
+
+// TestRecycledBuffersKeepGetValues: once the cache is full every miss
+// decodes over the oldest entry's buffer — no new buffer appears — and a
+// value Get returned earlier is unchanged after 2 × the entry bound further
+// cold gets have decoded over every buffer the cache holds.
+func TestRecycledBuffersKeepGetValues(t *testing.T) {
+	const entries = 8
+	db, tb := blockTable(t, 2000, entries)
+	if tb.numBlocks() < 4*entries {
+		t.Fatalf("fixture has %d blocks, want at least %d", tb.numBlocks(), 4*entries)
+	}
+	kept := getBlock(t, db, tb, 0)
+	want := string(kept)
+	for b := 1; b < entries; b++ {
+		getBlock(t, db, tb, b)
+	}
+	warm := cacheBuffers(db)
+	if len(warm) != entries {
+		t.Fatalf("warm cache holds %d buffers, want %d", len(warm), entries)
+	}
+	hits := db.Stats().BlockCacheHits
+	for i := 0; i < 2*entries; i++ {
+		getBlock(t, db, tb, entries+i)
+		checkCacheBound(t, db)
+	}
+	if db.Stats().BlockCacheHits != hits {
+		t.Fatal("the cold gets hit the cache")
+	}
+	for buf := range cacheBuffers(db) {
+		if !warm[buf] {
+			t.Fatal("a miss on a full cache decoded into a new buffer instead of the oldest entry's")
+		}
+	}
+	if string(kept) != want {
+		t.Fatalf("a value Get returned changed under later misses: %q, was %q", kept, want)
+	}
+}
+
+// TestRecycledCacheBoundUnderCompaction: compactions drop their input
+// tables' blocks into the free list, later misses draw from it, and the
+// cache's buffers — cached and free — never exceed its entry bound.
+func TestRecycledCacheBoundUnderCompaction(t *testing.T) {
+	const entries = 16
+	db := testDB(t, WithBlockSize(1<<10), WithMemtableBytes(16<<10), WithL0CompactionTrigger(2),
+		WithBaseLevelBytes(64<<10), WithMaxTableBytes(32<<10), WithBlockCacheEntries(entries))
+	drawn := 0
+	for i := 0; i < 6000; i++ {
+		mustPut(t, db, fmt.Sprintf("key-%05d", (i*7919)%3000), fmt.Sprintf("value-%05d-%040d", i, i))
+		if i%50 != 0 {
+			continue
+		}
+		before := len(db.cache.free)
+		for j := 0; j < 20; j++ {
+			k := fmt.Sprintf("key-%05d", (i+j*131)%3000)
+			if _, _, err := db.Get(tctx, []byte(k)); err != nil {
+				t.Fatalf("get %s: %v", k, err)
+			}
+		}
+		if after := len(db.cache.free); after < before {
+			drawn += before - after
+		}
+		checkCacheBound(t, db)
+	}
+	if st := db.Stats(); st.Compactions < 5 || st.TrivialMoves == st.Compactions {
+		t.Fatalf("workload too small: %d compactions, %d of them moves", st.Compactions, st.TrivialMoves)
+	}
+	if drawn == 0 {
+		t.Fatal("no miss decoded into a dropped table's buffer")
+	}
+}
+
+// spoilingEngine decodes blocks, then, when armed, overwrites the restart
+// count at the end of the block it just decoded: a block whose payload
+// checksum held but whose content is corrupt, written into whatever buffer
+// the decode was handed.
+type spoilingEngine struct {
+	*countingEngine
+	armed bool
+}
+
+func (e *spoilingEngine) Decompress(dst, src []byte) ([]byte, error) {
+	out, err := e.countingEngine.Decompress(dst, src)
+	if err == nil && e.armed && len(out) >= 4 {
+		e.armed = false
+		binary.LittleEndian.PutUint32(out[len(out)-4:], 1<<31)
+	}
+	return out, err
+}
+
+// TestRecycledBufferCorruptBlock: a corrupt block decoded into the buffer a
+// full cache reclaimed is ErrCorrupt, is not cached, and leaves the cache
+// serving every other block — its remaining entries as hits, new misses
+// correctly — within its bound.
+func TestRecycledBufferCorruptBlock(t *testing.T) {
+	const entries = 4
+	eng := &spoilingEngine{countingEngine: newCountingEngine(t)}
+	db, tb := blockTable(t, 600, entries, WithEngine(eng))
+	values := map[int]string{}
+	for b := 0; b < entries; b++ {
+		values[b] = string(getBlock(t, db, tb, b))
+	}
+	bad := entries + 2
+	eng.armed = true
+	if _, _, err := db.Get(tctx, tb.lastKeys[bad]); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("get from a corrupt block = %v, want ErrCorrupt", err)
+	}
+	checkCacheBound(t, db)
+	if _, ok := db.cache.get(tb.id, bad); ok {
+		t.Fatal("the corrupt block was cached")
+	}
+	// The miss evicted block 0; blocks 1.. are still cached and still hold
+	// what they did.
+	hits := db.Stats().BlockCacheHits
+	for b := 1; b < entries; b++ {
+		if v := getBlock(t, db, tb, b); string(v) != values[b] {
+			t.Fatalf("block %d now reads %q, want %q", b, v, values[b])
+		}
+	}
+	if got := db.Stats().BlockCacheHits - hits; got != entries-1 {
+		t.Fatalf("%d of the %d surviving entries hit", got, entries-1)
+	}
+	// New misses — the corrupt block's own, now clean, among them — decode
+	// into the buffer the failed decode gave back.
+	for _, b := range []int{bad, 0, entries + 5} {
+		want := fmt.Sprintf("value-%s-", tb.lastKeys[b][len("key-"):])
+		if v := getBlock(t, db, tb, b); string(v[:len(want)]) != want {
+			t.Fatalf("block %d reads %q, want a value starting %q", b, v, want)
+		}
+		checkCacheBound(t, db)
+	}
+}
+
+// TestStoreAllocs gates the store's read paths the way steady_alloc_test.go
+// gates the codecs: a Get that misses a warm, full block cache allocates
+// only the value it returns, and a Scan's allocations are per table, not
+// per block.
+func TestStoreAllocs(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	t.Run("GetMiss", func(t *testing.T) {
+		const entries = 8
+		db, tb := blockTable(t, 2000, entries)
+		b := 0
+		get := func() {
+			getBlock(t, db, tb, b%tb.numBlocks())
+			b++
+		}
+		for i := 0; i < tb.numBlocks(); i++ { // a full cache, and every table scratch warm
+			get()
+		}
+		hits := db.Stats().BlockCacheHits
+		if n := testing.AllocsPerRun(100, get); n > 1 {
+			t.Errorf("a Get missing a full block cache: %v allocs/op, want at most the returned value's", n)
+		}
+		if db.Stats().BlockCacheHits != hits {
+			t.Fatal("the measured gets hit the cache")
+		}
+	})
+	t.Run("ScanPerTable", func(t *testing.T) {
+		scanAllocs := func(n int) (float64, int) {
+			db, tb := blockTable(t, n, -1)
+			scan := func() {
+				if err := db.Scan(tctx, func(k, v []byte) bool { return true }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return testing.AllocsPerRun(5, scan), tb.numBlocks()
+		}
+		one, blocks1 := scanAllocs(1000)
+		four, blocks4 := scanAllocs(4000)
+		if blocks4 < 4*blocks1-4 {
+			t.Fatalf("fixtures hold %d and %d blocks, want 4×", blocks1, blocks4)
+		}
+		t.Logf("Scan allocs: %v over %d blocks, %v over %d", one, blocks1, four, blocks4)
+		if four > one {
+			t.Errorf("Scan over %d blocks: %v allocs, over %d blocks: %v; want no more", blocks4, four, blocks1, one)
+		}
+	})
+}

@@ -315,13 +315,14 @@ func (w *tableWriter) finish() (*sstable, error) {
 }
 
 // decodeBlock expands one data block — exactly one container block is read
-// and decompressed — and returns its entry region (the restart array is
-// validated and stripped). The result is freshly allocated and never reused
-// as scratch, so callers may keep it, or slices of it, for as long as they
-// like.
-func decodeBlock(t *sstable, bi int, stats *Stats) ([]byte, error) {
+// and decompressed — into dst's memory, from its start, and returns its
+// entry region (the restart array is validated and stripped): a prefix of
+// the buffer it decoded into, which is dst unless the block outgrew dst's
+// capacity. The caller owns that buffer and decides when it is reused; a
+// nil dst allocates one.
+func decodeBlock(dst []byte, t *sstable, bi int, stats *Stats) ([]byte, error) {
 	t0 := time.Now()
-	raw, err := t.ra.DecodeBlock(nil, bi)
+	raw, err := t.ra.DecodeBlock(dst[:0], bi)
 	dt := time.Since(t0)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -353,31 +354,39 @@ type blockEntry struct {
 	tombstone bool
 }
 
-// walkBlock scans every entry of a decoded block in order, invoking fn.
-// fn returns false to stop early.
-func walkBlock(entries []byte, fn func(blockEntry) bool) error {
+// walkBlock scans every entry of a decoded block in order, invoking fn;
+// fn returns false to stop early. The block stores keys prefix-compressed,
+// so each is materialized by appending it to keys, which is returned grown
+// for the caller to reuse: every key fn sees stays intact until the caller
+// walks again over the arena it got back. (An arena that grows mid-block
+// leaves the keys already placed in its old array, which nothing writes
+// again.)
+func walkBlock(entries, keys []byte, fn func(blockEntry) bool) ([]byte, error) {
 	pos := 0
 	var key []byte
 	for pos < len(entries) {
 		shared, n := binary.Uvarint(entries[pos:])
 		if n <= 0 {
-			return ErrCorrupt
+			return keys, ErrCorrupt
 		}
 		pos += n
 		unshared, n := binary.Uvarint(entries[pos:])
 		if n <= 0 {
-			return ErrCorrupt
+			return keys, ErrCorrupt
 		}
 		pos += n
 		vtag, n := binary.Uvarint(entries[pos:])
 		if n <= 0 {
-			return ErrCorrupt
+			return keys, ErrCorrupt
 		}
 		pos += n
 		if shared > uint64(len(key)) || unshared > uint64(len(entries)-pos) {
-			return ErrCorrupt
+			return keys, ErrCorrupt
 		}
-		key = append(key[:int(shared)], entries[pos:pos+int(unshared)]...)
+		start := len(keys)
+		keys = append(keys, key[:shared]...)
+		keys = append(keys, entries[pos:pos+int(unshared)]...)
+		key = keys[start:len(keys):len(keys)]
 		pos += int(unshared)
 		var e blockEntry
 		e.key = key
@@ -385,17 +394,17 @@ func walkBlock(entries []byte, fn func(blockEntry) bool) error {
 			e.tombstone = true
 		} else {
 			if vtag-1 > uint64(len(entries)-pos) {
-				return ErrCorrupt
+				return keys, ErrCorrupt
 			}
 			vlen := int(vtag - 1)
 			e.value = entries[pos : pos+vlen]
 			pos += vlen
 		}
 		if !fn(e) {
-			return nil
+			return keys, nil
 		}
 	}
-	return nil
+	return keys, nil
 }
 
 // findBlock locates the block that may contain key (first block whose
@@ -410,7 +419,8 @@ func (t *sstable) findBlock(key []byte) int {
 	return i
 }
 
-// get searches the table. Returns (value, tombstone, found).
+// get searches the table. Returns (value, tombstone, found); the value is a
+// copy, never the cache buffer a later miss decodes over.
 func (t *sstable) get(key []byte, stats *Stats, cache *blockCache) ([]byte, bool, bool, error) {
 	bi := t.findBlock(key)
 	if bi < 0 || bytes.Compare(key, t.smallest) < 0 {
@@ -420,9 +430,13 @@ func (t *sstable) get(key []byte, stats *Stats, cache *blockCache) ([]byte, bool
 	if err != nil {
 		return nil, false, false, err
 	}
+	var keys []byte // a table read without a cache allocates its key arena too
+	if cache != nil {
+		keys = cache.keys[:0]
+	}
 	var out []byte
 	var tomb, found bool
-	err = walkBlock(entries, func(e blockEntry) bool {
+	keys, err = walkBlock(entries, keys, func(e blockEntry) bool {
 		c := bytes.Compare(e.key, key)
 		if c == 0 {
 			found = true
@@ -432,29 +446,36 @@ func (t *sstable) get(key []byte, stats *Stats, cache *blockCache) ([]byte, bool
 		}
 		return c < 0 // keep scanning while behind
 	})
+	if cache != nil {
+		cache.keys = keys
+	}
 	if err != nil {
 		return nil, false, false, err
 	}
 	return out, tomb, found, nil
 }
 
+// loadBlock returns block bi's entry region. On a cache miss the block is
+// decoded into a buffer the cache owns and is cached there, so the result is
+// valid only until the next miss: callers hold db.mu and copy what they keep.
 func (t *sstable) loadBlock(bi int, stats *Stats, cache *blockCache) ([]byte, error) {
-	if cache != nil {
-		if b, ok := cache.get(t.id, bi); ok {
-			if stats != nil {
-				stats.BlockCacheHits++
-				tmBlockCacheHits.Inc()
-			}
-			return b, nil
-		}
+	if cache == nil {
+		return decodeBlock(nil, t, bi, stats)
 	}
-	entries, err := decodeBlock(t, bi, stats)
+	if b, ok := cache.get(t.id, bi); ok {
+		if stats != nil {
+			stats.BlockCacheHits++
+			tmBlockCacheHits.Inc()
+		}
+		return b, nil
+	}
+	buf := cache.reclaim()
+	entries, err := decodeBlock(buf, t, bi, stats)
 	if err != nil {
+		cache.release(buf)
 		return nil, err
 	}
-	if cache != nil {
-		cache.put(t.id, bi, entries)
-	}
+	cache.put(t.id, bi, entries)
 	return entries, nil
 }
 
@@ -462,9 +483,11 @@ func (t *sstable) loadBlock(bi int, stats *Stats, cache *blockCache) ([]byte, er
 // compaction and Scan. It decodes each block at most once and
 // neither consults nor fills the block cache: a scan touches every block
 // of its inputs once, which would only push the point-read working set out.
-// Entry values alias the decoded block; keys are private copies (the block
-// stores them prefix-compressed). Both stay valid after the iterator moves
-// on.
+// Every block is decoded into the one buffer the iterator keeps, and its
+// keys (prefix-compressed in the block) are materialized into one arena
+// the iterator also keeps: entry values alias the first, keys the second,
+// and both are overwritten when the iterator loads its next block. An entry
+// is valid until then, and no longer.
 //
 // A block is decoded only on load: until then the iterator is parked
 // before it, known by its bounds alone, and the merge may skip it whole —
@@ -472,8 +495,10 @@ func (t *sstable) loadBlock(bi int, stats *Stats, cache *blockCache) ([]byte, er
 type tableIterator struct {
 	t       *sstable
 	stats   *Stats
-	block   int  // the block entries came from, or the one parked before
-	loaded  bool // entries hold block's entries and pos is inside them
+	block   int    // the block entries came from, or the one parked before
+	loaded  bool   // entries hold block's entries and pos is inside them
+	buf     []byte // the loaded block, decoded
+	keys    []byte // the loaded block's keys, materialized
 	entries []blockEntry
 	pos     int
 	failed  error
@@ -489,17 +514,19 @@ func (it *tableIterator) parked() bool {
 	return !it.loaded && it.failed == nil && it.block < it.t.numBlocks()
 }
 
-// load decodes the block the iterator is parked before.
+// load decodes the block the iterator is parked before, ending the validity
+// of the entries of the block it loaded last.
 func (it *tableIterator) load() {
 	it.entries = it.entries[:0]
+	it.keys = it.keys[:0]
 	it.pos = 0
-	raw, err := decodeBlock(it.t, it.block, it.stats)
+	raw, err := decodeBlock(it.buf, it.t, it.block, it.stats)
 	if err != nil {
 		it.failed = err
 		return
 	}
-	it.failed = walkBlock(raw, func(e blockEntry) bool {
-		e.key = append([]byte{}, e.key...)
+	it.buf = raw
+	it.keys, it.failed = walkBlock(raw, it.keys, func(e blockEntry) bool {
 		it.entries = append(it.entries, e)
 		return true
 	})
@@ -528,16 +555,21 @@ func (it *tableIterator) next() {
 	}
 }
 
-// blockCache is a bounded FIFO-ish cache of decoded blocks keyed by
-// (table, block).
+// blockCache is a bounded FIFO cache of decoded blocks keyed by (table,
+// block). It owns the buffers the blocks live in, and never holds more of
+// them — cached and free together — than its entry bound: a miss decodes
+// into a dropped table's buffer, or, once the cache is full, into the
+// buffer of the oldest entry, which it evicts first.
 type blockCache struct {
-	maxEntries int
-	m          map[[2]int64][]byte
-	order      [][2]int64
+	m     map[[2]int64][]byte
+	order [][2]int64 // ring of m's keys, oldest first from order[head]; len is the entry bound
+	head  int
+	free  [][]byte // buffers of dropped tables' blocks
+	keys  []byte   // key arena the point reads walk their block with
 }
 
 func newBlockCache(maxEntries int) *blockCache {
-	return &blockCache{maxEntries: maxEntries, m: make(map[[2]int64][]byte)}
+	return &blockCache{m: make(map[[2]int64][]byte, maxEntries), order: make([][2]int64, maxEntries)}
 }
 
 func (c *blockCache) get(table int64, block int) ([]byte, bool) {
@@ -545,34 +577,54 @@ func (c *blockCache) get(table int64, block int) ([]byte, bool) {
 	return b, ok
 }
 
-// put caches entries, taking ownership of the slice: the caller hands over
-// a block fresh from decodeBlock and must not write to it afterwards.
-func (c *blockCache) put(table int64, block int, entries []byte) {
-	k := [2]int64{table, int64(block)}
-	if _, ok := c.m[k]; ok {
-		return
+// reclaim hands a miss the buffer to decode into: a free one, else the
+// oldest entry's if the cache is full (the entry is evicted), else nil — the
+// cache is still filling, and the decode allocates. The buffer comes back
+// through put, or release if the decode failed.
+func (c *blockCache) reclaim() []byte {
+	if n := len(c.free); n > 0 {
+		b := c.free[n-1]
+		c.free = c.free[:n-1]
+		return b
 	}
-	for len(c.m) >= c.maxEntries && len(c.order) > 0 {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		delete(c.m, victim)
+	if len(c.m) < len(c.order) {
+		return nil
 	}
-	c.m[k] = entries
-	c.order = append(c.order, k)
+	k := c.order[c.head]
+	c.head = (c.head + 1) % len(c.order)
+	b := c.m[k]
+	delete(c.m, k)
+	return b
 }
 
-// dropTable evicts all cached blocks of a table (after compaction).
+// put caches the entries of a block that missed, decoded into the buffer
+// reclaim returned (or a new one): the cache owns that buffer from here on,
+// and reuses it once the entry is evicted or its table dropped.
+func (c *blockCache) put(table int64, block int, entries []byte) {
+	k := [2]int64{table, int64(block)}
+	c.order[(c.head+len(c.m))%len(c.order)] = k
+	c.m[k] = entries
+}
+
+// release returns a buffer reclaim handed out to the free list.
+func (c *blockCache) release(buf []byte) {
+	if buf != nil {
+		c.free = append(c.free, buf)
+	}
+}
+
+// dropTable evicts all cached blocks of a table (after compaction), keeping
+// their buffers for the next misses.
 func (c *blockCache) dropTable(table int64) {
-	for k := range c.m {
+	n, kept := len(c.m), 0
+	for i := 0; i < n; i++ {
+		k := c.order[(c.head+i)%len(c.order)]
 		if k[0] == table {
+			c.free = append(c.free, c.m[k])
 			delete(c.m, k)
+			continue
 		}
+		c.order[(c.head+kept)%len(c.order)] = k
+		kept++
 	}
-	kept := c.order[:0]
-	for _, k := range c.order {
-		if k[0] != table {
-			kept = append(kept, k)
-		}
-	}
-	c.order = kept
 }
