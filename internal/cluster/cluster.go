@@ -269,36 +269,65 @@ func (r *replica) version() uint64 { return binary.LittleEndian.Uint64(r.resp[1:
 // header is the 17 record header bytes of a digest or kv.get reply.
 func (r *replica) header() []byte { return r.resp[1 : 1+recHeaderLen] }
 
-// owners resolves key's replica set in ring order.
-func (c *Cluster) owners(key []byte) ([]replica, error) {
+// op is one operation's replica set and fan-out state. It is recycled
+// through opPool, so an operation allocates none of its own bookkeeping;
+// nothing may keep an op, or a slice of its reps, past release. Replies in
+// reps alias rpc reply buffers, never the op, so they outlive it.
+type op struct {
+	reps  []replica
+	names []string // reps' node names, as the ring returned them
+	wg    sync.WaitGroup
+
+	// What fanOut's goroutines read, set before they start.
+	ctx    context.Context
+	method string
+	req    []byte
+}
+
+var opPool = sync.Pool{New: func() any { return new(op) }}
+
+// owners resolves key's replica set in ring order. The caller releases it.
+func (c *Cluster) owners(key []byte) (*op, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.ring.Len() == 0 {
 		return nil, ErrNoNodes
 	}
-	names := c.ring.Owners(key, c.cfg.replication)
-	reps := make([]replica, len(names))
-	for i, name := range names {
-		reps[i].pool = c.clients[name]
+	o := opPool.Get().(*op)
+	o.names = c.ring.AppendOwners(o.names[:0], key, c.cfg.replication)
+	for _, name := range o.names {
+		o.reps = append(o.reps, replica{pool: c.clients[name]})
 	}
-	return reps, nil
+	return o, nil
+}
+
+// release returns o to opPool holding no reply, error, context or request.
+func (o *op) release() {
+	clear(o.reps)
+	o.reps = o.reps[:0]
+	o.ctx, o.method, o.req = nil, "", nil
+	opPool.Put(o)
 }
 
 // fanOut sends req to every owner at once — method first to reps[0] on the
 // caller's goroutine, rest to the others on their own — and returns when all
 // of them have answered or failed, so an operation costs its slowest call,
 // not the sum.
-func fanOut(ctx context.Context, reps []replica, first, rest string, req []byte) {
-	var wg sync.WaitGroup
-	for i := 1; i < len(reps); i++ {
-		wg.Add(1)
-		go func(r *replica) {
-			defer wg.Done()
-			r.resp, r.err = r.pool.call(ctx, rest, req)
-		}(&reps[i])
+func (o *op) fanOut(ctx context.Context, first, rest string, req []byte) {
+	o.ctx, o.method, o.req = ctx, rest, req
+	for i := 1; i < len(o.reps); i++ {
+		o.wg.Add(1)
+		go o.call(i)
 	}
-	reps[0].resp, reps[0].err = reps[0].pool.call(ctx, first, req)
-	wg.Wait()
+	o.reps[0].resp, o.reps[0].err = o.reps[0].pool.call(ctx, first, req)
+	o.wg.Wait()
+}
+
+// call is one of fanOut's goroutines: it sends o.method to reps[i].
+func (o *op) call(i int) {
+	defer o.wg.Done()
+	r := &o.reps[i]
+	r.resp, r.err = r.pool.call(o.ctx, o.method, o.req)
 }
 
 // NextVersion mints a monotonically increasing write version. Exposed so
@@ -328,11 +357,13 @@ func (c *Cluster) Delete(ctx context.Context, key []byte) error {
 }
 
 func (c *Cluster) writeQuorum(ctx context.Context, key []byte, method string, req []byte) error {
-	reps, err := c.owners(key)
+	o, err := c.owners(key)
 	if err != nil {
 		return err
 	}
-	fanOut(ctx, reps, method, method, req)
+	defer o.release()
+	o.fanOut(ctx, method, method, req)
+	reps := o.reps
 	acks := 0
 	var lastErr error
 	for i := range reps {
@@ -368,11 +399,13 @@ func (c *Cluster) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 		return nil, false, kvstore.ErrEmptyKey
 	}
 	cmGets.Inc()
-	reps, err := c.owners(key)
+	o, err := c.owners(key)
 	if err != nil {
 		return nil, false, err
 	}
-	fanOut(ctx, reps, MethodGet, MethodDigest, key)
+	defer o.release()
+	o.fanOut(ctx, MethodGet, MethodDigest, key)
+	reps := o.reps
 	for i := range reps {
 		c.classify(&reps[i], i == 0)
 	}
@@ -527,12 +560,13 @@ func (c *Cluster) drainFrom(ctx context.Context, src *clientPool) error {
 		return fmt.Errorf("rebalance dump from %s: %w", src.node.Name(), err)
 	}
 	return walkDump(dumpResp, func(key, rec []byte) error {
-		reps, err := c.owners(key)
+		o, err := c.owners(key)
 		if err != nil {
 			return err
 		}
+		defer o.release()
 		req := appendKeyRecord(nil, key, rec)
-		for _, r := range reps {
+		for _, r := range o.reps {
 			if r.pool == src {
 				continue
 			}

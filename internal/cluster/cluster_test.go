@@ -28,12 +28,13 @@ func testCluster(t *testing.T, n int, opts ...Option) *Cluster {
 // record and the others for a digest.
 func ownerNodes(t *testing.T, c *Cluster, key []byte) []*Node {
 	t.Helper()
-	reps, err := c.owners(key)
+	o, err := c.owners(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := make([]*Node, len(reps))
-	for i, r := range reps {
+	defer o.release()
+	nodes := make([]*Node, len(o.reps))
+	for i, r := range o.reps {
 		nodes[i] = r.pool.node
 	}
 	return nodes

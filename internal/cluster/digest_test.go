@@ -233,12 +233,14 @@ func TestFanOutWaitsForAll(t *testing.T) {
 	if err := c.Put(tctx, k, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	reps, err := c.owners(k)
+	o, err := c.owners(k)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer o.release()
+	reps := o.reps
 	reps[1].pool.node.Crash()
-	fanOut(tctx, reps, MethodGet, MethodDigest, k)
+	o.fanOut(tctx, MethodGet, MethodDigest, k)
 	if reps[0].err != nil || len(reps[0].resp) != 1+recHeaderLen+1 {
 		t.Fatalf("first owner: %d-byte reply, err=%v, want the whole record", len(reps[0].resp), reps[0].err)
 	}
@@ -250,7 +252,7 @@ func TestFanOutWaitsForAll(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(tctx)
 	cancel()
-	fanOut(ctx, reps, MethodGet, MethodDigest, k)
+	o.fanOut(ctx, MethodGet, MethodDigest, k)
 	for i := range reps {
 		if reps[i].err == nil {
 			t.Fatalf("owner %d answered a cancelled call", i)

@@ -482,19 +482,20 @@ func (n *Node) handleGet(ctx context.Context, req []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	v, ok, err := db.Get(ctx, req)
+	// The record is copied once, straight into the reply behind its 0x01.
+	resp, ok, err := db.AppendGet(ctx, []byte{0x01}, req)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return []byte{0x00}, nil
 	}
-	if _, valid := validRecord(v); !valid {
+	if _, valid := validRecord(resp[1:]); !valid {
 		n.putMu.Lock()
 		delete(n.versions, string(req))
 		n.putMu.Unlock()
 	}
-	return append([]byte{0x01}, v...), nil
+	return resp, nil
 }
 
 // handleDigest answers with the header of the stored record: from the

@@ -9,6 +9,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/datacomp/datacomp/internal/xxhash"
@@ -85,24 +86,25 @@ func (r *Ring) Nodes() []string {
 // Owners returns the first n distinct nodes clockwise from key's hash —
 // the key's replica set, preference-ordered. Fewer than n nodes on the
 // ring returns them all.
-func (r *Ring) Owners(key []byte, n int) []string {
+func (r *Ring) Owners(key []byte, n int) []string { return r.AppendOwners(nil, key, n) }
+
+// AppendOwners appends key's replica set, as Owners returns it, to dst.
+func (r *Ring) AppendOwners(dst []string, key []byte, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
-		return nil
+		return dst
 	}
 	if n > len(r.nodes) {
 		n = len(r.nodes)
 	}
 	h := xxhash.Sum64(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	owners := make([]string, 0, n)
-	seen := make(map[string]struct{}, n)
-	for i := 0; i < len(r.points) && len(owners) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if _, dup := seen[p.node]; dup {
-			continue
+	base := len(dst)
+	dst = slices.Grow(dst, n)
+	for i := 0; i < len(r.points) && len(dst)-base < n; i++ {
+		// A replica set is a handful of names: a scan beats a set.
+		if p := r.points[(start+i)%len(r.points)]; !slices.Contains(dst[base:], p.node) {
+			dst = append(dst, p.node)
 		}
-		seen[p.node] = struct{}{}
-		owners = append(owners, p.node)
 	}
-	return owners
+	return dst
 }

@@ -468,19 +468,32 @@ func (db *DB) applyLocked(ctx context.Context, b *Batch) error {
 	return nil
 }
 
-// Get fetches the value for key.
+// Get fetches the value for key. The value is the caller's: it aliases
+// nothing the store keeps.
 func (db *DB) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
+	v, ok, err := db.AppendGet(ctx, []byte{}, key)
+	if !ok {
+		return nil, false, err
+	}
+	return v, true, nil
+}
+
+// AppendGet appends the value for key to dst and reports whether key holds
+// one; on a miss, a tombstone or an error it returns dst unchanged. The
+// value is copied into dst under db.mu, once, so a caller framing a reply
+// around it — a prefix in dst — pays no second copy.
+func (db *DB) AppendGet(ctx context.Context, dst, key []byte) ([]byte, bool, error) {
 	if len(key) == 0 {
-		return nil, false, ErrEmptyKey
+		return dst, false, ErrEmptyKey
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
-		return nil, false, ErrClosed
+		return dst, false, ErrClosed
 	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return nil, false, err
+			return dst, false, err
 		}
 	}
 	t0 := time.Now()
@@ -494,24 +507,21 @@ func (db *DB) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 
 	if v, ok := db.mem.get(key); ok {
 		if v == nil {
-			return nil, false, nil // tombstone
+			return dst, false, nil // tombstone
 		}
-		return append([]byte{}, v...), true, nil
+		return append(dst, v...), true, nil
 	}
 	// L0: newest table wins.
 	for _, t := range db.levels[0] {
 		if bytes.Compare(key, t.smallest) < 0 || bytes.Compare(key, t.largest) > 0 {
 			continue
 		}
-		v, tomb, found, err := t.get(key, &db.stats, db.cache)
+		v, tomb, found, err := t.get(dst, key, &db.stats, db.cache)
 		if err != nil {
-			return nil, false, err
+			return dst, false, err
 		}
 		if found {
-			if tomb {
-				return nil, false, nil
-			}
-			return v, true, nil
+			return v, !tomb, nil
 		}
 	}
 	// Deeper levels: tables are disjoint; at most one candidate each.
@@ -523,20 +533,17 @@ func (db *DB) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 			if bytes.Compare(key, t.largest) > 0 {
 				continue
 			}
-			v, tomb, found, err := t.get(key, &db.stats, db.cache)
+			v, tomb, found, err := t.get(dst, key, &db.stats, db.cache)
 			if err != nil {
-				return nil, false, err
+				return dst, false, err
 			}
 			if found {
-				if tomb {
-					return nil, false, nil
-				}
-				return v, true, nil
+				return v, !tomb, nil
 			}
 			break
 		}
 	}
-	return nil, false, nil
+	return dst, false, nil
 }
 
 // Flush forces the memtable into L0 and checkpoints: every write before it

@@ -664,7 +664,7 @@ func FuzzTableOpen(f *testing.F) {
 			}
 		}
 		for _, key := range [][]byte{tb.smallest, tb.largest, []byte("key-020"), {0xff}} {
-			if _, _, _, err := tb.get(key, nil, nil); err != nil && !errors.Is(err, ErrCorrupt) {
+			if _, _, _, err := tb.get(nil, key, nil, nil); err != nil && !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("get(%q): untyped error: %v", key, err)
 			}
 		}

@@ -165,6 +165,59 @@ func TestGetDoesNotAliasStore(t *testing.T) {
 	}
 }
 
+// AppendGet appends exactly what Get returns to dst, and nothing on a miss
+// or a tombstone, wherever the key lives: memtable, L0 or a deeper level.
+// dst's own bytes are never written, even with spare capacity behind them.
+func TestAppendGetContract(t *testing.T) {
+	db := testDB(t, WithMemtableBytes(1<<30), WithL0CompactionTrigger(100), WithBaseLevelBytes(1<<30))
+	for _, k := range []string{"deep", "deep-shadowed", "l0-shadowed"} {
+		mustPut(t, db, k, "value of "+k)
+	}
+	mustPut(t, db, "deep-empty", "")
+	if err := db.Flush(tctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := compactNow(t, db, 0, -1); err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, db, "l0", "value of l0")
+	mustPut(t, db, "l0-shadowed", "newer value of l0-shadowed")
+	if err := db.Delete(tctx, []byte("deep-shadowed")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(tctx); err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, db, "mem", "value of mem")
+	if err := db.Delete(tctx, []byte("l0-shadowed")); err != nil {
+		t.Fatal(err)
+	}
+	if c := db.TableCounts(); c[0] != 1 || c[1] != 1 {
+		t.Fatalf("layout %v, want one table at L0 and one at L1", c)
+	}
+
+	prefix := []byte("reply-prefix|")
+	for _, k := range []string{"mem", "l0", "deep", "deep-empty", "l0-shadowed", "deep-shadowed", "missing"} {
+		want, wantOK, err := db.Get(tctx, []byte(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spare := range []int{0, 64} {
+			dst := append(make([]byte, 0, len(prefix)+spare), prefix...)
+			got, ok, err := db.AppendGet(tctx, dst, []byte(k))
+			if err != nil || ok != wantOK {
+				t.Fatalf("%s (spare %d): ok=%v err=%v, want ok=%v", k, spare, ok, err, wantOK)
+			}
+			if !bytes.Equal(got, append(append([]byte{}, prefix...), want...)) {
+				t.Fatalf("%s (spare %d): AppendGet = %q, want %q + %q", k, spare, got, prefix, want)
+			}
+			if !bytes.Equal(dst, prefix) {
+				t.Fatalf("%s (spare %d): dst's own bytes became %q", k, spare, dst)
+			}
+		}
+	}
+}
+
 // TestMergeOutputPinned pins the bytes flush and compaction produce on a
 // fixed seed, and that recovery reloads exactly those bytes. The scan digest
 // was taken at the commit before scans stopped copying values and filling

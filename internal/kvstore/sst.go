@@ -419,29 +419,33 @@ func (t *sstable) findBlock(key []byte) int {
 	return i
 }
 
-// get searches the table. Returns (value, tombstone, found); the value is a
-// copy, never the cache buffer a later miss decodes over.
-func (t *sstable) get(key []byte, stats *Stats, cache *blockCache) ([]byte, bool, bool, error) {
+// get searches the table. Returns (dst with the value appended, tombstone,
+// found); the value is copied into dst, never left in the cache buffer a
+// later miss decodes over. A tombstone appends nothing, and neither does a
+// miss or an error, which return dst as given.
+func (t *sstable) get(dst, key []byte, stats *Stats, cache *blockCache) ([]byte, bool, bool, error) {
 	bi := t.findBlock(key)
 	if bi < 0 || bytes.Compare(key, t.smallest) < 0 {
-		return nil, false, false, nil
+		return dst, false, false, nil
 	}
 	entries, err := t.loadBlock(bi, stats, cache)
 	if err != nil {
-		return nil, false, false, err
+		return dst, false, false, err
 	}
 	var keys []byte // a table read without a cache allocates its key arena too
 	if cache != nil {
 		keys = cache.keys[:0]
 	}
-	var out []byte
+	out := dst
 	var tomb, found bool
 	keys, err = walkBlock(entries, keys, func(e blockEntry) bool {
 		c := bytes.Compare(e.key, key)
 		if c == 0 {
 			found = true
 			tomb = e.tombstone
-			out = append([]byte{}, e.value...)
+			if !tomb {
+				out = append(out, e.value...)
+			}
 			return false
 		}
 		return c < 0 // keep scanning while behind
@@ -450,7 +454,7 @@ func (t *sstable) get(key []byte, stats *Stats, cache *blockCache) ([]byte, bool
 		cache.keys = keys
 	}
 	if err != nil {
-		return nil, false, false, err
+		return dst, false, false, err
 	}
 	return out, tomb, found, nil
 }

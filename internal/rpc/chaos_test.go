@@ -410,26 +410,6 @@ func TestServerShedsCompressionUnderLoad(t *testing.T) {
 	}
 }
 
-// TestLegacyWrappers keeps the deprecated v1 entry points working.
-func TestLegacyWrappers(t *testing.T) {
-	comp := Compression{}
-	s := echoServer(comp)
-	cc, sc := net.Pipe()
-	go func() {
-		_ = s.ServeConnLegacy(sc)
-		sc.Close()
-	}()
-	defer cc.Close()
-	c, err := NewClient(cc, comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := c.CallLegacy("echo", []byte("v1 caller"))
-	if err != nil || string(resp) != "v1 caller" {
-		t.Fatalf("legacy path: %v %q", err, resp)
-	}
-}
-
 // TestClosedClientFailsFast enforces the post-Close contract.
 func TestClosedClientFailsFast(t *testing.T) {
 	cc, sc := net.Pipe()

@@ -133,6 +133,17 @@ type Client struct {
 
 	fails     int // consecutive transport failures (breaker input)
 	openUntil time.Time
+
+	// The cancellation watch: one context.AfterFunc per distinct Done
+	// channel, kept until Close or until a call arrives on another channel.
+	// wmu orders the callback against call entry and exit, and against a
+	// redial swapping conn; it is never held across I/O, so the callback
+	// does not wait behind a call holding mu.
+	wmu      sync.Mutex
+	wdone    <-chan struct{} // Done channel the watch is registered for
+	wstop    func() bool     // unregisters it
+	inflight <-chan struct{} // Done channel of the call in flight on conn, nil when none
+	watches  int             // registrations made, for tests
 }
 
 // NewClient wraps an established connection. Both ends must use the same
@@ -158,6 +169,12 @@ func (c *Client) Close() error {
 	defer c.mu.Unlock()
 	c.closed = true
 	c.t.release()
+	c.wmu.Lock()
+	if c.wstop != nil {
+		c.wstop()
+		c.wstop, c.wdone = nil, nil
+	}
+	c.wmu.Unlock()
 	return nil
 }
 
@@ -280,14 +297,6 @@ func (c *Client) callLocked(ctx context.Context, method string, req []byte, span
 	}
 }
 
-// CallLegacy sends a request without a context.
-//
-// Deprecated: use Call with a context; this wrapper exists for the v1 API
-// and uses context.Background().
-func (c *Client) CallLegacy(method string, req []byte) ([]byte, error) {
-	return c.Call(context.Background(), method, req)
-}
-
 // gate enforces the circuit breaker at call entry: open → fast fail;
 // cooldown elapsed → allow one half-open probe.
 func (c *Client) gate() error {
@@ -330,7 +339,9 @@ func (c *Client) redialLocked(ctx context.Context) error {
 	c.t.stats.foldInto(&c.folded)
 	c.t.release()
 	c.t = t
+	c.wmu.Lock() // the watch callback reads conn
 	c.conn = conn
+	c.wmu.Unlock()
 	c.broken = false
 	return nil
 }
@@ -340,8 +351,10 @@ func (c *Client) redialLocked(ctx context.Context) error {
 // stream position unknown. A traced attempt stages the span context onto
 // the request frame and parents the transport's codec spans.
 func (c *Client) attempt(ctx context.Context, method string, req []byte, span trace.SpanHandle) ([]byte, error) {
-	release := armDeadline(ctx, c.conn)
-	defer release()
+	if nc, ok := c.conn.(net.Conn); ok {
+		c.enter(ctx, nc)
+		defer c.exit(nc)
+	}
 	if span.Valid() {
 		c.t.cur = span
 		c.t.wsc = span.Context()
@@ -393,36 +406,58 @@ func (c *Client) ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// armDeadline projects ctx onto a net.Conn: the deadline is set up front,
-// and cancellation forces an immediate wakeup by setting a past deadline.
-// The returned release detaches the watcher and clears the deadline.
-// Non-net connections (pipes, buffers) get no projection — callers there
-// rely on ctx checks between operations.
-func armDeadline(ctx context.Context, conn io.ReadWriter) func() {
-	nc, ok := conn.(net.Conn)
-	if !ok {
-		return func() {}
-	}
+// pastDeadline is the deadline that fails a blocked read or write at once.
+var pastDeadline = time.Unix(1, 0)
+
+// enter projects ctx onto nc for one attempt: the deadline is set up front,
+// and the call is marked in flight on ctx's Done channel so that channel's
+// watch can force a past deadline if ctx ends mid-call. The watch is
+// registered only when the channel differs from the last call's, so a
+// caller reusing one context pays for it once. Non-net connections (pipes,
+// buffers) get no projection — callers there rely on ctx checks between
+// operations.
+func (c *Client) enter(ctx context.Context, nc net.Conn) {
+	done := ctx.Done()
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	if d, ok := ctx.Deadline(); ok {
 		nc.SetDeadline(d)
 	}
-	var stop func() bool
-	var fired chan struct{}
-	if ctx.Done() != nil {
-		fired = make(chan struct{})
-		stop = context.AfterFunc(ctx, func() {
-			defer close(fired)
-			nc.SetDeadline(time.Unix(1, 0))
-		})
+	if done == nil {
+		return
 	}
-	return func() {
-		if stop != nil && !stop() {
-			// The cancel callback already started; wait for it so its
-			// past-deadline write can't land after our clear and poison
-			// the connection for the next caller.
-			<-fired
+	if done != c.wdone {
+		if c.wstop != nil {
+			c.wstop()
 		}
-		nc.SetDeadline(time.Time{})
+		c.wdone, c.wstop = done, context.AfterFunc(ctx, func() { c.cancelled(done) })
+		c.watches++
+	}
+	c.inflight = done
+	// A watch that fired while no call was in flight did nothing, and will
+	// not fire again: a context already over sets the past deadline here.
+	if ctx.Err() != nil {
+		nc.SetDeadline(pastDeadline)
+	}
+}
+
+// exit ends the attempt's projection. Clearing the deadline under wmu, with
+// the call no longer in flight, means a watch callback either ran before the
+// clear or finds nothing to do: a late callback never poisons the next call.
+func (c *Client) exit(nc net.Conn) {
+	c.wmu.Lock()
+	c.inflight = nil
+	nc.SetDeadline(time.Time{})
+	c.wmu.Unlock()
+}
+
+// cancelled is the watch callback for done: it wakes the call in flight,
+// if that call is on done.
+func (c *Client) cancelled(done <-chan struct{}) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.inflight == done {
+		c.conn.(net.Conn).SetDeadline(pastDeadline)
 	}
 }
 

@@ -266,6 +266,12 @@ type transport struct {
 	wsc    trace.SpanContext
 	rsc    trace.SpanContext
 	tbuf   [trace.WireLen]byte // wire trace-field scratch (both sides)
+
+	// Header scratch: on the stack these would escape into the bufio calls
+	// and cost a heap allocation per frame.
+	whdr [binary.MaxVarintLen64]byte // length fields (write side)
+	wsum [frameSumLen]byte           // frame checksum (write side)
+	rsum [frameSumLen]byte           // frame checksum (read side)
 }
 
 func newTransport(conn io.ReadWriter, comp Compression, tracer *trace.Tracer) (*transport, error) {
@@ -394,25 +400,24 @@ func (t *transport) writeFrame(flags byte, method, payload []byte) error {
 		flags |= flagTrace
 		t.wsc = trace.SpanContext{}
 	}
-	var hdr [binary.MaxVarintLen64]byte
+	hdr := t.whdr[:]
 	if err := t.w.WriteByte(flags); err != nil {
 		return err
 	}
 	if _, err := t.w.Write(trc); err != nil {
 		return err
 	}
-	if _, err := t.w.Write(hdr[:binary.PutUvarint(hdr[:], uint64(len(method)))]); err != nil {
+	if _, err := t.w.Write(hdr[:binary.PutUvarint(hdr, uint64(len(method)))]); err != nil {
 		return err
 	}
 	if _, err := t.w.Write(method); err != nil {
 		return err
 	}
-	if _, err := t.w.Write(hdr[:binary.PutUvarint(hdr[:], uint64(len(wire)))]); err != nil {
+	if _, err := t.w.Write(hdr[:binary.PutUvarint(hdr, uint64(len(wire)))]); err != nil {
 		return err
 	}
-	var sum [frameSumLen]byte
-	binary.LittleEndian.PutUint64(sum[:], frameSum(trc, method, wire))
-	if _, err := t.w.Write(sum[:]); err != nil {
+	binary.LittleEndian.PutUint64(t.wsum[:], frameSum(trc, method, wire))
+	if _, err := t.w.Write(t.wsum[:]); err != nil {
 		return err
 	}
 	if _, err := t.w.Write(wire); err != nil {
@@ -507,8 +512,8 @@ func (t *transport) readFrame() (flags byte, method, payload []byte, err error) 
 	if plen > maxFrame {
 		return 0, nil, nil, corruptFrame(errFrameLen)
 	}
-	var sum [frameSumLen]byte
-	if _, err := io.ReadFull(t.r, sum[:]); err != nil {
+	sum := t.rsum[:]
+	if _, err := io.ReadFull(t.r, sum); err != nil {
 		return 0, nil, nil, midFrame(err)
 	}
 	compressed := flags&flagCompressed != 0
@@ -526,7 +531,7 @@ func (t *transport) readFrame() (flags byte, method, payload []byte, err error) 
 	if _, err := io.ReadFull(t.r, pbuf); err != nil {
 		return 0, nil, nil, midFrame(err)
 	}
-	if frameSum(trc, mbuf, pbuf) != binary.LittleEndian.Uint64(sum[:]) {
+	if frameSum(trc, mbuf, pbuf) != binary.LittleEndian.Uint64(sum) {
 		// The whole frame was consumed before verification failed, so the
 		// stream is still aligned.
 		return 0, nil, nil, aligned(corruptFrame(errSumMismatch))

@@ -27,16 +27,6 @@ func Func(h func(req []byte) ([]byte, error)) HandlerFunc {
 	return func(_ context.Context, req []byte) ([]byte, error) { return h(req) }
 }
 
-// Handler is the v1 context-free handler form.
-//
-// Deprecated: use HandlerFunc (wrap existing functions with Func).
-type Handler = func(req []byte) ([]byte, error)
-
-// HandlerCtx is the v1 name for the context-aware handler form.
-//
-// Deprecated: use HandlerFunc; the two are identical.
-type HandlerCtx = HandlerFunc
-
 // ServerOption configures a Server.
 type ServerOption func(*Server)
 
@@ -90,11 +80,6 @@ func (s *Server) Register(method string, h HandlerFunc) {
 	defer s.mu.Unlock()
 	s.handlers[method] = h
 }
-
-// RegisterCtx installs a context-aware handler for method.
-//
-// Deprecated: Register now takes the ctx-first HandlerFunc directly.
-func (s *Server) RegisterCtx(method string, h HandlerFunc) { s.Register(method, h) }
 
 // shedding reports whether response compression should be skipped right
 // now. Called by the transport on every response write.
@@ -206,14 +191,6 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 			return err
 		}
 	}
-}
-
-// ServeConnLegacy handles one connection without a context.
-//
-// Deprecated: use ServeConn with a context; this wrapper exists for the
-// v1 API and uses context.Background().
-func (s *Server) ServeConnLegacy(conn io.ReadWriter) error {
-	return s.ServeConn(context.Background(), conn)
 }
 
 // Stats returns aggregate server-side traffic, including connections still
