@@ -1,18 +1,51 @@
 // Backward-compatibility gate for the zstd frame format. The fixtures under
 // testdata/compat are v1 ('ZSX1') frames produced before the multi-stream
-// entropy stage landed; the decoder must keep decoding them byte-identically
-// forever, even though the encoder now emits v2 ('ZSX2') frames with block
-// modes v1 never defined.
+// entropy stage landed, and a v3 ('ZSX3') frame coded against a dictionary
+// that carries entropy tables, committed with that dictionary; the decoder
+// must keep decoding them byte-identically forever, whatever the encoder
+// and the table trainer emit later.
 package datacomp_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"testing"
 
 	"github.com/datacomp/datacomp/internal/corpus"
 	"github.com/datacomp/datacomp/internal/zstd"
 )
+
+// TestZstdV3TableDictCompat: an 8 KiB SST-shaped block coded at level 1
+// against a 2 KiB dictionary whose tables were trained on 8 KiB blocks of
+// the same corpus — its literals coded with the dictionary's Huffman table
+// in four streams, its three sequence streams with the dictionary's FSE
+// tables — decodes to the regenerated block with that dictionary, and with
+// no other.
+func TestZstdV3TableDictCompat(t *testing.T) {
+	frame, err := os.ReadFile("testdata/compat/zstd_v3_tables_block.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict, err := os.ReadFile("testdata/compat/zstd_v3_tables.dict")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := corpus.SSTSample(9, 8<<10)
+	if id, hasDict, err := zstd.FrameDictID(frame); err != nil || !hasDict || id != zstd.DictID(dict) || string(frame[:4]) != "ZSX3" {
+		t.Fatalf("frame %q: dictionary %08x (required=%v, %v), want %08x", frame[:4], id, hasDict, err, zstd.DictID(dict))
+	}
+	got, err := zstd.Decompress(nil, frame, dict)
+	if err != nil {
+		t.Fatalf("decode v3 frame: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("v3 frame decoded to wrong payload (%d bytes, want %d)", len(got), len(want))
+	}
+	if _, err := zstd.Decompress(nil, frame, nil); !errors.Is(err, zstd.ErrDictMismatch) {
+		t.Fatalf("decoded without its dictionary: %v, want ErrDictMismatch", err)
+	}
+}
 
 func TestZstdV1FrameCompat(t *testing.T) {
 	// The corpus generators are deterministic, so the original payloads are

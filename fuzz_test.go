@@ -9,6 +9,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"os"
+	"runtime"
 	"testing"
 
 	"github.com/datacomp/datacomp/internal/container"
@@ -46,19 +48,50 @@ func seedFrames(f *testing.F, compress func([]byte) ([]byte, error)) {
 	}
 }
 
+// FuzzZstdDecompress decodes every input as a frame with no dictionary and
+// with a dictionary that carries entropy tables (the compat fixture's), and
+// parses it as a dictionary: a parse may fail, never panic, and allocates
+// its tables only — a bounded amount, whatever the input declares.
 func FuzzZstdDecompress(f *testing.F) {
 	enc, err := zstd.NewEncoder(zstd.Options{Level: 3, Checksum: true})
 	if err != nil {
 		f.Fatal(err)
 	}
 	seedFrames(f, func(src []byte) ([]byte, error) { return enc.Compress(nil, src) })
+	tables, err := os.ReadFile("testdata/compat/zstd_v3_tables.dict")
+	if err != nil {
+		f.Fatal(err)
+	}
+	tenc, err := zstd.NewEncoder(zstd.Options{Level: 1, Dict: tables})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seedFrames(f, func(src []byte) ([]byte, error) { return tenc.Compress(nil, src) })
+	f.Add(tables)
+	f.Add(tables[:len(tables)/8])
+	tdec, err := zstd.NewDecoder(tables)
+	if err != nil {
+		f.Fatal(err)
+	}
+	const parseAllocBound = 256 << 10
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := zstd.NewDecoder(data)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > parseAllocBound {
+			t.Fatalf("parsing %d bytes as a dictionary allocated %d bytes", len(data), n)
+		}
+		if err != nil && !errors.Is(err, zstd.ErrCorrupt) {
+			t.Fatalf("dictionary parse: unexpected error class: %v", err)
+		}
 		// Bound the work per input: a crafted header may legally promise
 		// gigabytes of RLE expansion.
 		if n, err := zstd.DecompressedSize(data); err == nil && n > 1<<22 {
 			return
 		}
 		_, _ = zstd.Decompress(nil, data, nil)
+		_, _ = tdec.Decompress(nil, data)
 		_, _, _ = zstd.FrameDictID(data)
 	})
 }

@@ -51,7 +51,8 @@ type Options struct {
 	Level int
 	// WindowLog overrides the match window (zstd only; 0 = level default).
 	WindowLog uint
-	// Dict is a shared content-prefix dictionary (zstd only).
+	// Dict is a shared dictionary (zstd only): content, or content with
+	// entropy tables (zstd.TrainTables).
 	Dict []byte
 	// Checksum frames every payload with an XXH64 content checksum,
 	// verified on decompression (see NewEngine; applied by the engine
@@ -159,7 +160,11 @@ func (zstdCodec) New(opts Options) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &zstdEngine{enc: enc, dec: zstd.NewDecoder(opts.Dict)}, nil
+	dec, err := zstd.NewDecoder(opts.Dict)
+	if err != nil {
+		return nil, err
+	}
+	return &zstdEngine{enc: enc, dec: dec}, nil
 }
 
 func (e *zstdEngine) Compress(dst, src []byte) ([]byte, error) { return e.enc.Compress(dst, src) }

@@ -480,6 +480,19 @@ func writeNormHeader(dst []byte, w *bits.Writer, norm []uint16, tableLog uint) [
 	return append(dst, w.Flush()...)
 }
 
+// AppendNormHeader appends tableLog and the normalized counts in the header
+// form Compress writes ahead of its stream.
+func AppendNormHeader(dst []byte, norm []uint16, tableLog uint) []byte {
+	var w bits.Writer
+	return writeNormHeader(dst, &w, norm, tableLog)
+}
+
+// ReadNormHeader parses a header AppendNormHeader wrote at the start of src,
+// returning the counts, the table log and the bytes the header took.
+func ReadNormHeader(src []byte) (norm []uint16, tableLog uint, consumed int, err error) {
+	return readNormHeaderInto(nil, src)
+}
+
 // readNormHeaderInto parses a header, appending the counts to norm[:0] and
 // returning the counts, table log and the number of bytes consumed.
 func readNormHeaderInto(scratch []uint16, src []byte) (norm []uint16, tableLog uint, consumed int, err error) {
@@ -570,10 +583,69 @@ func (s *Scratch) Decompress(dst, src []byte, n int) ([]byte, error) {
 	if err := s.dec.Init(norm, tableLog); err != nil {
 		return nil, err
 	}
-	if err := s.rr64.Init(src[consumed:]); err != nil {
+	return s.DecompressWith(dst, src[consumed:], n, &s.dec, false)
+}
+
+// CompressWith codes syms with t and sends no header — one tANS state, or
+// with two the two interleaved states of Compress2 — for a decoder that
+// already holds the table (DecompressWith). It returns ErrIncompressible
+// when t has no state for a symbol of syms, or two is set and syms is
+// shorter than 2.
+func (s *Scratch) CompressWith(dst, syms []byte, t *EncTable, two bool) ([]byte, error) {
+	if !two {
+		s.w.Reset()
+		if err := EncodeWith(&s.w, t, syms); err != nil {
+			return dst, ErrIncompressible
+		}
+		return append(dst, s.w.FlushMarker()...), nil
+	}
+	s.w64.ResetBuf(dst)
+	if err := EncodeWith2(&s.w64, t, syms); err != nil {
+		return dst, ErrIncompressible
+	}
+	return s.w64.FlushMarker(), nil
+}
+
+// DecompressWith decodes n symbols that CompressWith coded with the table d
+// decodes, appending them to dst.
+func (s *Scratch) DecompressWith(dst, src []byte, n int, d *DecTable, two bool) ([]byte, error) {
+	if err := s.rr64.Init(src); err != nil {
 		return nil, ErrCorrupt
 	}
-	return decodeWith64(dst, &s.dec, &s.rr64, n)
+	if two {
+		return DecodeWith2(dst, d, &s.rr64, n)
+	}
+	return decodeWith64(dst, d, &s.rr64, n)
+}
+
+// MinSize returns a lower bound on the payload Compress or Compress2 makes
+// of syms, or 0 when they refuse syms outright: the shortest header the
+// table they would build can have, plus the entropy of syms' histogram and
+// the stream's marker bit. (A tANS stream matches the entropy of its
+// table's distribution up to the states it flushes, which cover the symbols
+// each state takes without emitting bits; no table's distribution beats the
+// histogram's own.) A caller holding another table compares against it
+// before paying for a table build.
+func (s *Scratch) MinSize(syms []byte, maxTableLog uint) int {
+	if len(syms) < 2 {
+		return 0
+	}
+	h := hist.Count(syms)
+	if h.IsSingleSymbol() {
+		return 0
+	}
+	// Each count up to the last present symbol takes Len(remaining) bits:
+	// tableLog+1 for the first, and for the others at least the length of
+	// the number of present symbols from there on.
+	hdrBits := int(hist.OptimalTableLog(&h, maxTableLog)) + 1
+	left := h.Distinct()
+	for sym := 0; sym < h.MaxSymbol; sym++ {
+		if h.Counts[sym] > 0 {
+			left--
+		}
+		hdrBits += mathbits.Len32(uint32(left))
+	}
+	return 1 + (hdrBits+7)/8 + (int(h.EstimateCompressedBits())+1+7)/8
 }
 
 // Compress2 entropy-codes syms with two interleaved tANS states into a
@@ -622,10 +694,7 @@ func (s *Scratch) Decompress2(dst, src []byte, n int) ([]byte, error) {
 	if err := s.dec.Init(norm, tableLog); err != nil {
 		return nil, err
 	}
-	if err := s.rr64.Init(src[consumed:]); err != nil {
-		return nil, ErrCorrupt
-	}
-	return DecodeWith2(dst, &s.dec, &s.rr64, n)
+	return s.DecompressWith(dst, src[consumed:], n, &s.dec, true)
 }
 
 // Compress entropy-codes syms into a self-describing payload appended to

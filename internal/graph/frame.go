@@ -91,7 +91,7 @@ func (c *coders) zstdEnc(level int) (*zstd.Encoder, error) {
 
 func (c *coders) zstdDec() *zstd.Decoder {
 	if c.zdec == nil {
-		c.zdec = zstd.NewDecoder(nil)
+		c.zdec, _ = zstd.NewDecoder(nil) // no dictionary: nothing to parse, no error
 	}
 	return c.zdec
 }

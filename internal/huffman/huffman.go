@@ -18,6 +18,7 @@ package huffman
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/datacomp/datacomp/internal/bits"
@@ -328,9 +329,22 @@ func (t *Table) EstimateSize(freqs []uint32) int {
 // alphabet reaching maxSym.
 func headerSize(maxSym int) int { return 1 + (maxSym+2)/2 }
 
-// writeHeader serializes code lengths as 4-bit weights:
-// weight = MaxCodeLen+1-length for used symbols, 0 for unused.
-func (t *Table) writeHeader(dst []byte) []byte {
+// ReadTable builds a table from a weight header at the start of src,
+// returning it and the bytes the header took.
+func ReadTable(src []byte) (*Table, int, error) {
+	t := &Table{}
+	var lengths [256]uint8
+	n, err := t.readHeader(src, &lengths)
+	if err != nil {
+		return nil, 0, err
+	}
+	return t, n, nil
+}
+
+// AppendHeader appends the table's weight header — the one Compress sends
+// ahead of every payload, and the form ReadTable parses: code lengths as
+// 4-bit weights, MaxCodeLen+1-length for used symbols, 0 for unused.
+func (t *Table) AppendHeader(dst []byte) []byte {
 	n := t.maxSym + 1
 	dst = append(dst, byte(n-1))
 	for i := 0; i < n; i += 2 {
@@ -372,8 +386,9 @@ func grow(b []byte, n int) []byte {
 	return nb
 }
 
-// readHeader parses a weight table into s.table, returning bytes consumed.
-func (s *Scratch) readHeader(src []byte) (int, error) {
+// readHeader parses a weight table into t, with scratch for the code
+// lengths, and returns the bytes consumed.
+func (t *Table) readHeader(src []byte, scratch *[256]uint8) (int, error) {
 	if len(src) < 1 {
 		return 0, ErrCorrupt
 	}
@@ -382,7 +397,7 @@ func (s *Scratch) readHeader(src []byte) (int, error) {
 	if len(src) < need {
 		return 0, ErrCorrupt
 	}
-	lengths := s.lengths[:n]
+	lengths := scratch[:n]
 	for i := 0; i < n; i++ {
 		b := src[1+i/2]
 		var w byte
@@ -400,7 +415,7 @@ func (s *Scratch) readHeader(src []byte) (int, error) {
 			lengths[i] = 0
 		}
 	}
-	if err := s.table.init(lengths); err != nil {
+	if err := t.init(lengths); err != nil {
 		return 0, ErrCorrupt
 	}
 	return need, nil
@@ -436,23 +451,84 @@ func (s *Scratch) Compress(dst, src []byte) ([]byte, error) {
 	if estimate >= len(src) {
 		return nil, ErrIncompressible
 	}
-	dst = t.writeHeader(dst)
+	return s.encode1(t.AppendHeader(dst), src, t), nil
+}
+
+// encode1 appends src coded with t as one stream.
+func (s *Scratch) encode1(dst, src []byte, t *Table) []byte {
 	s.w.Reset()
 	for _, b := range src {
 		s.w.WriteBits(uint64(t.codes[b]), uint(t.lengths[b]))
 	}
-	return append(dst, s.w.Flush()...), nil
+	return append(dst, s.w.Flush()...)
+}
+
+// CompressWith codes src with t and sends no header — one stream, or with
+// four the four streams and jump table of Compress4 — for a decoder that
+// already holds t (Table.Decode, Table.Decode4). It returns
+// ErrIncompressible when t has no code for a byte of src, or four is set
+// and src is shorter than Compress4 accepts.
+func (s *Scratch) CompressWith(dst, src []byte, t *Table, four bool) ([]byte, error) {
+	for _, b := range src {
+		if t.lengths[b] == 0 {
+			return dst, ErrIncompressible
+		}
+	}
+	if !four {
+		return s.encode1(dst, src, t), nil
+	}
+	if len(src) < minCompress4 {
+		return dst, ErrIncompressible
+	}
+	return s.encode4(dst, src, t)
+}
+
+// MinSize returns a lower bound on the payload Compress (Compress4 when
+// four) makes of src, or 0 when it refuses src outright: the weight header
+// plus the entropy of src's byte histogram, which no prefix code beats. A
+// caller holding another table compares against it before paying for a
+// table build.
+func (s *Scratch) MinSize(src []byte, four bool) int {
+	if len(src) < 2 || four && len(src) < minCompress4 {
+		return 0
+	}
+	clear(s.freqs[:])
+	for _, b := range src {
+		s.freqs[b]++
+	}
+	maxSym, distinct := 0, 0
+	nlogn := float64(len(src)) * math.Log2(float64(len(src)))
+	for sym, f := range s.freqs {
+		if f > 0 {
+			maxSym, distinct = sym, distinct+1
+			nlogn -= float64(f) * math.Log2(float64(f))
+		}
+	}
+	if distinct < 2 {
+		return 0
+	}
+	size := headerSize(maxSym) + (int(nlogn)+7)/8
+	if four {
+		size += 6
+	}
+	return size
 }
 
 // Decompress is the scratch-reusing form of the package-level Decompress.
 func (s *Scratch) Decompress(dst, src []byte, n int) ([]byte, error) {
-	used, err := s.readHeader(src)
+	used, err := s.table.readHeader(src, &s.lengths)
 	if err != nil {
 		return nil, err
 	}
+	return s.table.Decode(dst, src[used:], n)
+}
+
+// Decode decodes n bytes that CompressWith coded with t as one stream,
+// appending them to dst.
+func (t *Table) Decode(dst, src []byte, n int) ([]byte, error) {
 	base := len(dst)
 	dst = grow(dst, n)
-	if !decodeStream(dst[base:], &s.table, src[used:]) {
+	if !decodeStream(dst[base:], t, src) {
 		return nil, ErrCorrupt
 	}
 	return dst, nil
@@ -560,7 +636,21 @@ func (s *Scratch) Compress4(dst, src []byte) ([]byte, error) {
 		return nil, ErrIncompressible
 	}
 	start := len(dst)
-	dst = t.writeHeader(dst)
+	dst, err := s.encode4(t.AppendHeader(dst), src, t)
+	if err != nil {
+		return nil, err
+	}
+	if len(dst)-start >= len(src) {
+		// Return dst at its original length, not nil: the caller keeps the
+		// capacity this attempt grew, so incompressible small payloads
+		// don't reallocate the staging buffer every call.
+		return dst[:start], ErrIncompressible
+	}
+	return dst, nil
+}
+
+// encode4 appends src coded with t as four streams behind their jump table.
+func (s *Scratch) encode4(dst, src []byte, t *Table) ([]byte, error) {
 	jump := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0)
 	q := (len(src) + 3) / 4
@@ -584,24 +674,24 @@ func (s *Scratch) Compress4(dst, src []byte) ([]byte, error) {
 			dst[jump+2*k+1] = byte(size >> 8)
 		}
 	}
-	if len(dst)-start >= len(src) {
-		// Return dst at its original length, not nil: the caller keeps the
-		// capacity this attempt grew, so incompressible small payloads
-		// don't reallocate the staging buffer every call.
-		return dst[:start], ErrIncompressible
-	}
 	return dst, nil
 }
 
 // Decompress4 decodes a payload produced by Compress4 into exactly n
-// bytes appended to dst. The four streams are decoded in one interleaved
-// loop, two symbols per stream per refill, so the four dependent-load
-// chains overlap instead of serializing.
+// bytes appended to dst.
 func (s *Scratch) Decompress4(dst, src []byte, n int) ([]byte, error) {
-	used, err := s.readHeader(src)
+	used, err := s.table.readHeader(src, &s.lengths)
 	if err != nil {
 		return nil, err
 	}
+	return s.table.Decode4(dst, src[used:], n)
+}
+
+// Decode4 decodes n bytes that CompressWith coded with t as four streams,
+// appending them to dst. The four streams are decoded in one interleaved
+// loop, two symbols per stream per refill, so the four dependent-load
+// chains overlap instead of serializing.
+func (t *Table) Decode4(dst, src []byte, n int) ([]byte, error) {
 	if n < 4 {
 		return nil, ErrCorrupt
 	}
@@ -610,13 +700,13 @@ func (s *Scratch) Decompress4(dst, src []byte, n int) ([]byte, error) {
 	if n4 <= 0 {
 		return nil, ErrCorrupt
 	}
-	if len(src) < used+6 {
+	if len(src) < 6 {
 		return nil, ErrCorrupt
 	}
-	sz1 := int(src[used]) | int(src[used+1])<<8
-	sz2 := int(src[used+2]) | int(src[used+3])<<8
-	sz3 := int(src[used+4]) | int(src[used+5])<<8
-	p := used + 6
+	sz1 := int(src[0]) | int(src[1])<<8
+	sz2 := int(src[2]) | int(src[3])<<8
+	sz3 := int(src[4]) | int(src[5])<<8
+	const p = 6
 	if p+sz1+sz2+sz3 > len(src) {
 		return nil, ErrCorrupt
 	}
@@ -630,7 +720,6 @@ func (s *Scratch) Decompress4(dst, src []byte, n int) ([]byte, error) {
 	out := dst[base:]
 	o1, o2, o3, o4 := out[:q], out[q:2*q], out[2*q:3*q], out[3*q:]
 
-	t := &s.table
 	dec := t.dec
 	tlog := uint(t.tableLog)
 	var r1, r2, r3, r4 bits.Reader64
@@ -721,23 +810,6 @@ func finishStream(out []byte, k int, r *bits.Reader64, dec []uint16, tlog uint) 
 func Compress(dst, src []byte) ([]byte, error) {
 	var s Scratch
 	return s.Compress(dst, src)
-}
-
-// CompressWithTable encodes src with a pre-built table (for dictionary reuse),
-// still emitting the header so payloads stay self-describing. Symbols missing
-// from the table cause an error.
-func CompressWithTable(dst, src []byte, t *Table) ([]byte, error) {
-	for _, b := range src {
-		if t.lengths[b] == 0 {
-			return nil, fmt.Errorf("huffman: symbol %d not in table", b)
-		}
-	}
-	dst = t.writeHeader(dst)
-	w := bits.NewWriter(len(src))
-	for _, b := range src {
-		w.WriteBits(uint64(t.codes[b]), uint(t.lengths[b]))
-	}
-	return append(dst, w.Flush()...), nil
 }
 
 // Decompress decodes a payload produced by Compress into exactly n bytes,

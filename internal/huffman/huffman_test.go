@@ -191,20 +191,67 @@ func TestCompressWithTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := []byte("cbacbacba")
-	out, err := CompressWithTable(nil, src, tab)
-	if err != nil {
-		t.Fatal(err)
+	// A table both sides hold codes a payload with no header, one stream or
+	// four; a header round-trips it.
+	var s Scratch
+	for _, src := range [][]byte{[]byte("cbacbacba"), bytes.Repeat([]byte("cbaab"), 10)} {
+		for _, four := range []bool{false, true} {
+			out, err := s.CompressWith(nil, src, tab, four)
+			if four && len(src) < minCompress4 {
+				if err != ErrIncompressible {
+					t.Fatalf("four streams of %d bytes: %v, want ErrIncompressible", len(src), err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			decode := tab.Decode
+			if four {
+				decode = tab.Decode4
+			}
+			back, err := decode(nil, out, len(src))
+			if err != nil || !bytes.Equal(back, src) {
+				t.Fatalf("four=%v: roundtrip mismatch (%v)", four, err)
+			}
+		}
 	}
-	back, err := Decompress(nil, out, len(src))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := s.CompressWith(nil, []byte("xyz"), tab, false); err != ErrIncompressible {
+		t.Fatalf("symbols outside the table: %v, want ErrIncompressible", err)
 	}
-	if !bytes.Equal(back, src) {
-		t.Fatal("roundtrip mismatch")
+	hdr := tab.AppendHeader(nil)
+	back, n, err := ReadTable(append(hdr, 0xff))
+	if err != nil || n != len(hdr) || !bytes.Equal(back.Lengths(), tab.Lengths()) {
+		t.Fatalf("ReadTable: %d of %d bytes, %v", n, len(hdr), err)
 	}
-	if _, err := CompressWithTable(nil, []byte("xyz"), tab); err == nil {
-		t.Fatal("symbols outside the table must be rejected")
+}
+
+// TestMinSizeBoundsCompress: MinSize never exceeds what Compress or
+// Compress4 emits, and is 0 exactly when they refuse the input outright.
+func TestMinSizeBoundsCompress(t *testing.T) {
+	var s Scratch
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 300; i++ {
+		n := rng.Intn(6000)
+		src := make([]byte, n)
+		alpha := rng.Intn(255) + 1
+		for j := range src {
+			src[j] = byte(rng.Intn(alpha) * rng.Intn(2))
+		}
+		for _, four := range []bool{false, true} {
+			compress := s.Compress
+			if four {
+				compress = s.Compress4
+			}
+			min := s.MinSize(src, four)
+			out, err := compress(nil, src)
+			switch {
+			case err == nil && len(out) < min:
+				t.Fatalf("n=%d four=%v: Compress made %d bytes, MinSize says ≥ %d", n, four, len(out), min)
+			case min == 0 && err == nil:
+				t.Fatalf("n=%d four=%v: MinSize 0 but Compress coded it", n, four)
+			}
+		}
 	}
 }
 

@@ -230,15 +230,6 @@ func Open(ctx context.Context, path string, opts ...Option) (*DB, error) {
 	return db, nil
 }
 
-// OpenLegacy opens a purely in-memory DB from the v1 Options struct.
-//
-// Deprecated: use Open with a context and functional options; this shim
-// maps Options onto them (plus WithoutWAL, matching the v1 store's lack of
-// durability) and will be removed next release.
-func OpenLegacy(opts Options) (*DB, error) {
-	return Open(context.Background(), "", append(opts.opts(), WithoutWAL())...)
-}
-
 // recover loads the store dictionary the manifest names and opens the tables
 // it names — no data block is decoded — deletes table and dictionary blobs
 // it does not name (a crash between persisting them and committing, or

@@ -67,28 +67,6 @@ func TestEmptyKeyAndValue(t *testing.T) {
 	}
 }
 
-func TestOpenLegacyShim(t *testing.T) {
-	db, err := OpenLegacy(Options{Codec: "lz4", BlockSize: 4 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.Put(tctx, []byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := db.Get(tctx, []byte("k"))
-	if err != nil || !ok || string(v) != "v" {
-		t.Fatalf("legacy shim lookup: ok=%v err=%v", ok, err)
-	}
-	// The shim preserves v1 semantics: no WAL, nothing persisted.
-	if db.persister != nil {
-		t.Fatal("legacy shim should not create a persister")
-	}
-	if db.Stats().WALAppends != 0 {
-		t.Fatal("legacy shim wrote WAL records")
-	}
-}
-
 func TestApplyBatchAtomic(t *testing.T) {
 	db := testDB(t)
 	var b Batch

@@ -158,34 +158,3 @@ func buildConfig(opts []Option) config {
 	}
 	return c
 }
-
-// Options is the v1 configuration struct.
-//
-// Deprecated: use Open's functional options. Field-to-option map:
-// Codec → WithCodec, Level → WithLevel, BlockSize → WithBlockSize,
-// MemtableBytes → WithMemtableBytes, MaxTableBytes → WithMaxTableBytes,
-// L0CompactionTrigger → WithL0CompactionTrigger, BaseLevelBytes →
-// WithBaseLevelBytes, BlockCacheEntries → WithBlockCacheEntries,
-// Seed → WithSeed.
-type Options struct {
-	Codec               string
-	Level               int
-	BlockSize           int
-	MemtableBytes       int
-	MaxTableBytes       int
-	L0CompactionTrigger int
-	BaseLevelBytes      int64
-	BlockCacheEntries   int
-	Seed                int64
-}
-
-// opts converts the v1 struct to the functional-option form.
-func (o Options) opts() []Option {
-	return []Option{
-		WithCodec(o.Codec), WithLevel(o.Level), WithBlockSize(o.BlockSize),
-		WithMemtableBytes(o.MemtableBytes), WithMaxTableBytes(o.MaxTableBytes),
-		WithL0CompactionTrigger(o.L0CompactionTrigger),
-		WithBaseLevelBytes(o.BaseLevelBytes),
-		WithBlockCacheEntries(o.BlockCacheEntries), WithSeed(o.Seed),
-	}
-}

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,13 +22,21 @@ import (
 // compaction carries a compressed block from one table into another unread,
 // which is valid only when both are coded against the same dictionary.
 //
+// A zstd store's dictionary also carries the entropy tables its blocks are
+// coded with (zstd.TrainTables), trained on the same memtable written out as
+// the table blocks that flush is about to code — keys, record headers and
+// restart arrays included — so a block codes its literals and sequences
+// with them and sends no tables of its own whenever that is smaller.
+//
 // It is persisted as one checksummed blob, before the first table that
 // needs it, and the manifest records its zstd ID:
 //
 //	"KVD1" | dictionary | 8-byte LE XXH64 of everything before it
+//
+// A store whose dictionary predates the tables keeps its content-only one.
 const (
-	dictBytes       = 2 << 10  // the dictionary's size bound
-	dictSampleBytes = 64 << 10 // memtable values it is trained on, at most
+	dictBytes       = 2 << 10  // the dictionary content's size bound
+	dictSampleBytes = 64 << 10 // memtable values the content is trained on, at most
 )
 
 var dictMagic = [4]byte{'K', 'V', 'D', '1'}
@@ -41,14 +50,52 @@ func (db *DB) trainDictLocked() error {
 		return nil
 	}
 	d, err := dict.Train(db.mem.sampleValues(dictSampleBytes), dict.DefaultParams(dictBytes))
-	if errors.Is(err, dict.ErrNotEnoughSamples) || err == nil && zstd.DictID(d) == 0 {
-		return nil // an ID of 0 would read as "no dictionary" in the manifest
+	if errors.Is(err, dict.ErrNotEnoughSamples) {
+		return nil
 	}
 	if err != nil {
 		return err
 	}
+	if db.cfg.codecName == "zstd" {
+		blocks, err := db.rawBlocksLocked(db.mem)
+		if err != nil {
+			return err
+		}
+		if d, err = zstd.TrainTables(zstd.Options{Level: db.cfg.level, Dict: d}, blocks); err != nil {
+			return err
+		}
+	}
+	if zstd.DictID(d) == 0 {
+		return nil // an ID of 0 would read as "no dictionary" in the manifest
+	}
 	return db.useDictLocked(d)
 }
+
+// rawBlocksLocked returns the data blocks a flush of m writes, uncompressed.
+func (db *DB) rawBlocksLocked(m *memtable) ([][]byte, error) {
+	var s blockSampler
+	w := newTableWriter(0, db.cfg.codecName, &s, db.cfg.blockSize, nil, &db.tableBuf)
+	for it := m.iterator(); it.valid(); it.next() {
+		if err := w.add(it.key(), it.value(), it.tombstone()); err != nil {
+			return nil, err
+		}
+	}
+	if err := w.flushBlock(); err != nil {
+		return nil, err
+	}
+	return s.blocks, nil
+}
+
+// blockSampler is an engine that codes nothing and keeps a copy of every
+// block it is given: a table writer over it yields the raw blocks.
+type blockSampler struct{ blocks [][]byte }
+
+func (s *blockSampler) Compress(dst, src []byte) ([]byte, error) {
+	s.blocks = append(s.blocks, bytes.Clone(src))
+	return append(dst, src...), nil
+}
+
+func (s *blockSampler) Decompress(dst, src []byte) ([]byte, error) { return append(dst, src...), nil }
 
 // useDictLocked makes d the store dictionary and rebuilds the block engine
 // against it.

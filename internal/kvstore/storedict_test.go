@@ -1,14 +1,19 @@
 package kvstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"maps"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
 	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/corpus"
+	"github.com/datacomp/datacomp/internal/dict"
 	"github.com/datacomp/datacomp/internal/xxhash"
 	"github.com/datacomp/datacomp/internal/zstd"
 )
@@ -69,7 +74,8 @@ func TestStoreDictLifecycle(t *testing.T) {
 	if st.Flushes < 2 || st.Compactions == 0 {
 		t.Fatalf("precondition: %d flushes, %d compactions", st.Flushes, st.Compactions)
 	}
-	if db.dict == nil || len(db.dict) > dictBytes || db.dictID != zstd.DictID(db.dict) {
+	// The content's bound plus its entropy tables, a few hundred bytes.
+	if db.dict == nil || len(db.dict) > dictBytes+512 || db.dictID != zstd.DictID(db.dict) {
 		t.Fatalf("after the first flush: dictionary of %d bytes, id %08x", len(db.dict), db.dictID)
 	}
 	if p.puts[0] != dictName || countOf(p.puts, dictName) != 1 {
@@ -86,6 +92,9 @@ func TestStoreDictLifecycle(t *testing.T) {
 			}
 			if id, required, err := zstd.FrameDictID(frame); err != nil || !required || id != db.dictID {
 				t.Fatalf("table %d block 0: dictionary %08x (required=%v, %v), want %08x", tb.id, id, required, err, db.dictID)
+			}
+			if string(frame[:4]) != "ZSX3" {
+				t.Fatalf("table %d block 0: frame %q, want one coded against the dictionary's tables", tb.id, frame[:4])
 			}
 		}
 	}
@@ -294,6 +303,163 @@ func TestStoreDictRecoveryChecks(t *testing.T) {
 		t.Fatalf("the intact dictionary restored: open = %v", err)
 	}
 	db.Close()
+}
+
+// TestStoreDictParentStore: a store written before the store dictionary
+// carried entropy tables (testdata/parent_store: 1 200 KV corpus pairs,
+// three flushes, a content-only store.dict) reopens, serves every key, and
+// keeps coding against the dictionary it has — compaction carries blocks
+// between tables only when one dictionary codes them all — so further
+// flushes neither retrain nor rewrite it, and write version 2 frames.
+func TestStoreDictParentStore(t *testing.T) {
+	dir := t.TempDir()
+	files, err := os.ReadDir("testdata/parent_store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join("testdata/parent_store", f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := os.ReadFile(filepath.Join(dir, dictName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(tctx, dir, WithSeed(5), WithMemtableBytes(64<<10), WithMaxTableBytes(128<<10), WithBaseLevelBytes(256<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, kv := range corpus.KVPairs(11, 1200) {
+		want[string(kv.Key)] = string(kv.Value)
+	}
+	if got := dump(t, db); !maps.Equal(got, want) {
+		t.Fatalf("the parent store serves %d keys, want %d", len(got), len(want))
+	}
+	id := db.dictID
+	maps.Copy(want, loadPairs(t, db, 1200, 3000))
+	if err := db.Flush(tctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Stats(); st.Flushes < 2 || db.dictID != id {
+		t.Fatalf("%d flushes; dictionary %08x, the parent's %08x", st.Flushes, db.dictID, id)
+	}
+	for _, tables := range db.levels {
+		for _, tb := range tables {
+			frame, _, err := tb.ra.ReadFrame(nil, tb.numBlocks()-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _, _ := zstd.FrameDictID(frame); got != id || string(frame[:4]) != "ZSX2" {
+				t.Fatalf("table %d: frame %q against dictionary %08x, want ZSX2 against %08x", tb.id, frame[:4], got, id)
+			}
+		}
+	}
+	if got := dump(t, db); !maps.Equal(got, want) {
+		t.Fatalf("store holds %d keys, want %d", len(got), len(want))
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(filepath.Join(dir, dictName)); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("%s rewritten (%v)", dictName, err)
+	}
+}
+
+// servingMemtable fills a memtable with n records shaped as the serving
+// benchmark's cluster stores them: "user:%08d" keys, and values of a
+// 17-byte record header before a size-byte window of the kind's corpus
+// whose first 16 bytes are a hex stamp.
+func servingMemtable(kind string, seed int64, n, size int) *memtable {
+	var pool []byte
+	switch kind {
+	case "cache":
+		types := corpus.DefaultItemTypes()
+		for i := 0; len(pool) < 256*size; i++ {
+			for _, it := range corpus.CacheItems(seed+int64(i), types[i%len(types)], 512) {
+				pool = append(pool, it...)
+			}
+		}
+	default:
+		pool = append(corpus.Records(seed, 128*size), corpus.LogLines(seed, 128*size)...)
+	}
+	m := newMemtable(seed)
+	x := uint64(seed)
+	for i := 0; i < n; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		v := binary.LittleEndian.AppendUint64(nil, x)
+		v = append(v, 0x01)
+		v = binary.LittleEndian.AppendUint64(v, x*31)
+		off := int(x>>33) % (len(pool)/size - 1) * size
+		v = append(v, pool[off:off+size]...)
+		v = fmt.Appendf(v[:17], "%016x", x)[:17+size]
+		m.set(fmt.Appendf(nil, "user:%08d", int(x>>40)), v)
+	}
+	return m
+}
+
+// TestStoreDictTablesNeverWorse: over serving-shaped blocks — records and
+// logs, and cache items — a block coded against the store dictionary is
+// never longer with its tables than with its content alone, on the blocks
+// of the memtable the tables were trained on and on those of the next one.
+func TestStoreDictTablesNeverWorse(t *testing.T) {
+	for _, c := range []struct {
+		kind string
+		size int
+	}{{"records", 2 << 10}, {"cache", 1 << 10}} {
+		t.Run(c.kind, func(t *testing.T) {
+			db, err := Open(tctx, "", WithoutWAL())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			db.mu.Lock()
+			defer db.mu.Unlock()
+			db.mem = servingMemtable(c.kind, 1, (1<<20)/c.size, c.size)
+			if err := db.trainDictLocked(); err != nil || db.dict == nil {
+				t.Fatalf("no dictionary trained (%v)", err)
+			}
+			content, err := dict.Train(db.mem.sampleValues(dictSampleBytes), dict.DefaultParams(dictBytes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks, err := db.rawBlocksLocked(db.mem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next, err := db.rawBlocksLocked(servingMemtable(c.kind, 2, (1<<20)/c.size, c.size))
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks = append(blocks, next...)
+			plain, err := codec.NewEngine("zstd", codec.WithLevel(1), codec.WithDict(content))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum [2]int
+			for i, b := range blocks {
+				withTables, err := db.eng.Compress(nil, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := plain.Compress(nil, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(withTables) > len(ref) {
+					t.Fatalf("block %d of %d (%d bytes): %d with the tables, %d with the content alone", i, len(blocks), len(b), len(withTables), len(ref))
+				}
+				sum[0], sum[1] = sum[0]+len(withTables), sum[1]+len(ref)
+			}
+			t.Logf("%d blocks: %d bytes with the tables, %d with the content alone (%.2f%% less)",
+				len(blocks), sum[0], sum[1], 100*(1-float64(sum[0])/float64(sum[1])))
+		})
+	}
 }
 
 // TestSampleValues: the training sample is bounded and spread over the

@@ -42,6 +42,8 @@ func parseHeader(src []byte) (frameHeader, error) {
 		h.version = 1
 	case frameMagicV2[3]:
 		h.version = 2
+	case frameMagicV3[3]:
+		h.version = 3
 	default:
 		return h, ErrCorrupt
 	}
@@ -96,10 +98,11 @@ func DecompressedSize(src []byte) (int, error) {
 // history buffer and entropy-table scratch across frames so a warmed Decoder
 // performs zero heap allocations per frame. Not safe for concurrent use.
 type Decoder struct {
-	dict   []byte
-	dictID uint32 // DictID(dict), hashed once: a frame only compares it
-	buf    []byte // history: dict prefix + decoded content
-	bd     blockDecoder
+	hasDict bool
+	dictID  uint32 // DictID(dict), hashed once: a frame only compares it
+	content []byte // the dictionary's content
+	buf     []byte // history: dictionary content + decoded content
+	bd      blockDecoder
 }
 
 // SetStageHook installs a hook fired at stage transitions inside
@@ -109,22 +112,48 @@ type Decoder struct {
 func (dec *Decoder) SetStageHook(h stage.Hook) { dec.bd.hook = h }
 
 // NewDecoder returns a Decoder for frames compressed with dict (nil for
-// dictionary-less frames).
-func NewDecoder(dict []byte) *Decoder {
-	return &Decoder{dict: dict, dictID: DictID(dict)}
+// dictionary-less frames). A dictionary that carries entropy tables has
+// them parsed and built here, once; one whose tables do not parse is
+// ErrCorrupt.
+func NewDecoder(dict []byte) (*Decoder, error) {
+	dec := new(Decoder)
+	if err := dec.init(dict); err != nil {
+		return nil, err
+	}
+	return dec, nil
+}
+
+func (dec *Decoder) init(dict []byte) error {
+	content, tables, err := parseDict(dict)
+	if err != nil {
+		return err
+	}
+	dec.hasDict, dec.dictID, dec.content = len(dict) > 0, DictID(dict), content
+	if tables != nil {
+		dec.bd.dictLits = tables.lits
+		for i := range dec.bd.dictSeq {
+			if err := dec.bd.dictSeq[i].Init(tables.norm[i], tables.log[i]); err != nil {
+				return fmt.Errorf("%w: dictionary sequence table %d: %v", ErrCorrupt, i, err)
+			}
+		}
+	}
+	return nil
 }
 
 // Decompress decodes a frame, appending the content to dst. dict must be
-// the same content-prefix dictionary used at compression time (nil when the
-// frame was compressed without one).
+// the same dictionary used at compression time (nil when the frame was
+// compressed without one).
 func Decompress(dst, src []byte, dict []byte) ([]byte, error) {
-	d := Decoder{dict: dict, dictID: DictID(dict)}
+	var d Decoder
+	if err := d.init(dict); err != nil {
+		return nil, err
+	}
 	return d.Decompress(dst, src)
 }
 
 // Decompress decodes a frame, appending the content to dst.
 func (dec *Decoder) Decompress(dst, src []byte) ([]byte, error) {
-	dict := dec.dict
+	dict := dec.content
 	h, err := parseHeader(src)
 	if err != nil {
 		return nil, err
@@ -133,10 +162,10 @@ func (dec *Decoder) Decompress(dst, src []byte) ([]byte, error) {
 		return nil, ErrCorrupt
 	}
 	if h.hasDict {
-		if dec.dictID != h.dictID {
+		if !dec.hasDict || dec.dictID != h.dictID {
 			return nil, ErrDictMismatch
 		}
-	} else if len(dict) > 0 {
+	} else if dec.hasDict {
 		return nil, ErrDictMismatch
 	}
 	pos := h.headerLen
@@ -155,7 +184,7 @@ func (dec *Decoder) Decompress(dst, src []byte) ([]byte, error) {
 	base := len(buf)
 
 	d := &dec.bd
-	d.v2 = h.version >= 2
+	d.version = h.version
 	for {
 		if pos+3 > len(src) {
 			return nil, ErrCorrupt
@@ -222,17 +251,23 @@ func (dec *Decoder) Decompress(dst, src []byte) ([]byte, error) {
 
 // blockDecoder holds reusable scratch for compressed-block decoding: the
 // section buffers plus the Huffman and FSE table scratch, so repeated blocks
-// rebuild entropy tables in place.
+// rebuild entropy tables in place, and the dictionary's tables, built once.
 type blockDecoder struct {
-	lits  []byte
-	llc   []byte
-	ofc   []byte
-	mlc   []byte
-	huff  huffman.Scratch
-	fseSc fse.Scratch
-	hook  stage.Hook
-	v2    bool // frame version ≥2: multi-stream entropy modes allowed
+	lits     []byte
+	llc      []byte
+	ofc      []byte
+	mlc      []byte
+	huff     huffman.Scratch
+	fseSc    fse.Scratch
+	hook     stage.Hook
+	version  int            // the frame's: ≥2 allows multi-stream modes, 3 dictionary-table modes
+	dictLits *huffman.Table // nil: the dictionary carries no tables
+	dictSeq  [3]fse.DecTable
 }
+
+// tablesAllowed reports whether the frame may code a section with the
+// dictionary's tables: it is version 3 and the dictionary has them.
+func (d *blockDecoder) tablesAllowed() bool { return d.version >= 3 && d.dictLits != nil }
 
 func (d *blockDecoder) enterStage(s stage.ID) {
 	if d.hook != nil {
@@ -240,8 +275,9 @@ func (d *blockDecoder) enterStage(s stage.ID) {
 	}
 }
 
-// decodeStream reads one sequence-code stream.
-func (d *blockDecoder) decodeStream(dst []byte, mode byte, src []byte, pos, n int) ([]byte, int, error) {
+// decodeStream reads one sequence-code stream; an FSE-coded one with dict,
+// when it is not nil, and no header.
+func (d *blockDecoder) decodeStream(dst []byte, mode byte, src []byte, pos, n int, dict *fse.DecTable) ([]byte, int, error) {
 	switch mode {
 	case seqRLE:
 		if pos >= len(src) {
@@ -260,19 +296,23 @@ func (d *blockDecoder) decodeStream(dst []byte, mode byte, src []byte, pos, n in
 		dst = append(dst, src[pos:pos+n]...)
 		return dst, pos + n, nil
 	case seqFSE, seqFSE2:
-		if mode == seqFSE2 && !d.v2 {
+		if mode == seqFSE2 && d.version < 2 {
 			return nil, 0, ErrCorrupt
 		}
 		length, k := binary.Uvarint(src[pos:])
-		if k <= 0 || pos+k+int(length) > len(src) {
+		if k <= 0 || length > uint64(len(src)) || pos+k+int(length) > len(src) {
 			return nil, 0, ErrCorrupt
 		}
 		pos += k
+		stream := src[pos : pos+int(length)]
 		var err error
-		if mode == seqFSE2 {
-			dst, err = d.fseSc.Decompress2(dst, src[pos:pos+int(length)], n)
-		} else {
-			dst, err = d.fseSc.Decompress(dst, src[pos:pos+int(length)], n)
+		switch {
+		case dict != nil:
+			dst, err = d.fseSc.DecompressWith(dst, stream, n, dict, mode == seqFSE2)
+		case mode == seqFSE2:
+			dst, err = d.fseSc.Decompress2(dst, stream, n)
+		default:
+			dst, err = d.fseSc.Decompress(dst, stream, n)
 		}
 		if err != nil {
 			return nil, 0, err
@@ -315,20 +355,26 @@ func (d *blockDecoder) decode(buf, src []byte) ([]byte, error) {
 		for i := 0; i < int(litCount); i++ {
 			d.lits = append(d.lits, b)
 		}
-	case litsHuff, litsHuff4:
-		if litMode == litsHuff4 && !d.v2 {
+	case litsHuff, litsHuff4, litsDict, litsDict4:
+		if litMode == litsHuff4 && d.version < 2 || litMode >= litsDict && !d.tablesAllowed() {
 			return nil, ErrCorrupt
 		}
 		compLen, k := binary.Uvarint(src[pos:])
-		if k <= 0 || pos+k+int(compLen) > len(src) {
+		if k <= 0 || compLen > uint64(len(src)) || pos+k+int(compLen) > len(src) {
 			return nil, ErrCorrupt
 		}
 		pos += k
+		enc := src[pos : pos+int(compLen)]
 		var err error
-		if litMode == litsHuff4 {
-			d.lits, err = d.huff.Decompress4(d.lits, src[pos:pos+int(compLen)], int(litCount))
-		} else {
-			d.lits, err = d.huff.Decompress(d.lits, src[pos:pos+int(compLen)], int(litCount))
+		switch litMode {
+		case litsHuff:
+			d.lits, err = d.huff.Decompress(d.lits, enc, int(litCount))
+		case litsHuff4:
+			d.lits, err = d.huff.Decompress4(d.lits, enc, int(litCount))
+		case litsDict:
+			d.lits, err = d.dictLits.Decode(d.lits, enc, int(litCount))
+		case litsDict4:
+			d.lits, err = d.dictLits.Decode4(d.lits, enc, int(litCount))
 		}
 		if err != nil {
 			return nil, err
@@ -357,17 +403,24 @@ func (d *blockDecoder) decode(buf, src []byte) ([]byte, error) {
 	}
 	modeByte := src[pos]
 	pos++
+	if modeByte&0x80 != 0 || modeByte&seqDictBit != 0 && !d.tablesAllowed() {
+		return nil, ErrCorrupt
+	}
 	modes := [3]byte{modeByte & 3, modeByte >> 2 & 3, modeByte >> 4 & 3}
+	var tabs [3]*fse.DecTable
+	if modeByte&seqDictBit != 0 {
+		tabs = [3]*fse.DecTable{&d.dictSeq[0], &d.dictSeq[1], &d.dictSeq[2]}
+	}
 	var err error
-	d.llc, pos, err = d.decodeStream(d.llc[:0], modes[0], src, pos, numSeqs)
+	d.llc, pos, err = d.decodeStream(d.llc[:0], modes[0], src, pos, numSeqs, tabs[0])
 	if err != nil {
 		return nil, err
 	}
-	d.ofc, pos, err = d.decodeStream(d.ofc[:0], modes[1], src, pos, numSeqs)
+	d.ofc, pos, err = d.decodeStream(d.ofc[:0], modes[1], src, pos, numSeqs, tabs[1])
 	if err != nil {
 		return nil, err
 	}
-	d.mlc, pos, err = d.decodeStream(d.mlc[:0], modes[2], src, pos, numSeqs)
+	d.mlc, pos, err = d.decodeStream(d.mlc[:0], modes[2], src, pos, numSeqs, tabs[2])
 	if err != nil {
 		return nil, err
 	}

@@ -16,10 +16,13 @@ import (
 
 // Frame constants. Version 2 frames may carry the multi-stream entropy
 // sections (4-stream Huffman literals, 2-state FSE sequence streams);
-// version 1 frames are still decoded for backward compatibility.
+// version 3 frames, coded against a dictionary that carries entropy tables
+// (dict.go), may also code a section with those tables. Version 1 frames
+// are still decoded for backward compatibility.
 var (
 	frameMagicV1 = [4]byte{'Z', 'S', 'X', '1'}
 	frameMagicV2 = [4]byte{'Z', 'S', 'X', '2'}
+	frameMagicV3 = [4]byte{'Z', 'S', 'X', '3'}
 )
 
 const (
@@ -35,12 +38,16 @@ const (
 )
 
 // Literal-section modes. litsHuff4 (4 independent bitstreams sharing one
-// table) only appears in version ≥2 frames.
+// table) only appears in version ≥2 frames; litsDict and litsDict4 are
+// litsHuff and litsHuff4 coded with the dictionary's table and no header,
+// and only appear in version 3 frames.
 const (
 	litsRaw = iota
 	litsRLE
 	litsHuff
 	litsHuff4
+	litsDict
+	litsDict4
 )
 
 // Sequence-stream modes. seqFSE2 (two interleaved tANS states) only
@@ -51,6 +58,11 @@ const (
 	seqRaw
 	seqFSE2
 )
+
+// seqDictBit, set in a version 3 frame's sequence mode byte, codes every
+// seqFSE and seqFSE2 stream of the block with the dictionary's table for
+// its code and no header.
+const seqDictBit = 1 << 6
 
 // seqTableLog is the FSE table size for sequence code streams.
 const seqTableLog = 9
@@ -71,9 +83,10 @@ type Options struct {
 	// MaxWindowLog). 0 keeps the level default. This is the knob the
 	// paper's sensitivity study 3 sweeps for hardware sizing.
 	WindowLog uint
-	// Dict is a content-prefix dictionary shared out-of-band with the
-	// decompressor, the mechanism behind the paper's small-item cache
-	// compression (§IV-C).
+	// Dict is a dictionary shared out-of-band with the decompressor, the
+	// mechanism behind the paper's small-item cache compression (§IV-C): a
+	// content prefix, or one TrainTables made, which also carries entropy
+	// tables (dict.go).
 	Dict []byte
 	// Checksum appends an FNV-64a of the content to the frame.
 	Checksum bool
@@ -103,6 +116,7 @@ type Encoder struct {
 	opts      Options
 	base      levelParams
 	dictID    uint32
+	content   []byte // the dictionary's content: the history every frame starts from
 	matchers  map[lz.Params]*lz.Matcher
 	lastP     lz.Params
 	lastM     *lz.Matcher
@@ -124,6 +138,14 @@ type Encoder struct {
 	payload []byte
 	litEnc  []byte
 	seqEnc  [3][]byte
+
+	// The dictionary's tables, built once (dictLits nil: it carries none),
+	// and the sections coded with them, kept apart from the ones coded with
+	// tables built for the block so the smaller can be sent.
+	dictLits *huffman.Table
+	dictSeq  [3]fse.EncTable
+	litAlt   []byte
+	seqAlt   [3][]byte
 }
 
 // NewEncoder validates opts and returns an Encoder.
@@ -138,12 +160,26 @@ func NewEncoder(opts Options) (*Encoder, error) {
 	if opts.WindowLog != 0 && (opts.WindowLog < MinWindowLog || opts.WindowLog > MaxWindowLog) {
 		return nil, fmt.Errorf("zstd: window log %d out of range [%d,%d]", opts.WindowLog, MinWindowLog, MaxWindowLog)
 	}
-	return &Encoder{
+	content, tables, err := parseDict(opts.Dict)
+	if err != nil {
+		return nil, err
+	}
+	e := &Encoder{
 		opts:     opts,
 		base:     base,
 		dictID:   DictID(opts.Dict),
+		content:  content,
 		matchers: make(map[lz.Params]*lz.Matcher),
-	}, nil
+	}
+	if tables != nil {
+		e.dictLits = tables.lits
+		for i := range e.dictSeq {
+			if err := e.dictSeq[i].Init(tables.norm[i], tables.log[i]); err != nil {
+				return nil, fmt.Errorf("%w: dictionary sequence table %d: %v", ErrCorrupt, i, err)
+			}
+		}
+	}
+	return e, nil
 }
 
 // Options returns the encoder's configuration.
@@ -191,7 +227,11 @@ func (e *Encoder) matcher(srcLen int) (*lz.Matcher, error) {
 
 // Compress appends a complete frame holding src to dst.
 func (e *Encoder) Compress(dst, src []byte) ([]byte, error) {
-	dst = append(dst, frameMagicV2[:]...)
+	if e.dictLits != nil {
+		dst = append(dst, frameMagicV3[:]...)
+	} else {
+		dst = append(dst, frameMagicV2[:]...)
+	}
 	flags := byte(0)
 	if len(e.opts.Dict) > 0 {
 		flags |= flagDict
@@ -209,11 +249,11 @@ func (e *Encoder) Compress(dst, src []byte) ([]byte, error) {
 	// Work buffer: dictionary content acts as parse history.
 	buf := src
 	start := 0
-	if len(e.opts.Dict) > 0 {
-		e.work = append(e.work[:0], e.opts.Dict...)
+	if len(e.content) > 0 {
+		e.work = append(e.work[:0], e.content...)
 		e.work = append(e.work, src...)
 		buf = e.work
-		start = len(e.opts.Dict)
+		start = len(e.content)
 	}
 
 	if len(src) == 0 {
@@ -284,13 +324,9 @@ func (e *Encoder) compressBlock(dst, buf []byte, blockStart, blockEnd int, last 
 	if err != nil {
 		return nil, err
 	}
-	windowBase := blockStart - (1 << m.Params().WindowLog)
-	if windowBase < 0 {
-		windowBase = 0
-	}
 	e.enterStage(stage.MatchFind)
 	t0 := time.Now()
-	e.seqs = m.Parse(e.seqs[:0], buf[windowBase:blockEnd], blockStart-windowBase)
+	e.parse(m, buf, blockStart, blockEnd)
 	t1 := time.Now()
 	e.stats.MatchFind += t1.Sub(t0)
 
@@ -310,9 +346,41 @@ func (e *Encoder) compressBlock(dst, buf []byte, blockStart, blockEnd int, last 
 	return append(dst, payload...), nil
 }
 
+// parse finds the matches of buf[blockStart:blockEnd] with m, over the
+// window preceding the block, into e.seqs.
+func (e *Encoder) parse(m *lz.Matcher, buf []byte, blockStart, blockEnd int) {
+	windowBase := max(0, blockStart-(1<<m.Params().WindowLog))
+	e.seqs = m.Parse(e.seqs[:0], buf[windowBase:blockEnd], blockStart-windowBase)
+}
+
 // encodeBlockPayload serializes the parsed sequences. It returns nil when
 // the representation cannot beat a raw block.
 func (e *Encoder) encodeBlockPayload(content []byte) ([]byte, error) {
+	if err := e.sequences(content); err != nil {
+		return nil, err
+	}
+	var tmp [binary.MaxVarintLen64]byte
+	payload, err := e.appendLiterals(e.payload[:0])
+	if err != nil {
+		return nil, err
+	}
+	numSeqs := len(e.llc)
+	payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(numSeqs))]...)
+	if numSeqs > 0 {
+		if payload, err = e.appendSequences(payload); err != nil {
+			return nil, err
+		}
+		ex := e.extras.Flush()
+		payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(len(ex)))]...)
+		payload = append(payload, ex...)
+	}
+	e.payload = payload // keep capacity for the next block
+	return payload, nil
+}
+
+// sequences turns the parsed sequences of content into its literals, the
+// three code streams (one code per sequence) and their extra bits.
+func (e *Encoder) sequences(content []byte) error {
 	e.lits = e.lits[:0]
 	e.llc = e.llc[:0]
 	e.ofc = e.ofc[:0]
@@ -321,7 +389,6 @@ func (e *Encoder) encodeBlockPayload(content []byte) ([]byte, error) {
 	extras.Reset()
 
 	pos := 0
-	numSeqs := 0
 	reps := newRepState()
 	for _, s := range e.seqs {
 		e.lits = append(e.lits, content[pos:pos+int(s.LitLen)]...)
@@ -330,9 +397,8 @@ func (e *Encoder) encodeBlockPayload(content []byte) ([]byte, error) {
 			continue // trailing literals live only in the literal section
 		}
 		if s.MatchLen < 3 || s.Offset == 0 {
-			return nil, errors.New("zstd: internal: invalid sequence")
+			return errors.New("zstd: internal: invalid sequence")
 		}
-		numSeqs++
 		lc := llCode(s.LitLen)
 		ofValue := reps.encode(s.Offset)
 		oc := ofCode(ofValue)
@@ -346,101 +412,206 @@ func (e *Encoder) encodeBlockPayload(content []byte) ([]byte, error) {
 		extras.WriteBits(uint64(mlExtra(s.MatchLen, mc)), uint(mlExtraBits[mc]))
 	}
 	if pos != len(content) {
-		return nil, fmt.Errorf("zstd: internal: sequences cover %d of %d bytes", pos, len(content))
+		return fmt.Errorf("zstd: internal: sequences cover %d of %d bytes", pos, len(content))
 	}
+	return nil
+}
 
-	payload := e.payload[:0]
+// codedLen is what a coded stream takes in a section: its uvarint length,
+// then its bytes.
+func codedLen(n int) int {
 	var tmp [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(tmp[:], uint64(n)) + n
+}
 
-	// Literals section.
+// The choice between a dictionary's tables and tables built for the block
+// (appendLiterals, appendSequences) is made per section and never sends
+// more than the built tables would: the section coded with the
+// dictionary's tables (no table build) is compared first against a lower
+// bound on the section a build can give (its header and the entropy of the
+// symbols, or raw), and only when that does not settle it are the tables
+// built and the two sections compared.
+
+// appendLiterals appends the literal section.
+func (e *Encoder) appendLiterals(payload []byte) ([]byte, error) {
+	lits := e.lits
+	var tmp [binary.MaxVarintLen64]byte
 	switch {
-	case len(e.lits) == 0:
-		payload = append(payload, litsRaw)
-		payload = append(payload, tmp[:binary.PutUvarint(tmp[:], 0)]...)
-	case len(e.lits) >= 8 && allSame(e.lits):
+	case len(lits) == 0:
+		return append(payload, litsRaw, 0), nil
+	case len(lits) >= 8 && allSame(lits):
 		payload = append(payload, litsRLE)
-		payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(len(e.lits)))]...)
-		payload = append(payload, e.lits[0])
+		payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(len(lits)))]...)
+		return append(payload, lits[0]), nil
+	}
+	four := len(lits) >= huff4MinLits
+	var alt []byte // lits coded with the dictionary's table
+	if e.dictLits != nil {
+		enc, err := e.huff.CompressWith(e.litAlt[:0], lits, e.dictLits, four)
+		e.litAlt = enc
+		if err == nil {
+			alt = enc
+			least := len(lits)
+			if m := e.huff.MinSize(lits, four); m > 0 {
+				least = min(least, codedLen(m))
+			}
+			if codedLen(len(alt)) <= least {
+				return appendLitSection(payload, litsDict, four, lits, alt), nil
+			}
+		}
+	}
+	var enc []byte
+	var err error
+	if four {
+		enc, err = e.huff.Compress4(e.litEnc[:0], lits)
+	} else {
+		enc, err = e.huff.Compress(e.litEnc[:0], lits)
+	}
+	switch {
+	case err == nil:
+		e.litEnc = enc
+	case err == huffman.ErrIncompressible:
+		if enc != nil {
+			e.litEnc = enc // empty, but keeps the grown capacity
+		}
+		enc = nil
 	default:
-		litMode := byte(litsHuff)
+		return nil, err
+	}
+	built := len(lits)
+	if enc != nil {
+		built = codedLen(len(enc))
+	}
+	switch {
+	case alt != nil && codedLen(len(alt)) <= built:
+		return appendLitSection(payload, litsDict, four, lits, alt), nil
+	case enc != nil:
+		return appendLitSection(payload, litsHuff, four, lits, enc), nil
+	}
+	payload = append(payload, litsRaw)
+	payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(len(lits)))]...)
+	return append(payload, lits...), nil
+}
+
+// appendLitSection appends a Huffman-coded literal section: mode (litsHuff
+// or litsDict, made four-stream by four) | literal count | coded length |
+// enc.
+func appendLitSection(payload []byte, mode byte, four bool, lits, enc []byte) []byte {
+	if four {
+		mode++ // litsHuff4, litsDict4
+	}
+	var tmp [binary.MaxVarintLen64]byte
+	payload = append(payload, mode)
+	payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(len(lits)))]...)
+	payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(len(enc)))]...)
+	return append(payload, enc...)
+}
+
+// seqSection is one way to code the three sequence-code streams.
+type seqSection struct {
+	modes [3]byte
+	enc   [3][]byte
+	size  int // bytes the streams take after the mode byte
+}
+
+func (c *seqSection) set(i int, mode byte, enc []byte) {
+	c.modes[i], c.enc[i] = mode, enc
+	switch mode {
+	case seqRLE:
+		c.size++
+	case seqRaw: // length implied by numSeqs
+		c.size += len(enc)
+	default:
+		c.size += codedLen(len(enc))
+	}
+}
+
+// appendSequences appends the sequence section's mode byte and streams. The
+// dictionary's tables code all of its FSE streams or none.
+func (e *Encoder) appendSequences(payload []byte) ([]byte, error) {
+	streams := [3][]byte{e.llc, e.ofc, e.mlc}
+	two := len(e.llc) >= fse2MinSeqs
+	fseMode := byte(seqFSE)
+	if two {
+		fseMode = seqFSE2
+	}
+	var dict seqSection
+	useDict := e.dictLits != nil
+	if useDict {
+		least := 0
+		for i, s := range streams {
+			if allSame(s) {
+				dict.set(i, seqRLE, s[:1])
+				least++
+				continue
+			}
+			enc, err := e.fseSc.CompressWith(e.seqAlt[i][:0], s, &e.dictSeq[i], two)
+			e.seqAlt[i] = enc
+			if err != nil {
+				useDict = false
+				break
+			}
+			if codedLen(len(enc)) < len(s) {
+				dict.set(i, fseMode, enc)
+			} else {
+				dict.set(i, seqRaw, s)
+			}
+			low := len(s)
+			if m := e.fseSc.MinSize(s, seqTableLog); m > 0 {
+				low = min(low, codedLen(m))
+			}
+			least += low
+		}
+		if useDict && dict.size <= least {
+			return dict.appendTo(payload, seqDictBit), nil
+		}
+	}
+	var built seqSection
+	for i, s := range streams {
+		if allSame(s) {
+			built.set(i, seqRLE, s[:1])
+			continue
+		}
 		var enc []byte
 		var err error
-		if len(e.lits) >= huff4MinLits {
-			litMode = litsHuff4
-			enc, err = e.huff.Compress4(e.litEnc[:0], e.lits)
+		if two {
+			enc, err = e.fseSc.Compress2(e.seqEnc[i][:0], s, seqTableLog)
 		} else {
-			enc, err = e.huff.Compress(e.litEnc[:0], e.lits)
+			enc, err = e.fseSc.Compress(e.seqEnc[i][:0], s, seqTableLog)
 		}
-		if err == nil {
-			e.litEnc = enc
-			payload = append(payload, litMode)
-			payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(len(e.lits)))]...)
-			payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(len(enc)))]...)
-			payload = append(payload, enc...)
-		} else if err == huffman.ErrIncompressible {
+		switch {
+		case err == nil:
+			e.seqEnc[i] = enc
+			built.set(i, fseMode, enc)
+		case err == fse.ErrIncompressible:
 			if enc != nil {
-				e.litEnc = enc // empty, but keeps the grown capacity
+				e.seqEnc[i] = enc // empty, but keeps the grown capacity
 			}
-			payload = append(payload, litsRaw)
-			payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(len(e.lits)))]...)
-			payload = append(payload, e.lits...)
-		} else {
+			built.set(i, seqRaw, s)
+		default:
 			return nil, err
 		}
 	}
-
-	// Sequence section.
-	payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(numSeqs))]...)
-	if numSeqs > 0 {
-		streams := [3][]byte{e.llc, e.ofc, e.mlc}
-		var encoded [3][]byte
-		modes := [3]byte{}
-		for i, s := range streams {
-			switch {
-			case allSame(s):
-				modes[i] = seqRLE
-				encoded[i] = s[:1]
-			default:
-				seqMode := byte(seqFSE)
-				var enc []byte
-				var err error
-				if numSeqs >= fse2MinSeqs {
-					seqMode = seqFSE2
-					enc, err = e.fseSc.Compress2(e.seqEnc[i][:0], s, seqTableLog)
-				} else {
-					enc, err = e.fseSc.Compress(e.seqEnc[i][:0], s, seqTableLog)
-				}
-				if err == nil {
-					e.seqEnc[i] = enc
-					modes[i] = seqMode
-					encoded[i] = enc
-				} else if err == fse.ErrIncompressible {
-					if enc != nil {
-						e.seqEnc[i] = enc // empty, but keeps the grown capacity
-					}
-					modes[i] = seqRaw
-					encoded[i] = s
-				} else {
-					return nil, err
-				}
-			}
-		}
-		payload = append(payload, modes[0]|modes[1]<<2|modes[2]<<4)
-		for i, enc := range encoded {
-			switch modes[i] {
-			case seqRLE:
-				payload = append(payload, enc[0])
-			case seqRaw: // length implied by numSeqs
-				payload = append(payload, enc...)
-			case seqFSE, seqFSE2:
-				payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(len(enc)))]...)
-				payload = append(payload, enc...)
-			}
-		}
-		ex := extras.Flush()
-		payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(len(ex)))]...)
-		payload = append(payload, ex...)
+	if useDict && dict.size <= built.size {
+		return dict.appendTo(payload, seqDictBit), nil
 	}
-	e.payload = payload // keep capacity for the next block
-	return payload, nil
+	return built.appendTo(payload, 0), nil
+}
+
+// appendTo appends the mode byte, with flags, and the streams.
+func (c *seqSection) appendTo(payload []byte, flags byte) []byte {
+	payload = append(payload, c.modes[0]|c.modes[1]<<2|c.modes[2]<<4|flags)
+	var tmp [binary.MaxVarintLen64]byte
+	for i, enc := range c.enc {
+		switch c.modes[i] {
+		case seqRLE:
+			payload = append(payload, enc[0])
+		case seqRaw:
+			payload = append(payload, enc...)
+		default:
+			payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(len(enc)))]...)
+			payload = append(payload, enc...)
+		}
+	}
+	return payload
 }

@@ -439,7 +439,10 @@ func BenchmarkDecompress(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			dec := NewDecoder(c.dict)
+			dec, err := NewDecoder(c.dict)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.SetBytes(int64(len(c.src)))
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -17,6 +17,7 @@ import (
 	"github.com/datacomp/datacomp/internal/container"
 	"github.com/datacomp/datacomp/internal/corpus"
 	"github.com/datacomp/datacomp/internal/telemetry"
+	"github.com/datacomp/datacomp/internal/zstd"
 )
 
 // allocsPerOp measures steady-state allocations of op after one warm-up
@@ -110,39 +111,54 @@ func TestSteadyStateAllocsWithDict(t *testing.T) {
 	}
 	// Small-item + shared-dictionary shape (§IV-C): the dictionary seeds
 	// the match window, so per-op state is strictly larger than the plain
-	// path — it must still be allocation-free once warmed.
-	dict := corpus.LogLines(3, 8<<10)
+	// path — it must still be allocation-free once warmed. A dictionary
+	// that carries entropy tables adds the sections coded with them and the
+	// choice against tables built per frame.
+	content := corpus.LogLines(3, 8<<10)
+	var samples [][]byte
+	for i := int64(0); i < 16; i++ {
+		samples = append(samples, corpus.LogLines(20+i, 4<<10))
+	}
+	tables, err := zstd.TrainTables(zstd.Options{Level: 3, Dict: content}, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
 	payload := corpus.LogLines(11, 4<<10)
-	eng, err := codec.NewEngine("zstd", codec.WithLevel(3), codec.WithDict(dict))
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := eng.Compress(nil, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.Decompress(nil, comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("dict roundtrip mismatch")
-	}
-	cbuf := make([]byte, 0, 2*len(payload))
-	dbuf := make([]byte, 0, 2*len(payload))
-	requireZeroAllocs(t, "dict roundtrip", func() {
-		var err error
-		cbuf, err = eng.Compress(cbuf[:0], payload)
+	for _, c := range []struct {
+		name string
+		dict []byte
+	}{{"content", content}, {"tables", tables}} {
+		eng, err := codec.NewEngine("zstd", codec.WithLevel(3), codec.WithDict(c.dict))
 		if err != nil {
 			t.Fatal(err)
 		}
-		dbuf, err = eng.Decompress(dbuf[:0], cbuf)
+		comp, err := eng.Compress(nil, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if !bytes.Equal(dbuf, payload) {
-		t.Fatal("steady-state dict roundtrip mismatch")
+		got, err := eng.Decompress(nil, comp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("%s: dict roundtrip mismatch", c.name)
+		}
+		cbuf := make([]byte, 0, 2*len(payload))
+		dbuf := make([]byte, 0, 2*len(payload))
+		requireZeroAllocs(t, c.name+" dict roundtrip", func() {
+			var err error
+			cbuf, err = eng.Compress(cbuf[:0], payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dbuf, err = eng.Decompress(dbuf[:0], cbuf)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !bytes.Equal(dbuf, payload) {
+			t.Fatalf("%s: steady-state dict roundtrip mismatch", c.name)
+		}
 	}
 }
 
