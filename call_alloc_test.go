@@ -1,7 +1,8 @@
-// Call-path allocation gate: the codec-free serving path — an rpc call, and
-// a cluster get of a small value — must not allocate its own bookkeeping
-// once warm. A call allocates the reply it returns; a get allocates the
-// replies of its replica calls and what the nodes build them from.
+// Call-path allocation gate: the serving path — an rpc call, a cluster get
+// of a small value and a cluster put of a 2 KiB one — must not allocate its
+// own bookkeeping once warm. A call allocates the reply it returns; a get
+// allocates the replies of its replica calls and what the nodes build them
+// from; a put allocates nothing to store what it stores.
 package datacomp_test
 
 import (
@@ -103,5 +104,51 @@ func TestCallAllocsClusterGet(t *testing.T) {
 	t.Logf("warmed Cluster.Get: %v allocs/op", n)
 	if n > maxClusterGetAllocs {
 		t.Errorf("warmed Cluster.Get: %v allocs/op, want at most %d", n, maxClusterGetAllocs)
+	}
+}
+
+// maxClusterPutAllocs pins a warmed Cluster.Put of a 2 KiB value on three
+// nodes at RF=3 that fills no memtable: the request is framed in the pooled
+// op, each node's store copies the record into its batch buffer and its
+// memtable's arena, and the version table rewrites the key's entry in
+// place, which leaves the two fan-out goroutines' closures. Allocating the
+// request, the batch's and the memtable's copies and a version-table key
+// per node, it was 12.
+const maxClusterPutAllocs = 3
+
+func TestCallAllocsClusterPut(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	if raceEnabled {
+		t.Skip("the race detector drops pooled fan-out state at random")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c := cluster.New()
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := c.AddNode(ctx, fmt.Sprintf("node-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key, value := []byte("hot-key"), bytes.Repeat([]byte("2 KiB value "), 171)[:2048]
+	put := func() {
+		if err := c.Put(ctx, key, value); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	}
+	// Warm every node's batch, WAL and memtable buffers; 64 puts of one key
+	// are 130 KiB of WAL and one overwritten slot, far from a flush.
+	for i := 0; i < 64; i++ {
+		put()
+	}
+	n := allocsPerOp(t, put)
+	t.Logf("warmed Cluster.Put: %v allocs/op", n)
+	if n > maxClusterPutAllocs {
+		t.Errorf("warmed Cluster.Put: %v allocs/op, want at most %d", n, maxClusterPutAllocs)
+	}
+	if got, ok, err := c.Get(ctx, key); err != nil || !ok || !bytes.Equal(got, value) {
+		t.Fatalf("get after the puts: %d bytes, ok=%v err=%v", len(got), ok, err)
 	}
 }

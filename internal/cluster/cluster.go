@@ -277,6 +277,7 @@ type op struct {
 	reps  []replica
 	names []string // reps' node names, as the ring returned them
 	wg    sync.WaitGroup
+	buf   []byte // the request a write frames; no call holds it once fanOut returns
 
 	// What fanOut's goroutines read, set before they start.
 	ctx    context.Context
@@ -285,6 +286,9 @@ type op struct {
 }
 
 var opPool = sync.Pool{New: func() any { return new(op) }}
+
+// maxPooledRequest bounds the request buffer a pooled op keeps.
+const maxPooledRequest = 64 << 10
 
 // owners resolves key's replica set in ring order. The caller releases it.
 func (c *Cluster) owners(key []byte) (*op, error) {
@@ -306,6 +310,9 @@ func (o *op) release() {
 	clear(o.reps)
 	o.reps = o.reps[:0]
 	o.ctx, o.method, o.req = nil, "", nil
+	if cap(o.buf) > maxPooledRequest {
+		o.buf = nil
+	}
 	opPool.Put(o)
 }
 
@@ -341,7 +348,10 @@ func (c *Cluster) Put(ctx context.Context, key, value []byte) error {
 		return kvstore.ErrEmptyKey
 	}
 	cmPuts.Inc()
-	return c.writeQuorum(ctx, key, MethodPut, putRequest(key, c.NextVersion(), false, value))
+	version := c.NextVersion()
+	return c.writeQuorum(ctx, key, MethodPut, func(dst []byte) []byte {
+		return appendPutRequest(dst, key, version, false, value)
+	})
 }
 
 // Delete replicates a versioned tombstone for key.
@@ -350,19 +360,22 @@ func (c *Cluster) Delete(ctx context.Context, key []byte) error {
 		return kvstore.ErrEmptyKey
 	}
 	cmDeletes.Inc()
-	req := binary.AppendUvarint(nil, uint64(len(key)))
-	req = append(req, key...)
-	req = binary.LittleEndian.AppendUint64(req, c.NextVersion())
-	return c.writeQuorum(ctx, key, MethodDelete, req)
+	version := c.NextVersion()
+	return c.writeQuorum(ctx, key, MethodDelete, func(dst []byte) []byte {
+		return binary.LittleEndian.AppendUint64(appendKeyRecord(dst, key, nil), version)
+	})
 }
 
-func (c *Cluster) writeQuorum(ctx context.Context, key []byte, method string, req []byte) error {
+// writeQuorum sends method to key's owners with the request frame appends
+// to the op's buffer.
+func (c *Cluster) writeQuorum(ctx context.Context, key []byte, method string, frame func(dst []byte) []byte) error {
 	o, err := c.owners(key)
 	if err != nil {
 		return err
 	}
 	defer o.release()
-	o.fanOut(ctx, method, method, req)
+	o.buf = frame(o.buf[:0])
+	o.fanOut(ctx, method, method, o.buf)
 	reps := o.reps
 	acks := 0
 	var lastErr error

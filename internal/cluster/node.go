@@ -190,8 +190,9 @@ type Node struct {
 	// metadata kept outside the compressed tier: without it every replica
 	// put and two of three replica reads decode an SST block to look at
 	// eight bytes. start() replaces it, because a crash can lose the WAL
-	// tail and with it records the old table described.
-	versions map[string][recHeaderLen]byte
+	// tail and with it records the old table described. Entries are
+	// pointers so that a put of a tracked key rewrites its header in place.
+	versions map[string]*[recHeaderLen]byte
 
 	// Which path each replica put took (see handlePut).
 	blindPuts, comparedPuts atomic.Int64
@@ -268,7 +269,7 @@ func (n *Node) start(ctx context.Context) error {
 	srv.Register(MethodDump, n.handleDump)
 
 	n.putMu.Lock()
-	n.versions = make(map[string][recHeaderLen]byte)
+	n.versions = make(map[string]*[recHeaderLen]byte)
 	n.putMu.Unlock()
 
 	nctx, cancel := context.WithCancel(context.Background())
@@ -427,8 +428,8 @@ func (n *Node) handlePut(ctx context.Context, req []byte) ([]byte, error) {
 	}
 	n.putMu.Lock()
 	defer n.putMu.Unlock()
-	seen, tracked := n.versions[string(key)]
-	if tracked && rec.version > binary.LittleEndian.Uint64(seen[:8]) {
+	seen := n.versions[string(key)] // nil when untracked
+	if seen != nil && rec.version > binary.LittleEndian.Uint64(seen[:8]) {
 		n.blindPuts.Add(1)
 		cmPutBlind.Inc()
 	} else {
@@ -442,7 +443,7 @@ func (n *Node) handlePut(ctx context.Context, req []byte) ([]byte, error) {
 		// corrupt one must be replaceable by read-repair regardless of
 		// the version its damaged header claims.
 		if curRec, valid := validRecord(cur); ok && valid && curRec.version >= rec.version {
-			n.track(key, tracked, cur)
+			n.track(key, seen, cur)
 			return nil, nil // stale or duplicate: idempotent no-op
 		}
 	}
@@ -452,22 +453,31 @@ func (n *Node) handlePut(ctx context.Context, req []byte) ([]byte, error) {
 		delete(n.versions, string(key))
 		return nil, err
 	}
-	n.track(key, tracked, rest)
+	n.track(key, seen, rest)
 	return nil, nil
 }
 
-// track records rec's header as the one the store holds for key; tracked
-// says whether the table already holds the key. Callers hold putMu. A full
-// table makes room by dropping an arbitrary entry: the dropped key's next
-// put or digest reads the store and re-enters.
-func (n *Node) track(key []byte, tracked bool, rec []byte) {
-	if !tracked && len(n.versions) >= maxTrackedVersions {
-		for victim := range n.versions {
-			delete(n.versions, victim)
-			break
+// track records rec's header as the one the store holds for key and returns
+// the key's entry; entry is that entry, nil when the table does not hold the
+// key. Callers hold putMu. A held entry is rewritten in place, so only a key
+// entering the table allocates: its string, and its entry unless a full
+// table makes room by dropping an arbitrary one, whose entry it takes over.
+// The dropped key's next put or digest reads the store and re-enters.
+func (n *Node) track(key []byte, entry *[recHeaderLen]byte, rec []byte) *[recHeaderLen]byte {
+	if entry == nil {
+		if len(n.versions) >= maxTrackedVersions {
+			for victim, e := range n.versions {
+				delete(n.versions, victim)
+				entry = e
+				break
+			}
+		} else {
+			entry = new([recHeaderLen]byte)
 		}
+		n.versions[string(key)] = entry
 	}
-	n.versions[string(key)] = [recHeaderLen]byte(rec)
+	*entry = [recHeaderLen]byte(rec)
+	return entry
 }
 
 // handleGet returns the stored record (tombstones included — the caller
@@ -512,8 +522,8 @@ func (n *Node) handleDigest(ctx context.Context, req []byte) ([]byte, error) {
 	}
 	n.putMu.Lock()
 	defer n.putMu.Unlock()
-	hdr, tracked := n.versions[string(req)]
-	if !tracked {
+	hdr := n.versions[string(req)]
+	if hdr == nil {
 		cur, ok, err := db.Get(ctx, req)
 		if err != nil {
 			return nil, err
@@ -524,8 +534,7 @@ func (n *Node) handleDigest(ctx context.Context, req []byte) ([]byte, error) {
 		if _, valid := validRecord(cur); !valid {
 			return nil, errStoredCorrupt
 		}
-		n.track(req, false, cur)
-		hdr = [recHeaderLen]byte(cur)
+		hdr = n.track(req, nil, cur)
 	}
 	resp := make([]byte, 1+recHeaderLen)
 	resp[0] = 0x01
@@ -542,7 +551,7 @@ func (n *Node) handleDelete(ctx context.Context, req []byte) ([]byte, error) {
 	if len(rest) != 8 {
 		return nil, errBadRecord
 	}
-	return n.handlePut(ctx, putRequest(key, binary.LittleEndian.Uint64(rest), true, nil))
+	return n.handlePut(ctx, appendPutRequest(nil, key, binary.LittleEndian.Uint64(rest), true, nil))
 }
 
 // handleDump streams every stored record, tombstones included.
@@ -583,12 +592,14 @@ func appendKeyRecord(dst, key, rec []byte) []byte {
 	return append(dst, rec...)
 }
 
-// putRequest frames a new record for MethodPut in one buffer of exact size:
-// the bytes of appendKeyRecord(nil, key, appendRecord(nil, version,
-// tombstone, payload)), with payload copied once.
-func putRequest(key []byte, version uint64, tombstone bool, payload []byte) []byte {
-	req := make([]byte, 0, uvarintLen(uint64(len(key)))+len(key)+recHeaderLen+len(payload))
-	return appendRecord(appendKeyRecord(req, key, nil), version, tombstone, payload)
+// appendPutRequest frames a new record for MethodPut onto dst, growing it at
+// most once: the bytes of appendKeyRecord(dst, key, appendRecord(nil,
+// version, tombstone, payload)), with payload copied once.
+func appendPutRequest(dst, key []byte, version uint64, tombstone bool, payload []byte) []byte {
+	if n := len(dst) + uvarintLen(uint64(len(key))) + len(key) + recHeaderLen + len(payload); n > cap(dst) {
+		dst = append(make([]byte, 0, n), dst...)
+	}
+	return appendRecord(appendKeyRecord(dst, key, nil), version, tombstone, payload)
 }
 
 // uvarintLen is the length of x's uvarint encoding.

@@ -164,7 +164,10 @@ func TestNodePutModel(t *testing.T) {
 				// The table invariant: a tracked key's digest is the header
 				// of the record a get returns.
 				n.putMu.Lock()
-				table := maps.Clone(n.versions)
+				table := map[string][recHeaderLen]byte{}
+				for key, hdr := range n.versions {
+					table[key] = *hdr
+				}
 				n.putMu.Unlock()
 				for key, hdr := range table {
 					got, err := n.handleGet(tctx, []byte(key))
@@ -541,8 +544,9 @@ func TestClusterOverwritesAreBlind(t *testing.T) {
 
 // TestPutRequestFraming: the kv.put request a coordinator builds in one
 // buffer is byte for byte the two-step framing (record, then key + record)
-// it replaces — wire bytes unchanged — at exactly its length, and so is a
-// re-framed record (read-repair, rebalance) and a replica's tombstone put.
+// it replaces — wire bytes unchanged — growing its buffer at most once and
+// a buffer that fits not at all, and so is a re-framed record (read-repair,
+// rebalance) and a replica's tombstone put.
 func TestPutRequestFraming(t *testing.T) {
 	for _, c := range []struct {
 		key       []byte
@@ -556,17 +560,25 @@ func TestPutRequestFraming(t *testing.T) {
 		{[]byte("gone"), 9, true, nil},
 	} {
 		twoStep := appendKeyRecord(nil, c.key, appendRecord(nil, c.version, c.tombstone, c.payload))
-		req := putRequest(c.key, c.version, c.tombstone, c.payload)
-		if !bytes.Equal(req, twoStep) || cap(req) != len(req) {
-			t.Fatalf("key %.12q: putRequest = %d bytes (cap %d), want the %d of the two-step framing",
-				c.key, len(req), cap(req), len(twoStep))
+		req := appendPutRequest(nil, c.key, c.version, c.tombstone, c.payload)
+		if !bytes.Equal(req, twoStep) {
+			t.Fatalf("key %.12q: appendPutRequest = %d bytes, want the %d of the two-step framing", c.key, len(req), len(twoStep))
+		}
+		if again := appendPutRequest(req[:1], c.key, c.version, c.tombstone, c.payload); !bytes.Equal(again[1:], twoStep) {
+			t.Fatalf("key %.12q: appended behind a prefix, the request differs from the two-step framing", c.key)
 		}
 		rec := twoStep[uvarintLen(uint64(len(c.key)))+len(c.key):]
 		if reframed := appendKeyRecord(nil, c.key, rec); !bytes.Equal(reframed, twoStep) {
 			t.Fatalf("key %.12q: re-framed record differs from the two-step framing", c.key)
 		}
-		if got := testing.AllocsPerRun(10, func() { putRequest(c.key, c.version, c.tombstone, c.payload) }); got > 1 && testing.CoverMode() == "" {
-			t.Fatalf("key %.12q: putRequest makes %v allocations, want one", c.key, got)
+		if testing.CoverMode() != "" {
+			continue
+		}
+		if got := testing.AllocsPerRun(10, func() { appendPutRequest(nil, c.key, c.version, c.tombstone, c.payload) }); got > 1 {
+			t.Fatalf("key %.12q: appendPutRequest into nil makes %v allocations, want one", c.key, got)
+		}
+		if got := testing.AllocsPerRun(10, func() { appendPutRequest(req[:0], c.key, c.version, c.tombstone, c.payload) }); got != 0 {
+			t.Fatalf("key %.12q: appendPutRequest into a buffer that fits makes %v allocations, want none", c.key, got)
 		}
 	}
 

@@ -2,6 +2,8 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -149,6 +151,38 @@ func TestDecompressBlocksCorrupt(t *testing.T) {
 	}
 	if _, err := DecompressBlocks(eng, nil); err == nil {
 		t.Error("empty frame decoded")
+	}
+}
+
+// TestDecompressBlocksHostileHeaders drives hostile block-frame headers
+// through DecompressBlocks: every one fails with ErrCorrupt, before any
+// allocation its declared sizes would ask for.
+func TestDecompressBlocksHostileHeaders(t *testing.T) {
+	eng, err := NewEngine("zstd", WithLevel(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := CompressBlocks(eng, compressible(6, 100<<10), 32<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{
+		// The block count claims 2^30 blocks.
+		"huge-count": binary.AppendUvarint(nil, 1<<30),
+		// The first block declares a 2^62-byte payload: past int32, so it
+		// must be rejected before the int conversion.
+		"overflow-length": append(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1<<62), 0xde, 0xad),
+		// The declared length runs past the frame's end.
+		"length-past-end": append(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1000), 1, 2, 3),
+		// Garbage after the declared blocks.
+		"trailing-bytes": append(append([]byte{}, good...), 0xff),
+	}
+	for name, frame := range cases {
+		t.Run(name, func(t *testing.T) {
+			if _, err := DecompressBlocks(eng, frame); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 

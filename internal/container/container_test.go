@@ -3,6 +3,7 @@ package container
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -453,6 +454,80 @@ func TestHostileFooters(t *testing.T) {
 				t.Fatalf("err = %v, want codec.ErrCorrupt", err)
 			}
 		})
+	}
+}
+
+// readStream decodes a whole stream with the streaming Reader, reporting the
+// error NewReader or a Read fails with.
+func readStream(stream []byte) error {
+	r, err := NewReader(bytes.NewReader(stream), WithWorkers(2))
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	_, err = io.ReadAll(r)
+	return err
+}
+
+// TestHostileBlockLengths drives hostile and truncated block headers
+// through the streaming Reader: each must fail with codec.ErrCorrupt, and
+// none may allocate what it declares before the bytes behind it arrive.
+func TestHostileBlockLengths(t *testing.T) {
+	hdr, err := appendHeader(nil, "zstd", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(tail ...byte) []byte { return append(append([]byte{}, hdr...), tail...) }
+	good := buildSample(t, "zstd", [][]byte{corpus.LogLines(1, 8<<10), corpus.LogLines(2, 8<<10)})
+	ra, err := NewReaderAt(bytes.NewReader(good), int64(len(good)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	terminator := ra.Block(ra.NumBlocks()-1).Off + int64(ra.Block(ra.NumBlocks()-1).CompLen)
+	cases := map[string][]byte{
+		"bad-magic": []byte("NOPE...."),
+		// A declared compressed block past the limit.
+		"over-limit": mk(binary.AppendUvarint(nil, maxCompBlock+1)...),
+		// A 10-byte varint encoding a value past 2^64.
+		"varint-overflow": mk(0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff),
+		// 2^62 bytes: negative if truncated to a 32-bit int.
+		"int-overflow": mk(binary.AppendUvarint(nil, 1<<62)...),
+		// An in-range declared length with almost nothing behind it.
+		"truncated-body": mk(append(binary.AppendUvarint(binary.AppendUvarint(nil, 16<<20), 16<<20), make([]byte, 8+3)...)...),
+		// A valid stream cut inside its second block.
+		"truncated-stream": good[:ra.Block(1).Off+int64(ra.Block(1).CompLen)/2],
+		// A valid stream cut before its terminator.
+		"no-terminator": good[:terminator],
+	}
+	for name, stream := range cases {
+		t.Run(name, func(t *testing.T) {
+			if err := readStream(stream); !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("err = %v, want codec.ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestTruncatedBlockAllocBounded: a block declaring the largest compressed
+// size the Reader accepts, backed by a few bytes of stream, must not
+// allocate that size.
+func TestTruncatedBlockAllocBounded(t *testing.T) {
+	hdr, err := appendHeader(nil, "zstd", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := binary.AppendUvarint(hdr, maxCompBlock)
+	hostile = binary.AppendUvarint(hostile, MaxBlockSize)
+	hostile = append(hostile, make([]byte, 8+64)...)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := readStream(hostile); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("err = %v, want codec.ErrCorrupt", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Fatalf("a truncated %d-byte block claim allocated %d bytes, want ≤ 8 MiB", maxCompBlock, grew)
 	}
 }
 

@@ -78,9 +78,9 @@ func (f *firstError) get() error {
 }
 
 // Encode splits src into cfg.BlockSize blocks, compresses them on a bounded
-// worker pool, and writes the container to dst with blocks in order — the
-// same pipelined shape as codec.Parallel, but streaming: memory is bounded
-// by O(Workers × BlockSize) regardless of input size, the first error
+// worker pool, and writes the container to dst with blocks in order,
+// streaming: memory is bounded by O(Workers × BlockSize) regardless of
+// input size, the first error
 // (reader, worker, writer, or ctx cancellation) stops the pipeline, and a
 // seekable footer index is appended so the output supports random access.
 func Encode(ctx context.Context, dst io.Writer, src io.Reader, cfg Config) (Stats, error) {

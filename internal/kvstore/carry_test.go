@@ -177,7 +177,7 @@ func TestCarriedBlockByteIdentical(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("table %d block %d", src.id, b)) {
 		t.Fatalf("compaction over a corrupt carried block = %v, want ErrCorrupt naming table %d block %d", err, src.id, b)
 	}
-	if bytes.Contains(db.tableBuf.Bytes(), flipped) {
+	if bytes.Contains(db.scratch.out.Bytes(), flipped) {
 		t.Fatal("the corrupt block reached the output container")
 	}
 	if db.levels[0][0] != l0 || db.levels[1][0] != src || len(db.levels[1]) != 1 {
@@ -331,7 +331,7 @@ func carriedTableBlob(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newTableWriter(8, "zstd", eng, 256, nil, new(bytes.Buffer))
+	w := newTableWriter(8, "zstd", eng, 256, nil, new(tableScratch))
 	if err := w.carry(src, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -147,16 +147,16 @@ func (s Stats) DecompressPerBlock() time.Duration {
 // serializes operations; the paper's experiments measure compression work,
 // not lock scalability).
 type DB struct {
-	mu       sync.Mutex
-	cfg      config
-	eng      codec.Engine
-	mem      *memtable
-	levels   [numLevels][]*sstable // levels[0] newest-first; deeper levels sorted, disjoint
-	cache    *blockCache
-	nextID   int64
-	stats    Stats
-	closed   bool
-	tableBuf bytes.Buffer // scratch every table writer builds its container in
+	mu      sync.Mutex
+	cfg     config
+	eng     codec.Engine
+	mem     *memtable
+	levels  [numLevels][]*sstable // levels[0] newest-first; deeper levels sorted, disjoint
+	cache   *blockCache
+	nextID  int64
+	stats   Stats
+	closed  bool
+	scratch tableScratch // what every table writer builds its table in, free blobs included
 
 	// The store dictionary (storedict.go): nil until the first flush trains
 	// one, or for life when it does not; eng is coded against it.
@@ -167,14 +167,14 @@ type DB struct {
 	// Durability state (nil persister / nil walEng when WithoutWAL).
 	persister Persister
 	walEng    codec.Engine
-	seq       uint64   // last acknowledged batch sequence
-	walBytes  int64    // framed bytes in the current WAL generation
-	dirty     bool     // the table set differs from the committed manifest
-	obsolete  []string // persisted tables compaction consumed, deleted after the next commit
-	oneOp     Batch    // scratch batch for Put/Delete
-	walBuf    []byte   // batch payload scratch
-	walFrame  []byte   // framed record scratch
-	walComp   []byte   // compressed payload scratch
+	seq       uint64     // last acknowledged batch sequence
+	walBytes  int64      // framed bytes in the current WAL generation
+	dirty     bool       // the table set differs from the committed manifest
+	obsolete  []*sstable // offered tables compaction consumed, deleted after the next commit
+	oneOp     Batch      // scratch batch for Put/Delete
+	walBuf    []byte     // batch payload scratch
+	walFrame  []byte     // framed record scratch
+	walComp   []byte     // compressed payload scratch
 }
 
 // Open opens a DB, recovering any state its persister holds: the tables the
@@ -270,7 +270,7 @@ func (db *DB) recover(ctx context.Context) error {
 				if err != nil {
 					return err
 				}
-				t.persisted = true
+				t.persisted, t.offered = true, true
 				live[tableName(id)] = true
 				db.levels[lvl] = append(db.levels[lvl], t)
 			}
@@ -322,8 +322,8 @@ func (db *DB) recover(ctx context.Context) error {
 			// the manifest commit and the WAL reset).
 			return nil
 		}
-		for _, op := range db.oneOp.ops {
-			db.mem.set(op.key, op.value) // a delete's value is nil: a tombstone
+		for i := range db.oneOp.ops {
+			db.mem.set(db.oneOp.op(i))
 		}
 		db.seq = seq
 		replayed++
@@ -381,7 +381,7 @@ func (db *DB) Delete(ctx context.Context, key []byte) error {
 // acknowledged or none of it is applied.
 func (db *DB) Apply(ctx context.Context, b *Batch) error {
 	for _, op := range b.ops {
-		if len(op.key) == 0 {
+		if op.klen == 0 {
 			return ErrEmptyKey
 		}
 	}
@@ -439,16 +439,15 @@ func (db *DB) applyLocked(ctx context.Context, b *Batch) error {
 	}
 	db.seq++
 
-	// The memtable takes the batch's own copies: Batch.Put/Delete made them
-	// private, nothing writes to them afterwards, and Reset only drops the
-	// batch's references.
-	for _, op := range b.ops {
-		if op.del {
-			db.mem.set(op.key, nil)
+	// The memtable copies each op into its arena: the batch's buffer is the
+	// caller's to reuse.
+	for i := range b.ops {
+		key, value, del := b.op(i)
+		db.mem.set(key, value, del)
+		if del {
 			db.stats.Deletes++
 			tmDeletes.Inc()
 		} else {
-			db.mem.set(op.key, op.value)
 			db.stats.Puts++
 			tmPuts.Inc()
 		}
@@ -496,9 +495,9 @@ func (db *DB) AppendGet(ctx context.Context, dst, key []byte) ([]byte, bool, err
 		tmGets.Inc()
 	}()
 
-	if v, ok := db.mem.get(key); ok {
-		if v == nil {
-			return dst, false, nil // tombstone
+	if v, tomb, ok := db.mem.get(key); ok {
+		if tomb {
+			return dst, false, nil
 		}
 		return append(dst, v...), true, nil
 	}
@@ -574,7 +573,7 @@ func (db *DB) flushMemLocked(ctx context.Context) error {
 		return err
 	}
 	db.levels[0] = append(out, db.levels[0]...)
-	db.mem = newMemtable(db.cfg.seed + db.nextID)
+	db.mem.reset(db.cfg.seed + db.nextID)
 	db.dirty = true
 	db.stats.Flushes++
 	tmFlushes.Inc()
@@ -589,7 +588,8 @@ func (db *DB) flushMemLocked(ctx context.Context) error {
 // now), then the delete of tables the manifest no longer names. Callers
 // hold an empty memtable, so db.seq is exactly what the tables cover. A
 // table that was flushed and compacted away since the last commit is never
-// written.
+// written. The blobs of the deleted tables are recycled for later tables:
+// the persister no longer holds them.
 func (db *DB) commitLocked() error {
 	if db.persister == nil || !db.dirty {
 		return nil
@@ -604,6 +604,7 @@ func (db *DB) commitLocked() error {
 	for lvl, tables := range db.levels {
 		for _, t := range tables {
 			if !t.persisted {
+				t.offered = true
 				if err := db.persister.PutBlob(tableName(t.id), t.blob); err != nil {
 					return err
 				}
@@ -624,9 +625,17 @@ func (db *DB) commitLocked() error {
 		return err
 	}
 	db.walBytes = 0
-	if err := db.persister.DeleteBlobs(db.obsolete...); err != nil {
+	names := make([]string, len(db.obsolete))
+	for i, t := range db.obsolete {
+		names[i] = tableName(t.id)
+	}
+	if err := db.persister.DeleteBlobs(names...); err != nil {
 		return err // retried by the next commit, or swept as orphans by Open
 	}
+	for _, t := range db.obsolete {
+		db.scratch.recycle(t.blob)
+	}
+	clear(db.obsolete)
 	db.obsolete = db.obsolete[:0]
 	return nil
 }
@@ -701,7 +710,9 @@ func overlaps(t *sstable, lo, hi []byte) bool {
 // with every table there that their key range touches. On duplicate keys
 // the sources win, in level order. When nothing there is touched and the
 // inputs are disjoint, the compaction is a trivial move: the tables change
-// level and keep their ids, blobs and cached blocks.
+// level and keep their ids, blobs and cached blocks. A merged input's blob
+// is recycled at once if the persister was never given it, else once the
+// next commit has deleted it.
 func (db *DB) compactLocked(ctx context.Context, lvl, n int) error {
 	inputs := slices.Clone(db.levels[lvl][:n])
 	lo, hi := inputs[0].smallest, inputs[0].largest
@@ -734,8 +745,10 @@ func (db *DB) compactLocked(ctx context.Context, lvl, n int) error {
 			if db.cache != nil {
 				db.cache.dropTable(t.id)
 			}
-			if t.persisted {
-				db.obsolete = append(db.obsolete, tableName(t.id))
+			if t.offered {
+				db.obsolete = append(db.obsolete, t)
+			} else {
+				db.scratch.recycle(t.blob)
 			}
 		}
 	}
@@ -792,7 +805,7 @@ func (db *DB) writeTablesLocked(ctx context.Context, mi *mergeIterator, maxTable
 	var out []*sstable
 	newWriter := func() *tableWriter {
 		db.nextID++
-		return newTableWriter(db.nextID-1, db.cfg.codecName, db.eng, db.cfg.blockSize, &db.stats, &db.tableBuf)
+		return newTableWriter(db.nextID-1, db.cfg.codecName, db.eng, db.cfg.blockSize, &db.stats, &db.scratch)
 	}
 	w := newWriter()
 	rawInTable := 0

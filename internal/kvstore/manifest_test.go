@@ -613,7 +613,7 @@ func realTableBlob(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newTableWriter(7, "zstd", eng, 256, nil, new(bytes.Buffer))
+	w := newTableWriter(7, "zstd", eng, 256, nil, new(tableScratch))
 	for i := 0; i < 40; i++ {
 		if err := w.add([]byte(fmt.Sprintf("key-%03d", i)), []byte(fmt.Sprintf("value-%d", i)), false); err != nil {
 			t.Fatal(err)

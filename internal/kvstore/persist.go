@@ -34,14 +34,20 @@ type Persister interface {
 	ResetWAL() error
 	// PutBlob atomically and durably creates or replaces the blob: after a
 	// crash the old content or the new survives, never a mix. The persister
-	// takes ownership of data; the caller may keep reading it but never
-	// writes to it again.
+	// may keep data itself rather than a copy; the caller keeps reading it
+	// and does not write to it while the persister may hold it — until a
+	// DeleteBlobs naming the blob returns nil. The DB then takes the memory
+	// back and writes a later table into it.
 	PutBlob(name string, data []byte) error
-	// GetBlob returns the blob's content, which the caller must not
-	// modify. A missing blob is an error matching fs.ErrNotExist.
+	// GetBlob returns the blob's content, which the caller must not modify
+	// and must not keep past a successful DeleteBlobs of the blob: the DB
+	// writes later tables into the memory of the tables it deleted, which
+	// for a persister that returns what it holds is this memory. A missing
+	// blob is an error matching fs.ErrNotExist.
 	GetBlob(name string) ([]byte, error)
 	// DeleteBlobs durably removes the blobs — one directory fsync for the
-	// lot, not one each; a missing one is not an error.
+	// lot, not one each; a missing one is not an error. Once it returns nil
+	// the persister holds none of their memory.
 	DeleteBlobs(names ...string) error
 	// ListBlobs names every blob.
 	ListBlobs() ([]string, error)

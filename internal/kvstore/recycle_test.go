@@ -4,7 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
 	"testing"
+
+	"github.com/datacomp/datacomp/internal/corpus"
+	"github.com/datacomp/datacomp/internal/xxhash"
 )
 
 // blockTable is a store holding n keys in one L0 table of 1 KiB blocks
@@ -240,4 +245,216 @@ func TestStoreAllocs(t *testing.T) {
 			t.Errorf("Scan over %d blocks: %v allocs, over %d blocks: %v; want no more", blocks4, four, blocks1, one)
 		}
 	})
+}
+
+// tableBlobs is the backing array of every blob the store holds, in a live
+// table or on the free list.
+func tableBlobs(db *DB) map[*byte]bool {
+	out := map[*byte]bool{}
+	for _, tables := range db.levels {
+		for _, tb := range tables {
+			out[&tb.blob[:1][0]] = true
+		}
+	}
+	for _, b := range db.scratch.free {
+		out[&b[:1][0]] = true
+	}
+	return out
+}
+
+// TestPutAllocs gates the write path: a Put into a warm store allocates
+// nothing until its memtable fills — the batch, the WAL record and the
+// memtable's arena and slab are all reused — and once flushes and
+// compactions have settled into a cycle, every table they write is copied
+// into the blob of a table an earlier cycle dropped.
+func TestPutAllocs(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	t.Run("BetweenFlushes", func(t *testing.T) {
+		db := testDB(t, WithMemtableBytes(512<<10))
+		keys := make([][]byte, 4000)
+		for i := range keys {
+			keys[i] = fmt.Appendf(nil, "key-%06d", i*7919%len(keys))
+		}
+		value := make([]byte, 1<<10)
+		i := 0
+		put := func() {
+			binary.LittleEndian.PutUint64(value, uint64(i))
+			if err := db.Put(tctx, keys[i%len(keys)], value); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		for db.Stats().Flushes < 2 {
+			put()
+		}
+		flushes := db.Stats().Flushes
+		// The allocations of 100 puts in total, after 100 more: a mean per
+		// put would round away the odd arena chunk or node slab.
+		hundred := func() {
+			for j := 0; j < 100; j++ {
+				put()
+			}
+		}
+		if n := testing.AllocsPerRun(1, hundred); n != 0 {
+			t.Errorf("100 Puts between flushes: %v allocations, want 0", n)
+		}
+		if db.Stats().Flushes != flushes {
+			t.Fatal("the measured puts flushed")
+		}
+	})
+	t.Run("FlushCompactBlobs", func(t *testing.T) {
+		// Uniform overwrites of a loaded key set: every flush writes a table
+		// of about one size, every merge rewrites L1 into tables of about
+		// another, and the live data stays the same size.
+		db := testDB(t, WithMemtableBytes(32<<10), WithMaxTableBytes(64<<10), WithL0CompactionTrigger(2),
+			WithBaseLevelBytes(1<<20))
+		pairs := corpus.KVPairs(5, 2000)
+		rng := rand.New(rand.NewSource(5))
+		for _, i := range rng.Perm(len(pairs)) {
+			if err := db.Put(tctx, pairs[i].Key, pairs[i].Value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycles := func(n int64, each func()) {
+			for end := db.Stats().Compactions + n; db.Stats().Compactions < end; {
+				kv := pairs[rng.Intn(len(pairs))]
+				if err := db.Put(tctx, kv.Key, kv.Value); err != nil {
+					t.Fatal(err)
+				}
+				each()
+			}
+		}
+		cycles(4, func() {})
+		known, st := tableBlobs(db), db.Stats()
+		cycles(8, func() {
+			for _, tables := range db.levels {
+				for _, tb := range tables {
+					if !known[&tb.blob[:1][0]] {
+						t.Fatalf("table %d (%d bytes) was written into a new blob, not a free one", tb.id, len(tb.blob))
+					}
+				}
+			}
+		})
+		if after := db.Stats(); after.Flushes-st.Flushes < 16 || after.TrivialMoves != st.TrivialMoves {
+			t.Fatalf("workload: %d flushes and %d trivial moves in the measured cycles, want ≥ 16 flushes and merges only",
+				after.Flushes-st.Flushes, after.TrivialMoves-st.TrivialMoves)
+		}
+	})
+}
+
+// ownershipPersister checks the persister's side of the blob contract:
+// it records the XXH64 of every blob it is given and fails the test if a
+// blob it may still hold — one whose PutBlob was called, even if it failed,
+// and that no DeleteBlobs has since removed — changes, at every call and at
+// close. It also counts the blobs it is given whose memory it had once
+// deleted: the tables the store wrote into recycled blobs.
+type ownershipPersister struct {
+	Persister
+	t       *testing.T
+	held    map[string]ownedBlob
+	deleted map[*byte]bool
+	reused  int
+}
+
+type ownedBlob struct {
+	data []byte
+	sum  uint64
+}
+
+func newOwnershipPersister(t *testing.T, p Persister) *ownershipPersister {
+	return &ownershipPersister{Persister: p, t: t, held: map[string]ownedBlob{}, deleted: map[*byte]bool{}}
+}
+
+func (p *ownershipPersister) check(when string) {
+	p.t.Helper()
+	for name, b := range p.held {
+		if xxhash.Sum64(b.data) != b.sum {
+			p.t.Fatalf("%s: blob %s changed while the persister held it", when, name)
+		}
+	}
+}
+
+func (p *ownershipPersister) PutBlob(name string, data []byte) error {
+	p.check("put " + name)
+	if len(data) > 0 && p.deleted[&data[0]] {
+		p.reused++
+		delete(p.deleted, &data[0])
+	}
+	p.held[name] = ownedBlob{data, xxhash.Sum64(data)}
+	return p.Persister.PutBlob(name, data)
+}
+
+func (p *ownershipPersister) DeleteBlobs(names ...string) error {
+	p.check("delete")
+	if err := p.Persister.DeleteBlobs(names...); err != nil {
+		return err
+	}
+	for _, name := range names {
+		if b, ok := p.held[name]; ok && len(b.data) > 0 {
+			p.deleted[&b.data[0]] = true
+		}
+		delete(p.held, name)
+	}
+	return nil
+}
+
+func (p *ownershipPersister) Close() error {
+	p.check("close")
+	return p.Persister.Close()
+}
+
+// TestBlobOwnership: a store writes tables into the blobs of tables it
+// dropped, and never into one the persister may still hold — through
+// merges, commits whose table writes fail, a reopen that takes its tables
+// from GetBlob and a close.
+func TestBlobOwnership(t *testing.T) {
+	fault := NewFaultPersister(NewMemPersister())
+	own := newOwnershipPersister(t, fault)
+	opts := []Option{WithPersister(own), WithSeed(9), WithMemtableBytes(16 << 10), WithMaxTableBytes(32 << 10),
+		WithL0CompactionTrigger(2), WithBaseLevelBytes(64 << 10)}
+	db, err := Open(tctx, "", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := corpus.KVPairs(9, 3000)
+	rng := rand.New(rand.NewSource(9))
+	want := map[string]string{}
+	run := func(n int, failing bool) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			kv := pairs[rng.Intn(len(pairs))]
+			err := db.Put(tctx, kv.Key, kv.Value)
+			if err != nil && !(failing && errors.Is(err, ErrInjected)) {
+				t.Fatal(err)
+			}
+			want[string(kv.Key)] = string(kv.Value) // a failed commit still applied the put
+		}
+	}
+	run(3000, false)
+	// Commits fail while flushes and merges go on in memory: tables whose
+	// PutBlob failed are merged away before any commit names them.
+	fault.FailBlobs(true)
+	run(600, true)
+	fault.FailBlobs(false)
+	run(1500, false)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(tctx, "", opts...); err != nil {
+		t.Fatal(err)
+	}
+	run(3000, false)
+	if got := dump(t, db); !maps.Equal(got, want) {
+		t.Fatalf("the store scans to %d keys, want %d (or a value differs)", len(got), len(want))
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := db.Stats()
+	t.Logf("%d blobs reused over %d flushes and %d compactions", own.reused, st.Flushes, st.Compactions)
+	if own.reused == 0 {
+		t.Fatal("no table was written into the blob of a deleted one")
+	}
 }

@@ -41,6 +41,7 @@ type sstable struct {
 	blob       []byte // container + index + trailer; shared with the persister, never written
 	data       []byte // the container: a prefix of blob
 	persisted  bool   // the persister holds blob under tableName(id)
+	offered    bool   // PutBlob was called with blob, so the persister may hold it even if the call failed
 	ra         *container.ReaderAt
 	lastKeys   [][]byte // largest key per block, parallel to container blocks
 	smallest   []byte
@@ -132,7 +133,7 @@ type tableWriter struct {
 	numEntries int      // entries added, plus one per carried block
 	lastKeys   [][]byte // largest key per finished block
 
-	out      *bytes.Buffer // the container so far; scratch the next table reuses
+	s        *tableScratch // the container so far is s.out
 	bw       *container.Builder
 	bwErr    error
 	buf      []byte // current block, uncompressed
@@ -144,19 +145,62 @@ type tableWriter struct {
 	prevKey  []byte
 }
 
-// newTableWriter starts table id in out, which it resets: the finished blob
-// is copied out of it, so one buffer serves every table a DB writes.
-func newTableWriter(id int64, codecName string, eng codec.Engine, blockSize int, stats *Stats, out *bytes.Buffer) *tableWriter {
-	out.Reset()
+// newTableWriter starts table id in s, whose container buffer it resets:
+// the finished blob is copied out of it, so one buffer serves every table a
+// DB writes.
+func newTableWriter(id int64, codecName string, eng codec.Engine, blockSize int, stats *Stats, s *tableScratch) *tableWriter {
+	s.out.Reset()
 	w := &tableWriter{
 		eng:       eng,
 		blockSize: blockSize,
 		stats:     stats,
 		id:        id,
-		out:       out,
+		s:         s,
 	}
-	w.bw, w.bwErr = container.NewBuilder(out, codecName, eng, blockSize)
+	w.bw, w.bwErr = container.NewBuilder(&s.out, codecName, eng, blockSize)
 	return w
+}
+
+// tableScratch is the memory a DB builds its tables in: the container and
+// the key index, reset for each table, and the free blobs finished tables
+// are copied into.
+type tableScratch struct {
+	out  bytes.Buffer
+	idx  []byte
+	free [][]byte // at most maxFreeBlobs
+}
+
+// maxFreeBlobs bounds the free list above what a merge of L0 into a full L1
+// writes at the default sizes (about ten tables), so the blobs one merge
+// frees serve the next.
+const maxFreeBlobs = 16
+
+// blob returns an empty buffer of capacity ≥ n: the smallest free blob that
+// fits, else a new one an eighth larger than n, so that a later table up to
+// that much larger can take it.
+func (s *tableScratch) blob(n int) []byte {
+	best := -1
+	for i, b := range s.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(s.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]byte, 0, n+n/8)
+	}
+	b, last := s.free[best], len(s.free)-1
+	s.free[best], s.free[last] = s.free[last], nil
+	s.free = s.free[:last]
+	return b[:0]
+}
+
+// recycle takes back the blob of a table that is gone: no live table names
+// it, and the persister was never given it or has deleted it. A full free
+// list drops it.
+func (s *tableScratch) recycle(b []byte) {
+	if len(s.free) < maxFreeBlobs {
+		s.free = append(s.free, b)
+	}
 }
 
 func sharedPrefixLen(a, b []byte) int {
@@ -287,7 +331,7 @@ func (w *tableWriter) carry(src *sstable, b int) error {
 
 // finish seals the table: the container gains its footer, the key index
 // and trailer follow it, and the whole is copied out of the scratch buffer
-// at its exact size — the persister takes ownership of that blob — and
+// into a blob of the scratch's — the persister takes ownership of it — and
 // opened the way recovery will open it. Returns nil when the table is empty.
 func (w *tableWriter) finish() (*sstable, error) {
 	if err := w.flushBlock(); err != nil {
@@ -299,14 +343,15 @@ func (w *tableWriter) finish() (*sstable, error) {
 	if err := w.bw.Close(); err != nil {
 		return nil, err
 	}
-	idx := binary.AppendUvarint(nil, uint64(w.numEntries))
+	idx := binary.AppendUvarint(w.s.idx[:0], uint64(w.numEntries))
 	idx = appendPrefixed(idx, w.firstKey)
 	idx = binary.AppendUvarint(idx, uint64(len(w.lastKeys)))
 	for _, k := range w.lastKeys {
 		idx = appendPrefixed(idx, k)
 	}
-	blob := make([]byte, 0, w.out.Len()+len(idx)+tableTrailerLen)
-	blob = append(blob, w.out.Bytes()...)
+	w.s.idx = idx
+	blob := w.s.blob(w.s.out.Len() + len(idx) + tableTrailerLen)
+	blob = append(blob, w.s.out.Bytes()...)
 	blob = append(blob, idx...)
 	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(idx)))
 	blob = binary.LittleEndian.AppendUint64(blob, xxhash.Sum64(idx))

@@ -74,7 +74,7 @@ func (db *DB) trainDictLocked() error {
 // rawBlocksLocked returns the data blocks a flush of m writes, uncompressed.
 func (db *DB) rawBlocksLocked(m *memtable) ([][]byte, error) {
 	var s blockSampler
-	w := newTableWriter(0, db.cfg.codecName, &s, db.cfg.blockSize, nil, &db.tableBuf)
+	w := newTableWriter(0, db.cfg.codecName, &s, db.cfg.blockSize, nil, &db.scratch)
 	for it := m.iterator(); it.valid(); it.next() {
 		if err := w.add(it.key(), it.value(), it.tombstone()); err != nil {
 			return nil, err

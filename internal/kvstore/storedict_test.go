@@ -398,7 +398,7 @@ func servingMemtable(kind string, seed int64, n, size int) *memtable {
 		off := int(x>>33) % (len(pool)/size - 1) * size
 		v = append(v, pool[off:off+size]...)
 		v = fmt.Appendf(v[:17], "%016x", x)[:17+size]
-		m.set(fmt.Appendf(nil, "user:%08d", int(x>>40)), v)
+		m.set(fmt.Appendf(nil, "user:%08d", int(x>>40)), v, false)
 	}
 	return m
 }
@@ -468,10 +468,10 @@ func TestSampleValues(t *testing.T) {
 	m := newMemtable(1)
 	total := 0
 	for _, kv := range corpus.KVPairs(3, 3000) {
-		m.set(kv.Key, kv.Value)
+		m.set(kv.Key, kv.Value, false)
 		total += len(kv.Value)
 	}
-	m.set([]byte("zz-tombstone"), nil)
+	m.set([]byte("zz-tombstone"), nil, true)
 	var order []*byte // each value's first byte, in key order
 	for it := m.iterator(); it.valid(); it.next() {
 		if !it.tombstone() {

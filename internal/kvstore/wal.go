@@ -63,29 +63,42 @@ func tableName(id int64) string { return fmt.Sprintf("%06d%s", id, tableSuffix) 
 // later op on the same key wins.
 type Batch struct {
 	ops []batchOp
+	buf []byte // every op's key and value, back to back; kept across Reset
 	// size approximates the encoded payload, for callers packing toward a
 	// target record size.
 	size int
 }
 
+// batchOp is one op: its key is buf[off:off+klen], its value the vlen bytes
+// after it.
 type batchOp struct {
-	key, value []byte
-	del        bool
+	off, klen, vlen int
+	del             bool
 }
 
 // Put queues key→value (copies both).
 func (b *Batch) Put(key, value []byte) {
-	b.ops = append(b.ops, batchOp{
-		key:   append([]byte{}, key...),
-		value: append([]byte{}, value...),
-	})
+	b.ops = append(b.ops, batchOp{off: len(b.buf), klen: len(key), vlen: len(value)})
+	b.buf = append(append(b.buf, key...), value...)
 	b.size += len(key) + len(value) + 12
 }
 
 // Delete queues a tombstone for key (copies it).
 func (b *Batch) Delete(key []byte) {
-	b.ops = append(b.ops, batchOp{key: append([]byte{}, key...), del: true})
+	b.ops = append(b.ops, batchOp{off: len(b.buf), klen: len(key), del: true})
+	b.buf = append(b.buf, key...)
 	b.size += len(key) + 12
+}
+
+// op returns op i's key and value (nil for a delete), which alias the batch
+// until its next Put, Delete or Reset.
+func (b *Batch) op(i int) (key, value []byte, del bool) {
+	o := b.ops[i]
+	key = b.buf[o.off : o.off+o.klen]
+	if !o.del {
+		value = b.buf[o.off+o.klen : o.off+o.klen+o.vlen]
+	}
+	return key, value, o.del
 }
 
 // Len reports the queued op count.
@@ -97,6 +110,7 @@ func (b *Batch) Size() int { return b.size }
 // Reset empties the batch, retaining capacity.
 func (b *Batch) Reset() {
 	b.ops = b.ops[:0]
+	b.buf = b.buf[:0]
 	b.size = 0
 }
 
@@ -104,17 +118,18 @@ func (b *Batch) Reset() {
 func appendBatchPayload(dst []byte, seq uint64, b *Batch) []byte {
 	dst = binary.AppendUvarint(dst, seq)
 	dst = binary.AppendUvarint(dst, uint64(len(b.ops)))
-	for _, op := range b.ops {
+	for i := range b.ops {
+		key, value, del := b.op(i)
 		kind := byte(opPut)
-		if op.del {
+		if del {
 			kind = opDelete
 		}
 		dst = append(dst, kind)
-		dst = binary.AppendUvarint(dst, uint64(len(op.key)))
-		dst = append(dst, op.key...)
-		if !op.del {
-			dst = binary.AppendUvarint(dst, uint64(len(op.value)))
-			dst = append(dst, op.value...)
+		dst = binary.AppendUvarint(dst, uint64(len(key)))
+		dst = append(dst, key...)
+		if !del {
+			dst = binary.AppendUvarint(dst, uint64(len(value)))
+			dst = append(dst, value...)
 		}
 	}
 	return dst
