@@ -2,6 +2,7 @@ package adaptive
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -25,20 +26,17 @@ func TestFrameRoundtrip(t *testing.T) {
 	hdr := appendHeader(nil, 42, codecLZ4, 7)
 	payload := []byte("the payload")
 	frame := append(hdr, payload...)
-	gen, id, dict, rest, ok, err := ParseFrame(frame)
-	if err != nil || !ok {
-		t.Fatalf("parse: ok=%v err=%v", ok, err)
+	gen, id, dict, rest, err := ParseFrame(frame)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
 	}
 	if gen != 42 || id != codecLZ4 || dict != 7 || !bytes.Equal(rest, payload) {
 		t.Fatalf("parse got gen=%d id=%d dict=%d rest=%q", gen, id, dict, rest)
 	}
-	// Degraded frames parse with ok=false and no error.
-	if _, _, _, rest, ok, err = ParseFrame([]byte{magicDegraded, 0, 'x'}); err != nil || ok || len(rest) != 2 {
-		t.Fatalf("degraded parse: ok=%v err=%v rest=%q", ok, err, rest)
-	}
-	for _, bad := range [][]byte{nil, {0x00}, {magicAdaptive}, {magicAdaptive, 1}, {magicAdaptive, 1, 0xEE, 0}} {
-		if _, _, _, _, _, err := ParseFrame(bad); err == nil {
-			t.Fatalf("malformed frame %x parsed", bad)
+	// Only 0xAD opens a frame; 0xAC is rejected like any other magic.
+	for _, bad := range [][]byte{nil, {0x00}, {0xAC, 0, 'x'}, {magicAdaptive}, {magicAdaptive, 1}, {magicAdaptive, 1, 0xEE, 0}} {
+		if _, _, _, _, err := ParseFrame(bad); !errors.Is(err, ErrFrame) {
+			t.Fatalf("malformed frame %x: err=%v, want ErrFrame", bad, err)
 		}
 	}
 }
@@ -83,9 +81,9 @@ func TestHandleRoundtripAcrossSwaps(t *testing.T) {
 	// Every frame — including ones whose encoder generation was retired —
 	// must decode, and its header must name the generation that wrote it.
 	for i, f := range frames {
-		gen, _, _, _, ok, err := ParseFrame(f.data)
-		if err != nil || !ok {
-			t.Fatalf("frame %d: parse ok=%v err=%v", i, ok, err)
+		gen, _, _, _, err := ParseFrame(f.data)
+		if err != nil {
+			t.Fatalf("frame %d: parse: %v", i, err)
 		}
 		if gen != f.gen {
 			t.Fatalf("frame %d: header generation %d, encoded under %d", i, gen, f.gen)
@@ -132,7 +130,7 @@ func TestDictGenerationsStayDecodable(t *testing.T) {
 		frames = append(frames, out)
 	}
 	for i, f := range frames {
-		_, _, dictID, _, _, err := ParseFrame(f)
+		_, _, dictID, _, err := ParseFrame(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,73 +263,6 @@ func TestControllerNeverAdoptsInfeasible(t *testing.T) {
 	}
 	if d, ok := h.Report(); ok && d.Feasible {
 		t.Fatal("decision claims feasibility under an impossible SLO")
-	}
-}
-
-func TestDegraderComposition(t *testing.T) {
-	c := testController(t, Config{SampleEvery: 1})
-	h, err := c.Handle("deg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A fake clock drives the degrader: each Compress appears to take
-	// fake.step, so the test dials pressure on and off deterministically.
-	now := time.Unix(0, 0)
-	step := time.Duration(0)
-	d, err := codec.NewDegrader(codec.DegraderConfig{
-		High:   time.Millisecond,
-		Low:    100 * time.Microsecond,
-		Window: 2, Recover: 2,
-		Now: func() time.Time { now = now.Add(step); return now },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.AttachDegrader(d)
-	src := corpus.LogLines(3, 4<<10)
-
-	// Push the ladder down: external observations over High.
-	for i := 0; i < 4; i++ {
-		d.ObserveExternal(2 * time.Millisecond)
-	}
-	if !d.Pressured() {
-		t.Fatal("degrader not pressured after hot streak")
-	}
-	h.pressured.Store(true) // mirror, as the hot path would after its next feed
-	out, err := h.Compress(nil, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != magicDegraded {
-		t.Fatalf("pressured frame magic 0x%02x, want degraded", out[0])
-	}
-	if c.trial(h) != 0 {
-		t.Fatal("controller ran a trial while the degrader owned the codec")
-	}
-	back, err := h.Decompress(nil, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, src) {
-		t.Fatal("degraded roundtrip mismatch")
-	}
-
-	// Recovery: degraded compresses observe fast ops (step=0 < Low), so
-	// the ladder climbs back and the handle returns to adaptive frames.
-	for i := 0; i < 20 && h.Pressured(); i++ {
-		if _, err := h.Compress(nil, src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h.Pressured() {
-		t.Fatal("handle never recovered from degradation")
-	}
-	out, err = h.Compress(nil, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != magicAdaptive {
-		t.Fatalf("recovered frame magic 0x%02x, want adaptive", out[0])
 	}
 }
 

@@ -18,9 +18,6 @@
 //     when a challenger beats the incumbent by the hysteresis margin
 //     while satisfying the SLO constraints. Shadow CPU is duty-cycled to
 //     a configured budget and every decision is visible in telemetry.
-//   - codec.Degrader composes: under latency pressure the degrader owns
-//     the serving codec (frames carry its rung tag) and swaps are held;
-//     the controller re-optimizes the baseline the ladder returns to.
 package adaptive
 
 import (
@@ -47,7 +44,6 @@ var (
 	tmTrials     *telemetry.Counter
 	tmShadowNS   *telemetry.Counter
 	tmThrottleNS *telemetry.Counter
-	tmHolds      *telemetry.Counter
 	tmDictTrains *telemetry.Counter
 	tmErrors     *telemetry.Counter
 	tmBudget     *telemetry.Gauge
@@ -61,7 +57,6 @@ func tm() {
 		tmTrials = r.Counter("adaptive_trials_total", "shadow trial rounds")
 		tmShadowNS = r.Counter("adaptive_shadow_ns_total", "CPU time spent in shadow measurement")
 		tmThrottleNS = r.Counter("adaptive_throttle_ns_total", "sleep inserted to hold the shadow CPU budget")
-		tmHolds = r.Counter("adaptive_holds_total", "trial rounds skipped while the degrader owned the codec")
 		tmDictTrains = r.Counter("adaptive_dict_trains_total", "dictionaries trained from reservoir samples")
 		tmErrors = r.Counter("adaptive_trial_errors_total", "shadow trials that failed to measure or adopt")
 		tmBudget = r.Gauge("adaptive_shadow_budget_permille", "configured shadow CPU budget, in thousandths of one core")
@@ -377,10 +372,6 @@ func configEqual(a, b core.Config) bool {
 // reservoir, then swap if a feasible challenger clears the hysteresis bar
 // (or the incumbent fell out of the SLO). Returns the CPU time spent.
 func (c *Controller) trial(h *Handle) time.Duration {
-	if h.Pressured() {
-		tmHolds.Inc()
-		return 0
-	}
 	samples := h.snapshotSamples()
 	if len(samples) < c.cfg.MinSamples {
 		return 0

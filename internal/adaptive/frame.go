@@ -15,19 +15,10 @@ import (
 // resolvable from the ID embedded in the frame.
 //
 //	adaptive frame:  0xAD | uvarint generation | codec ID byte | uvarint dict ID | payload
-//	degraded frame:  0xAC | degrader rung tag  | payload
-//
-// The degraded form is written while the class's codec.Degrader sits below
-// its top rung: under latency pressure the degrader owns the serving codec
-// outright (its rung tag names the ladder engine), and the controller holds
-// config swaps until pressure clears.
-const (
-	magicAdaptive = 0xAD
-	magicDegraded = 0xAC
-)
+const magicAdaptive = 0xAD
 
 // Codec identity bytes. The wire format admits new codecs by appending;
-// IDs are frozen once released, like the degrader's ladder tags.
+// IDs are frozen once released.
 const (
 	codecInvalid byte = iota
 	codecZstd
@@ -66,37 +57,32 @@ func appendHeader(dst []byte, gen uint64, codecID byte, dictID uint32) []byte {
 }
 
 // ParseFrame splits an adaptive frame into its descriptor and payload.
-// Degraded frames return ok=false with no error: the caller routes them to
-// the class degrader. Exported so tests and tooling can assert which
-// generation encoded a frame.
-func ParseFrame(src []byte) (gen uint64, codecID byte, dictID uint32, payload []byte, ok bool, err error) {
+// Exported so tests and tooling can assert which generation encoded a
+// frame.
+func ParseFrame(src []byte) (gen uint64, codecID byte, dictID uint32, payload []byte, err error) {
 	if len(src) == 0 {
-		return 0, 0, 0, nil, false, ErrFrame
+		return 0, 0, 0, nil, ErrFrame
 	}
-	switch src[0] {
-	case magicDegraded:
-		return 0, 0, 0, src[1:], false, nil
-	case magicAdaptive:
-	default:
-		return 0, 0, 0, nil, false, fmt.Errorf("%w: magic 0x%02x", ErrFrame, src[0])
+	if src[0] != magicAdaptive {
+		return 0, 0, 0, nil, fmt.Errorf("%w: magic 0x%02x", ErrFrame, src[0])
 	}
 	rest := src[1:]
 	gen, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return 0, 0, 0, nil, false, fmt.Errorf("%w: generation varint", ErrFrame)
+		return 0, 0, 0, nil, fmt.Errorf("%w: generation varint", ErrFrame)
 	}
 	rest = rest[n:]
 	if len(rest) < 1 {
-		return 0, 0, 0, nil, false, fmt.Errorf("%w: missing codec id", ErrFrame)
+		return 0, 0, 0, nil, fmt.Errorf("%w: missing codec id", ErrFrame)
 	}
 	codecID = rest[0]
 	if codecNameOf(codecID) == "" {
-		return 0, 0, 0, nil, false, fmt.Errorf("%w: codec id 0x%02x", ErrFrame, codecID)
+		return 0, 0, 0, nil, fmt.Errorf("%w: codec id 0x%02x", ErrFrame, codecID)
 	}
 	rest = rest[1:]
 	d, n := binary.Uvarint(rest)
 	if n <= 0 || d > 0xFFFFFFFF {
-		return 0, 0, 0, nil, false, fmt.Errorf("%w: dict id varint", ErrFrame)
+		return 0, 0, 0, nil, fmt.Errorf("%w: dict id varint", ErrFrame)
 	}
-	return gen, codecID, uint32(d), rest[n:], true, nil
+	return gen, codecID, uint32(d), rest[n:], nil
 }

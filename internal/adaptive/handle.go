@@ -1,11 +1,9 @@
 package adaptive
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/core"
@@ -74,15 +72,6 @@ type Handle struct {
 	dicts     map[uint32][]byte // every dictionary ever adopted, by zstd.DictID
 	maxDecode int
 
-	// Degrader composition: when attached and below its top rung, frames
-	// route through the ladder (magicDegraded) and swaps are held.
-	// Degraders are single-goroutine, so degMu serializes every method
-	// call; the pointer itself and the pressure flag are atomics so the
-	// fast path can branch without the lock.
-	degMu     sync.Mutex
-	deg       atomic.Pointer[codec.Degrader]
-	pressured atomic.Bool
-
 	// Shadow state owned by the controller worker (single goroutine).
 	shadow      *core.CompEngine
 	trialBuf    [][]byte
@@ -131,22 +120,6 @@ func (h *Handle) Generation() uint64 { return h.cur.Load().gen }
 
 // Config returns the currently serving configuration.
 func (h *Handle) Config() core.Config { return h.cur.Load().cfg }
-
-// AttachDegrader composes a latency degrader with this class. While the
-// degrader sits below its top rung it owns the serving codec (frames carry
-// its rung tag) and the controller holds swaps; at the top rung the handle
-// serves the adaptive config and feeds its compress latencies into the
-// degrader's pressure tracker so the two stay on one ladder.
-func (h *Handle) AttachDegrader(d *codec.Degrader) {
-	h.degMu.Lock()
-	h.deg.Store(d)
-	h.pressured.Store(d != nil && d.Pressured())
-	h.degMu.Unlock()
-}
-
-// Pressured reports whether the attached degrader currently owns the
-// serving codec.
-func (h *Handle) Pressured() bool { return h.pressured.Load() }
 
 func (h *Handle) newGeneration(r core.Result) (*generation, error) {
 	cfg := r.Config
@@ -215,77 +188,27 @@ func (h *Handle) Adopt(cfg core.Config) error {
 	return h.adopt(core.Result{Config: cfg, Feasible: true})
 }
 
-// Compress encodes src under the current generation (or the degrader's
-// rung while pressured), appending a self-describing adaptive frame to
-// dst. Safe for concurrent use; allocation-free once pools are warm.
+// Compress encodes src under the current generation, appending a
+// self-describing adaptive frame to dst. Safe for concurrent use;
+// allocation-free once pools are warm.
 func (h *Handle) Compress(dst, src []byte) ([]byte, error) {
 	if n := h.ops.Add(1); n&h.sampleMask == 0 {
 		h.offer(src)
 	}
-	if h.pressured.Load() {
-		return h.compressDegraded(dst, src)
-	}
 	g := h.cur.Load()
 	dst = append(dst, g.hdr...)
 	e := g.pool.Get()
-	if h.deg.Load() == nil {
-		out, err := e.Compress(dst, src)
-		g.pool.Put(e)
-		return out, err
-	}
-	// Degrader attached at top rung: time the compress and feed the
-	// ladder's pressure tracker (TryLock — never stall serving traffic on
-	// the single-goroutine degrader).
-	t0 := time.Now()
 	out, err := e.Compress(dst, src)
-	dt := time.Since(t0)
 	g.pool.Put(e)
-	if err != nil {
-		return nil, err
-	}
-	if h.degMu.TryLock() {
-		if d := h.deg.Load(); d != nil {
-			d.ObserveExternal(dt)
-			h.pressured.Store(d.Pressured())
-		}
-		h.degMu.Unlock()
-	}
-	return out, nil
-}
-
-// compressDegraded routes one payload through the class degrader.
-func (h *Handle) compressDegraded(dst, src []byte) ([]byte, error) {
-	dst = append(dst, magicDegraded)
-	h.degMu.Lock()
-	d := h.deg.Load()
-	if d == nil {
-		h.degMu.Unlock()
-		return nil, errors.New("adaptive: degraded frame with no degrader attached")
-	}
-	out, err := d.Compress(dst, src)
-	h.pressured.Store(d.Pressured())
-	h.degMu.Unlock()
 	return out, err
 }
 
 // Decompress decodes a frame produced by any generation of this class —
-// current, retired, or a remote peer's — plus degraded frames from the
-// attached ladder. Safe for concurrent use.
+// current, retired, or a remote peer's. Safe for concurrent use.
 func (h *Handle) Decompress(dst, src []byte) ([]byte, error) {
-	gen, codecID, dictID, payload, ok, err := ParseFrame(src)
+	gen, codecID, dictID, payload, err := ParseFrame(src)
 	if err != nil {
 		return nil, err
-	}
-	if !ok {
-		h.degMu.Lock()
-		d := h.deg.Load()
-		if d == nil {
-			h.degMu.Unlock()
-			return nil, errors.New("adaptive: degraded frame with no degrader attached")
-		}
-		out, derr := d.Decompress(dst, payload)
-		h.degMu.Unlock()
-		return out, derr
 	}
 	g := h.cur.Load()
 	if g.gen == gen && g.codecID == codecID && g.dictID == dictID {

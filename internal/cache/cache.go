@@ -72,16 +72,17 @@ type Config struct {
 	Dicts map[string][]byte
 	// Adaptive compresses items through a live-reoptimizing controller
 	// instead of the static Codec/Level engines: each item type becomes
-	// its own traffic class (AdaptiveClassPrefix + type) whose config the
+	// its own traffic class ("cache:" + type) whose config the
 	// controller retunes from reservoir samples of actual Set traffic —
 	// including dict-trained candidates, replacing static Dicts. Resident
 	// payloads written under retired generations stay readable because
 	// adaptive frames are self-describing. Codec, Level, and Dicts are
 	// ignored when set.
 	Adaptive *adaptive.Controller
-	// AdaptiveClassPrefix namespaces per-type classes (default "cache:").
-	AdaptiveClassPrefix string
 }
+
+// adaptiveClassPrefix namespaces the per-type adaptive classes.
+const adaptiveClassPrefix = "cache:"
 
 func (c *Config) fill() {
 	if c.Shards <= 0 {
@@ -95,9 +96,6 @@ func (c *Config) fill() {
 	}
 	if c.MinCompressSize == 0 {
 		c.MinCompressSize = 64
-	}
-	if c.AdaptiveClassPrefix == "" {
-		c.AdaptiveClassPrefix = "cache:"
 	}
 }
 
@@ -176,7 +174,7 @@ func New(cfg Config) (*Cache, error) {
 			// One controller-managed handle per item type, shared by every
 			// shard (handles are concurrent-safe, unlike raw engines). The
 			// untyped class doubles as the fallback.
-			h, err := cfg.Adaptive.Handle(cfg.AdaptiveClassPrefix + "default")
+			h, err := cfg.Adaptive.Handle(adaptiveClassPrefix + "default")
 			if err != nil {
 				return nil, fmt.Errorf("cache: adaptive default class: %w", err)
 			}
@@ -219,7 +217,7 @@ func (s *shard) engine(typ string) codec.Engine {
 		// holds s.mu, so the per-shard cache write is safe). A controller
 		// failure falls back to the default class rather than failing the
 		// operation.
-		if h, err := s.cfg.Adaptive.Handle(s.cfg.AdaptiveClassPrefix + typ); err == nil {
+		if h, err := s.cfg.Adaptive.Handle(adaptiveClassPrefix + typ); err == nil {
 			s.engines[typ] = h
 			return h
 		}
@@ -229,24 +227,6 @@ func (s *shard) engine(typ string) codec.Engine {
 
 // ErrEmptyKey is returned for operations with an empty key.
 var ErrEmptyKey = errors.New("cache: empty key")
-
-// compressLocked compresses value with typ's engine, falling back to a raw
-// copy for tiny or incompressible values. Timing is the caller's
-// responsibility so batched sets can read the clock once per group. Caller
-// holds s.mu.
-func (s *shard) compressLocked(typ string, value []byte) (payload []byte, raw bool, err error) {
-	if len(value) < s.cfg.MinCompressSize {
-		return append([]byte{}, value...), true, nil
-	}
-	out, err := s.engine(typ).Compress(nil, value)
-	if err != nil {
-		return nil, false, err
-	}
-	if len(out) >= len(value) {
-		return append([]byte{}, value...), true, nil
-	}
-	return out, false, nil
-}
 
 // storeLocked inserts or replaces key's entry and updates resident
 // accounting. Caller holds s.mu.
@@ -305,12 +285,17 @@ func (c *Cache) Set(key, typ string, value []byte) error {
 		return nil
 	}
 	t0 := time.Now()
-	payload, raw, err := s.compressLocked(typ, value)
+	payload, err := s.engine(typ).Compress(nil, value)
 	dt := time.Since(t0)
 	s.stats.ServerCompressTime += dt
 	tmCompNS.Add(dt.Nanoseconds())
 	if err != nil {
 		return err
+	}
+	raw := len(payload) >= len(value)
+	if raw {
+		// Incompressible: store the value itself.
+		payload = append([]byte{}, value...)
 	}
 	s.storeLocked(key, typ, payload, len(value), raw)
 	s.evictLocked()

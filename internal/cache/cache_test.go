@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -207,6 +208,22 @@ func TestTinyItemsStoredRaw(t *testing.T) {
 	}
 	if st := c.Stats(); st.ServerCompressTime != 0 {
 		t.Fatal("tiny item should skip compression")
+	}
+}
+
+func TestIncompressibleItemsStoredRaw(t *testing.T) {
+	c, _ := New(Config{Shards: 1})
+	value := make([]byte, 1024)
+	rand.New(rand.NewSource(1)).Read(value)
+	if err := c.Set("k", "t", value); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := c.Get("k")
+	if err != nil || !ok || !bytes.Equal(got, value) {
+		t.Fatalf("roundtrip failed: ok=%v err=%v", ok, err)
+	}
+	if st := c.Stats(); st.ResidentCompressedBytes != int64(len(value)) || st.ResidentRawBytes != int64(len(value)) {
+		t.Fatalf("incompressible item not stored raw: %+v", st)
 	}
 }
 

@@ -142,19 +142,6 @@ func NewDegrader(cfg DegraderConfig) (*Degrader, error) {
 // Rung returns the index of the active rung (0 = configured level).
 func (d *Degrader) Rung() int { return d.cur }
 
-// Pressured reports whether the ladder sits below its top rung — the
-// signal the adaptive controller uses to hold config swaps while the
-// degrader owns the serving codec. Same single-goroutine contract as the
-// other methods.
-func (d *Degrader) Pressured() bool { return d.cur > 0 }
-
-// ObserveExternal feeds one compress latency measured outside this
-// Degrader into its pressure tracker. A wrapper that serves from its own
-// engines (the adaptive handle at the top rung) still needs its
-// latencies to count toward degradation, and the degrader's own
-// compresses to count toward recovery; this keeps both on one ladder.
-func (d *Degrader) ObserveExternal(dt time.Duration) { d.observe(dt) }
-
 // Current returns the active rung.
 func (d *Degrader) Current() Rung { return d.ladder[d.cur] }
 

@@ -99,9 +99,10 @@ func OptimalTableLog(h *Histogram, maxLog uint) uint {
 		maxLog = MinTableLog
 	}
 	// Heuristic from FSE: about log2(total)-2, at least enough slots to give
-	// every distinct symbol one state.
+	// every distinct symbol one state. Up to 4 symbols the heuristic is below
+	// MinTableLog (and at 2 the unsigned subtraction would wrap).
 	log := uint(MinTableLog)
-	if h.Total > 1 {
+	if h.Total > 4 {
 		log = uint(mathbits.Len32(uint32(h.Total-1))) - 2
 	}
 	minNeeded := uint(mathbits.Len32(uint32(h.Distinct()))) + 1

@@ -128,9 +128,12 @@ func TestNormalizeProportionality(t *testing.T) {
 }
 
 func TestOptimalTableLogBounds(t *testing.T) {
-	small := Count([]byte("ab"))
-	if log := OptimalTableLog(&small, 12); log < MinTableLog || log > MaxTableLog {
-		t.Fatalf("log out of bounds: %d", log)
+	// Tiny inputs get the smallest table, two symbols included.
+	for _, data := range [][]byte{{1, 2}, {1, 2, 3}, {1, 1, 2, 2}, []byte("ab")} {
+		h := Count(data)
+		if log := OptimalTableLog(&h, 12); log != MinTableLog {
+			t.Fatalf("%v: log %d, want %d", data, log, MinTableLog)
+		}
 	}
 	big := Count(make([]byte, 1<<20))
 	if log := OptimalTableLog(&big, 9); log != 9 {

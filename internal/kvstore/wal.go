@@ -64,9 +64,6 @@ func tableName(id int64) string { return fmt.Sprintf("%06d%s", id, tableSuffix) 
 type Batch struct {
 	ops []batchOp
 	buf []byte // every op's key and value, back to back; kept across Reset
-	// size approximates the encoded payload, for callers packing toward a
-	// target record size.
-	size int
 }
 
 // batchOp is one op: its key is buf[off:off+klen], its value the vlen bytes
@@ -80,14 +77,12 @@ type batchOp struct {
 func (b *Batch) Put(key, value []byte) {
 	b.ops = append(b.ops, batchOp{off: len(b.buf), klen: len(key), vlen: len(value)})
 	b.buf = append(append(b.buf, key...), value...)
-	b.size += len(key) + len(value) + 12
 }
 
 // Delete queues a tombstone for key (copies it).
 func (b *Batch) Delete(key []byte) {
 	b.ops = append(b.ops, batchOp{off: len(b.buf), klen: len(key), del: true})
 	b.buf = append(b.buf, key...)
-	b.size += len(key) + 12
 }
 
 // op returns op i's key and value (nil for a delete), which alias the batch
@@ -104,14 +99,10 @@ func (b *Batch) op(i int) (key, value []byte, del bool) {
 // Len reports the queued op count.
 func (b *Batch) Len() int { return len(b.ops) }
 
-// Size approximates the encoded payload bytes.
-func (b *Batch) Size() int { return b.size }
-
 // Reset empties the batch, retaining capacity.
 func (b *Batch) Reset() {
 	b.ops = b.ops[:0]
 	b.buf = b.buf[:0]
-	b.size = 0
 }
 
 // appendBatchPayload encodes seq plus b's ops onto dst.

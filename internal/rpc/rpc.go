@@ -53,22 +53,20 @@ type Compression struct {
 	Checksum bool
 	// Adaptive routes payloads through a live-reoptimizing controller
 	// instead of the static Codec/Level engine: each RPC method becomes
-	// its own traffic class (AdaptiveClassPrefix + method) whose config
+	// its own traffic class ("rpc:" + method) whose config
 	// the controller retunes from reservoir samples. Frames are
 	// self-describing, so both connection ends must use the same
 	// controller (in-process) or controllers sharing dictionary state.
 	// Codec and Level are ignored when set; MinSize still applies.
 	Adaptive *adaptive.Controller
-	// AdaptiveClassPrefix namespaces per-method classes (default "rpc:").
-	AdaptiveClassPrefix string
 }
+
+// adaptiveClassPrefix namespaces the per-method adaptive classes.
+const adaptiveClassPrefix = "rpc:"
 
 func (c *Compression) fill() {
 	if c.MinSize == 0 {
 		c.MinSize = 256
-	}
-	if c.AdaptiveClassPrefix == "" {
-		c.AdaptiveClassPrefix = "rpc:"
 	}
 }
 
@@ -240,10 +238,9 @@ const (
 type transport struct {
 	r       *bufio.Reader
 	w       *bufio.Writer
-	eng     codec.Engine         // nil = no compression
-	pool    *codec.Pool          // where eng came from, for release()
-	actrl   *adaptive.Controller // non-nil = per-method adaptive compression
-	aprefix string
+	eng     codec.Engine                // nil = no compression
+	pool    *codec.Pool                 // where eng came from, for release()
+	actrl   *adaptive.Controller        // non-nil = per-method adaptive compression
 	ahnd    map[string]*adaptive.Handle // method → class handle cache
 	min     int
 	owned   bool
@@ -285,7 +282,6 @@ func newTransport(conn io.ReadWriter, comp Compression, tracer *trace.Tracer) (*
 	}
 	if comp.Adaptive != nil {
 		t.actrl = comp.Adaptive
-		t.aprefix = comp.AdaptiveClassPrefix
 		t.ahnd = make(map[string]*adaptive.Handle, 4)
 		return t, nil
 	}
@@ -333,8 +329,7 @@ func (t *transport) adaptiveHandle(method []byte) (*adaptive.Handle, error) {
 	if h, ok := t.ahnd[string(method)]; ok {
 		return h, nil
 	}
-	class := t.aprefix + string(method)
-	h, err := t.actrl.Handle(class)
+	h, err := t.actrl.Handle(adaptiveClassPrefix + string(method))
 	if err != nil {
 		return nil, err
 	}
