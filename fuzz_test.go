@@ -272,10 +272,10 @@ func FuzzORCDecodeStripe(f *testing.F) {
 	})
 }
 
-// FuzzContainer drives arbitrary bytes through both container read
-// surfaces. Seeds are real containers (several codecs and block sizes)
-// plus mutations; the invariant is error-not-panic, and every successful
-// ReaderAt open must serve DecodeBlock/ReadAt without panicking either.
+// FuzzContainer drives arbitrary bytes through the container reader. Seeds
+// are real containers (several codecs and block sizes) plus mutations; the
+// invariant is error-not-panic, and every successful ReaderAt open must
+// serve DecodeBlock/ReadAt without panicking either.
 func FuzzContainer(f *testing.F) {
 	for i, cfg := range []container.Config{
 		{Codec: "zstd", Level: 1, BlockSize: 1 << 10, Workers: 1},
@@ -302,12 +302,6 @@ func FuzzContainer(f *testing.F) {
 	f.Add([]byte("ZSXS"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Streaming surface.
-		if r, err := container.NewReader(bytes.NewReader(data), container.WithWorkers(2)); err == nil {
-			_, _ = io.Copy(io.Discard, io.LimitReader(r, 1<<22))
-			r.Close()
-		}
-		// Random-access surface.
 		ra, err := container.NewReaderAt(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return

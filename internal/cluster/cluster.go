@@ -65,7 +65,6 @@ type Option func(*clusterConfig)
 
 type clusterConfig struct {
 	replication    int
-	vnodes         int
 	clientsPerNode int
 	comp           rpc.Compression
 	nodeOpts       []NodeOption
@@ -76,10 +75,6 @@ type clusterConfig struct {
 // quorums are both majorities of N, so a read always intersects the last
 // acknowledged write.
 func WithReplication(n int) Option { return func(c *clusterConfig) { c.replication = n } }
-
-// WithVirtualNodes sets the ring's virtual nodes per physical node
-// (default 64).
-func WithVirtualNodes(n int) Option { return func(c *clusterConfig) { c.vnodes = n } }
 
 // WithClientsPerNode sets how many idle rpc clients are kept per node
 // (default 2). An operation holds one client per owner while its calls are
@@ -146,7 +141,7 @@ func New(opts ...Option) *Cluster {
 	cm()
 	return &Cluster{
 		cfg:     cfg,
-		ring:    NewRing(cfg.vnodes),
+		ring:    NewRing(0),
 		nodes:   make(map[string]*Node),
 		clients: make(map[string]*clientPool),
 	}

@@ -293,7 +293,6 @@ const (
 var (
 	errChecksumHeader   = &corruptError{err: errors.New("codec: missing or malformed checksum header")}
 	errChecksumMismatch = &corruptError{err: errors.New("codec: content checksum mismatch")}
-	errBlockFrame       = errors.New("codec: corrupt block frame")
 )
 
 // checksummed frames an inner engine's payloads with an XXH64 content
@@ -342,11 +341,6 @@ type passthrough struct{}
 func (passthrough) Compress(dst, src []byte) ([]byte, error)   { return append(dst, src...), nil }
 func (passthrough) Decompress(dst, src []byte) ([]byte, error) { return append(dst, src...), nil }
 
-// Passthrough returns an engine that copies content unmodified. It is not
-// in the registry — it exists for degradation ladders and tests, not as a
-// measurable codec.
-func Passthrough() Engine { return passthrough{} }
-
 // NewEngine looks up a codec by name and builds an engine from functional
 // options — the construction surface for everything outside this package:
 //
@@ -394,56 +388,6 @@ func SplitBlocks(data []byte, blockSize int) [][]byte {
 		blocks = append(blocks, data[start:end])
 	}
 	return blocks
-}
-
-// CompressBlocks compresses data block-by-block into one framed buffer:
-// a uvarint block count, then per block a uvarint length + payload.
-func CompressBlocks(eng Engine, data []byte, blockSize int) ([]byte, error) {
-	blocks := SplitBlocks(data, blockSize)
-	var out []byte
-	var tmp [binary.MaxVarintLen64]byte
-	out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(len(blocks)))]...)
-	var scratch []byte
-	for _, b := range blocks {
-		var err error
-		scratch, err = eng.Compress(scratch[:0], b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(len(scratch)))]...)
-		out = append(out, scratch...)
-	}
-	return out, nil
-}
-
-// DecompressBlocks reverses CompressBlocks.
-func DecompressBlocks(eng Engine, framed []byte) ([]byte, error) {
-	count, n := binary.Uvarint(framed)
-	if n <= 0 || count > 1<<28 {
-		return nil, corrupt(errBlockFrame)
-	}
-	pos := n
-	var out []byte
-	for i := uint64(0); i < count; i++ {
-		sz, k := binary.Uvarint(framed[pos:])
-		// Bound sz before converting to int: on 32-bit platforms a hostile
-		// 64-bit length would truncate (possibly negative) and slip past the
-		// span check below.
-		if k <= 0 || sz > uint64(len(framed)) || pos+k+int(sz) > len(framed) {
-			return nil, corrupt(errBlockFrame)
-		}
-		pos += k
-		var err error
-		out, err = eng.Decompress(out, framed[pos:pos+int(sz)])
-		if err != nil {
-			return nil, err
-		}
-		pos += int(sz)
-	}
-	if pos != len(framed) {
-		return nil, corrupt(errBlockFrame)
-	}
-	return out, nil
 }
 
 // Metrics aggregates a measurement run into the paper's three compression

@@ -2,8 +2,6 @@ package codec
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -114,78 +112,6 @@ func TestSplitBlocks(t *testing.T) {
 	}
 }
 
-func TestCompressDecompressBlocks(t *testing.T) {
-	data := compressible(7, 100000)
-	for _, name := range Names() {
-		c, _ := Lookup(name)
-		_, _, def := c.Levels()
-		eng, err := c.New(Options{Level: def})
-		if err != nil {
-			t.Fatal(err)
-		}
-		framed, err := CompressBlocks(eng, data, 4096)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		back, err := DecompressBlocks(eng, framed)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(back, data) {
-			t.Fatalf("%s: block roundtrip mismatch", name)
-		}
-	}
-}
-
-func TestDecompressBlocksCorrupt(t *testing.T) {
-	eng, err := NewEngine("lz4", WithLevel(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	framed, err := CompressBlocks(eng, compressible(9, 5000), 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecompressBlocks(eng, framed[:len(framed)/2]); err == nil {
-		t.Error("truncated frame decoded")
-	}
-	if _, err := DecompressBlocks(eng, nil); err == nil {
-		t.Error("empty frame decoded")
-	}
-}
-
-// TestDecompressBlocksHostileHeaders drives hostile block-frame headers
-// through DecompressBlocks: every one fails with ErrCorrupt, before any
-// allocation its declared sizes would ask for.
-func TestDecompressBlocksHostileHeaders(t *testing.T) {
-	eng, err := NewEngine("zstd", WithLevel(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := CompressBlocks(eng, compressible(6, 100<<10), 32<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string][]byte{
-		// The block count claims 2^30 blocks.
-		"huge-count": binary.AppendUvarint(nil, 1<<30),
-		// The first block declares a 2^62-byte payload: past int32, so it
-		// must be rejected before the int conversion.
-		"overflow-length": append(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1<<62), 0xde, 0xad),
-		// The declared length runs past the frame's end.
-		"length-past-end": append(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1000), 1, 2, 3),
-		// Garbage after the declared blocks.
-		"trailing-bytes": append(append([]byte{}, good...), 0xff),
-	}
-	for name, frame := range cases {
-		t.Run(name, func(t *testing.T) {
-			if _, err := DecompressBlocks(eng, frame); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("err = %v, want ErrCorrupt", err)
-			}
-		})
-	}
-}
-
 func TestMeasure(t *testing.T) {
 	eng, err := NewEngine("zstd", WithLevel(1))
 	if err != nil {
@@ -256,12 +182,19 @@ func TestQuickBlockRoundtrip(t *testing.T) {
 		}
 		data := compressible(seed, int(size)%20000)
 		bs := []int{0, 64, 1024, 4096}[int(bsSel)%4]
-		framed, err := CompressBlocks(eng, data, bs)
-		if err != nil {
-			return false
+		// Each block round-trips on its own through the one engine, and the
+		// decoded blocks rejoin to the input.
+		var back, comp []byte
+		for _, b := range SplitBlocks(data, bs) {
+			if comp, err = eng.Compress(comp[:0], b); err != nil {
+				return false
+			}
+			base := len(back)
+			if back, err = eng.Decompress(back, comp); err != nil || !bytes.Equal(back[base:], b) {
+				return false
+			}
 		}
-		back, err := DecompressBlocks(eng, framed)
-		return err == nil && bytes.Equal(back, data)
+		return bytes.Equal(back, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

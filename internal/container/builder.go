@@ -12,8 +12,10 @@ import (
 // Builder writes a container one caller-delimited block at a time through a
 // single engine — the sequential producer the kvstore table writer and the
 // warehouse stripe writer use, where block boundaries are semantic (key
-// ranges, column chunks) rather than fixed-size. For fixed-size parallel
-// splitting of a stream, use Encode.
+// ranges, column chunks) rather than fixed-size. It is the only writer of
+// the container's header, block headers and footer: Encode, which splits a
+// stream into fixed-size blocks and compresses them in parallel, appends
+// each through a Builder with AppendFrame.
 //
 // A Builder is single-goroutine, like the engine it owns. After a warm-up
 // append, AppendBlock performs no heap allocations beyond index growth;
@@ -89,9 +91,9 @@ func (b *Builder) AppendBlock(raw []byte) error {
 }
 
 // AppendFrame appends an already-encoded block — a payload ReaderAt.ReadFrame
-// returned from a container of this builder's codec, with its index entry —
-// without running the engine. The payload and its checksum are written as
-// they are; ReadFrame verified them.
+// returned from a container of this builder's codec, or one an Encode worker
+// compressed, with its index entry — without running the engine. The
+// payload and its checksum are written as they are; info.Off is ignored.
 func (b *Builder) AppendFrame(frame []byte, info BlockInfo) error {
 	if b.closed {
 		return errors.New("container: append on closed builder")

@@ -1,11 +1,14 @@
-// Package container implements the repository's seekable block container
-// (frame magic "ZSXS"): a stream of independently compressed fixed- or
-// caller-sized blocks followed by a seekable footer index, so readers can
-// either stream the whole object with bounded memory or decode exactly the
-// blocks covering a byte range. This is the structural enabler the paper's
-// block-size study (§V, Fig 5) identifies: datacenter services compress in
-// independent blocks precisely so a point read never pays for the rest of
-// the object.
+// Package container implements the repository's one block format, the
+// seekable block container (frame magic "ZSXS"): independently compressed
+// fixed- or caller-sized blocks followed by a footer index, so a reader
+// decodes exactly the blocks covering a byte range. This is the structural
+// enabler the paper's block-size study (§V, Fig 13) identifies: datacenter
+// services compress in independent blocks precisely so a point read never
+// pays for the rest of the object.
+//
+// Builder writes the framing (Encode drives one from a parallel worker
+// pool), ReaderAt reads it, and the record functions reuse its per-block
+// header for the kvstore's write-ahead log.
 //
 // Layout (DESIGN.md §8):
 //
@@ -19,10 +22,9 @@
 //	          8B LE XXH64(payload)
 //	trailer   8B LE footerLen | "ZSXI"
 //
-// The per-block header is duplicated in the footer so a streaming Reader
-// needs no seeks and a ReaderAt needs only the 12-byte trailer plus the
-// footer to locate any block. Checksums cover the compressed payload, so
-// corruption is detected before any decode work.
+// ReaderAt needs only the 12-byte trailer plus the footer to locate any
+// block. Checksums cover the compressed payload, so corruption is detected
+// before any decode work.
 package container
 
 import (
@@ -69,10 +71,10 @@ var (
 
 // Package telemetry on the shared registry, registered on first use.
 var (
-	tmOnce                       sync.Once
-	tmBlocksEnc, tmBlocksDec     *telemetry.Counter
-	tmEncInflight, tmDecInflight *telemetry.Gauge
-	tmRandomReads                *telemetry.Counter
+	tmOnce                   sync.Once
+	tmBlocksEnc, tmBlocksDec *telemetry.Counter
+	tmEncInflight            *telemetry.Gauge
+	tmRandomReads            *telemetry.Counter
 )
 
 func tm() {
@@ -81,7 +83,6 @@ func tm() {
 		tmBlocksEnc = r.Counter("container_blocks_encoded_total", "container blocks compressed")
 		tmBlocksDec = r.Counter("container_blocks_decoded_total", "container blocks decompressed")
 		tmEncInflight = r.Gauge("container_encode_inflight_workers", "encode workers currently compressing a block")
-		tmDecInflight = r.Gauge("container_decode_inflight_workers", "decode workers currently decompressing a block")
 		tmRandomReads = r.Counter("container_random_reads_total", "ReaderAt.ReadAt range requests served")
 	})
 }
@@ -109,15 +110,13 @@ func (e *corruptError) Unwrap() error { return codec.ErrCorrupt }
 
 // Static corruption errors: the verification hot path allocates nothing.
 var (
-	errBadMagic      = &corruptError{msg: "container: bad header magic"}
-	errBadVersion    = &corruptError{msg: "container: unsupported version"}
-	errBadTrailer    = &corruptError{msg: "container: bad or missing footer trailer"}
-	errBadFooter     = &corruptError{msg: "container: corrupt footer index"}
-	errBadBlockHdr   = &corruptError{msg: "container: corrupt block header"}
-	errBlockTooLarge = &corruptError{msg: "container: declared block size exceeds limit"}
-	errChecksum      = &corruptError{msg: "container: block checksum mismatch"}
-	errRawLen        = &corruptError{msg: "container: block decoded to wrong length"}
-	errTruncated     = &corruptError{msg: "container: truncated payload"}
+	errBadMagic   = &corruptError{msg: "container: bad header magic"}
+	errBadVersion = &corruptError{msg: "container: unsupported version"}
+	errBadTrailer = &corruptError{msg: "container: bad or missing footer trailer"}
+	errBadFooter  = &corruptError{msg: "container: corrupt footer index"}
+	errChecksum   = &corruptError{msg: "container: block checksum mismatch"}
+	errRawLen     = &corruptError{msg: "container: block decoded to wrong length"}
+	errTruncated  = &corruptError{msg: "container: truncated payload"}
 )
 
 // BlockInfo locates and describes one compressed block.
@@ -179,7 +178,8 @@ func parseHeader(b []byte) (codecName string, blockSize int, n int, err error) {
 	return codecName, int(bs), pos, nil
 }
 
-// appendBlockHeader emits the in-stream per-block header.
+// appendBlockHeader emits the per-block header a container block and a log
+// record share.
 func appendBlockHeader(dst []byte, compLen, rawLen int, sum uint64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(compLen))
 	dst = binary.AppendUvarint(dst, uint64(rawLen))

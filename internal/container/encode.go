@@ -52,12 +52,12 @@ type Stats struct {
 }
 
 // encJob carries one block through the pipeline. done is closed once comp,
-// sum, and err are final.
+// info, and err are final.
 type encJob struct {
 	idx  int64 // block index in stream order, for trace attribution
 	raw  []byte
 	comp *[]byte
-	sum  uint64
+	info BlockInfo // CompLen, RawLen and Sum; the Builder places the block
 	err  error
 	done chan struct{}
 }
@@ -78,31 +78,26 @@ func (f *firstError) get() error {
 }
 
 // Encode splits src into cfg.BlockSize blocks, compresses them on a bounded
-// worker pool, and writes the container to dst with blocks in order,
-// streaming: memory is bounded by O(Workers × BlockSize) regardless of
-// input size, the first error
-// (reader, worker, writer, or ctx cancellation) stops the pipeline, and a
-// seekable footer index is appended so the output supports random access.
+// worker pool, and writes the container to dst through a Builder with
+// blocks in order, streaming: memory is bounded by O(Workers × BlockSize)
+// regardless of input size, the first error (reader, worker, writer, or ctx
+// cancellation) stops the pipeline, and the Builder's footer index makes
+// the output seekable.
 func Encode(ctx context.Context, dst io.Writer, src io.Reader, cfg Config) (Stats, error) {
 	cfg.fill()
 	var st Stats
-	if cfg.BlockSize > MaxBlockSize {
-		return st, fmt.Errorf("container: block size %d exceeds MaxBlockSize", cfg.BlockSize)
-	}
 	pool, err := codec.SharedPool(cfg.Codec, codec.Options{Level: defaultedLevel(cfg.Codec, cfg.Level)})
 	if err != nil {
 		return st, fmt.Errorf("container: %w", err)
 	}
-	tm()
-
-	hdr, err := appendHeader(nil, cfg.Codec, cfg.BlockSize)
+	// The Builder frames what the workers compress and never runs its
+	// engine; borrowing one keeps Encode from constructing another.
+	beng := pool.Get()
+	defer pool.Put(beng)
+	bld, err := NewBuilder(dst, cfg.Codec, beng, cfg.BlockSize)
 	if err != nil {
 		return st, err
 	}
-	if _, err := dst.Write(hdr); err != nil {
-		return st, err
-	}
-	off := int64(len(hdr))
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -193,7 +188,7 @@ func Encode(ctx context.Context, dst io.Writer, src io.Reader, cfg Config) (Stat
 				j.comp = bp
 				j.err = err
 				if err == nil {
-					j.sum = xxhash.Sum64(out)
+					j.info = BlockInfo{CompLen: len(out), RawLen: len(j.raw), Sum: xxhash.Sum64(out)}
 					tmBlocksEnc.Inc()
 					sp.SetInt("raw", int64(len(j.raw))).SetInt("comp", int64(len(out)))
 				} else {
@@ -210,32 +205,18 @@ func Encode(ctx context.Context, dst io.Writer, src io.Reader, cfg Config) (Stat
 	// In-order writer: this goroutine. Every job placed in ordered is
 	// awaited and its buffers recycled, error or not, so the pipeline
 	// drains cleanly on failure.
-	var blocks []BlockInfo
-	var hdrScratch [64]byte
 	for j := range ordered {
 		<-j.done
 		if j.err != nil {
 			ferr.set(j.err)
 		} else if ferr.get() == nil {
-			comp := *j.comp
-			bh := appendBlockHeader(hdrScratch[:0], len(comp), len(j.raw), j.sum)
-			if _, err := dst.Write(bh); err != nil {
-				ferr.set(err)
-				cancel()
-			} else if _, err := dst.Write(comp); err != nil {
+			if err := bld.AppendFrame(*j.comp, j.info); err != nil {
 				ferr.set(err)
 				cancel()
 			} else {
-				blocks = append(blocks, BlockInfo{
-					Off:     off + int64(len(bh)),
-					CompLen: len(comp),
-					RawLen:  len(j.raw),
-					Sum:     j.sum,
-				})
-				off += int64(len(bh)) + int64(len(comp))
 				st.Blocks++
-				st.RawBytes += int64(len(j.raw))
-				st.CompressedBytes += int64(len(comp))
+				st.RawBytes += int64(j.info.RawLen)
+				st.CompressedBytes += int64(j.info.CompLen)
 			}
 		}
 		rb := j.raw[:cap(j.raw)]
@@ -251,12 +232,9 @@ func Encode(ctx context.Context, dst io.Writer, src io.Reader, cfg Config) (Stat
 	if err := ctx.Err(); err != nil {
 		return st, err
 	}
-
-	tail := append(hdrScratch[:0], 0)
-	tail = appendFooter(tail, blocks)
-	if _, err := dst.Write(tail); err != nil {
+	if err := bld.Close(); err != nil {
 		return st, err
 	}
-	st.WrittenBytes = off + int64(len(tail))
+	st.WrittenBytes = bld.Offset()
 	return st, nil
 }

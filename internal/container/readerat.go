@@ -11,6 +11,21 @@ import (
 	"github.com/datacomp/datacomp/internal/xxhash"
 )
 
+// readerConfig collects NewReaderAt's options.
+type readerConfig struct {
+	eng codec.Engine
+}
+
+// ReaderOption configures NewReaderAt.
+type ReaderOption func(*readerConfig)
+
+// WithEngine supplies the decode engine instead of constructing one from
+// the header's codec name — required when the payloads were compressed
+// with a dictionary, and what the kvstore uses to share its warmed engine.
+func WithEngine(eng codec.Engine) ReaderOption {
+	return func(c *readerConfig) { c.eng = eng }
+}
+
 // ReaderAt serves random-access reads over a complete container: the
 // footer index is parsed once, after which DecodeBlock decompresses exactly
 // one block and ReadAt touches only the blocks covering the requested
@@ -123,9 +138,6 @@ func (r *ReaderAt) BlockSize() int { return r.blockSize }
 
 // Block returns the index entry for block i.
 func (r *ReaderAt) Block(i int) BlockInfo { return r.blocks[i] }
-
-// BlockRawOffset reports the uncompressed offset where block i starts.
-func (r *ReaderAt) BlockRawOffset(i int) int64 { return r.rawOff[i] }
 
 // DecodeBlock appends the decoded content of block i to dst, reading and
 // decompressing exactly that block. The payload checksum is verified

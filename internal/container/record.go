@@ -59,19 +59,21 @@ func RecordBounds(b []byte) (int, error) {
 	if len(b) == 0 {
 		return 0, io.EOF
 	}
+	// A varint still unterminated after MaxVarintLen64 bytes has
+	// overflowed: that is garbage, not a tail cut inside the header.
 	compLen, k := binary.Uvarint(b)
-	if k == 0 {
+	if k == 0 && len(b) < binary.MaxVarintLen64 {
 		return 0, ErrTruncatedRecord
 	}
-	if k < 0 || compLen == 0 || compLen > maxCompBlock {
+	if k <= 0 || compLen == 0 || compLen > maxCompBlock {
 		return 0, errRecordHdr
 	}
 	pos := k
 	rawLen, k := binary.Uvarint(b[pos:])
-	if k == 0 {
+	if k == 0 && len(b)-pos < binary.MaxVarintLen64 {
 		return 0, ErrTruncatedRecord
 	}
-	if k < 0 || rawLen == 0 || rawLen > MaxBlockSize {
+	if k <= 0 || rawLen == 0 || rawLen > MaxBlockSize {
 		return 0, errRecordHdr
 	}
 	pos += k

@@ -2,11 +2,14 @@ package container
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 
 	"github.com/datacomp/datacomp/internal/codec"
+	"github.com/datacomp/datacomp/internal/corpus"
 )
 
 func recordEngine(t *testing.T) codec.Engine {
@@ -106,5 +109,81 @@ func TestRecordScratchReuse(t *testing.T) {
 	}
 	if !bytes.Equal(log1, log2) {
 		t.Fatal("scratch reuse changed the framed bytes")
+	}
+}
+
+// replay walks a log with DecodeRecord, as WAL replay does, and reports the
+// first error other than the clean end of the log.
+func replay(eng codec.Engine, log []byte) error {
+	for {
+		_, n, err := DecodeRecord(nil, eng, log)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		log = log[n:]
+	}
+}
+
+// TestHostileBlockLengths drives hostile and truncated block headers through
+// the record parser: implausible lengths are codec.ErrCorrupt, a plausible
+// header with too little behind it is ErrTruncatedRecord, and none is
+// trusted before the bytes it declares are there.
+func TestHostileBlockLengths(t *testing.T) {
+	eng := recordEngine(t)
+	var good []byte
+	for _, p := range [][]byte{corpus.LogLines(1, 8<<10), corpus.LogLines(2, 8<<10)} {
+		var err error
+		if good, _, err = AppendRecord(good, nil, eng, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := RecordBounds(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]struct {
+		log  []byte
+		want error
+	}{
+		// A declared compressed block past the limit.
+		"over-limit": {binary.AppendUvarint(nil, maxCompBlock+1), codec.ErrCorrupt},
+		// A 10-byte varint encoding a value past 2^64.
+		"varint-overflow": {[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, codec.ErrCorrupt},
+		// 2^62 bytes: negative if truncated to a 32-bit int.
+		"int-overflow": {binary.AppendUvarint(nil, 1<<62), codec.ErrCorrupt},
+		// An in-range declared length with almost nothing behind it.
+		"truncated-body": {append(binary.AppendUvarint(binary.AppendUvarint(nil, 16<<20), 16<<20), make([]byte, 8+3)...), ErrTruncatedRecord},
+		// A valid log cut inside its second record.
+		"truncated-stream": {good[:first+(len(good)-first)/2], ErrTruncatedRecord},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			if err := replay(eng, tc.log); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestTruncatedBlockAllocBounded: a record declaring the largest compressed
+// size the parser accepts, backed by a few bytes, must not allocate that
+// size.
+func TestTruncatedBlockAllocBounded(t *testing.T) {
+	hostile := binary.AppendUvarint(nil, maxCompBlock)
+	hostile = binary.AppendUvarint(hostile, MaxBlockSize)
+	hostile = append(hostile, make([]byte, 8+64)...)
+	eng := recordEngine(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := replay(eng, hostile); !errors.Is(err, ErrTruncatedRecord) {
+		t.Fatalf("err = %v, want ErrTruncatedRecord", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Fatalf("a truncated %d-byte record claim allocated %d bytes, want ≤ 8 MiB", maxCompBlock, grew)
 	}
 }

@@ -8,6 +8,8 @@
 // a reverse bit stream. Payloads are self-describing: a one-byte table log
 // followed by the bit-packed normalized counts, then the tANS bit stream.
 //
+// The tables are built from a byte Histogram whose counts Normalize scales
+// to a power-of-two total, every present symbol keeping a nonzero slot.
 // Tables support in-place reinitialization (EncTable.Init, DecTable.Init)
 // and the Scratch type threads them plus the bit-stream state across blocks,
 // so a warmed steady-state encoder or decoder performs zero heap
@@ -20,7 +22,6 @@ import (
 	mathbits "math/bits"
 
 	"github.com/datacomp/datacomp/internal/bits"
-	"github.com/datacomp/datacomp/internal/hist"
 )
 
 // ErrIncompressible is returned by Compress when FSE coding does not shrink
@@ -71,7 +72,7 @@ type EncTable struct {
 // whole table to one symbol is rejected: callers should use RLE for
 // single-symbol data. The table keeps a reference to norm.
 func (t *EncTable) Init(norm []uint16, tableLog uint) error {
-	if tableLog < hist.MinTableLog || tableLog > hist.MaxTableLog {
+	if tableLog < MinTableLog || tableLog > MaxTableLog {
 		return fmt.Errorf("fse: table log %d out of range", tableLog)
 	}
 	tableSize := uint32(1) << tableLog
@@ -203,7 +204,7 @@ type DecTable struct {
 // Init (re)builds the decoding table in place from normalized counts,
 // reusing all internal storage.
 func (d *DecTable) Init(norm []uint16, tableLog uint) error {
-	if tableLog < hist.MinTableLog || tableLog > hist.MaxTableLog {
+	if tableLog < MinTableLog || tableLog > MaxTableLog {
 		return fmt.Errorf("fse: table log %d out of range", tableLog)
 	}
 	tableSize := uint32(1) << tableLog
@@ -500,7 +501,7 @@ func readNormHeaderInto(scratch []uint16, src []byte) (norm []uint16, tableLog u
 		return nil, 0, 0, ErrCorrupt
 	}
 	tableLog = uint(src[0])
-	if tableLog < hist.MinTableLog || tableLog > hist.MaxTableLog {
+	if tableLog < MinTableLog || tableLog > MaxTableLog {
 		return nil, 0, 0, ErrCorrupt
 	}
 	norm = scratch[:0]
@@ -544,11 +545,11 @@ func (s *Scratch) Compress(dst, syms []byte, maxTableLog uint) ([]byte, error) {
 	if len(syms) < 2 {
 		return nil, ErrIncompressible
 	}
-	h := hist.Count(syms)
+	h := Count(syms)
 	if h.IsSingleSymbol() {
 		return nil, ErrIncompressible
 	}
-	tableLog := hist.OptimalTableLog(&h, maxTableLog)
+	tableLog := OptimalTableLog(&h, maxTableLog)
 	norm, err := h.NormalizeInto(s.norm, tableLog)
 	if err != nil {
 		return nil, err
@@ -630,14 +631,14 @@ func (s *Scratch) MinSize(syms []byte, maxTableLog uint) int {
 	if len(syms) < 2 {
 		return 0
 	}
-	h := hist.Count(syms)
+	h := Count(syms)
 	if h.IsSingleSymbol() {
 		return 0
 	}
 	// Each count up to the last present symbol takes Len(remaining) bits:
 	// tableLog+1 for the first, and for the others at least the length of
 	// the number of present symbols from there on.
-	hdrBits := int(hist.OptimalTableLog(&h, maxTableLog)) + 1
+	hdrBits := int(OptimalTableLog(&h, maxTableLog)) + 1
 	left := h.Distinct()
 	for sym := 0; sym < h.MaxSymbol; sym++ {
 		if h.Counts[sym] > 0 {
@@ -656,11 +657,11 @@ func (s *Scratch) Compress2(dst, syms []byte, maxTableLog uint) ([]byte, error) 
 	if len(syms) < 2 {
 		return nil, ErrIncompressible
 	}
-	h := hist.Count(syms)
+	h := Count(syms)
 	if h.IsSingleSymbol() {
 		return nil, ErrIncompressible
 	}
-	tableLog := hist.OptimalTableLog(&h, maxTableLog)
+	tableLog := OptimalTableLog(&h, maxTableLog)
 	norm, err := h.NormalizeInto(s.norm, tableLog)
 	if err != nil {
 		return nil, err

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"github.com/datacomp/datacomp/internal/hist"
 )
 
 // TestCompress2Roundtrip sweeps the interleaved 2-state coder across every
@@ -72,7 +70,7 @@ func TestCompressWithTable(t *testing.T) {
 	for i := range train {
 		train[i] = byte(rng.Intn(6) * rng.Intn(3))
 	}
-	h := hist.Count(train)
+	h := Count(train)
 	norm, err := h.Normalize(9)
 	if err != nil {
 		t.Fatal(err)

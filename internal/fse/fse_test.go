@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"github.com/datacomp/datacomp/internal/bits"
-	"github.com/datacomp/datacomp/internal/hist"
 )
 
 func skewed(seed int64, n, alpha int) []byte {
@@ -50,7 +49,7 @@ func TestCompressShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := hist.Count(src)
+	h := Count(src)
 	ideal := int(h.EstimateCompressedBits()/8) + 1
 	if len(out) > ideal+ideal/10+64 {
 		t.Fatalf("FSE output %d far above entropy ideal %d", len(out), ideal)
@@ -83,8 +82,8 @@ func TestSharedTableEncodeDecode(t *testing.T) {
 	// Sequence-coding usage: table built once from one distribution,
 	// reused for a different message drawn from the same alphabet.
 	train := skewed(1, 4096, 16)
-	h := hist.Count(train)
-	tableLog := hist.OptimalTableLog(&h, 9)
+	h := Count(train)
+	tableLog := OptimalTableLog(&h, 9)
 	norm, err := h.Normalize(tableLog)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +119,7 @@ func TestSharedTableEncodeDecode(t *testing.T) {
 
 func TestEncodeWithUnknownSymbol(t *testing.T) {
 	train := skewed(1, 4096, 8)
-	h := hist.Count(train)
+	h := Count(train)
 	norm, err := h.Normalize(8)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +171,7 @@ func TestDecompressCorrupt(t *testing.T) {
 
 func TestNormHeaderRoundtrip(t *testing.T) {
 	src := skewed(5, 3000, 25)
-	h := hist.Count(src)
+	h := Count(src)
 	for _, log := range []uint{5, 7, 9, 11, 12} {
 		norm, err := h.Normalize(log)
 		if err != nil {
@@ -203,7 +202,7 @@ func TestQuickRoundtrip(t *testing.T) {
 		n := int(size)%16384 + 2
 		alpha := int(alphaSel)%40 + 2
 		src := skewed(seed, n, alpha)
-		maxLog := uint(logSel)%(hist.MaxTableLog-hist.MinTableLog+1) + hist.MinTableLog
+		maxLog := uint(logSel)%(MaxTableLog-MinTableLog+1) + MinTableLog
 		out, err := Compress(nil, src, maxLog)
 		if err == ErrIncompressible {
 			return true

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/datacomp/datacomp/internal/fse"
-	"github.com/datacomp/datacomp/internal/hist"
 	"github.com/datacomp/datacomp/internal/huffman"
 )
 
@@ -77,7 +76,7 @@ func TrainTables(opts Options, samples [][]byte) ([]byte, error) {
 		return nil, err
 	}
 	var lits [256]uint32
-	var codes [3]hist.Histogram
+	var codes [3]fse.Histogram
 	for _, s := range samples {
 		e.work = append(append(e.work[:0], e.content...), s...)
 		for start := len(e.content); start < len(e.work); start += MaxBlockSize {
