@@ -290,19 +290,17 @@ func measureGraph() ([]Entry, bool) {
 
 // measureSmallPayloads prices the paper's dominant workload — cache-item-
 // sized payloads of a few hundred bytes to a few KiB — where dispatch
-// overhead rivals the codec work. Three row families per (codec, size):
+// overhead rivals the codec work. Two row families per (codec, size):
 // plain compress/decompress rows reuse one warmed pooled engine and a
-// recycled output buffer (the best unbatched steady state; part of the
-// zero-alloc gate), "-percall" rows pay the full one-shot dispatch a
-// batchless caller pays per item (registry lookup, engine construction,
-// cold scratch, an escaping output buffer), and "-batch" rows push the same
-// items through Pool.CompressBatch/DecompressBatch with a warmed Batch (one
-// engine borrow per batch, reused output slots — also zero-alloc-gated).
-// The rows of one configuration are sampled interleaved, best-of-N, so the
-// batch-vs-percall comparison is two best rounds of the same noise
-// environment rather than whichever mode ran during a quiet slice.
+// recycled output buffer (the steady state; part of the zero-alloc gate),
+// and "-percall" rows pay the full one-shot dispatch a caller without a
+// pool pays per item (registry lookup, engine construction, cold scratch,
+// an escaping output buffer). The rows of one configuration are sampled
+// interleaved, best-of-N, so the pooled-vs-percall comparison is best
+// rounds of the same noise environment rather than whichever mode ran
+// during a quiet slice.
 func measureSmallPayloads() ([]Entry, bool) {
-	const batchN = 64
+	const items = 64
 	sizes := []struct {
 		name  string
 		bytes int
@@ -324,26 +322,23 @@ func measureSmallPayloads() ([]Entry, bool) {
 	}
 	for _, cfg := range smallCfgs {
 		for _, sz := range sizes {
-			srcs := make([][]byte, batchN)
-			rawTotal := 0
-			for i := range srcs {
-				srcs[i] = corpus.Records(int64(31*i+7), sz.bytes)
-				rawTotal += len(srcs[i])
-			}
 			pool, err := codec.NewPool(cfg.codec, codec.Options{Level: cfg.level, Checksum: true})
 			if err != nil {
 				fatal("%s L%d: %v", cfg.codec, cfg.level, err)
 			}
-			var cb, db codec.Batch
-			if pool.CompressBatch(&cb, srcs) != 0 {
-				fatal("%s %s: %v", cfg.codec, sz.name, cb.FirstErr())
+			srcs := make([][]byte, items)
+			comps := make([][]byte, items)
+			rawTotal, compTotal := 0, 0
+			e := pool.Get()
+			for i := range srcs {
+				srcs[i] = corpus.Records(int64(31*i+7), sz.bytes)
+				if comps[i], err = e.Compress(nil, srcs[i]); err != nil {
+					fatal("%s %s: %v", cfg.codec, sz.name, err)
+				}
+				rawTotal += len(srcs[i])
+				compTotal += len(comps[i])
 			}
-			comps := make([][]byte, batchN)
-			compTotal := 0
-			for i, c := range cb.Out {
-				comps[i] = append([]byte{}, c...)
-				compTotal += len(c)
-			}
+			pool.Put(e)
 			ratio := float64(rawTotal) / float64(compTotal)
 
 			var benchErr error
@@ -420,32 +415,6 @@ func measureSmallPayloads() ([]Entry, bool) {
 							if _, benchErr = e.Decompress(nil, c); benchErr != nil {
 								return
 							}
-						}
-					}
-				}},
-				{"compress-batch", 3, true, func(b *testing.B) {
-					b.SetBytes(int64(rawTotal))
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if pool.CompressBatch(&cb, srcs) != 0 {
-							benchErr = cb.FirstErr()
-							return
-						}
-					}
-				}},
-				{"decompress-batch", 3, true, func(b *testing.B) {
-					if pool.DecompressBatch(&db, comps) != 0 {
-						benchErr = db.FirstErr()
-						return
-					}
-					b.SetBytes(int64(rawTotal))
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if pool.DecompressBatch(&db, comps) != 0 {
-							benchErr = db.FirstErr()
-							return
 						}
 					}
 				}},

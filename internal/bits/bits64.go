@@ -1,3 +1,23 @@
+// Package bits provides the bit-oriented I/O every entropy coder in this
+// repository writes and reads its streams through.
+//
+// All streams are little-endian and LSB-first: the first bit written is the
+// least-significant bit of the first byte. Two readers are provided:
+//
+//   - Reader64 consumes bits in the order they were written (the
+//     DEFLATE-style codec, the Huffman streams, the FSE table headers and
+//     zstd's sequence extra bits).
+//   - ReverseReader64 consumes bits in the opposite order of writing (the
+//     FSE streams, which tANS encodes back-to-front). Such a stream must be
+//     terminated with Writer64.FlushMarker, which appends a single 1-bit so
+//     the reader can locate the exact end of the payload in the final byte.
+//
+// The types follow the zstd BIT_DStream design: the reader keeps an 8-byte
+// window of the stream in a register, a peek/consume split lets
+// table-driven decoders look up symbols without per-bit branches, and a
+// single Refill call per loop iteration reloads the window with one
+// bounds-checked 8-byte load (scalar tail at the stream edges). Between two
+// Refill calls a caller may consume at most 56 bits.
 package bits
 
 import (
@@ -6,22 +26,11 @@ import (
 	"math/bits"
 )
 
-// This file holds the branch-reduced 64-bit bit-I/O used by the multi-stream
-// entropy decoders. The byte-stream format is identical to Writer/Reader/
-// ReverseReader (LSB-first, little-endian, marker-terminated for reverse
-// streams); only the access pattern differs. The structs here follow the
-// zstd BIT_DStream design: the reader keeps an 8-byte window of the stream
-// in a register, a peek/consume split lets table-driven decoders look up
-// symbols without per-bit branches, and a single Refill call per loop
-// iteration reloads the window with one bounds-checked 8-byte load
-// (scalar tail at the stream edges). Between two Refill calls a caller may
-// consume at most 56 bits.
-
-// Writer64 accumulates bits LSB-first like Writer, but buffers up to 64
-// bits in a register and dumps whole words with a single 8-byte store, so
-// the encode inner loop carries no per-byte branches. The zero value is
-// ready to use; ResetBuf lets the caller supply the output slice so
-// streams can be emitted directly into a frame under construction.
+// Writer64 accumulates bits LSB-first, buffering up to 64 bits in a
+// register and dumping whole words with a single 8-byte store, so the
+// encode inner loop carries no per-byte branches. The zero value is ready
+// to use; ResetBuf lets the caller supply the output slice so streams can
+// be emitted directly into a frame under construction.
 type Writer64 struct {
 	buf  []byte
 	acc  uint64
@@ -105,8 +114,8 @@ func (w *Writer64) FlushMarker() []byte {
 //	}
 //	if r.Overrun() { corrupt }
 //
-// Peeking past the end of the stream yields zero bits (like Reader.Peek);
-// Overrun reports whether consumption went past the end.
+// Peeking past the end of the stream yields zero bits; Overrun reports
+// whether consumption went past the end.
 type Reader64 struct {
 	data     []byte
 	ptr      int    // start of the 8-byte window loaded in acc
@@ -218,8 +227,8 @@ func (r *ReverseReader64) Init(data []byte) error {
 
 // ReadBits reads the next n bits (n ≤ 56 since the last Refill) in
 // reverse write order, with no per-read branches. Reading past the start
-// of the stream yields zero bits on the low side, exactly like
-// ReverseReader; check Overrun once when decoding completes.
+// of the stream yields zero bits on the low side; check Overrun once when
+// decoding completes.
 func (r *ReverseReader64) ReadBits(n uint) uint64 {
 	v := (r.acc << r.consumed) >> (64 - n)
 	r.consumed += n

@@ -37,14 +37,14 @@ func TestWriter64ReaderRoundtrip(t *testing.T) {
 func TestWriter64MatchesWriter(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		old := NewWriter(64)
+		var old oracle
 		var w64 Writer64
 		w64.ResetBuf(nil)
 		nbits := uint(0)
 		for i := 0; i < 200; i++ {
 			n := uint(rng.Intn(24) + 1)
 			v := rng.Uint64()
-			old.WriteBits(v, n)
+			old.write(v, n)
 			if nbits+n > 64 {
 				w64.Carry()
 				nbits = uint(w64.BitsWritten()) & 7
@@ -52,8 +52,8 @@ func TestWriter64MatchesWriter(t *testing.T) {
 			w64.Add(v, n)
 			nbits += n
 		}
-		if !bytes.Equal(old.Flush(), w64.Flush()) {
-			t.Fatalf("trial %d: Writer64 stream differs from Writer", trial)
+		if !bytes.Equal(old.buf, w64.Flush()) {
+			t.Fatalf("trial %d: Writer64 stream differs from the bit-at-a-time oracle", trial)
 		}
 	}
 }
@@ -148,39 +148,38 @@ func TestReverseReader64Errors(t *testing.T) {
 }
 
 // TestReverseReader64MatchesReverseReader writes a marker-terminated
-// stream and decodes it with both reverse readers, including short (<8
-// byte) streams and reads that drain past the start.
+// stream and decodes it with ReverseReader64 and the bit-at-a-time oracle,
+// including short (<8 byte) streams and reads that drain past the start.
 func TestReverseReader64MatchesReverseReader(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 200; trial++ {
 		var vals []uint64
 		var widths []uint
-		w := NewWriter(64)
+		var old oracle
 		count := rng.Intn(40) + 1
 		for i := 0; i < count; i++ {
 			n := uint(rng.Intn(16) + 1)
 			v := rng.Uint64() & (1<<n - 1)
 			vals = append(vals, v)
 			widths = append(widths, n)
-			w.WriteBits(v, n)
+			old.write(v, n)
 		}
-		data := w.FlushMarker()
+		pos := old.nbits // the oracle reads back from the end of the payload
+		old.write(1, 1)
+		data := old.buf
 
-		old, err := NewReverseReader(data)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
 		var r64 ReverseReader64
 		if err := r64.Init(data); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if old.BitsRemaining() != r64.BitsRemaining() {
-			t.Fatalf("trial %d: BitsRemaining %d vs %d", trial, old.BitsRemaining(), r64.BitsRemaining())
+		if pos != r64.BitsRemaining() {
+			t.Fatalf("trial %d: BitsRemaining %d vs %d", trial, pos, r64.BitsRemaining())
 		}
 		// Reverse readers return values in reverse write order.
 		for i := len(vals) - 1; i >= 0; i-- {
 			r64.Refill()
-			want := old.ReadBits(widths[i])
+			pos -= int(widths[i])
+			want := old.read(pos, widths[i])
 			if got := r64.ReadBits(widths[i]); got != want {
 				t.Fatalf("trial %d field %d: got %#x want %#x (orig %#x)", trial, i, got, want, vals[i])
 			}
@@ -188,10 +187,10 @@ func TestReverseReader64MatchesReverseReader(t *testing.T) {
 		if !r64.Finished() || r64.Overrun() {
 			t.Fatalf("trial %d: Finished=%v Overrun=%v after exact drain", trial, r64.Finished(), r64.Overrun())
 		}
-		// Draining past the start zero-fills and flags overrun, matching
-		// the byte-at-a-time reader.
+		// Draining past the start zero-fills from the low side and flags
+		// overrun.
 		r64.Refill()
-		if got, want := r64.ReadBits(13), old.ReadBits(13); got != want {
+		if got, want := r64.ReadBits(13), old.read(pos-13, 13); got != want {
 			t.Fatalf("trial %d: past-start read %#x vs %#x", trial, got, want)
 		}
 		if !r64.Overrun() {
@@ -200,29 +199,27 @@ func TestReverseReader64MatchesReverseReader(t *testing.T) {
 	}
 }
 
-// TestReader64MatchesReader cross-checks the forward readers on random
-// streams, mixing widths so refills land at every byte phase.
+// TestReader64MatchesReader cross-checks Reader64 against the bit-at-a-time
+// oracle on random streams, mixing widths so refills land at every byte
+// phase.
 func TestReader64MatchesReader(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 200; trial++ {
-		w := NewWriter(64)
+		var old oracle
 		var widths []uint
 		count := rng.Intn(60) + 1
 		for i := 0; i < count; i++ {
 			n := uint(rng.Intn(20) + 1)
-			w.WriteBits(rng.Uint64(), n)
+			old.write(rng.Uint64(), n)
 			widths = append(widths, n)
 		}
-		data := w.Flush()
-		old := NewReader(data)
 		var r64 Reader64
-		r64.Init(data)
+		r64.Init(old.buf)
+		pos := 0
 		for i, n := range widths {
 			r64.Refill()
-			want, err := old.ReadBits(n)
-			if err != nil {
-				t.Fatalf("trial %d: old reader: %v", trial, err)
-			}
+			want := old.read(pos, n)
+			pos += int(n)
 			if got := r64.ReadBits(n); got != want {
 				t.Fatalf("trial %d field %d: got %#x want %#x", trial, i, got, want)
 			}

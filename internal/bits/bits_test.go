@@ -6,87 +6,38 @@ import (
 	"testing/quick"
 )
 
-func TestWriterReaderRoundtrip(t *testing.T) {
-	w := NewWriter(64)
-	vals := []struct {
-		v uint64
-		n uint
-	}{
-		{0x1, 1}, {0x0, 1}, {0x5, 3}, {0xff, 8}, {0x1234, 16},
-		{0xdeadbeef, 32}, {0x3ffffffffffff, 50}, {0, 0}, {0x7, 3},
-	}
-	for _, x := range vals {
-		w.WriteBits(x.v, x.n)
-	}
-	r := NewReader(w.Flush())
-	for i, x := range vals {
-		got, err := r.ReadBits(x.n)
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
+// oracle is the bit-at-a-time reference the register-based writer and
+// readers are checked against: write appends one bit per step, LSB-first,
+// to a zero-padded byte stream, and read takes one bit per step, reading
+// bits outside the stream as zero.
+type oracle struct {
+	buf   []byte
+	nbits int
+}
+
+func (o *oracle) write(v uint64, n uint) {
+	for i := uint(0); i < n; i++ {
+		if o.nbits&7 == 0 {
+			o.buf = append(o.buf, 0)
 		}
-		want := x.v & ((1 << x.n) - 1)
-		if got != want {
-			t.Fatalf("read %d: got %#x want %#x", i, got, want)
+		o.buf[o.nbits>>3] |= byte(v>>i&1) << (o.nbits & 7)
+		o.nbits++
+	}
+}
+
+// read returns the n bits at bit offset pos, LSB first.
+func (o *oracle) read(pos int, n uint) uint64 {
+	var v uint64
+	for i := 0; i < int(n); i++ {
+		if p := pos + i; p >= 0 && p < len(o.buf)*8 {
+			v |= uint64(o.buf[p>>3]>>(p&7)&1) << i
 		}
 	}
-}
-
-func TestReaderOverrun(t *testing.T) {
-	w := NewWriter(8)
-	w.WriteBits(0x3, 2)
-	r := NewReader(w.Flush())
-	if _, err := r.ReadBits(8); err != nil {
-		t.Fatalf("first byte should be readable (padded): %v", err)
-	}
-	if _, err := r.ReadBits(1); err != ErrOverrun {
-		t.Fatalf("want ErrOverrun, got %v", err)
-	}
-}
-
-func TestPeekSkip(t *testing.T) {
-	w := NewWriter(8)
-	w.WriteBits(0b1011, 4)
-	w.WriteBits(0b0110, 4)
-	r := NewReader(w.Flush())
-	if got := r.Peek(4); got != 0b1011 {
-		t.Fatalf("peek: got %#b", got)
-	}
-	if got := r.Peek(8); got != 0b01101011 {
-		t.Fatalf("peek 8: got %#b", got)
-	}
-	if err := r.Skip(4); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Peek(4); got != 0b0110 {
-		t.Fatalf("peek after skip: got %#b", got)
-	}
-	// Peek past the end zero-fills without error.
-	if got := r.Peek(20); got != 0b0110 {
-		t.Fatalf("peek past end: got %#b", got)
-	}
-}
-
-func TestAlignToByte(t *testing.T) {
-	w := NewWriter(8)
-	w.WriteBits(0b101, 3)
-	w.WriteBits(0, 5)
-	w.WriteBits(0xab, 8)
-	r := NewReader(w.Flush())
-	if _, err := r.ReadBits(3); err != nil {
-		t.Fatal(err)
-	}
-	r.AlignToByte()
-	got, err := r.ReadBits(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0xab {
-		t.Fatalf("got %#x want 0xab", got)
-	}
+	return v
 }
 
 func TestReverseReaderRoundtrip(t *testing.T) {
-	w := NewWriter(64)
+	var w Writer64
 	type wv struct {
 		v uint64
 		n uint
@@ -95,12 +46,13 @@ func TestReverseReaderRoundtrip(t *testing.T) {
 	for _, x := range vals {
 		w.WriteBits(x.v, x.n)
 	}
-	r, err := NewReverseReader(w.FlushMarker())
-	if err != nil {
+	var r ReverseReader64
+	if err := r.Init(w.FlushMarker()); err != nil {
 		t.Fatal(err)
 	}
 	// Reverse order of writes.
 	for i := len(vals) - 1; i >= 0; i-- {
+		r.Refill()
 		got := r.ReadBits(vals[i].n)
 		want := vals[i].v & ((1 << vals[i].n) - 1)
 		if got != want {
@@ -112,22 +64,14 @@ func TestReverseReaderRoundtrip(t *testing.T) {
 	}
 }
 
-func TestReverseReaderEmptyAndNoMarker(t *testing.T) {
-	if _, err := NewReverseReader(nil); err == nil {
-		t.Fatal("want error for empty stream")
-	}
-	if _, err := NewReverseReader([]byte{0x12, 0x00}); err == nil {
-		t.Fatal("want error for missing marker")
-	}
-}
-
 func TestReverseReaderOverrun(t *testing.T) {
-	w := NewWriter(8)
+	var w Writer64
 	w.WriteBits(0b101, 3)
-	r, err := NewReverseReader(w.FlushMarker())
-	if err != nil {
+	var r ReverseReader64
+	if err := r.Init(w.FlushMarker()); err != nil {
 		t.Fatal(err)
 	}
+	r.Refill()
 	_ = r.ReadBits(3)
 	if r.Overrun() {
 		t.Fatal("unexpected overrun")
@@ -147,20 +91,21 @@ func TestQuickForwardRoundtrip(t *testing.T) {
 			n uint
 		}
 		vals := make([]wv, n)
-		w := NewWriter(n * 8)
+		var w Writer64
 		for i := range vals {
 			width := uint(rng.Intn(56) + 1)
 			vals[i] = wv{rng.Uint64() & ((1 << width) - 1), width}
 			w.WriteBits(vals[i].v, vals[i].n)
 		}
-		r := NewReader(w.Flush())
+		var r Reader64
+		r.Init(w.Flush())
 		for _, x := range vals {
-			got, err := r.ReadBits(x.n)
-			if err != nil || got != x.v {
+			r.Refill()
+			if got := r.ReadBits(x.n); got != x.v {
 				return false
 			}
 		}
-		return true
+		return !r.Overrun()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -176,17 +121,18 @@ func TestQuickReverseRoundtrip(t *testing.T) {
 			n uint
 		}
 		vals := make([]wv, n)
-		w := NewWriter(n * 8)
+		var w Writer64
 		for i := range vals {
 			width := uint(rng.Intn(56) + 1)
 			vals[i] = wv{rng.Uint64() & ((1 << width) - 1), width}
 			w.WriteBits(vals[i].v, vals[i].n)
 		}
-		r, err := NewReverseReader(w.FlushMarker())
-		if err != nil {
+		var r ReverseReader64
+		if err := r.Init(w.FlushMarker()); err != nil {
 			return false
 		}
 		for i := n - 1; i >= 0; i-- {
+			r.Refill()
 			if got := r.ReadBits(vals[i].n); got != vals[i].v {
 				return false
 			}
@@ -199,7 +145,7 @@ func TestQuickReverseRoundtrip(t *testing.T) {
 }
 
 func TestWriterReset(t *testing.T) {
-	w := NewWriter(8)
+	var w Writer64
 	w.WriteBits(0xff, 8)
 	w.Reset()
 	w.WriteBits(0x1, 1)
@@ -210,7 +156,7 @@ func TestWriterReset(t *testing.T) {
 }
 
 func TestBitsWritten(t *testing.T) {
-	w := NewWriter(8)
+	var w Writer64
 	if w.BitsWritten() != 0 {
 		t.Fatal("fresh writer should report 0 bits")
 	}
@@ -218,10 +164,15 @@ func TestBitsWritten(t *testing.T) {
 	if got := w.BitsWritten(); got != 13 {
 		t.Fatalf("got %d want 13", got)
 	}
+	w.Carry()
+	if got := w.BitsWritten(); got != 13 {
+		t.Fatalf("after carry got %d want 13", got)
+	}
 }
 
 func BenchmarkWriteBits(b *testing.B) {
-	w := NewWriter(1 << 16)
+	var w Writer64
+	w.ResetBuf(make([]byte, 0, 1<<16))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		w.Reset()
@@ -233,7 +184,7 @@ func BenchmarkWriteBits(b *testing.B) {
 }
 
 func BenchmarkReverseRead(b *testing.B) {
-	w := NewWriter(1 << 16)
+	var w Writer64
 	for j := 0; j < 4096; j++ {
 		w.WriteBits(uint64(j), 11)
 	}
@@ -241,66 +192,30 @@ func BenchmarkReverseRead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := NewReverseReader(data)
-		if err != nil {
+		var r ReverseReader64
+		if err := r.Init(data); err != nil {
 			b.Fatal(err)
 		}
 		for j := 0; j < 4096; j++ {
+			r.Refill()
 			r.ReadBits(11)
 		}
 	}
 }
 
-func TestWriteBoolAndBytes(t *testing.T) {
-	w := NewWriter(8)
-	w.WriteBool(true)
-	w.WriteBool(false)
-	w.WriteBool(true)
-	w.WriteBits(0, 5)
-	if got := w.Bytes(); len(got) != 1 || got[0] != 0b101 {
-		t.Fatalf("bytes = %v", got)
-	}
-	r := NewReader(w.Flush())
-	if got := r.BitsRemaining(); got != 8 {
-		t.Fatalf("remaining = %d", got)
-	}
-	v, err := r.ReadBits(3)
-	if err != nil || v != 0b101 {
-		t.Fatalf("v=%b err=%v", v, err)
-	}
-}
-
-func TestReaderReset(t *testing.T) {
-	r := NewReader([]byte{0xff})
-	if _, err := r.ReadBits(8); err != nil {
-		t.Fatal(err)
-	}
-	r.Reset([]byte{0x0f, 0xf0})
-	v, err := r.ReadBits(16)
-	if err != nil || v != 0xf00f {
-		t.Fatalf("after reset v=%x err=%v", v, err)
-	}
-}
-
 func TestReverseReaderBitsRemaining(t *testing.T) {
-	w := NewWriter(8)
+	var w Writer64
 	w.WriteBits(0x3ff, 10)
-	r, err := NewReverseReader(w.FlushMarker())
-	if err != nil {
+	var r ReverseReader64
+	if err := r.Init(w.FlushMarker()); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.BitsRemaining(); got != 10 {
 		t.Fatalf("remaining = %d", got)
 	}
+	r.Refill()
 	r.ReadBits(10)
 	if got := r.BitsRemaining(); got != 0 {
 		t.Fatalf("remaining after read = %d", got)
-	}
-}
-
-func TestSkipOverrun(t *testing.T) {
-	r := NewReader([]byte{0x01})
-	if err := r.Skip(16); err != ErrOverrun {
-		t.Fatalf("got %v", err)
 	}
 }

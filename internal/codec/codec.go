@@ -176,21 +176,12 @@ func (e *zstdEngine) Decompress(dst, src []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Stages exposes the zstd engine's two-stage timing for the warehouse
-// characterization (Fig 7).
-func (e *zstdEngine) Stages() zstd.StageStats { return e.enc.Stages() }
-
-// StagedEngine is implemented by engines that account time per compressor
-// stage (match finding vs entropy coding).
-type StagedEngine interface {
-	Engine
-	Stages() zstd.StageStats
-}
-
 // StageHooker is implemented by engines whose encoder (and, for zstd,
 // decoder) reports stage transitions (match finding, entropy coding,
-// serialization) to a hook. All three built-in codecs implement it; the
-// telemetry instrumentation uses the hook for per-stage cycle attribution.
+// serialization) to a hook. All three built-in codecs implement it, and so
+// does the checksum wrapper by forwarding. The hook is the only per-stage
+// timing an engine offers: telemetry's cycle attribution and the
+// warehouse's Fig 7 split both time it with a stage.Clock.
 type StageHooker interface {
 	SetStageHook(stage.Hook)
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/datacomp/datacomp/internal/stage"
 )
 
 func compressible(seed int64, n int) []byte {
@@ -152,21 +154,29 @@ func TestMeasureZeroValueMetrics(t *testing.T) {
 	}
 }
 
-func TestStagedEngine(t *testing.T) {
-	eng, err := NewEngine("zstd", WithLevel(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	staged, ok := eng.(StagedEngine)
-	if !ok {
-		t.Fatal("zstd engine should expose stage stats")
-	}
-	if _, err := eng.Compress(nil, compressible(11, 100000)); err != nil {
-		t.Fatal(err)
-	}
-	st := staged.Stages()
-	if st.MatchFind <= 0 {
-		t.Fatalf("no match-find time recorded: %+v", st)
+// TestStageHooker pins that every built-in engine, bare or under the
+// checksum frame, reports its stages through the hook: the only per-stage
+// timing an engine offers.
+func TestStageHooker(t *testing.T) {
+	for _, name := range []string{"lz4", "zlib", "zstd"} {
+		for _, checksum := range []bool{false, true} {
+			eng, err := NewEngine(name, WithLevel(1), WithChecksum(checksum))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, ok := eng.(StageHooker)
+			if !ok {
+				t.Fatalf("%s checksum=%v: no stage hook", name, checksum)
+			}
+			var seen [stage.Count]int
+			h.SetStageHook(func(s stage.ID) { seen[s]++ })
+			if _, err := eng.Compress(nil, compressible(11, 100000)); err != nil {
+				t.Fatal(err)
+			}
+			if seen[stage.MatchFind] == 0 || seen[stage.App] == 0 {
+				t.Fatalf("%s checksum=%v: transitions %v", name, checksum, seen)
+			}
+		}
 	}
 }
 

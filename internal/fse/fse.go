@@ -138,16 +138,6 @@ func (t *EncTable) Init(norm []uint16, tableLog uint) error {
 	return nil
 }
 
-// BuildEncTable constructs an encoding table from normalized counts summing
-// to 1<<tableLog. See EncTable.Init for the constraints.
-func BuildEncTable(norm []uint16, tableLog uint) (*EncTable, error) {
-	t := new(EncTable)
-	if err := t.Init(norm, tableLog); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // encState carries the rolling tANS encoder state.
 type encState struct {
 	value uint32 // in [tableSize, 2*tableSize)
@@ -163,27 +153,16 @@ func (c *encState) init(t *EncTable, sym byte) {
 	c.value = uint32(t.stateTable[int32(value>>nbBitsOut)+tt.deltaFindState])
 }
 
-func (c *encState) encode(w *bits.Writer, sym byte) {
-	tt := c.t.symbolTT[sym]
-	nbBitsOut := (c.value + tt.deltaNbBits) >> 16
-	w.WriteBits(uint64(c.value), uint(nbBitsOut))
-	c.value = uint32(c.t.stateTable[int32(c.value>>nbBitsOut)+tt.deltaFindState])
-}
-
-func (c *encState) flush(w *bits.Writer) {
-	w.WriteBits(uint64(c.value), c.t.tableLog)
-}
-
-// encode64 is encode writing through the branch-reduced 64-bit writer.
-// The caller batches a bounded group of encodes between Carry calls.
-func (c *encState) encode64(w *bits.Writer64, sym byte) {
+// encode emits the transition bits for sym without carrying: the caller
+// adds a bounded group of encodes between Carry calls.
+func (c *encState) encode(w *bits.Writer64, sym byte) {
 	tt := c.t.symbolTT[sym]
 	nbBitsOut := (c.value + tt.deltaNbBits) >> 16
 	w.Add(uint64(c.value), uint(nbBitsOut))
 	c.value = uint32(c.t.stateTable[int32(c.value>>nbBitsOut)+tt.deltaFindState])
 }
 
-func (c *encState) flush64(w *bits.Writer64) {
+func (c *encState) flush(w *bits.Writer64) {
 	w.WriteBits(uint64(c.value), c.t.tableLog)
 }
 
@@ -240,76 +219,57 @@ func (d *DecTable) Init(norm []uint16, tableLog uint) error {
 	return nil
 }
 
-// BuildDecTable constructs a decoding table from normalized counts.
-func BuildDecTable(norm []uint16, tableLog uint) (*DecTable, error) {
-	d := new(DecTable)
-	if err := d.Init(norm, tableLog); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// EncodeWith encodes syms with a prepared table, appending the raw tANS bit
-// stream (no table header) to the writer. Symbols are processed
-// back-to-front per tANS; the decoder recovers them in forward order.
-func EncodeWith(w *bits.Writer, t *EncTable, syms []byte) error {
+// encodeWith encodes syms with one tANS state and a prepared table,
+// appending the raw bit stream (no table header) through w. Symbols are
+// processed back-to-front per tANS; the decoder recovers them in forward
+// order.
+func encodeWith(w *bits.Writer64, t *EncTable, syms []byte) error {
 	if len(syms) == 0 {
 		return errors.New("fse: empty input")
 	}
-	for _, s := range syms {
-		if int(s) >= len(t.symbolTT) || t.norm[s] == 0 {
-			return fmt.Errorf("fse: symbol %d not in table", s)
-		}
+	if err := t.check(syms); err != nil {
+		return err
 	}
 	var c encState
 	c.init(t, syms[len(syms)-1])
-	for i := len(syms) - 2; i >= 0; i-- {
-		c.encode(w, syms[i])
+	i := len(syms) - 1
+	for ; i >= 4; i -= 4 {
+		// Four symbols per carry: ≤ 4×tableLog ≤ 48 bits accumulated.
+		c.encode(w, syms[i-1])
+		c.encode(w, syms[i-2])
+		c.encode(w, syms[i-3])
+		c.encode(w, syms[i-4])
+		w.Carry()
+	}
+	for ; i > 0; i-- {
+		c.encode(w, syms[i-1])
 	}
 	c.flush(w)
 	return nil
 }
 
-// DecodeWith decodes n symbols from the reverse reader using a prepared
-// table, appending to dst.
-func DecodeWith(dst []byte, d *DecTable, r *bits.ReverseReader, n int) ([]byte, error) {
-	if n == 0 {
-		return dst, nil
+// check reports a symbol of syms that t has no state for.
+func (t *EncTable) check(syms []byte) error {
+	for _, s := range syms {
+		if int(s) >= len(t.symbolTT) || t.norm[s] == 0 {
+			return fmt.Errorf("fse: symbol %d not in table", s)
+		}
 	}
-	// Hot loop: operate on locals rather than decState fields.
-	table := d.table
-	state := uint32(r.ReadBits(d.tableLog))
-	if int(state) >= len(table) {
-		return nil, ErrCorrupt
-	}
-	// The final symbol is carried entirely by the flushed state: no
-	// transition bits follow it, so it is read without a state update.
-	for i := 0; i < n-1; i++ {
-		e := table[state]
-		state = uint32(e.newStateBase) + uint32(r.ReadBits(uint(e.nbBits)))
-		dst = append(dst, e.symbol)
-	}
-	dst = append(dst, table[state].symbol)
-	if r.Overrun() {
-		return nil, ErrCorrupt
-	}
-	return dst, nil
+	return nil
 }
 
-// EncodeWith2 encodes syms (len ≥ 2) with two interleaved tANS states —
+// encodeWith2 encodes syms (len ≥ 2) with two interleaved tANS states —
 // state1 carries the even input positions, state2 the odd ones — so the
 // decoder can overlap the two dependent state-transition chains. Symbols
 // are processed back-to-front; state2 is flushed before state1, so the
 // decoder (reading in reverse write order) recovers state1 first. The raw
 // bit stream (no table header) is appended through w.
-func EncodeWith2(w *bits.Writer64, t *EncTable, syms []byte) error {
+func encodeWith2(w *bits.Writer64, t *EncTable, syms []byte) error {
 	if len(syms) < 2 {
 		return errors.New("fse: two-state encoding needs at least 2 symbols")
 	}
-	for _, s := range syms {
-		if int(s) >= len(t.symbolTT) || t.norm[s] == 0 {
-			return fmt.Errorf("fse: symbol %d not in table", s)
-		}
+	if err := t.check(syms); err != nil {
+		return err
 	}
 	i := len(syms)
 	var c1, c2 encState
@@ -319,7 +279,7 @@ func EncodeWith2(w *bits.Writer64, t *EncTable, syms []byte) error {
 		c1.init(t, syms[i-1])
 		c2.init(t, syms[i-2])
 		i -= 2
-		c1.encode64(w, syms[i-1])
+		c1.encode(w, syms[i-1])
 		i--
 		w.Carry()
 	} else {
@@ -329,20 +289,20 @@ func EncodeWith2(w *bits.Writer64, t *EncTable, syms []byte) error {
 	}
 	for i > 0 {
 		// One pair per carry: ≤ 2×tableLog ≤ 24 bits accumulated.
-		c2.encode64(w, syms[i-1])
-		c1.encode64(w, syms[i-2])
+		c2.encode(w, syms[i-1])
+		c1.encode(w, syms[i-2])
 		w.Carry()
 		i -= 2
 	}
-	c2.flush64(w)
-	c1.flush64(w)
+	c2.flush(w)
+	c1.flush(w)
 	return nil
 }
 
-// DecodeWith2 decodes n symbols (n ≥ 2) produced by EncodeWith2,
+// decodeWith2 decodes n symbols (n ≥ 2) produced by encodeWith2,
 // appending to dst. Both states stay in registers; the reader is refilled
 // once per decoded pair.
-func DecodeWith2(dst []byte, d *DecTable, r *bits.ReverseReader64, n int) ([]byte, error) {
+func decodeWith2(dst []byte, d *DecTable, r *bits.ReverseReader64, n int) ([]byte, error) {
 	if n < 2 {
 		return nil, ErrCorrupt
 	}
@@ -400,10 +360,10 @@ func DecodeWith2(dst []byte, d *DecTable, r *bits.ReverseReader64, n int) ([]byt
 	return dst, nil
 }
 
-// decodeWith64 is the single-state decode loop over the branch-reduced
+// decodeWith is the single-state decode loop over the branch-reduced
 // reverse reader, used by Scratch.Decompress (the serial dependent-load
 // chain remains, but each step loses its per-bit refill branches).
-func decodeWith64(dst []byte, d *DecTable, r *bits.ReverseReader64, n int) ([]byte, error) {
+func decodeWith(dst []byte, d *DecTable, r *bits.ReverseReader64, n int) ([]byte, error) {
 	if n == 0 {
 		return dst, nil
 	}
@@ -462,30 +422,29 @@ func grow(b []byte, n int) []byte {
 	return nb
 }
 
-// writeNormHeader serializes tableLog and the normalized counts through w
-// (reset here). The counts are bit-packed with a shrinking width: each count
-// is written in Len(remaining) bits where remaining is the number of
-// unassigned slots, and the stream ends when remaining hits zero.
-func writeNormHeader(dst []byte, w *bits.Writer, norm []uint16, tableLog uint) []byte {
-	dst = append(dst, byte(tableLog))
-	w.Reset()
+// writeNormHeader appends tableLog and the normalized counts to dst
+// through w and returns the buffer. The counts are bit-packed with a
+// shrinking width: each count is written in Len(remaining) bits where
+// remaining is the number of unassigned slots, and the stream ends when
+// remaining hits zero.
+func writeNormHeader(w *bits.Writer64, dst []byte, norm []uint16, tableLog uint) []byte {
+	w.ResetBuf(append(dst, byte(tableLog)))
 	remaining := 1 << tableLog
 	for _, n := range norm {
-		width := uint(mathbits.Len32(uint32(remaining)))
-		w.WriteBits(uint64(n), width)
+		w.WriteBits(uint64(n), uint(mathbits.Len32(uint32(remaining))))
 		remaining -= int(n)
 		if remaining == 0 {
 			break
 		}
 	}
-	return append(dst, w.Flush()...)
+	return w.Flush()
 }
 
 // AppendNormHeader appends tableLog and the normalized counts in the header
 // form Compress writes ahead of its stream.
 func AppendNormHeader(dst []byte, norm []uint16, tableLog uint) []byte {
-	var w bits.Writer
-	return writeNormHeader(dst, &w, norm, tableLog)
+	var w bits.Writer64
+	return writeNormHeader(&w, dst, norm, tableLog)
 }
 
 // ReadNormHeader parses a header AppendNormHeader wrote at the start of src,
@@ -495,7 +454,9 @@ func ReadNormHeader(src []byte) (norm []uint16, tableLog uint, consumed int, err
 }
 
 // readNormHeaderInto parses a header, appending the counts to norm[:0] and
-// returning the counts, table log and the number of bytes consumed.
+// returning the counts, table log and the number of bytes consumed. Reads
+// past the end of src return zero bits; the overrun is checked once the
+// counts are complete.
 func readNormHeaderInto(scratch []uint16, src []byte) (norm []uint16, tableLog uint, consumed int, err error) {
 	if len(src) < 2 {
 		return nil, 0, 0, ErrCorrupt
@@ -505,26 +466,22 @@ func readNormHeaderInto(scratch []uint16, src []byte) (norm []uint16, tableLog u
 		return nil, 0, 0, ErrCorrupt
 	}
 	norm = scratch[:0]
-	var r bits.Reader
-	r.Reset(src[1:])
+	var r bits.Reader64
+	r.Init(src[1:])
 	remaining := 1 << tableLog
 	for remaining > 0 {
-		width := uint(mathbits.Len32(uint32(remaining)))
-		v, err := r.ReadBits(width)
-		if err != nil {
-			return nil, 0, 0, ErrCorrupt
-		}
-		if int(v) > remaining {
+		r.Refill()
+		v := int(r.ReadBits(uint(mathbits.Len32(uint32(remaining)))))
+		if v > remaining || len(norm) == 256 {
 			return nil, 0, 0, ErrCorrupt
 		}
 		norm = append(norm, uint16(v))
-		remaining -= int(v)
-		if len(norm) > 256 {
-			return nil, 0, 0, ErrCorrupt
-		}
+		remaining -= v
 	}
-	bitsUsed := (len(src[1:])*8 - r.BitsRemaining())
-	return norm, tableLog, 1 + (bitsUsed+7)/8, nil
+	if r.Overrun() {
+		return nil, 0, 0, ErrCorrupt
+	}
+	return norm, tableLog, 1 + (r.BitsConsumed()+7)/8, nil
 }
 
 // Scratch owns the coding tables, normalized-count buffer and bit-stream
@@ -535,13 +492,23 @@ type Scratch struct {
 	enc  EncTable
 	dec  DecTable
 	norm []uint16
-	w    bits.Writer
 	w64  bits.Writer64
 	rr64 bits.ReverseReader64
 }
 
 // Compress is the scratch-reusing form of the package-level Compress.
 func (s *Scratch) Compress(dst, syms []byte, maxTableLog uint) ([]byte, error) {
+	return s.compress(dst, syms, maxTableLog, false)
+}
+
+// Decompress is the scratch-reusing form of the package-level Decompress.
+func (s *Scratch) Decompress(dst, src []byte, n int) ([]byte, error) {
+	return s.decompress(dst, src, n, false)
+}
+
+// compress builds a table for syms and codes them behind its header with
+// one tANS state, or with two the two interleaved states of Compress2.
+func (s *Scratch) compress(dst, syms []byte, maxTableLog uint, two bool) ([]byte, error) {
 	if len(syms) < 2 {
 		return nil, ErrIncompressible
 	}
@@ -559,12 +526,10 @@ func (s *Scratch) Compress(dst, syms []byte, maxTableLog uint) ([]byte, error) {
 		return nil, err
 	}
 	start := len(dst)
-	dst = writeNormHeader(dst, &s.w, norm, tableLog)
-	s.w.Reset()
-	if err := EncodeWith(&s.w, &s.enc, syms); err != nil {
+	dst, err = s.CompressWith(writeNormHeader(&s.w64, dst, norm, tableLog), syms, &s.enc, two)
+	if err != nil {
 		return nil, err
 	}
-	dst = append(dst, s.w.FlushMarker()...)
 	if len(dst)-start >= len(syms) {
 		// Return dst at its original length, not nil: the caller keeps the
 		// capacity the attempt grew, so a workload of incompressible small
@@ -574,8 +539,9 @@ func (s *Scratch) Compress(dst, syms []byte, maxTableLog uint) ([]byte, error) {
 	return dst, nil
 }
 
-// Decompress is the scratch-reusing form of the package-level Decompress.
-func (s *Scratch) Decompress(dst, src []byte, n int) ([]byte, error) {
+// decompress reads the table header at the start of src and decodes the
+// n symbols of the stream behind it.
+func (s *Scratch) decompress(dst, src []byte, n int, two bool) ([]byte, error) {
 	norm, tableLog, consumed, err := readNormHeaderInto(s.norm, src)
 	if err != nil {
 		return nil, err
@@ -584,7 +550,7 @@ func (s *Scratch) Decompress(dst, src []byte, n int) ([]byte, error) {
 	if err := s.dec.Init(norm, tableLog); err != nil {
 		return nil, err
 	}
-	return s.DecompressWith(dst, src[consumed:], n, &s.dec, false)
+	return s.DecompressWith(dst, src[consumed:], n, &s.dec, two)
 }
 
 // CompressWith codes syms with t and sends no header — one tANS state, or
@@ -593,15 +559,12 @@ func (s *Scratch) Decompress(dst, src []byte, n int) ([]byte, error) {
 // when t has no state for a symbol of syms, or two is set and syms is
 // shorter than 2.
 func (s *Scratch) CompressWith(dst, syms []byte, t *EncTable, two bool) ([]byte, error) {
-	if !two {
-		s.w.Reset()
-		if err := EncodeWith(&s.w, t, syms); err != nil {
-			return dst, ErrIncompressible
-		}
-		return append(dst, s.w.FlushMarker()...), nil
+	encode := encodeWith
+	if two {
+		encode = encodeWith2
 	}
 	s.w64.ResetBuf(dst)
-	if err := EncodeWith2(&s.w64, t, syms); err != nil {
+	if err := encode(&s.w64, t, syms); err != nil {
 		return dst, ErrIncompressible
 	}
 	return s.w64.FlushMarker(), nil
@@ -614,9 +577,9 @@ func (s *Scratch) DecompressWith(dst, src []byte, n int, d *DecTable, two bool) 
 		return nil, ErrCorrupt
 	}
 	if two {
-		return DecodeWith2(dst, d, &s.rr64, n)
+		return decodeWith2(dst, d, &s.rr64, n)
 	}
-	return decodeWith64(dst, d, &s.rr64, n)
+	return decodeWith(dst, d, &s.rr64, n)
 }
 
 // MinSize returns a lower bound on the payload Compress or Compress2 makes
@@ -654,48 +617,13 @@ func (s *Scratch) MinSize(syms []byte, maxTableLog uint) int {
 // Compress (table log byte + bit-packed normalized counts); only the bit
 // stream differs, so the payload must be decoded with Decompress2.
 func (s *Scratch) Compress2(dst, syms []byte, maxTableLog uint) ([]byte, error) {
-	if len(syms) < 2 {
-		return nil, ErrIncompressible
-	}
-	h := Count(syms)
-	if h.IsSingleSymbol() {
-		return nil, ErrIncompressible
-	}
-	tableLog := OptimalTableLog(&h, maxTableLog)
-	norm, err := h.NormalizeInto(s.norm, tableLog)
-	if err != nil {
-		return nil, err
-	}
-	s.norm = norm
-	if err := s.enc.Init(norm, tableLog); err != nil {
-		return nil, err
-	}
-	start := len(dst)
-	dst = writeNormHeader(dst, &s.w, norm, tableLog)
-	s.w64.ResetBuf(dst)
-	if err := EncodeWith2(&s.w64, &s.enc, syms); err != nil {
-		return nil, err
-	}
-	dst = s.w64.FlushMarker()
-	if len(dst)-start >= len(syms) {
-		// As in Compress: hand the grown capacity back to the caller.
-		return dst[:start], ErrIncompressible
-	}
-	return dst, nil
+	return s.compress(dst, syms, maxTableLog, true)
 }
 
 // Decompress2 decodes a payload produced by Compress2 into exactly n
 // symbols appended to dst.
 func (s *Scratch) Decompress2(dst, src []byte, n int) ([]byte, error) {
-	norm, tableLog, consumed, err := readNormHeaderInto(s.norm, src)
-	if err != nil {
-		return nil, err
-	}
-	s.norm = norm
-	if err := s.dec.Init(norm, tableLog); err != nil {
-		return nil, err
-	}
-	return s.DecompressWith(dst, src[consumed:], n, &s.dec, true)
+	return s.decompress(dst, src, n, true)
 }
 
 // Compress entropy-codes syms into a self-describing payload appended to

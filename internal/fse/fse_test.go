@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"github.com/datacomp/datacomp/internal/bits"
 )
 
 func skewed(seed int64, n, alpha int) []byte {
@@ -88,32 +86,29 @@ func TestSharedTableEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := BuildEncTable(norm, tableLog)
-	if err != nil {
+	var enc EncTable
+	if err := enc.Init(norm, tableLog); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := BuildDecTable(norm, tableLog)
-	if err != nil {
+	var dec DecTable
+	if err := dec.Init(norm, tableLog); err != nil {
 		t.Fatal(err)
 	}
 	msg := skewed(2, 777, 16)
-	w := bits.NewWriter(1024)
-	if err := EncodeWith(w, enc, msg); err != nil {
-		t.Fatal(err)
-	}
-	r, err := bits.NewReverseReader(w.FlushMarker())
+	var s Scratch
+	stream, err := s.CompressWith(nil, msg, &enc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeWith(nil, dec, r, len(msg))
+	back, err := s.DecompressWith(nil, stream, len(msg), &dec, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(back, msg) {
 		t.Fatal("shared-table roundtrip mismatch")
 	}
-	if !r.Finished() {
-		t.Fatalf("bits left over: %d", r.BitsRemaining())
+	if !s.rr64.Finished() {
+		t.Fatalf("bits left over: %d", s.rr64.BitsRemaining())
 	}
 }
 
@@ -124,27 +119,31 @@ func TestEncodeWithUnknownSymbol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := BuildEncTable(norm, 8)
-	if err != nil {
+	var enc EncTable
+	if err := enc.Init(norm, 8); err != nil {
 		t.Fatal(err)
 	}
-	w := bits.NewWriter(64)
-	if err := EncodeWith(w, enc, []byte{200}); err == nil {
-		t.Fatal("want error for out-of-table symbol")
+	var s Scratch
+	for _, two := range []bool{false, true} {
+		if _, err := s.CompressWith(nil, []byte{200, 1}, &enc, two); err != ErrIncompressible {
+			t.Fatalf("two=%v: want ErrIncompressible for out-of-table symbol, got %v", two, err)
+		}
 	}
 }
 
 func TestBuildEncTableRejectsSingleSymbol(t *testing.T) {
 	norm := make([]uint16, 3)
 	norm[1] = 1 << 8
-	if _, err := BuildEncTable(norm, 8); err == nil {
+	var enc EncTable
+	if err := enc.Init(norm, 8); err == nil {
 		t.Fatal("want error for single-symbol distribution")
 	}
 }
 
 func TestBuildDecTableRejectsBadSum(t *testing.T) {
 	norm := []uint16{3, 5} // sums to 8, not 2^8
-	if _, err := BuildDecTable(norm, 8); err == nil {
+	var dec DecTable
+	if err := dec.Init(norm, 8); err == nil {
 		t.Fatal("want error for bad normalized sum")
 	}
 }
@@ -177,8 +176,7 @@ func TestNormHeaderRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var w bits.Writer
-		hdr := writeNormHeader(nil, &w, norm, log)
+		hdr := AppendNormHeader(nil, norm, log)
 		got, gotLog, consumed, err := readNormHeaderInto(nil, hdr)
 		if err != nil {
 			t.Fatalf("log %d: %v", log, err)
@@ -192,6 +190,20 @@ func TestNormHeaderRoundtrip(t *testing.T) {
 		for i := range norm {
 			if got[i] != norm[i] {
 				t.Fatalf("log %d: norm[%d] = %d want %d", log, i, got[i], norm[i])
+			}
+		}
+		// Reads past the end zero-extend, so a truncated header must be
+		// caught by the overrun check, not by a failed read.
+		for n := 0; n < len(hdr); n++ {
+			if _, _, _, err := readNormHeaderInto(nil, hdr[:n]); err != ErrCorrupt {
+				t.Fatalf("log %d: %d-byte prefix of %d: err = %v, want ErrCorrupt", log, n, len(hdr), err)
+			}
+		}
+		// Whatever follows the header is not part of it.
+		for _, tail := range [][]byte{{0}, {0xff}, bytes.Repeat([]byte{0xa5}, 16)} {
+			_, _, consumed, err := readNormHeaderInto(nil, append(append([]byte{}, hdr...), tail...))
+			if err != nil || consumed != len(hdr) {
+				t.Fatalf("log %d: %d trailing bytes: consumed=%d err=%v, want %d", log, len(tail), consumed, err, len(hdr))
 			}
 		}
 	}

@@ -2,12 +2,11 @@
 //
 // Two layers are exposed:
 //
-//   - Primitives (BuildLengths, CanonicalCodes) that compute optimal
+//   - Primitives (BuildLengths, CanonicalCodesInto) that compute optimal
 //     length-limited code lengths via the package-merge algorithm and assign
 //     canonical codes. The DEFLATE-style codec builds its lit/len and
-//     distance tables from these. Their scratch-taking variants
-//     (BuildScratch.BuildLengths, CanonicalCodesInto) run allocation-free
-//     once warmed.
+//     distance tables from these. BuildScratch.BuildLengths and
+//     CanonicalCodesInto run allocation-free once warmed.
 //   - A byte-stream coder (Compress/Decompress) with a compact 4-bit weight
 //     table header, used by the Zstd-style codec to compress block literals.
 //     Codes are limited to MaxCodeLen bits and decoded with a single
@@ -208,16 +207,6 @@ func CanonicalCodesInto(codes []uint32, lengths []uint8) error {
 	return nil
 }
 
-// CanonicalCodes assigns canonical (MSB-first) codes to the given lengths.
-// The returned slice parallels lengths; entries with length 0 are 0.
-func CanonicalCodes(lengths []uint8) ([]uint32, error) {
-	codes := make([]uint32, len(lengths))
-	if err := CanonicalCodesInto(codes, lengths); err != nil {
-		return nil, err
-	}
-	return codes, nil
-}
-
 // ReverseBits reverses the low n bits of v (used to store MSB-first canonical
 // codes in an LSB-first bit stream).
 func ReverseBits(v uint32, n uint8) uint32 {
@@ -369,7 +358,6 @@ func (t *Table) AppendHeader(dst []byte) []byte {
 type Scratch struct {
 	build   BuildScratch
 	table   Table
-	w       bits.Writer
 	w64     bits.Writer64
 	freqs   [256]uint32
 	lengths [256]uint8
@@ -456,11 +444,9 @@ func (s *Scratch) Compress(dst, src []byte) ([]byte, error) {
 
 // encode1 appends src coded with t as one stream.
 func (s *Scratch) encode1(dst, src []byte, t *Table) []byte {
-	s.w.Reset()
-	for _, b := range src {
-		s.w.WriteBits(uint64(t.codes[b]), uint(t.lengths[b]))
-	}
-	return append(dst, s.w.Flush()...)
+	s.w64.ResetBuf(dst)
+	encodeStream(&s.w64, t, src)
+	return s.w64.Flush()
 }
 
 // CompressWith codes src with t and sends no header — one stream, or with

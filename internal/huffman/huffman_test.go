@@ -83,8 +83,8 @@ func TestBuildLengthsErrors(t *testing.T) {
 
 func TestCanonicalCodesPrefixFree(t *testing.T) {
 	lengths := []uint8{2, 1, 3, 3}
-	codes, err := CanonicalCodes(lengths)
-	if err != nil {
+	codes := make([]uint32, len(lengths))
+	if err := CanonicalCodesInto(codes, lengths); err != nil {
 		t.Fatal(err)
 	}
 	// Check pairwise prefix-freeness under MSB-first interpretation.
@@ -105,7 +105,7 @@ func TestCanonicalCodesPrefixFree(t *testing.T) {
 }
 
 func TestCanonicalCodesOversubscribed(t *testing.T) {
-	if _, err := CanonicalCodes([]uint8{1, 1, 1}); err == nil {
+	if err := CanonicalCodesInto(make([]uint32, 3), []uint8{1, 1, 1}); err == nil {
 		t.Fatal("want error for oversubscribed lengths")
 	}
 }

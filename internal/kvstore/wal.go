@@ -57,10 +57,9 @@ var ErrLegacySnapshot = errors.New("kvstore: store holds a legacy snapshot (" + 
 
 func tableName(id int64) string { return fmt.Sprintf("%06d%s", id, tableSuffix) }
 
-// Batch accumulates writes that apply atomically through one WAL record —
-// the storage-side sibling of codec.CompressBatch: N small items share one
-// compression dispatch and one fsync. Ops replay in insertion order, so a
-// later op on the same key wins.
+// Batch accumulates writes that apply atomically through one WAL record:
+// N small items share one compression dispatch and one fsync. Ops replay
+// in insertion order, so a later op on the same key wins.
 type Batch struct {
 	ops []batchOp
 	buf []byte // every op's key and value, back to back; kept across Reset

@@ -8,6 +8,8 @@
 // lives in this leaf package.
 package stage
 
+import "time"
+
 // ID identifies one compressor stage.
 type ID uint8
 
@@ -45,3 +47,35 @@ func (id ID) String() string {
 // Hook observes stage transitions inside an encoder. Implementations must
 // be cheap: hooks fire once or twice per block on the compression hot path.
 type Hook func(ID)
+
+// Clock times stages from a Hook's transitions: Enter charges the time
+// since the previous transition to the stage being left. It is the one
+// stage clock; codecs keep none of their own. A Clock is not safe for
+// concurrent use.
+type Clock struct {
+	// Nanos is the time charged to each stage since Start.
+	Nanos [Count]int64
+	cur   ID
+	mark  time.Time
+}
+
+// Start clears Nanos and starts charging App from now.
+func (c *Clock) Start(now time.Time) {
+	c.Nanos = [Count]int64{}
+	c.cur = App
+	c.mark = now
+}
+
+// Enter charges the time since the last transition to the current stage
+// and switches to s.
+func (c *Clock) Enter(s ID) {
+	c.Stop(time.Now())
+	c.cur = s
+}
+
+// Stop charges the time up to now to the current stage; a later Enter or
+// Stop charges from now.
+func (c *Clock) Stop(now time.Time) {
+	c.Nanos[c.cur] += now.Sub(c.mark).Nanoseconds()
+	c.mark = now
+}

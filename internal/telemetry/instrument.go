@@ -43,10 +43,8 @@ type Instrumented struct {
 
 	slot *opSlot
 
-	// per-operation stage timer state, driven by the engine's stage hook.
-	curStage  stage.ID
-	stageMark time.Time
-	opNanos   [stage.Count]int64
+	// per-operation stage times, driven by the engine's stage hook.
+	clock stage.Clock
 
 	// tracing state for the CompressCtx/DecompressCtx paths: opSpan is the
 	// active operation's span (zero when untraced — every use no-ops) and
@@ -105,10 +103,7 @@ func (ie *Instrumented) Unwrap() codec.Engine { return ie.eng }
 // goroutine only, one or two times per 64-128 KiB block — cheap relative
 // to the block's compression work.
 func (ie *Instrumented) onStage(s stage.ID) {
-	now := time.Now()
-	ie.opNanos[ie.curStage] += now.Sub(ie.stageMark).Nanoseconds()
-	ie.curStage = s
-	ie.stageMark = now
+	ie.clock.Enter(s)
 	ie.slot.setStage(s)
 	ie.stages.Hook(s)
 }
@@ -116,17 +111,14 @@ func (ie *Instrumented) onStage(s stage.ID) {
 // Compress implements codec.Engine.
 func (ie *Instrumented) Compress(dst, src []byte) ([]byte, error) {
 	ie.slot.begin(DirCompress)
-	ie.curStage = stage.App
-	ie.stageMark = time.Now()
-	for i := range ie.opNanos {
-		ie.opNanos[i] = 0
-	}
-	t0 := ie.stageMark
+	t0 := time.Now()
+	ie.clock.Start(t0)
 
 	out, err := ie.eng.Compress(dst, src)
 
-	dur := time.Since(t0)
-	ie.opNanos[ie.curStage] += time.Since(ie.stageMark).Nanoseconds()
+	end := time.Now()
+	dur := end.Sub(t0)
+	ie.clock.Stop(end)
 	ie.slot.end()
 	if err != nil {
 		ie.errors.Inc()
@@ -137,7 +129,7 @@ func (ie *Instrumented) Compress(dst, src []byte) ([]byte, error) {
 	ie.compBytes.Add(int64(len(out) - len(dst)))
 	ie.compressNS.ObserveTraced(dur.Nanoseconds(), uint64(ie.opSpan.TraceID()))
 	ie.inputSize.Observe(int64(len(src)))
-	for s, ns := range ie.opNanos {
+	for s, ns := range ie.clock.Nanos {
 		if ns > 0 {
 			ie.stageNS[s].Add(ns)
 		}

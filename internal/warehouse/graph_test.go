@@ -115,7 +115,7 @@ func TestHinterUnwrapsChecksum(t *testing.T) {
 	if hinter(eng) == nil {
 		t.Fatal("hinter must unwrap the checksum frame to reach the graph engine")
 	}
-	zstd, _, err := engine(ShuffleLevel)
+	zstd, err := engine(ShuffleLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestHinterUnwrapsChecksum(t *testing.T) {
 // does not implement must surface ErrColumnEncoding, not silently skip
 // the column.
 func TestReadStripeUnsupportedColumn(t *testing.T) {
-	eng, _, err := engine(ShuffleLevel)
+	eng, err := engine(ShuffleLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestReadStripeUnsupportedColumn(t *testing.T) {
 	// Sanity: a supported directory still reads.
 	cols := generateBatch(5, 100)
 	var st Stats
-	framed, err := writeStripe(cols, eng, &stageCapture{}, &st)
+	framed, err := writeStripe(cols, eng, nil, &st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,7 @@ import (
 	"github.com/datacomp/datacomp/internal/corpus"
 	"github.com/datacomp/datacomp/internal/graph"
 	"github.com/datacomp/datacomp/internal/orc"
+	"github.com/datacomp/datacomp/internal/stage"
 	"github.com/datacomp/datacomp/internal/telemetry"
 )
 
@@ -137,14 +138,9 @@ func (d *Dataset) StoredBytes() int64 {
 	return n
 }
 
-// engine builds a zstd engine and returns it with its staged view.
-func engine(level int) (codec.Engine, codec.StagedEngine, error) {
-	eng, err := codec.NewEngine("zstd", codec.WithLevel(level))
-	if err != nil {
-		return nil, nil, err
-	}
-	staged, _ := eng.(codec.StagedEngine)
-	return eng, staged, nil
+// engine builds a zstd engine at level.
+func engine(level int) (codec.Engine, error) {
+	return codec.NewEngine("zstd", codec.WithLevel(level))
 }
 
 // readEngine returns the engine ds's stripes decode with: the engine the
@@ -154,29 +150,55 @@ func readEngine(ds *Dataset) (codec.Engine, error) {
 	if ds.Engine != nil {
 		return ds.Engine, nil
 	}
-	eng, _, err := engine(ds.Level)
-	return eng, err
+	return engine(ds.Level)
 }
 
-// captureStages folds the engine's stage counters into st and resets the
-// baseline for the next capture.
-type stageCapture struct {
-	staged codec.StagedEngine
-	last   time.Duration
-	lastMF time.Duration
+// stageClock times the Fig 7 split of a write engine's compression through
+// the engine's stage hook. The zstd decoder fires the same hook, so the
+// clock runs only while armed, around a stripe's compress calls. A nil
+// stageClock, for an engine with no hook, splits nothing.
+type stageClock struct {
+	armed bool
+	clock stage.Clock
 }
 
-func (c *stageCapture) fold(st *Stats) {
-	if c.staged == nil {
+// hookStages installs a stageClock as eng's stage hook, replacing any hook
+// eng had, or returns nil when eng has none.
+func hookStages(eng codec.Engine) *stageClock {
+	h, ok := eng.(codec.StageHooker)
+	if !ok {
+		return nil
+	}
+	c := &stageClock{}
+	h.SetStageHook(c.onStage)
+	return c
+}
+
+func (c *stageClock) onStage(s stage.ID) {
+	if c.armed {
+		c.clock.Enter(s)
+	}
+}
+
+// start arms the clock from now.
+func (c *stageClock) start(now time.Time) {
+	if c != nil {
+		c.armed = true
+		c.clock.Start(now)
+	}
+}
+
+// stop disarms the clock and adds the split since start to st.
+func (c *stageClock) stop(st *Stats) {
+	if c == nil {
 		return
 	}
-	s := c.staged.Stages()
-	st.MatchFindTime += s.MatchFind - c.lastMF
-	st.EntropyTime += s.Entropy - c.last
-	tmMatchNS.Add((s.MatchFind - c.lastMF).Nanoseconds())
-	tmEntropyNS.Add((s.Entropy - c.last).Nanoseconds())
-	c.lastMF = s.MatchFind
-	c.last = s.Entropy
+	c.armed = false
+	mf, ent := c.clock.Nanos[stage.MatchFind], c.clock.Nanos[stage.Entropy]
+	st.MatchFindTime += time.Duration(mf)
+	st.EntropyTime += time.Duration(ent)
+	tmMatchNS.Add(mf)
+	tmEntropyNS.Add(ent)
 }
 
 // generateBatch builds one row batch of warehouse columns.
@@ -297,7 +319,7 @@ func columnChunks(n int) int {
 // raw little-endian words and each column's chunks are compressed under
 // its kind's hint; other kinds, and every column under a plain engine,
 // keep the ORC encoding.
-func writeStripe(cols []orc.Column, eng codec.Engine, cap *stageCapture, st *Stats) ([]byte, error) {
+func writeStripe(cols []orc.Column, eng codec.Engine, sc *stageClock, st *Stats) ([]byte, error) {
 	tm()
 	h := hinter(eng)
 	encoded := make([][]byte, len(cols))
@@ -336,6 +358,7 @@ func writeStripe(cols []orc.Column, eng codec.Engine, cap *stageCapture, st *Sta
 	}
 	var out bytes.Buffer
 	t1 := time.Now()
+	sc.start(t1)
 	bw, err := container.NewBuilder(&out, containerCodec, eng, orc.MaxCompressionBlock)
 	if err != nil {
 		return nil, err
@@ -374,9 +397,9 @@ func writeStripe(cols []orc.Column, eng codec.Engine, cap *stageCapture, st *Sta
 		return nil, err
 	}
 	dt := time.Since(t1)
+	sc.stop(st)
 	st.CompressTime += dt
 	tmCompNS.Add(dt.Nanoseconds())
-	cap.fold(st)
 	framed := out.Bytes()
 	st.RawBytes += raw
 	st.StoredBytes += int64(len(framed))
@@ -484,11 +507,11 @@ const ShuffleLevel = 1
 // level by the producing service), decompress it, ORC-encode and re-compress
 // at IngestionLevel for long-term storage.
 func Ingest(seed int64, stripes, rowsPerStripe int) (*Dataset, Stats, error) {
-	eng, staged, err := engine(IngestionLevel)
+	eng, err := engine(IngestionLevel)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return ingest(seed, stripes, rowsPerStripe, eng, staged, nil)
+	return ingest(seed, stripes, rowsPerStripe, eng, nil)
 }
 
 // IngestEngine runs DW1 writing stored stripes through the supplied engine
@@ -497,13 +520,13 @@ func Ingest(seed int64, stripes, rowsPerStripe int) (*Dataset, Stats, error) {
 // warehouse storage format online; the returned Dataset remembers the
 // engine and downstream stages (SparkWorker, Shuffle, MLJob) read back
 // through it, so stripes written under since-retired generations keep
-// decoding.
+// decoding. An engine with a stage hook (codec.StageHooker) gets the
+// warehouse's own, which times the Fig 7 split, in place of any it had.
 func IngestEngine(seed int64, stripes, rowsPerStripe int, eng codec.Engine) (*Dataset, Stats, error) {
 	if eng == nil {
 		return nil, Stats{}, errors.New("warehouse: nil engine")
 	}
-	staged, _ := eng.(codec.StagedEngine)
-	return ingest(seed, stripes, rowsPerStripe, eng, staged, eng)
+	return ingest(seed, stripes, rowsPerStripe, eng, eng)
 }
 
 // GraphSearchLevel is the graph-engine search effort IngestGraph writes
@@ -524,18 +547,18 @@ func IngestGraph(seed int64, stripes, rowsPerStripe int) (*Dataset, Stats, error
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return ingest(seed, stripes, rowsPerStripe, eng, nil, eng)
+	return ingest(seed, stripes, rowsPerStripe, eng, eng)
 }
 
 // ingest is the shared DW1 body; keep is recorded on the Dataset so readers
 // reuse the write engine (nil for the plain zstd path).
-func ingest(seed int64, stripes, rowsPerStripe int, eng codec.Engine, staged codec.StagedEngine, keep codec.Engine) (*Dataset, Stats, error) {
+func ingest(seed int64, stripes, rowsPerStripe int, eng, keep codec.Engine) (*Dataset, Stats, error) {
 	var st Stats
-	upstreamEng, _, err := engine(ShuffleLevel)
+	upstreamEng, err := engine(ShuffleLevel)
 	if err != nil {
 		return nil, st, err
 	}
-	cap := &stageCapture{staged: staged}
+	sc := hookStages(eng)
 	ds := &Dataset{Level: IngestionLevel, Engine: keep}
 	for i := 0; i < stripes; i++ {
 		cols := generateBatch(seed+int64(i)*100, rowsPerStripe)
@@ -544,7 +567,7 @@ func ingest(seed int64, stripes, rowsPerStripe int, eng codec.Engine, staged cod
 		// producer's own encode/compress work is not this service's time,
 		// so it lands in a discarded Stats.
 		var producer Stats
-		upstreamFramed, err := writeStripe(cols, upstreamEng, &stageCapture{}, &producer)
+		upstreamFramed, err := writeStripe(cols, upstreamEng, nil, &producer)
 		if err != nil {
 			return nil, st, err
 		}
@@ -556,7 +579,7 @@ func ingest(seed int64, stripes, rowsPerStripe int, eng codec.Engine, staged cod
 		t0 := time.Now()
 		validateBatch(cols)
 		st.ComputeTime += time.Since(t0)
-		framed, err := writeStripe(cols, eng, cap, &st)
+		framed, err := writeStripe(cols, eng, sc, &st)
 		if err != nil {
 			return nil, st, err
 		}
@@ -595,11 +618,11 @@ func SparkWorker(ds *Dataset, computePasses int) (*Dataset, Stats, error) {
 	if err != nil {
 		return nil, st, err
 	}
-	writeEng, staged, err := engine(ShuffleLevel)
+	writeEng, err := engine(ShuffleLevel)
 	if err != nil {
 		return nil, st, err
 	}
-	cap := &stageCapture{staged: staged}
+	sc := hookStages(writeEng)
 	out := &Dataset{Level: ShuffleLevel}
 	for _, framed := range ds.Stripes {
 		cols, err := readStripe(framed, readEng, &st)
@@ -609,7 +632,7 @@ func SparkWorker(ds *Dataset, computePasses int) (*Dataset, Stats, error) {
 		t0 := time.Now()
 		agg := aggregate(cols, computePasses)
 		st.ComputeTime += time.Since(t0)
-		framedOut, err := writeStripe(agg, writeEng, cap, &st)
+		framedOut, err := writeStripe(agg, writeEng, sc, &st)
 		if err != nil {
 			return nil, st, err
 		}
@@ -684,11 +707,11 @@ func Shuffle(ds *Dataset, workers int) ([]*Dataset, Stats, error) {
 	if err != nil {
 		return nil, st, err
 	}
-	writeEng, staged, err := engine(ShuffleLevel)
+	writeEng, err := engine(ShuffleLevel)
 	if err != nil {
 		return nil, st, err
 	}
-	cap := &stageCapture{staged: staged}
+	sc := hookStages(writeEng)
 	outs := make([]*Dataset, workers)
 	for i := range outs {
 		outs[i] = &Dataset{Level: ShuffleLevel}
@@ -705,7 +728,7 @@ func Shuffle(ds *Dataset, workers int) ([]*Dataset, Stats, error) {
 			if p[0].Len() == 0 {
 				continue
 			}
-			framedOut, err := writeStripe(p, writeEng, cap, &st)
+			framedOut, err := writeStripe(p, writeEng, sc, &st)
 			if err != nil {
 				return nil, st, err
 			}
@@ -785,11 +808,11 @@ func MLJob(ds *Dataset, epochs int) (Stats, error) {
 	if err != nil {
 		return st, err
 	}
-	writeEng, staged, err := engine(ShuffleLevel)
+	writeEng, err := engine(ShuffleLevel)
 	if err != nil {
 		return st, err
 	}
-	cap := &stageCapture{staged: staged}
+	sc := hookStages(writeEng)
 	// A realistically sized embedding-table shard: checkpoints are a
 	// visible (but minority) share of the job's compression work.
 	weights := make([]float64, 1<<17)
@@ -805,7 +828,7 @@ func MLJob(ds *Dataset, epochs int) (Stats, error) {
 		}
 		// Checkpoint: weights serialized and compressed at level 1.
 		ck := []orc.Column{{Name: "weights", Kind: orc.Float64, Floats: weights}}
-		if _, err := writeStripe(ck, writeEng, cap, &st); err != nil {
+		if _, err := writeStripe(ck, writeEng, sc, &st); err != nil {
 			return st, err
 		}
 	}

@@ -3,6 +3,7 @@ package warehouse
 import (
 	"testing"
 
+	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/telemetry"
 )
 
@@ -42,6 +43,52 @@ func TestIngestStageSplitHighLevel(t *testing.T) {
 	if st.MatchFindTime+st.EntropyTime > st.CompressTime+st.CompressTime/10 {
 		t.Fatalf("stage times exceed total: mf=%v ent=%v total=%v",
 			st.MatchFindTime, st.EntropyTime, st.CompressTime)
+	}
+}
+
+// TestIngestEngineChecksumStageSplit pins the Fig 7 split through a
+// wrapped engine: the checksum frame forwards the stage hook, so the split
+// is measured whatever wraps the zstd encoder.
+func TestIngestEngineChecksumStageSplit(t *testing.T) {
+	eng, err := codec.NewEngine("zstd", codec.WithLevel(IngestionLevel), codec.WithChecksum(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := IngestEngine(4, 2, 5000, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.MatchFindTime <= 0 || st.EntropyTime <= 0 {
+		t.Fatalf("no stage split through the checksum wrapper: mf=%v ent=%v", st.MatchFindTime, st.EntropyTime)
+	}
+	if st.MatchFindTime+st.EntropyTime > st.CompressTime {
+		t.Fatalf("stage times exceed total: mf=%v ent=%v total=%v",
+			st.MatchFindTime, st.EntropyTime, st.CompressTime)
+	}
+}
+
+// TestStageClockSkipsDecode pins that decoding through a hooked engine
+// charges no stage time: the zstd decoder fires the encoder's hook too.
+func TestStageClockSkipsDecode(t *testing.T) {
+	eng, err := engine(ShuffleLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := hookStages(eng)
+	var st Stats
+	framed, err := writeStripe(generateBatch(3, 4000), eng, sc, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.EntropyTime <= 0 {
+		t.Fatalf("no entropy time on write: %+v", st)
+	}
+	before := sc.clock.Nanos
+	if _, err := readStripe(framed, eng, &Stats{}); err != nil {
+		t.Fatal(err)
+	}
+	if sc.clock.Nanos != before {
+		t.Fatalf("decode charged stage time: %v, was %v", sc.clock.Nanos, before)
 	}
 }
 
@@ -157,12 +204,12 @@ func TestStatsAggregation(t *testing.T) {
 
 func TestReadStripeColumnsPrunes(t *testing.T) {
 	cols := generateBatch(77, 20000)
-	eng, staged, err := engine(ShuffleLevel)
+	eng, err := engine(ShuffleLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var st Stats
-	framed, err := writeStripe(cols, eng, &stageCapture{staged: staged}, &st)
+	framed, err := writeStripe(cols, eng, hookStages(eng), &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +269,7 @@ func TestReadStripeColumnsPrunes(t *testing.T) {
 }
 
 func TestReadStripeCorruptDirectory(t *testing.T) {
-	eng, _, err := engine(ShuffleLevel)
+	eng, err := engine(ShuffleLevel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"time"
 
 	"github.com/datacomp/datacomp/internal/bits"
 	"github.com/datacomp/datacomp/internal/fse"
@@ -103,13 +102,6 @@ func DictID(dict []byte) uint32 {
 	return h.Sum32()
 }
 
-// StageStats accumulates the time spent in the two compressor stages,
-// powering the paper's Figure 7 (match finding vs entropy split).
-type StageStats struct {
-	MatchFind time.Duration
-	Entropy   time.Duration
-}
-
 // Encoder compresses frames at a fixed configuration. Not safe for
 // concurrent use.
 type Encoder struct {
@@ -120,7 +112,6 @@ type Encoder struct {
 	matchers  map[lz.Params]*lz.Matcher
 	lastP     lz.Params
 	lastM     *lz.Matcher
-	stats     StageStats
 	stageHook stage.Hook
 
 	seqs []lz.Sequence
@@ -134,7 +125,7 @@ type Encoder struct {
 	// performs zero heap allocations per frame.
 	huff    huffman.Scratch
 	fseSc   fse.Scratch
-	extras  bits.Writer
+	extras  bits.Writer64
 	payload []byte
 	litEnc  []byte
 	seqEnc  [3][]byte
@@ -185,17 +176,11 @@ func NewEncoder(opts Options) (*Encoder, error) {
 // Options returns the encoder's configuration.
 func (e *Encoder) Options() Options { return e.opts }
 
-// Stages returns the accumulated per-stage compression time and can be
-// reset with ResetStages.
-func (e *Encoder) Stages() StageStats { return e.stats }
-
-// ResetStages clears the stage accounting.
-func (e *Encoder) ResetStages() { e.stats = StageStats{} }
-
 // SetStageHook installs a hook fired at stage transitions inside Compress
 // (stage.MatchFind before parsing, stage.Entropy before entropy coding,
 // stage.App when the block completes). A nil hook disables notification.
-// The hook is called from the compressing goroutine only.
+// The hook is called from the compressing goroutine only. The encoder keeps
+// no clock of its own: a stage.Clock on the hook times the stages.
 func (e *Encoder) SetStageHook(h stage.Hook) { e.stageHook = h }
 
 func (e *Encoder) enterStage(s stage.ID) {
@@ -325,15 +310,11 @@ func (e *Encoder) compressBlock(dst, buf []byte, blockStart, blockEnd int, last 
 		return nil, err
 	}
 	e.enterStage(stage.MatchFind)
-	t0 := time.Now()
 	e.parse(m, buf, blockStart, blockEnd)
-	t1 := time.Now()
-	e.stats.MatchFind += t1.Sub(t0)
 
 	// Stage 2: entropy coding.
 	e.enterStage(stage.Entropy)
 	payload, err := e.encodeBlockPayload(content)
-	e.stats.Entropy += time.Since(t1)
 	e.enterStage(stage.App)
 	if err != nil {
 		return nil, err

@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/datacomp/datacomp/internal/corpus"
+	"github.com/datacomp/datacomp/internal/stage"
 )
 
 func compressible(seed int64, n int) []byte {
@@ -191,17 +193,38 @@ func TestStagesAccounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var clock stage.Clock
+	var seen []stage.ID
+	e.SetStageHook(func(s stage.ID) {
+		seen = append(seen, s)
+		clock.Enter(s)
+	})
 	src := compressible(17, 1<<18)
+	clock.Start(time.Now())
 	if _, err := e.Compress(nil, src); err != nil {
 		t.Fatal(err)
 	}
-	st := e.Stages()
-	if st.MatchFind <= 0 || st.Entropy <= 0 {
-		t.Fatalf("stage accounting missing: %+v", st)
+	clock.Stop(time.Now())
+	if clock.Nanos[stage.MatchFind] <= 0 || clock.Nanos[stage.Entropy] <= 0 {
+		t.Fatalf("stage accounting missing: %v", clock.Nanos)
 	}
-	e.ResetStages()
-	if st := e.Stages(); st.MatchFind != 0 || st.Entropy != 0 {
-		t.Fatalf("reset failed: %+v", st)
+	// Every compressed block fires match finding, entropy coding, then back
+	// to the application, in that order.
+	if len(seen) == 0 || len(seen)%3 != 0 {
+		t.Fatalf("hook fired %v", seen)
+	}
+	for i := 0; i < len(seen); i += 3 {
+		if seen[i] != stage.MatchFind || seen[i+1] != stage.Entropy || seen[i+2] != stage.App {
+			t.Fatalf("block %d: transitions %v", i/3, seen[i:i+3])
+		}
+	}
+	e.SetStageHook(nil)
+	clock.Start(time.Now())
+	if _, err := e.Compress(nil, src); err != nil {
+		t.Fatal(err)
+	}
+	if clock.Nanos != [stage.Count]int64{} {
+		t.Fatalf("cleared hook still fired: %v", clock.Nanos)
 	}
 }
 
