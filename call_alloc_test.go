@@ -1,8 +1,10 @@
 // Call-path allocation gate: the serving path — an rpc call, a cluster get
 // of a small value and a cluster put of a 2 KiB one — must not allocate its
-// own bookkeeping once warm. A call allocates the reply it returns; a get
-// allocates the replies of its replica calls and what the nodes build them
-// from; a put allocates nothing to store what it stores.
+// own bookkeeping once warm. Call allocates the reply it returns and
+// AppendCall into a reused buffer nothing; every reply of a get lands in a
+// buffer its owner keeps (the node's connection, the pooled op), so a get
+// allocates the one copy of the value it returns; a put allocates nothing to
+// store what it stores.
 package datacomp_test
 
 import (
@@ -10,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 
 	"github.com/datacomp/datacomp/internal/cluster"
@@ -20,16 +23,15 @@ import (
 // sync.Pool puts at random and so allocates pooled state now and then.
 var raceEnabled bool
 
-// nodeLink is the compression the cluster's node links use by default; the
-// gate's payloads are below its MinSize, so no codec runs.
+// nodeLink is the compression the cluster's node links use by default. The
+// call and hot-get gates' payloads are below its MinSize, so no codec runs;
+// the AppendCall and flushed-get gates cross it.
 var nodeLink = rpc.Compression{Codec: "lz4", Level: 1, Checksum: true}
 
-func TestCallAllocsRPC(t *testing.T) {
-	if testing.CoverMode() != "" {
-		t.Skip("coverage instrumentation allocates")
-	}
-	srv := rpc.NewServer(nodeLink)
-	srv.Register("echo", rpc.Func(func(req []byte) ([]byte, error) { return req, nil }))
+// servePipe serves srv on one end of a pipe and returns a client on the
+// other; the test's cleanup closes both and waits for the serve loop.
+func servePipe(t *testing.T, srv *rpc.Server) *rpc.Client {
+	t.Helper()
 	cc, sc := net.Pipe()
 	served := make(chan struct{})
 	go func() {
@@ -37,15 +39,25 @@ func TestCallAllocsRPC(t *testing.T) {
 		_ = srv.ServeConn(context.Background(), sc)
 		sc.Close()
 	}()
-	defer func() {
-		cc.Close()
-		<-served
-	}()
 	cl, err := rpc.NewClient(cc, nodeLink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
+	t.Cleanup(func() {
+		cl.Close()
+		cc.Close()
+		<-served
+	})
+	return cl
+}
+
+func TestCallAllocsRPC(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	srv := rpc.NewServer(nodeLink)
+	srv.Register("echo", rpc.Func(func(req []byte) ([]byte, error) { return req, nil }))
+	cl := servePipe(t, srv)
 
 	// One cancellable context for every call, as a serving loop holds one:
 	// its cancellation watch is registered by the warm-up call alone.
@@ -66,14 +78,45 @@ func TestCallAllocsRPC(t *testing.T) {
 	}
 }
 
+// A warmed AppendCall into a reused buffer allocates nothing, below the
+// link's MinSize and above it: the reply is read straight into the buffer's
+// tail or decompressed onto it, and the server's append-form handler writes
+// into the connection's reply buffer.
+func TestCallAllocsAppendCall(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	srv := rpc.NewServer(nodeLink)
+	srv.RegisterAppend("echo", func(_ context.Context, dst, req []byte) ([]byte, error) {
+		return append(dst, req...), nil
+	})
+	cl := servePipe(t, srv)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, size := range []int{128, 4 << 10} {
+		req := bytes.Repeat([]byte("append call "), size/12+1)[:size]
+		var dst []byte
+		n := allocsPerOp(t, func() {
+			var err error
+			dst, err = cl.AppendCall(ctx, dst[:0], "echo", req)
+			if err != nil || !bytes.Equal(dst, req) {
+				t.Fatalf("echo %d B: %d bytes back, %v", size, len(dst), err)
+			}
+		})
+		t.Logf("warmed AppendCall, %d B: %v allocs/op", size, n)
+		if n != 0 {
+			t.Errorf("warmed AppendCall of %d B into a reused buffer: %v allocs/op, want 0", size, n)
+		}
+	}
+}
+
 // maxClusterGetAllocs pins a warmed Cluster.Get of a memtable-resident
-// 128 B value on three nodes at RF=3: one record and two digest replies,
-// each allocated by its node's handler and again by the client reading it,
-// plus the two fan-out goroutines' closures and the 0x01 the record reply
-// starts as before the record is appended behind it. With a cancellation
-// watch per call, per-op fan-out state and the record copied twice on its
-// node it was 48.
-const maxClusterGetAllocs = 9
+// 128 B value on three nodes at RF=3: the value copied out for the caller
+// and the two fan-out goroutines' closures. With each record and digest
+// reply allocated by its node's handler and again by the client reading it
+// it was 9; with a cancellation watch per call, per-op fan-out state and
+// the record copied twice on its node it was 48.
+const maxClusterGetAllocs = 3
 
 func TestCallAllocsClusterGet(t *testing.T) {
 	if testing.CoverMode() != "" {
@@ -104,6 +147,68 @@ func TestCallAllocsClusterGet(t *testing.T) {
 	t.Logf("warmed Cluster.Get: %v allocs/op", n)
 	if n > maxClusterGetAllocs {
 		t.Errorf("warmed Cluster.Get: %v allocs/op, want at most %d", n, maxClusterGetAllocs)
+	}
+}
+
+// maxGetBytesOverValue bounds what a warmed Cluster.Get of a flushed value
+// allocates beyond the value's own copy: the two fan-out closures and
+// rounding. Every reply — the node's record read out of its block cache,
+// the digests, the client's decompressed record — lands in a kept buffer.
+// With fresh reply buffers on both ends of each call it was ≈ 1.4 KB over a
+// 1 KiB value.
+const maxGetBytesOverValue = 160
+
+func TestCallAllocsClusterGetBytes(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	if raceEnabled {
+		t.Skip("the race detector drops pooled fan-out state at random")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c := cluster.New()
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := c.AddNode(ctx, fmt.Sprintf("node-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key, value := []byte("cold-key"), bytes.Repeat([]byte("1 KiB value "), 86)[:1024]
+	if err := c.Put(ctx, key, value); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range c.Nodes() {
+		if err := c.Node(name).Store().Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func() {
+		got, ok, err := c.Get(ctx, key)
+		if err != nil || !ok || !bytes.Equal(got, value) {
+			t.Fatalf("get: %d bytes ok=%v err=%v", len(got), ok, err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		get()
+	}
+	// The least of several trials: on a busy machine the process allocates
+	// more around the gets (a full-suite run once read 1 186 B/op), and that
+	// only ever adds.
+	const trials, runs = 5, 100
+	perOp := ^uint64(0)
+	for range trials {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			get()
+		}
+		runtime.ReadMemStats(&after)
+		perOp = min(perOp, (after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	t.Logf("warmed Cluster.Get of a flushed %d B value: %d B/op", len(value), perOp)
+	if perOp > uint64(len(value)+maxGetBytesOverValue) {
+		t.Errorf("warmed Cluster.Get of a flushed %d B value: %d B/op, want at most %d", len(value), perOp, len(value)+maxGetBytesOverValue)
 	}
 }
 

@@ -7,6 +7,7 @@ package datacomp_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -216,6 +217,9 @@ func FuzzEntropyRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzRPCFrame parses every input as one rpc frame: an error, never a
+// panic; an accepted frame round-trips; and the parse allocates on the
+// bytes it was given, not on the lengths its header claims.
 func FuzzRPCFrame(f *testing.F) {
 	for _, frame := range [][]byte{
 		rpc.EncodeFrame(0, "echo", nil),
@@ -230,8 +234,25 @@ func FuzzRPCFrame(f *testing.F) {
 			f.Add(frame[:len(frame)/2])
 		}
 	}
+	// A header that claims a 64 MiB payload and carries ten bytes of it.
+	claim := binary.AppendUvarint([]byte{0, 4, 'e', 'c', 'h', 'o'}, 64<<20)
+	f.Add(append(append(claim, make([]byte, 8)...), "ten bytes!"...))
+	// A frame's payload buffer grows with the bytes that arrive — at most
+	// readAhead beyond them at first, then by doubling — whatever length the
+	// header claims; the rest of the slack is the reader's own buffers.
+	const readAhead, parseSlack = 64 << 10, 16 << 10
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		flags, method, payload, err := rpc.ParseFrame(data)
+		runtime.ReadMemStats(&after)
+		bound := uint64(len(data)) + readAhead + parseSlack
+		if len(data) > readAhead {
+			bound += 3 * uint64(len(data)) // doubling past the first step
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > bound {
+			t.Fatalf("parsing %d bytes as a frame allocated %d bytes, want at most %d", len(data), n, bound)
+		}
 		if err != nil {
 			// The whole failure surface of the frame parser: a clean EOF
 			// between frames, or typed corruption. Anything else (or a

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -237,7 +238,8 @@ func (c *Cluster) Close() error {
 }
 
 // replica is one owner of a key for the length of an operation: its client
-// pool and the slot its latest reply lands in.
+// pool and the slot its latest reply lands in. resp's backing array belongs
+// to the pooled op and is reused by the next operation.
 type replica struct {
 	pool *clientPool
 	resp []byte
@@ -266,13 +268,13 @@ func (r *replica) header() []byte { return r.resp[1 : 1+recHeaderLen] }
 
 // op is one operation's replica set and fan-out state. It is recycled
 // through opPool, so an operation allocates none of its own bookkeeping;
-// nothing may keep an op, or a slice of its reps, past release. Replies in
-// reps alias rpc reply buffers, never the op, so they outlive it.
+// nothing may keep an op, a slice of its reps, or a reply or request in
+// its buffers past release.
 type op struct {
-	reps  []replica
-	names []string // reps' node names, as the ring returned them
+	reps  []replica // each slot's resp buffer survives release for the next op
+	names []string  // reps' node names, as the ring returned them
 	wg    sync.WaitGroup
-	buf   []byte // the request a write frames; no call holds it once fanOut returns
+	buf   []byte // the request a write or read-repair frames; no call holds it once the call returns
 
 	// What fanOut's goroutines read, set before they start.
 	ctx    context.Context
@@ -282,8 +284,8 @@ type op struct {
 
 var opPool = sync.Pool{New: func() any { return new(op) }}
 
-// maxPooledRequest bounds the request buffer a pooled op keeps.
-const maxPooledRequest = 64 << 10
+// maxPooledBuffer bounds each request and reply buffer a pooled op keeps.
+const maxPooledBuffer = 64 << 10
 
 // owners resolves key's replica set in ring order. The caller releases it.
 func (c *Cluster) owners(key []byte) (*op, error) {
@@ -294,18 +296,28 @@ func (c *Cluster) owners(key []byte) (*op, error) {
 	}
 	o := opPool.Get().(*op)
 	o.names = c.ring.AppendOwners(o.names[:0], key, c.cfg.replication)
-	for _, name := range o.names {
-		o.reps = append(o.reps, replica{pool: c.clients[name]})
+	o.reps = slices.Grow(o.reps, len(o.names))[:len(o.names)]
+	for i, name := range o.names {
+		r := &o.reps[i]
+		*r = replica{pool: c.clients[name], resp: r.resp[:0]}
 	}
 	return o, nil
 }
 
-// release returns o to opPool holding no reply, error, context or request.
+// release returns o to opPool holding no error, context or request, and
+// every slot's reply buffer emptied for the next operation.
 func (o *op) release() {
-	clear(o.reps)
+	for i := range o.reps {
+		r := &o.reps[i]
+		resp := r.resp[:0]
+		if cap(resp) > maxPooledBuffer {
+			resp = nil
+		}
+		*r = replica{resp: resp}
+	}
 	o.reps = o.reps[:0]
 	o.ctx, o.method, o.req = nil, "", nil
-	if cap(o.buf) > maxPooledRequest {
+	if cap(o.buf) > maxPooledBuffer {
 		o.buf = nil
 	}
 	opPool.Put(o)
@@ -314,22 +326,26 @@ func (o *op) release() {
 // fanOut sends req to every owner at once — method first to reps[0] on the
 // caller's goroutine, rest to the others on their own — and returns when all
 // of them have answered or failed, so an operation costs its slowest call,
-// not the sum.
+// not the sum. Each reply lands in its slot's buffer.
 func (o *op) fanOut(ctx context.Context, first, rest string, req []byte) {
 	o.ctx, o.method, o.req = ctx, rest, req
 	for i := 1; i < len(o.reps); i++ {
 		o.wg.Add(1)
 		go o.call(i)
 	}
-	o.reps[0].resp, o.reps[0].err = o.reps[0].pool.call(ctx, first, req)
+	o.reps[0].send(ctx, first, req)
 	o.wg.Wait()
 }
 
 // call is one of fanOut's goroutines: it sends o.method to reps[i].
 func (o *op) call(i int) {
 	defer o.wg.Done()
-	r := &o.reps[i]
-	r.resp, r.err = r.pool.call(o.ctx, o.method, o.req)
+	o.reps[i].send(o.ctx, o.method, o.req)
+}
+
+// send calls method on r's owner with the reply landing in r's buffer.
+func (r *replica) send(ctx context.Context, method string, req []byte) {
+	r.resp, r.err = r.pool.call(ctx, r.resp[:0], method, req)
 }
 
 // NextVersion mints a monotonically increasing write version. Exposed so
@@ -448,7 +464,7 @@ func (c *Cluster) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 		}
 		cmGetEscalated.Inc()
 		c.escalated.Add(1)
-		next.resp, next.err = next.pool.call(ctx, MethodGet, key)
+		next.send(ctx, MethodGet, key)
 		c.classify(next, true)
 	}
 
@@ -476,7 +492,8 @@ func (c *Cluster) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	}
 
 	// Read-repair: push the winner to every responsive replica that
-	// disagrees (stale version, missing, or corrupt).
+	// disagrees (stale version, missing, or corrupt). The kv.put is framed
+	// once, in the op's request buffer; its empty reply needs no buffer.
 	var req []byte
 	for i := range reps {
 		r := &reps[i]
@@ -492,9 +509,10 @@ func (c *Cluster) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 			continue
 		}
 		if req == nil {
-			req = appendKeyRecord(nil, key, best.resp[1:])
+			o.buf = appendKeyRecord(o.buf[:0], key, best.resp[1:])
+			req = o.buf
 		}
-		if _, err := r.pool.call(ctx, MethodPut, req); err == nil {
+		if _, err := r.pool.call(ctx, nil, MethodPut, req); err == nil {
 			cmRepairs.Inc()
 			c.repairs.Add(1)
 		}
@@ -503,7 +521,11 @@ func (c *Cluster) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	if best.resp[1+8]&flagTombstone != 0 {
 		return nil, false, nil
 	}
-	return best.resp[1+recHeaderLen:], true, nil
+	// The reply is the op's; the caller gets the value's one copy.
+	v := best.resp[1+recHeaderLen:]
+	value := make([]byte, len(v))
+	copy(value, v)
+	return value, true, nil
 }
 
 // classify sets r.state from the reply r holds; full says it came from a
@@ -561,24 +583,26 @@ func (c *Cluster) Rebalance(ctx context.Context) error {
 	return nil
 }
 
-// drainFrom dumps one node and re-puts each record to its owners.
+// drainFrom dumps one node and re-puts each record to its owners, framing
+// every kv.put in one request buffer.
 func (c *Cluster) drainFrom(ctx context.Context, src *clientPool) error {
-	dumpResp, err := src.call(ctx, MethodDump, nil)
+	dumpResp, err := src.call(ctx, nil, MethodDump, nil)
 	if err != nil {
 		return fmt.Errorf("rebalance dump from %s: %w", src.node.Name(), err)
 	}
+	var req []byte
 	return walkDump(dumpResp, func(key, rec []byte) error {
 		o, err := c.owners(key)
 		if err != nil {
 			return err
 		}
 		defer o.release()
-		req := appendKeyRecord(nil, key, rec)
+		req = appendKeyRecord(req[:0], key, rec)
 		for _, r := range o.reps {
 			if r.pool == src {
 				continue
 			}
-			if _, err := r.pool.call(ctx, MethodPut, req); err != nil {
+			if _, err := r.pool.call(ctx, nil, MethodPut, req); err != nil {
 				cmReplicaErrors.Inc()
 				continue // best-effort: quorum reads tolerate a lagging copy
 			}
@@ -654,18 +678,19 @@ func (p *clientPool) release(cl *rpc.Client) {
 	}
 }
 
-// call runs one rpc against the node with a pooled client.
-func (p *clientPool) call(ctx context.Context, method string, req []byte) ([]byte, error) {
+// call runs one rpc against the node with a pooled client, appending the
+// reply to dst; on error it returns dst unchanged.
+func (p *clientPool) call(ctx context.Context, dst []byte, method string, req []byte) ([]byte, error) {
 	cl, err := p.acquire(ctx)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	resp, err := cl.Call(ctx, method, req)
+	resp, err := cl.AppendCall(ctx, dst, method, req)
 	if err != nil {
 		// A dead connection (node stop/crash) poisons the client; drop it
 		// so the next call dials fresh.
 		cl.Close()
-		return nil, err
+		return dst, err
 	}
 	p.release(cl)
 	return resp, nil

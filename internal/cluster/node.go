@@ -263,10 +263,10 @@ func (n *Node) start(ctx context.Context) error {
 	}
 	srv := rpc.NewServer(n.cfg.comp, srvOpts...)
 	srv.Register(MethodPut, n.handlePut)
-	srv.Register(MethodGet, n.handleGet)
-	srv.Register(MethodDigest, n.handleDigest)
+	srv.RegisterAppend(MethodGet, n.handleGet)
+	srv.RegisterAppend(MethodDigest, n.handleDigest)
 	srv.Register(MethodDelete, n.handleDelete)
-	srv.Register(MethodDump, n.handleDump)
+	srv.RegisterAppend(MethodDump, n.handleDump)
 
 	n.putMu.Lock()
 	n.versions = make(map[string]*[recHeaderLen]byte)
@@ -480,11 +480,11 @@ func (n *Node) track(key []byte, entry *[recHeaderLen]byte, rec []byte) *[recHea
 	return entry
 }
 
-// handleGet returns the stored record (tombstones included — the caller
-// needs their versions for repair ordering). A record that fails its
+// handleGet appends the stored record to dst (tombstones included — the
+// caller needs their versions for repair ordering). A record that fails its
 // checksum is returned as stored, for the caller to count and repair, and
 // leaves the version table so no digest vouches for it meanwhile.
-func (n *Node) handleGet(ctx context.Context, req []byte) ([]byte, error) {
+func (n *Node) handleGet(ctx context.Context, dst, req []byte) ([]byte, error) {
 	if len(req) == 0 {
 		return nil, errBadRecord
 	}
@@ -493,14 +493,14 @@ func (n *Node) handleGet(ctx context.Context, req []byte) ([]byte, error) {
 		return nil, err
 	}
 	// The record is copied once, straight into the reply behind its 0x01.
-	resp, ok, err := db.AppendGet(ctx, []byte{0x01}, req)
+	resp, ok, err := db.AppendGet(ctx, append(dst, 0x01), req)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return []byte{0x00}, nil
+		return append(dst, 0x00), nil
 	}
-	if _, valid := validRecord(resp[1:]); !valid {
+	if _, valid := validRecord(resp[len(dst)+1:]); !valid {
 		n.putMu.Lock()
 		delete(n.versions, string(req))
 		n.putMu.Unlock()
@@ -508,11 +508,11 @@ func (n *Node) handleGet(ctx context.Context, req []byte) ([]byte, error) {
 	return resp, nil
 }
 
-// handleDigest answers with the header of the stored record: from the
+// handleDigest appends the header of the stored record to dst: from the
 // version table when it holds the key, else from the store, and then the key
 // enters the table — which must happen under putMu, or a put landing between
 // the read and the insert would leave the table behind the store.
-func (n *Node) handleDigest(ctx context.Context, req []byte) ([]byte, error) {
+func (n *Node) handleDigest(ctx context.Context, dst, req []byte) ([]byte, error) {
 	if len(req) == 0 {
 		return nil, errBadRecord
 	}
@@ -529,17 +529,14 @@ func (n *Node) handleDigest(ctx context.Context, req []byte) ([]byte, error) {
 			return nil, err
 		}
 		if !ok {
-			return []byte{0x00}, nil
+			return append(dst, 0x00), nil
 		}
 		if _, valid := validRecord(cur); !valid {
 			return nil, errStoredCorrupt
 		}
 		hdr = n.track(req, nil, cur)
 	}
-	resp := make([]byte, 1+recHeaderLen)
-	resp[0] = 0x01
-	copy(resp[1:], hdr[:])
-	return resp, nil
+	return append(append(dst, 0x01), hdr[:]...), nil
 }
 
 // handleDelete stores a versioned tombstone via the same newer-wins rule.
@@ -554,13 +551,13 @@ func (n *Node) handleDelete(ctx context.Context, req []byte) ([]byte, error) {
 	return n.handlePut(ctx, appendPutRequest(nil, key, binary.LittleEndian.Uint64(rest), true, nil))
 }
 
-// handleDump streams every stored record, tombstones included.
-func (n *Node) handleDump(ctx context.Context, req []byte) ([]byte, error) {
+// handleDump appends every stored record to dst, tombstones included.
+func (n *Node) handleDump(ctx context.Context, dst, req []byte) ([]byte, error) {
 	db, err := n.store()
 	if err != nil {
 		return nil, err
 	}
-	var out []byte
+	out := dst
 	err = db.Scan(ctx, func(k, v []byte) bool {
 		out = binary.AppendUvarint(out, uint64(len(k)))
 		out = append(out, k...)

@@ -86,7 +86,7 @@ func tableLen(n *Node) int {
 }
 
 // digestOf calls the digest handler directly.
-func digestOf(n *Node, key string) ([]byte, error) { return n.handleDigest(tctx, []byte(key)) }
+func digestOf(n *Node, key string) ([]byte, error) { return n.handleDigest(tctx, nil, []byte(key)) }
 
 // TestNodePutModel drives one node with a seeded interleaving of fresh puts,
 // deletes, duplicates, stale versions, read-repair re-puts, digests, in-place
@@ -170,7 +170,7 @@ func TestNodePutModel(t *testing.T) {
 				}
 				n.putMu.Unlock()
 				for key, hdr := range table {
-					got, err := n.handleGet(tctx, []byte(key))
+					got, err := n.handleGet(tctx, nil, []byte(key))
 					if err != nil || len(got) < 1+recHeaderLen || !bytes.Equal(got[1:1+recHeaderLen], hdr[:]) {
 						t.Fatalf("step %d (%s): %s tracked with header %x, get returns %x (%v)", step, op, key, hdr, got, err)
 					}
@@ -229,7 +229,7 @@ func TestNodePutModel(t *testing.T) {
 					// hand, or by the data read that finds the damage.
 					if rng.Intn(2) == 0 {
 						n.forget([]byte(key))
-					} else if got, err := n.handleGet(tctx, []byte(key)); err != nil || !bytes.Equal(got[1:], model[key]) {
+					} else if got, err := n.handleGet(tctx, nil, []byte(key)); err != nil || !bytes.Equal(got[1:], model[key]) {
 						t.Fatalf("step %d: get of corrupt %s = %x, %v", step, key, got, err)
 					}
 					if tracked(n, key) {

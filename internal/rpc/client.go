@@ -190,13 +190,23 @@ func (c *Client) Stats() Stats {
 	return agg.snapshot()
 }
 
-// Call sends a request and waits for its response. The context's deadline
-// and cancellation propagate into the connection I/O when the connection
-// is a net.Conn; transport failures on idempotent methods retry with
-// exponential backoff per the client's RetryPolicy.
+// Call sends a request and waits for its response, returned in a fresh
+// slice: AppendCall(ctx, nil, method, req).
 func (c *Client) Call(ctx context.Context, method string, req []byte) ([]byte, error) {
+	return c.AppendCall(ctx, nil, method, req)
+}
+
+// AppendCall sends a request, waits for its response and appends it to dst:
+// a compressed response is decompressed onto dst, an uncompressed one read
+// straight into its tail, so a caller that reuses dst pays no allocation
+// per call once it is large enough. dst's spare capacity is overwritten, so
+// it must not hold req. On error it returns dst unchanged. The context's
+// deadline and cancellation propagate into the connection I/O when the
+// connection is a net.Conn; transport failures on idempotent methods retry
+// with exponential backoff per the client's RetryPolicy.
+func (c *Client) AppendCall(ctx context.Context, dst []byte, method string, req []byte) ([]byte, error) {
 	if method == "" {
-		return nil, errors.New("rpc: empty method")
+		return dst, errors.New("rpc: empty method")
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -204,11 +214,11 @@ func (c *Client) Call(ctx context.Context, method string, req []byte) ([]byte, e
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, ErrClientClosed
+		return dst, ErrClientClosed
 	}
 	ctx, span := c.traceCall(ctx, method)
 	t0 := time.Now()
-	resp, err := c.callLocked(ctx, method, req, span)
+	resp, err := c.callLocked(ctx, dst, method, req, span)
 	tmCallNS.ObserveTraced(time.Since(t0).Nanoseconds(), uint64(span.TraceID()))
 	if span.Valid() {
 		if err != nil {
@@ -216,7 +226,10 @@ func (c *Client) Call(ctx context.Context, method string, req []byte) ([]byte, e
 		}
 		span.End()
 	}
-	return resp, err
+	if err != nil {
+		return dst, err
+	}
+	return resp, nil
 }
 
 // traceCall opens the call's span: a child of the context's active span
@@ -237,8 +250,9 @@ func (c *Client) traceCall(ctx context.Context, method string) (context.Context,
 	return trace.ContextWith(ctx, span), span
 }
 
-// callLocked runs the breaker gate and the retry loop under c.mu.
-func (c *Client) callLocked(ctx context.Context, method string, req []byte, span trace.SpanHandle) ([]byte, error) {
+// callLocked runs the breaker gate and the retry loop under c.mu. Every
+// attempt appends to dst afresh.
+func (c *Client) callLocked(ctx context.Context, dst []byte, method string, req []byte, span trace.SpanHandle) ([]byte, error) {
 	if err := c.gate(); err != nil {
 		span.Event("rpc.breaker_fastfail")
 		return nil, err
@@ -269,7 +283,7 @@ func (c *Client) callLocked(ctx context.Context, method string, req []byte, span
 				continue
 			}
 		}
-		resp, err := c.attempt(ctx, method, req, span)
+		resp, err := c.attempt(ctx, dst, method, req, span)
 		if err == nil {
 			c.recordSuccess()
 			return resp, nil
@@ -350,7 +364,7 @@ func (c *Client) redialLocked(ctx context.Context) error {
 // on the connection, and marks the client broken when the error leaves the
 // stream position unknown. A traced attempt stages the span context onto
 // the request frame and parents the transport's codec spans.
-func (c *Client) attempt(ctx context.Context, method string, req []byte, span trace.SpanHandle) ([]byte, error) {
+func (c *Client) attempt(ctx context.Context, dst []byte, method string, req []byte, span trace.SpanHandle) ([]byte, error) {
 	if nc, ok := c.conn.(net.Conn); ok {
 		c.enter(ctx, nc)
 		defer c.exit(nc)
@@ -359,19 +373,19 @@ func (c *Client) attempt(ctx context.Context, method string, req []byte, span tr
 		c.t.cur = span
 		c.t.wsc = span.Context()
 	}
-	resp, err := c.exchange(ctx, method, req)
+	resp, err := c.exchange(ctx, dst, method, req)
 	c.t.cur = trace.SpanHandle{}
 	c.t.wsc = trace.SpanContext{}
 	return resp, err
 }
 
-func (c *Client) exchange(ctx context.Context, method string, req []byte) ([]byte, error) {
+func (c *Client) exchange(ctx context.Context, dst []byte, method string, req []byte) ([]byte, error) {
 	c.t.wmethod = append(c.t.wmethod[:0], method...)
 	if err := c.t.writeFrame(0, c.t.wmethod, req); err != nil {
 		c.broken = true
 		return nil, c.ctxErr(ctx, err)
 	}
-	flags, _, resp, err := c.t.readFrame()
+	flags, _, resp, err := c.t.readFrame(dst)
 	if err != nil {
 		if !isAligned(err) {
 			c.broken = true
@@ -381,7 +395,7 @@ func (c *Client) exchange(ctx context.Context, method string, req []byte) ([]byt
 	c.t.stats.calls.Add(1)
 	tmCalls.Inc()
 	if flags&flagError != 0 {
-		return nil, &RemoteError{Msg: string(resp)}
+		return nil, &RemoteError{Msg: string(resp[len(dst):])}
 	}
 	return resp, nil
 }

@@ -225,16 +225,19 @@ const (
 	frameSumLen = 8
 )
 
+// readStep is the most a frame's payload read allocates ahead of the bytes
+// that have arrived: a header may claim up to maxFrame, and nothing is
+// allocated on its word alone.
+const readStep = 64 << 10
+
 // transport frames and (de)compresses messages on one connection.
 // The engine is single-goroutine (Client/Server serialize frame I/O), but
 // the stats counters are safe to read concurrently.
 //
-// When owned is set (server side), readFrame returns method and payload
-// slices backed by the transport's scratch buffers, valid only until the
-// next readFrame — the serve loop fully consumes each frame before reading
-// the next, so steady-state serving allocates nothing per frame. Client
-// transports leave owned unset because Call hands the response payload to
-// the caller, which keeps it.
+// readFrame appends the payload to a buffer its caller owns — the server's
+// request scratch, or the dst of Client.AppendCall — so the transport itself
+// keeps only the method and compressed-wire scratch, and steady-state
+// framing allocates nothing once those buffers are warm.
 type transport struct {
 	r       *bufio.Reader
 	w       *bufio.Writer
@@ -243,13 +246,11 @@ type transport struct {
 	actrl   *adaptive.Controller        // non-nil = per-method adaptive compression
 	ahnd    map[string]*adaptive.Handle // method → class handle cache
 	min     int
-	owned   bool
 	shed    func() bool // when non-nil and true, skip compression (overload)
 	stats   counters
 	buf     []byte // compression scratch (write side)
 	mbuf    []byte // method scratch (read side)
-	rbuf    []byte // wire-payload scratch (read side)
-	dbuf    []byte // decompression scratch (read side, owned only)
+	rbuf    []byte // compressed-payload scratch (read side)
 	wmethod []byte // method scratch (write side, avoids string→[]byte churn)
 
 	// Tracing state. cur is the span the owner (Client.Call attempt or
@@ -459,11 +460,33 @@ func (t *transport) readHeaderUvarint() (uint64, error) {
 	return 0, corruptFrame(errHeader)
 }
 
+// readPayload appends the next n stream bytes to dst. It grows dst only as
+// bytes arrive — by at most readStep ahead of them at first, then at most
+// doubling — so a frame that claims more than it carries costs what it
+// carried.
+func (t *transport) readPayload(dst []byte, n int) ([]byte, error) {
+	for end := len(dst) + n; len(dst) < end; {
+		if len(dst) == cap(dst) {
+			grown := make([]byte, len(dst), len(dst)+min(end-len(dst), max(cap(dst), readStep)))
+			copy(grown, dst)
+			dst = grown
+		}
+		k, err := io.ReadFull(t.r, dst[len(dst):min(end, cap(dst))])
+		dst = dst[:len(dst)+k]
+		if err != nil {
+			return dst, midFrame(err)
+		}
+	}
+	return dst, nil
+}
+
 // readFrame receives one message, verifying the frame checksum and
-// decompressing as flagged. On an owned transport, method and payload alias
-// scratch buffers valid until the next readFrame; otherwise the payload is
-// freshly allocated for the caller.
-func (t *transport) readFrame() (flags byte, method, payload []byte, err error) {
+// decompressing as flagged, and appends its payload to dst: an uncompressed
+// payload is read straight into dst's tail, a compressed one is read into
+// the transport's scratch and decompressed onto dst. payload is dst
+// extended; method aliases scratch valid until the next readFrame. Stats
+// count only the appended bytes.
+func (t *transport) readFrame(dst []byte) (flags byte, method, payload []byte, err error) {
 	t.rsc = trace.SpanContext{}
 	flags, err = t.r.ReadByte()
 	if err != nil {
@@ -512,34 +535,28 @@ func (t *transport) readFrame() (flags byte, method, payload []byte, err error) 
 		return 0, nil, nil, midFrame(err)
 	}
 	compressed := flags&flagCompressed != 0
-	var pbuf []byte
-	if t.owned || compressed {
-		// Wire bytes are scratch: either the frame is consumed in place
-		// (owned) or decompression copies out of them below.
-		if uint64(cap(t.rbuf)) < plen {
-			t.rbuf = make([]byte, plen)
-		}
-		pbuf = t.rbuf[:plen]
+	base := len(dst)
+	var wire []byte
+	if compressed {
+		t.rbuf, err = t.readPayload(t.rbuf[:0], int(plen))
+		wire = t.rbuf
 	} else {
-		pbuf = make([]byte, plen)
+		dst, err = t.readPayload(dst, int(plen))
+		wire = dst[base:]
 	}
-	if _, err := io.ReadFull(t.r, pbuf); err != nil {
-		return 0, nil, nil, midFrame(err)
+	if err != nil {
+		return 0, nil, nil, err
 	}
-	if frameSum(trc, mbuf, pbuf) != binary.LittleEndian.Uint64(sum) {
+	if frameSum(trc, mbuf, wire) != binary.LittleEndian.Uint64(sum) {
 		// The whole frame was consumed before verification failed, so the
 		// stream is still aligned.
 		return 0, nil, nil, aligned(corruptFrame(errSumMismatch))
 	}
-	t.stats.wireBytes.Add(int64(len(pbuf)))
-	tmWireBytes.Add(int64(len(pbuf)))
+	t.stats.wireBytes.Add(int64(len(wire)))
+	tmWireBytes.Add(int64(len(wire)))
 	if compressed {
 		if t.eng == nil && t.actrl == nil {
 			return 0, nil, nil, aligned(corruptFrame(fmt.Errorf("%w: compressed frame on uncompressed transport", ErrCorrupt)))
-		}
-		dst := []byte(nil)
-		if t.owned {
-			dst = t.dbuf[:0]
 		}
 		sp := t.cur.Child("rpc.decompress") // zero handle when untraced
 		t.stages.Bind(sp)
@@ -549,10 +566,10 @@ func (t *transport) readFrame() (flags byte, method, payload []byte, err error) 
 		if t.actrl != nil {
 			var h *adaptive.Handle
 			if h, err = t.adaptiveHandle(mbuf); err == nil {
-				out, err = h.Decompress(dst, pbuf)
+				out, err = h.Decompress(dst, wire)
 			}
 		} else {
-			out, err = t.eng.Decompress(dst, pbuf)
+			out, err = t.eng.Decompress(dst, wire)
 		}
 		ns := time.Since(t0).Nanoseconds()
 		t.stats.decompressNS.Add(ns)
@@ -564,15 +581,12 @@ func (t *transport) readFrame() (flags byte, method, payload []byte, err error) 
 			// was consumed, so the connection stays aligned.
 			return 0, nil, nil, aligned(corruptFrame(err))
 		}
-		sp.SetInt("wire", int64(len(pbuf))).SetInt("raw", int64(len(out))).End()
-		if t.owned {
-			t.dbuf = out
-		}
-		pbuf = out
+		sp.SetInt("wire", int64(len(wire))).SetInt("raw", int64(len(out)-base)).End()
+		dst = out
 	}
-	t.stats.rawBytes.Add(int64(len(pbuf)))
-	tmRawBytes.Add(int64(len(pbuf)))
-	return flags, mbuf, pbuf, nil
+	t.stats.rawBytes.Add(int64(len(dst) - base))
+	tmRawBytes.Add(int64(len(dst) - base))
+	return flags, mbuf, dst, nil
 }
 
 // EncodeFrame renders one uncompressed frame to bytes — the writer half of
@@ -616,6 +630,6 @@ func ParseFrame(data []byte) (flags byte, method, payload []byte, err error) {
 func ParseFrameTrace(data []byte) (flags byte, method, payload []byte, sc trace.SpanContext, err error) {
 	tm()
 	t := &transport{r: bufio.NewReader(bytes.NewReader(data))}
-	flags, method, payload, err = t.readFrame()
+	flags, method, payload, err = t.readFrame(nil)
 	return flags, method, payload, t.rsc, err
 }

@@ -13,12 +13,21 @@ import (
 	"github.com/datacomp/datacomp/internal/trace"
 )
 
-// HandlerFunc serves one method: it receives the request's context and
-// payload and returns the response payload. When the inbound frame carried
-// a sampled trace context and the server has a tracer, ctx carries the
-// request's server-half span, so everything the handler calls through
-// context-aware codec paths lands in the trace. Handlers that ignore the
-// context can wrap a plain func with Func.
+// AppendHandlerFunc serves one method by appending its response payload to
+// dst, the connection's reply buffer, and returning the extended slice. The
+// server keeps what it returns — dst grown, or a slice the handler
+// allocated — as the next request's dst, so a handler must never return
+// memory it keeps or shares, req included. req aliases the connection's
+// read scratch and is valid only until the handler returns. When the
+// inbound frame carried a sampled trace context and the server has a
+// tracer, ctx carries the request's server-half span, so everything the
+// handler calls through context-aware codec paths lands in the trace.
+type AppendHandlerFunc func(ctx context.Context, dst, req []byte) ([]byte, error)
+
+// HandlerFunc serves one method with a response it builds itself: the
+// server writes it and keeps nothing of it, so it may return req or memory
+// it shares. Handlers that ignore the context can wrap a plain func with
+// Func.
 type HandlerFunc func(ctx context.Context, req []byte) ([]byte, error)
 
 // Func adapts a context-free function to a HandlerFunc, for handlers whose
@@ -55,16 +64,27 @@ type Server struct {
 	inflight atomic.Int64
 
 	mu       sync.RWMutex
-	handlers map[string]HandlerFunc
+	handlers map[string]handler
 	live     map[*transport]struct{}
 	closed   counters
 }
+
+// handler is a registered method: the one dispatch shape, and whether the
+// server may keep what it returns as the connection's reply buffer.
+type handler struct {
+	serve   AppendHandlerFunc
+	appends bool
+}
+
+// maxReplyBuffer bounds the reply buffer a connection keeps between
+// requests; a larger reply is written and dropped.
+const maxReplyBuffer = 64 << 10
 
 // NewServer builds a server with the given transport compression.
 func NewServer(comp Compression, opts ...ServerOption) *Server {
 	s := &Server{
 		comp:     comp,
-		handlers: make(map[string]HandlerFunc),
+		handlers: make(map[string]handler),
 		live:     make(map[*transport]struct{}),
 	}
 	for _, o := range opts {
@@ -73,9 +93,19 @@ func NewServer(comp Compression, opts ...ServerOption) *Server {
 	return s
 }
 
-// Register installs the handler for method. Every handler is ctx-first;
-// wrap context-free functions with Func.
+// RegisterAppend installs the append-form handler for method.
+func (s *Server) RegisterAppend(method string, h AppendHandlerFunc) {
+	s.register(method, handler{serve: h, appends: true})
+}
+
+// Register installs the handler for method. It serves through the append
+// form without copying: the handler's response is written as it returned
+// it, and dst goes unused.
 func (s *Server) Register(method string, h HandlerFunc) {
+	s.register(method, handler{serve: func(ctx context.Context, _, req []byte) ([]byte, error) { return h(ctx, req) }})
+}
+
+func (s *Server) register(method string, h handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.handlers[method] = h
@@ -116,7 +146,6 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 	if err != nil {
 		return err
 	}
-	t.owned = true // frames are consumed within the loop iteration
 	t.shed = s.shedding
 	s.mu.Lock()
 	s.live[t] = struct{}{}
@@ -142,8 +171,12 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 		})
 		defer stop()
 	}
+	// The connection's two payload buffers. Each request is read into reqBuf
+	// and fully served before the next one overwrites it; reply is the dst
+	// of append-form handlers and holds error messages.
+	var reqBuf, reply []byte
 	for {
-		_, method, req, err := t.readFrame()
+		_, method, req, err := t.readFrame(reqBuf[:0])
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -153,6 +186,7 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 			}
 			return err
 		}
+		reqBuf = req
 		s.inflight.Add(1)
 		// A sampled inbound trace context opens this request's server-half
 		// span; the handler sees it via ctx, and the response-compress span
@@ -169,16 +203,22 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 		s.mu.RUnlock()
 		var resp []byte
 		flags := byte(0)
+		kept := true // resp's backing array is this connection's to reuse
 		if !ok {
 			flags = flagError
-			resp = []byte(fmt.Sprintf("rpc: unknown method %q", method))
-		} else if resp, err = h(hctx, req); err != nil {
+			resp = fmt.Appendf(reply[:0], "rpc: unknown method %q", method)
+		} else if resp, err = h.serve(hctx, reply[:0], req); err != nil {
 			flags = flagError
-			resp = []byte(err.Error())
+			resp = append(reply[:0], err.Error()...)
+		} else {
+			kept = h.appends
 		}
 		t.stats.calls.Add(1)
 		tmCalls.Inc()
 		err = t.writeFrame(flags, method, resp)
+		if kept && resp != nil && cap(resp) <= maxReplyBuffer {
+			reply = resp[:0]
+		}
 		if serve.Valid() {
 			if flags&flagError != 0 {
 				serve.SetStr("error", string(resp))
