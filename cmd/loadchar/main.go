@@ -50,7 +50,6 @@ type config struct {
 	diurnalDepth  float64
 	crash         bool
 	shed          int
-	degrade       time.Duration
 	adaptive      bool
 	seed          int64
 	jsonOut       bool
@@ -442,9 +441,6 @@ func nodeOpts(cfg config) []cluster.NodeOption {
 	if cfg.shed > 0 {
 		opts = append(opts, cluster.WithNodeShedThreshold(cfg.shed))
 	}
-	if cfg.degrade > 0 {
-		opts = append(opts, cluster.WithNodeDegrader(cfg.degrade))
-	}
 	return opts
 }
 
@@ -494,7 +490,6 @@ func main() {
 	flag.Float64Var(&cfg.diurnalDepth, "diurnal-depth", 0.5, "diurnal trough depth in [0,1]")
 	flag.BoolVar(&cfg.crash, "crash", false, "crash and restart a node mid-run, then verify zero lost acked writes")
 	flag.IntVar(&cfg.shed, "shed", 0, "per-node shed threshold (0 = off)")
-	flag.DurationVar(&cfg.degrade, "degrade", 0, "per-node degrader high watermark (0 = off)")
 	flag.BoolVar(&cfg.adaptive, "adaptive", false, "serve all RPC links through the online adaptive codec controller and gate on it converging")
 	flag.Int64Var(&cfg.seed, "seed", 1, "workload seed")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "emit the summary as JSON on stdout")

@@ -10,7 +10,11 @@ import (
 	"github.com/datacomp/datacomp/internal/core"
 	"github.com/datacomp/datacomp/internal/corpus"
 	"github.com/datacomp/datacomp/internal/dict"
+	"github.com/datacomp/datacomp/internal/trace"
 )
+
+// raceEnabled is set by raceflag_test.go under the race detector.
+var raceEnabled bool
 
 func testController(t *testing.T, cfg Config) *Controller {
 	t.Helper()
@@ -286,6 +290,188 @@ func TestReservoirSamples(t *testing.T) {
 		if len(s) != 128 {
 			t.Fatalf("sample length %d, want capped 128", len(s))
 		}
+	}
+	// The copies are the controller's: a later write to a slot must not
+	// reach a snapshot already taken.
+	want := bytes.Clone(samples[0])
+	h.resMu.Lock()
+	for _, s := range h.slots {
+		clear(s)
+	}
+	h.resMu.Unlock()
+	if !bytes.Equal(samples[0], want) {
+		t.Fatal("a slot write changed the snapshot taken before it")
+	}
+	// Each slot's copy buffer is kept across rounds.
+	if n := testing.AllocsPerRun(10, func() { h.snapshotSamples() }); n != 0 {
+		t.Fatalf("warmed snapshot: %v allocs, want 0", n)
+	}
+}
+
+// TestControllerPressure drives trial rounds by hand against a speed SLO of
+// a quarter of the ratio-heavy default's measured speed. A serving path
+// timed 8× slower than the shadow tightens the SLO to twice the default's
+// speed, so the default turns infeasible and lz4 (2.5–4.6× faster than
+// zstd-9 on these payloads, the low end under -race) takes over; a quarter
+// rather than half leaves lz4 that headroom. Once the live path keeps up again
+// the margin rule moves back; and live traffic alone never moves a fresh
+// class. Compute is priced at zero, as in TestControllerConvergesUnderSLO,
+// so every verdict but feasibility rides on measured ratio.
+func TestControllerPressure(t *testing.T) {
+	params := core.DefaultCostParams()
+	params.AlphaCompute = 0
+	heavy := core.Config{Algorithm: "zstd", Level: 9}
+	payloads := make([][]byte, 8)
+	for i := range payloads {
+		payloads[i] = corpus.Records(int64(i), 8<<10)
+	}
+	// Measured the way a trial round measures: warm engine, one pass.
+	probe := &core.CompEngine{Samples: payloads, Params: params}
+	if _, err := probe.Evaluate(heavy); err != nil {
+		t.Fatal(err)
+	}
+	r, err := probe.Evaluate(heavy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	speed := r.Metrics.CompressMBps()
+	rec := trace.NewRecorder(8, 16)
+	cfg := Config{
+		Default:             heavy,
+		Candidates:          []core.Config{heavy, {Algorithm: "lz4", Level: 1}},
+		Params:              params,
+		Constraints:         core.Constraints{MinCompressMBps: speed / 4},
+		MinSamples:          len(payloads),
+		SampleEvery:         1,
+		ReservoirSize:       len(payloads),
+		ChallengersPerRound: 1,
+		Tracer:              trace.New(trace.Config{SampleEvery: 1, Recorder: rec}),
+	}
+	bound := (len(cfg.Candidates)+cfg.ChallengersPerRound-1)/cfg.ChallengersPerRound + 1
+	c := testController(t, cfg)
+	// serve runs one round of live traffic through h. warm runs the first
+	// round of a class, which builds its engines, and drains its timings
+	// untried; it also warms the shadow's engine for the default, so no
+	// round prices a cold first measurement.
+	var dst []byte
+	serve := func(h *Handle) {
+		for _, p := range payloads {
+			var err error
+			if dst, err = h.Compress(dst[:0], p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	warm := func(class string) *Handle {
+		h, err := c.Handle(class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serve(h)
+		h.cur.Load().pressure(0, 0)
+		h.shadow.Samples = payloads
+		if _, err := h.shadow.Evaluate(heavy); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+
+	steady := warm("steady")
+	for round := 0; round < 20; round++ {
+		serve(steady)
+		c.trial(steady)
+		if d, _ := steady.Report(); d.Swapped {
+			t.Fatalf("unpressured class swapped in round %d: %+v", round, d)
+		}
+	}
+
+	h := warm("pressed")
+	slow := time.Duration(float64(8<<10) * 1e3 / (speed / 8)) // 8 KiB at speed/8
+	var d Decision
+	for round := 1; h.swaps.Load() == 0; round++ {
+		if round > bound {
+			t.Fatalf("no swap within %d pressured rounds; last decision %+v", bound, d)
+		}
+		for range payloads {
+			h.cur.Load().record(8<<10, slow)
+		}
+		c.trial(h)
+		d, _ = h.Report()
+	}
+	if h.Config().Algorithm != "lz4" || d.Pressure < 4 || !d.Swapped {
+		t.Fatalf("pressured swap: serving %s, decision %+v; want lz4 at pressure ≥ 4", h.Config(), d)
+	}
+	var swap *trace.SpanData
+	for _, td := range rec.Snapshot() {
+		if s := td.Find("adaptive.swap"); s != nil {
+			swap = s
+		}
+	}
+	if swap == nil {
+		t.Fatal("no adaptive.swap span recorded")
+	}
+	if attrStr(swap.Attrs, "from") != heavy.String() || attrStr(swap.Attrs, "to") != h.Config().String() ||
+		attrInt(swap.Attrs, "pressure_milli") < 4000 {
+		t.Fatalf("adaptive.swap attrs %+v; want from %s, to %s, pressure_milli ≥ 4000", swap.Attrs, heavy, h.Config())
+	}
+
+	for round := 1; h.swaps.Load() == 1; round++ {
+		if round > bound {
+			t.Fatalf("no swap back within %d live rounds; last decision %+v", bound, d)
+		}
+		serve(h)
+		c.trial(h)
+		d, _ = h.Report()
+	}
+	if !configEqual(h.Config(), heavy) {
+		t.Fatalf("swapped back to %s, want %s; decision %+v", h.Config(), heavy, d)
+	}
+}
+
+func attrStr(attrs []trace.Attr, key string) string {
+	for _, a := range attrs {
+		if a.Key == key {
+			return a.Str
+		}
+	}
+	return ""
+}
+
+func attrInt(attrs []trace.Attr, key string) int64 {
+	for _, a := range attrs {
+		if a.Key == key {
+			return a.Int
+		}
+	}
+	return -1
+}
+
+// TestHandleCompressAllocs pins the hot path with every op sampled: the
+// reservoir copy lands in a recycled slot and the live timing in atomics.
+func TestHandleCompressAllocs(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts")
+	}
+	c := testController(t, Config{SampleEvery: 1})
+	h, err := c.Handle("allocs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := corpus.Records(7, 4<<10)
+	dst := make([]byte, 0, 8<<10)
+	op := func() {
+		if _, err := h.Compress(dst[:0], src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*c.cfg.ReservoirSize; i++ {
+		op()
+	}
+	if n := testing.AllocsPerRun(100, op); n != 0 {
+		t.Fatalf("warmed Handle.Compress: %v allocs/op, want 0", n)
 	}
 }
 

@@ -206,6 +206,9 @@ type Decision struct {
 	Swapped       bool
 	From          string // pre-round config when Swapped
 	Feasible      bool   // the serving config meets the SLO on current data
+	// Pressure is the round's SLO multiplier: how many times slower the
+	// serving path compressed than the shadow measured the incumbent (≥ 1).
+	Pressure float64
 }
 
 // MarginVsDefault is the fractional cost win of the serving config over
@@ -382,8 +385,17 @@ func (c *Controller) trial(h *Handle) time.Duration {
 	sh.Samples = samples
 	sh.Repeats = 1
 
+	// Latency pressure: while the serving path compresses k× slower than
+	// the shadow measures the incumbent, this round prices every config
+	// against a k-fold tighter speed SLO.
 	cur := h.cur.Load()
 	inc, err := sh.Evaluate(cur.cfg)
+	k := 1.0
+	if err == nil {
+		k = cur.pressure(inc.Metrics.CompressMBps(), c.cfg.MinSamples)
+		sh.Constraints.MinCompressMBps = c.cfg.Constraints.MinCompressMBps * k
+		inc, err = sh.PriceMeasured(cur.cfg, inc.Metrics)
+	}
 	if err != nil {
 		tmErrors.Inc()
 		return time.Since(start)
@@ -418,6 +430,7 @@ func (c *Controller) trial(h *Handle) time.Duration {
 		IncumbentCost: inc.TotalCost(),
 		DefaultCost:   def.TotalCost(),
 		Feasible:      inc.Feasible,
+		Pressure:      k,
 	}
 	if haveBest {
 		d.Best = best.Config.String()
@@ -487,8 +500,8 @@ func (c *Controller) publishCurrent(h *Handle, cfg core.Config) {
 }
 
 // traceSwap emits an "adaptive.swap" root span (one-shot event) when the
-// tracer samples it, linking config changes into the flight recorder next
-// to the degrader's rung events.
+// tracer samples it, recording each config change and the pressure behind
+// it in the flight recorder.
 func (c *Controller) traceSwap(h *Handle, d Decision) {
 	tr := c.cfg.Tracer
 	if !tr.Enabled() {
@@ -503,6 +516,7 @@ func (c *Controller) traceSwap(h *Handle, d Decision) {
 		SetStr("to", d.Incumbent).
 		SetInt("generation", int64(h.Generation())).
 		SetInt("win_vs_default_ppm", int64(d.MarginVsDefault()*1e6)).
+		SetInt("pressure_milli", int64(d.Pressure*1e3)).
 		End()
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/core"
@@ -27,6 +28,27 @@ type generation struct {
 	// Adoption-time evidence, surfaced in ClassStatus.
 	result   core.Result
 	feasible bool
+	// Serving-path compress timing of the sampled ops under this
+	// generation, drained by each trial round (see pressure).
+	liveOps, liveBytes, liveNS atomic.Int64
+}
+
+// record adds one timed serving-path compress of n bytes.
+func (g *generation) record(n int, d time.Duration) {
+	g.liveOps.Add(1)
+	g.liveBytes.Add(int64(n))
+	g.liveNS.Add(int64(d))
+}
+
+// pressure drains the live counters and returns how many times slower the
+// serving path compresses than shadowMBps, the shadow speed of the same
+// config: max(1, shadow ÷ live), or 1 when fewer than minOps were timed.
+func (g *generation) pressure(shadowMBps float64, minOps int) float64 {
+	ops, n, ns := g.liveOps.Swap(0), g.liveBytes.Swap(0), g.liveNS.Swap(0)
+	if ops < int64(minOps) || n <= 0 || ns <= 0 {
+		return 1
+	}
+	return max(1, shadowMBps/(float64(n)/float64(ns)*1e3)) // B/ns → MB/s
 }
 
 // decPoolKey identifies a decode-side engine: decompression is insensitive
@@ -75,6 +97,7 @@ type Handle struct {
 	// Shadow state owned by the controller worker (single goroutine).
 	shadow      *core.CompEngine
 	trialBuf    [][]byte
+	copies      [][]byte // one reused copy buffer per reservoir slot
 	nextCand    int
 	dictCand    core.Config
 	haveDict    bool
@@ -95,6 +118,8 @@ func newHandle(ctrl *Controller, class string, cfg core.Config) (*Handle, error)
 		sampleMask:  uint64(ctrl.cfg.SampleEvery) - 1,
 		sampleBytes: ctrl.cfg.SampleBytes,
 		slots:       make([][]byte, 0, ctrl.cfg.ReservoirSize),
+		trialBuf:    make([][]byte, 0, ctrl.cfg.ReservoirSize),
+		copies:      make([][]byte, ctrl.cfg.ReservoirSize),
 		decPools:    make(map[decPoolKey]*codec.Pool),
 		dicts:       make(map[uint32][]byte),
 		maxDecode:   ctrl.cfg.RetainGenerations * 2,
@@ -189,16 +214,25 @@ func (h *Handle) Adopt(cfg core.Config) error {
 }
 
 // Compress encodes src under the current generation, appending a
-// self-describing adaptive frame to dst. Safe for concurrent use;
-// allocation-free once pools are warm.
+// self-describing adaptive frame to dst. A sampled op is also offered to
+// the reservoir and its engine call timed for the live speed. Safe for
+// concurrent use; allocation-free once pools are warm.
 func (h *Handle) Compress(dst, src []byte) ([]byte, error) {
-	if n := h.ops.Add(1); n&h.sampleMask == 0 {
+	sampled := h.ops.Add(1)&h.sampleMask == 0
+	if sampled {
 		h.offer(src)
 	}
 	g := h.cur.Load()
 	dst = append(dst, g.hdr...)
 	e := g.pool.Get()
+	var t0 time.Time
+	if sampled {
+		t0 = time.Now()
+	}
 	out, err := e.Compress(dst, src)
+	if sampled && err == nil {
+		g.record(len(src), time.Since(t0))
+	}
 	g.pool.Put(e)
 	return out, err
 }
@@ -299,19 +333,18 @@ func (h *Handle) offer(src []byte) {
 	h.slots[slot] = append(h.slots[slot][:0], src[:n]...)
 }
 
-// snapshotSamples copies the reservoir into the controller's trial buffer.
+// snapshotSamples copies the reservoir into the controller's trial buffer,
+// each slot into its own copy buffer kept across rounds. The copies are
+// valid until the next snapshot; nothing a round builds retains them.
 func (h *Handle) snapshotSamples() [][]byte {
 	h.resMu.Lock()
 	defer h.resMu.Unlock()
-	if cap(h.trialBuf) < len(h.slots) {
-		h.trialBuf = make([][]byte, 0, cap(h.slots))
-	}
 	h.trialBuf = h.trialBuf[:0]
-	for _, s := range h.slots {
-		if len(s) == 0 {
-			continue
+	for i, s := range h.slots {
+		if len(s) > 0 {
+			h.copies[i] = append(h.copies[i][:0], s...)
+			h.trialBuf = append(h.trialBuf, h.copies[i])
 		}
-		h.trialBuf = append(h.trialBuf, append([]byte(nil), s...))
 	}
 	return h.trialBuf
 }

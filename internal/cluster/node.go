@@ -11,9 +11,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/kvstore"
 	"github.com/datacomp/datacomp/internal/rpc"
 	"github.com/datacomp/datacomp/internal/xxhash"
@@ -110,7 +108,6 @@ type NodeOption func(*nodeConfig)
 type nodeConfig struct {
 	comp          rpc.Compression
 	shedAt        int
-	degradeHigh   time.Duration
 	storeOpts     []kvstore.Option
 	persister     kvstore.Persister
 	storeDir      string
@@ -129,13 +126,6 @@ func WithNodeCompression(comp rpc.Compression) NodeOption {
 // in-flight requests, responses skip compression (default 0: off).
 func WithNodeShedThreshold(n int) NodeOption {
 	return func(c *nodeConfig) { c.shedAt = n }
-}
-
-// WithNodeDegrader wraps the store's block engine in a codec.Degrader with
-// the given high-latency threshold, so a node under compression pressure
-// steps down its ladder instead of queueing (default: no degrader).
-func WithNodeDegrader(high time.Duration) NodeOption {
-	return func(c *nodeConfig) { c.degradeHigh = high }
 }
 
 // WithNodeStoreOptions appends options to the node's kvstore.Open call.
@@ -241,16 +231,6 @@ func (n *Node) start(ctx context.Context) error {
 	storeOpts := []kvstore.Option{kvstore.WithWAL(n.cfg.syncPolicy)}
 	if n.cfg.persister != nil {
 		storeOpts = append(storeOpts, kvstore.WithPersister(n.cfg.persister))
-	}
-	if n.cfg.degradeHigh > 0 {
-		deg, err := codec.NewDegrader(codec.DegraderConfig{
-			High:     n.cfg.degradeHigh,
-			Checksum: true,
-		})
-		if err != nil {
-			return err
-		}
-		storeOpts = append(storeOpts, kvstore.WithEngine(deg))
 	}
 	storeOpts = append(storeOpts, n.cfg.storeOpts...)
 	db, err := kvstore.Open(ctx, n.cfg.storeDir, storeOpts...)

@@ -4,7 +4,7 @@
 // quorum reads and writes, and read-repair when a replica returns stale or
 // checksum-failing data. It is the serving topology the paper's fleet
 // numbers come from, shrunk to one process so chaos (crash, corrupt,
-// degrade, shed) stays deterministic and testable.
+// shed) stays deterministic and testable.
 package cluster
 
 import (

@@ -325,13 +325,6 @@ func (c *checksummed) SetStageHook(h stage.Hook) {
 // Unwrap returns the engine beneath the checksum frame.
 func (c *checksummed) Unwrap() Engine { return c.eng }
 
-// passthrough stores content verbatim: the bottom rung of the degradation
-// ladder, where an overloaded server stops spending compression cycles.
-type passthrough struct{}
-
-func (passthrough) Compress(dst, src []byte) ([]byte, error)   { return append(dst, src...), nil }
-func (passthrough) Decompress(dst, src []byte) ([]byte, error) { return append(dst, src...), nil }
-
 // NewEngine looks up a codec by name and builds an engine from functional
 // options — the construction surface for everything outside this package:
 //

@@ -67,7 +67,7 @@ func WithLevel(level int) Option { return func(c *config) { c.level = level } }
 
 // WithEngine installs a prebuilt engine for block compression instead of
 // constructing one from the codec name — the hook for wrapped engines such
-// as codec.Degrader or telemetry.Instrument. The engine must be dedicated
+// as telemetry.Instrument. The engine must be dedicated
 // to this DB (engines are single-goroutine; the DB serializes access), and
 // it must decode every frame it encodes across reopens.
 func WithEngine(eng codec.Engine) Option { return func(c *config) { c.engine = eng } }

@@ -10,6 +10,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"github.com/datacomp/datacomp/internal/corpus"
 )
 
 // payloadFor is call i's request: a distinct, partly compressible payload
@@ -151,5 +153,38 @@ func TestFrameClaimAllocatesWhatArrives(t *testing.T) {
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n > readStep+16<<10 {
 		t.Fatalf("parsing a 28-byte frame that claims %d bytes allocated %d bytes", maxFrame, n)
+	}
+}
+
+// A compressed frame past maxKeptBuffer is coded through scratch that its
+// transport drops afterwards: one 1 MiB call must not pin a megabyte on
+// either end of the connection for its lifetime, and the next call still
+// round-trips through the scratch the transports do keep.
+func TestTransportScratchCapped(t *testing.T) {
+	comp := Compression{Codec: "lz4", Level: 1, Checksum: true}
+	s := echoServer(comp)
+	c := pipePair(t, s, comp)
+	for _, req := range [][]byte{corpus.LogLines(1, 1<<20), corpus.LogLines(2, 8<<10)} {
+		resp, err := c.Call(context.Background(), "echo", req)
+		if err != nil || !bytes.Equal(resp, req) {
+			t.Fatalf("%d-byte call: %d bytes back, err=%v", len(req), len(resp), err)
+		}
+		c.mu.Lock()
+		ends := []*transport{c.t}
+		c.mu.Unlock()
+		s.mu.RLock()
+		for st := range s.live {
+			ends = append(ends, st)
+		}
+		s.mu.RUnlock()
+		if len(ends) != 2 {
+			t.Fatalf("%d transports, want the client's and one server connection", len(ends))
+		}
+		for i, tr := range ends {
+			if cap(tr.buf) > maxKeptBuffer || cap(tr.rbuf) > maxKeptBuffer {
+				t.Fatalf("after a %d-byte call, end %d keeps buf %d and rbuf %d bytes; cap is %d",
+					len(req), i, cap(tr.buf), cap(tr.rbuf), maxKeptBuffer)
+			}
+		}
 	}
 }

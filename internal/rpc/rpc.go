@@ -382,7 +382,9 @@ func (t *transport) writeFrame(flags byte, method, payload []byte) error {
 				sp.End()
 				return err
 			}
-			t.buf = out
+			if cap(out) <= maxKeptBuffer {
+				t.buf = out
+			}
 			if len(out) < len(payload) {
 				wire = out
 				flags |= flagCompressed
@@ -538,8 +540,10 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload []byte, e
 	base := len(dst)
 	var wire []byte
 	if compressed {
-		t.rbuf, err = t.readPayload(t.rbuf[:0], int(plen))
-		wire = t.rbuf
+		wire, err = t.readPayload(t.rbuf[:0], int(plen))
+		if cap(wire) <= maxKeptBuffer {
+			t.rbuf = wire
+		}
 	} else {
 		dst, err = t.readPayload(dst, int(plen))
 		wire = dst[base:]

@@ -76,9 +76,10 @@ type handler struct {
 	appends bool
 }
 
-// maxReplyBuffer bounds the reply buffer a connection keeps between
-// requests; a larger reply is written and dropped.
-const maxReplyBuffer = 64 << 10
+// maxKeptBuffer bounds every buffer a connection keeps between frames: the
+// reply buffer and the transport's compressed-payload scratch on both
+// sides. A larger one serves its frame and is dropped.
+const maxKeptBuffer = 64 << 10
 
 // NewServer builds a server with the given transport compression.
 func NewServer(comp Compression, opts ...ServerOption) *Server {
@@ -216,7 +217,7 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 		t.stats.calls.Add(1)
 		tmCalls.Inc()
 		err = t.writeFrame(flags, method, resp)
-		if kept && resp != nil && cap(resp) <= maxReplyBuffer {
+		if kept && resp != nil && cap(resp) <= maxKeptBuffer {
 			reply = resp[:0]
 		}
 		if serve.Valid() {

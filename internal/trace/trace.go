@@ -5,10 +5,10 @@
 //
 // The fleet characterization the paper performs attributes *aggregate*
 // cycles to codec stages; serving a latency SLO needs *per-request*
-// attribution — which codec stage, degrader rung, retry, or container block
+// attribution — which codec stage, retry, shed response, or container block
 // put one request into the p999 bucket. Spans answer that: every sampled
-// request carries a trace through rpc framing, codec stages, degrader
-// transitions, and container block pipelines, and the histogram exemplars
+// request carries a trace through rpc framing, codec stages, retries, and
+// container block pipelines, and the histogram exemplars
 // in internal/telemetry link tail buckets back to the offending trace.
 //
 // Design constraints, in order:
@@ -293,7 +293,7 @@ func (h SpanHandle) Child(name string) SpanHandle {
 }
 
 // Event records an instantaneous (zero-duration) child span — the shape
-// used for degrader rung changes, retries, and breaker transitions. The
+// used for shed responses, retries, and breaker transitions. The
 // returned handle accepts attributes.
 func (h SpanHandle) Event(name string) SpanHandle {
 	e := h.Child(name)

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/container"
 	"github.com/datacomp/datacomp/internal/corpus"
 	"github.com/datacomp/datacomp/internal/rpc"
@@ -17,39 +16,19 @@ import (
 
 // TestTraceEndToEnd drives one traced request through the full spine:
 // a client Call whose span context crosses the RPC frame header, a server
-// handler that compresses through a Degrader (forced through a rung shift)
-// and streams through the container pipeline, and transport compression on
-// both directions. It then asserts the pieces the tracing work promises:
-// one stitched trace holding client and server halves with rpc, per-stage,
-// degrader-rung, and per-block spans; a latency histogram exemplar naming
+// handler that streams through the container pipeline, and transport
+// compression on both directions. It then asserts the pieces the tracing
+// work promises: one stitched trace holding client and server halves with
+// rpc, per-stage, and per-block spans; a latency histogram exemplar naming
 // that trace; the flight recorder retaining it among the slowest; and a
 // Chrome trace-event export that survives its own decoder.
 func TestTraceEndToEnd(t *testing.T) {
 	rec := trace.NewRecorder(8, 16)
 	tracer := trace.New(trace.Config{SampleEvery: 1, Recorder: rec})
 
-	// The handler's degrader: the scripted clock makes every compress look
-	// slow, so the Window-th operation shifts a rung under the request span.
-	var fakeNS int64
-	deg, err := codec.NewDegrader(codec.DegraderConfig{
-		Ladder: []codec.Rung{{Codec: "zstd", Level: 1}, {Codec: "lz4", Level: 1}},
-		High:   time.Millisecond,
-		Window: 1,
-		Now: func() time.Time {
-			fakeNS += int64(10 * time.Millisecond)
-			return time.Unix(0, fakeNS)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	comp := rpc.Compression{Codec: "zstd", Level: 1}
 	server := rpc.NewServer(comp, rpc.WithServerTracer(tracer))
 	server.Register("store", func(ctx context.Context, req []byte) ([]byte, error) {
-		if _, err := deg.CompressCtx(ctx, nil, req); err != nil {
-			return nil, err
-		}
 		var blob bytes.Buffer
 		if _, err := container.Encode(ctx, &blob, bytes.NewReader(req),
 			container.Config{Codec: "zstd", Level: 1, BlockSize: 16 << 10, Workers: 2}); err != nil {
@@ -105,7 +84,6 @@ func TestTraceEndToEnd(t *testing.T) {
 		"rpc.serve",       // server half, parented on the wire context
 		"rpc.compress",    // transport codec work
 		"matchfind",       // per-stage child under the codec span
-		"degrader.rung",   // the forced quality degradation event
 		"container.block", // per-block pipeline spans
 	} {
 		if td.Find(name) == nil {
@@ -119,13 +97,6 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 	if root := td.Root(); root == nil || root.Name != "rpc.call" {
 		t.Fatalf("stitched root = %+v, want rpc.call", td.Root())
-	}
-	shift := td.Find("degrader.rung")
-	if got := attrInt(shift.Attrs, "to"); got != 1 {
-		t.Fatalf("degrader.rung to=%d, want 1", got)
-	}
-	if deg.Rung() != 1 {
-		t.Fatalf("degrader rung = %d, want 1 after forced shift", deg.Rung())
 	}
 
 	// The call-latency histogram's exemplar resolves back to this trace.
@@ -165,15 +136,6 @@ func TestTraceEndToEnd(t *testing.T) {
 	if len(events) != len(td.Spans) {
 		t.Fatalf("chrome export has %d events for %d spans", len(events), len(td.Spans))
 	}
-}
-
-func attrInt(attrs []trace.Attr, key string) int64 {
-	for _, a := range attrs {
-		if a.Key == key {
-			return a.Int
-		}
-	}
-	return -1
 }
 
 // TestTraceUnsampledRPCStaysUntraced covers the version-gating contract
