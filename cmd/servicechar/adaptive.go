@@ -26,7 +26,6 @@ func runAdaptive(tracer *trace.Tracer) {
 		Default:    core.Config{Algorithm: "zlib", Level: 1},
 		Interval:   200 * time.Millisecond,
 		MinSamples: 4,
-		TrainDict:  true,
 		Tracer:     tracer,
 	})
 	if err != nil {
@@ -57,9 +56,9 @@ func runAdaptive(tracer *trace.Tracer) {
 	var rawN, adN, stN int64
 	var buf, sbuf, out []byte
 	for pi, ph := range phases {
-		fmt.Printf("--- phase %d: %s (serving %s) ---\n", pi+1, ph.name, cfgLabel(h.Config()))
+		fmt.Printf("--- phase %d: %s (serving %s) ---\n", pi+1, ph.name, h.Config().String())
 		deadline := time.Now().Add(1200 * time.Millisecond)
-		lastGen, last := h.Generation(), cfgLabel(h.Config())
+		lastGen, last := h.Generation(), h.Config().String()
 		for i := int64(0); time.Now().Before(deadline); i++ {
 			src := ph.gen(int64(pi*1000) + i%64)
 			buf, err = h.Compress(buf[:0], src)
@@ -85,7 +84,7 @@ func runAdaptive(tracer *trace.Tracer) {
 				}
 			}
 			if gen := h.Generation(); gen != lastGen {
-				cur := cfgLabel(h.Config())
+				cur := h.Config().String()
 				margin := 0.0
 				for _, s := range ctrl.Status() {
 					if s.Class == "svc:mixed" && s.HasDecision {
@@ -110,15 +109,6 @@ func runAdaptive(tracer *trace.Tracer) {
 	}
 	for _, s := range ctrl.Status() {
 		fmt.Printf("class %-10s gen=%d swaps=%d serving=%s feasible=%v retired-gen decodes=%d\n",
-			s.Class, s.Generation, s.Swaps, cfgLabel(h.Config()), s.Feasible, s.DecodeRetired)
+			s.Class, s.Generation, s.Swaps, s.Config, s.Feasible, s.DecodeRetired)
 	}
-}
-
-// cfgLabel renders a config including the trained dictionary the stock
-// String() omits — dict adoptions are exactly the swaps worth seeing here.
-func cfgLabel(c core.Config) string {
-	if len(c.Dict) > 0 {
-		return fmt.Sprintf("%s+dict(%dB)", c.String(), len(c.Dict))
-	}
-	return c.String()
 }

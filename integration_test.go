@@ -9,8 +9,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
+	"github.com/datacomp/datacomp/internal/adaptive"
 	"github.com/datacomp/datacomp/internal/cache"
 	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/core"
@@ -18,7 +21,6 @@ import (
 	"github.com/datacomp/datacomp/internal/dict"
 	"github.com/datacomp/datacomp/internal/fleet"
 	"github.com/datacomp/datacomp/internal/kvstore"
-	"github.com/datacomp/datacomp/internal/managed"
 	"github.com/datacomp/datacomp/internal/warehouse"
 	"github.com/datacomp/datacomp/internal/zstd"
 )
@@ -67,7 +69,7 @@ func TestWarehousePipelineEndToEnd(t *testing.T) {
 }
 
 // TestDictionaryWorkflowAcrossPackages trains one dictionary and uses it
-// consistently through zstd directly, the cache, and the managed service.
+// consistently through zstd directly and the cache's class of a controller.
 func TestDictionaryWorkflowAcrossPackages(t *testing.T) {
 	typ := corpus.DefaultItemTypes()[2]
 	training := corpus.CacheItems(1, typ, 1200)
@@ -97,9 +99,21 @@ func TestDictionaryWorkflowAcrossPackages(t *testing.T) {
 		t.Fatalf("frame dict id: %08x required=%v err=%v", id, required, err)
 	}
 
-	// Cache with the same dictionary.
-	c, err := cache.New(cache.Config{Dicts: map[string][]byte{typ.Name: d}})
+	// The cache, its item type's class serving the same dictionary.
+	ctrl, err := adaptive.New(adaptive.Config{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	c, err := cache.New(cache.Config{Adaptive: ctrl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := ctrl.Handle("cache:" + typ.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Adopt(core.Config{Algorithm: "zstd", Level: 3, Dict: d}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Set("k", typ.Name, item); err != nil {
@@ -109,36 +123,94 @@ func TestDictionaryWorkflowAcrossPackages(t *testing.T) {
 	if err != nil || !ok || !bytes.Equal(got, item) {
 		t.Fatalf("cache roundtrip: ok=%v err=%v", ok, err)
 	}
+	af, err := h.Compress(nil, item)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, id, _, err := adaptive.ParseFrame(af); err != nil || id != zstd.DictID(d) {
+		t.Fatalf("adaptive frame dict id %08x, want %08x (err %v)", id, zstd.DictID(d), err)
+	}
 }
 
-// TestManagedServiceOverCacheTraffic drives the managed-compression service
-// with realistic typed cache traffic and verifies it converges to a better
-// ratio than dictionary-less compression.
+// TestManagedServiceOverCacheTraffic drives the Managed Compression
+// service, a started controller behind the cache, with typed cache traffic
+// of two small-item use cases. Each use case's class must adopt a trained
+// dictionary and then store held-out items smaller than a controller that
+// never trains, with every item written before and after adoption readable.
 func TestManagedServiceOverCacheTraffic(t *testing.T) {
-	svc := managed.New(managed.Config{SampleEvery: 1, TrainAfter: 150})
-	types := corpus.DefaultItemTypes()
+	ctrl, err := adaptive.New(adaptive.Config{Interval: 10 * time.Millisecond, Budget: 0.5, SampleEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	c, err := cache.New(cache.Config{Adaptive: ctrl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.Start()
+	types := corpus.DefaultItemTypes()[:2] // two small-item use cases
 	rng := rand.New(rand.NewSource(5))
-	payloads := map[string][][]byte{}
-	for round := 0; round < 400; round++ {
-		typ := types[rng.Intn(2)] // two small-item use cases
-		p := typ.Item(rng)
-		frame, err := svc.Compress(typ.Name, nil, p)
+	want := map[string][]byte{}
+	adopted := func() bool {
+		n := 0
+		for _, st := range ctrl.Status() {
+			if strings.Contains(st.Config, "dict") {
+				n++
+			}
+		}
+		return n == len(types)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for i := 0; !adopted(); i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d sets not every use case adopted a dictionary: %+v", i, ctrl.Status())
+		}
+		typ := types[i%len(types)]
+		key := fmt.Sprintf("%s/%d", typ.Name, i%500)
+		want[key] = typ.Item(rng)
+		if err := c.Set(key, typ.Name, want[key]); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+
+	plainCtrl, err := adaptive.New(adaptive.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plainCtrl.Close()
+	for _, typ := range types {
+		managed, err := cache.New(cache.Config{Adaptive: ctrl})
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := svc.Decompress(typ.Name, nil, frame)
-		if err != nil || !bytes.Equal(back, p) {
-			t.Fatalf("round %d: %v", round, err)
+		plain, err := cache.New(cache.Config{Adaptive: plainCtrl})
+		if err != nil {
+			t.Fatal(err)
 		}
-		payloads[typ.Name] = append(payloads[typ.Name], p)
+		for i, it := range corpus.CacheItems(77, typ, 300) {
+			key := fmt.Sprintf("%s/held-out/%d", typ.Name, i)
+			want[key] = it
+			if err := managed.Set(key, typ.Name, it); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Set(key, typ.Name, it); err != nil {
+				t.Fatal(err)
+			}
+			if err := plain.Set(key, typ.Name, it); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mr, pr := managed.Stats().CompressionRatio(), plain.Stats().CompressionRatio()
+		t.Logf("%s: managed ratio %.2f, plain zstd-3 %.2f", typ.Name, mr, pr)
+		if mr <= pr {
+			t.Errorf("%s: managed ratio %.2f does not beat plain %.2f", typ.Name, mr, pr)
+		}
 	}
-	for _, name := range svc.UseCases() {
-		st := svc.Stats(name)
-		if st.Generations == 0 {
-			t.Errorf("use case %s never trained", name)
-		}
-		if st.Ratio() <= 1 {
-			t.Errorf("use case %s ratio %.2f", name, st.Ratio())
+	for key, v := range want {
+		got, ok, err := c.Get(key)
+		if err != nil || !ok || !bytes.Equal(got, v) {
+			t.Fatalf("get %s: ok=%v err=%v", key, ok, err)
 		}
 	}
 }

@@ -18,6 +18,11 @@
 //     when a challenger beats the incumbent by the hysteresis margin
 //     while satisfying the SLO constraints. Shadow CPU is duty-cycled to
 //     a configured budget and every decision is visible in telemetry.
+//
+// A class is also the paper's Managed Compression service (§II-B): one
+// handle per use case, its reservoir the payload sample, a dictionary
+// trained from it among the challengers, and every adopted dictionary
+// resolved from the ID in the frame.
 package adaptive
 
 import (
@@ -71,8 +76,8 @@ type Config struct {
 	// baseline).
 	Default core.Config
 	// Candidates is the challenger search space (a compact online subset
-	// of core.DefaultCandidates by default; dict-trained zstd is added
-	// automatically when TrainDict is set).
+	// of core.DefaultCandidates by default). Every class also challenges
+	// with a zstd dictionary trained on its own reservoir.
 	Candidates []core.Config
 	// Params is the cost model (core.DefaultCostParams by default).
 	Params core.CostParams
@@ -102,16 +107,6 @@ type Config struct {
 	// pools alive in the shared registry; older ones are released and
 	// re-materialized on demand from the frame descriptor (default 4).
 	RetainGenerations int
-	// TrainDict adds a dict-trained zstd candidate refreshed from the
-	// reservoir (internal/dict), the online analogue of internal/managed.
-	TrainDict bool
-	// DictBytes is the trained dictionary size target (default 4 KiB).
-	DictBytes int
-	// MinDictSamples gates training (default 16).
-	MinDictSamples int
-	// DictRetrainRounds refreshes the trained dictionary every N trial
-	// rounds (default 8).
-	DictRetrainRounds int
 	// Checksum applies the XXH64 content frame to serving engines (off by
 	// default: RPC frames and containers carry their own checksums).
 	Checksum bool
@@ -163,17 +158,19 @@ func (cfg Config) withDefaults() Config {
 	if cfg.RetainGenerations <= 0 {
 		cfg.RetainGenerations = 4
 	}
-	if cfg.DictBytes <= 0 {
-		cfg.DictBytes = 4 << 10
-	}
-	if cfg.MinDictSamples <= 0 {
-		cfg.MinDictSamples = 16
-	}
-	if cfg.DictRetrainRounds <= 0 {
-		cfg.DictRetrainRounds = 8
-	}
 	return cfg
 }
+
+// The dictionary candidate: every class trains a zstd dictionary, content
+// and entropy tables, from its reservoir once it holds dictMinSamples
+// payloads, and refreshes it every dictRetrainRounds trial rounds. Each
+// adopted dictionary stays resolvable by its zstd.DictID from the frame.
+const (
+	dictBytes         = 4 << 10
+	dictMinSamples    = 16
+	dictRetrainRounds = 8
+	dictLevel         = 3
+)
 
 // DefaultOnlineCandidates is the compact challenger space used when
 // Config.Candidates is nil: wide enough to cover the speed/ratio frontier
@@ -455,7 +452,7 @@ func (c *Controller) trial(h *Handle) time.Duration {
 }
 
 // challengers returns this round's candidate slice: a rotating window over
-// the configured space plus the dict-trained candidate when fresh enough.
+// the configured space plus the class's dictionary candidate, once trained.
 func (c *Controller) challengers(h *Handle, samples [][]byte) []core.Config {
 	k := c.cfg.ChallengersPerRound
 	n := len(c.cfg.Candidates)
@@ -466,21 +463,19 @@ func (c *Controller) challengers(h *Handle, samples [][]byte) []core.Config {
 	if n > 0 {
 		h.nextCand = (h.nextCand + k) % n
 	}
-	if c.cfg.TrainDict {
-		h.sinceTrain++
-		if (!h.haveDict || h.sinceTrain >= c.cfg.DictRetrainRounds) && len(samples) >= c.cfg.MinDictSamples {
-			if d, err := dict.Train(samples, dict.DefaultParams(c.cfg.DictBytes)); err == nil {
-				h.dictCand = core.Config{Algorithm: "zstd", Level: 3, Dict: d}
-				h.haveDict = true
-				h.sinceTrain = 0
-				tmDictTrains.Inc()
-			} else if !errors.Is(err, dict.ErrNotEnoughSamples) {
-				tmErrors.Inc()
-			}
+	h.sinceTrain++
+	if (!h.haveDict || h.sinceTrain >= dictRetrainRounds) && len(samples) >= dictMinSamples {
+		if d, err := dict.TrainZstd(dictLevel, dictBytes, samples, samples); err == nil {
+			h.dictCand = core.Config{Algorithm: "zstd", Level: dictLevel, Dict: d}
+			h.haveDict = true
+			h.sinceTrain = 0
+			tmDictTrains.Inc()
+		} else if !errors.Is(err, dict.ErrNotEnoughSamples) {
+			tmErrors.Inc()
 		}
-		if h.haveDict {
-			out = append(out, h.dictCand)
-		}
+	}
+	if h.haveDict {
+		out = append(out, h.dictCand)
 	}
 	return out
 }

@@ -10,9 +10,9 @@ import (
 // controller state to pick a decoder: the header names the generation that
 // encoded the frame plus everything required to rebuild its engine (codec
 // identity and dictionary ID). That is what lets the controller evict
-// encoder pools for retired generations — the discipline mirrors
-// internal/managed, where every trained dictionary generation stays
-// resolvable from the ID embedded in the frame.
+// encoder pools for retired generations, and what makes a class the
+// paper's Managed Compression service (§II-B): every dictionary the class
+// adopted stays resolvable from the ID embedded in the frame.
 //
 //	adaptive frame:  0xAD | uvarint generation | codec ID byte | uvarint dict ID | payload
 const magicAdaptive = 0xAD

@@ -278,7 +278,7 @@ func (h *Handle) decodePool(codecID byte, dictID uint32) (*codec.Pool, error) {
 	if dictID != 0 {
 		var ok bool
 		if dict, ok = h.dicts[dictID]; !ok {
-			return nil, fmt.Errorf("adaptive: unknown dictionary id %d", dictID)
+			return nil, fmt.Errorf("%w: unknown dictionary id %08x", ErrFrame, dictID)
 		}
 	}
 	p, err := codec.NewPool(codecNameOf(codecID), codec.Options{

@@ -58,12 +58,14 @@ func TestCompressedPipelineSavesWireBytes(t *testing.T) {
 
 func TestLatencyAccounting(t *testing.T) {
 	// On a slow network, compression should reduce total latency; the
-	// trade-off reverses only on fast networks.
-	slow, err := New(Config{Model: corpus.ModelA, Compress: true, Level: 1, NetworkMBps: 20})
+	// trade-off reverses only on fast networks. Compression time is real
+	// CPU, shared with whatever else runs, so the simulated wire is slow
+	// enough that compression wins by a wide margin, not a few percent.
+	slow, err := New(Config{Model: corpus.ModelA, Compress: true, Level: 1, NetworkMBps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slowPlain, err := New(Config{Model: corpus.ModelA, Compress: false, NetworkMBps: 20})
+	slowPlain, err := New(Config{Model: corpus.ModelA, Compress: false, NetworkMBps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +75,7 @@ func TestLatencyAccounting(t *testing.T) {
 	if err := slowPlain.Run(3, 5); err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("mean latency: compressed %v, plain %v", slow.Stats().MeanLatency(), slowPlain.Stats().MeanLatency())
 	if slow.Stats().MeanLatency() >= slowPlain.Stats().MeanLatency() {
 		t.Fatalf("on a slow wire compression should win: %v vs %v",
 			slow.Stats().MeanLatency(), slowPlain.Stats().MeanLatency())

@@ -2,9 +2,12 @@
 // per-item compression, reproducing the CACHE1/CACHE2 services of the
 // paper's §IV-C: items must stay individually decompressible for random
 // access, items are typed, and one trained dictionary per type recovers the
-// ratio lost to small item sizes. Items are stored (and would be shipped to
-// clients) compressed; decompression cost is attributed to the client side,
-// which is the paper's "saves both cache CPU and network" argument.
+// ratio lost to small item sizes. Each type is its own class of an
+// adaptive.Controller, the Managed Compression service that samples the
+// type's items, trains its dictionary and keeps every version decodable.
+// Items are stored (and would be shipped to clients) compressed;
+// decompression cost is attributed to the client side, which is the
+// paper's "saves both cache CPU and network" argument.
 package cache
 
 import (
@@ -16,8 +19,6 @@ import (
 	"time"
 
 	"github.com/datacomp/datacomp/internal/adaptive"
-	"github.com/datacomp/datacomp/internal/codec"
-	"github.com/datacomp/datacomp/internal/dict"
 	"github.com/datacomp/datacomp/internal/telemetry"
 )
 
@@ -50,9 +51,7 @@ func tm() {
 	})
 }
 
-// Config configures a Cache. Field names follow the option vocabulary of
-// kvstore.Open and codec.NewEngine (Codec/Level/…, a WithX option each,
-// were this an options API); the struct form stays because cache configs
+// Config configures a Cache. The struct form stays because cache configs
 // are written as literals in service manifests.
 type Config struct {
 	// Shards is the number of independent shards (concurrency domains).
@@ -60,24 +59,15 @@ type Config struct {
 	// CapacityBytes bounds resident compressed bytes per cache; LRU
 	// eviction enforces it. 0 means unbounded.
 	CapacityBytes int64
-	// Codec and Level select the compressor (default zstd level 3 — caches
-	// favour cheap levels, per the paper's level-usage findings).
-	Codec string
-	Level int
 	// MinCompressSize skips compression for tiny items where headers
 	// dominate.
 	MinCompressSize int
-	// Dicts maps item type to a trained dictionary. Types without an entry
-	// are compressed without a dictionary.
-	Dicts map[string][]byte
-	// Adaptive compresses items through a live-reoptimizing controller
-	// instead of the static Codec/Level engines: each item type becomes
-	// its own traffic class ("cache:" + type) whose config the
-	// controller retunes from reservoir samples of actual Set traffic —
-	// including dict-trained candidates, replacing static Dicts. Resident
-	// payloads written under retired generations stay readable because
-	// adaptive frames are self-describing. Codec, Level, and Dicts are
-	// ignored when set.
+	// Adaptive compresses items; it is required. Each item type becomes
+	// its own traffic class ("cache:" + type) whose config the controller
+	// retunes from reservoir samples of actual Set traffic, its trained
+	// dictionary included. Resident payloads written under retired
+	// generations stay readable because adaptive frames are
+	// self-describing.
 	Adaptive *adaptive.Controller
 }
 
@@ -87,12 +77,6 @@ const adaptiveClassPrefix = "cache:"
 func (c *Config) fill() {
 	if c.Shards <= 0 {
 		c.Shards = 8
-	}
-	if c.Codec == "" {
-		c.Codec = "zstd"
-	}
-	if c.Level == 0 {
-		c.Level = 3
 	}
 	if c.MinCompressSize == 0 {
 		c.MinCompressSize = 64
@@ -142,8 +126,8 @@ type shard struct {
 	items   map[string]*entry
 	lru     *list.List // front = most recent
 	bytes   int64
-	engines map[string]codec.Engine // per item type
-	raw     codec.Engine            // engine for untyped/no-dict items
+	handles map[string]*adaptive.Handle // per item type
+	def     *adaptive.Handle            // the untyped class, and the fallback
 	cfg     *Config
 
 	stats Stats
@@ -159,41 +143,24 @@ type Cache struct {
 func New(cfg Config) (*Cache, error) {
 	cfg.fill()
 	tm()
-	if _, ok := codec.Lookup(cfg.Codec); !ok {
-		return nil, fmt.Errorf("cache: unknown codec %q", cfg.Codec)
+	if cfg.Adaptive == nil {
+		return nil, errors.New("cache: Config.Adaptive is required")
+	}
+	// One controller-managed handle per item type, shared by every shard
+	// (handles are concurrent-safe, unlike raw engines).
+	def, err := cfg.Adaptive.Handle(adaptiveClassPrefix + "default")
+	if err != nil {
+		return nil, fmt.Errorf("cache: adaptive default class: %w", err)
 	}
 	c := &Cache{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{
+		c.shards = append(c.shards, &shard{
 			items:   make(map[string]*entry),
 			lru:     list.New(),
-			engines: make(map[string]codec.Engine),
+			handles: make(map[string]*adaptive.Handle),
+			def:     def,
 			cfg:     &c.cfg,
-		}
-		if cfg.Adaptive != nil {
-			// One controller-managed handle per item type, shared by every
-			// shard (handles are concurrent-safe, unlike raw engines). The
-			// untyped class doubles as the fallback.
-			h, err := cfg.Adaptive.Handle(adaptiveClassPrefix + "default")
-			if err != nil {
-				return nil, fmt.Errorf("cache: adaptive default class: %w", err)
-			}
-			sh.raw = h
-		} else {
-			raw, err := codec.NewEngine(cfg.Codec, codec.WithLevel(cfg.Level))
-			if err != nil {
-				return nil, err
-			}
-			sh.raw = raw
-			for typ, d := range cfg.Dicts {
-				eng, err := codec.NewEngine(cfg.Codec, codec.WithLevel(cfg.Level), codec.WithDict(d))
-				if err != nil {
-					return nil, fmt.Errorf("cache: dictionary for type %q: %w", typ, err)
-				}
-				sh.engines[typ] = eng
-			}
-		}
-		c.shards = append(c.shards, sh)
+		})
 	}
 	return c, nil
 }
@@ -208,21 +175,21 @@ func (c *Cache) shard(key string) *shard {
 	return c.shards[c.shardIndex(key)]
 }
 
-func (s *shard) engine(typ string) codec.Engine {
-	if e, ok := s.engines[typ]; ok {
-		return e
+func (s *shard) handle(typ string) *adaptive.Handle {
+	if h, ok := s.handles[typ]; ok {
+		return h
 	}
-	if s.cfg.Adaptive != nil && typ != "" {
-		// Materialize the per-type adaptive class on first touch (caller
-		// holds s.mu, so the per-shard cache write is safe). A controller
+	if typ != "" {
+		// Materialize the per-type class on first touch (caller holds
+		// s.mu, so the per-shard cache write is safe). A controller
 		// failure falls back to the default class rather than failing the
 		// operation.
 		if h, err := s.cfg.Adaptive.Handle(adaptiveClassPrefix + typ); err == nil {
-			s.engines[typ] = h
+			s.handles[typ] = h
 			return h
 		}
 	}
-	return s.raw
+	return s.def
 }
 
 // ErrEmptyKey is returned for operations with an empty key.
@@ -269,7 +236,7 @@ func (s *shard) evictLocked() {
 	}
 }
 
-// Set stores value under key, compressing it with the type's engine.
+// Set stores value under key, compressing it through the type's class.
 func (c *Cache) Set(key, typ string, value []byte) error {
 	if key == "" {
 		return ErrEmptyKey
@@ -285,7 +252,7 @@ func (c *Cache) Set(key, typ string, value []byte) error {
 		return nil
 	}
 	t0 := time.Now()
-	payload, err := s.engine(typ).Compress(nil, value)
+	payload, err := s.handle(typ).Compress(nil, value)
 	dt := time.Since(t0)
 	s.stats.ServerCompressTime += dt
 	tmCompNS.Add(dt.Nanoseconds())
@@ -327,7 +294,7 @@ func (c *Cache) Get(key string) ([]byte, bool, error) {
 		return append([]byte{}, e.payload...), true, nil
 	}
 	t0 := time.Now()
-	out, err := s.engine(e.typ).Decompress(nil, e.payload)
+	out, err := s.handle(e.typ).Decompress(nil, e.payload)
 	dt := time.Since(t0)
 	s.stats.ClientDecompressTime += dt
 	tmDecompNS.Add(dt.Nanoseconds())
@@ -388,18 +355,4 @@ func (c *Cache) Stats() Stats {
 		total.NetworkBytesRaw += st.NetworkBytesRaw
 	}
 	return total
-}
-
-// TrainDictionaries builds one dictionary per item type from sample values,
-// ready for Config.Dicts. maxSize bounds each dictionary.
-func TrainDictionaries(samplesByType map[string][][]byte, maxSize int) (map[string][]byte, error) {
-	out := make(map[string][]byte, len(samplesByType))
-	for typ, samples := range samplesByType {
-		d, err := dict.Train(samples, dict.DefaultParams(maxSize))
-		if err != nil {
-			return nil, fmt.Errorf("cache: training type %q: %w", typ, err)
-		}
-		out[typ] = d
-	}
-	return out, nil
 }

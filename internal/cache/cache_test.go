@@ -6,15 +6,32 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
+	"github.com/datacomp/datacomp/internal/adaptive"
+	"github.com/datacomp/datacomp/internal/core"
 	"github.com/datacomp/datacomp/internal/corpus"
 )
 
-func TestSetGetRoundtrip(t *testing.T) {
-	c, err := New(Config{})
+// newCache builds a cache over a controller that is never started, so
+// every class serves the controller's default, (zstd, 3).
+func newCache(t *testing.T, cfg Config) *Cache {
+	t.Helper()
+	ctrl, err := adaptive.New(adaptive.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(ctrl.Close)
+	cfg.Adaptive = ctrl
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func TestSetGetRoundtrip(t *testing.T) {
+	c := newCache(t, Config{})
 	typ := corpus.DefaultItemTypes()[0]
 	items := corpus.CacheItems(1, typ, 200)
 	for i, it := range items {
@@ -44,10 +61,7 @@ func TestSetGetRoundtrip(t *testing.T) {
 }
 
 func TestGetMiss(t *testing.T) {
-	c, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCache(t, Config{})
 	_, ok, err := c.Get("missing")
 	if err != nil || ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
@@ -58,7 +72,7 @@ func TestGetMiss(t *testing.T) {
 }
 
 func TestEmptyKeyRejected(t *testing.T) {
-	c, _ := New(Config{})
+	c := newCache(t, Config{})
 	if err := c.Set("", "t", []byte("v")); err != ErrEmptyKey {
 		t.Fatalf("got %v", err)
 	}
@@ -71,7 +85,7 @@ func TestEmptyKeyRejected(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	c, _ := New(Config{})
+	c := newCache(t, Config{})
 	v := bytes.Repeat([]byte("abc"), 100)
 	if err := c.Set("k", "t", v); err != nil {
 		t.Fatal(err)
@@ -92,7 +106,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestOverwriteAccounting(t *testing.T) {
-	c, _ := New(Config{Shards: 1})
+	c := newCache(t, Config{Shards: 1})
 	big := bytes.Repeat([]byte("hello world "), 200)
 	small := bytes.Repeat([]byte("x"), 100)
 	if err := c.Set("k", "t", big); err != nil {
@@ -111,10 +125,7 @@ func TestOverwriteAccounting(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c, err := New(Config{Shards: 1, CapacityBytes: 4096, MinCompressSize: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCache(t, Config{Shards: 1, CapacityBytes: 4096, MinCompressSize: 1 << 20})
 	// Incompressible-ish values stored raw: 16 x 512B > 4096B capacity.
 	for i := 0; i < 16; i++ {
 		v := bytes.Repeat([]byte{byte(i)}, 512)
@@ -138,18 +149,45 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestDictionaryImprovesResidentRatio drives small items through a started
+// controller whose only challenger is the class's trained dictionary. Once
+// the cache:edge_assoc class adopts it, the same items sit smaller than
+// under a controller that never trains.
 func TestDictionaryImprovesResidentRatio(t *testing.T) {
 	typ := corpus.DefaultItemTypes()[2] // edge_assoc: small items
+	ctrl, err := adaptive.New(adaptive.Config{
+		Candidates:  []core.Config{{Algorithm: "zstd", Level: 3}},
+		Interval:    10 * time.Millisecond,
+		Budget:      0.5,
+		SampleEvery: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	warm, err := New(Config{Shards: 1, Adaptive: ctrl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := ctrl.Handle(adaptiveClassPrefix + typ.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.Start()
 	train := corpus.CacheItems(1, typ, 2000)
-	dicts, err := TrainDictionaries(map[string][][]byte{typ.Name: train}, 8192)
-	if err != nil {
-		t.Fatal(err)
+	deadline := time.Now().Add(30 * time.Second)
+	for i := 0; len(h.Config().Dict) == 0; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("no dictionary adopted after %d sets", i)
+		}
+		if err := warm.Set(fmt.Sprintf("w%d", i%len(train)), typ.Name, train[i%len(train)]); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(50 * time.Microsecond)
 	}
-	plain, err := New(Config{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dicted, err := New(Config{Shards: 1, Dicts: dicts})
+
+	plain := newCache(t, Config{Shards: 1})
+	dicted, err := New(Config{Shards: 1, Adaptive: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,20 +202,22 @@ func TestDictionaryImprovesResidentRatio(t *testing.T) {
 		}
 	}
 	// Verify values survive the dictionary path.
-	got, ok, err := dicted.Get("k0")
-	if err != nil || !ok || !bytes.Equal(got, items[0]) {
-		t.Fatalf("dict get: ok=%v err=%v", ok, err)
+	for i, it := range items {
+		got, ok, err := dicted.Get(fmt.Sprintf("k%d", i))
+		if err != nil || !ok || !bytes.Equal(got, it) {
+			t.Fatalf("dict get %d: ok=%v err=%v", i, ok, err)
+		}
 	}
 	pr := plain.Stats().CompressionRatio()
 	dr := dicted.Stats().CompressionRatio()
-	t.Logf("plain ratio %.2f, dict ratio %.2f", pr, dr)
+	t.Logf("plain ratio %.2f, dict ratio %.2f (serving %s)", pr, dr, h.Config())
 	if dr <= pr {
 		t.Fatalf("dictionary should improve ratio: plain %.2f dict %.2f", pr, dr)
 	}
 }
 
 func TestNetworkAccounting(t *testing.T) {
-	c, _ := New(Config{Shards: 1})
+	c := newCache(t, Config{Shards: 1})
 	v := bytes.Repeat([]byte("net bytes saved "), 64)
 	if err := c.Set("k", "t", v); err != nil {
 		t.Fatal(err)
@@ -198,7 +238,7 @@ func TestNetworkAccounting(t *testing.T) {
 }
 
 func TestTinyItemsStoredRaw(t *testing.T) {
-	c, _ := New(Config{Shards: 1, MinCompressSize: 64})
+	c := newCache(t, Config{Shards: 1, MinCompressSize: 64})
 	if err := c.Set("k", "t", []byte("tiny")); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +252,7 @@ func TestTinyItemsStoredRaw(t *testing.T) {
 }
 
 func TestIncompressibleItemsStoredRaw(t *testing.T) {
-	c, _ := New(Config{Shards: 1})
+	c := newCache(t, Config{Shards: 1})
 	value := make([]byte, 1024)
 	rand.New(rand.NewSource(1)).Read(value)
 	if err := c.Set("k", "t", value); err != nil {
@@ -228,19 +268,26 @@ func TestIncompressibleItemsStoredRaw(t *testing.T) {
 }
 
 func TestBadConfig(t *testing.T) {
-	if _, err := New(Config{Codec: "nope"}); err == nil {
-		t.Fatal("unknown codec accepted")
+	if _, err := New(Config{}); err == nil {
+		t.Fatal("cache without a controller accepted")
 	}
-	if _, err := New(Config{Dicts: map[string][]byte{"t": []byte("d")}, Codec: "lz4", Level: 1}); err == nil {
+	// A class takes a dictionary only on zstd.
+	ctrl, err := adaptive.New(adaptive.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	h, err := ctrl.Handle(adaptiveClassPrefix + "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Adopt(core.Config{Algorithm: "lz4", Level: 1, Dict: []byte("d")}); err == nil {
 		t.Fatal("dict with lz4 accepted")
 	}
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	c, err := New(Config{Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCache(t, Config{Shards: 8})
 	typ := corpus.DefaultItemTypes()[0]
 	items := corpus.CacheItems(7, typ, 64)
 	var wg sync.WaitGroup

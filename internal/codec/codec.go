@@ -101,8 +101,6 @@ type Codec interface {
 	Name() string
 	// Levels returns the valid level range and the conventional default.
 	Levels() (min, max, def int)
-	// SupportsDict reports whether Options.Dict is honoured.
-	SupportsDict() bool
 	// SupportsWindow reports whether Options.WindowLog is honoured.
 	SupportsWindow() bool
 	// New builds an engine for the given options.
@@ -147,7 +145,6 @@ type zstdCodec struct{}
 
 func (zstdCodec) Name() string                { return "zstd" }
 func (zstdCodec) Levels() (min, max, def int) { return zstd.MinLevel, zstd.MaxLevel, zstd.DefaultLevel }
-func (zstdCodec) SupportsDict() bool          { return true }
 func (zstdCodec) SupportsWindow() bool        { return true }
 
 type zstdEngine struct {
@@ -198,7 +195,6 @@ type lz4Codec struct{}
 
 func (lz4Codec) Name() string                { return "lz4" }
 func (lz4Codec) Levels() (min, max, def int) { return lz4.MinLevel, lz4.MaxLevel, 1 }
-func (lz4Codec) SupportsDict() bool          { return false }
 func (lz4Codec) SupportsWindow() bool        { return false }
 
 type lz4Engine struct {
@@ -234,7 +230,6 @@ type zlibCodec struct{}
 
 func (zlibCodec) Name() string                { return "zlib" }
 func (zlibCodec) Levels() (min, max, def int) { return zlibx.MinLevel, zlibx.MaxLevel, 6 }
-func (zlibCodec) SupportsDict() bool          { return false }
 func (zlibCodec) SupportsWindow() bool        { return false }
 
 type zlibEngine struct {

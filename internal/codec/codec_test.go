@@ -222,8 +222,10 @@ func TestCapabilityMatrix(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s missing", name)
 		}
-		if c.SupportsDict() != caps[0] || c.SupportsWindow() != caps[1] {
-			t.Errorf("%s capabilities: dict=%v window=%v", name, c.SupportsDict(), c.SupportsWindow())
+		_, _, def := c.Levels()
+		_, err := c.New(Options{Level: def, Dict: bytes.Repeat([]byte("dictionary content "), 8)})
+		if (err == nil) != caps[0] || c.SupportsWindow() != caps[1] {
+			t.Errorf("%s capabilities: dict=%v window=%v", name, err == nil, c.SupportsWindow())
 		}
 	}
 }

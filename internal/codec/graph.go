@@ -14,7 +14,6 @@ type graphCodec struct{}
 
 func (graphCodec) Name() string                { return "graph" }
 func (graphCodec) Levels() (min, max, def int) { return 1, 9, graph.DefaultLevel }
-func (graphCodec) SupportsDict() bool          { return false }
 func (graphCodec) SupportsWindow() bool        { return false }
 
 type graphEngine struct{ e *graph.Engine }

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"github.com/datacomp/datacomp/internal/codec"
+	"github.com/datacomp/datacomp/internal/zstd"
 )
 
 // Config is one compression configuration x — the tuple (algorithm, level,
@@ -40,7 +41,8 @@ type Config struct {
 	Accel *Accelerator
 }
 
-// String renders the configuration like the paper: (Zstd, 3, 64KB).
+// String renders the configuration like the paper: (Zstd, 3, 64KB), with
+// the dictionary's zstd.DictID when it has one.
 func (c Config) String() string {
 	s := fmt.Sprintf("(%s, %d", c.Algorithm, c.Level)
 	if c.BlockSize > 0 {
@@ -48,6 +50,9 @@ func (c Config) String() string {
 	}
 	if c.WindowLog > 0 {
 		s += fmt.Sprintf(", w%d", c.WindowLog)
+	}
+	if len(c.Dict) > 0 {
+		s += fmt.Sprintf(", dict %08x", zstd.DictID(c.Dict))
 	}
 	if c.Accel != nil {
 		s += ", " + c.Accel.Name

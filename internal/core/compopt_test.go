@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/datacomp/datacomp/internal/corpus"
+	"github.com/datacomp/datacomp/internal/zstd"
 )
 
 func adsEngine(t *testing.T) *CompEngine {
@@ -209,6 +211,12 @@ func TestConfigString(t *testing.T) {
 	plain := Config{Algorithm: "lz4", Level: 1}
 	if got := plain.String(); got != "(lz4, 1)" {
 		t.Fatalf("got %q", got)
+	}
+	// Two dictionaries at one level are two configs, and print as two.
+	d := []byte("a trained dictionary's content")
+	dicted := Config{Algorithm: "zstd", Level: 3, Dict: d}
+	if got, want := dicted.String(), fmt.Sprintf("(zstd, 3, dict %08x)", zstd.DictID(d)); got != want {
+		t.Fatalf("got %q, want %q", got, want)
 	}
 }
 

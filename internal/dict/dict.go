@@ -1,7 +1,8 @@
-// Package dict trains content-prefix compression dictionaries from sample
-// data, the "Managed Compression" ingredient the paper credits for
-// recovering the compression ratio lost when caches compress each small
-// item individually (§IV-C).
+// Package dict trains compression dictionaries from sample data, the
+// "Managed Compression" ingredient the paper credits for recovering the
+// compression ratio lost when caches compress each small item individually
+// (§IV-C). TrainZstd is the one zstd dictionary trainer every dictionary in
+// the system comes from: content, then entropy tables for that content.
 //
 // The trainer is a simplified fastCOVER: it scores fixed-length segments of
 // the training corpus by how many still-uncovered k-mers they contain,
@@ -16,6 +17,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"github.com/datacomp/datacomp/internal/zstd"
 )
 
 // Params control training.
@@ -149,4 +152,25 @@ func Train(samples [][]byte, p Params) ([]byte, error) {
 		dict = dict[len(dict)-p.MaxSize:]
 	}
 	return dict, nil
+}
+
+// TrainZstd trains a zstd dictionary of at most maxSize bytes of content
+// from samples (Train), carrying entropy tables for that content trained on
+// blocks coded at level (zstd.TrainTables), so a frame coded against it
+// sends no tables of its own whenever that is smaller. It returns
+// ErrNotEnoughSamples when the content cannot be trained or the
+// dictionary's zstd.DictID would be 0, which frames and manifests read as
+// "no dictionary".
+func TrainZstd(level, maxSize int, samples, blocks [][]byte) ([]byte, error) {
+	d, err := Train(samples, DefaultParams(maxSize))
+	if err != nil {
+		return nil, err
+	}
+	if d, err = zstd.TrainTables(zstd.Options{Level: level, Dict: d}, blocks); err != nil {
+		return nil, err
+	}
+	if zstd.DictID(d) == 0 {
+		return nil, ErrNotEnoughSamples
+	}
+	return d, nil
 }

@@ -2,6 +2,7 @@ package dict
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -132,6 +133,34 @@ func TestTrainSmallK(t *testing.T) {
 	}
 	if len(d) == 0 {
 		t.Fatal("empty dictionary")
+	}
+}
+
+// TestTrainZstd: the one trainer returns the content Train picks with
+// entropy tables ahead of it, never a dictionary whose zstd ID is 0 (frames
+// and manifests read 0 as "no dictionary"), and ErrNotEnoughSamples when
+// there is too little to train on.
+func TestTrainZstd(t *testing.T) {
+	for seed := int64(0); seed < 16; seed++ {
+		samples := sampleSet(seed, 100+int(seed)*20)
+		d, err := TrainZstd(3, 2048, samples, samples)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if zstd.DictID(d) == 0 {
+			t.Fatalf("seed %d: dictionary id 0", seed)
+		}
+		content, err := Train(samples, DefaultParams(2048))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d) <= len(content) || !bytes.HasSuffix(d, content) {
+			t.Fatalf("seed %d: %d-byte dictionary does not carry tables ahead of its %d-byte content", seed, len(d), len(content))
+		}
+	}
+	tiny := [][]byte{[]byte("tiny")}
+	if _, err := TrainZstd(3, 2048, tiny, tiny); !errors.Is(err, ErrNotEnoughSamples) {
+		t.Fatalf("tiny input: err=%v, want ErrNotEnoughSamples", err)
 	}
 }
 

@@ -13,17 +13,17 @@ import (
 	"github.com/datacomp/datacomp/internal/zstd"
 )
 
-// The store dictionary (DESIGN.md §11). A store that builds its own engine
-// from a codec that takes dictionaries trains one at its first flush, from
-// the memtable about to become its first table, and codes every table it
-// ever writes against it: the paper's dictionary lever (Figs. 10–11) paired
+// The store dictionary (DESIGN.md §11). A store that builds its own zstd
+// engine trains one with dict.TrainZstd at its first flush, from the
+// memtable about to become its first table, and codes every table it ever
+// writes against it: the paper's dictionary lever (Figs. 10–11) paired
 // with its block-size trade-off (Fig. 13), so 8 KiB blocks compress as well
 // as 16 KiB blocks did without one. One per store, not one per table:
 // compaction carries a compressed block from one table into another unread,
 // which is valid only when both are coded against the same dictionary.
 //
-// A zstd store's dictionary also carries the entropy tables its blocks are
-// coded with (zstd.TrainTables), trained on the same memtable written out as
+// The dictionary also carries the entropy tables its blocks are coded with
+// (zstd.TrainTables), trained on the same memtable written out as
 // the table blocks that flush is about to code — keys, record headers and
 // restart arrays included — so a block codes its literals and sequences
 // with them and sends no tables of its own whenever that is smaller.
@@ -42,31 +42,23 @@ const (
 var dictMagic = [4]byte{'K', 'V', 'D', '1'}
 
 // trainDictLocked trains the store dictionary from the memtable and rebuilds
-// the block engine against it. A store given its engine, or whose codec
-// takes no dictionary, is left as it is; so is one with too little data to
-// train on, which stays dictless: callers train only before the first table.
+// the block engine against it. A store given its engine, or whose codec is
+// not zstd, is left as it is; so is one with too little data to train on,
+// which stays dictless: callers train only before the first table.
 func (db *DB) trainDictLocked() error {
-	if c, ok := codec.Lookup(db.cfg.codecName); db.cfg.engine != nil || !ok || !c.SupportsDict() {
+	if db.cfg.engine != nil || db.cfg.codecName != "zstd" {
 		return nil
 	}
-	d, err := dict.Train(db.mem.sampleValues(dictSampleBytes), dict.DefaultParams(dictBytes))
+	blocks, err := db.rawBlocksLocked(db.mem)
+	if err != nil {
+		return err
+	}
+	d, err := dict.TrainZstd(db.cfg.level, dictBytes, db.mem.sampleValues(dictSampleBytes), blocks)
 	if errors.Is(err, dict.ErrNotEnoughSamples) {
 		return nil
 	}
 	if err != nil {
 		return err
-	}
-	if db.cfg.codecName == "zstd" {
-		blocks, err := db.rawBlocksLocked(db.mem)
-		if err != nil {
-			return err
-		}
-		if d, err = zstd.TrainTables(zstd.Options{Level: db.cfg.level, Dict: d}, blocks); err != nil {
-			return err
-		}
-	}
-	if zstd.DictID(d) == 0 {
-		return nil // an ID of 0 would read as "no dictionary" in the manifest
 	}
 	return db.useDictLocked(d)
 }
