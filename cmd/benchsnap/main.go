@@ -508,7 +508,7 @@ func measureContainer(blockSize int) ([]Entry, bool) {
 		fmt.Fprintf(os.Stderr, "benchsnap: container build: %v\n", err)
 		os.Exit(1)
 	}
-	ra, err := container.NewReaderAt(bytes.NewReader(blob.Bytes()), int64(blob.Len()))
+	ra, err := container.Open(blob.Bytes())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchsnap: container open: %v\n", err)
 		os.Exit(1)

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/container"
 	"github.com/datacomp/datacomp/internal/corpus"
 	"github.com/datacomp/datacomp/internal/fse"
@@ -295,8 +296,9 @@ func FuzzORCDecodeStripe(f *testing.F) {
 
 // FuzzContainer drives arbitrary bytes through the container reader. Seeds
 // are real containers (several codecs and block sizes) plus mutations; the
-// invariant is error-not-panic, and every successful ReaderAt open must
-// serve DecodeBlock/ReadAt without panicking either.
+// invariants are error-not-panic, an Open whose allocation is bounded by the
+// input's size, and a successful Open serving DecodeBlock, ReadFrame and
+// ReadAt in place without panicking or writing a byte of its input.
 func FuzzContainer(f *testing.F) {
 	for i, cfg := range []container.Config{
 		{Codec: "zstd", Level: 1, BlockSize: 1 << 10, Workers: 1},
@@ -322,20 +324,61 @@ func FuzzContainer(f *testing.F) {
 	}
 	f.Add([]byte("ZSXS"))
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ra, err := container.NewReaderAt(bytes.NewReader(data), int64(len(data)))
+	// One warmed decoder per codec, so an input's cost is its own: Open
+	// builds no engine, and what it allocates is its index.
+	engines := map[string]codec.Engine{}
+	for _, name := range codec.Names() {
+		c, _ := codec.Lookup(name)
+		_, _, level := c.Levels()
+		eng, err := codec.NewEngine(name, codec.WithLevel(level))
 		if err != nil {
+			f.Fatal(err)
+		}
+		engines[name] = eng
+	}
+	// Open allocates the reader, the codec name and one 32-byte index entry
+	// per footer entry, which takes 11 footer bytes at least; the slack is
+	// mostly the fuzzing engine's own goroutines, allocating meanwhile.
+	const openSlack = 64 << 10
+	f.Fuzz(func(t *testing.T, data []byte) {
+		orig := bytes.Clone(data)
+		unchanged := func(what string) {
+			if !bytes.Equal(data, orig) {
+				t.Fatalf("%s wrote the container it reads in place", what)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ra, err := container.Open(data, container.WithEngine(engines["lz4"]))
+		runtime.ReadMemStats(&after)
+		if bound := 3*uint64(len(data)) + openSlack; after.TotalAlloc-before.TotalAlloc > bound {
+			t.Fatalf("opening %d bytes allocated %d bytes, want at most %d", len(data), after.TotalAlloc-before.TotalAlloc, bound)
+		}
+		if err != nil {
+			if !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("unexpected error class: %v", err)
+			}
 			return
 		}
-		if ra.Size() > 1<<22 || ra.NumBlocks() > 1024 {
+		eng, ok := engines[ra.CodecName()]
+		if !ok || ra.Size() > 1<<22 || ra.NumBlocks() > 1024 {
 			return // bound the work per input
+		}
+		if ra, err = container.Open(data, container.WithEngine(eng)); err != nil {
+			t.Fatalf("the same bytes opened once and then failed: %v", err)
 		}
 		for i := 0; i < ra.NumBlocks(); i++ {
 			_, _ = ra.DecodeBlock(nil, i)
+			unchanged("DecodeBlock")
+			if frame, info, err := ra.ReadFrame(i); err == nil && (len(frame) != info.CompLen || cap(frame) != len(frame)) {
+				t.Fatalf("ReadFrame(%d) returned %d bytes of capacity %d for a %d-byte payload", i, len(frame), cap(frame), info.CompLen)
+			}
+			unchanged("ReadFrame")
 		}
 		p := make([]byte, 512)
 		_, _ = ra.ReadAt(p, 0)
 		_, _ = ra.ReadAt(p, ra.Size()/2)
+		unchanged("ReadAt")
 	})
 }
 

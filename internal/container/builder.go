@@ -45,14 +45,24 @@ func NewBuilder(w io.Writer, codecName string, eng codec.Engine, blockSize int) 
 		}
 	}
 	tm()
-	hdr, err := appendHeader(nil, codecName, blockSize)
+	b := &Builder{eng: eng}
+	if err := b.Reset(w, codecName, blockSize); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Reset starts another container on w with the builder's engine, as
+// NewBuilder does, keeping its scratch and index capacity: one Builder
+// serves every container a producer writes in turn.
+func (b *Builder) Reset(w io.Writer, codecName string, blockSize int) error {
+	hdr, err := appendHeader(b.hdr[:0], codecName, blockSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if _, err := w.Write(hdr); err != nil {
-		return nil, err
-	}
-	return &Builder{w: w, eng: eng, hdr: hdr[:0], off: int64(len(hdr))}, nil
+	b.w, b.hdr, b.blocks, b.off, b.closed = w, hdr[:0], b.blocks[:0], int64(len(hdr)), false
+	_, err = w.Write(hdr)
+	return err
 }
 
 // Reserve grows the index capacity for n further blocks, so a steady-state

@@ -7,8 +7,8 @@
 // pays for the rest of the object.
 //
 // Builder writes the framing (Encode drives one from a parallel worker
-// pool), ReaderAt reads it, and the record functions reuse its per-block
-// header for the kvstore's write-ahead log.
+// pool), Open reads it where it lies in memory, and the record functions
+// reuse its per-block header for the kvstore's write-ahead log.
 //
 // Layout (DESIGN.md §8):
 //
@@ -22,7 +22,7 @@
 //	          8B LE XXH64(payload)
 //	trailer   8B LE footerLen | "ZSXI"
 //
-// ReaderAt needs only the 12-byte trailer plus the footer to locate any
+// Open needs only the 12-byte trailer plus the footer to locate any
 // block. Checksums cover the compressed payload, so corruption is detected
 // before any decode work.
 package container
@@ -238,7 +238,7 @@ func parseFooter(b []byte, minOff, maxOff int64) ([]BlockInfo, error) {
 		}
 		sum := binary.LittleEndian.Uint64(b[pos:])
 		pos += 8
-		if int64(off) < prevEnd || int64(off)+int64(compLen) > maxOff {
+		if off > uint64(maxOff) || int64(off) < prevEnd || int64(off)+int64(compLen) > maxOff {
 			return nil, errBadFooter
 		}
 		prevEnd = int64(off) + int64(compLen)

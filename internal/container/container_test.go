@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -45,7 +46,7 @@ func TestBuilderReaderAtRoundtrip(t *testing.T) {
 	for _, name := range codec.Names() {
 		t.Run(name, func(t *testing.T) {
 			data := buildSample(t, name, blocks)
-			ra, err := NewReaderAt(bytes.NewReader(data), int64(len(data)))
+			ra, err := Open(data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +129,7 @@ func TestEncodeReaderRoundtrip(t *testing.T) {
 				t.Fatalf("WrittenBytes %d, buffer %d", st.WrittenBytes, buf.Len())
 			}
 
-			ra, err := NewReaderAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+			ra, err := Open(buf.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +174,7 @@ func TestEncodeSequentialEngineMatchesBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := NewReaderAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), WithEngine(eng))
+	ra, err := Open(buf.Bytes(), WithEngine(eng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestDecodeBlockDecodesExactlyOneBlock(t *testing.T) {
 		corpus.LogLines(4, 32<<10),
 	}
 	data := buildSample(t, "zstd", blocks)
-	ra, err := NewReaderAt(bytes.NewReader(data), int64(len(data)))
+	ra, err := Open(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,12 +356,12 @@ func TestCorruptPayloadDetected(t *testing.T) {
 
 	// Flip one payload byte: reads of that block must report codec.ErrCorrupt.
 	mut := append([]byte{}, data...)
-	ra, err := NewReaderAt(bytes.NewReader(data), int64(len(data)))
+	ra, err := Open(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mut[ra.Block(1).Off+10] ^= 0x40
-	mra, err := NewReaderAt(bytes.NewReader(mut), int64(len(mut)))
+	mra, err := Open(mut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +385,7 @@ func TestCorruptPayloadDetected(t *testing.T) {
 func TestFrameCarry(t *testing.T) {
 	blocks := [][]byte{corpus.LogLines(1, 8<<10), corpus.Records(2, 8<<10)}
 	src := buildSample(t, "zstd", blocks)
-	ra, err := NewReaderAt(bytes.NewReader(src), int64(len(src)))
+	ra, err := Open(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,9 +397,12 @@ func TestFrameCarry(t *testing.T) {
 	if err := b.AppendBlock([]byte("a block of its own")); err != nil {
 		t.Fatal(err)
 	}
-	frame, info, err := ra.ReadFrame(nil, 1)
+	frame, info, err := ra.ReadFrame(1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if &frame[0] != &src[info.Off] || cap(frame) != info.CompLen {
+		t.Fatal("ReadFrame copied the payload, or left capacity an append could write the container through")
 	}
 	if err := b.AppendFrame(frame, info); err != nil {
 		t.Fatal(err)
@@ -410,7 +414,7 @@ func TestFrameCarry(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.Bytes()
-	oa, err := NewReaderAt(bytes.NewReader(out), int64(len(out)))
+	oa, err := Open(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,14 +431,14 @@ func TestFrameCarry(t *testing.T) {
 
 	mut := append([]byte{}, src...)
 	mut[info.Off+5] ^= 0x01
-	mra, err := NewReaderAt(bytes.NewReader(mut), int64(len(mut)))
+	mra, err := Open(mut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f, _, err := mra.ReadFrame(nil, 1); !errors.Is(err, codec.ErrCorrupt) || f != nil {
-		t.Fatalf("ReadFrame of a flipped payload = %d bytes, %v; want codec.ErrCorrupt", len(f), err)
+	if f, _, err := mra.ReadFrame(1); !errors.Is(err, errChecksum) || f != nil {
+		t.Fatalf("ReadFrame of a flipped payload = %d bytes, %v; want the checksum error", len(f), err)
 	}
-	if _, _, err := ra.ReadFrame(nil, 2); err == nil {
+	if _, _, err := ra.ReadFrame(2); err == nil {
 		t.Fatal("ReadFrame past the last block succeeded")
 	}
 }
@@ -470,7 +474,7 @@ func TestHostileFooters(t *testing.T) {
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
 			m := mutate(data)
-			ra, err := NewReaderAt(bytes.NewReader(m), int64(len(m)))
+			ra, err := Open(m)
 			if err == nil {
 				// A surviving parse must still fail (or succeed harmlessly)
 				// on decode — never panic.
@@ -483,6 +487,79 @@ func TestHostileFooters(t *testing.T) {
 				t.Fatalf("err = %v, want codec.ErrCorrupt", err)
 			}
 		})
+	}
+}
+
+// TestBuilderResetMatchesNew: a Builder reset after writing another
+// container — a different codec name, block size and block count — writes
+// the bytes a new Builder does.
+func TestBuilderResetMatchesNew(t *testing.T) {
+	eng, err := codec.NewEngine("zstd", codec.WithLevel(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := [][]byte{corpus.LogLines(1, 6<<10), corpus.Records(2, 3<<10)}
+	write := func(b *Builder, blocks [][]byte) {
+		for _, blk := range blocks {
+			if err := b.AppendBlock(blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fresh, first, reused bytes.Buffer
+	nb, err := NewBuilder(&fresh, "zstd", eng, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(nb, blocks)
+	rb, err := NewBuilder(&first, "zstd-other", eng, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(rb, [][]byte{corpus.SourceCode(3, 9<<10), []byte("x"), corpus.LogLines(4, 2<<10)})
+	if err := rb.Reset(&reused, "zstd", 4096); err != nil {
+		t.Fatal(err)
+	}
+	write(rb, blocks)
+	if !bytes.Equal(reused.Bytes(), fresh.Bytes()) {
+		t.Fatal("a reset Builder wrote different bytes from a new one")
+	}
+}
+
+// TestFooterOffsetOverflow: a footer entry whose offset plus length
+// overflows int64 is corrupt, not a slice bound the in-place read panics on.
+func TestFooterOffsetOverflow(t *testing.T) {
+	data, err := appendHeader(nil, "lz4", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = append(data, 0) // terminator
+	data = appendFooter(data, []BlockInfo{{Off: math.MaxInt64 - 4, CompLen: 8, RawLen: 8}})
+	if _, err := Open(data); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("Open = %v, want codec.ErrCorrupt", err)
+	}
+}
+
+// TestNewReaderAtReadsOnce: the io.ReaderAt entry point opens what Open
+// opens over the same bytes, and a source shorter than the size it was
+// given is corrupt.
+func TestNewReaderAtReadsOnce(t *testing.T) {
+	blocks := [][]byte{corpus.LogLines(1, 8<<10), corpus.Records(2, 8<<10)}
+	data := buildSample(t, "lz4", blocks)
+	ra, err := NewReaderAt(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, blk := range blocks {
+		if got, err := ra.DecodeBlock(nil, i); err != nil || !bytes.Equal(got, blk) {
+			t.Fatalf("block %d: %d bytes, %v", i, len(got), err)
+		}
+	}
+	if _, err := NewReaderAt(bytes.NewReader(data[:len(data)-1]), int64(len(data))); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("short source: %v, want codec.ErrCorrupt", err)
 	}
 }
 
@@ -576,7 +653,7 @@ func BenchmarkDecodeBlock(b *testing.B) {
 		Config{Codec: "zstd", Level: 3, BlockSize: 64 << 10, Workers: 1}); err != nil {
 		b.Fatal(err)
 	}
-	ra, err := NewReaderAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	ra, err := Open(buf.Bytes())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 package container
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"sync"
 
@@ -11,12 +11,12 @@ import (
 	"github.com/datacomp/datacomp/internal/xxhash"
 )
 
-// readerConfig collects NewReaderAt's options.
+// readerConfig collects Open's options.
 type readerConfig struct {
 	eng codec.Engine
 }
 
-// ReaderOption configures NewReaderAt.
+// ReaderOption configures Open.
 type ReaderOption func(*readerConfig)
 
 // WithEngine supplies the decode engine instead of constructing one from
@@ -26,84 +26,67 @@ func WithEngine(eng codec.Engine) ReaderOption {
 	return func(c *readerConfig) { c.eng = eng }
 }
 
-// ReaderAt serves random-access reads over a complete container: the
-// footer index is parsed once, after which DecodeBlock decompresses exactly
-// one block and ReadAt touches only the blocks covering the requested
-// range — the selective-decode property the paper's block-size study says
-// datacenter stores compress in blocks to obtain. Safe for concurrent use
-// (an internal mutex serializes the single decode engine); steady-state
-// DecodeBlock and ReadAt calls allocate nothing once scratch buffers are
-// warm.
+// ReaderAt serves random-access reads over a complete container held in
+// memory: the footer index is parsed once, after which DecodeBlock
+// decompresses exactly one block and ReadAt touches only the blocks
+// covering the requested range — the selective-decode property the paper's
+// block-size study says datacenter stores compress in blocks to obtain.
+// Payloads are read where they lie in the container's memory, which the
+// reader never writes. Safe for concurrent use (an internal mutex
+// serializes the single decode engine); steady-state DecodeBlock and ReadAt
+// calls allocate nothing once scratch buffers are warm.
 type ReaderAt struct {
-	r         io.ReaderAt
+	data      []byte
 	eng       codec.Engine
 	codecName string
 	blockSize int
 	blocks    []BlockInfo
-	rawOff    []int64 // cumulative raw offsets, len(blocks)+1
 	size      int64
 
 	mu           sync.Mutex
-	comp         []byte // compressed payload scratch
-	scratch      []byte // decoded block scratch for ReadAt
-	scratchBlock int    // block index held in scratch, -1 when none
+	rawOff       []int64 // cumulative raw offsets, len(blocks)+1; built by the first ReadAt
+	scratch      []byte  // decoded block scratch for ReadAt
+	scratchBlock int     // block index held in scratch, -1 when none
 }
 
-// NewReaderAt opens a container of the given total size, reading the
-// trailer, footer index, and header. Every declared length and offset is
-// validated before use, so hostile footers fail with codec.ErrCorrupt
-// rather than oversized allocations or panics.
-func NewReaderAt(r io.ReaderAt, size int64, opts ...ReaderOption) (*ReaderAt, error) {
+// Open opens the container data holds, parsing its trailer, footer index
+// and header. The reader keeps and aliases data, which must not change
+// while it is in use. Every declared length and offset is validated before
+// use, so hostile footers fail with codec.ErrCorrupt rather than oversized
+// allocations or panics.
+func Open(data []byte, opts ...ReaderOption) (*ReaderAt, error) {
 	var cfg readerConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 	tm()
-	minHeader := int64(len(headerMagic)) + 1 + 2 // magic, version, 1-byte name, block size
-	if size < minHeader+1+trailerLen {           // + terminator
+	size := len(data)
+	minHeader := len(headerMagic) + 1 + 2 // magic, version, 1-byte name, block size
+	if size < minHeader+1+trailerLen {    // + terminator
 		return nil, errBadTrailer
 	}
-
-	var trailer [trailerLen]byte
-	if _, err := r.ReadAt(trailer[:], size-trailerLen); err != nil {
-		return nil, errBadTrailer
-	}
+	trailer := data[size-trailerLen:]
 	if [4]byte(trailer[8:]) != trailerMagic {
 		return nil, errBadTrailer
 	}
-	footerLen := int64(uint64(trailer[0]) | uint64(trailer[1])<<8 | uint64(trailer[2])<<16 |
-		uint64(trailer[3])<<24 | uint64(trailer[4])<<32 | uint64(trailer[5])<<40 |
-		uint64(trailer[6])<<48 | uint64(trailer[7])<<56)
-	if footerLen < 1 || footerLen > size-trailerLen-minHeader-1 {
+	footerLen := binary.LittleEndian.Uint64(trailer)
+	if footerLen < 1 || footerLen > uint64(size-trailerLen-minHeader-1) {
 		return nil, errBadTrailer
 	}
+	footerOff := size - trailerLen - int(footerLen)
 
-	hdrLen := minHeader + int64(maxCodecName) + 18 // generous upper bound
-	if hdrLen > size {
-		hdrLen = size
-	}
-	hdrBuf := make([]byte, hdrLen)
-	if _, err := r.ReadAt(hdrBuf, 0); err != nil && err != io.EOF {
-		return nil, errBadMagic
-	}
-	name, blockSize, headerSize, err := parseHeader(hdrBuf)
+	name, blockSize, headerSize, err := parseHeader(data[:min(size, minHeader+maxCodecName+18)])
 	if err != nil {
 		return nil, err
 	}
-
-	footer := make([]byte, footerLen)
-	if _, err := r.ReadAt(footer, size-trailerLen-footerLen); err != nil {
-		return nil, errBadFooter
-	}
-	dataEnd := size - trailerLen - footerLen - 1 // terminator byte precedes the footer
-	blocks, err := parseFooter(footer, int64(headerSize), dataEnd)
+	dataEnd := footerOff - 1 // terminator byte precedes the footer
+	blocks, err := parseFooter(data[footerOff:size-trailerLen], int64(headerSize), int64(dataEnd))
 	if err != nil {
 		return nil, err
 	}
-
-	rawOff := make([]int64, len(blocks)+1)
-	for i, b := range blocks {
-		rawOff[i+1] = rawOff[i] + int64(b.RawLen)
+	var raw int64
+	for _, b := range blocks {
+		raw += int64(b.RawLen)
 	}
 
 	eng := cfg.eng
@@ -113,15 +96,27 @@ func NewReaderAt(r io.ReaderAt, size int64, opts ...ReaderOption) (*ReaderAt, er
 		}
 	}
 	return &ReaderAt{
-		r:            r,
+		data:         data,
 		eng:          eng,
 		codecName:    name,
 		blockSize:    blockSize,
 		blocks:       blocks,
-		rawOff:       rawOff,
-		size:         rawOff[len(blocks)],
+		size:         raw,
 		scratchBlock: -1,
 	}, nil
+}
+
+// NewReaderAt reads a container of the given total size from r into memory
+// and opens it. Use Open for a container already in memory.
+func NewReaderAt(r io.ReaderAt, size int64, opts ...ReaderOption) (*ReaderAt, error) {
+	if size < 0 || size > int64(^uint(0)>>1) {
+		return nil, errBadTrailer
+	}
+	data := make([]byte, size)
+	if n, _ := r.ReadAt(data, 0); n < len(data) {
+		return nil, errTruncated
+	}
+	return Open(data, opts...)
 }
 
 // NumBlocks reports the number of independent blocks.
@@ -139,49 +134,37 @@ func (r *ReaderAt) BlockSize() int { return r.blockSize }
 // Block returns the index entry for block i.
 func (r *ReaderAt) Block(i int) BlockInfo { return r.blocks[i] }
 
-// DecodeBlock appends the decoded content of block i to dst, reading and
-// decompressing exactly that block. The payload checksum is verified
+// DecodeBlock appends the decoded content of block i to dst, decompressing
+// exactly that block from where it lies. The payload checksum is verified
 // before decoding.
 func (r *ReaderAt) DecodeBlock(dst []byte, i int) ([]byte, error) {
-	if i < 0 || i >= len(r.blocks) {
-		return nil, fmt.Errorf("container: block %d out of range [0,%d)", i, len(r.blocks))
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.decodeLocked(dst, i)
 }
 
-// ReadFrame appends block i's compressed payload — the engine frame, not
-// decoded — to dst once its checksum verifies, and returns it with the
-// block's index entry: what Builder.AppendFrame needs to carry the block
-// into another container of the same codec unread.
-func (r *ReaderAt) ReadFrame(dst []byte, i int) ([]byte, BlockInfo, error) {
+// ReadFrame returns block i's compressed payload — the engine frame, not
+// decoded — in place, once its checksum verifies, with the block's index
+// entry: what Builder.AppendFrame needs to carry the block into another
+// container of the same codec unread. The frame aliases the container's
+// memory and has no spare capacity; callers must not write it.
+func (r *ReaderAt) ReadFrame(i int) ([]byte, BlockInfo, error) {
 	if i < 0 || i >= len(r.blocks) {
 		return nil, BlockInfo{}, fmt.Errorf("container: block %d out of range [0,%d)", i, len(r.blocks))
 	}
 	b := r.blocks[i]
-	base := len(dst)
-	dst = slices.Grow(dst, b.CompLen)[:base+b.CompLen]
-	if _, err := r.r.ReadAt(dst[base:], b.Off); err != nil {
-		return nil, b, errTruncated
-	}
-	if xxhash.Sum64(dst[base:]) != b.Sum {
+	end := b.Off + int64(b.CompLen) // the footer placed every payload inside the container
+	p := r.data[b.Off:end:end]
+	if xxhash.Sum64(p) != b.Sum {
 		return nil, b, errChecksum
 	}
-	return dst, b, nil
+	return p, b, nil
 }
 
 func (r *ReaderAt) decodeLocked(dst []byte, i int) ([]byte, error) {
-	b := r.blocks[i]
-	if cap(r.comp) < b.CompLen {
-		r.comp = make([]byte, b.CompLen)
-	}
-	comp := r.comp[:b.CompLen]
-	if _, err := r.r.ReadAt(comp, b.Off); err != nil {
-		return nil, errTruncated
-	}
-	if xxhash.Sum64(comp) != b.Sum {
-		return nil, errChecksum
+	comp, b, err := r.ReadFrame(i)
+	if err != nil {
+		return nil, err
 	}
 	base := len(dst)
 	out, err := r.eng.Decompress(dst, comp)
@@ -209,6 +192,12 @@ func (r *ReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.rawOff == nil {
+		r.rawOff = make([]int64, len(r.blocks)+1)
+		for i, b := range r.blocks {
+			r.rawOff[i+1] = r.rawOff[i] + int64(b.RawLen)
+		}
+	}
 	// First block whose end is past off.
 	i := sort.Search(len(r.blocks), func(i int) bool { return r.rawOff[i+1] > off })
 	n := 0

@@ -29,7 +29,7 @@ var (
 	tmRawBytesWritten, tmStoredBytesWritten *telemetry.Counter
 	tmBytesDecompressed                     *telemetry.Counter
 	tmBlocksCarried, tmCarriedBytes         *telemetry.Counter
-	tmTrivialMoves                          *telemetry.Counter
+	tmTrivialMoves, tmTableBlobAllocs       *telemetry.Counter
 	tmWALAppends, tmWALBytes, tmWALSyncs    *telemetry.Counter
 	tmWALCompNS                             *telemetry.Counter
 	tmSnapshots, tmSnapshotBytes            *telemetry.Counter
@@ -57,6 +57,7 @@ func tm() {
 		tmBlocksCarried = r.Counter("kvstore_blocks_carried_total", "data blocks compaction copied into its output unread")
 		tmCarriedBytes = r.Counter("kvstore_carried_bytes_total", "uncompressed bytes of the blocks compaction carried")
 		tmTrivialMoves = r.Counter("kvstore_trivial_moves_total", "compactions that moved their tables down a level unrewritten")
+		tmTableBlobAllocs = r.Counter("kvstore_table_blob_allocs_total", "table blobs allocated because no free blob fit")
 		tmWALAppends = r.Counter("kvstore_wal_appends_total", "WAL record batches appended")
 		tmWALBytes = r.Counter("kvstore_wal_bytes_total", "framed WAL bytes appended")
 		tmWALSyncs = r.Counter("kvstore_wal_syncs_total", "WAL fsyncs")
@@ -795,13 +796,14 @@ func (db *DB) mergeTablesLocked(ctx context.Context, inputs []*sstable, targetLe
 	carry := func(t *sstable, b int) bool {
 		return t.ra.CodecName() == db.cfg.codecName && 2*t.ra.Block(b).RawLen >= db.cfg.blockSize
 	}
-	return db.writeTablesLocked(ctx, newMergeIterator(db.tableIterators(nil, inputs), carry), db.cfg.maxTableBytes, bottom)
+	return db.writeTablesLocked(ctx, newMergeIterator(db.scratch.iterators(nil, &db.stats, inputs), carry), db.cfg.maxTableBytes, bottom)
 }
 
 // writeTablesLocked drains mi into new tables, starting another every
 // maxTableBytes of raw entries. ctx cancellation is honored between
 // entries, so a deadline propagates into flush and compaction work.
 func (db *DB) writeTablesLocked(ctx context.Context, mi *mergeIterator, maxTableBytes int, dropTombstones bool) ([]*sstable, error) {
+	defer db.scratch.done(db.cfg.blockSize)
 	var out []*sstable
 	newWriter := func() *tableWriter {
 		db.nextID++
@@ -867,14 +869,6 @@ type entryIterator interface {
 	tombstone() bool
 	next()
 	err() error
-}
-
-// tableIterators appends an iterator per table to dst.
-func (db *DB) tableIterators(dst []entryIterator, tables []*sstable) []entryIterator {
-	for _, t := range tables {
-		dst = append(dst, t.iterator(&db.stats))
-	}
-	return dst
 }
 
 // mergeIterator k-way merges sorted inputs; on duplicate keys the source
@@ -1055,11 +1049,8 @@ func (db *DB) Scan(ctx context.Context, fn func(key, value []byte) bool) error {
 	if db.closed {
 		return ErrClosed
 	}
-	srcs := []entryIterator{db.mem.iterator()}
-	for _, tables := range db.levels {
-		srcs = db.tableIterators(srcs, tables)
-	}
-	mi := newMergeIterator(srcs, nil)
+	defer db.scratch.done(db.cfg.blockSize)
+	mi := newMergeIterator(db.scratch.iterators([]entryIterator{db.mem.iterator()}, &db.stats, db.levels[:]...), nil)
 	entries := 0
 	for mi.valid() {
 		if ctx != nil && entries&0x3ff == 0 {

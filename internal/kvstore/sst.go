@@ -99,7 +99,7 @@ func openTable(id int64, blob []byte, eng codec.Engine) (*sstable, error) {
 		}
 	}
 	t.largest = t.lastKeys[len(t.lastKeys)-1]
-	ra, err := container.NewReaderAt(bytes.NewReader(t.data), int64(len(t.data)), container.WithEngine(eng))
+	ra, err := container.Open(t.data, container.WithEngine(eng))
 	if err != nil {
 		return nil, fmt.Errorf("%w: table %d: %v", ErrCorrupt, id, err)
 	}
@@ -123,57 +123,98 @@ func (t *sstable) lowerBound(b int) (key []byte, inclusive bool) {
 	return t.lastKeys[b-1], false
 }
 
-// tableWriter accumulates sorted entries into container blocks.
+// tableWriter accumulates sorted entries into container blocks. A DB has
+// one, in its tableScratch, reset for every table it writes.
 type tableWriter struct {
 	eng       codec.Engine
 	blockSize int
 	stats     *Stats
 
 	id         int64
-	numEntries int      // entries added, plus one per carried block
-	lastKeys   [][]byte // largest key per finished block
+	numEntries int      // entries added, plus one per carried block; 0 until the first
+	lastKeys   [][]byte // largest key per finished block: in keys, or a carried block's source index
+	firstKey   []byte   // in keys
 
 	s        *tableScratch // the container so far is s.out
 	bw       *container.Builder
 	bwErr    error
+	keys     []byte // arena lastKeys and firstKey are copied into
 	buf      []byte // current block, uncompressed
-	frame    []byte // carried block scratch
 	restarts []uint32
 	count    int
-	lastKey  []byte
-	firstKey []byte
-	prevKey  []byte
+	prevKey  []byte // the last key added, or a carried block's last; meaningful once numEntries > 0
 }
 
-// newTableWriter starts table id in s, whose container buffer it resets:
-// the finished blob is copied out of it, so one buffer serves every table a
-// DB writes.
+// newTableWriter resets s's table writer to start table id, together with
+// the container buffer and Builder it writes through: the finished blob is
+// copied out of them, so one writer serves every table a DB writes.
 func newTableWriter(id int64, codecName string, eng codec.Engine, blockSize int, stats *Stats, s *tableScratch) *tableWriter {
 	s.out.Reset()
-	w := &tableWriter{
+	w := &s.w
+	clear(w.lastKeys)
+	*w = tableWriter{
 		eng:       eng,
 		blockSize: blockSize,
 		stats:     stats,
 		id:        id,
+		lastKeys:  w.lastKeys[:0],
 		s:         s,
+		keys:      w.keys[:0],
+		buf:       w.buf[:0],
+		restarts:  w.restarts[:0],
+		prevKey:   w.prevKey[:0],
 	}
-	w.bw, w.bwErr = container.NewBuilder(&s.out, codecName, eng, blockSize)
+	if s.bw == nil || s.bwEng != eng {
+		s.bw, w.bwErr = container.NewBuilder(&s.out, codecName, eng, blockSize)
+		s.bwEng = eng
+	} else {
+		w.bwErr = s.bw.Reset(&s.out, codecName, blockSize)
+	}
+	if w.bwErr != nil {
+		s.bw = nil
+	}
+	w.bw = s.bw
 	return w
 }
 
-// tableScratch is the memory a DB builds its tables in: the container and
-// the key index, reset for each table, and the free blobs finished tables
-// are copied into.
+// keepKey copies key into the writer's arena, plus a 0 byte if succ: the
+// least key above it. The copy stays intact until the writer is reset (an
+// arena that grows leaves earlier copies in its old array, which nothing
+// writes again).
+func (w *tableWriter) keepKey(key []byte, succ bool) []byte {
+	start := len(w.keys)
+	w.keys = append(w.keys, key...)
+	if succ {
+		w.keys = append(w.keys, 0)
+	}
+	return w.keys[start:len(w.keys):len(w.keys)]
+}
+
+// tableScratch is the workspace a DB builds and merges its tables in, kept
+// across tables (DESIGN.md §11): the container buffer and key index, the
+// one table writer and the Builder it writes through, the table iterators
+// merges and scans read their inputs with, and the free blobs finished
+// tables are copied into.
 type tableScratch struct {
-	out  bytes.Buffer
-	idx  []byte
-	free [][]byte // at most maxFreeBlobs
+	out   bytes.Buffer
+	idx   []byte
+	w     tableWriter
+	bw    *container.Builder
+	bwEng codec.Engine // the engine bw codes with
+	iters []*tableIterator
+	free  [][]byte // at most maxFreeBlobs
 }
 
 // maxFreeBlobs bounds the free list above what a merge of L0 into a full L1
 // writes at the default sizes (about ten tables), so the blobs one merge
 // frees serve the next.
 const maxFreeBlobs = 16
+
+// maxKeptBuffer is what a per-block buffer of the workspace may keep once
+// the table or merge that grew it is done, unless the store's blocks are
+// larger: one oversized block — a large value — does not pin its size for
+// the life of the store.
+const maxKeptBuffer = 64 << 10
 
 // blob returns an empty buffer of capacity ≥ n: the smallest free blob that
 // fits, else a new one an eighth larger than n, so that a later table up to
@@ -186,6 +227,7 @@ func (s *tableScratch) blob(n int) []byte {
 		}
 	}
 	if best < 0 {
+		tmTableBlobAllocs.Inc()
 		return make([]byte, 0, n+n/8)
 	}
 	b, last := s.free[best], len(s.free)-1
@@ -203,6 +245,44 @@ func (s *tableScratch) recycle(b []byte) {
 	}
 }
 
+// iterators appends to dst an iterator over every table of levels, in
+// order, each one of those the workspace keeps: callers hold db.mu, so the
+// merge or scan they serve is the only one running.
+func (s *tableScratch) iterators(dst []entryIterator, stats *Stats, levels ...[]*sstable) []entryIterator {
+	n := 0
+	for _, tables := range levels {
+		for _, t := range tables {
+			if n == len(s.iters) {
+				s.iters = append(s.iters, new(tableIterator))
+			}
+			it := s.iters[n]
+			*it = tableIterator{t: t, stats: stats, buf: it.buf, keys: it.keys[:0], entries: it.entries[:0]}
+			dst = append(dst, it)
+			n++
+		}
+	}
+	return dst
+}
+
+// done ends a merge or scan: the iterators let go of their tables, and a
+// per-block buffer one oversized block grew past maxKeptBuffer (or twice
+// the block size, if larger) is dropped — the Builder too, whose compress
+// scratch that block grew.
+func (s *tableScratch) done(blockSize int) {
+	limit := max(maxKeptBuffer, 2*blockSize)
+	for _, it := range s.iters {
+		it.t, it.stats = nil, nil
+		// A block of limit bytes holds at most limit/4 entries.
+		if cap(it.buf) > limit || cap(it.keys) > limit || cap(it.entries) > limit/4 {
+			it.buf, it.keys, it.entries = nil, nil, nil
+		}
+	}
+	clear(s.w.lastKeys) // they may alias the blobs of merged tables
+	if cap(s.w.buf) > limit {
+		s.w.buf, s.w.bw, s.bw, s.bwEng = nil, nil, nil, nil
+	}
+}
+
 func sharedPrefixLen(a, b []byte) int {
 	n := 0
 	for n < len(a) && n < len(b) && a[n] == b[n] {
@@ -213,7 +293,7 @@ func sharedPrefixLen(a, b []byte) int {
 
 // add appends an entry; keys must arrive in strictly increasing order.
 func (w *tableWriter) add(key, value []byte, tombstone bool) error {
-	if w.prevKey != nil && bytes.Compare(key, w.prevKey) <= 0 {
+	if w.numEntries > 0 && bytes.Compare(key, w.prevKey) <= 0 {
 		return fmt.Errorf("kvstore: keys out of order: %q after %q", key, w.prevKey)
 	}
 	shared := 0
@@ -231,13 +311,12 @@ func (w *tableWriter) add(key, value []byte, tombstone bool) error {
 	}
 	w.buf = append(w.buf, key[shared:]...)
 	w.buf = append(w.buf, value...)
+	if w.numEntries == 0 {
+		w.firstKey = w.keepKey(key, false)
+	}
 	w.count++
 	w.numEntries++
 	w.prevKey = append(w.prevKey[:0], key...)
-	w.lastKey = w.prevKey
-	if w.firstKey == nil {
-		w.firstKey = append([]byte{}, key...)
-	}
 	if len(w.buf) >= w.blockSize {
 		return w.flushBlock()
 	}
@@ -274,7 +353,7 @@ func (w *tableWriter) flushBlock() error {
 		tmRawBytesWritten.Add(int64(len(w.buf)))
 		tmStoredBytesWritten.Add(w.bw.Offset() - before)
 	}
-	w.lastKeys = append(w.lastKeys, append([]byte{}, w.lastKey...))
+	w.lastKeys = append(w.lastKeys, w.keepKey(w.prevKey, false))
 	w.buf = w.buf[:0]
 	w.restarts = w.restarts[:0]
 	w.count = 0
@@ -289,31 +368,26 @@ func (w *tableWriter) flushBlock() error {
 // index allows.
 func (w *tableWriter) carry(src *sstable, b int) error {
 	lo, inclusive := src.lowerBound(b)
-	if c := bytes.Compare(w.prevKey, lo); w.prevKey != nil && (c > 0 || c == 0 && inclusive) {
+	if c := bytes.Compare(w.prevKey, lo); w.numEntries > 0 && (c > 0 || c == 0 && inclusive) {
 		return fmt.Errorf("kvstore: carried block %d of table %d (keys from %q) out of order after %q", b, src.id, lo, w.prevKey)
 	}
 	if err := w.flushBlock(); err != nil {
 		return err
 	}
-	frame, info, err := src.ra.ReadFrame(w.frame[:0], b)
+	frame, info, err := src.ra.ReadFrame(b)
 	if err != nil {
 		return fmt.Errorf("%w: table %d block %d: %v", ErrCorrupt, src.id, b, err)
 	}
-	w.frame = frame
 	before := w.bw.Offset()
 	if err := w.bw.AppendFrame(frame, info); err != nil {
 		return err
 	}
-	if w.firstKey == nil {
-		w.firstKey = append([]byte{}, lo...)
-		if !inclusive {
-			w.firstKey = append(w.firstKey, 0) // the least key above lo
-		}
+	if w.numEntries == 0 {
+		w.firstKey = w.keepKey(lo, !inclusive)
 	}
 	hi := src.lastKeys[b]
 	w.lastKeys = append(w.lastKeys, hi)
 	w.prevKey = append(w.prevKey[:0], hi...)
-	w.lastKey = w.prevKey
 	w.numEntries++
 	if w.stats != nil {
 		stored := w.bw.Offset() - before
@@ -532,11 +606,12 @@ func (t *sstable) loadBlock(bi int, stats *Stats, cache *blockCache) ([]byte, er
 // compaction and Scan. It decodes each block at most once and
 // neither consults nor fills the block cache: a scan touches every block
 // of its inputs once, which would only push the point-read working set out.
-// Every block is decoded into the one buffer the iterator keeps, and its
-// keys (prefix-compressed in the block) are materialized into one arena
-// the iterator also keeps: entry values alias the first, keys the second,
-// and both are overwritten when the iterator loads its next block. An entry
-// is valid until then, and no longer.
+// The DB's tableScratch keeps its iterators, and with each the one buffer
+// every block it loads is decoded into and the one arena its keys
+// (prefix-compressed in the block) are materialized into: entry values
+// alias the first, keys the second, and both are overwritten when the
+// iterator loads its next block. An entry is valid until then, and no
+// longer.
 //
 // A block is decoded only on load: until then the iterator is parked
 // before it, known by its bounds alone, and the merge may skip it whole —
@@ -551,10 +626,6 @@ type tableIterator struct {
 	entries []blockEntry
 	pos     int
 	failed  error
-}
-
-func (t *sstable) iterator(stats *Stats) *tableIterator {
-	return &tableIterator{t: t, stats: stats}
 }
 
 // parked reports whether the iterator stands before a block it has not

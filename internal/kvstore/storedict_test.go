@@ -86,7 +86,7 @@ func TestStoreDictLifecycle(t *testing.T) {
 	}
 	for _, tables := range db.levels {
 		for _, tb := range tables {
-			frame, _, err := tb.ra.ReadFrame(nil, 0)
+			frame, _, err := tb.ra.ReadFrame(0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -351,7 +351,7 @@ func TestStoreDictParentStore(t *testing.T) {
 	}
 	for _, tables := range db.levels {
 		for _, tb := range tables {
-			frame, _, err := tb.ra.ReadFrame(nil, tb.numBlocks()-1)
+			frame, _, err := tb.ra.ReadFrame(tb.numBlocks() - 1)
 			if err != nil {
 				t.Fatal(err)
 			}

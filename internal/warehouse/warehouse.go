@@ -419,8 +419,7 @@ func readStripe(framed []byte, eng codec.Engine, st *Stats) ([]orc.Column, error
 // columns entirely — their bytes are never decompressed.
 func readStripeColumns(framed []byte, eng codec.Engine, st *Stats, want map[string]bool) ([]orc.Column, error) {
 	tm()
-	ra, err := container.NewReaderAt(bytes.NewReader(framed), int64(len(framed)),
-		container.WithEngine(eng))
+	ra, err := container.Open(framed, container.WithEngine(eng))
 	if err != nil {
 		return nil, err
 	}

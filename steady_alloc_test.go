@@ -176,10 +176,11 @@ func TestSteadyStateAllocsWithDict(t *testing.T) {
 }
 
 // TestContainerSteadyStateAllocs gates the container's per-block hot paths:
-// once scratch buffers are warm, random-access decode (DecodeBlock, ReadAt)
-// and sequential append (Builder.AppendBlock with a reserved index and a
-// pre-grown sink) must not allocate. This is what makes the kvstore point
-// lookup and the stripe writer allocation-free per block.
+// once scratch buffers are warm, random-access reads over Open (DecodeBlock
+// and ReadFrame in place, ReadAt) and sequential append
+// (Builder.AppendBlock with a reserved index and a pre-grown sink) must not
+// allocate. This is what makes the kvstore point lookup, its compaction
+// carry and the stripe writer allocation-free per block.
 func TestContainerSteadyStateAllocs(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
@@ -199,7 +200,7 @@ func TestContainerSteadyStateAllocs(t *testing.T) {
 	if err := bw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ra, err := container.NewReaderAt(bytes.NewReader(blob.Bytes()), int64(blob.Len()))
+	ra, err := container.Open(blob.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,6 +214,13 @@ func TestContainerSteadyStateAllocs(t *testing.T) {
 		var err error
 		dst, err = ra.DecodeBlock(dst[:0], bi%ra.NumBlocks())
 		if err != nil {
+			t.Fatal(err)
+		}
+		bi++
+	})
+
+	requireZeroAllocs(t, "ReadFrame", func() {
+		if _, _, err := ra.ReadFrame(bi % ra.NumBlocks()); err != nil {
 			t.Fatal(err)
 		}
 		bi++
