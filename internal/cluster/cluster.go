@@ -61,21 +61,23 @@ var ErrAllReplicasCorrupt = errors.New("cluster: every stored replica is corrupt
 // ErrNoNodes is returned for operations on an empty cluster.
 var ErrNoNodes = errors.New("cluster: no nodes")
 
+// replication is the replica count N. Write and read quorums are both
+// majorities of N, so a read always intersects the last acknowledged write.
+const replication = 3
+
+// defaultCompression is the node links' transport compression: lz4-1 with
+// checksums, cheap enough for the serving path and verified end to end.
+var defaultCompression = rpc.Compression{Codec: "lz4", Level: 1, Checksum: true}
+
 // Option configures a Cluster.
 type Option func(*clusterConfig)
 
 type clusterConfig struct {
-	replication    int
 	clientsPerNode int
 	comp           rpc.Compression
 	nodeOpts       []NodeOption
 	dialWrap       func(string, func(context.Context) (io.ReadWriter, error)) func(context.Context) (io.ReadWriter, error)
 }
-
-// WithReplication sets the replica count N (default 3). Write and read
-// quorums are both majorities of N, so a read always intersects the last
-// acknowledged write.
-func WithReplication(n int) Option { return func(c *clusterConfig) { c.replication = n } }
 
 // WithClientsPerNode sets how many idle rpc clients are kept per node
 // (default 2). An operation holds one client per owner while its calls are
@@ -83,8 +85,9 @@ func WithReplication(n int) Option { return func(c *clusterConfig) { c.replicati
 // and drop it afterwards.
 func WithClientsPerNode(n int) Option { return func(c *clusterConfig) { c.clientsPerNode = n } }
 
-// WithCompression sets the transport compression used on node links. It
-// must match the nodes' own (default lz4-1 with checksums).
+// WithCompression sets the transport compression of every node link, at
+// both ends: the cluster's clients and every node AddNode builds (default
+// lz4-1 with checksums).
 func WithCompression(comp rpc.Compression) Option {
 	return func(c *clusterConfig) { c.comp = comp }
 }
@@ -123,18 +126,11 @@ type Cluster struct {
 	escalated atomic.Int64
 }
 
-// New builds an empty cluster; add members with AddNode or Join.
+// New builds an empty cluster; add members with AddNode.
 func New(opts ...Option) *Cluster {
-	cfg := clusterConfig{
-		replication:    3,
-		clientsPerNode: 2,
-		comp:           rpc.Compression{Codec: "lz4", Level: 1, Checksum: true},
-	}
+	cfg := clusterConfig{clientsPerNode: 2, comp: defaultCompression}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.replication < 1 {
-		cfg.replication = 1
 	}
 	if cfg.clientsPerNode < 1 {
 		cfg.clientsPerNode = 1
@@ -151,22 +147,21 @@ func New(opts ...Option) *Cluster {
 // quorum is the majority of the effective replica set.
 func (c *Cluster) quorum(replicas int) int { return replicas/2 + 1 }
 
-// AddNode creates a node, joins it to the ring, and rebalances existing
-// keys onto it.
-func (c *Cluster) AddNode(ctx context.Context, name string, opts ...NodeOption) (*Node, error) {
-	n, err := NewNode(ctx, name, append(append([]NodeOption{}, c.cfg.nodeOpts...), opts...)...)
+// AddNode creates a node with the cluster's link compression and node
+// defaults, joins it to the ring, and rebalances existing keys onto it.
+func (c *Cluster) AddNode(ctx context.Context, name string) (*Node, error) {
+	n, err := newNode(ctx, name, c.cfg.comp, c.cfg.nodeOpts...)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.Join(ctx, n); err != nil {
+	if err := c.join(ctx, n); err != nil {
 		return nil, err
 	}
 	return n, nil
 }
 
-// Join adds an existing node to the ring and copies onto it every record
-// it now owns.
-func (c *Cluster) Join(ctx context.Context, n *Node) error {
+// join adds a node to the ring and copies onto it every record it now owns.
+func (c *Cluster) join(ctx context.Context, n *Node) error {
 	c.mu.Lock()
 	if _, dup := c.nodes[n.Name()]; dup {
 		c.mu.Unlock()
@@ -295,7 +290,7 @@ func (c *Cluster) owners(key []byte) (*op, error) {
 		return nil, ErrNoNodes
 	}
 	o := opPool.Get().(*op)
-	o.names = c.ring.AppendOwners(o.names[:0], key, c.cfg.replication)
+	o.names = c.ring.AppendOwners(o.names[:0], key, replication)
 	o.reps = slices.Grow(o.reps, len(o.names))[:len(o.names)]
 	for i, name := range o.names {
 		r := &o.reps[i]

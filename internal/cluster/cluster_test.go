@@ -360,7 +360,7 @@ func TestClusterEmptyAndBadInput(t *testing.T) {
 		t.Fatal("empty key accepted")
 	}
 	n := c2.Node("node-0")
-	if err := c2.Join(tctx, n); err == nil {
+	if err := c2.join(tctx, n); err == nil {
 		t.Fatal("duplicate join accepted")
 	}
 	if err := c2.Leave(tctx, "ghost"); err == nil {

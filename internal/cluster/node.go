@@ -106,29 +106,15 @@ func validRecord(raw []byte) (record, bool) {
 type NodeOption func(*nodeConfig)
 
 type nodeConfig struct {
-	comp          rpc.Compression
-	shedAt        int
-	storeOpts     []kvstore.Option
-	persister     kvstore.Persister
-	storeDir      string
-	syncPolicy    kvstore.SyncPolicy
-	syncPolicySet bool
+	comp      rpc.Compression
+	storeOpts []kvstore.Option
+	persister kvstore.Persister
 }
 
-// WithNodeCompression sets the node's RPC transport compression (default
-// lz4-1 with checksums — cheap enough for the serving path, verified
-// end to end).
-func WithNodeCompression(comp rpc.Compression) NodeOption {
-	return func(c *nodeConfig) { c.comp = comp }
-}
-
-// WithNodeShedThreshold arms the rpc server's load shedding: past n
-// in-flight requests, responses skip compression (default 0: off).
-func WithNodeShedThreshold(n int) NodeOption {
-	return func(c *nodeConfig) { c.shedAt = n }
-}
-
-// WithNodeStoreOptions appends options to the node's kvstore.Open call.
+// WithNodeStoreOptions appends options to the node's kvstore.Open call. The
+// store's WAL syncs every write by default (an acked replica write must
+// survive that replica crashing, because the quorum already counted it);
+// kvstore.WithWAL here overrides that.
 func WithNodeStoreOptions(opts ...kvstore.Option) NodeOption {
 	return func(c *nodeConfig) { c.storeOpts = append(c.storeOpts, opts...) }
 }
@@ -137,19 +123,6 @@ func WithNodeStoreOptions(opts ...kvstore.Option) NodeOption {
 // MemPersister that survives Stop/Crash/Restart in memory).
 func WithNodePersister(p kvstore.Persister) NodeOption {
 	return func(c *nodeConfig) { c.persister = p }
-}
-
-// WithNodeDir stores the node's WAL, tables and manifest under dir instead
-// of the in-memory persister.
-func WithNodeDir(dir string) NodeOption {
-	return func(c *nodeConfig) { c.storeDir = dir }
-}
-
-// WithNodeSyncPolicy sets the node store's WAL fsync policy (default
-// SyncAlways: an acked replica write must survive that replica crashing,
-// because the quorum already counted it).
-func WithNodeSyncPolicy(p kvstore.SyncPolicy) NodeOption {
-	return func(c *nodeConfig) { c.syncPolicy = p; c.syncPolicySet = true }
 }
 
 // Node is one in-process cluster member: a durable kvstore served over
@@ -202,20 +175,16 @@ const maxTrackedVersions = 1 << 16
 // ErrNodeDown is returned when dialing or serving on a stopped node.
 var ErrNodeDown = errors.New("cluster: node down")
 
-// NewNode starts a node. The store opens immediately (recovering whatever
-// the persister holds, which for a fresh MemPersister is nothing).
-func NewNode(ctx context.Context, name string, opts ...NodeOption) (*Node, error) {
-	cfg := nodeConfig{
-		comp: rpc.Compression{Codec: "lz4", Level: 1, Checksum: true},
-	}
+// newNode starts a node serving its links with comp. The store opens
+// immediately (recovering whatever the persister holds, which for a fresh
+// MemPersister is nothing).
+func newNode(ctx context.Context, name string, comp rpc.Compression, opts ...NodeOption) (*Node, error) {
+	cfg := nodeConfig{comp: comp}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.persister == nil && cfg.storeDir == "" {
+	if cfg.persister == nil {
 		cfg.persister = kvstore.NewMemPersister()
-	}
-	if !cfg.syncPolicySet {
-		cfg.syncPolicy = kvstore.SyncAlways
 	}
 	cm()
 	n := &Node{name: name, cfg: cfg}
@@ -228,20 +197,12 @@ func NewNode(ctx context.Context, name string, opts ...NodeOption) (*Node, error
 // start opens the store (recovering from the persister) and builds a fresh
 // rpc server. Callers hold no locks.
 func (n *Node) start(ctx context.Context) error {
-	storeOpts := []kvstore.Option{kvstore.WithWAL(n.cfg.syncPolicy)}
-	if n.cfg.persister != nil {
-		storeOpts = append(storeOpts, kvstore.WithPersister(n.cfg.persister))
-	}
-	storeOpts = append(storeOpts, n.cfg.storeOpts...)
-	db, err := kvstore.Open(ctx, n.cfg.storeDir, storeOpts...)
+	storeOpts := append([]kvstore.Option{kvstore.WithWAL(kvstore.SyncAlways), kvstore.WithPersister(n.cfg.persister)}, n.cfg.storeOpts...)
+	db, err := kvstore.Open(ctx, "", storeOpts...)
 	if err != nil {
 		return err
 	}
-	var srvOpts []rpc.ServerOption
-	if n.cfg.shedAt > 0 {
-		srvOpts = append(srvOpts, rpc.WithShedThreshold(n.cfg.shedAt))
-	}
-	srv := rpc.NewServer(n.cfg.comp, srvOpts...)
+	srv := rpc.NewServer(n.cfg.comp)
 	srv.Register(MethodPut, n.handlePut)
 	srv.RegisterAppend(MethodGet, n.handleGet)
 	srv.RegisterAppend(MethodDigest, n.handleDigest)

@@ -25,9 +25,9 @@ func smallStore() NodeOption {
 
 func testNode(t *testing.T, opts ...NodeOption) *Node {
 	t.Helper()
-	n, err := NewNode(tctx, "solo", opts...)
+	n, err := newNode(tctx, "solo", defaultCompression, opts...)
 	if err != nil {
-		t.Fatalf("NewNode: %v", err)
+		t.Fatalf("newNode: %v", err)
 	}
 	t.Cleanup(func() { n.Stop() })
 	return n
@@ -99,7 +99,7 @@ func TestNodePutModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			n := testNode(t, smallStore(), WithNodeSyncPolicy(kvstore.SyncOnCheckpoint))
+			n := testNode(t, smallStore(), WithNodeStoreOptions(kvstore.WithWAL(kvstore.SyncOnCheckpoint)))
 
 			model := map[string][]byte{}   // what the store must hold, raw
 			durable := map[string][]byte{} // model as of the last sync or checkpoint
@@ -475,7 +475,7 @@ func TestNodeFailedPutForgetsVersion(t *testing.T) {
 // Restart begins with a cold table: the first put of each key after a crash
 // compares, whatever the table held before.
 func TestNodeRestartColdTable(t *testing.T) {
-	n := testNode(t, WithNodeSyncPolicy(kvstore.SyncOnCheckpoint))
+	n := testNode(t, WithNodeStoreOptions(kvstore.WithWAL(kvstore.SyncOnCheckpoint)))
 	putRec(t, n, "k", appendRecord(nil, 1, false, []byte("one")))
 	if err := n.Store().Flush(tctx); err != nil {
 		t.Fatal(err)
