@@ -7,12 +7,14 @@
 //	compbench [-size N] [-seed N] [-levels 1,3,5,9] [-algos zstd,zlib,lz4] [-files dickens,xml]
 //	          [-telemetry addr] [-trace out.json] [-hold]
 //
-// With -telemetry, every engine is instrumented and a telemetry endpoint
-// serves /metrics (Prometheus), /vars (JSON), /profile (stage shares) and
-// /debug/traces while the benchmark runs; a final snapshot is printed at
-// exit. With -trace, each (file, codec, level) cell additionally records
-// one traced compression — span tree with per-stage children — and the
-// retained traces are dumped as Chrome trace-event JSON at exit.
+// With -telemetry, every engine is instrumented, the sweep runs under one
+// CPU profile (telemetry.ProfileCPU) with each cell labelled with its
+// level, and a telemetry endpoint serves /metrics (Prometheus), /vars
+// (JSON), /profile (stage shares on request) and /debug/traces while the
+// benchmark runs; a final snapshot and the sweep's cycle shares are
+// printed at exit. With -trace, each (file, codec, level) cell
+// additionally records one traced compression, and the retained traces
+// are dumped as Chrome trace-event JSON at exit.
 package main
 
 import (
@@ -20,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -75,44 +78,55 @@ func main() {
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "file\tkind\tcodec\tlevel\tratio\tcomp MB/s\tdecomp MB/s")
-	for _, f := range files {
-		for _, algo := range algos {
-			c, ok := codec.Lookup(algo)
-			if !ok {
-				fatal(fmt.Errorf("unknown codec %q", algo))
-			}
-			min, max, _ := c.Levels()
-			for _, level := range levels {
-				if level < min || level > max {
-					continue
+	sweep := func() {
+		for _, f := range files {
+			for _, algo := range algos {
+				c, ok := codec.Lookup(algo)
+				if !ok {
+					fatal(fmt.Errorf("unknown codec %q", algo))
 				}
-				eng, err := c.New(codec.Options{Level: level})
-				if err != nil {
-					fatal(err)
-				}
-				var ie *telemetry.Instrumented
-				if instrument {
-					ie = telemetry.Instrument(eng, telemetry.InstrumentOptions{
-						Codec: algo, Level: level, Profiler: rt.Profiler,
+				min, max, _ := c.Levels()
+				for _, level := range levels {
+					if level < min || level > max {
+						continue
+					}
+					eng, err := c.New(codec.Options{Level: level})
+					if err != nil {
+						fatal(err)
+					}
+					var ie *telemetry.Instrumented
+					if instrument {
+						ie = telemetry.Instrument(eng, telemetry.InstrumentOptions{Codec: algo, Level: level})
+						eng = ie
+					}
+					var m codec.Metrics
+					pprof.Do(context.Background(), pprof.Labels("level", strconv.Itoa(level)), func(context.Context) {
+						m, err = codec.Measure(eng, [][]byte{f.Data}, 0, *repeats)
 					})
-					eng = ie
+					if err != nil {
+						fatal(fmt.Errorf("%s %s L%d: %w", f.Name, algo, level, err))
+					}
+					if rt.Tracing() && ie != nil {
+						// One traced compression per cell: the flight recorder
+						// retains the slowest cells.
+						ctx, root := rt.Tracer.StartRoot(context.Background(), "compbench.measure")
+						root.SetStr("file", f.Name).SetStr("codec", algo).SetInt("level", int64(level))
+						_, _ = ie.CompressCtx(ctx, nil, f.Data)
+						root.End()
+					}
+					fmt.Fprintf(w, "%s\t%s\t%s\t%d\t%.2f\t%.1f\t%.1f\n",
+						f.Name, f.Kind, algo, level, m.Ratio(), m.CompressMBps(), m.DecompressMBps())
 				}
-				m, err := codec.Measure(eng, [][]byte{f.Data}, 0, *repeats)
-				if err != nil {
-					fatal(fmt.Errorf("%s %s L%d: %w", f.Name, algo, level, err))
-				}
-				if rt.Tracing() && ie != nil {
-					// One traced compression per cell: the flight recorder
-					// retains the slowest cells with per-stage span children.
-					ctx, root := rt.Tracer.StartRoot(context.Background(), "compbench.measure")
-					root.SetStr("file", f.Name).SetStr("codec", algo).SetInt("level", int64(level))
-					_, _ = ie.CompressCtx(ctx, nil, f.Data)
-					root.End()
-				}
-				fmt.Fprintf(w, "%s\t%s\t%s\t%d\t%.2f\t%.1f\t%.1f\n",
-					f.Name, f.Kind, algo, level, m.Ratio(), m.CompressMBps(), m.DecompressMBps())
 			}
 		}
+	}
+	var cycles *telemetry.CycleProfile
+	if serveTelemetry {
+		if cycles, err = telemetry.ProfileCPU(sweep); err != nil {
+			fatal(err)
+		}
+	} else {
+		sweep()
 	}
 	w.Flush()
 
@@ -120,12 +134,10 @@ func main() {
 		fmt.Println()
 		fmt.Println("--- telemetry snapshot (/metrics) ---")
 		telemetry.WritePrometheus(os.Stdout, telemetry.Default)
-		if rt.Profiler != nil {
-			if shares := rt.Profiler.Profile().StageShares(); len(shares) > 0 {
-				fmt.Println()
-				fmt.Println("--- cycle shares (/profile) ---")
-				fmt.Print(telemetry.FormatStageShares(shares))
-			}
+		if shares := cycles.StageShares(); len(shares) > 0 {
+			fmt.Println()
+			fmt.Printf("--- cycle shares of the sweep (%d CPU samples) ---\n", cycles.Total())
+			fmt.Print(telemetry.FormatStageShares(shares))
 		}
 		if *hold && rt.Server != nil {
 			fmt.Fprintf(os.Stderr, "compbench: holding telemetry endpoint on http://%s; Ctrl-C to exit\n", rt.Server.Addr)

@@ -49,8 +49,8 @@ func main() {
 
 	if rt.Tracing() {
 		// One traced compression per measured fleet configuration: the
-		// exported traces break each (codec, level, data kind) down into
-		// per-stage spans.
+		// exported traces time each (codec, level, data kind) with its raw
+		// and compressed sizes.
 		for _, m := range r.Measured {
 			data, err := fleet.GenerateKind(m.Kind, *seed, *measureBytes)
 			if err != nil {

@@ -6,13 +6,16 @@ package datacomp_test
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"testing"
+	"time"
 
 	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/container"
@@ -22,6 +25,7 @@ import (
 	"github.com/datacomp/datacomp/internal/lz4"
 	"github.com/datacomp/datacomp/internal/orc"
 	"github.com/datacomp/datacomp/internal/rpc"
+	"github.com/datacomp/datacomp/internal/telemetry"
 	"github.com/datacomp/datacomp/internal/trace"
 	"github.com/datacomp/datacomp/internal/zlibx"
 	"github.com/datacomp/datacomp/internal/zstd"
@@ -414,5 +418,73 @@ func FuzzTraceWire(f *testing.F) {
 		if re := trace.AppendWire(nil, sc); !bytes.Equal(re, data[:trace.WireLen]) {
 			t.Fatalf("wire context did not round-trip: % x != % x", re, data[:trace.WireLen])
 		}
+	})
+}
+
+// FuzzCPUProfile parses every input as a CPU profile, gzip'd or not, and
+// classifies what parses. Seeds are a real runtime profile, its inflated
+// protobuf and mutations of both. The invariants are a *ProfileError,
+// never a panic, and allocation bounded by the input's size.
+func FuzzCPUProfile(f *testing.F) {
+	var gz bytes.Buffer
+	if err := pprof.StartCPUProfile(&gz); err != nil {
+		f.Skip(err) // the test binary runs with -cpuprofile
+	}
+	pprof.Do(context.Background(), pprof.Labels("service", "fuzz", "level", "3"), func(context.Context) {
+		eng, _ := codec.NewEngine("zstd", codec.WithLevel(3))
+		data := corpus.LogLines(1, 64<<10)
+		for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); {
+			comp, _ := eng.Compress(nil, data)
+			_, _ = eng.Decompress(nil, comp)
+		}
+	})
+	pprof.StopCPUProfile()
+	zr, err := gzip.NewReader(bytes.NewReader(gz.Bytes()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{gz.Bytes(), raw} {
+		f.Add(seed)
+		mut := bytes.Clone(seed)
+		mut[len(mut)/2] ^= 0x55
+		f.Add(mut)
+		f.Add(seed[:len(seed)/2])
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0x32, 0x00, 0x22, 0x02, 0x20, 0x01}) // a location's Line sent as a varint
+	// The parser sizes every table from a count of its fields, so a field
+	// costs at most one table entry: a 72-byte Sample for a 2-byte empty
+	// sample field is the worst case, 36 bytes per input byte, 40 with the
+	// allocator's size classes. A gzip'd input first inflates to at most
+	// 8·n + 64 KiB (collected by io.ReadAll, whose growth allocates up to
+	// 5× what it keeps), and that inflated protobuf is what is parsed. The
+	// slack is the gzip reader and the fuzzing engine's own goroutines.
+	const perByte, slack = 48, 256 << 10
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := uint64(len(data))
+		bound := perByte*n + slack
+		if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
+			inflated := 8*n + 64<<10
+			bound = (perByte+5)*inflated + slack
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := telemetry.ParseProfile(data)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Fatalf("parsing %d bytes allocated %d bytes, want at most %d", len(data), got, bound)
+		}
+		if err != nil {
+			var pe *telemetry.ProfileError
+			if !errors.As(err, &pe) {
+				t.Fatalf("unexpected error class: %v", err)
+			}
+			return
+		}
+		p.Cycles()
 	})
 }

@@ -6,6 +6,7 @@ package datacomp_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -21,6 +22,7 @@ import (
 	"github.com/datacomp/datacomp/internal/dict"
 	"github.com/datacomp/datacomp/internal/fleet"
 	"github.com/datacomp/datacomp/internal/kvstore"
+	"github.com/datacomp/datacomp/internal/telemetry"
 	"github.com/datacomp/datacomp/internal/warehouse"
 	"github.com/datacomp/datacomp/internal/zstd"
 )
@@ -61,10 +63,26 @@ func TestWarehousePipelineEndToEnd(t *testing.T) {
 		break
 	}
 	// Stage accounting: the level-7 ingest must be more match-find-heavy
-	// than the level-1 shuffle (the Fig 7 claim, asserted cross-module).
-	if ingestStats.MatchFindFraction() <= shuffleStats.MatchFindFraction() {
-		t.Errorf("ingest MF %.2f should exceed shuffle MF %.2f",
-			ingestStats.MatchFindFraction(), shuffleStats.MatchFindFraction())
+	// than the level-1 shuffle in a CPU profile of each (the Fig 7 claim,
+	// asserted cross-module).
+	split := func(run func() error) float64 {
+		mf, _, _, err := warehouse.ProfileStageSplit(100, func() {
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if errors.Is(err, telemetry.ErrProfilerBusy) {
+			t.Skip(err)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mf
+	}
+	ingestMF := split(func() error { _, _, err := warehouse.Ingest(1, 3, 8000); return err })
+	shuffleMF := split(func() error { _, _, err := warehouse.Shuffle(ds, 4); return err })
+	if ingestMF <= shuffleMF {
+		t.Errorf("ingest MF %.2f should exceed shuffle MF %.2f", ingestMF, shuffleMF)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"github.com/datacomp/datacomp/internal/lz4"
-	"github.com/datacomp/datacomp/internal/stage"
 	"github.com/datacomp/datacomp/internal/xxhash"
 	"github.com/datacomp/datacomp/internal/zlibx"
 	"github.com/datacomp/datacomp/internal/zstd"
@@ -173,23 +172,6 @@ func (e *zstdEngine) Decompress(dst, src []byte) ([]byte, error) {
 	return out, nil
 }
 
-// StageHooker is implemented by engines whose encoder (and, for zstd,
-// decoder) reports stage transitions (match finding, entropy coding,
-// serialization) to a hook. All three built-in codecs implement it, and so
-// does the checksum wrapper by forwarding. The hook is the only per-stage
-// timing an engine offers: telemetry's cycle attribution and the
-// warehouse's Fig 7 split both time it with a stage.Clock.
-type StageHooker interface {
-	SetStageHook(stage.Hook)
-}
-
-func (e *zstdEngine) SetStageHook(h stage.Hook) {
-	e.enc.SetStageHook(h)
-	e.dec.SetStageHook(h)
-}
-func (e *lz4Engine) SetStageHook(h stage.Hook)  { e.enc.SetStageHook(h) }
-func (e *zlibEngine) SetStageHook(h stage.Hook) { e.enc.SetStageHook(h) }
-
 // lz4Codec adapts internal/lz4.
 type lz4Codec struct{}
 
@@ -308,13 +290,6 @@ func (c *checksummed) Decompress(dst, src []byte) ([]byte, error) {
 		return nil, errChecksumMismatch
 	}
 	return out, nil
-}
-
-// SetStageHook forwards instrumentation to the wrapped engine.
-func (c *checksummed) SetStageHook(h stage.Hook) {
-	if s, ok := c.eng.(StageHooker); ok {
-		s.SetStageHook(h)
-	}
 }
 
 // Unwrap returns the engine beneath the checksum frame.

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"github.com/datacomp/datacomp/internal/stage"
 )
 
 func compressible(seed int64, n int) []byte {
@@ -151,32 +149,6 @@ func TestMeasureZeroValueMetrics(t *testing.T) {
 	var m Metrics
 	if m.Ratio() != 0 || m.CompressMBps() != 0 || m.DecompressMBps() != 0 || m.DecompressPerBlock() != 0 {
 		t.Fatal("zero metrics should report zeros, not NaN/panic")
-	}
-}
-
-// TestStageHooker pins that every built-in engine, bare or under the
-// checksum frame, reports its stages through the hook: the only per-stage
-// timing an engine offers.
-func TestStageHooker(t *testing.T) {
-	for _, name := range []string{"lz4", "zlib", "zstd"} {
-		for _, checksum := range []bool{false, true} {
-			eng, err := NewEngine(name, WithLevel(1), WithChecksum(checksum))
-			if err != nil {
-				t.Fatal(err)
-			}
-			h, ok := eng.(StageHooker)
-			if !ok {
-				t.Fatalf("%s checksum=%v: no stage hook", name, checksum)
-			}
-			var seen [stage.Count]int
-			h.SetStageHook(func(s stage.ID) { seen[s]++ })
-			if _, err := eng.Compress(nil, compressible(11, 100000)); err != nil {
-				t.Fatal(err)
-			}
-			if seen[stage.MatchFind] == 0 || seen[stage.App] == 0 {
-				t.Fatalf("%s checksum=%v: transitions %v", name, checksum, seen)
-			}
-		}
 	}
 }
 

@@ -66,11 +66,6 @@ func (p *Pool) Put(e Engine) {
 	if e == nil {
 		return
 	}
-	// Clear any instrumentation hook so a pooled engine never fires a stale
-	// closure for its next borrower.
-	if h, ok := e.(StageHooker); ok {
-		h.SetStageHook(nil)
-	}
 	p.pool.Put(e)
 }
 

@@ -306,8 +306,8 @@ type Report struct {
 	// Samples is the number of profiler samples drawn.
 	Samples int
 	// Cycles is the raw sample aggregation the report was computed from —
-	// the same substrate telemetry.Profiler fills when sampling live
-	// engines, so downstream tooling can consume simulated and live
+	// the same substrate telemetry.ProfileCPU fills from the runtime's CPU
+	// profile, so downstream tooling can consume simulated and live
 	// profiles uniformly.
 	Cycles *telemetry.CycleProfile
 }
@@ -334,7 +334,7 @@ func (p *Profiler) fill() {
 
 // stackBucket is one (service, function) attribution target. Sampled hits
 // are accumulated in a telemetry.CycleProfile keyed by the bucket's key,
-// not here — the simulated profiler and the live telemetry.Profiler share
+// not here — the simulated profiler and live telemetry.ProfileCPU share
 // that aggregation substrate.
 type stackBucket struct {
 	key    telemetry.SampleKey

@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"github.com/datacomp/datacomp/internal/lz"
-	"github.com/datacomp/datacomp/internal/stage"
 	"github.com/datacomp/datacomp/internal/wildcopy"
 )
 
@@ -85,21 +84,9 @@ func params(level int) (lz.Params, error) {
 
 // Encoder compresses buffers at a fixed level. Not safe for concurrent use.
 type Encoder struct {
-	level     int
-	matcher   *lz.Matcher
-	seqs      []lz.Sequence
-	stageHook stage.Hook
-}
-
-// SetStageHook installs a hook fired at stage transitions inside
-// CompressBlock: stage.MatchFind before parsing, stage.Serialize before
-// token emission (LZ4 has no entropy stage), stage.App when done.
-func (e *Encoder) SetStageHook(h stage.Hook) { e.stageHook = h }
-
-func (e *Encoder) enterStage(s stage.ID) {
-	if e.stageHook != nil {
-		e.stageHook(s)
-	}
+	level   int
+	matcher *lz.Matcher
+	seqs    []lz.Sequence
 }
 
 // NewEncoder returns an encoder for the given level.
@@ -135,12 +122,8 @@ func (e *Encoder) CompressBlock(dst, src []byte) ([]byte, error) {
 	if len(src) == 0 {
 		return dst, nil
 	}
-	e.enterStage(stage.MatchFind)
 	e.seqs = e.matcher.Parse(e.seqs[:0], src, 0)
-	e.enterStage(stage.Serialize)
-	out, err := emitBlock(dst, src, e.seqs)
-	e.enterStage(stage.App)
-	return out, err
+	return emitBlock(dst, src, e.seqs)
 }
 
 // emitBlock serializes sequences in LZ4 block format, enforcing the format's

@@ -153,8 +153,7 @@ func NewClient(conn io.ReadWriter, comp Compression, opts ...ClientOption) (*Cli
 	for _, o := range opts {
 		o(c)
 	}
-	// Options first: the transport needs the tracer to install stage hooks.
-	t, err := newTransport(conn, comp, c.tracer)
+	t, err := newTransport(conn, comp)
 	if err != nil {
 		return nil, err
 	}
@@ -346,7 +345,7 @@ func (c *Client) redialLocked(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	t, err := newTransport(conn, c.comp, c.tracer)
+	t, err := newTransport(conn, c.comp)
 	if err != nil {
 		return err
 	}

@@ -255,15 +255,13 @@ type transport struct {
 
 	// Tracing state. cur is the span the owner (Client.Call attempt or
 	// server request loop) is inside of; the frame codecs hang their
-	// compress/decompress spans and per-stage children off it. wsc is the
-	// span context the next outbound frame should carry; rsc is what the
-	// last inbound frame carried. All single-goroutine, like the engine.
-	tracer *trace.Tracer
-	cur    trace.SpanHandle
-	stages trace.StageSpans
-	wsc    trace.SpanContext
-	rsc    trace.SpanContext
-	tbuf   [trace.WireLen]byte // wire trace-field scratch (both sides)
+	// compress/decompress spans off it. wsc is the span context the next
+	// outbound frame should carry; rsc is what the last inbound frame
+	// carried. All single-goroutine, like the engine.
+	cur  trace.SpanHandle
+	wsc  trace.SpanContext
+	rsc  trace.SpanContext
+	tbuf [trace.WireLen]byte // wire trace-field scratch (both sides)
 
 	// Header scratch: on the stack these would escape into the bufio calls
 	// and cost a heap allocation per frame.
@@ -272,14 +270,13 @@ type transport struct {
 	rsum [frameSumLen]byte           // frame checksum (read side)
 }
 
-func newTransport(conn io.ReadWriter, comp Compression, tracer *trace.Tracer) (*transport, error) {
+func newTransport(conn io.ReadWriter, comp Compression) (*transport, error) {
 	comp.fill()
 	tm()
 	t := &transport{
-		r:      bufio.NewReader(conn),
-		w:      bufio.NewWriter(conn),
-		min:    comp.MinSize,
-		tracer: tracer,
+		r:   bufio.NewReader(conn),
+		w:   bufio.NewWriter(conn),
+		min: comp.MinSize,
 	}
 	if comp.Adaptive != nil {
 		t.actrl = comp.Adaptive
@@ -301,14 +298,6 @@ func newTransport(conn io.ReadWriter, comp Compression, tracer *trace.Tracer) (*
 		}
 		t.pool = pool
 		t.eng = pool.Get()
-		if tracer.Enabled() {
-			// Per-stage child spans under whatever span is bound at
-			// compress/decompress time. Pool.Put clears the hook on release,
-			// so a recycled engine never fires into a dead transport.
-			if h, ok := t.eng.(codec.StageHooker); ok {
-				h.SetStageHook(t.stages.Hook)
-			}
-		}
 	}
 	return t, nil
 }
@@ -362,7 +351,6 @@ func (t *transport) writeFrame(flags byte, method, payload []byte) error {
 			t.cur.Event("rpc.shed")
 		} else {
 			sp := t.cur.Child("rpc.compress") // zero handle when untraced
-			t.stages.Bind(sp)
 			t0 := time.Now()
 			var out []byte
 			var err error
@@ -377,7 +365,6 @@ func (t *transport) writeFrame(flags byte, method, payload []byte) error {
 			ns := time.Since(t0).Nanoseconds()
 			t.stats.compressNS.Add(ns)
 			tmCompNS.Add(ns)
-			t.stages.Finish()
 			if err != nil {
 				sp.End()
 				return err
@@ -563,7 +550,6 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload []byte, e
 			return 0, nil, nil, aligned(corruptFrame(fmt.Errorf("%w: compressed frame on uncompressed transport", ErrCorrupt)))
 		}
 		sp := t.cur.Child("rpc.decompress") // zero handle when untraced
-		t.stages.Bind(sp)
 		t0 := time.Now()
 		var out []byte
 		var err error
@@ -578,7 +564,6 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload []byte, e
 		ns := time.Since(t0).Nanoseconds()
 		t.stats.decompressNS.Add(ns)
 		tmDecompNS.Add(ns)
-		t.stages.Finish()
 		if err != nil {
 			sp.End()
 			// codec decode errors wrap codec.ErrCorrupt; the frame itself

@@ -143,7 +143,7 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	t, err := newTransport(conn, s.comp, s.tracer)
+	t, err := newTransport(conn, s.comp)
 	if err != nil {
 		return err
 	}

@@ -45,10 +45,10 @@ func BenchmarkCompressInstrumented(b *testing.B) {
 }
 
 // TestInstrumentOverhead asserts the acceptance bound: instrumented
-// compression stays within 5% of the raw engine. Stage hooks fire a few
-// times per 64 KiB block; the work per op is milliseconds, so the wrapper
-// cost should be far below the bound. Timing noise is absorbed by medians
-// over several rounds and a retry.
+// compression stays within 5% of the raw engine. The wrapper reads the
+// clock twice and updates a few counters per op; the work per op is
+// milliseconds, so its cost should be far below the bound. Timing noise is
+// absorbed by medians over several rounds and a retry.
 func TestInstrumentOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")

@@ -1,5 +1,5 @@
 // Package boot is the shared observability bootstrap for the cmd/ tools:
-// one flag set (-telemetry, -profile-hz, -trace, -trace-sample) and one
+// one flag set (-telemetry, -trace, -trace-sample) and one
 // setup/teardown path instead of a divergent copy per command. A command
 // registers the flags, calls Start after flag.Parse, and defers Close:
 //
@@ -9,8 +9,8 @@
 //	defer rt.Close()
 //
 // The runtime hands back the pieces commands thread into their work: the
-// Profiler for engine instrumentation, the Tracer for context roots, and
-// the Recorder behind /debug/traces.
+// Tracer for context roots and the Recorder behind /debug/traces. The
+// server's /profile takes a CPU profile on request (telemetry.ProfileCPU).
 package boot
 
 import (
@@ -25,7 +25,6 @@ import (
 // Flags holds the registered flag values until Start reads them.
 type Flags struct {
 	Telemetry   *string
-	ProfileHz   *int
 	Trace       *string
 	TraceSample *int
 }
@@ -35,8 +34,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	return &Flags{
 		Telemetry: fs.String("telemetry", "",
 			"serve telemetry on this address (e.g. :8080 or :0): /metrics /vars /profile /debug/traces"),
-		ProfileHz: fs.Int("profile-hz", 997,
-			"with -telemetry, stage-sampling profiler frequency (0 disables)"),
 		Trace: fs.String("trace", "",
 			"enable request tracing and write retained traces as Chrome trace-event JSON to this file at exit (use - for none; view in Perfetto)"),
 		TraceSample: fs.Int("trace-sample", 1,
@@ -45,10 +42,9 @@ func Register(fs *flag.FlagSet) *Flags {
 }
 
 // Runtime is the started observability stack. Zero-valued fields mean the
-// corresponding flag was off; every field is safe to use regardless (nil
-// tracer and nil profiler are inert).
+// corresponding flag was off; every field is safe to use regardless (a nil
+// tracer is inert).
 type Runtime struct {
-	Profiler *telemetry.Profiler
 	Tracer   *trace.Tracer
 	Recorder *trace.Recorder
 	Server   *telemetry.Server
@@ -68,15 +64,8 @@ func (f *Flags) Start(name string) (*Runtime, error) {
 		}
 	}
 	if *f.Telemetry != "" {
-		if *f.ProfileHz > 0 {
-			rt.Profiler = telemetry.NewProfiler(*f.ProfileHz)
-			rt.Profiler.Start()
-		}
-		srv, err := telemetry.Serve(*f.Telemetry, telemetry.Default, rt.Profiler, rt.Recorder)
+		srv, err := telemetry.Serve(*f.Telemetry, telemetry.Default, rt.Recorder)
 		if err != nil {
-			if rt.Profiler != nil {
-				rt.Profiler.Stop()
-			}
 			return nil, fmt.Errorf("%s: telemetry: %w", name, err)
 		}
 		rt.Server = srv
@@ -88,13 +77,10 @@ func (f *Flags) Start(name string) (*Runtime, error) {
 // Tracing reports whether request tracing is on.
 func (rt *Runtime) Tracing() bool { return rt.Tracer.Enabled() }
 
-// Close stops the profiler and server and, when -trace named a file, dumps
+// Close stops the server and, when -trace named a file, dumps
 // the flight recorder's retained traces (stitched, slowest first) as Chrome
 // trace-event JSON.
 func (rt *Runtime) Close() error {
-	if rt.Profiler != nil {
-		rt.Profiler.Stop()
-	}
 	if rt.Server != nil {
 		rt.Server.Close()
 	}

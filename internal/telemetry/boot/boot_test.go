@@ -23,7 +23,7 @@ func TestStartDisabledIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Tracing() || rt.Tracer != nil || rt.Recorder != nil || rt.Server != nil || rt.Profiler != nil {
+	if rt.Tracing() || rt.Tracer != nil || rt.Recorder != nil || rt.Server != nil {
 		t.Fatalf("flags off but runtime not inert: %+v", rt)
 	}
 	// Nil tracer must still be usable at call sites.
@@ -39,7 +39,7 @@ func TestStartTraceAndTelemetry(t *testing.T) {
 	dump := filepath.Join(t.TempDir(), "traces.json")
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	f := Register(fs)
-	if err := fs.Parse([]string{"-trace", dump, "-telemetry", ":0", "-profile-hz", "0"}); err != nil {
+	if err := fs.Parse([]string{"-trace", dump, "-telemetry", ":0"}); err != nil {
 		t.Fatal(err)
 	}
 	rt, err := f.Start("boottest")

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"github.com/datacomp/datacomp/internal/trace"
 )
@@ -97,17 +99,22 @@ func Vars(r *Registry) map[string]interface{} {
 	return out
 }
 
-// Handler serves the registry (and optionally a profiler's stage shares
-// and a trace flight recorder):
+// profileWindow is how long one /profile request samples the process.
+const profileWindow = time.Second
+
+// Handler serves the registry, on-demand cycle profiles and, when rec is
+// set, a trace flight recorder:
 //
 //	/metrics       Prometheus text format
 //	/vars          expvar-style JSON
-//	/profile       strobelight-style (stage × codec × level) cycle shares
+//	/profile       one ProfileCPU over profileWindow: strobelight-style
+//	               (stage × codec × level) cycle shares; 409 while another
+//	               CPU profile runs
 //	/debug/traces  flight-recorded traces: text trees by default,
 //	               ?format=json for Chrome trace-event JSON (Perfetto),
 //	               ?n=N to bound the count, ?order=recent for newest-first
 //	               (default is slowest-first)
-func Handler(r *Registry, p *Profiler, rec *trace.Recorder) http.Handler {
+func Handler(r *Registry, rec *trace.Recorder) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -137,13 +144,18 @@ func Handler(r *Registry, p *Profiler, rec *trace.Recorder) http.Handler {
 		io.WriteString(w, b.String())
 	})
 	mux.HandleFunc("/profile", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if p == nil {
-			fmt.Fprintln(w, "profiler disabled")
+		p, err := ProfileCPU(func() { time.Sleep(profileWindow) })
+		if errors.Is(err, ErrProfilerBusy) {
+			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
-		fmt.Fprintf(w, "samples: %d (at %d Hz)\n\n", p.Profile().Total(), p.Hz)
-		io.WriteString(w, FormatStageShares(p.Profile().StageShares()))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintf(w, "samples: %d over %v\n\n", p.Total(), profileWindow)
+		io.WriteString(w, FormatStageShares(p.StageShares()))
 	})
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, req *http.Request) {
 		if rec == nil {
@@ -196,12 +208,12 @@ type Server struct {
 
 // Serve starts an HTTP exposition server on addr (":0" picks a free port).
 // rec may be nil (no /debug/traces).
-func Serve(addr string, r *Registry, p *Profiler, rec *trace.Recorder) (*Server, error) {
+func Serve(addr string, r *Registry, rec *trace.Recorder) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: Handler(r, p, rec)}
+	srv := &http.Server{Handler: Handler(r, rec)}
 	go srv.Serve(ln)
 	return &Server{Addr: ln.Addr().String(), srv: srv, ln: ln}, nil
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/datacomp/datacomp/internal/codec"
+	"github.com/datacomp/datacomp/internal/corpus"
 	"github.com/datacomp/datacomp/internal/trace"
 )
 
@@ -99,8 +101,6 @@ func TestVars(t *testing.T) {
 func TestServeEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("served_total", "").Add(9)
-	p := NewProfiler(997)
-	p.Profile().Add(SampleKey{Codec: "zstd", Level: 1, Dir: DirCompress}, 10)
 
 	rec := trace.NewRecorder(4, 4)
 	tracer := trace.New(trace.Config{SampleEvery: 1, Recorder: rec})
@@ -108,7 +108,7 @@ func TestServeEndpoints(t *testing.T) {
 	span.Child("codec.compress").End()
 	span.End()
 
-	srv, err := Serve(":0", r, p, rec)
+	srv, err := Serve(":0", r, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +142,47 @@ func TestServeEndpoints(t *testing.T) {
 	if decoded["served_total"] != float64(9) {
 		t.Fatalf("/vars counter = %v", decoded["served_total"])
 	}
-	if out := get("/profile"); !strings.Contains(out, "zstd") {
+	// /profile samples the whole process for profileWindow: a zstd loop
+	// running meanwhile shows up in its shares.
+	skipIfProfilerBusy(t)
+	stop := make(chan struct{})
+	looped := make(chan struct{})
+	go func() {
+		defer close(looped)
+		eng, _ := codec.NewEngine("zstd", codec.WithLevel(3))
+		data := corpus.LogLines(1, 128<<10)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_, _ = eng.Compress(nil, data)
+			}
+		}
+	}()
+	out := func() string {
+		defer func() { close(stop); <-looped }()
+		return get("/profile")
+	}()
+	if !strings.Contains(out, "samples:") || !strings.Contains(out, "zstd") {
 		t.Fatalf("/profile missing samples:\n%s", out)
+	}
+	// One CPU profile at a time: /profile refuses while another runs.
+	release, started, stopped := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		ProfileCPU(func() { close(started); <-release })
+	}()
+	<-started
+	busy, err := http.Get("http://" + srv.Addr + "/profile")
+	close(release)
+	<-stopped
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy.Body.Close()
+	if busy.StatusCode != http.StatusConflict {
+		t.Fatalf("/profile during another profile: status %d, want 409", busy.StatusCode)
 	}
 	if out := get("/"); !strings.Contains(out, "/metrics") {
 		t.Fatalf("index missing endpoint list:\n%s", out)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/datacomp/datacomp/internal/codec"
-	"github.com/datacomp/datacomp/internal/stage"
 	"github.com/datacomp/datacomp/internal/trace"
 )
 
@@ -18,16 +17,13 @@ type InstrumentOptions struct {
 	Level int
 	// Registry receives the metrics (nil = Default).
 	Registry *Registry
-	// Profiler, when set, samples this engine's in-flight operations.
-	Profiler *Profiler
 }
 
 // Instrumented wraps a codec.Engine and publishes per-operation telemetry:
-// operation counters, raw/compressed byte counters, latency and input-size
-// histograms, and — for engines implementing codec.StageHooker — exact
-// per-stage time attribution (match finding vs entropy coding vs
-// serialization), mirroring the paper's function-level cycle breakdown.
-// Like all engines, an Instrumented is not safe for concurrent use.
+// operation counters, raw/compressed byte counters, and latency and
+// input-size histograms. Per-stage attribution (match finding vs entropy
+// coding) is ProfileCPU's, read from the runtime's own sampler. Like all
+// engines, an Instrumented is not safe for concurrent use.
 type Instrumented struct {
 	eng codec.Engine
 
@@ -39,18 +35,10 @@ type Instrumented struct {
 	compressNS    *Histogram
 	decompressNS  *Histogram
 	inputSize     *Histogram
-	stageNS       [stage.Count]*Counter
 
-	slot *opSlot
-
-	// per-operation stage times, driven by the engine's stage hook.
-	clock stage.Clock
-
-	// tracing state for the CompressCtx/DecompressCtx paths: opSpan is the
-	// active operation's span (zero when untraced — every use no-ops) and
-	// stages mirrors the stage hook into per-stage child spans.
+	// opSpan is the active CompressCtx/DecompressCtx operation's span (zero
+	// when untraced), named by the latency histograms' exemplars.
 	opSpan trace.SpanHandle
-	stages trace.StageSpans
 }
 
 // Instrument wraps eng with telemetry. The wrapper registers its metrics
@@ -61,9 +49,8 @@ func Instrument(eng codec.Engine, opts InstrumentOptions) *Instrumented {
 	if reg == nil {
 		reg = Default
 	}
-	lbl := func(name string, extra ...string) string {
-		kv := append([]string{"codec", opts.Codec, "level", strconv.Itoa(opts.Level)}, extra...)
-		return Label(name, kv...)
+	lbl := func(name string) string {
+		return Label(name, "codec", opts.Codec, "level", strconv.Itoa(opts.Level))
 	}
 	ie := &Instrumented{
 		eng:           eng,
@@ -75,51 +62,22 @@ func Instrument(eng codec.Engine, opts InstrumentOptions) *Instrumented {
 		compressNS:    reg.Histogram(lbl("codec_compress_ns"), "compression latency", "ns"),
 		decompressNS:  reg.Histogram(lbl("codec_decompress_ns"), "decompression latency", "ns"),
 		inputSize:     reg.Histogram(lbl("codec_compress_input_bytes"), "compression input size", "bytes"),
-		slot:          &opSlot{codec: opts.Codec, level: opts.Level},
 	}
 	// Latency histograms carry exemplars so a tail bucket names the trace
 	// that landed there.
 	ie.compressNS.EnableExemplars()
 	ie.decompressNS.EnableExemplars()
-	for s := 0; s < stage.Count; s++ {
-		ie.stageNS[s] = reg.Counter(
-			lbl("codec_stage_ns_total", "stage", stage.ID(s).String()),
-			"compression time per stage")
-	}
-	if h, ok := eng.(codec.StageHooker); ok {
-		h.SetStageHook(ie.onStage)
-	}
-	if opts.Profiler != nil {
-		opts.Profiler.register(ie.slot)
-	}
 	return ie
 }
 
 // Unwrap returns the underlying engine.
 func (ie *Instrumented) Unwrap() codec.Engine { return ie.eng }
 
-// onStage is the engine's stage-transition hook: close out the elapsed
-// interval on the previous stage, then switch. Called from the compressing
-// goroutine only, one or two times per 64-128 KiB block — cheap relative
-// to the block's compression work.
-func (ie *Instrumented) onStage(s stage.ID) {
-	ie.clock.Enter(s)
-	ie.slot.setStage(s)
-	ie.stages.Hook(s)
-}
-
 // Compress implements codec.Engine.
 func (ie *Instrumented) Compress(dst, src []byte) ([]byte, error) {
-	ie.slot.begin(DirCompress)
 	t0 := time.Now()
-	ie.clock.Start(t0)
-
 	out, err := ie.eng.Compress(dst, src)
-
-	end := time.Now()
-	dur := end.Sub(t0)
-	ie.clock.Stop(end)
-	ie.slot.end()
+	dur := time.Since(t0)
 	if err != nil {
 		ie.errors.Inc()
 		return out, err
@@ -129,21 +87,14 @@ func (ie *Instrumented) Compress(dst, src []byte) ([]byte, error) {
 	ie.compBytes.Add(int64(len(out) - len(dst)))
 	ie.compressNS.ObserveTraced(dur.Nanoseconds(), uint64(ie.opSpan.TraceID()))
 	ie.inputSize.Observe(int64(len(src)))
-	for s, ns := range ie.clock.Nanos {
-		if ns > 0 {
-			ie.stageNS[s].Add(ns)
-		}
-	}
 	return out, nil
 }
 
 // Decompress implements codec.Engine.
 func (ie *Instrumented) Decompress(dst, src []byte) ([]byte, error) {
-	ie.slot.begin(DirDecompress)
 	t0 := time.Now()
 	out, err := ie.eng.Decompress(dst, src)
 	dur := time.Since(t0)
-	ie.slot.end()
 	if err != nil {
 		ie.errors.Inc()
 		return out, err
@@ -154,10 +105,9 @@ func (ie *Instrumented) Decompress(dst, src []byte) ([]byte, error) {
 }
 
 // CompressCtx is Compress under a traced request: the operation gets a
-// "codec.compress" span with stage children (matchfind, entropy, ...), and
-// the latency histogram's exemplar names the trace. An untraced context —
-// including tracing enabled but this request unsampled — takes the exact
-// Compress path with zero allocations.
+// "codec.compress" span, and the latency histogram's exemplar names the
+// trace. An untraced context — including tracing enabled but this request
+// unsampled — takes the exact Compress path with zero allocations.
 func (ie *Instrumented) CompressCtx(ctx context.Context, dst, src []byte) ([]byte, error) {
 	h := trace.FromContext(ctx)
 	if !h.Valid() {
@@ -165,9 +115,7 @@ func (ie *Instrumented) CompressCtx(ctx context.Context, dst, src []byte) ([]byt
 	}
 	sp := h.Child("codec.compress")
 	ie.opSpan = sp
-	ie.stages.Bind(sp)
 	out, err := ie.Compress(dst, src)
-	ie.stages.Finish()
 	ie.opSpan = trace.SpanHandle{}
 	if err != nil {
 		sp.End()
@@ -185,9 +133,7 @@ func (ie *Instrumented) DecompressCtx(ctx context.Context, dst, src []byte) ([]b
 	}
 	sp := h.Child("codec.decompress")
 	ie.opSpan = sp
-	ie.stages.Bind(sp)
 	out, err := ie.Decompress(dst, src)
-	ie.stages.Finish()
 	ie.opSpan = trace.SpanHandle{}
 	if err != nil {
 		sp.End()

@@ -1,14 +1,12 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
-
-	"github.com/datacomp/datacomp/internal/stage"
 )
 
 // Direction distinguishes compression from decompression samples (the
@@ -31,21 +29,23 @@ func (d Direction) String() string {
 
 // SampleKey attributes one profiler sample, strobelight-style: which
 // service/group owned the cycle, which codec and level were running, in
-// which direction, and inside which compressor stage. Zero-value fields
-// mean "unattributed" (e.g. Codec == "" is application code).
+// which direction, and inside which compressor stage (StageMatchFind, ...).
+// Zero-value fields mean "unattributed" (e.g. Codec == "" is application
+// code).
 type SampleKey struct {
 	Service string
 	Group   string // service category or other coarse grouping
 	Codec   string
 	Level   int
 	Dir     Direction
-	Stage   stage.ID
+	Stage   string
 }
 
 // CycleProfile accumulates sample counts per attribution key. It is the
-// shared aggregation substrate: the live sampling Profiler produces one,
-// and internal/fleet's simulated fleet profiler publishes into one, so
-// both report through the same (stage × codec × level) machinery.
+// shared aggregation substrate: ProfileCPU classifies the runtime's CPU
+// profile into one, and internal/fleet's simulated fleet profiler
+// publishes into one, so both report through the same
+// (stage × codec × level) machinery.
 type CycleProfile struct {
 	mu      sync.Mutex
 	samples map[SampleKey]int64
@@ -79,11 +79,7 @@ func (p *CycleProfile) Total() int64 {
 func (p *CycleProfile) Samples() map[SampleKey]int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make(map[SampleKey]int64, len(p.samples))
-	for k, v := range p.samples {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(p.samples)
 }
 
 // ShareBy groups samples with the provided classifier and returns each
@@ -112,7 +108,7 @@ type StageShare struct {
 	Codec string
 	Level int
 	Dir   Direction
-	Stage stage.ID
+	Stage string
 	Share float64 // of all codec samples
 }
 
@@ -143,21 +139,9 @@ func (p *CycleProfile) StageShares() []StageShare {
 			Share: float64(c) / float64(codecTotal),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Share != out[j].Share {
-			return out[i].Share > out[j].Share
-		}
-		a, b := out[i], out[j]
-		if a.Codec != b.Codec {
-			return a.Codec < b.Codec
-		}
-		if a.Level != b.Level {
-			return a.Level < b.Level
-		}
-		if a.Dir != b.Dir {
-			return a.Dir < b.Dir
-		}
-		return a.Stage < b.Stage
+	slices.SortFunc(out, func(a, b StageShare) int {
+		return cmp.Or(cmp.Compare(b.Share, a.Share), strings.Compare(a.Codec, b.Codec),
+			cmp.Compare(a.Level, b.Level), cmp.Compare(a.Dir, b.Dir), strings.Compare(a.Stage, b.Stage))
 	})
 	return out
 }
@@ -172,137 +156,3 @@ func FormatStageShares(shares []StageShare) string {
 	}
 	return b.String()
 }
-
-// opSlot is one instrumented engine's in-flight-operation word, packed so
-// the profiler can read it with a single atomic load:
-// bit 0 = active, bit 1 = direction, bits 8-15 = stage.
-type opSlot struct {
-	state atomic.Uint64
-	codec string
-	level int
-}
-
-func (s *opSlot) begin(dir Direction) {
-	v := uint64(1)
-	if dir == DirDecompress {
-		v |= 2
-	}
-	s.state.Store(v)
-}
-
-func (s *opSlot) setStage(st stage.ID) {
-	for {
-		cur := s.state.Load()
-		if cur&1 == 0 {
-			return
-		}
-		next := (cur &^ (0xff << 8)) | uint64(st)<<8
-		if s.state.CompareAndSwap(cur, next) {
-			return
-		}
-	}
-}
-
-func (s *opSlot) end() { s.state.Store(0) }
-
-// Profiler samples in-flight compress/decompress operations at a fixed
-// rate, the way strobelight samples fleet stacks: every tick it reads each
-// registered engine's operation word and attributes one sample to
-// (codec × level × direction × stage). Sampling costs nothing on the codec
-// hot path — engines only maintain their operation word.
-type Profiler struct {
-	// Hz is the sampling frequency (default 997 — a prime, so the sampler
-	// does not phase-lock with periodic workloads).
-	Hz int
-
-	profile *CycleProfile
-	ticks   atomic.Int64
-
-	mu    sync.Mutex
-	slots []*opSlot
-	stop  chan struct{}
-	done  chan struct{}
-}
-
-// NewProfiler returns a stopped profiler sampling at hz (0 = default).
-func NewProfiler(hz int) *Profiler {
-	if hz <= 0 {
-		hz = 997
-	}
-	return &Profiler{Hz: hz, profile: NewCycleProfile()}
-}
-
-func (p *Profiler) register(s *opSlot) {
-	p.mu.Lock()
-	p.slots = append(p.slots, s)
-	p.mu.Unlock()
-}
-
-// Start launches the sampling goroutine. Safe to call once per Stop.
-func (p *Profiler) Start() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.stop != nil {
-		return
-	}
-	p.stop = make(chan struct{})
-	p.done = make(chan struct{})
-	stop, done := p.stop, p.done
-	interval := time.Second / time.Duration(p.Hz)
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				p.sample()
-			}
-		}
-	}()
-}
-
-// Stop halts sampling and waits for the sampler goroutine to exit.
-func (p *Profiler) Stop() {
-	p.mu.Lock()
-	stop, done := p.stop, p.done
-	p.stop, p.done = nil, nil
-	p.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
-
-// sample takes one tick: attribute every active operation.
-func (p *Profiler) sample() {
-	p.ticks.Add(1)
-	p.mu.Lock()
-	slots := p.slots
-	p.mu.Unlock()
-	for _, s := range slots {
-		v := s.state.Load()
-		if v&1 == 0 {
-			continue
-		}
-		dir := DirCompress
-		if v&2 != 0 {
-			dir = DirDecompress
-		}
-		p.profile.Add(SampleKey{
-			Codec: s.codec,
-			Level: s.level,
-			Dir:   dir,
-			Stage: stage.ID(v >> 8),
-		}, 1)
-	}
-}
-
-// Ticks returns the number of sampling ticks taken so far.
-func (p *Profiler) Ticks() int64 { return p.ticks.Load() }
-
-// Profile returns the accumulating cycle profile.
-func (p *Profiler) Profile() *CycleProfile { return p.profile }

@@ -5,9 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
-
-	"github.com/datacomp/datacomp/internal/stage"
 )
 
 func TestCycleProfileShareBy(t *testing.T) {
@@ -36,14 +33,14 @@ func TestCycleProfileShareBy(t *testing.T) {
 func TestCycleProfileStageShares(t *testing.T) {
 	p := NewCycleProfile()
 	p.Add(SampleKey{Service: "a"}, 1000) // app samples excluded entirely
-	p.Add(SampleKey{Codec: "zstd", Level: 3, Dir: DirCompress, Stage: stage.MatchFind}, 60)
-	p.Add(SampleKey{Codec: "zstd", Level: 3, Dir: DirCompress, Stage: stage.Entropy}, 30)
-	p.Add(SampleKey{Codec: "zstd", Level: 3, Dir: DirDecompress, Stage: stage.App}, 10)
+	p.Add(SampleKey{Codec: "zstd", Level: 3, Dir: DirCompress, Stage: StageMatchFind}, 60)
+	p.Add(SampleKey{Codec: "zstd", Level: 3, Dir: DirCompress, Stage: StageEntropy}, 30)
+	p.Add(SampleKey{Codec: "zstd", Level: 3, Dir: DirDecompress, Stage: StageOther}, 10)
 	shares := p.StageShares()
 	if len(shares) != 3 {
 		t.Fatalf("got %d rows, want 3", len(shares))
 	}
-	if shares[0].Stage != stage.MatchFind || math.Abs(shares[0].Share-0.6) > 1e-12 {
+	if shares[0].Stage != StageMatchFind || math.Abs(shares[0].Share-0.6) > 1e-12 {
 		t.Fatalf("top row = %+v, want matchfind 60%%", shares[0])
 	}
 	for i := 1; i < len(shares); i++ {
@@ -76,71 +73,4 @@ func TestCycleProfileConcurrentAdd(t *testing.T) {
 	if p.Total() != 8000 {
 		t.Fatalf("total = %d", p.Total())
 	}
-}
-
-func TestOpSlotPacking(t *testing.T) {
-	s := &opSlot{codec: "zstd", level: 3}
-	if s.state.Load() != 0 {
-		t.Fatal("slot should start inactive")
-	}
-	s.begin(DirCompress)
-	if v := s.state.Load(); v&1 == 0 || v&2 != 0 {
-		t.Fatalf("compress begin word = %b", v)
-	}
-	s.setStage(stage.Entropy)
-	if v := s.state.Load(); stage.ID(v>>8) != stage.Entropy {
-		t.Fatalf("stage bits = %b", v)
-	}
-	s.end()
-	if s.state.Load() != 0 {
-		t.Fatal("end must clear the word")
-	}
-	// setStage after end is a no-op (op already finished).
-	s.setStage(stage.MatchFind)
-	if s.state.Load() != 0 {
-		t.Fatal("setStage on inactive slot must not resurrect it")
-	}
-	s.begin(DirDecompress)
-	if v := s.state.Load(); v&2 == 0 {
-		t.Fatalf("decompress begin word = %b", v)
-	}
-}
-
-func TestProfilerSamplesActiveOps(t *testing.T) {
-	p := NewProfiler(5000)
-	slot := &opSlot{codec: "zstd", level: 3}
-	p.register(slot)
-
-	slot.begin(DirCompress)
-	slot.setStage(stage.MatchFind)
-	p.Start()
-	deadline := time.After(2 * time.Second)
-	for p.Profile().Total() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("profiler drew no samples from an active op")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	p.Stop()
-	slot.end()
-
-	if p.Ticks() == 0 {
-		t.Fatal("no ticks recorded")
-	}
-	samples := p.Profile().Samples()
-	found := false
-	for k := range samples {
-		if k.Codec == "zstd" && k.Level == 3 && k.Dir == DirCompress && k.Stage == stage.MatchFind {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no sample with expected attribution: %v", samples)
-	}
-
-	// Stop is idempotent and Start/Stop can cycle.
-	p.Stop()
-	p.Start()
-	p.Stop()
 }

@@ -5,9 +5,9 @@
 //
 // The fleet characterization the paper performs attributes *aggregate*
 // cycles to codec stages; serving a latency SLO needs *per-request*
-// attribution — which codec stage, retry, shed response, or container block
+// attribution — which codec call, retry, shed response, or container block
 // put one request into the p999 bucket. Spans answer that: every sampled
-// request carries a trace through rpc framing, codec stages, retries, and
+// request carries a trace through rpc framing, codec calls, retries, and
 // container block pipelines, and the histogram exemplars
 // in internal/telemetry link tail buckets back to the offending trace.
 //
@@ -27,8 +27,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/datacomp/datacomp/internal/stage"
 )
 
 // TraceID identifies one request's trace. Zero is "no trace".
@@ -524,42 +522,4 @@ func Stitch(tds []TraceData) []TraceData {
 		dst.Remote = dst.Remote && td.Remote
 	}
 	return out
-}
-
-// StageSpans adapts a stage.Hook to per-stage child spans: each transition
-// out of a stage ends its span, each transition into a non-App stage starts
-// one under the bound parent. Single-goroutine, like the engines that fire
-// the hook. With a zero parent every call is a no-op.
-type StageSpans struct {
-	parent SpanHandle
-	cur    SpanHandle
-}
-
-// Bind sets the parent for subsequent stage spans and clears any leftover
-// open stage.
-func (ss *StageSpans) Bind(parent SpanHandle) {
-	ss.parent = parent
-	ss.cur = SpanHandle{}
-}
-
-// Hook is the stage.Hook to install on an engine.
-func (ss *StageSpans) Hook(id stage.ID) {
-	if ss.cur.Valid() {
-		ss.cur.End()
-		ss.cur = SpanHandle{}
-	}
-	if !ss.parent.Valid() || id == stage.App {
-		return
-	}
-	ss.cur = ss.parent.Child(id.String())
-}
-
-// Finish closes the open stage span (an engine that ends mid-stage) and
-// unbinds.
-func (ss *StageSpans) Finish() {
-	if ss.cur.Valid() {
-		ss.cur.End()
-	}
-	ss.parent = SpanHandle{}
-	ss.cur = SpanHandle{}
 }

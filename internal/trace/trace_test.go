@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/datacomp/datacomp/internal/stage"
 )
 
 func TestNilAndDisabledTracer(t *testing.T) {
@@ -293,36 +291,6 @@ func TestStartRemoteAndStitch(t *testing.T) {
 	if serve == nil || serve.Parent != td.Root().ID {
 		t.Fatalf("rpc.serve not parented under rpc.call: %+v", serve)
 	}
-}
-
-func TestStageSpans(t *testing.T) {
-	rec := NewRecorder(1, 1)
-	tr := New(Config{SampleEvery: 1, Recorder: rec})
-	_, root := tr.StartRoot(context.Background(), "root")
-	var ss StageSpans
-	ss.Bind(root)
-	ss.Hook(stage.MatchFind)
-	ss.Hook(stage.Entropy)
-	ss.Hook(stage.App)
-	ss.Finish()
-	root.End()
-	td := rec.Snapshot()[0]
-	mf := td.Find(stage.MatchFind.String())
-	en := td.Find(stage.Entropy.String())
-	if mf == nil || en == nil {
-		t.Fatalf("missing stage spans: %+v", td.Spans)
-	}
-	if mf.Dur < 0 || en.Dur < 0 {
-		t.Fatal("stage spans left open")
-	}
-	if td.Find(stage.App.String()) != nil {
-		t.Fatal("app stage got a span")
-	}
-
-	// Zero parent: all no-ops.
-	var ss2 StageSpans
-	ss2.Hook(stage.MatchFind)
-	ss2.Finish()
 }
 
 func TestChromeExportRoundTrip(t *testing.T) {

@@ -169,7 +169,7 @@ func TestReadStripeUnsupportedColumn(t *testing.T) {
 	// Sanity: a supported directory still reads.
 	cols := generateBatch(5, 100)
 	var st Stats
-	framed, err := writeStripe(cols, eng, nil, &st)
+	framed, err := writeStripe(cols, eng, &st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,18 +11,21 @@
 //	DW4 ML job       — read-heavy training input scans with light level-1
 //	                   checkpoint writes.
 //
-// Every workflow accounts compression, decompression, the zstd stage split
-// (match finding vs entropy coding, Fig 7) and real application compute, so
-// the "compute cycles spent in Zstd" percentages of Fig 6 are measurable.
+// Every workflow accounts compression, decompression and real application
+// compute, so the "compute cycles spent in Zstd" percentages of Fig 6 are
+// measurable. Fig 7's zstd stage split (match finding vs entropy coding)
+// is read from a CPU profile of the run: StageSplit.
 package warehouse
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -31,7 +34,6 @@ import (
 	"github.com/datacomp/datacomp/internal/corpus"
 	"github.com/datacomp/datacomp/internal/graph"
 	"github.com/datacomp/datacomp/internal/orc"
-	"github.com/datacomp/datacomp/internal/stage"
 	"github.com/datacomp/datacomp/internal/telemetry"
 )
 
@@ -41,7 +43,6 @@ import (
 var (
 	tmOnce                   sync.Once
 	tmCompNS, tmDecompNS     *telemetry.Counter
-	tmMatchNS, tmEntropyNS   *telemetry.Counter
 	tmRawBytes, tmStoredByte *telemetry.Counter
 	tmStripeBytes            *telemetry.Histogram
 )
@@ -51,8 +52,6 @@ func tm() {
 		r := telemetry.Default
 		tmCompNS = r.Counter("warehouse_compress_ns_total", "stripe compression time")
 		tmDecompNS = r.Counter("warehouse_decompress_ns_total", "stripe decompression time")
-		tmMatchNS = r.Counter("warehouse_matchfind_ns_total", "zstd match-finding time inside stripe compression")
-		tmEntropyNS = r.Counter("warehouse_entropy_ns_total", "zstd entropy-coding time inside stripe compression")
 		tmRawBytes = r.Counter("warehouse_raw_bytes_total", "raw stripe bytes compressed")
 		tmStoredByte = r.Counter("warehouse_stored_bytes_total", "stored stripe bytes after compression")
 		tmStripeBytes = r.Histogram("warehouse_stripe_raw_bytes", "raw encoded stripe size", "bytes")
@@ -66,10 +65,6 @@ type Stats struct {
 
 	CompressTime   time.Duration
 	DecompressTime time.Duration
-	// MatchFindTime and EntropyTime split CompressTime into the two zstd
-	// stages (Fig 7).
-	MatchFindTime time.Duration
-	EntropyTime   time.Duration
 	// EncodeTime covers ORC encode/decode (storage-engine work).
 	EncodeTime time.Duration
 	// ComputeTime covers the application's own work.
@@ -84,23 +79,68 @@ func (s Stats) CompressionRatio() float64 {
 	return float64(s.RawBytes) / float64(s.StoredBytes)
 }
 
-// ZstdCyclesFraction is the share of total measured time spent inside the
-// compressor (compress + decompress), the quantity Fig 6 reports.
-func (s Stats) ZstdCyclesFraction() float64 {
-	total := s.CompressTime + s.DecompressTime + s.EncodeTime + s.ComputeTime
-	if total <= 0 {
-		return 0
+// upstreamService labels the stand-in producer's work in a CPU profile.
+const upstreamService = "upstream"
+
+// StageSplit is Fig 7's split from a CPU profile of warehouse runs
+// (telemetry.ProfileCPU): the match-finding and entropy-coding shares of
+// the samples inside zstd compression, and how many samples that was. The
+// upstream producer's samples are left out, as Stats leave out its time.
+func StageSplit(p *telemetry.CycleProfile) (matchFind, entropy float64, samples int64) {
+	var mf, ent int64
+	for k, n := range p.Samples() {
+		if k.Codec != "zstd" || k.Dir != telemetry.DirCompress || k.Service == upstreamService {
+			continue
+		}
+		samples += n
+		switch k.Stage {
+		case telemetry.StageMatchFind:
+			mf += n
+		case telemetry.StageEntropy:
+			ent += n
+		}
 	}
-	return float64(s.CompressTime+s.DecompressTime) / float64(total)
+	if samples == 0 {
+		return 0, 0, 0
+	}
+	return float64(mf) / float64(samples), float64(ent) / float64(samples), samples
 }
 
-// MatchFindFraction is match-finding time over total compression time
-// (Fig 7's stage split).
-func (s Stats) MatchFindFraction() float64 {
-	if s.CompressTime <= 0 {
-		return 0
+// busyWait is how long ProfileStageSplit waits out another CPU profile,
+// such as a /profile request's, before it gives up on a round.
+const busyWait = 5 * time.Second
+
+// ProfileStageSplit reruns f, which should run warehouse workflows, under
+// telemetry.ProfileCPU until the profiles hold min zstd compression
+// samples, and returns StageSplit over them all. Each profile runs f for
+// half a second at least, so the profiler's start and stop stay cheap. A
+// round that finds the profiler busy is retried for up to busyWait, then
+// fails with telemetry.ErrProfilerBusy.
+func ProfileStageSplit(min int64, f func()) (matchFind, entropy float64, samples int64, err error) {
+	all := telemetry.NewCycleProfile()
+	for round := 1; samples < min; round++ {
+		var p *telemetry.CycleProfile
+		for giveUp := time.Now().Add(busyWait); ; time.Sleep(50 * time.Millisecond) {
+			p, err = telemetry.ProfileCPU(func() {
+				for end := time.Now().Add(500 * time.Millisecond); time.Now().Before(end); {
+					f()
+				}
+			})
+			if !errors.Is(err, telemetry.ErrProfilerBusy) || time.Now().After(giveUp) {
+				break
+			}
+		}
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		for k, n := range p.Samples() {
+			all.Add(k, n)
+		}
+		if matchFind, entropy, samples = StageSplit(all); samples == 0 && round == 100 {
+			return 0, 0, 0, errors.New("warehouse: 100 profiles held no zstd compression sample")
+		}
 	}
-	return float64(s.MatchFindTime) / float64(s.CompressTime)
+	return matchFind, entropy, samples, nil
 }
 
 func (s *Stats) add(o Stats) {
@@ -108,8 +148,6 @@ func (s *Stats) add(o Stats) {
 	s.StoredBytes += o.StoredBytes
 	s.CompressTime += o.CompressTime
 	s.DecompressTime += o.DecompressTime
-	s.MatchFindTime += o.MatchFindTime
-	s.EntropyTime += o.EntropyTime
 	s.EncodeTime += o.EncodeTime
 	s.ComputeTime += o.ComputeTime
 }
@@ -151,54 +189,6 @@ func readEngine(ds *Dataset) (codec.Engine, error) {
 		return ds.Engine, nil
 	}
 	return engine(ds.Level)
-}
-
-// stageClock times the Fig 7 split of a write engine's compression through
-// the engine's stage hook. The zstd decoder fires the same hook, so the
-// clock runs only while armed, around a stripe's compress calls. A nil
-// stageClock, for an engine with no hook, splits nothing.
-type stageClock struct {
-	armed bool
-	clock stage.Clock
-}
-
-// hookStages installs a stageClock as eng's stage hook, replacing any hook
-// eng had, or returns nil when eng has none.
-func hookStages(eng codec.Engine) *stageClock {
-	h, ok := eng.(codec.StageHooker)
-	if !ok {
-		return nil
-	}
-	c := &stageClock{}
-	h.SetStageHook(c.onStage)
-	return c
-}
-
-func (c *stageClock) onStage(s stage.ID) {
-	if c.armed {
-		c.clock.Enter(s)
-	}
-}
-
-// start arms the clock from now.
-func (c *stageClock) start(now time.Time) {
-	if c != nil {
-		c.armed = true
-		c.clock.Start(now)
-	}
-}
-
-// stop disarms the clock and adds the split since start to st.
-func (c *stageClock) stop(st *Stats) {
-	if c == nil {
-		return
-	}
-	c.armed = false
-	mf, ent := c.clock.Nanos[stage.MatchFind], c.clock.Nanos[stage.Entropy]
-	st.MatchFindTime += time.Duration(mf)
-	st.EntropyTime += time.Duration(ent)
-	tmMatchNS.Add(mf)
-	tmEntropyNS.Add(ent)
 }
 
 // generateBatch builds one row batch of warehouse columns.
@@ -319,7 +309,7 @@ func columnChunks(n int) int {
 // raw little-endian words and each column's chunks are compressed under
 // its kind's hint; other kinds, and every column under a plain engine,
 // keep the ORC encoding.
-func writeStripe(cols []orc.Column, eng codec.Engine, sc *stageClock, st *Stats) ([]byte, error) {
+func writeStripe(cols []orc.Column, eng codec.Engine, st *Stats) ([]byte, error) {
 	tm()
 	h := hinter(eng)
 	encoded := make([][]byte, len(cols))
@@ -358,7 +348,6 @@ func writeStripe(cols []orc.Column, eng codec.Engine, sc *stageClock, st *Stats)
 	}
 	var out bytes.Buffer
 	t1 := time.Now()
-	sc.start(t1)
 	bw, err := container.NewBuilder(&out, containerCodec, eng, orc.MaxCompressionBlock)
 	if err != nil {
 		return nil, err
@@ -397,7 +386,6 @@ func writeStripe(cols []orc.Column, eng codec.Engine, sc *stageClock, st *Stats)
 		return nil, err
 	}
 	dt := time.Since(t1)
-	sc.stop(st)
 	st.CompressTime += dt
 	tmCompNS.Add(dt.Nanoseconds())
 	framed := out.Bytes()
@@ -519,8 +507,7 @@ func Ingest(seed int64, stripes, rowsPerStripe int) (*Dataset, Stats, error) {
 // warehouse storage format online; the returned Dataset remembers the
 // engine and downstream stages (SparkWorker, Shuffle, MLJob) read back
 // through it, so stripes written under since-retired generations keep
-// decoding. An engine with a stage hook (codec.StageHooker) gets the
-// warehouse's own, which times the Fig 7 split, in place of any it had.
+// decoding.
 func IngestEngine(seed int64, stripes, rowsPerStripe int, eng codec.Engine) (*Dataset, Stats, error) {
 	if eng == nil {
 		return nil, Stats{}, errors.New("warehouse: nil engine")
@@ -557,16 +544,12 @@ func ingest(seed int64, stripes, rowsPerStripe int, eng, keep codec.Engine) (*Da
 	if err != nil {
 		return nil, st, err
 	}
-	sc := hookStages(eng)
 	ds := &Dataset{Level: IngestionLevel, Engine: keep}
 	for i := 0; i < stripes; i++ {
 		cols := generateBatch(seed+int64(i)*100, rowsPerStripe)
 		// The upstream producer hands over level-1-compressed stripes; the
-		// ingestion service pays the decompression before re-encoding. The
-		// producer's own encode/compress work is not this service's time,
-		// so it lands in a discarded Stats.
-		var producer Stats
-		upstreamFramed, err := writeStripe(cols, upstreamEng, nil, &producer)
+		// ingestion service pays the decompression before re-encoding.
+		upstreamFramed, err := produce(cols, upstreamEng)
 		if err != nil {
 			return nil, st, err
 		}
@@ -578,13 +561,24 @@ func ingest(seed int64, stripes, rowsPerStripe int, eng, keep codec.Engine) (*Da
 		t0 := time.Now()
 		validateBatch(cols)
 		st.ComputeTime += time.Since(t0)
-		framed, err := writeStripe(cols, eng, sc, &st)
+		framed, err := writeStripe(cols, eng, &st)
 		if err != nil {
 			return nil, st, err
 		}
 		ds.Stripes = append(ds.Stripes, framed)
 	}
 	return ds, st, nil
+}
+
+// produce writes cols as the upstream producer whose stripes ingestion
+// decompresses. That work is not the ingestion service's: its Stats are
+// dropped, and it runs labelled service=upstream, which StageSplit leaves
+// out.
+func produce(cols []orc.Column, eng codec.Engine) (framed []byte, err error) {
+	pprof.Do(context.Background(), pprof.Labels("service", upstreamService), func(context.Context) {
+		framed, err = writeStripe(cols, eng, &Stats{})
+	})
+	return framed, err
 }
 
 // validateBatch is the ingestion service's own per-row work.
@@ -621,7 +615,6 @@ func SparkWorker(ds *Dataset, computePasses int) (*Dataset, Stats, error) {
 	if err != nil {
 		return nil, st, err
 	}
-	sc := hookStages(writeEng)
 	out := &Dataset{Level: ShuffleLevel}
 	for _, framed := range ds.Stripes {
 		cols, err := readStripe(framed, readEng, &st)
@@ -631,7 +624,7 @@ func SparkWorker(ds *Dataset, computePasses int) (*Dataset, Stats, error) {
 		t0 := time.Now()
 		agg := aggregate(cols, computePasses)
 		st.ComputeTime += time.Since(t0)
-		framedOut, err := writeStripe(agg, writeEng, sc, &st)
+		framedOut, err := writeStripe(agg, writeEng, &st)
 		if err != nil {
 			return nil, st, err
 		}
@@ -710,7 +703,6 @@ func Shuffle(ds *Dataset, workers int) ([]*Dataset, Stats, error) {
 	if err != nil {
 		return nil, st, err
 	}
-	sc := hookStages(writeEng)
 	outs := make([]*Dataset, workers)
 	for i := range outs {
 		outs[i] = &Dataset{Level: ShuffleLevel}
@@ -727,7 +719,7 @@ func Shuffle(ds *Dataset, workers int) ([]*Dataset, Stats, error) {
 			if p[0].Len() == 0 {
 				continue
 			}
-			framedOut, err := writeStripe(p, writeEng, sc, &st)
+			framedOut, err := writeStripe(p, writeEng, &st)
 			if err != nil {
 				return nil, st, err
 			}
@@ -811,7 +803,6 @@ func MLJob(ds *Dataset, epochs int) (Stats, error) {
 	if err != nil {
 		return st, err
 	}
-	sc := hookStages(writeEng)
 	// A realistically sized embedding-table shard: checkpoints are a
 	// visible (but minority) share of the job's compression work.
 	weights := make([]float64, 1<<17)
@@ -827,7 +818,7 @@ func MLJob(ds *Dataset, epochs int) (Stats, error) {
 		}
 		// Checkpoint: weights serialized and compressed at level 1.
 		ck := []orc.Column{{Name: "weights", Kind: orc.Float64, Floats: weights}}
-		if _, err := writeStripe(ck, writeEng, sc, &st); err != nil {
+		if _, err := writeStripe(ck, writeEng, &st); err != nil {
 			return st, err
 		}
 	}
@@ -855,11 +846,4 @@ func trainStep(cols []orc.Column, weights []float64) {
 		grad := pred - scores[i]*0.01
 		weights[slot] -= 0.001 * grad
 	}
-}
-
-// String summarizes stats for reports.
-func (s Stats) String() string {
-	return fmt.Sprintf("raw=%d stored=%d ratio=%.2f zstd%%=%.1f mf%%=%.1f",
-		s.RawBytes, s.StoredBytes, s.CompressionRatio(),
-		s.ZstdCyclesFraction()*100, s.MatchFindFraction()*100)
 }

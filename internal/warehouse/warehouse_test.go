@@ -1,7 +1,9 @@
 package warehouse
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/telemetry"
@@ -29,66 +31,77 @@ func TestIngest(t *testing.T) {
 	}
 }
 
-func TestIngestStageSplitHighLevel(t *testing.T) {
-	// DW1 compresses at level 7: match finding should dominate the
-	// compression time (the paper reports up to 80%).
-	_, st, err := Ingest(2, 3, 20000)
+// profileSplit is ProfileStageSplit over at least 100 samples, failing t
+// on error.
+func profileSplit(t *testing.T, f func()) (mf, ent float64) {
+	t.Helper()
+	mf, ent, _, err := ProfileStageSplit(100, f)
+	if errors.Is(err, telemetry.ErrProfilerBusy) {
+		t.Skip(err)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	mf := st.MatchFindFraction()
+	return mf, ent
+}
+
+// TestProfileStageSplitWaitsOutBusyProfiler holds the CPU profiler, as a
+// /profile request does, while ProfileStageSplit starts: the split waits
+// for it rather than failing.
+func TestProfileStageSplitWaitsOutBusyProfiler(t *testing.T) {
+	release, started, stopped := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		telemetry.ProfileCPU(func() { close(started); <-release })
+	}()
+	select {
+	case <-started:
+	case <-stopped:
+		t.Skip(telemetry.ErrProfilerBusy) // the test binary runs with -cpuprofile
+	}
+	time.AfterFunc(300*time.Millisecond, func() { close(release) })
+	_, _, n, err := ProfileStageSplit(1, func() {
+		if _, _, err := Ingest(2, 1, 5000); err != nil {
+			t.Error(err)
+		}
+	})
+	<-stopped
+	if err != nil || n < 1 {
+		t.Fatalf("ProfileStageSplit behind a 300 ms profile: %d samples, err %v", n, err)
+	}
+}
+
+func TestIngestStageSplitHighLevel(t *testing.T) {
+	// DW1 compresses at level 7: match finding should dominate the
+	// compression samples (the paper reports up to 80%).
+	mf, ent := profileSplit(t, func() {
+		if _, _, err := Ingest(2, 3, 20000); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if mf < 0.5 {
 		t.Fatalf("level-7 match finding should dominate: %.2f", mf)
 	}
-	if st.MatchFindTime+st.EntropyTime > st.CompressTime+st.CompressTime/10 {
-		t.Fatalf("stage times exceed total: mf=%v ent=%v total=%v",
-			st.MatchFindTime, st.EntropyTime, st.CompressTime)
+	if mf+ent > 1 {
+		t.Fatalf("stage shares exceed the whole: mf=%.2f ent=%.2f", mf, ent)
 	}
 }
 
 // TestIngestEngineChecksumStageSplit pins the Fig 7 split through a
-// wrapped engine: the checksum frame forwards the stage hook, so the split
-// is measured whatever wraps the zstd encoder.
+// wrapped engine: the checksum frame keeps the zstd engine's frame on the
+// stack, so the split is measured whatever wraps the zstd encoder.
 func TestIngestEngineChecksumStageSplit(t *testing.T) {
 	eng, err := codec.NewEngine("zstd", codec.WithLevel(IngestionLevel), codec.WithChecksum(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := IngestEngine(4, 2, 5000, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.MatchFindTime <= 0 || st.EntropyTime <= 0 {
-		t.Fatalf("no stage split through the checksum wrapper: mf=%v ent=%v", st.MatchFindTime, st.EntropyTime)
-	}
-	if st.MatchFindTime+st.EntropyTime > st.CompressTime {
-		t.Fatalf("stage times exceed total: mf=%v ent=%v total=%v",
-			st.MatchFindTime, st.EntropyTime, st.CompressTime)
-	}
-}
-
-// TestStageClockSkipsDecode pins that decoding through a hooked engine
-// charges no stage time: the zstd decoder fires the encoder's hook too.
-func TestStageClockSkipsDecode(t *testing.T) {
-	eng, err := engine(ShuffleLevel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := hookStages(eng)
-	var st Stats
-	framed, err := writeStripe(generateBatch(3, 4000), eng, sc, &st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.EntropyTime <= 0 {
-		t.Fatalf("no entropy time on write: %+v", st)
-	}
-	before := sc.clock.Nanos
-	if _, err := readStripe(framed, eng, &Stats{}); err != nil {
-		t.Fatal(err)
-	}
-	if sc.clock.Nanos != before {
-		t.Fatalf("decode charged stage time: %v, was %v", sc.clock.Nanos, before)
+	mf, ent := profileSplit(t, func() {
+		if _, _, err := IngestEngine(4, 2, 5000, eng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if mf <= 0 || ent <= 0 || mf+ent > 1 {
+		t.Fatalf("no stage split through the checksum wrapper: mf=%.2f ent=%.2f", mf, ent)
 	}
 }
 
@@ -149,19 +162,20 @@ func TestShuffleLowLevelStageSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := Shuffle(ds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Level-1 writes: match finding should take a visibly smaller share
 	// than DW1's level-7 writes.
-	_, ingestStats, err := Ingest(8, 2, 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.MatchFindFraction() >= ingestStats.MatchFindFraction() {
-		t.Fatalf("level-1 match-find share (%.2f) should be below level-7 (%.2f)",
-			st.MatchFindFraction(), ingestStats.MatchFindFraction())
+	shuffleMF, _ := profileSplit(t, func() {
+		if _, _, err := Shuffle(ds, 4); err != nil {
+			t.Fatal(err)
+		}
+	})
+	ingestMF, _ := profileSplit(t, func() {
+		if _, _, err := Ingest(8, 2, 20000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if shuffleMF >= ingestMF {
+		t.Fatalf("level-1 match-find share (%.2f) should be below level-7 (%.2f)", shuffleMF, ingestMF)
 	}
 }
 
@@ -197,7 +211,7 @@ func TestStatsAggregation(t *testing.T) {
 		t.Fatalf("add broken: %+v", a)
 	}
 	var zero Stats
-	if zero.CompressionRatio() != 0 || zero.ZstdCyclesFraction() != 0 || zero.MatchFindFraction() != 0 {
+	if zero.CompressionRatio() != 0 {
 		t.Fatal("zero stats should report zeros")
 	}
 }
@@ -209,7 +223,7 @@ func TestReadStripeColumnsPrunes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st Stats
-	framed, err := writeStripe(cols, eng, hookStages(eng), &st)
+	framed, err := writeStripe(cols, eng, &st)
 	if err != nil {
 		t.Fatal(err)
 	}

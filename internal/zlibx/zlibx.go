@@ -18,7 +18,6 @@ import (
 	"github.com/datacomp/datacomp/internal/bits"
 	"github.com/datacomp/datacomp/internal/huffman"
 	"github.com/datacomp/datacomp/internal/lz"
-	"github.com/datacomp/datacomp/internal/stage"
 	"github.com/datacomp/datacomp/internal/wildcopy"
 )
 
@@ -136,10 +135,9 @@ func params(level int) lz.Params {
 
 // Encoder compresses at a fixed level. Not safe for concurrent use.
 type Encoder struct {
-	level     int
-	matcher   *lz.Matcher // nil for level 0
-	seqs      []lz.Sequence
-	stageHook stage.Hook
+	level   int
+	matcher *lz.Matcher // nil for level 0
+	seqs    []lz.Sequence
 
 	// Entropy-stage scratch, reused across blocks so a warmed encoder
 	// performs zero heap allocations per payload.
@@ -151,17 +149,6 @@ type Encoder struct {
 	litCodes   [numLitLen]uint32
 	distCodes  [numDist]uint32
 	w          bits.Writer64
-}
-
-// SetStageHook installs a hook fired at stage transitions inside Compress:
-// stage.MatchFind before parsing, stage.Entropy before Huffman coding,
-// stage.App when the block completes.
-func (e *Encoder) SetStageHook(h stage.Hook) { e.stageHook = h }
-
-func (e *Encoder) enterStage(s stage.ID) {
-	if e.stageHook != nil {
-		e.stageHook(s)
-	}
 }
 
 // NewEncoder returns an encoder for the given level.
@@ -226,12 +213,8 @@ func (e *Encoder) compressBlock(dst, src []byte, start, end int, last bool) ([]b
 	if base < 0 {
 		base = 0
 	}
-	e.enterStage(stage.MatchFind)
 	e.seqs = e.matcher.Parse(e.seqs[:0], src[base:end], start-base)
-
-	e.enterStage(stage.Entropy)
 	payload, err := e.encodeDynamic(content, e.seqs)
-	e.enterStage(stage.App)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"github.com/datacomp/datacomp/internal/bits"
 	"github.com/datacomp/datacomp/internal/fse"
 	"github.com/datacomp/datacomp/internal/huffman"
-	"github.com/datacomp/datacomp/internal/stage"
 	"github.com/datacomp/datacomp/internal/wildcopy"
 )
 
@@ -104,12 +103,6 @@ type Decoder struct {
 	buf     []byte // history: dictionary content + decoded content
 	bd      blockDecoder
 }
-
-// SetStageHook installs a hook fired at stage transitions inside
-// Decompress (stage.Entropy before a block's entropy decode, stage.App
-// before its sequence execution). A nil hook disables notification. The
-// hook is called from the decompressing goroutine only.
-func (dec *Decoder) SetStageHook(h stage.Hook) { dec.bd.hook = h }
 
 // NewDecoder returns a Decoder for frames compressed with dict (nil for
 // dictionary-less frames). A dictionary that carries entropy tables has
@@ -259,7 +252,6 @@ type blockDecoder struct {
 	mlc      []byte
 	huff     huffman.Scratch
 	fseSc    fse.Scratch
-	hook     stage.Hook
 	version  int            // the frame's: ≥2 allows multi-stream modes, 3 dictionary-table modes
 	dictLits *huffman.Table // nil: the dictionary carries no tables
 	dictSeq  [3]fse.DecTable
@@ -268,12 +260,6 @@ type blockDecoder struct {
 // tablesAllowed reports whether the frame may code a section with the
 // dictionary's tables: it is version 3 and the dictionary has them.
 func (d *blockDecoder) tablesAllowed() bool { return d.version >= 3 && d.dictLits != nil }
-
-func (d *blockDecoder) enterStage(s stage.ID) {
-	if d.hook != nil {
-		d.hook(s)
-	}
-}
 
 // decodeStream reads one sequence-code stream; an FSE-coded one with dict,
 // when it is not nil, and no header.
@@ -330,7 +316,6 @@ func (d *blockDecoder) decode(buf, src []byte) ([]byte, error) {
 	if len(src) < 2 {
 		return nil, ErrCorrupt
 	}
-	d.enterStage(stage.Entropy)
 	litMode := src[pos]
 	pos++
 	litCount, n := binary.Uvarint(src[pos:])
@@ -394,7 +379,6 @@ func (d *blockDecoder) decode(buf, src []byte) ([]byte, error) {
 		if pos != len(src) {
 			return nil, ErrCorrupt
 		}
-		d.enterStage(stage.App)
 		return append(buf, d.lits...), nil
 	}
 
@@ -432,7 +416,6 @@ func (d *blockDecoder) decode(buf, src []byte) ([]byte, error) {
 	var extras bits.Reader64
 	extras.Init(src[pos : pos+int(exLen)])
 
-	d.enterStage(stage.App)
 	// 16 readable bytes past the literal buffer let the sequence loop copy
 	// short literal runs in unconditional 16-byte chunks.
 	litsLen := len(d.lits)

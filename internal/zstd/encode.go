@@ -10,7 +10,6 @@ import (
 	"github.com/datacomp/datacomp/internal/fse"
 	"github.com/datacomp/datacomp/internal/huffman"
 	"github.com/datacomp/datacomp/internal/lz"
-	"github.com/datacomp/datacomp/internal/stage"
 )
 
 // Frame constants. Version 2 frames may carry the multi-stream entropy
@@ -105,14 +104,13 @@ func DictID(dict []byte) uint32 {
 // Encoder compresses frames at a fixed configuration. Not safe for
 // concurrent use.
 type Encoder struct {
-	opts      Options
-	base      levelParams
-	dictID    uint32
-	content   []byte // the dictionary's content: the history every frame starts from
-	matchers  map[lz.Params]*lz.Matcher
-	lastP     lz.Params
-	lastM     *lz.Matcher
-	stageHook stage.Hook
+	opts     Options
+	base     levelParams
+	dictID   uint32
+	content  []byte // the dictionary's content: the history every frame starts from
+	matchers map[lz.Params]*lz.Matcher
+	lastP    lz.Params
+	lastM    *lz.Matcher
 
 	seqs []lz.Sequence
 	lits []byte
@@ -175,19 +173,6 @@ func NewEncoder(opts Options) (*Encoder, error) {
 
 // Options returns the encoder's configuration.
 func (e *Encoder) Options() Options { return e.opts }
-
-// SetStageHook installs a hook fired at stage transitions inside Compress
-// (stage.MatchFind before parsing, stage.Entropy before entropy coding,
-// stage.App when the block completes). A nil hook disables notification.
-// The hook is called from the compressing goroutine only. The encoder keeps
-// no clock of its own: a stage.Clock on the hook times the stages.
-func (e *Encoder) SetStageHook(h stage.Hook) { e.stageHook = h }
-
-func (e *Encoder) enterStage(s stage.ID) {
-	if e.stageHook != nil {
-		e.stageHook(s)
-	}
-}
 
 func (e *Encoder) matcher(srcLen int) (*lz.Matcher, error) {
 	p := adaptParams(e.base, srcLen, e.opts.WindowLog)
@@ -309,13 +294,10 @@ func (e *Encoder) compressBlock(dst, buf []byte, blockStart, blockEnd int, last 
 	if err != nil {
 		return nil, err
 	}
-	e.enterStage(stage.MatchFind)
 	e.parse(m, buf, blockStart, blockEnd)
 
 	// Stage 2: entropy coding.
-	e.enterStage(stage.Entropy)
 	payload, err := e.encodeBlockPayload(content)
-	e.enterStage(stage.App)
 	if err != nil {
 		return nil, err
 	}

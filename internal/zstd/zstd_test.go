@@ -5,10 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"github.com/datacomp/datacomp/internal/corpus"
-	"github.com/datacomp/datacomp/internal/stage"
 )
 
 func compressible(seed int64, n int) []byte {
@@ -185,46 +183,6 @@ func TestWindowLogOverride(t *testing.T) {
 	large := roundtrip(t, Options{Level: 1, WindowLog: 16}, src)
 	if len(large) >= len(small) {
 		t.Errorf("larger window should compress repetition better: %d >= %d", len(large), len(small))
-	}
-}
-
-func TestStagesAccounted(t *testing.T) {
-	e, err := NewEncoder(Options{Level: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var clock stage.Clock
-	var seen []stage.ID
-	e.SetStageHook(func(s stage.ID) {
-		seen = append(seen, s)
-		clock.Enter(s)
-	})
-	src := compressible(17, 1<<18)
-	clock.Start(time.Now())
-	if _, err := e.Compress(nil, src); err != nil {
-		t.Fatal(err)
-	}
-	clock.Stop(time.Now())
-	if clock.Nanos[stage.MatchFind] <= 0 || clock.Nanos[stage.Entropy] <= 0 {
-		t.Fatalf("stage accounting missing: %v", clock.Nanos)
-	}
-	// Every compressed block fires match finding, entropy coding, then back
-	// to the application, in that order.
-	if len(seen) == 0 || len(seen)%3 != 0 {
-		t.Fatalf("hook fired %v", seen)
-	}
-	for i := 0; i < len(seen); i += 3 {
-		if seen[i] != stage.MatchFind || seen[i+1] != stage.Entropy || seen[i+2] != stage.App {
-			t.Fatalf("block %d: transitions %v", i/3, seen[i:i+3])
-		}
-	}
-	e.SetStageHook(nil)
-	clock.Start(time.Now())
-	if _, err := e.Compress(nil, src); err != nil {
-		t.Fatal(err)
-	}
-	if clock.Nanos != [stage.Count]int64{} {
-		t.Fatalf("cleared hook still fired: %v", clock.Nanos)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // handler that streams through the container pipeline, and transport
 // compression on both directions. It then asserts the pieces the tracing
 // work promises: one stitched trace holding client and server halves with
-// rpc, per-stage, and per-block spans; a latency histogram exemplar naming
+// rpc and per-block spans; a latency histogram exemplar naming
 // that trace; the flight recorder retaining it among the slowest; and a
 // Chrome trace-event export that survives its own decoder.
 func TestTraceEndToEnd(t *testing.T) {
@@ -49,7 +49,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 
 	// Large, compressible payload: well past the transport's MinSize, so
-	// both directions exercise the codec and its stage hooks.
+	// both directions exercise the codec.
 	payload := corpus.LogLines(99, 96<<10)
 	if _, err := client.Call(context.Background(), "store", payload); err != nil {
 		t.Fatal(err)
@@ -83,7 +83,6 @@ func TestTraceEndToEnd(t *testing.T) {
 		"rpc.call",        // client root
 		"rpc.serve",       // server half, parented on the wire context
 		"rpc.compress",    // transport codec work
-		"matchfind",       // per-stage child under the codec span
 		"container.block", // per-block pipeline spans
 	} {
 		if td.Find(name) == nil {
