@@ -110,6 +110,46 @@ func TestCallAllocsAppendCall(t *testing.T) {
 	}
 }
 
+// A warmed call with a body coded once (a Coder's Code, then AppendCallBody
+// into a reused buffer) allocates nothing, below the link's MinSize and
+// above it: the coding lands in the Coder's scratch, the frame is written
+// from it as it is.
+func TestCallAllocsAppendCallBody(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	srv := rpc.NewServer(nodeLink)
+	srv.RegisterAppend("echo", func(_ context.Context, dst, req []byte) ([]byte, error) {
+		return append(dst, req...), nil
+	})
+	cl := servePipe(t, srv)
+	cd, err := rpc.NewCoder(nodeLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cd.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, size := range []int{128, 4 << 10} {
+		req := bytes.Repeat([]byte("coded call "), size/11+1)[:size]
+		var dst []byte
+		n := allocsPerOp(t, func() {
+			body, err := cd.Code(ctx, "echo", req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst, err = cl.AppendCallBody(ctx, dst[:0], &body)
+			if err != nil || !bytes.Equal(dst, req) {
+				t.Fatalf("echo %d B: %d bytes back, %v", size, len(dst), err)
+			}
+		})
+		t.Logf("warmed Code + AppendCallBody, %d B: %v allocs/op", size, n)
+		if n != 0 {
+			t.Errorf("warmed Code + AppendCallBody of %d B into a reused buffer: %v allocs/op, want 0", size, n)
+		}
+	}
+}
+
 // maxClusterGetAllocs pins a warmed Cluster.Get of a memtable-resident
 // 128 B value on three nodes at RF=3: the value copied out for the caller
 // and the two fan-out goroutines' closures. With each record and digest

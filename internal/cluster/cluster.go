@@ -116,6 +116,13 @@ type Cluster struct {
 	nodes   map[string]*Node
 	clients map[string]*clientPool
 
+	// coders are idle Coders for cfg.comp, which code each write's request
+	// once for all of its owners' links: as many as clientsPerNode, the
+	// writes that run on pooled clients alone. A channel rather than a
+	// sync.Pool, which a GC would empty, and each refill would build an
+	// engine.
+	coders chan *rpc.Coder
+
 	// Stats below are process-wide mirrors of the telemetry counters,
 	// kept per-cluster for tests.
 	repairs   atomic.Int64
@@ -141,6 +148,7 @@ func New(opts ...Option) *Cluster {
 		ring:    NewRing(0),
 		nodes:   make(map[string]*Node),
 		clients: make(map[string]*clientPool),
+		coders:  make(chan *rpc.Coder, cfg.clientsPerNode),
 	}
 }
 
@@ -214,7 +222,7 @@ func (c *Cluster) Nodes() []string {
 	return c.ring.Nodes()
 }
 
-// Close stops every node.
+// Close stops every node and closes the idle clients and coders.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -229,7 +237,14 @@ func (c *Cluster) Close() error {
 		}
 		delete(c.nodes, name)
 	}
-	return first
+	for {
+		select {
+		case cd := <-c.coders:
+			cd.Close()
+		default:
+			return first
+		}
+	}
 }
 
 // replica is one owner of a key for the length of an operation: its client
@@ -271,10 +286,14 @@ type op struct {
 	wg    sync.WaitGroup
 	buf   []byte // the request a write or read-repair frames; no call holds it once the call returns
 
-	// What fanOut's goroutines read, set before they start.
+	// What fanOut's goroutines read, set before they start: a read's method
+	// and request, or a write's body, coded once for every owner (coded,
+	// which body then points at).
 	ctx    context.Context
 	method string
 	req    []byte
+	body   *rpc.Body
+	coded  rpc.Body
 }
 
 var opPool = sync.Pool{New: func() any { return new(op) }}
@@ -311,36 +330,67 @@ func (o *op) release() {
 		*r = replica{resp: resp}
 	}
 	o.reps = o.reps[:0]
-	o.ctx, o.method, o.req = nil, "", nil
+	o.ctx, o.method, o.req, o.body, o.coded = nil, "", nil, nil, rpc.Body{}
 	if cap(o.buf) > maxPooledBuffer {
 		o.buf = nil
 	}
 	opPool.Put(o)
 }
 
-// fanOut sends req to every owner at once — method first to reps[0] on the
-// caller's goroutine, rest to the others on their own — and returns when all
-// of them have answered or failed, so an operation costs its slowest call,
-// not the sum. Each reply lands in its slot's buffer.
-func (o *op) fanOut(ctx context.Context, first, rest string, req []byte) {
-	o.ctx, o.method, o.req = ctx, rest, req
+// fanOut calls every owner at once — reps[0] on the caller's goroutine, the
+// others on their own — and returns when all of them have answered or
+// failed, so an operation costs its slowest call, not the sum. A read sends
+// req, method first to reps[0] and rest to the others; a write sends body
+// (nil for a read) to all. Each reply lands in its slot's buffer.
+func (o *op) fanOut(ctx context.Context, first, rest string, req []byte, body *rpc.Body) {
+	o.ctx, o.method, o.req, o.body = ctx, rest, req, body
 	for i := 1; i < len(o.reps); i++ {
 		o.wg.Add(1)
 		go o.call(i)
 	}
-	o.reps[0].send(ctx, first, req)
+	o.reps[0].send(ctx, first, req, body)
 	o.wg.Wait()
 }
 
-// call is one of fanOut's goroutines: it sends o.method to reps[i].
+// call is one of fanOut's goroutines: it sends o's request to reps[i].
 func (o *op) call(i int) {
 	defer o.wg.Done()
-	o.reps[i].send(o.ctx, o.method, o.req)
+	o.reps[i].send(o.ctx, o.method, o.req, o.body)
 }
 
-// send calls method on r's owner with the reply landing in r's buffer.
-func (r *replica) send(ctx context.Context, method string, req []byte) {
-	r.resp, r.err = r.pool.call(ctx, r.resp[:0], method, req)
+// send calls r's owner with the reply landing in r's buffer.
+func (r *replica) send(ctx context.Context, method string, req []byte, body *rpc.Body) {
+	r.resp, r.err = r.pool.call(ctx, r.resp[:0], method, req, body)
+}
+
+// code codes a write's request once for all of its owners' links. The Body
+// holds the returned Coder's scratch, so the caller hands the Coder back
+// (release) only once no call holds the Body.
+func (c *Cluster) code(ctx context.Context, method string, req []byte) (*rpc.Coder, rpc.Body, error) {
+	var cd *rpc.Coder
+	select {
+	case cd = <-c.coders:
+	default:
+		var err error
+		if cd, err = rpc.NewCoder(c.cfg.comp); err != nil {
+			return nil, rpc.Body{}, err
+		}
+	}
+	b, err := cd.Code(ctx, method, req)
+	if err != nil {
+		c.release(cd)
+		return nil, rpc.Body{}, err
+	}
+	return cd, b, nil
+}
+
+// release keeps cd for the next write, or closes it when enough are kept.
+func (c *Cluster) release(cd *rpc.Coder) {
+	select {
+	case c.coders <- cd:
+	default:
+		cd.Close()
+	}
 }
 
 // NextVersion mints a monotonically increasing write version. Exposed so
@@ -373,7 +423,7 @@ func (c *Cluster) Delete(ctx context.Context, key []byte) error {
 }
 
 // writeQuorum sends method to key's owners with the request frame appends
-// to the op's buffer.
+// to the op's buffer, coded once for all of them.
 func (c *Cluster) writeQuorum(ctx context.Context, key []byte, method string, frame func(dst []byte) []byte) error {
 	o, err := c.owners(key)
 	if err != nil {
@@ -381,7 +431,13 @@ func (c *Cluster) writeQuorum(ctx context.Context, key []byte, method string, fr
 	}
 	defer o.release()
 	o.buf = frame(o.buf[:0])
-	o.fanOut(ctx, method, method, o.buf)
+	cd, body, err := c.code(ctx, method, o.buf)
+	if err != nil {
+		return err
+	}
+	defer c.release(cd)
+	o.coded = body
+	o.fanOut(ctx, method, method, nil, &o.coded)
 	reps := o.reps
 	acks := 0
 	var lastErr error
@@ -423,7 +479,7 @@ func (c *Cluster) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	defer o.release()
-	o.fanOut(ctx, MethodGet, MethodDigest, key)
+	o.fanOut(ctx, MethodGet, MethodDigest, key, nil)
 	reps := o.reps
 	for i := range reps {
 		c.classify(&reps[i], i == 0)
@@ -459,7 +515,7 @@ func (c *Cluster) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 		}
 		cmGetEscalated.Inc()
 		c.escalated.Add(1)
-		next.send(ctx, MethodGet, key)
+		next.send(ctx, MethodGet, key, nil)
 		c.classify(next, true)
 	}
 
@@ -488,8 +544,9 @@ func (c *Cluster) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 
 	// Read-repair: push the winner to every responsive replica that
 	// disagrees (stale version, missing, or corrupt). The kv.put is framed
-	// once, in the op's request buffer; its empty reply needs no buffer.
-	var req []byte
+	// once, in the op's request buffer, and coded once; its empty reply
+	// needs no buffer.
+	var cd *rpc.Coder
 	for i := range reps {
 		r := &reps[i]
 		switch {
@@ -503,14 +560,19 @@ func (c *Cluster) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 		default:
 			continue
 		}
-		if req == nil {
+		if cd == nil {
 			o.buf = appendKeyRecord(o.buf[:0], key, best.resp[1:])
-			req = o.buf
+			if cd, o.coded, err = c.code(ctx, MethodPut, o.buf); err != nil {
+				break // the read stands; only the repair is lost
+			}
 		}
-		if _, err := r.pool.call(ctx, nil, MethodPut, req); err == nil {
+		if _, err := r.pool.call(ctx, nil, "", nil, &o.coded); err == nil {
 			cmRepairs.Inc()
 			c.repairs.Add(1)
 		}
+	}
+	if cd != nil {
+		c.release(cd)
 	}
 
 	if best.resp[1+8]&flagTombstone != 0 {
@@ -579,9 +641,9 @@ func (c *Cluster) Rebalance(ctx context.Context) error {
 }
 
 // drainFrom dumps one node and re-puts each record to its owners, framing
-// every kv.put in one request buffer.
+// every kv.put in one request buffer and coding it once.
 func (c *Cluster) drainFrom(ctx context.Context, src *clientPool) error {
-	dumpResp, err := src.call(ctx, nil, MethodDump, nil)
+	dumpResp, err := src.call(ctx, nil, MethodDump, nil, nil)
 	if err != nil {
 		return fmt.Errorf("rebalance dump from %s: %w", src.node.Name(), err)
 	}
@@ -593,11 +655,16 @@ func (c *Cluster) drainFrom(ctx context.Context, src *clientPool) error {
 		}
 		defer o.release()
 		req = appendKeyRecord(req[:0], key, rec)
+		cd, body, err := c.code(ctx, MethodPut, req)
+		if err != nil {
+			return err
+		}
+		defer c.release(cd)
 		for _, r := range o.reps {
 			if r.pool == src {
 				continue
 			}
-			if _, err := r.pool.call(ctx, nil, MethodPut, req); err != nil {
+			if _, err := r.pool.call(ctx, nil, "", nil, &body); err != nil {
 				cmReplicaErrors.Inc()
 				continue // best-effort: quorum reads tolerate a lagging copy
 			}
@@ -674,13 +741,19 @@ func (p *clientPool) release(cl *rpc.Client) {
 }
 
 // call runs one rpc against the node with a pooled client, appending the
-// reply to dst; on error it returns dst unchanged.
-func (p *clientPool) call(ctx context.Context, dst []byte, method string, req []byte) ([]byte, error) {
+// reply to dst: body when it is not nil, else method with req. On error it
+// returns dst unchanged.
+func (p *clientPool) call(ctx context.Context, dst []byte, method string, req []byte, body *rpc.Body) ([]byte, error) {
 	cl, err := p.acquire(ctx)
 	if err != nil {
 		return dst, err
 	}
-	resp, err := cl.AppendCall(ctx, dst, method, req)
+	var resp []byte
+	if body != nil {
+		resp, err = cl.AppendCallBody(ctx, dst, body)
+	} else {
+		resp, err = cl.AppendCall(ctx, dst, method, req)
+	}
 	if err != nil {
 		// A dead connection (node stop/crash) poisons the client; drop it
 		// so the next call dials fresh.

@@ -240,7 +240,7 @@ func TestFanOutWaitsForAll(t *testing.T) {
 	defer o.release()
 	reps := o.reps
 	reps[1].pool.node.Crash()
-	o.fanOut(tctx, MethodGet, MethodDigest, k)
+	o.fanOut(tctx, MethodGet, MethodDigest, k, nil)
 	if reps[0].err != nil || len(reps[0].resp) != 1+recHeaderLen+1 {
 		t.Fatalf("first owner: %d-byte reply, err=%v, want the whole record", len(reps[0].resp), reps[0].err)
 	}
@@ -252,7 +252,7 @@ func TestFanOutWaitsForAll(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(tctx)
 	cancel()
-	o.fanOut(ctx, MethodGet, MethodDigest, k)
+	o.fanOut(ctx, MethodGet, MethodDigest, k, nil)
 	for i := range reps {
 		if reps[i].err == nil {
 			t.Fatalf("owner %d answered a cancelled call", i)

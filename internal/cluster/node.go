@@ -157,6 +157,15 @@ type Node struct {
 	// pointers so that a put of a tracked key rewrites its header in place.
 	versions map[string]*[recHeaderLen]byte
 
+	// exhaustive says versions holds every key the store does: the store
+	// opened empty, and since then no entry has left the table (an eviction,
+	// a failed put, a corrupt read) and Store() has handed the DB to no one
+	// who could write behind the table. While it holds, a key the table
+	// lacks is a key the store lacks, so its put is blind and its digest
+	// answers "none" without a read. Once false it stays false until
+	// start() opens an empty store again. Guarded by putMu.
+	exhaustive bool
+
 	// Which path each replica put took (see handlePut).
 	blindPuts, comparedPuts atomic.Int64
 
@@ -211,6 +220,7 @@ func (n *Node) start(ctx context.Context) error {
 
 	n.putMu.Lock()
 	n.versions = make(map[string]*[recHeaderLen]byte)
+	n.exhaustive = db.Seq() == 0
 	n.putMu.Unlock()
 
 	nctx, cancel := context.WithCancel(context.Background())
@@ -315,12 +325,18 @@ func (n *Node) Running() bool {
 // leaves the version table describing the record it replaced, so the node
 // keeps answering kv.digest with the old header until a kv.get finds the
 // record corrupt, a put rewrites it, or the entry is evicted; a test that
-// wants a digest owner to notice must drop the entry itself (forget).
+// wants a digest owner to notice must drop the entry itself (forget). The
+// call itself ends the table's claim to hold every stored key, for the
+// rest of this store's life: from here on a key the table lacks is read
+// from the store on its next put or digest.
 func (n *Node) Store() *kvstore.DB {
 	db, err := n.store()
 	if err != nil {
 		return nil
 	}
+	n.putMu.Lock()
+	n.exhaustive = false
+	n.putMu.Unlock()
 	return db
 }
 
@@ -349,11 +365,13 @@ func (n *Node) PutStats() PutStats {
 // handlePut applies a versioned record if it is newer than the stored one.
 //
 // Blind path: the version table holds the key and the record is above the
-// entry, hence above anything stored, and is written without a read.
-// Compared path, for everything else (a key the table does not hold, and
-// duplicates, stale writers, read-repair and rebalance re-puts at or below
-// the entry): the stored record is read and only a checksum-valid one of an
-// equal or higher version vetoes the write.
+// entry, hence above anything stored, or the table is exhaustive and lacks
+// the key, so the store holds nothing for it; either way the record is
+// written without a read. Compared path, for everything else (a key the
+// table does not hold once it is no longer exhaustive, and duplicates, stale
+// writers, read-repair and rebalance re-puts at or below the entry): the
+// stored record is read and only a checksum-valid one of an equal or higher
+// version vetoes the write.
 func (n *Node) handlePut(ctx context.Context, req []byte) ([]byte, error) {
 	key, rest, err := splitKey(req)
 	if err != nil {
@@ -370,7 +388,7 @@ func (n *Node) handlePut(ctx context.Context, req []byte) ([]byte, error) {
 	n.putMu.Lock()
 	defer n.putMu.Unlock()
 	seen := n.versions[string(key)] // nil when untracked
-	if seen != nil && rec.version > binary.LittleEndian.Uint64(seen[:8]) {
+	if seen == nil && n.exhaustive || seen != nil && rec.version > binary.LittleEndian.Uint64(seen[:8]) {
 		n.blindPuts.Add(1)
 		cmPutBlind.Inc()
 	} else {
@@ -391,7 +409,7 @@ func (n *Node) handlePut(ctx context.Context, req []byte) ([]byte, error) {
 	if err := db.Put(ctx, key, rest); err != nil {
 		// The store may or may not hold the record now (a flush can fail
 		// after the memtable took it): forget the key rather than guess.
-		delete(n.versions, string(key))
+		n.drop(key)
 		return nil, err
 	}
 	n.track(key, seen, rest)
@@ -403,12 +421,14 @@ func (n *Node) handlePut(ctx context.Context, req []byte) ([]byte, error) {
 // key. Callers hold putMu. A held entry is rewritten in place, so only a key
 // entering the table allocates: its string, and its entry unless a full
 // table makes room by dropping an arbitrary one, whose entry it takes over.
-// The dropped key's next put or digest reads the store and re-enters.
+// The dropped key's next put or digest reads the store and re-enters, and
+// the table is no longer exhaustive.
 func (n *Node) track(key []byte, entry *[recHeaderLen]byte, rec []byte) *[recHeaderLen]byte {
 	if entry == nil {
 		if len(n.versions) >= maxTrackedVersions {
 			for victim, e := range n.versions {
 				delete(n.versions, victim)
+				n.exhaustive = false
 				entry = e
 				break
 			}
@@ -419,6 +439,14 @@ func (n *Node) track(key []byte, entry *[recHeaderLen]byte, rec []byte) *[recHea
 	}
 	*entry = [recHeaderLen]byte(rec)
 	return entry
+}
+
+// drop removes key from the table, which is then no longer exhaustive: the
+// store may hold a record for key that the table does not describe. Callers
+// hold putMu.
+func (n *Node) drop(key []byte) {
+	delete(n.versions, string(key))
+	n.exhaustive = false
 }
 
 // handleGet appends the stored record to dst (tombstones included — the
@@ -443,16 +471,17 @@ func (n *Node) handleGet(ctx context.Context, dst, req []byte) ([]byte, error) {
 	}
 	if _, valid := validRecord(resp[len(dst)+1:]); !valid {
 		n.putMu.Lock()
-		delete(n.versions, string(req))
+		n.drop(req)
 		n.putMu.Unlock()
 	}
 	return resp, nil
 }
 
 // handleDigest appends the header of the stored record to dst: from the
-// version table when it holds the key, else from the store, and then the key
-// enters the table — which must happen under putMu, or a put landing between
-// the read and the insert would leave the table behind the store.
+// version table when it holds the key, 0x00 with no read when the table is
+// exhaustive and lacks it, else from the store, and then the key enters the
+// table — which must happen under putMu, or a put landing between the read
+// and the insert would leave the table behind the store.
 func (n *Node) handleDigest(ctx context.Context, dst, req []byte) ([]byte, error) {
 	if len(req) == 0 {
 		return nil, errBadRecord
@@ -465,6 +494,9 @@ func (n *Node) handleDigest(ctx context.Context, dst, req []byte) ([]byte, error
 	defer n.putMu.Unlock()
 	hdr := n.versions[string(req)]
 	if hdr == nil {
+		if n.exhaustive {
+			return append(dst, 0x00), nil
+		}
 		cur, ok, err := db.Get(ctx, req)
 		if err != nil {
 			return nil, err

@@ -149,6 +149,7 @@ type Client struct {
 // NewClient wraps an established connection. Both ends must use the same
 // Compression configuration.
 func NewClient(conn io.ReadWriter, comp Compression, opts ...ClientOption) (*Client, error) {
+	comp.fill()
 	c := &Client{comp: comp, conn: conn, now: time.Now}
 	for _, o := range opts {
 		o(c)
@@ -202,8 +203,26 @@ func (c *Client) Call(ctx context.Context, method string, req []byte) ([]byte, e
 // it must not hold req. On error it returns dst unchanged. The context's
 // deadline and cancellation propagate into the connection I/O when the
 // connection is a net.Conn; transport failures on idempotent methods retry
-// with exponential backoff per the client's RetryPolicy.
+// with exponential backoff per the client's RetryPolicy. The request is
+// coded once, whatever the retries.
 func (c *Client) AppendCall(ctx context.Context, dst []byte, method string, req []byte) ([]byte, error) {
+	return c.appendCall(ctx, dst, method, req, nil)
+}
+
+// AppendCallBody is AppendCall for a request already coded by a Coder with
+// this client's Compression: the frame carries the Body's bytes as they
+// are, so a request sent to several peers is coded once. It fails without
+// sending when the Body was coded for another Compression.
+func (c *Client) AppendCallBody(ctx context.Context, dst []byte, b *Body) ([]byte, error) {
+	if b.comp != c.comp {
+		return dst, errBodyCompression
+	}
+	return c.appendCall(ctx, dst, b.method, nil, b)
+}
+
+// appendCall sends body, or req coded by the client's own transport when
+// body is nil.
+func (c *Client) appendCall(ctx context.Context, dst []byte, method string, req []byte, body *Body) ([]byte, error) {
 	if method == "" {
 		return dst, errors.New("rpc: empty method")
 	}
@@ -217,7 +236,7 @@ func (c *Client) AppendCall(ctx context.Context, dst []byte, method string, req 
 	}
 	ctx, span := c.traceCall(ctx, method)
 	t0 := time.Now()
-	resp, err := c.callLocked(ctx, dst, method, req, span)
+	resp, err := c.callLocked(ctx, dst, method, req, body, span)
 	tmCallNS.ObserveTraced(time.Since(t0).Nanoseconds(), uint64(span.TraceID()))
 	if span.Valid() {
 		if err != nil {
@@ -249,12 +268,21 @@ func (c *Client) traceCall(ctx context.Context, method string) (context.Context,
 	return trace.ContextWith(ctx, span), span
 }
 
-// callLocked runs the breaker gate and the retry loop under c.mu. Every
-// attempt appends to dst afresh.
-func (c *Client) callLocked(ctx context.Context, dst []byte, method string, req []byte, span trace.SpanHandle) ([]byte, error) {
+// callLocked runs the breaker gate, codes req when no body is given, and
+// runs the retry loop under c.mu. Every attempt sends the one body and
+// appends to dst afresh.
+func (c *Client) callLocked(ctx context.Context, dst []byte, method string, req []byte, body *Body, span trace.SpanHandle) ([]byte, error) {
 	if err := c.gate(); err != nil {
 		span.Event("rpc.breaker_fastfail")
 		return nil, err
+	}
+	if body == nil {
+		c.t.wmethod = append(c.t.wmethod[:0], method...)
+		b, err := c.t.code(c.t.wmethod, req, span)
+		if err != nil {
+			return nil, err
+		}
+		body = &b
 	}
 
 	retryable := c.retry.Max > 0 && c.retry.Idempotent != nil && c.retry.Idempotent(method)
@@ -282,7 +310,7 @@ func (c *Client) callLocked(ctx context.Context, dst []byte, method string, req 
 				continue
 			}
 		}
-		resp, err := c.attempt(ctx, dst, method, req, span)
+		resp, err := c.attempt(ctx, dst, method, body, span)
 		if err == nil {
 			c.recordSuccess()
 			return resp, nil
@@ -363,7 +391,7 @@ func (c *Client) redialLocked(ctx context.Context) error {
 // on the connection, and marks the client broken when the error leaves the
 // stream position unknown. A traced attempt stages the span context onto
 // the request frame and parents the transport's codec spans.
-func (c *Client) attempt(ctx context.Context, dst []byte, method string, req []byte, span trace.SpanHandle) ([]byte, error) {
+func (c *Client) attempt(ctx context.Context, dst []byte, method string, body *Body, span trace.SpanHandle) ([]byte, error) {
 	if nc, ok := c.conn.(net.Conn); ok {
 		c.enter(ctx, nc)
 		defer c.exit(nc)
@@ -372,15 +400,15 @@ func (c *Client) attempt(ctx context.Context, dst []byte, method string, req []b
 		c.t.cur = span
 		c.t.wsc = span.Context()
 	}
-	resp, err := c.exchange(ctx, dst, method, req)
+	resp, err := c.exchange(ctx, dst, method, body)
 	c.t.cur = trace.SpanHandle{}
 	c.t.wsc = trace.SpanContext{}
 	return resp, err
 }
 
-func (c *Client) exchange(ctx context.Context, dst []byte, method string, req []byte) ([]byte, error) {
+func (c *Client) exchange(ctx context.Context, dst []byte, method string, body *Body) ([]byte, error) {
 	c.t.wmethod = append(c.t.wmethod[:0], method...)
-	if err := c.t.writeFrame(0, c.t.wmethod, req); err != nil {
+	if err := c.t.writeBody(0, c.t.wmethod, body); err != nil {
 		c.broken = true
 		return nil, c.ctxErr(ctx, err)
 	}

@@ -1,0 +1,159 @@
+package rpc
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"time"
+
+	"github.com/datacomp/datacomp/internal/adaptive"
+	"github.com/datacomp/datacomp/internal/codec"
+	"github.com/datacomp/datacomp/internal/trace"
+)
+
+// Coder codes payloads exactly as a transport with its Compression does:
+// with the shared-pool engine, or the adaptive controller's handle for
+// "rpc:"+method, when the payload is at least MinSize, keeping the coding
+// only when it is smaller. Every transport owns one for its frames; a caller
+// that sends one request to several peers codes it once with its own Coder
+// and hands the same Body to each peer's client (Client.AppendCallBody). A
+// Coder serves one goroutine at a time and must not be used after Close.
+type Coder struct {
+	comp  Compression                 // filled
+	eng   codec.Engine                // nil = no static codec
+	pool  *codec.Pool                 // where eng came from, for Close
+	ahnd  map[string]*adaptive.Handle // method → class handle cache (comp.Adaptive set)
+	buf   []byte                      // coding scratch, which a compressed Body aliases
+	mbuf  []byte                      // method scratch for Code
+	stats *counters                   // the owning transport's; nil for a standalone Coder
+}
+
+// Body is a request as a Coder coded it: the bytes its frame carries — the
+// payload itself, or the payload's coding — with the method and the
+// Compression they were coded for. A compressed Body aliases its Coder's
+// scratch until that Coder's next Code; a raw one aliases the payload.
+type Body struct {
+	comp   Compression
+	method string
+	raw    int    // payload length, for the raw-bytes counters
+	wire   []byte // what the frame carries
+	flags  byte   // flagCompressed when wire is the coding
+}
+
+// errBodyCompression fails a call whose Body was coded for another link.
+var errBodyCompression = errors.New("rpc: body coded for a different compression")
+
+// NewCoder returns a Coder for comp.
+func NewCoder(comp Compression) (*Coder, error) {
+	c := new(Coder)
+	if err := c.init(comp); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+func (c *Coder) init(comp Compression) error {
+	comp.fill()
+	tm()
+	c.comp = comp
+	if comp.Adaptive != nil {
+		c.ahnd = make(map[string]*adaptive.Handle, 4)
+		return nil
+	}
+	if comp.Codec == "" {
+		return nil
+	}
+	cd, ok := codec.Lookup(comp.Codec)
+	if !ok {
+		return fmt.Errorf("rpc: unknown codec %q", comp.Codec)
+	}
+	level := comp.Level
+	if level == 0 {
+		_, _, level = cd.Levels()
+	}
+	pool, err := codec.SharedPool(comp.Codec, codec.Options{Level: level, Checksum: comp.Checksum})
+	if err != nil {
+		return err
+	}
+	c.pool = pool
+	c.eng = pool.Get()
+	return nil
+}
+
+// Close returns the Coder's engine to its pool. Safe to call more than once.
+func (c *Coder) Close() {
+	if c.pool != nil && c.eng != nil {
+		c.pool.Put(c.eng)
+		c.eng = nil
+		c.pool = nil
+	}
+}
+
+// Code codes payload for method. The coding's time counts once, in
+// rpc_compress_ns_total and an "rpc.compress" span under ctx's, however many
+// clients then send the Body.
+func (c *Coder) Code(ctx context.Context, method string, payload []byte) (Body, error) {
+	c.mbuf = append(c.mbuf[:0], method...)
+	b, err := c.code(c.mbuf, payload, trace.FromContext(ctx))
+	b.method = method
+	return b, err
+}
+
+// coding reports whether a payload of n bytes is coded at all.
+func (c *Coder) coding(n int) bool {
+	return (c.eng != nil || c.comp.Adaptive != nil) && n >= c.comp.MinSize
+}
+
+// code is the package's one coding step: payload as a frame for method
+// carries it, timed into rpc_compress_ns_total and the owning transport's
+// stats, with an "rpc.compress" span under parent.
+func (c *Coder) code(method, payload []byte, parent trace.SpanHandle) (Body, error) {
+	b := Body{comp: c.comp, raw: len(payload), wire: payload}
+	if !c.coding(len(payload)) {
+		return b, nil
+	}
+	sp := parent.Child("rpc.compress") // zero handle when untraced
+	t0 := time.Now()
+	var out []byte
+	var err error
+	if c.comp.Adaptive != nil {
+		var h *adaptive.Handle
+		if h, err = c.adaptiveHandle(method); err == nil {
+			out, err = h.Compress(c.buf[:0], payload)
+		}
+	} else {
+		out, err = c.eng.Compress(c.buf[:0], payload)
+	}
+	ns := time.Since(t0).Nanoseconds()
+	tmCompNS.Add(ns)
+	if c.stats != nil {
+		c.stats.compressNS.Add(ns)
+	}
+	if err != nil {
+		sp.End()
+		return Body{}, err
+	}
+	if cap(out) <= maxKeptBuffer {
+		c.buf = out
+	}
+	if len(out) < len(payload) {
+		b.wire, b.flags = out, flagCompressed
+	}
+	sp.SetInt("raw", int64(len(payload))).SetInt("wire", int64(len(b.wire))).End()
+	return b, nil
+}
+
+// adaptiveHandle resolves the class handle for a method, caching per Coder
+// so steady-state frames pay one map lookup (alloc-free: Go map reads with a
+// string([]byte) key do not copy).
+func (c *Coder) adaptiveHandle(method []byte) (*adaptive.Handle, error) {
+	if h, ok := c.ahnd[string(method)]; ok {
+		return h, nil
+	}
+	h, err := c.comp.Adaptive.Handle(adaptiveClassPrefix + string(method))
+	if err != nil {
+		return nil, err
+	}
+	c.ahnd[string(method)] = h
+	return h, nil
+}

@@ -64,9 +64,12 @@ type Compression struct {
 // adaptiveClassPrefix namespaces the per-method adaptive classes.
 const adaptiveClassPrefix = "rpc:"
 
+// defaultMinSize is MinSize when a Compression leaves it 0.
+const defaultMinSize = 256
+
 func (c *Compression) fill() {
 	if c.MinSize == 0 {
-		c.MinSize = 256
+		c.MinSize = defaultMinSize
 	}
 }
 
@@ -231,24 +234,20 @@ const (
 const readStep = 64 << 10
 
 // transport frames and (de)compresses messages on one connection.
-// The engine is single-goroutine (Client/Server serialize frame I/O), but
-// the stats counters are safe to read concurrently.
+// Its Coder (engine, adaptive handles, compression scratch) is
+// single-goroutine (Client/Server serialize frame I/O), but the stats
+// counters are safe to read concurrently.
 //
 // readFrame appends the payload to a buffer its caller owns — the server's
 // request scratch, or the dst of Client.AppendCall — so the transport itself
 // keeps only the method and compressed-wire scratch, and steady-state
 // framing allocates nothing once those buffers are warm.
 type transport struct {
+	Coder
 	r       *bufio.Reader
 	w       *bufio.Writer
-	eng     codec.Engine                // nil = no compression
-	pool    *codec.Pool                 // where eng came from, for release()
-	actrl   *adaptive.Controller        // non-nil = per-method adaptive compression
-	ahnd    map[string]*adaptive.Handle // method → class handle cache
-	min     int
 	shed    func() bool // when non-nil and true, skip compression (overload)
 	stats   counters
-	buf     []byte // compression scratch (write side)
 	mbuf    []byte // method scratch (read side)
 	rbuf    []byte // compressed-payload scratch (read side)
 	wmethod []byte // method scratch (write side, avoids string→[]byte churn)
@@ -271,61 +270,19 @@ type transport struct {
 }
 
 func newTransport(conn io.ReadWriter, comp Compression) (*transport, error) {
-	comp.fill()
-	tm()
 	t := &transport{
-		r:   bufio.NewReader(conn),
-		w:   bufio.NewWriter(conn),
-		min: comp.MinSize,
+		r: bufio.NewReader(conn),
+		w: bufio.NewWriter(conn),
 	}
-	if comp.Adaptive != nil {
-		t.actrl = comp.Adaptive
-		t.ahnd = make(map[string]*adaptive.Handle, 4)
-		return t, nil
+	if err := t.init(comp); err != nil {
+		return nil, err
 	}
-	if comp.Codec != "" {
-		c, ok := codec.Lookup(comp.Codec)
-		if !ok {
-			return nil, fmt.Errorf("rpc: unknown codec %q", comp.Codec)
-		}
-		level := comp.Level
-		if level == 0 {
-			_, _, level = c.Levels()
-		}
-		pool, err := codec.SharedPool(comp.Codec, codec.Options{Level: level, Checksum: comp.Checksum})
-		if err != nil {
-			return nil, err
-		}
-		t.pool = pool
-		t.eng = pool.Get()
-	}
+	t.Coder.stats = &t.stats
 	return t, nil
 }
 
 // release returns the engine to its pool. Safe to call more than once.
-func (t *transport) release() {
-	if t.pool != nil && t.eng != nil {
-		t.pool.Put(t.eng)
-		t.eng = nil
-		t.pool = nil
-	}
-}
-
-// adaptiveHandle resolves the class handle for a method, caching per
-// transport so steady-state frames pay one map lookup (alloc-free: Go map
-// reads with a string([]byte) key do not copy). Like eng, the cache is
-// touched only by the transport's owning goroutine.
-func (t *transport) adaptiveHandle(method []byte) (*adaptive.Handle, error) {
-	if h, ok := t.ahnd[string(method)]; ok {
-		return h, nil
-	}
-	h, err := t.actrl.Handle(adaptiveClassPrefix + string(method))
-	if err != nil {
-		return nil, err
-	}
-	t.ahnd[string(method)] = h
-	return h, nil
-}
+func (t *transport) release() { t.Close() }
 
 // frameSum hashes what the checksum covers: the trace field when present,
 // then method bytes, then the exact bytes that ride the wire as payload. A
@@ -339,46 +296,28 @@ func frameSum(trc, method, wire []byte) uint64 {
 	return d.Sum64()
 }
 
-// writeFrame sends flags, method and payload, compressing when worthwhile
-// and not shedding, and stamps the frame checksum. When a trace context is
-// staged (t.wsc), the frame carries it and flags it; the context is
-// consumed so response frames never echo it back.
+// writeFrame sends payload for method, coded unless the server is shedding
+// compression work.
 func (t *transport) writeFrame(flags byte, method, payload []byte) error {
-	wire := payload
-	if (t.eng != nil || t.actrl != nil) && len(payload) >= t.min {
-		if t.shed != nil && t.shed() {
-			tmShed.Inc()
-			t.cur.Event("rpc.shed")
-		} else {
-			sp := t.cur.Child("rpc.compress") // zero handle when untraced
-			t0 := time.Now()
-			var out []byte
-			var err error
-			if t.actrl != nil {
-				var h *adaptive.Handle
-				if h, err = t.adaptiveHandle(method); err == nil {
-					out, err = h.Compress(t.buf[:0], payload)
-				}
-			} else {
-				out, err = t.eng.Compress(t.buf[:0], payload)
-			}
-			ns := time.Since(t0).Nanoseconds()
-			t.stats.compressNS.Add(ns)
-			tmCompNS.Add(ns)
-			if err != nil {
-				sp.End()
-				return err
-			}
-			if cap(out) <= maxKeptBuffer {
-				t.buf = out
-			}
-			if len(out) < len(payload) {
-				wire = out
-				flags |= flagCompressed
-			}
-			sp.SetInt("raw", int64(len(payload))).SetInt("wire", int64(len(wire))).End()
-		}
+	if t.coding(len(payload)) && t.shed != nil && t.shed() {
+		tmShed.Inc()
+		t.cur.Event("rpc.shed")
+		return t.writeBody(flags, method, &Body{raw: len(payload), wire: payload})
 	}
+	b, err := t.code(method, payload, t.cur)
+	if err != nil {
+		return err
+	}
+	return t.writeBody(flags, method, &b)
+}
+
+// writeBody is the one frame writer: flags, method and the body's wire
+// bytes, stamped with the frame checksum and counted raw and wire. When a
+// trace context is staged (t.wsc), the frame carries it and flags it; the
+// context is consumed so response frames never echo it back.
+func (t *transport) writeBody(flags byte, method []byte, b *Body) error {
+	flags |= b.flags
+	wire := b.wire
 	var trc []byte
 	if t.wsc.Valid() {
 		trc = trace.AppendWire(t.tbuf[:0], t.wsc)
@@ -408,9 +347,9 @@ func (t *transport) writeFrame(flags byte, method, payload []byte) error {
 	if _, err := t.w.Write(wire); err != nil {
 		return err
 	}
-	t.stats.rawBytes.Add(int64(len(payload)))
+	t.stats.rawBytes.Add(int64(b.raw))
 	t.stats.wireBytes.Add(int64(len(wire)))
-	tmRawBytes.Add(int64(len(payload)))
+	tmRawBytes.Add(int64(b.raw))
 	tmWireBytes.Add(int64(len(wire)))
 	tmFrameBytes.Observe(int64(len(wire)))
 	return t.w.Flush()
@@ -546,14 +485,14 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload []byte, e
 	t.stats.wireBytes.Add(int64(len(wire)))
 	tmWireBytes.Add(int64(len(wire)))
 	if compressed {
-		if t.eng == nil && t.actrl == nil {
+		if t.eng == nil && t.comp.Adaptive == nil {
 			return 0, nil, nil, aligned(corruptFrame(fmt.Errorf("%w: compressed frame on uncompressed transport", ErrCorrupt)))
 		}
 		sp := t.cur.Child("rpc.decompress") // zero handle when untraced
 		t0 := time.Now()
 		var out []byte
 		var err error
-		if t.actrl != nil {
+		if t.comp.Adaptive != nil {
 			var h *adaptive.Handle
 			if h, err = t.adaptiveHandle(mbuf); err == nil {
 				out, err = h.Decompress(dst, wire)
@@ -583,7 +522,7 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload []byte, e
 func EncodeFrame(flags byte, method string, payload []byte) []byte {
 	tm()
 	var buf bytes.Buffer
-	t := &transport{w: bufio.NewWriter(&buf), min: int(^uint(0) >> 1)}
+	t := &transport{w: bufio.NewWriter(&buf)}
 	if err := t.writeFrame(flags, []byte(method), payload); err != nil {
 		// A bytes.Buffer write cannot fail; a failure here is a programming
 		// error in the frame writer itself.
@@ -598,7 +537,7 @@ func EncodeFrame(flags byte, method string, payload []byte) []byte {
 func EncodeFrameWithTrace(flags byte, method string, payload []byte, sc trace.SpanContext) []byte {
 	tm()
 	var buf bytes.Buffer
-	t := &transport{w: bufio.NewWriter(&buf), min: int(^uint(0) >> 1)}
+	t := &transport{w: bufio.NewWriter(&buf)}
 	t.wsc = sc
 	if err := t.writeFrame(flags, []byte(method), payload); err != nil {
 		panic(err)
