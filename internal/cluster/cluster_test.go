@@ -48,6 +48,16 @@ func (n *Node) forget(key []byte) {
 	n.putMu.Unlock()
 }
 
+// endExhaustive ends the version table's claim to hold every stored key,
+// as an eviction or a Store() call does in the node's own life: from here
+// on a key the table lacks is read from the store on its next put or
+// digest.
+func (n *Node) endExhaustive() {
+	n.putMu.Lock()
+	n.exhaustive = false
+	n.putMu.Unlock()
+}
+
 func TestClusterPutGetDelete(t *testing.T) {
 	c := testCluster(t, 3)
 	for i := 0; i < 100; i++ {
