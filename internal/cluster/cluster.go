@@ -698,9 +698,10 @@ func (c *Cluster) Stats() Stats {
 	}
 }
 
-// clientPool is a fixed-size pool of rpc clients to one node. Clients
-// redial through the node's Dial, so a restarted node reconnects
-// transparently on the next call.
+// clientPool is a fixed-size pool of rpc clients to one node. A client
+// whose call failed is closed, not pooled, and the pool dials the node
+// afresh when it runs dry: after a node restarts, each client left on a
+// dead connection fails one call and is replaced.
 type clientPool struct {
 	node *Node
 	ch   chan *rpc.Client
@@ -719,7 +720,7 @@ func (p *clientPool) acquire(ctx context.Context) (*rpc.Client, error) {
 		return cl, nil
 	default:
 	}
-	dial := func(ctx context.Context) (io.ReadWriter, error) { return p.node.Dial(ctx) }
+	dial := p.node.Dial
 	if p.c.cfg.dialWrap != nil {
 		dial = p.c.cfg.dialWrap(p.node.Name(), dial)
 	}
@@ -727,9 +728,7 @@ func (p *clientPool) acquire(ctx context.Context) (*rpc.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rpc.NewClient(conn, p.c.cfg.comp, rpc.WithRedial(func(ctx context.Context) (io.ReadWriter, error) {
-		return dial(ctx)
-	}))
+	return rpc.NewClient(conn, p.c.cfg.comp)
 }
 
 func (p *clientPool) release(cl *rpc.Client) {
@@ -755,8 +754,8 @@ func (p *clientPool) call(ctx context.Context, dst []byte, method string, req []
 		resp, err = cl.AppendCall(ctx, dst, method, req)
 	}
 	if err != nil {
-		// A dead connection (node stop/crash) poisons the client; drop it
-		// so the next call dials fresh.
+		// A dead or desynced connection (node stop or crash, a corrupt
+		// frame) poisons the client; drop it so a later call dials fresh.
 		cl.Close()
 		return dst, err
 	}

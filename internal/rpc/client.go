@@ -12,133 +12,47 @@ import (
 )
 
 // RemoteError is a handler-side failure relayed to the caller. It proves
-// the transport worked end to end, so it never trips the circuit breaker
-// and is never retried.
+// the transport worked end to end: the connection stays usable.
 type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return e.Msg }
 
-// ErrCircuitOpen is returned by Call when the per-connection circuit
-// breaker is open: recent calls failed at the transport layer, and the
-// cooldown has not elapsed.
-var ErrCircuitOpen = errors.New("rpc: circuit breaker open")
+// ErrBroken is returned by a call on a client whose connection lost frame
+// alignment: an earlier call failed mid-frame, so where the next frame
+// starts is unknown. The client sends nothing more; close it and dial
+// again.
+var ErrBroken = errors.New("rpc: connection desynchronized")
 
 // ErrClientClosed is returned by Call after Close.
 var ErrClientClosed = errors.New("rpc: client closed")
 
-// RetryPolicy configures automatic retries of failed calls. Only transport
-// failures retry (RemoteError means the request was executed); only
-// methods the Idempotent predicate approves retry, because a transport
-// error leaves it unknown whether the server ran the request.
-type RetryPolicy struct {
-	// Max is the number of retries after the initial attempt.
-	Max int
-	// Backoff is the delay before the first retry, doubling each retry
-	// (default 10ms).
-	Backoff time.Duration
-	// MaxBackoff caps the doubling (default 1s).
-	MaxBackoff time.Duration
-	// Idempotent reports whether a method is safe to re-execute. Nil
-	// disables retries entirely.
-	Idempotent func(method string) bool
-}
-
-func (p *RetryPolicy) fill() {
-	if p.Backoff <= 0 {
-		p.Backoff = 10 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = time.Second
-	}
-}
-
-// delay returns the backoff before retry number n (1-based), deterministic
-// exponential growth capped at MaxBackoff.
-func (p *RetryPolicy) delay(n int) time.Duration {
-	d := p.Backoff
-	for i := 1; i < n; i++ {
-		d *= 2
-		if d >= p.MaxBackoff {
-			return p.MaxBackoff
-		}
-	}
-	if d > p.MaxBackoff {
-		return p.MaxBackoff
-	}
-	return d
-}
-
-// BreakerPolicy configures the per-connection circuit breaker: after
-// Threshold consecutive transport failures the breaker opens and calls
-// fail fast with ErrCircuitOpen until Cooldown elapses, after which a
-// single probe call is let through (half-open).
-type BreakerPolicy struct {
-	// Threshold is the consecutive-failure count that opens the breaker;
-	// 0 disables it.
-	Threshold int
-	// Cooldown is how long the breaker stays open (default 1s).
-	Cooldown time.Duration
-}
-
-func (p *BreakerPolicy) fill() {
-	if p.Cooldown <= 0 {
-		p.Cooldown = time.Second
-	}
-}
-
 // ClientOption configures a Client.
 type ClientOption func(*Client)
 
-// WithRetry enables automatic retries per policy.
-func WithRetry(p RetryPolicy) ClientOption {
-	return func(c *Client) { p.fill(); c.retry = p }
-}
-
-// WithBreaker enables the per-connection circuit breaker.
-func WithBreaker(p BreakerPolicy) ClientOption {
-	return func(c *Client) { p.fill(); c.breaker = p }
-}
-
-// WithRedial installs a dialer used to replace the connection after a
-// transport failure desynchronizes it. Without one, a desynced client
-// fails all subsequent calls.
-func WithRedial(dial func(ctx context.Context) (io.ReadWriter, error)) ClientOption {
-	return func(c *Client) { c.redial = dial }
-}
-
 // WithTracer enables request tracing: sampled calls get an "rpc.call" span
-// (a child of the context's active span, or a new root), the frame carries
-// the span context so the server's half stitches under it, and retries and
-// breaker rejections surface as span events. A nil tracer is a no-op.
+// (a child of the context's active span, or a new root), and the frame
+// carries the span context so the server's half stitches under it. A nil
+// tracer is a no-op.
 func WithTracer(tr *trace.Tracer) ClientOption {
 	return func(c *Client) { c.tracer = tr }
 }
 
-// Client issues calls over one connection. Safe for concurrent use; calls
-// are serialized.
+// Client issues calls over one connection, one request/response exchange
+// per call. Safe for concurrent use; calls are serialized.
 type Client struct {
-	comp    Compression
-	retry   RetryPolicy
-	breaker BreakerPolicy
-	redial  func(ctx context.Context) (io.ReadWriter, error)
-	tracer  *trace.Tracer
-	now     func() time.Time // injectable for breaker tests
+	comp   Compression
+	tracer *trace.Tracer
+	conn   io.ReadWriter
+	t      *transport
 
 	mu     sync.Mutex
-	t      *transport
-	conn   io.ReadWriter
 	closed bool
-	broken bool // stream desynced; conn unusable until redial
-	folded counters
-
-	fails     int // consecutive transport failures (breaker input)
-	openUntil time.Time
+	broken bool // stream desynced: later calls fail with ErrBroken
 
 	// The cancellation watch: one context.AfterFunc per distinct Done
 	// channel, kept until Close or until a call arrives on another channel.
-	// wmu orders the callback against call entry and exit, and against a
-	// redial swapping conn; it is never held across I/O, so the callback
-	// does not wait behind a call holding mu.
+	// wmu orders the callback against call entry and exit; it is never held
+	// across I/O, so the callback does not wait behind a call holding mu.
 	wmu      sync.Mutex
 	wdone    <-chan struct{} // Done channel the watch is registered for
 	wstop    func() bool     // unregisters it
@@ -150,7 +64,7 @@ type Client struct {
 // Compression configuration.
 func NewClient(conn io.ReadWriter, comp Compression, opts ...ClientOption) (*Client, error) {
 	comp.fill()
-	c := &Client{comp: comp, conn: conn, now: time.Now}
+	c := &Client{comp: comp, conn: conn}
 	for _, o := range opts {
 		o(c)
 	}
@@ -178,17 +92,9 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// Stats returns the client's traffic counters, including traffic on
-// connections since replaced by redials. Safe to call concurrently with
-// in-flight Calls.
-func (c *Client) Stats() Stats {
-	c.mu.Lock()
-	var agg counters
-	c.folded.foldInto(&agg)
-	c.t.stats.foldInto(&agg)
-	c.mu.Unlock()
-	return agg.snapshot()
-}
+// Stats returns the client's traffic counters. Safe to call concurrently
+// with in-flight Calls.
+func (c *Client) Stats() Stats { return c.t.stats.snapshot() }
 
 // Call sends a request and waits for its response, returned in a fresh
 // slice: AppendCall(ctx, nil, method, req).
@@ -202,9 +108,8 @@ func (c *Client) Call(ctx context.Context, method string, req []byte) ([]byte, e
 // per call once it is large enough. dst's spare capacity is overwritten, so
 // it must not hold req. On error it returns dst unchanged. The context's
 // deadline and cancellation propagate into the connection I/O when the
-// connection is a net.Conn; transport failures on idempotent methods retry
-// with exponential backoff per the client's RetryPolicy. The request is
-// coded once, whatever the retries.
+// connection is a net.Conn. A failure that leaves the stream position
+// unknown breaks the client: later calls fail with ErrBroken.
 func (c *Client) AppendCall(ctx context.Context, dst []byte, method string, req []byte) ([]byte, error) {
 	return c.appendCall(ctx, dst, method, req, nil)
 }
@@ -268,130 +173,33 @@ func (c *Client) traceCall(ctx context.Context, method string) (context.Context,
 	return trace.ContextWith(ctx, span), span
 }
 
-// callLocked runs the breaker gate, codes req when no body is given, and
-// runs the retry loop under c.mu. Every attempt sends the one body and
-// appends to dst afresh.
+// callLocked codes req when no body is given and runs the one exchange
+// under c.mu.
 func (c *Client) callLocked(ctx context.Context, dst []byte, method string, req []byte, body *Body, span trace.SpanHandle) ([]byte, error) {
-	if err := c.gate(); err != nil {
-		span.Event("rpc.breaker_fastfail")
+	if c.broken {
+		return nil, ErrBroken
+	}
+	if err := ctx.Err(); err != nil {
+		tmDeadline.Inc()
 		return nil, err
 	}
+	c.t.wmethod = append(c.t.wmethod[:0], method...)
 	if body == nil {
-		c.t.wmethod = append(c.t.wmethod[:0], method...)
 		b, err := c.t.code(c.t.wmethod, req, span)
 		if err != nil {
 			return nil, err
 		}
 		body = &b
 	}
-
-	retryable := c.retry.Max > 0 && c.retry.Idempotent != nil && c.retry.Idempotent(method)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			tmDeadline.Inc()
-			return nil, err
-		}
-		if attempt > 0 {
-			tmRetries.Inc()
-			span.Event("rpc.retry").SetInt("attempt", int64(attempt))
-			if err := sleepCtx(ctx, c.retry.delay(attempt)); err != nil {
-				tmDeadline.Inc()
-				return nil, err
-			}
-		}
-		if c.broken {
-			if err := c.redialLocked(ctx); err != nil {
-				lastErr = err
-				c.recordFailure()
-				if !retryable || attempt >= c.retry.Max {
-					return nil, lastErr
-				}
-				continue
-			}
-		}
-		resp, err := c.attempt(ctx, dst, method, body, span)
-		if err == nil {
-			c.recordSuccess()
-			return resp, nil
-		}
-		var re *RemoteError
-		if errors.As(err, &re) {
-			// The transport delivered both frames; only the handler failed.
-			c.recordSuccess()
-			return nil, err
-		}
-		c.recordFailure()
-		if c.fails == c.breaker.Threshold && c.breaker.Threshold > 0 {
-			span.Event("rpc.breaker_open")
-		}
-		lastErr = err
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, lastErr
-		}
-		if !retryable || attempt >= c.retry.Max {
-			return nil, lastErr
-		}
-		if c.broken && c.redial == nil {
-			return nil, lastErr // nothing left to retry on
-		}
-	}
+	return c.exchange(ctx, dst, body, span)
 }
 
-// gate enforces the circuit breaker at call entry: open → fast fail;
-// cooldown elapsed → allow one half-open probe.
-func (c *Client) gate() error {
-	if c.breaker.Threshold <= 0 || c.fails < c.breaker.Threshold {
-		return nil
-	}
-	if c.now().Before(c.openUntil) {
-		tmBreakerFastFail.Inc()
-		return ErrCircuitOpen
-	}
-	return nil // half-open probe
-}
-
-func (c *Client) recordSuccess() { c.fails = 0 }
-
-func (c *Client) recordFailure() {
-	c.fails++
-	if c.breaker.Threshold > 0 && c.fails >= c.breaker.Threshold {
-		if c.fails == c.breaker.Threshold {
-			tmBreakerOpen.Inc()
-		}
-		c.openUntil = c.now().Add(c.breaker.Cooldown)
-	}
-}
-
-// redialLocked replaces a desynced connection via the configured dialer,
-// folding the dead transport's stats into the client total.
-func (c *Client) redialLocked(ctx context.Context) error {
-	if c.redial == nil {
-		return errors.New("rpc: connection desynchronized and no redialer configured")
-	}
-	conn, err := c.redial(ctx)
-	if err != nil {
-		return err
-	}
-	t, err := newTransport(conn, c.comp)
-	if err != nil {
-		return err
-	}
-	c.t.stats.foldInto(&c.folded)
-	c.t.release()
-	c.t = t
-	c.wmu.Lock() // the watch callback reads conn
-	c.conn = conn
-	c.wmu.Unlock()
-	c.broken = false
-	return nil
-}
-
-// attempt performs one request/response exchange with ctx deadlines armed
-// on the connection, and marks the client broken when the error leaves the
-// stream position unknown. A traced attempt stages the span context onto
-// the request frame and parents the transport's codec spans.
-func (c *Client) attempt(ctx context.Context, dst []byte, method string, body *Body, span trace.SpanHandle) ([]byte, error) {
+// exchange writes the request frame for the method in c.t.wmethod and reads
+// the reply with ctx's deadline armed on the connection, and marks the
+// client broken when the error leaves the stream position unknown. A traced
+// call stages the span context onto the request frame and parents the
+// transport's codec spans.
+func (c *Client) exchange(ctx context.Context, dst []byte, body *Body, span trace.SpanHandle) ([]byte, error) {
 	if nc, ok := c.conn.(net.Conn); ok {
 		c.enter(ctx, nc)
 		defer c.exit(nc)
@@ -399,15 +207,8 @@ func (c *Client) attempt(ctx context.Context, dst []byte, method string, body *B
 	if span.Valid() {
 		c.t.cur = span
 		c.t.wsc = span.Context()
+		defer func() { c.t.cur, c.t.wsc = trace.SpanHandle{}, trace.SpanContext{} }()
 	}
-	resp, err := c.exchange(ctx, dst, method, body)
-	c.t.cur = trace.SpanHandle{}
-	c.t.wsc = trace.SpanContext{}
-	return resp, err
-}
-
-func (c *Client) exchange(ctx context.Context, dst []byte, method string, body *Body) ([]byte, error) {
-	c.t.wmethod = append(c.t.wmethod[:0], method...)
 	if err := c.t.writeBody(0, c.t.wmethod, body); err != nil {
 		c.broken = true
 		return nil, c.ctxErr(ctx, err)
@@ -450,7 +251,7 @@ func (c *Client) ctxErr(ctx context.Context, err error) error {
 // pastDeadline is the deadline that fails a blocked read or write at once.
 var pastDeadline = time.Unix(1, 0)
 
-// enter projects ctx onto nc for one attempt: the deadline is set up front,
+// enter projects ctx onto nc for one call: the deadline is set up front,
 // and the call is marked in flight on ctx's Done channel so that channel's
 // watch can force a past deadline if ctx ends mid-call. The watch is
 // registered only when the channel differs from the last call's, so a
@@ -482,7 +283,7 @@ func (c *Client) enter(ctx context.Context, nc net.Conn) {
 	}
 }
 
-// exit ends the attempt's projection. Clearing the deadline under wmu, with
+// exit ends the call's projection. Clearing the deadline under wmu, with
 // the call no longer in flight, means a watch callback either ran before the
 // clear or finds nothing to do: a late callback never poisons the next call.
 func (c *Client) exit(nc net.Conn) {
@@ -499,20 +300,5 @@ func (c *Client) cancelled(done <-chan struct{}) {
 	defer c.wmu.Unlock()
 	if c.inflight == done {
 		c.conn.(net.Conn).SetDeadline(pastDeadline)
-	}
-}
-
-// sleepCtx sleeps for d or until ctx is done, whichever is first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 }

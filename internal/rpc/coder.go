@@ -99,17 +99,12 @@ func (c *Coder) Code(ctx context.Context, method string, payload []byte) (Body, 
 	return b, err
 }
 
-// coding reports whether a payload of n bytes is coded at all.
-func (c *Coder) coding(n int) bool {
-	return (c.eng != nil || c.comp.Adaptive != nil) && n >= c.comp.MinSize
-}
-
 // code is the package's one coding step: payload as a frame for method
 // carries it, timed into rpc_compress_ns_total and the owning transport's
 // stats, with an "rpc.compress" span under parent.
 func (c *Coder) code(method, payload []byte, parent trace.SpanHandle) (Body, error) {
 	b := Body{comp: c.comp, raw: len(payload), wire: payload}
-	if !c.coding(len(payload)) {
+	if c.eng == nil && c.comp.Adaptive == nil || len(payload) < c.comp.MinSize {
 		return b, nil
 	}
 	sp := parent.Child("rpc.compress") // zero handle when untraced

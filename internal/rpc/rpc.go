@@ -10,9 +10,10 @@
 // the codec entirely, as fleet services do). The serving path is hardened
 // for production failure modes: corrupt frames surface as ErrCorrupt (never
 // a panic or a silently wrong payload), Client.Call takes a context whose
-// deadline propagates into the connection, idempotent methods retry with
-// exponential backoff behind a per-connection circuit breaker, and an
-// overloaded server sheds compression work past a queue-depth threshold.
+// deadline propagates into the connection, and a client whose stream lost
+// frame alignment refuses further calls with ErrBroken, so its caller dials
+// a fresh connection. Recovery beyond that is the caller's: the cluster
+// answers a failed replica call with quorum and a fresh client.
 //
 // Both ends account raw vs wire bytes and codec time with atomic counters
 // and publish into the shared telemetry registry. Transports draw engines
@@ -154,20 +155,16 @@ func (c *counters) foldInto(dst *counters) {
 
 // Package-level telemetry, registered once on first transport creation.
 var (
-	tmOnce            sync.Once
-	tmCalls           *telemetry.Counter
-	tmRawBytes        *telemetry.Counter
-	tmWireBytes       *telemetry.Counter
-	tmCompNS          *telemetry.Counter
-	tmDecompNS        *telemetry.Counter
-	tmFrameBytes      *telemetry.Histogram
-	tmCallNS          *telemetry.Histogram
-	tmCorrupt         *telemetry.Counter
-	tmRetries         *telemetry.Counter
-	tmBreakerOpen     *telemetry.Counter
-	tmBreakerFastFail *telemetry.Counter
-	tmShed            *telemetry.Counter
-	tmDeadline        *telemetry.Counter
+	tmOnce       sync.Once
+	tmCalls      *telemetry.Counter
+	tmRawBytes   *telemetry.Counter
+	tmWireBytes  *telemetry.Counter
+	tmCompNS     *telemetry.Counter
+	tmDecompNS   *telemetry.Counter
+	tmFrameBytes *telemetry.Histogram
+	tmCallNS     *telemetry.Histogram
+	tmCorrupt    *telemetry.Counter
+	tmDeadline   *telemetry.Counter
 )
 
 func tm() {
@@ -183,10 +180,6 @@ func tm() {
 		// Exemplars link a tail-latency bucket to the trace that landed there.
 		tmCallNS.EnableExemplars()
 		tmCorrupt = r.Counter("rpc_corrupt_frames_total", "frames failing integrity verification")
-		tmRetries = r.Counter("rpc_retries_total", "retried client calls")
-		tmBreakerOpen = r.Counter("rpc_breaker_open_total", "circuit breaker open transitions")
-		tmBreakerFastFail = r.Counter("rpc_breaker_fastfail_total", "calls rejected by an open circuit breaker")
-		tmShed = r.Counter("rpc_shed_frames_total", "response frames sent uncompressed due to load shedding")
 		tmDeadline = r.Counter("rpc_deadline_exceeded_total", "calls failed by context deadline or cancellation")
 	})
 }
@@ -246,13 +239,12 @@ type transport struct {
 	Coder
 	r       *bufio.Reader
 	w       *bufio.Writer
-	shed    func() bool // when non-nil and true, skip compression (overload)
 	stats   counters
 	mbuf    []byte // method scratch (read side)
 	rbuf    []byte // compressed-payload scratch (read side)
 	wmethod []byte // method scratch (write side, avoids string→[]byte churn)
 
-	// Tracing state. cur is the span the owner (Client.Call attempt or
+	// Tracing state. cur is the span the owner (a Client call or the
 	// server request loop) is inside of; the frame codecs hang their
 	// compress/decompress spans off it. wsc is the span context the next
 	// outbound frame should carry; rsc is what the last inbound frame
@@ -296,14 +288,8 @@ func frameSum(trc, method, wire []byte) uint64 {
 	return d.Sum64()
 }
 
-// writeFrame sends payload for method, coded unless the server is shedding
-// compression work.
+// writeFrame codes payload for method and sends it.
 func (t *transport) writeFrame(flags byte, method, payload []byte) error {
-	if t.coding(len(payload)) && t.shed != nil && t.shed() {
-		tmShed.Inc()
-		t.cur.Event("rpc.shed")
-		return t.writeBody(flags, method, &Body{raw: len(payload), wire: payload})
-	}
 	b, err := t.code(method, payload, t.cur)
 	if err != nil {
 		return err

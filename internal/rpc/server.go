@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/datacomp/datacomp/internal/trace"
@@ -39,15 +38,6 @@ func Func(h func(req []byte) ([]byte, error)) HandlerFunc {
 // ServerOption configures a Server.
 type ServerOption func(*Server)
 
-// WithShedThreshold enables load shedding: while more than n requests are
-// in flight across the server's connections, responses skip compression
-// and go out as raw payloads. Compression is the serving path's main CPU
-// cost, so shedding it converts an overloaded server into a
-// more-bytes-but-alive one instead of a queue collapse. 0 disables.
-func WithShedThreshold(n int) ServerOption {
-	return func(s *Server) { s.shedAt = int64(n) }
-}
-
 // WithServerTracer enables server-side tracing: requests whose frame
 // carries a sampled trace context get an "rpc.serve" span recorded as the
 // local half of the caller's trace (stitched by trace ID at export). A nil
@@ -58,10 +48,8 @@ func WithServerTracer(tr *trace.Tracer) ServerOption {
 
 // Server dispatches method handlers over any number of connections.
 type Server struct {
-	comp     Compression
-	shedAt   int64 // inflight threshold; 0 = never shed
-	tracer   *trace.Tracer
-	inflight atomic.Int64
+	comp   Compression
+	tracer *trace.Tracer
 
 	mu       sync.RWMutex
 	handlers map[string]handler
@@ -112,12 +100,6 @@ func (s *Server) register(method string, h handler) {
 	s.handlers[method] = h
 }
 
-// shedding reports whether response compression should be skipped right
-// now. Called by the transport on every response write.
-func (s *Server) shedding() bool {
-	return s.shedAt > 0 && s.inflight.Load() > s.shedAt
-}
-
 // Serve accepts connections until the listener closes. Each connection is
 // served under ctx; when ctx ends, in-flight connections unblock.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
@@ -147,7 +129,6 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 	if err != nil {
 		return err
 	}
-	t.shed = s.shedding
 	s.mu.Lock()
 	s.live[t] = struct{}{}
 	s.mu.Unlock()
@@ -188,7 +169,6 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 			return err
 		}
 		reqBuf = req
-		s.inflight.Add(1)
 		// A sampled inbound trace context opens this request's server-half
 		// span; the handler sees it via ctx, and the response-compress span
 		// nests under it through t.cur.
@@ -227,7 +207,6 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 			serve.End()
 			t.cur = trace.SpanHandle{}
 		}
-		s.inflight.Add(-1)
 		if err != nil {
 			return err
 		}

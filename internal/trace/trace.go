@@ -5,10 +5,10 @@
 //
 // The fleet characterization the paper performs attributes *aggregate*
 // cycles to codec stages; serving a latency SLO needs *per-request*
-// attribution — which codec call, retry, shed response, or container block
+// attribution — which codec call, rpc hop, failed call or container block
 // put one request into the p999 bucket. Spans answer that: every sampled
-// request carries a trace through rpc framing, codec calls, retries, and
-// container block pipelines, and the histogram exemplars
+// request carries a trace through rpc framing, codec calls and container
+// block pipelines, and the histogram exemplars
 // in internal/telemetry link tail buckets back to the offending trace.
 //
 // Design constraints, in order:
@@ -290,9 +290,9 @@ func (h SpanHandle) Child(name string) SpanHandle {
 	return h.tr.startSpan(sp.ID, name)
 }
 
-// Event records an instantaneous (zero-duration) child span — the shape
-// used for shed responses, retries, and breaker transitions. The
-// returned handle accepts attributes.
+// Event records an instantaneous (zero-duration) child span, a point in
+// time worth marking inside a span. The returned handle accepts
+// attributes.
 func (h SpanHandle) Event(name string) SpanHandle {
 	e := h.Child(name)
 	if e.Valid() {
