@@ -8,6 +8,7 @@ import (
 
 	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/corpus"
+	"github.com/datacomp/datacomp/internal/kvstore"
 )
 
 // countedLZ4 is lz4 under another name, counting the payloads it compresses.
@@ -36,9 +37,12 @@ func (e countingEngine) Compress(dst, src []byte) ([]byte, error) {
 
 // BenchmarkClusterPut is a warm three-node cluster's put of a 1 KiB corpus
 // record over links coded as the default ones (lz4-1 with checksums),
-// through a codec that counts its calls: codings/put is how many times one
-// put's kv.put request is coded. Coding it per replica client reads 3;
-// coding it once per fan-out reads 1.
+// through a codec that counts its calls and that the nodes' WALs use too,
+// as the default links and WALs share lz4. codings/put is how many times one
+// put's kv.put request is coded for the links: coding it per replica client
+// reads 3, once per fan-out 1. walcodings/put is how many times the
+// replicas code it again for their logs (the stores' WALCoded): 3 when each
+// codes its record, 0 when each log keeps the link's coding.
 func BenchmarkClusterPut(b *testing.B) {
 	countedOnce.Do(func() {
 		lz4, ok := codec.Lookup("lz4")
@@ -49,7 +53,7 @@ func BenchmarkClusterPut(b *testing.B) {
 	})
 	link := defaultCompression
 	link.Codec = countedLZ4
-	c := New(WithCompression(link))
+	c := New(WithCompression(link), WithNodeDefaults(WithNodeStoreOptions(kvstore.WithWALCodec(countedLZ4))))
 	defer c.Close()
 	for i := 0; i < replication; i++ {
 		if _, err := c.AddNode(tctx, fmt.Sprintf("node-%d", i)); err != nil {
@@ -73,12 +77,24 @@ func BenchmarkClusterPut(b *testing.B) {
 	for i := 0; i < keyCount; i++ { // every key stored once, every buffer warm
 		put(i)
 	}
-	before := codings.Load()
+	walCoded := func() (n int64) {
+		for _, node := range c.nodes {
+			db, err := node.store()
+			if err != nil {
+				b.Fatal(err)
+			}
+			n += db.Stats().WALCoded
+		}
+		return n
+	}
+	before, walBefore := codings.Load(), walCoded()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		put(i)
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(codings.Load()-before)/float64(b.N), "codings/put")
+	wal := walCoded() - walBefore
+	b.ReportMetric(float64(codings.Load()-before-wal)/float64(b.N), "codings/put")
+	b.ReportMetric(float64(wal)/float64(b.N), "walcodings/put")
 }

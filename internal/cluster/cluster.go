@@ -418,7 +418,7 @@ func (c *Cluster) Delete(ctx context.Context, key []byte) error {
 	cmDeletes.Inc()
 	version := c.NextVersion()
 	return c.writeQuorum(ctx, key, MethodDelete, func(dst []byte) []byte {
-		return binary.LittleEndian.AppendUint64(appendKeyRecord(dst, key, nil), version)
+		return appendDeleteRequest(dst, key, version)
 	})
 }
 

@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
+
+	"github.com/datacomp/datacomp/internal/corpus"
 )
 
 var tctx = context.Background()
@@ -260,6 +263,84 @@ func TestClusterNodeCrashNoLostAckedWrites(t *testing.T) {
 	// And the recovered node holds real data locally for its keys.
 	if db := crashed.Store(); db == nil || db.Seq() == 0 {
 		t.Fatal("restarted node recovered nothing")
+	}
+}
+
+// TestClusterCodedWALCrashRestart makes puts over the default links (lz4-1,
+// the WAL codec too) and crashes a node: every replica log keeps the link's
+// coding of each put that arrived coded and codes the rest itself — records
+// below MinSize, incompressible ones and tombstones — and the restarted node
+// replays both into exactly the acked records.
+func TestClusterCodedWALCrashRestart(t *testing.T) {
+	c := testCluster(t, 3)
+	incompressible := make([]byte, 1<<10)
+	rand.New(rand.NewSource(1)).Read(incompressible)
+	want := map[string][]byte{}
+	linkCoded := 0 // puts each replica should log as the link coded them
+	for i := 0; i < 240; i++ {
+		key := fmt.Sprintf("coded-%03d", i%200) // the last 40 overwrite
+		var value []byte
+		switch i % 4 {
+		case 0:
+			value = corpus.Records(int64(i), 64) // below MinSize
+		case 1:
+			value = append(append([]byte{}, incompressible...), byte(i)) // not smaller coded
+		default:
+			value = corpus.Records(int64(i), 600+7*i)
+			linkCoded++
+		}
+		if err := c.Put(tctx, []byte(key), value); err != nil {
+			t.Fatalf("put %s: %v", key, err)
+		}
+		want[key] = value
+		if i%25 == 24 {
+			if err := c.Delete(tctx, []byte(key)); err != nil {
+				t.Fatalf("delete %s: %v", key, err)
+			}
+			delete(want, key)
+		}
+	}
+	for _, name := range []string{"node-0", "node-1", "node-2"} {
+		db, err := c.Node(name).store()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := db.Stats(); st.WALAppends-st.WALCoded != int64(linkCoded) {
+			t.Fatalf("%s logged %d of %d records as they arrived, want the %d coded puts", name, st.WALAppends-st.WALCoded, st.WALAppends, linkCoded)
+		}
+	}
+
+	crashed := c.Node("node-1")
+	before, err := crashed.store()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := before.Seq()
+	crashed.Crash()
+	if err := crashed.Restart(tctx); err != nil {
+		t.Fatal(err)
+	}
+	db, err := crashed.store()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Seq() != seq || db.Stats().ReplayedBatches != int64(seq) {
+		t.Fatalf("restart replayed %d batches to seq %d, want all %d", db.Stats().ReplayedBatches, db.Seq(), seq)
+	}
+	for i := 0; i < 200; i++ {
+		key := fmt.Sprintf("coded-%03d", i)
+		raw, ok, err := db.Get(tctx, []byte(key))
+		if err != nil || !ok {
+			t.Fatalf("%s: restarted replica lost its record: ok=%v err=%v", key, ok, err)
+		}
+		rec, valid := validRecord(raw)
+		if v, live := want[key]; !valid || rec.tombstone == live || live && !bytes.Equal(rec.payload, v) {
+			t.Fatalf("%s: replica replayed a wrong record (valid %v, tombstone %v)", key, valid, rec.tombstone)
+		}
+		v, ok, err := c.Get(tctx, []byte(key))
+		if err != nil || ok != (want[key] != nil) || !bytes.Equal(v, want[key]) {
+			t.Fatalf("get %s after restart: %d bytes ok=%v err=%v", key, len(v), ok, err)
+		}
 	}
 }
 

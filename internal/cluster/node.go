@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"net"
 	"slices"
 	"sync"
@@ -20,8 +19,10 @@ import (
 // RPC method names a node serves. Exported as constants so clients and
 // servers can never drift on the string.
 const (
-	// MethodPut stores a versioned record: uvarint klen | key | record.
-	// The node applies it only if the version exceeds the stored one, so
+	// MethodPut stores a versioned record. The request is a kvstore batch
+	// body holding the one put key→record (kvstore.AppendPutHead), so a
+	// replica's WAL can keep the coding it arrived in (DESIGN.md §6). The
+	// node applies it only if the version exceeds the stored one, so
 	// replays and retries are idempotent.
 	MethodPut = "kv.put"
 	// MethodGet fetches the record for a key: request is the raw key,
@@ -212,7 +213,7 @@ func (n *Node) start(ctx context.Context) error {
 		return err
 	}
 	srv := rpc.NewServer(n.cfg.comp)
-	srv.Register(MethodPut, n.handlePut)
+	srv.RegisterCoded(MethodPut, n.handlePut)
 	srv.RegisterAppend(MethodGet, n.handleGet)
 	srv.RegisterAppend(MethodDigest, n.handleDigest)
 	srv.Register(MethodDelete, n.handleDelete)
@@ -372,8 +373,14 @@ func (n *Node) PutStats() PutStats {
 // writers, read-repair and rebalance re-puts at or below the entry): the
 // stored record is read and only a checksum-valid one of an equal or higher
 // version vetoes the write.
-func (n *Node) handlePut(ctx context.Context, req []byte) ([]byte, error) {
-	key, rest, err := splitKey(req)
+//
+// The store commits req, a batch body, with the coding it arrived in: when
+// the link's codec is the WAL's (lz4 on the default links), the log keeps
+// those bytes and no replica codes the record again. A request that came
+// uncoded, or coded by an adaptive link or another codec, the store codes
+// itself.
+func (n *Node) handlePut(ctx context.Context, req []byte, coded rpc.Coded) ([]byte, error) {
+	key, rest, err := kvstore.ParsePutBody(req)
 	if err != nil {
 		return nil, err
 	}
@@ -406,7 +413,7 @@ func (n *Node) handlePut(ctx context.Context, req []byte) ([]byte, error) {
 			return nil, nil // stale or duplicate: idempotent no-op
 		}
 	}
-	if err := db.Put(ctx, key, rest); err != nil {
+	if err := db.ApplyCoded(ctx, req, coded.Codec, coded.Data); err != nil {
 		// The store may or may not hold the record now (a flush can fail
 		// after the memtable took it): forget the key rather than guess.
 		n.drop(key)
@@ -521,7 +528,7 @@ func (n *Node) handleDelete(ctx context.Context, req []byte) ([]byte, error) {
 	if len(rest) != 8 {
 		return nil, errBadRecord
 	}
-	return n.handlePut(ctx, appendPutRequest(nil, key, binary.LittleEndian.Uint64(rest), true, nil))
+	return n.handlePut(ctx, appendPutRequest(nil, key, binary.LittleEndian.Uint64(rest), true, nil), rpc.Coded{})
 }
 
 // handleDump appends every stored record to dst, tombstones included.
@@ -553,27 +560,30 @@ func splitKey(b []byte) (key, rest []byte, err error) {
 	return b[n : n+int(klen)], b[n+int(klen):], nil
 }
 
-// appendKeyRecord frames "uvarint klen | key | record" for MethodPut,
-// growing dst at most once.
+// appendKeyRecord frames key and rec as a MethodPut request, growing dst at
+// most once.
 func appendKeyRecord(dst, key, rec []byte) []byte {
-	dst = slices.Grow(dst, uvarintLen(uint64(len(key)))+len(key)+len(rec))
-	dst = binary.AppendUvarint(dst, uint64(len(key)))
-	dst = append(dst, key...)
-	return append(dst, rec...)
+	dst = slices.Grow(dst, kvstore.PutBodyLen(len(key), len(rec)))
+	return append(kvstore.AppendPutHead(dst, key, len(rec)), rec...)
 }
 
 // appendPutRequest frames a new record for MethodPut onto dst, growing it at
 // most once: the bytes of appendKeyRecord(dst, key, appendRecord(nil,
 // version, tombstone, payload)), with payload copied once.
 func appendPutRequest(dst, key []byte, version uint64, tombstone bool, payload []byte) []byte {
-	if n := len(dst) + uvarintLen(uint64(len(key))) + len(key) + recHeaderLen + len(payload); n > cap(dst) {
+	reclen := recHeaderLen + len(payload)
+	if n := len(dst) + kvstore.PutBodyLen(len(key), reclen); n > cap(dst) {
 		dst = append(make([]byte, 0, n), dst...)
 	}
-	return appendRecord(appendKeyRecord(dst, key, nil), version, tombstone, payload)
+	return appendRecord(kvstore.AppendPutHead(dst, key, reclen), version, tombstone, payload)
 }
 
-// uvarintLen is the length of x's uvarint encoding.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+// appendDeleteRequest frames "uvarint klen | key | 8B LE version" for
+// MethodDelete.
+func appendDeleteRequest(dst, key []byte, version uint64) []byte {
+	dst = append(binary.AppendUvarint(dst, uint64(len(key))), key...)
+	return binary.LittleEndian.AppendUint64(dst, version)
+}
 
 // walkDump iterates a MethodDump response.
 func walkDump(b []byte, fn func(key, rec []byte) error) error {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/datacomp/datacomp/internal/kvstore"
+	"github.com/datacomp/datacomp/internal/rpc"
 )
 
 // smallStore makes a node flush and compact after a few dozen records, so
@@ -36,7 +37,7 @@ func testNode(t *testing.T, opts ...NodeOption) *Node {
 // putRec sends one replica put straight to the node's handler.
 func putRec(t *testing.T, n *Node, key string, rec []byte) {
 	t.Helper()
-	if _, err := n.handlePut(tctx, appendKeyRecord(nil, []byte(key), rec)); err != nil {
+	if _, err := n.handlePut(tctx, appendKeyRecord(nil, []byte(key), rec), rpc.Coded{}); err != nil {
 		t.Fatalf("put %s: %v", key, err)
 	}
 }
@@ -195,7 +196,7 @@ func TestNodePutModel(t *testing.T) {
 				case r < 58: // delete
 					op = "delete"
 					version++
-					req := appendKeyRecord(nil, []byte(key), binary.LittleEndian.AppendUint64(nil, version))
+					req := appendDeleteRequest(nil, []byte(key), version)
 					if _, err := n.handleDelete(tctx, req); err != nil {
 						t.Fatalf("delete: %v", err)
 					}
@@ -346,7 +347,7 @@ func TestNodeOlderPutAfterBlindPutIsNoop(t *testing.T) {
 	}
 	putRec(t, n, "k", appendRecord(nil, 15, false, []byte("fifteen")))
 	putRec(t, n, "k", appendRecord(nil, 20, false, []byte("twenty")))
-	req := appendKeyRecord(nil, []byte("k"), binary.LittleEndian.AppendUint64(nil, 19))
+	req := appendDeleteRequest(nil, []byte("k"), 19)
 	if _, err := n.handleDelete(tctx, req); err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +458,7 @@ func TestNodeFailedPutForgetsVersion(t *testing.T) {
 	putRec(t, n, "k", appendRecord(nil, 2, false, []byte("two")))
 
 	fp.FailBlobs(true)
-	_, err := n.handlePut(tctx, appendKeyRecord(nil, []byte("k"), appendRecord(nil, 9, false, []byte("nine"))))
+	_, err := n.handlePut(tctx, appendKeyRecord(nil, []byte("k"), appendRecord(nil, 9, false, []byte("nine"))), rpc.Coded{})
 	if !errors.Is(err, kvstore.ErrInjected) {
 		t.Fatalf("put with a failing checkpoint: err = %v, want the injected fault", err)
 	}
@@ -552,8 +553,8 @@ func TestClusterOverwritesAreBlind(t *testing.T) {
 }
 
 // TestPutRequestFraming: the kv.put request a coordinator builds in one
-// buffer is byte for byte the two-step framing (record, then key + record)
-// it replaces — wire bytes unchanged — growing its buffer at most once and
+// buffer is byte for byte the two-step framing (record, then a batch body
+// holding key → record), growing its buffer at most once and
 // a buffer that fits not at all, and so is a re-framed record (read-repair,
 // rebalance) and a replica's tombstone put.
 func TestPutRequestFraming(t *testing.T) {
@@ -576,7 +577,10 @@ func TestPutRequestFraming(t *testing.T) {
 		if again := appendPutRequest(req[:1], c.key, c.version, c.tombstone, c.payload); !bytes.Equal(again[1:], twoStep) {
 			t.Fatalf("key %.12q: appended behind a prefix, the request differs from the two-step framing", c.key)
 		}
-		rec := twoStep[uvarintLen(uint64(len(c.key)))+len(c.key):]
+		_, rec, err := kvstore.ParsePutBody(twoStep)
+		if err != nil {
+			t.Fatalf("key %.12q: %v", c.key, err)
+		}
 		if reframed := appendKeyRecord(nil, c.key, rec); !bytes.Equal(reframed, twoStep) {
 			t.Fatalf("key %.12q: re-framed record differs from the two-step framing", c.key)
 		}
@@ -655,7 +659,7 @@ func TestFreshNodeBlindPuts(t *testing.T) {
 		putRec(t, n, "k", appendRecord(nil, 10, false, []byte("ten"))) // blind: new key
 		putRec(t, n, "k", appendRecord(nil, 5, false, []byte("five")))
 		putRec(t, n, "k", appendRecord(nil, 10, false, []byte("ten")))
-		req := appendKeyRecord(nil, []byte("k"), binary.LittleEndian.AppendUint64(nil, 7))
+		req := appendDeleteRequest(nil, []byte("k"), 7)
 		if _, err := n.handleDelete(tctx, req); err != nil {
 			t.Fatal(err)
 		}
@@ -702,7 +706,7 @@ func TestFreshNodeBlindPuts(t *testing.T) {
 		n := testNode(t, WithNodePersister(fp), WithNodeStoreOptions(kvstore.WithMemtableBytes(1)))
 		expect(t, n, "a", true)
 		fp.FailBlobs(true)
-		if _, err := n.handlePut(tctx, appendKeyRecord(nil, []byte("b"), appendRecord(nil, 9, false, []byte("nine")))); !errors.Is(err, kvstore.ErrInjected) {
+		if _, err := n.handlePut(tctx, appendKeyRecord(nil, []byte("b"), appendRecord(nil, 9, false, []byte("nine"))), rpc.Coded{}); !errors.Is(err, kvstore.ErrInjected) {
 			t.Fatalf("put with a failing checkpoint: err = %v, want the injected fault", err)
 		}
 		fp.FailBlobs(false)

@@ -295,6 +295,12 @@ func (c *checksummed) Decompress(dst, src []byte) ([]byte, error) {
 // Unwrap returns the engine beneath the checksum frame.
 func (c *checksummed) Unwrap() Engine { return c.eng }
 
+// StripChecksum returns the inner codec payload of a frame an engine built
+// with Checksum coded: what the same engine without it codes for the same
+// content. It neither checks the header nor verifies the checksum, so it is
+// for frames a Decompress already accepted.
+func StripChecksum(frame []byte) []byte { return frame[checksumHeaderLen:] }
+
 // NewEngine looks up a codec by name and builds an engine from functional
 // options — the construction surface for everything outside this package:
 //

@@ -8,7 +8,8 @@
 //
 // Builder writes the framing (Encode drives one from a parallel worker
 // pool), Open reads it where it lies in memory, and the record functions
-// reuse its per-block header for the kvstore's write-ahead log.
+// reuse its per-block header as a log framing, the kvstore write-ahead
+// log's v1 records.
 //
 // Layout (DESIGN.md §8):
 //

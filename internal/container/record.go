@@ -15,8 +15,10 @@ import (
 // reused as an append-only log framing. A write-ahead log cannot be a full
 // container — a crash leaves no terminator or footer — so these functions
 // frame and parse one record at a time against a byte stream whose tail may
-// be torn mid-record. The kvstore WAL appends with AppendRecord and replays
-// with RecordBounds/DecodeRecord (DESIGN.md §11).
+// be torn mid-record. The kvstore WAL wrote its records with AppendRecord
+// until its current format, which keeps the sequence number outside the
+// coded bytes; it still replays those v1 records with RecordBounds and
+// DecodeRecord (DESIGN.md §11).
 
 // ErrTruncatedRecord marks a record cut short by the end of the stream —
 // the header parses as plausible but the payload (or the header itself) is

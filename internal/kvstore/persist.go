@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-
-	"github.com/datacomp/datacomp/internal/container"
 )
 
 // Persister is the DB's durability backend: an append-only write-ahead log
@@ -68,7 +66,7 @@ var ErrStopReplay = errors.New("kvstore: stop WAL replay")
 func walkWAL(log []byte, fn func(rec []byte) error) (keep int, err error) {
 	pos := 0
 	for {
-		n, err := container.RecordBounds(log[pos:])
+		n, err := walRecordBounds(log[pos:])
 		if err != nil {
 			// io.EOF: clean end. Torn or corrupt: the crash tail starts
 			// here; everything before it is intact.

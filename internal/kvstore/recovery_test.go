@@ -500,6 +500,27 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(mut)
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x00, 0xff})
+	// Each origin of a record, whole and torn: the store's own coding, a
+	// kept link coding, and the v1 format.
+	for i := 0; i < 3; i++ {
+		key, value := []byte(fmt.Sprintf("o%d", i)), bytes.Repeat([]byte("origin "), 20+i)
+		body := putBody(key, value)
+		var err error
+		switch i {
+		case 0:
+			err = db.Put(tctx, key, value)
+		case 1:
+			err = db.ApplyCoded(tctx, body, "lz4", linkCoding(f, body))
+		case 2:
+			p.wal = appendV1Record(f, p.wal, db.Seq()+1, body)
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte{}, p.wal[len(real):]...))
+		f.Add(append([]byte{}, p.wal[:len(p.wal)-5]...))
+		real = append(real[:0], p.wal...)
+	}
 
 	f.Fuzz(func(t *testing.T, wal []byte) {
 		p := NewMemPersister()

@@ -5,18 +5,35 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
+	"github.com/datacomp/datacomp/internal/codec"
+	"github.com/datacomp/datacomp/internal/container"
 	"github.com/datacomp/datacomp/internal/xxhash"
 )
 
 // Durability format (DESIGN.md §11).
 //
-// WAL: a stream of container-framed records (uvarint compLen | uvarint
-// rawLen | XXH64 | compressed payload). Each record holds one batch:
+// WAL: a stream of records, one batch each. A batch's body is
 //
-//	uvarint seq | uvarint opCount |
+//	uvarint opCount |
 //	per op: 1B kind (0=put, 1=delete) | uvarint klen | key |
 //	        (put only) uvarint vlen | value
+//
+// and its record frames the batch's sequence number with the body as the
+// WAL codec (lz4 by default) codes it:
+//
+//	0x00 | uvarint seq | uvarint codingLen | coding |
+//	8-byte LE XXH64 of everything before it
+//
+// The coding is the same bytes whoever made it: the store codes a body
+// itself, or keeps the coding it arrived in when the sender coded it with
+// the WAL codec (DB.ApplyCoded; a replicated put's kv.put request is a batch
+// body). Replay decodes every coding with the WAL engine. A v1 record, the
+// format before this one, is container-framed (uvarint compLen | uvarint
+// rawLen | XXH64 | compressed payload) and codes the sequence number inside
+// the payload, ahead of the body; its compLen is never 0, so the leading
+// zero byte tells the formats apart, and replay reads both.
 //
 // Manifest: the one mutable blob, replaced atomically whenever the table
 // set changes:
@@ -62,25 +79,25 @@ func tableName(id int64) string { return fmt.Sprintf("%06d%s", id, tableSuffix) 
 // in insertion order, so a later op on the same key wins.
 type Batch struct {
 	ops []batchOp
-	buf []byte // every op's key and value, back to back; kept across Reset
+	buf []byte // every op's key and value; kept across Reset
 }
 
-// batchOp is one op: its key is buf[off:off+klen], its value the vlen bytes
-// after it.
+// batchOp is one op: its key is buf[koff:koff+klen], its value
+// buf[voff:voff+vlen].
 type batchOp struct {
-	off, klen, vlen int
-	del             bool
+	koff, klen, voff, vlen int
+	del                    bool
 }
 
 // Put queues key→value (copies both).
 func (b *Batch) Put(key, value []byte) {
-	b.ops = append(b.ops, batchOp{off: len(b.buf), klen: len(key), vlen: len(value)})
+	b.ops = append(b.ops, batchOp{koff: len(b.buf), klen: len(key), voff: len(b.buf) + len(key), vlen: len(value)})
 	b.buf = append(append(b.buf, key...), value...)
 }
 
 // Delete queues a tombstone for key (copies it).
 func (b *Batch) Delete(key []byte) {
-	b.ops = append(b.ops, batchOp{off: len(b.buf), klen: len(key), del: true})
+	b.ops = append(b.ops, batchOp{koff: len(b.buf), klen: len(key), del: true})
 	b.buf = append(b.buf, key...)
 }
 
@@ -88,9 +105,9 @@ func (b *Batch) Delete(key []byte) {
 // until its next Put, Delete or Reset.
 func (b *Batch) op(i int) (key, value []byte, del bool) {
 	o := b.ops[i]
-	key = b.buf[o.off : o.off+o.klen]
+	key = b.buf[o.koff : o.koff+o.klen]
 	if !o.del {
-		value = b.buf[o.off+o.klen : o.off+o.klen+o.vlen]
+		value = b.buf[o.voff : o.voff+o.vlen]
 	}
 	return key, value, o.del
 }
@@ -104,9 +121,8 @@ func (b *Batch) Reset() {
 	b.buf = b.buf[:0]
 }
 
-// appendBatchPayload encodes seq plus b's ops onto dst.
-func appendBatchPayload(dst []byte, seq uint64, b *Batch) []byte {
-	dst = binary.AppendUvarint(dst, seq)
+// appendBatchBody encodes b's ops onto dst as a batch body.
+func appendBatchBody(dst []byte, b *Batch) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b.ops)))
 	for i := range b.ops {
 		key, value, del := b.op(i)
@@ -114,64 +130,150 @@ func appendBatchPayload(dst []byte, seq uint64, b *Batch) []byte {
 		if del {
 			kind = opDelete
 		}
-		dst = append(dst, kind)
-		dst = binary.AppendUvarint(dst, uint64(len(key)))
-		dst = append(dst, key...)
+		dst = appendPrefixed(append(dst, kind), key)
 		if !del {
-			dst = binary.AppendUvarint(dst, uint64(len(value)))
-			dst = append(dst, value...)
+			dst = appendPrefixed(dst, value)
 		}
 	}
 	return dst
 }
 
-// decodeBatchPayload parses one batch payload, invoking fn per op. The
-// key and value slices alias raw. value is nil for deletes.
-func decodeBatchPayload(raw []byte, fn func(key, value []byte, del bool) error) (seq uint64, err error) {
-	seq, n := binary.Uvarint(raw)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: batch seq", ErrCorrupt)
+// readBody points b at the ops of body, a batch body, without copying: b
+// aliases body until the next readBody or clear, and takes no Put or
+// Delete meanwhile. On error b is empty.
+func (b *Batch) readBody(body []byte) error {
+	b.ops, b.buf = b.ops[:0], body
+	r := metaReader{b: body}
+	count := r.uvarint()
+	if count > uint64(len(body)) {
+		r.bad = true
 	}
-	pos := n
-	count, n := binary.Uvarint(raw[pos:])
-	if n <= 0 || count > uint64(len(raw)) {
-		return 0, fmt.Errorf("%w: batch count", ErrCorrupt)
+	for i := uint64(0); i < count && !r.bad; i++ {
+		if len(r.b) == 0 || r.b[0] != opPut && r.b[0] != opDelete {
+			r.bad = true
+			break
+		}
+		op := batchOp{del: r.b[0] == opDelete}
+		r.b = r.b[1:]
+		key := r.bytes()
+		op.koff, op.klen = len(body)-len(r.b)-len(key), len(key)
+		if !op.del {
+			value := r.bytes()
+			op.voff, op.vlen = len(body)-len(r.b)-len(value), len(value)
+		}
+		r.bad = r.bad || len(key) == 0
+		b.ops = append(b.ops, op)
 	}
-	pos += n
-	for i := uint64(0); i < count; i++ {
-		if pos >= len(raw) {
-			return 0, fmt.Errorf("%w: batch op", ErrCorrupt)
-		}
-		kind := raw[pos]
-		pos++
-		if kind != opPut && kind != opDelete {
-			return 0, fmt.Errorf("%w: batch op kind %d", ErrCorrupt, kind)
-		}
-		klen, n := binary.Uvarint(raw[pos:])
-		if n <= 0 || klen == 0 || klen > uint64(len(raw)-pos-n) {
-			return 0, fmt.Errorf("%w: batch key", ErrCorrupt)
-		}
-		pos += n
-		key := raw[pos : pos+int(klen)]
-		pos += int(klen)
-		var value []byte
-		if kind == opPut {
-			vlen, n := binary.Uvarint(raw[pos:])
-			if n <= 0 || vlen > uint64(len(raw)-pos-n) {
-				return 0, fmt.Errorf("%w: batch value", ErrCorrupt)
-			}
-			pos += n
-			value = raw[pos : pos+int(vlen)]
-			pos += int(vlen)
-		}
-		if err := fn(key, value, kind == opDelete); err != nil {
-			return 0, err
-		}
+	if r.bad || len(r.b) != 0 {
+		b.clear()
+		return fmt.Errorf("%w: batch body", ErrCorrupt)
 	}
-	if pos != len(raw) {
-		return 0, fmt.Errorf("%w: batch trailing bytes", ErrCorrupt)
+	return nil
+}
+
+// clear empties a batch readBody filled, dropping its hold on the body.
+func (b *Batch) clear() { b.ops, b.buf = b.ops[:0], nil }
+
+// PutBodyLen is the length of a batch body holding one put of a klen-byte
+// key and a vlen-byte value.
+func PutBodyLen(klen, vlen int) int {
+	return 2 + uvarintLen(uint64(klen)) + klen + uvarintLen(uint64(vlen)) + vlen
+}
+
+// AppendPutHead appends the head of a batch body holding one put of key —
+// everything before its value, which the caller appends next, vlen bytes of
+// it. ParsePutBody reads the whole body back, and DB.ApplyCoded commits it.
+func AppendPutHead(dst, key []byte, vlen int) []byte {
+	return binary.AppendUvarint(appendPrefixed(append(dst, 1, opPut), key), uint64(vlen))
+}
+
+// ParsePutBody returns the key and value of body, a batch body that must
+// hold exactly one put. Both alias body.
+func ParsePutBody(body []byte) (key, value []byte, err error) {
+	r := metaReader{b: body}
+	if r.uvarint() != 1 || len(r.b) == 0 || r.b[0] != opPut {
+		return nil, nil, errPutBody
 	}
-	return seq, nil
+	r.b = r.b[1:]
+	key, value = r.bytes(), r.bytes()
+	if r.bad || len(key) == 0 || len(r.b) != 0 {
+		return nil, nil, errPutBody
+	}
+	return key, value, nil
+}
+
+var errPutBody = fmt.Errorf("%w: not a one-put batch body", ErrCorrupt)
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// walRecordMark opens every record of the current WAL format.
+const walRecordMark = 0x00
+
+// maxWALCoding bounds a record's coding: a header claiming more is garbage.
+// A body is at most container.MaxBlockSize, and no codec doubles it.
+const maxWALCoding = 2 * container.MaxBlockSize
+
+var (
+	errWALRecord    = fmt.Errorf("%w: WAL record torn or malformed", ErrCorrupt)
+	errWALRecordSum = fmt.Errorf("%w: WAL record checksum mismatch", ErrCorrupt)
+)
+
+// appendWALRecord frames seq and coding, a batch body as the WAL codec
+// coded it, as one record.
+func appendWALRecord(dst []byte, seq uint64, coding []byte) []byte {
+	start := len(dst)
+	dst = binary.AppendUvarint(append(dst, walRecordMark), seq)
+	dst = append(binary.AppendUvarint(dst, uint64(len(coding))), coding...)
+	return binary.LittleEndian.AppendUint64(dst, xxhash.Sum64(dst[start:]))
+}
+
+// walRecordBounds returns the length of the record at the start of b, of
+// either format. Any error means no whole record starts there: the log's
+// clean end (io.EOF), a torn tail or garbage.
+func walRecordBounds(b []byte) (int, error) {
+	if len(b) == 0 || b[0] != walRecordMark {
+		return container.RecordBounds(b)
+	}
+	r := metaReader{b: b[1:]}
+	r.uvarint() // seq
+	n := r.uvarint()
+	if r.bad || n == 0 || n > maxWALCoding || uint64(len(r.b)) < n+8 {
+		return 0, errWALRecord
+	}
+	return len(b) - len(r.b) + int(n) + 8, nil
+}
+
+// decodeWALRecord verifies rec, one record as walRecordBounds cut it, and
+// decodes its coding with eng, the WAL engine, onto dst. out is dst
+// extended, for the caller to reuse; body is the batch body within it.
+func decodeWALRecord(dst []byte, eng codec.Engine, rec []byte) (out []byte, seq uint64, body []byte, err error) {
+	base := len(dst)
+	if rec[0] != walRecordMark {
+		// v1: the sequence number leads the coded payload.
+		if out, _, err = container.DecodeRecord(dst, eng, rec); err != nil {
+			return dst, 0, nil, err
+		}
+		n := 0
+		if seq, n = binary.Uvarint(out[base:]); n <= 0 {
+			return out, 0, nil, errWALRecord
+		}
+		return out, seq, out[base+n:], nil
+	}
+	r := metaReader{b: rec[1:]}
+	seq = r.uvarint()
+	coding := r.bytes()
+	end := len(rec) - len(r.b)
+	if r.bad || len(r.b) != 8 {
+		return dst, 0, nil, errWALRecord
+	}
+	if xxhash.Sum64(rec[:end]) != binary.LittleEndian.Uint64(r.b) {
+		return dst, 0, nil, errWALRecordSum
+	}
+	if out, err = eng.Decompress(dst, coding); err != nil {
+		return dst, 0, nil, err
+	}
+	return out, seq, out[base:], nil
 }
 
 // manifest is the durable description of the table set.

@@ -309,10 +309,10 @@ func TestChecksumMismatchKeepsConnectionAligned(t *testing.T) {
 	flip[len(flip)-1] ^= 0x01
 	stream := append(append([]byte(nil), flip...), good...)
 	t2 := &transport{r: bufio.NewReader(bytes.NewReader(stream))}
-	if _, _, _, err := t2.readFrame(nil); !errors.Is(err, ErrCorrupt) || !isAligned(err) {
+	if _, _, _, _, err := t2.readFrame(nil); !errors.Is(err, ErrCorrupt) || !isAligned(err) {
 		t.Fatalf("flipped frame: err = %v (aligned = %v)", err, isAligned(err))
 	}
-	_, method, payload, err := t2.readFrame(nil)
+	_, method, payload, _, err := t2.readFrame(nil)
 	if err != nil || string(method) != "m" || string(payload) != "payload" {
 		t.Fatalf("aligned stream did not recover: %v %q %q", err, method, payload)
 	}

@@ -213,7 +213,7 @@ func (c *Client) exchange(ctx context.Context, dst []byte, body *Body, span trac
 		c.broken = true
 		return nil, c.ctxErr(ctx, err)
 	}
-	flags, _, resp, err := c.t.readFrame(dst)
+	flags, _, resp, _, err := c.t.readFrame(dst)
 	if err != nil {
 		if !isAligned(err) {
 			c.broken = true

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/datacomp/datacomp/internal/adaptive"
+	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/corpus"
 	"github.com/datacomp/datacomp/internal/telemetry"
 )
@@ -169,5 +170,77 @@ func TestCodedBodyFramesIdentical(t *testing.T) {
 				t.Fatalf("a refused body reached the wire: %+v", st)
 			}
 		})
+	}
+}
+
+// TestCodedHandlerSeesCoding: a coded handler gets the coding its request
+// arrived in, as an engine of the link's codec without a checksum frame
+// codes the request, and the zero Coded when the request came uncoded or an
+// adaptive controller coded it.
+func TestCodedHandlerSeesCoding(t *testing.T) {
+	ctrl, err := adaptive.New(adaptive.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ctrl.Close)
+	tctx := context.Background()
+	incompressible := make([]byte, 4<<10)
+	rngFill(incompressible)
+	for _, comp := range []Compression{
+		{Codec: "lz4", Level: 1, Checksum: true},
+		{Codec: "lz4", Level: 1},
+		{Codec: "zstd", Level: 3, Checksum: true},
+		{Adaptive: ctrl},
+		{},
+	} {
+		var req []byte
+		var got Coded
+		srv := NewServer(comp)
+		srv.RegisterCoded("kv.put", func(_ context.Context, r []byte, coded Coded) ([]byte, error) {
+			req = bytes.Clone(r)
+			got = Coded{Codec: coded.Codec, Data: bytes.Clone(coded.Data)}
+			return nil, nil
+		})
+		cl := pipePair(t, srv, comp)
+		for _, c := range []struct {
+			payload []byte
+			shrinks bool // coded smaller, at or above MinSize
+		}{{corpus.Records(3, 4<<10), true}, {[]byte("below MinSize"), false}, {incompressible, false}} {
+			payload := c.payload
+			if _, err := cl.Call(tctx, "kv.put", payload); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(req, payload) {
+				t.Fatalf("%+v: handler saw a %d-byte request, want the %d-byte payload", comp, len(req), len(payload))
+			}
+			if !c.shrinks || comp.Codec == "" || comp.Adaptive != nil {
+				if got.Codec != "" || got.Data != nil {
+					t.Fatalf("%+v, %d B payload: handler saw a %s coding of %d bytes, want none", comp, len(payload), got.Codec, len(got.Data))
+				}
+				continue
+			}
+			if got.Codec != comp.Codec {
+				t.Fatalf("%+v: coding named %q", comp, got.Codec)
+			}
+			eng, err := codec.NewEngine(comp.Codec, codec.WithLevel(comp.Level))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain, err := eng.Decompress(nil, got.Data); err != nil || !bytes.Equal(plain, payload) {
+				t.Fatalf("%+v: the coding does not decode to the request without a checksum frame: %v", comp, err)
+			}
+			cd, err := NewCoder(comp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := cd.Code(tctx, "kv.put", payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := body.wire; comp.Checksum && !bytes.Equal(codec.StripChecksum(want), got.Data) || !comp.Checksum && !bytes.Equal(want, got.Data) {
+				t.Fatalf("%+v: the handler's coding is not the frame's", comp)
+			}
+			cd.Close()
+		}
 	}
 }

@@ -398,55 +398,56 @@ func (t *transport) readPayload(dst []byte, n int) ([]byte, error) {
 // decompressing as flagged, and appends its payload to dst: an uncompressed
 // payload is read straight into dst's tail, a compressed one is read into
 // the transport's scratch and decompressed onto dst. payload is dst
-// extended; method aliases scratch valid until the next readFrame. Stats
-// count only the appended bytes.
-func (t *transport) readFrame(dst []byte) (flags byte, method, payload []byte, err error) {
+// extended; method aliases scratch valid until the next readFrame, and so
+// does coding, a compressed payload's verified wire bytes (nil for an
+// uncompressed one). Stats count only the appended bytes.
+func (t *transport) readFrame(dst []byte) (flags byte, method, payload, coding []byte, err error) {
 	t.rsc = trace.SpanContext{}
 	flags, err = t.r.ReadByte()
 	if err != nil {
-		return 0, nil, nil, err // clean EOF between frames is a close
+		return 0, nil, nil, nil, err // clean EOF between frames is a close
 	}
 	if flags&^flagsKnown != 0 {
-		return 0, nil, nil, corruptFrame(errUnknownFlags)
+		return 0, nil, nil, nil, corruptFrame(errUnknownFlags)
 	}
 	var trc []byte
 	if flags&flagTrace != 0 {
 		trc = t.tbuf[:]
 		if _, err := io.ReadFull(t.r, trc); err != nil {
-			return 0, nil, nil, midFrame(err)
+			return 0, nil, nil, nil, midFrame(err)
 		}
 		sc, _, err := trace.ParseWire(trc)
 		if err != nil {
 			// The rest of the frame is unread, so no aligned marker: the
 			// connection is abandoned rather than resynchronized.
-			return 0, nil, nil, corruptFrame(fmt.Errorf("%w: %v", ErrCorrupt, err))
+			return 0, nil, nil, nil, corruptFrame(fmt.Errorf("%w: %v", ErrCorrupt, err))
 		}
 		t.rsc = sc
 	}
 	mlen, err := t.readHeaderUvarint()
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, nil, nil, err
 	}
 	if mlen > maxMethod {
-		return 0, nil, nil, corruptFrame(errMethodLen)
+		return 0, nil, nil, nil, corruptFrame(errMethodLen)
 	}
 	if uint64(cap(t.mbuf)) < mlen {
 		t.mbuf = make([]byte, mlen)
 	}
 	mbuf := t.mbuf[:mlen]
 	if _, err := io.ReadFull(t.r, mbuf); err != nil {
-		return 0, nil, nil, midFrame(err)
+		return 0, nil, nil, nil, midFrame(err)
 	}
 	plen, err := t.readHeaderUvarint()
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, nil, nil, err
 	}
 	if plen > maxFrame {
-		return 0, nil, nil, corruptFrame(errFrameLen)
+		return 0, nil, nil, nil, corruptFrame(errFrameLen)
 	}
 	sum := t.rsum[:]
 	if _, err := io.ReadFull(t.r, sum); err != nil {
-		return 0, nil, nil, midFrame(err)
+		return 0, nil, nil, nil, midFrame(err)
 	}
 	compressed := flags&flagCompressed != 0
 	base := len(dst)
@@ -461,18 +462,18 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload []byte, e
 		wire = dst[base:]
 	}
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, nil, nil, err
 	}
 	if frameSum(trc, mbuf, wire) != binary.LittleEndian.Uint64(sum) {
 		// The whole frame was consumed before verification failed, so the
 		// stream is still aligned.
-		return 0, nil, nil, aligned(corruptFrame(errSumMismatch))
+		return 0, nil, nil, nil, aligned(corruptFrame(errSumMismatch))
 	}
 	t.stats.wireBytes.Add(int64(len(wire)))
 	tmWireBytes.Add(int64(len(wire)))
 	if compressed {
 		if t.eng == nil && t.comp.Adaptive == nil {
-			return 0, nil, nil, aligned(corruptFrame(fmt.Errorf("%w: compressed frame on uncompressed transport", ErrCorrupt)))
+			return 0, nil, nil, nil, aligned(corruptFrame(fmt.Errorf("%w: compressed frame on uncompressed transport", ErrCorrupt)))
 		}
 		sp := t.cur.Child("rpc.decompress") // zero handle when untraced
 		t0 := time.Now()
@@ -493,14 +494,29 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload []byte, e
 			sp.End()
 			// codec decode errors wrap codec.ErrCorrupt; the frame itself
 			// was consumed, so the connection stays aligned.
-			return 0, nil, nil, aligned(corruptFrame(err))
+			return 0, nil, nil, nil, aligned(corruptFrame(err))
 		}
 		sp.SetInt("wire", int64(len(wire))).SetInt("raw", int64(len(out)-base)).End()
 		dst = out
+		coding = wire
 	}
 	t.stats.rawBytes.Add(int64(len(dst) - base))
 	tmRawBytes.Add(int64(len(dst) - base))
-	return flags, mbuf, dst, nil
+	return flags, mbuf, dst, coding, nil
+}
+
+// coded is a frame's coding, as readFrame returned it, as a handler may keep
+// it (Coded): only a static codec's, since an adaptive frame names its own
+// config.
+func (t *transport) coded(coding []byte) Coded {
+	if coding == nil || t.comp.Adaptive != nil {
+		return Coded{}
+	}
+	data := coding
+	if t.comp.Checksum {
+		data = codec.StripChecksum(data)
+	}
+	return Coded{Codec: t.comp.Codec, Data: data}
 }
 
 // EncodeFrame renders one uncompressed frame to bytes — the writer half of
@@ -544,6 +560,6 @@ func ParseFrame(data []byte) (flags byte, method, payload []byte, err error) {
 func ParseFrameTrace(data []byte) (flags byte, method, payload []byte, sc trace.SpanContext, err error) {
 	tm()
 	t := &transport{r: bufio.NewReader(bytes.NewReader(data))}
-	flags, method, payload, err = t.readFrame(nil)
+	flags, method, payload, _, err = t.readFrame(nil)
 	return flags, method, payload, t.rsc, err
 }

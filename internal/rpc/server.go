@@ -35,6 +35,23 @@ func Func(h func(req []byte) ([]byte, error)) HandlerFunc {
 	return func(_ context.Context, req []byte) ([]byte, error) { return h(req) }
 }
 
+// CodedHandlerFunc is a HandlerFunc that also sees the coding its request
+// arrived in, for a handler that keeps those bytes rather than coding the
+// request again.
+type CodedHandlerFunc func(ctx context.Context, req []byte, coded Coded) ([]byte, error)
+
+// Coded is the coding a request arrived in: Data is the frame's verified
+// codec payload, whose decoding is the request, as an engine of Codec built
+// without a checksum frame codes it (a link's checksum header, already
+// checked, is cut off). Data aliases the connection's read scratch and is
+// valid only until the handler returns, like the request. The zero Coded
+// means the request arrived uncoded (below MinSize, not smaller coded, or
+// over an uncompressed link) or an adaptive controller coded it.
+type Coded struct {
+	Codec string
+	Data  []byte
+}
+
 // ServerOption configures a Server.
 type ServerOption func(*Server)
 
@@ -60,7 +77,7 @@ type Server struct {
 // handler is a registered method: the one dispatch shape, and whether the
 // server may keep what it returns as the connection's reply buffer.
 type handler struct {
-	serve   AppendHandlerFunc
+	serve   func(ctx context.Context, dst, req []byte, coded Coded) ([]byte, error)
 	appends bool
 }
 
@@ -84,14 +101,20 @@ func NewServer(comp Compression, opts ...ServerOption) *Server {
 
 // RegisterAppend installs the append-form handler for method.
 func (s *Server) RegisterAppend(method string, h AppendHandlerFunc) {
-	s.register(method, handler{serve: h, appends: true})
+	s.register(method, handler{serve: func(ctx context.Context, dst, req []byte, _ Coded) ([]byte, error) { return h(ctx, dst, req) }, appends: true})
 }
 
 // Register installs the handler for method. It serves through the append
 // form without copying: the handler's response is written as it returned
 // it, and dst goes unused.
 func (s *Server) Register(method string, h HandlerFunc) {
-	s.register(method, handler{serve: func(ctx context.Context, _, req []byte) ([]byte, error) { return h(ctx, req) }})
+	s.register(method, handler{serve: func(ctx context.Context, _, req []byte, _ Coded) ([]byte, error) { return h(ctx, req) }})
+}
+
+// RegisterCoded installs the handler for method as Register does, passing
+// it each request's coding too.
+func (s *Server) RegisterCoded(method string, h CodedHandlerFunc) {
+	s.register(method, handler{serve: func(ctx context.Context, _, req []byte, coded Coded) ([]byte, error) { return h(ctx, req, coded) }})
 }
 
 func (s *Server) register(method string, h handler) {
@@ -158,7 +181,7 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 	// of append-form handlers and holds error messages.
 	var reqBuf, reply []byte
 	for {
-		_, method, req, err := t.readFrame(reqBuf[:0])
+		_, method, req, coding, err := t.readFrame(reqBuf[:0])
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -188,7 +211,7 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 		if !ok {
 			flags = flagError
 			resp = fmt.Appendf(reply[:0], "rpc: unknown method %q", method)
-		} else if resp, err = h.serve(hctx, reply[:0], req); err != nil {
+		} else if resp, err = h.serve(hctx, reply[:0], req, t.coded(coding)); err != nil {
 			flags = flagError
 			resp = append(reply[:0], err.Error()...)
 		} else {
