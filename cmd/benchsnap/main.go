@@ -32,11 +32,8 @@ type Entry struct {
 	Level   int    `json:"level"`
 	Payload string `json:"payload"`
 	// Direction is "compress" | "decompress" for engine rows, and
-	// "encode" | "decode-block" for container rows.
-	Direction string `json:"direction"`
-	// Workers is the pipeline width for container encode rows (0 for
-	// engine rows and the single-engine decode path).
-	Workers     int     `json:"workers,omitempty"`
+	// "decode-block" for the container row.
+	Direction   string  `json:"direction"`
 	NsPerOp     int64   `json:"ns_per_op"`
 	MBPerS      float64 `json:"mb_per_s"`
 	BytesPerOp  int64   `json:"b_per_op"`
@@ -463,48 +460,13 @@ func measureSmallPayloads() ([]Entry, bool) {
 	return entries, dirty
 }
 
-// measureContainer snapshots the container surfaces: streaming Encode at a
-// few pipeline widths (worker scaling over an 8 MiB corpus — absolute MB/s
-// and the shape of the scaling curve, which on multi-core CI should rise
-// with workers) plus the random-access DecodeBlock hot path, which is
+// measureContainer snapshots the container's random-access DecodeBlock hot
+// path over an 8 MiB corpus written in blockSize blocks, which is
 // steady-state allocation-free and therefore contributes to the -check gate.
 func measureContainer(blockSize int) ([]Entry, bool) {
 	data := corpus.LogLines(13, 8<<20)
-	var entries []Entry
-	dirty := false
-	for _, workers := range []int{1, 2, 4, 8} {
-		cfg := container.Config{Codec: "zstd", Level: 3, BlockSize: blockSize, Workers: workers}
-		var benchErr error
-		var stats container.Stats
-		res := testing.Benchmark(func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				if stats, benchErr = container.Encode(context.Background(), io.Discard, bytes.NewReader(data), cfg); benchErr != nil {
-					return
-				}
-			}
-		})
-		if benchErr != nil {
-			fmt.Fprintf(os.Stderr, "benchsnap: container encode w%d: %v\n", workers, benchErr)
-			os.Exit(1)
-		}
-		entries = append(entries, Entry{
-			Codec:     "container/zstd",
-			Level:     3,
-			Payload:   "logs8m",
-			Direction: "encode",
-			Workers:   workers,
-			NsPerOp:   res.NsPerOp(),
-			MBPerS:    float64(res.Bytes) * float64(res.N) / res.T.Seconds() / 1e6,
-			Ratio:     float64(stats.RawBytes) / float64(stats.WrittenBytes),
-		})
-	}
-
-	// Random-access decode: one block per op through a warmed ReaderAt.
 	var blob bytes.Buffer
-	cfg := container.Config{Codec: "zstd", Level: 3, BlockSize: blockSize, Workers: 1}
-	stats, err := container.Encode(context.Background(), &blob, bytes.NewReader(data), cfg)
-	if err != nil {
+	if err := buildContainer(&blob, data, blockSize); err != nil {
 		fmt.Fprintf(os.Stderr, "benchsnap: container build: %v\n", err)
 		os.Exit(1)
 	}
@@ -513,6 +475,7 @@ func measureContainer(blockSize int) ([]Entry, bool) {
 		fmt.Fprintf(os.Stderr, "benchsnap: container open: %v\n", err)
 		os.Exit(1)
 	}
+	// One block per op through a warmed ReaderAt.
 	var decErr error
 	res := testing.Benchmark(func(b *testing.B) {
 		dst, err := ra.DecodeBlock(nil, 0)
@@ -542,15 +505,33 @@ func measureContainer(blockSize int) ([]Entry, bool) {
 		MBPerS:      float64(res.Bytes) * float64(res.N) / res.T.Seconds() / 1e6,
 		BytesPerOp:  res.AllocedBytesPerOp(),
 		AllocsPerOp: res.AllocsPerOp(),
-		Ratio:       float64(stats.RawBytes) / float64(stats.WrittenBytes),
+		Ratio:       float64(len(data)) / float64(blob.Len()),
 	}
-	if e.AllocsPerOp != 0 {
-		dirty = true
+	dirty := e.AllocsPerOp != 0
+	if dirty {
 		fmt.Fprintf(os.Stderr, "benchsnap: ALLOC REGRESSION: container decode-block: %d allocs/op (%d B/op)\n",
 			e.AllocsPerOp, e.BytesPerOp)
 	}
-	entries = append(entries, e)
-	return entries, dirty
+	return []Entry{e}, dirty
+}
+
+// buildContainer writes data to w as a zstd-3 container of blockSize
+// blocks.
+func buildContainer(w io.Writer, data []byte, blockSize int) error {
+	eng, err := codec.NewEngine("zstd", codec.WithLevel(3))
+	if err != nil {
+		return err
+	}
+	b, err := container.NewBuilder(w, "zstd", eng, blockSize)
+	if err != nil {
+		return err
+	}
+	for _, blk := range codec.SplitBlocks(data, blockSize) {
+		if err := b.AppendBlock(blk); err != nil {
+			return err
+		}
+	}
+	return b.Close()
 }
 
 // measureTraceOverhead prices the tracing spine on the codec hot path:
@@ -820,22 +801,19 @@ func compareBaseline(path string, entries []Entry, slowdown float64) bool {
 	}
 	type key struct {
 		codec, payload, dir string
-		level, workers      int
+		level               int
 	}
 	ref := make(map[key]Entry, len(base.Entries))
 	for _, e := range base.Entries {
-		ref[key{e.Codec, e.Payload, e.Direction, e.Level, e.Workers}] = e
+		ref[key{e.Codec, e.Payload, e.Direction, e.Level}] = e
 	}
 	ok := true
 	for _, e := range entries {
-		b, found := ref[key{e.Codec, e.Payload, e.Direction, e.Level, e.Workers}]
+		b, found := ref[key{e.Codec, e.Payload, e.Direction, e.Level}]
 		if !found {
 			continue // new configuration: nothing to regress against
 		}
 		id := fmt.Sprintf("%s L%d %s %s", e.Codec, e.Level, e.Payload, e.Direction)
-		if e.Workers > 0 {
-			id += fmt.Sprintf(" w%d", e.Workers)
-		}
 		if b.AllocsPerOp == 0 && e.AllocsPerOp > 0 {
 			fmt.Fprintf(os.Stderr, "benchsnap: REGRESSION: %s: %d allocs/op (baseline 0)\n", id, e.AllocsPerOp)
 			ok = false

@@ -10,16 +10,15 @@ import (
 )
 
 // Builder writes a container one caller-delimited block at a time through a
-// single engine — the sequential producer the kvstore table writer and the
-// warehouse stripe writer use, where block boundaries are semantic (key
-// ranges, column chunks) rather than fixed-size. It is the only writer of
-// the container's header, block headers and footer: Encode, which splits a
-// stream into fixed-size blocks and compresses them in parallel, appends
-// each through a Builder with AppendFrame.
+// single engine — the producer the kvstore table writer and the warehouse
+// stripe writer use, where block boundaries are semantic (key ranges,
+// column chunks) rather than fixed-size. It is the only writer of the
+// container's header, block headers and footer.
 //
 // A Builder is single-goroutine, like the engine it owns. After a warm-up
 // append, AppendBlock performs no heap allocations beyond index growth;
-// Reserve pre-sizes the index so steady-state appends stay at zero.
+// Reset keeps the index's capacity, so a Builder reused across containers
+// of similar block counts appends at zero.
 type Builder struct {
 	w      io.Writer
 	eng    codec.Engine
@@ -65,19 +64,9 @@ func (b *Builder) Reset(w io.Writer, codecName string, blockSize int) error {
 	return err
 }
 
-// Reserve grows the index capacity for n further blocks, so a steady-state
-// append cycle performs zero allocations.
-func (b *Builder) Reserve(n int) {
-	if need := len(b.blocks) + n; need > cap(b.blocks) {
-		grown := make([]BlockInfo, len(b.blocks), need)
-		copy(grown, b.blocks)
-		b.blocks = grown
-	}
-}
-
 // AppendBlock compresses raw as the next independent block. Empty blocks
-// are rejected: every index entry must cover at least one byte so ReadAt's
-// range mapping stays unambiguous.
+// are rejected: the footer parser refuses an index entry with a zero raw
+// length, so a container holding one could not be opened.
 func (b *Builder) AppendBlock(raw []byte) error {
 	if b.closed {
 		return errors.New("container: append on closed builder")
@@ -101,9 +90,9 @@ func (b *Builder) AppendBlock(raw []byte) error {
 }
 
 // AppendFrame appends an already-encoded block — a payload ReaderAt.ReadFrame
-// returned from a container of this builder's codec, or one an Encode worker
-// compressed, with its index entry — without running the engine. The
-// payload and its checksum are written as they are; info.Off is ignored.
+// returned from a container of this builder's codec, with its index entry —
+// without running the engine. The payload and its checksum are written as
+// they are; info.Off is ignored.
 func (b *Builder) AppendFrame(frame []byte, info BlockInfo) error {
 	if b.closed {
 		return errors.New("container: append on closed builder")
@@ -132,9 +121,6 @@ func (b *Builder) write(comp []byte, rawLen int, sum uint64) error {
 	b.off += int64(len(b.hdr)) + int64(len(comp))
 	return nil
 }
-
-// NumBlocks reports the blocks appended so far.
-func (b *Builder) NumBlocks() int { return len(b.blocks) }
 
 // Offset reports the container bytes written so far (before the footer).
 func (b *Builder) Offset() int64 { return b.off }

@@ -1,15 +1,14 @@
 // Package container implements the repository's one block format, the
 // seekable block container (frame magic "ZSXS"): independently compressed
-// fixed- or caller-sized blocks followed by a footer index, so a reader
-// decodes exactly the blocks covering a byte range. This is the structural
+// caller-sized blocks followed by a footer index, so a reader decodes
+// exactly the one block a point read needs. This is the structural
 // enabler the paper's block-size study (§V, Fig 13) identifies: datacenter
 // services compress in independent blocks precisely so a point read never
 // pays for the rest of the object.
 //
-// Builder writes the framing (Encode drives one from a parallel worker
-// pool), Open reads it where it lies in memory, and the record functions
-// reuse its per-block header as a log framing, the kvstore write-ahead
-// log's v1 records.
+// Builder writes the framing, Open reads it where it lies in memory, and
+// the record functions reuse its per-block header as a log framing, the
+// kvstore write-ahead log's v1 records.
 //
 // Layout (DESIGN.md §8):
 //
@@ -59,10 +58,6 @@ const (
 
 	// trailerLen is the fixed-size tail: 8-byte footer length + magic.
 	trailerLen = 12
-
-	// DefaultBlockSize is the split granularity Encode uses when the config
-	// leaves it zero — the 256 KiB the paper's warehouse stripes use.
-	DefaultBlockSize = 256 << 10
 )
 
 var (
@@ -74,8 +69,6 @@ var (
 var (
 	tmOnce                   sync.Once
 	tmBlocksEnc, tmBlocksDec *telemetry.Counter
-	tmEncInflight            *telemetry.Gauge
-	tmRandomReads            *telemetry.Counter
 )
 
 func tm() {
@@ -83,8 +76,6 @@ func tm() {
 		r := telemetry.Default
 		tmBlocksEnc = r.Counter("container_blocks_encoded_total", "container blocks compressed")
 		tmBlocksDec = r.Counter("container_blocks_decoded_total", "container blocks decompressed")
-		tmEncInflight = r.Gauge("container_encode_inflight_workers", "encode workers currently compressing a block")
-		tmRandomReads = r.Counter("container_random_reads_total", "ReaderAt.ReadAt range requests served")
 	})
 }
 
@@ -148,35 +139,36 @@ func appendHeader(dst []byte, codecName string, blockSize int) ([]byte, error) {
 	return dst, nil
 }
 
-// parseHeader decodes the container header, returning the codec name, the
-// writer's block size, and the header length.
-func parseHeader(b []byte) (codecName string, blockSize int, n int, err error) {
+// parseHeader decodes the container header, returning the codec name and
+// the header length. The writer's nominal block size is validated but not
+// kept: every block's own length is in the footer index.
+func parseHeader(b []byte) (codecName string, n int, err error) {
 	if len(b) < len(headerMagic)+1 {
-		return "", 0, 0, errBadMagic
+		return "", 0, errBadMagic
 	}
 	if [4]byte(b[:4]) != headerMagic {
-		return "", 0, 0, errBadMagic
+		return "", 0, errBadMagic
 	}
 	if b[4] != version {
-		return "", 0, 0, errBadVersion
+		return "", 0, errBadVersion
 	}
 	pos := 5
 	nameLen, k := binary.Uvarint(b[pos:])
 	if k <= 0 || nameLen == 0 || nameLen > maxCodecName {
-		return "", 0, 0, errBadMagic
+		return "", 0, errBadMagic
 	}
 	pos += k
 	if pos+int(nameLen) > len(b) {
-		return "", 0, 0, errBadMagic
+		return "", 0, errBadMagic
 	}
 	codecName = string(b[pos : pos+int(nameLen)])
 	pos += int(nameLen)
 	bs, k := binary.Uvarint(b[pos:])
 	if k <= 0 || bs > MaxBlockSize {
-		return "", 0, 0, errBadMagic
+		return "", 0, errBadMagic
 	}
 	pos += k
-	return codecName, int(bs), pos, nil
+	return codecName, pos, nil
 }
 
 // appendBlockHeader emits the per-block header a container block and a log

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"github.com/datacomp/datacomp/internal/codec"
@@ -28,25 +27,19 @@ func WithEngine(eng codec.Engine) ReaderOption {
 
 // ReaderAt serves random-access reads over a complete container held in
 // memory: the footer index is parsed once, after which DecodeBlock
-// decompresses exactly one block and ReadAt touches only the blocks
-// covering the requested range — the selective-decode property the paper's
-// block-size study says datacenter stores compress in blocks to obtain.
-// Payloads are read where they lie in the container's memory, which the
-// reader never writes. Safe for concurrent use (an internal mutex
-// serializes the single decode engine); steady-state DecodeBlock and ReadAt
-// calls allocate nothing once scratch buffers are warm.
+// decompresses exactly one block — the selective-decode property the
+// paper's block-size study says datacenter stores compress in blocks to
+// obtain. Payloads are read where they lie in the container's memory, which
+// the reader never writes. Safe for concurrent use (an internal mutex
+// serializes the single decode engine); a steady-state DecodeBlock into a
+// warm buffer allocates nothing.
 type ReaderAt struct {
 	data      []byte
 	eng       codec.Engine
 	codecName string
-	blockSize int
 	blocks    []BlockInfo
-	size      int64
 
-	mu           sync.Mutex
-	rawOff       []int64 // cumulative raw offsets, len(blocks)+1; built by the first ReadAt
-	scratch      []byte  // decoded block scratch for ReadAt
-	scratchBlock int     // block index held in scratch, -1 when none
+	mu sync.Mutex
 }
 
 // Open opens the container data holds, parsing its trailer, footer index
@@ -75,7 +68,7 @@ func Open(data []byte, opts ...ReaderOption) (*ReaderAt, error) {
 	}
 	footerOff := size - trailerLen - int(footerLen)
 
-	name, blockSize, headerSize, err := parseHeader(data[:min(size, minHeader+maxCodecName+18)])
+	name, headerSize, err := parseHeader(data[:min(size, minHeader+maxCodecName+18)])
 	if err != nil {
 		return nil, err
 	}
@@ -84,10 +77,6 @@ func Open(data []byte, opts ...ReaderOption) (*ReaderAt, error) {
 	if err != nil {
 		return nil, err
 	}
-	var raw int64
-	for _, b := range blocks {
-		raw += int64(b.RawLen)
-	}
 
 	eng := cfg.eng
 	if eng == nil {
@@ -95,15 +84,7 @@ func Open(data []byte, opts ...ReaderOption) (*ReaderAt, error) {
 			return nil, fmt.Errorf("container: %w", err)
 		}
 	}
-	return &ReaderAt{
-		data:         data,
-		eng:          eng,
-		codecName:    name,
-		blockSize:    blockSize,
-		blocks:       blocks,
-		size:         raw,
-		scratchBlock: -1,
-	}, nil
+	return &ReaderAt{data: data, eng: eng, codecName: name, blocks: blocks}, nil
 }
 
 // NewReaderAt reads a container of the given total size from r into memory
@@ -122,14 +103,8 @@ func NewReaderAt(r io.ReaderAt, size int64, opts ...ReaderOption) (*ReaderAt, er
 // NumBlocks reports the number of independent blocks.
 func (r *ReaderAt) NumBlocks() int { return len(r.blocks) }
 
-// Size reports the total uncompressed content size.
-func (r *ReaderAt) Size() int64 { return r.size }
-
 // CodecName reports the codec recorded in the header.
 func (r *ReaderAt) CodecName() string { return r.codecName }
-
-// BlockSize reports the writer's nominal block size (0 = caller-delimited).
-func (r *ReaderAt) BlockSize() int { return r.blockSize }
 
 // Block returns the index entry for block i.
 func (r *ReaderAt) Block(i int) BlockInfo { return r.blocks[i] }
@@ -140,7 +115,20 @@ func (r *ReaderAt) Block(i int) BlockInfo { return r.blocks[i] }
 func (r *ReaderAt) DecodeBlock(dst []byte, i int) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.decodeLocked(dst, i)
+	comp, b, err := r.ReadFrame(i)
+	if err != nil {
+		return nil, err
+	}
+	base := len(dst)
+	out, err := r.eng.Decompress(dst, comp)
+	if err != nil {
+		return nil, err
+	}
+	if len(out)-base != b.RawLen {
+		return nil, errRawLen
+	}
+	tmBlocksDec.Inc()
+	return out, nil
 }
 
 // ReadFrame returns block i's compressed payload — the engine frame, not
@@ -159,67 +147,4 @@ func (r *ReaderAt) ReadFrame(i int) ([]byte, BlockInfo, error) {
 		return nil, b, errChecksum
 	}
 	return p, b, nil
-}
-
-func (r *ReaderAt) decodeLocked(dst []byte, i int) ([]byte, error) {
-	comp, b, err := r.ReadFrame(i)
-	if err != nil {
-		return nil, err
-	}
-	base := len(dst)
-	out, err := r.eng.Decompress(dst, comp)
-	if err != nil {
-		return nil, err
-	}
-	if len(out)-base != b.RawLen {
-		return nil, errRawLen
-	}
-	tmBlocksDec.Inc()
-	return out, nil
-}
-
-// ReadAt implements io.ReaderAt over the uncompressed content, decoding
-// only the blocks that cover [off, off+len(p)). Sequential calls that stay
-// within one block reuse the previously decoded block without another
-// decompression.
-func (r *ReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("container: negative offset %d", off)
-	}
-	tmRandomReads.Inc()
-	if off >= r.size {
-		return 0, io.EOF
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.rawOff == nil {
-		r.rawOff = make([]int64, len(r.blocks)+1)
-		for i, b := range r.blocks {
-			r.rawOff[i+1] = r.rawOff[i] + int64(b.RawLen)
-		}
-	}
-	// First block whose end is past off.
-	i := sort.Search(len(r.blocks), func(i int) bool { return r.rawOff[i+1] > off })
-	n := 0
-	for n < len(p) && i < len(r.blocks) {
-		if r.scratchBlock != i {
-			out, err := r.decodeLocked(r.scratch[:0], i)
-			if err != nil {
-				r.scratchBlock = -1
-				return n, err
-			}
-			r.scratch = out
-			r.scratchBlock = i
-		}
-		k := copy(p[n:], r.scratch[off-r.rawOff[i]:])
-		n += k
-		off += int64(k)
-		if off >= r.rawOff[i+1] {
-			i++
-		}
-	}
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
 }

@@ -29,9 +29,9 @@ type chromeFile struct {
 	TraceEvents []ChromeEvent `json:"traceEvents"`
 }
 
-// chromeTID picks the event's thread lane: worker-attributed spans (the
-// container/parallel block pipelines) get per-worker lanes so the fan-out
-// is visible; everything else nests on lane 1.
+// chromeTID picks the event's thread lane: worker-attributed spans get
+// per-worker lanes so a fan-out is visible; everything else nests on
+// lane 1.
 func chromeTID(sp SpanData) int64 {
 	for _, a := range sp.Attrs {
 		if a.Key == "worker" && !a.IsStr {

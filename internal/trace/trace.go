@@ -5,10 +5,9 @@
 //
 // The fleet characterization the paper performs attributes *aggregate*
 // cycles to codec stages; serving a latency SLO needs *per-request*
-// attribution — which codec call, rpc hop, failed call or container block
-// put one request into the p999 bucket. Spans answer that: every sampled
-// request carries a trace through rpc framing, codec calls and container
-// block pipelines, and the histogram exemplars
+// attribution — which codec call, rpc hop or failed call put one request
+// into the p999 bucket. Spans answer that: every sampled request carries a
+// trace through rpc framing and codec calls, and the histogram exemplars
 // in internal/telemetry link tail buckets back to the offending trace.
 //
 // Design constraints, in order:
@@ -288,21 +287,6 @@ func (h SpanHandle) Child(name string) SpanHandle {
 		return SpanHandle{}
 	}
 	return h.tr.startSpan(sp.ID, name)
-}
-
-// Event records an instantaneous (zero-duration) child span, a point in
-// time worth marking inside a span. The returned handle accepts
-// attributes.
-func (h SpanHandle) Event(name string) SpanHandle {
-	e := h.Child(name)
-	if e.Valid() {
-		e.tr.mu.Lock()
-		if sp := e.span(); sp != nil {
-			sp.Dur = 0
-		}
-		e.tr.mu.Unlock()
-	}
-	return e
 }
 
 // SetInt sets an integer attribute, returning h for chaining. Attributes

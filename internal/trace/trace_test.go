@@ -34,7 +34,6 @@ func TestZeroHandleIsInert(t *testing.T) {
 	var h SpanHandle
 	// None of these may panic or allocate.
 	h2 := h.Child("c").SetInt("k", 1).SetStr("s", "v")
-	h2.Event("e")
 	h2.End()
 	if h2.Valid() || h2.TraceID() != 0 || h2.Context().Valid() {
 		t.Fatal("zero handle produced live state")
@@ -92,8 +91,6 @@ func TestSpanTreeAndAttributes(t *testing.T) {
 	}
 
 	c := root.Child("child").SetInt("block", 3).SetStr("codec", "zstd")
-	ev := c.Event("rung").SetInt("to", 1)
-	_ = ev
 	// Start from context builds a child of the active span.
 	_, c2 := Start(ctx, "ctxchild")
 	c2.End()
@@ -109,8 +106,8 @@ func TestSpanTreeAndAttributes(t *testing.T) {
 	if td.ID != id {
 		t.Fatalf("trace ID %x, want %x", td.ID, id)
 	}
-	if len(td.Spans) != 4 {
-		t.Fatalf("got %d spans, want 4", len(td.Spans))
+	if len(td.Spans) != 3 {
+		t.Fatalf("got %d spans, want 3", len(td.Spans))
 	}
 	if r := td.Root(); r == nil || r.Name != "root" || r.Dur <= 0 {
 		t.Fatalf("bad root %+v", r)
@@ -123,10 +120,6 @@ func TestSpanTreeAndAttributes(t *testing.T) {
 	if len(attrs) != 2 || attrs[0].Key != "block" || attrs[0].Int != 3 ||
 		attrs[1].Key != "codec" || attrs[1].Str != "zstd" || !attrs[1].IsStr {
 		t.Fatalf("bad attrs %+v", attrs)
-	}
-	rung := td.Find("rung")
-	if rung == nil || rung.Dur != 0 || rung.Parent != child.ID {
-		t.Fatalf("bad event span %+v", rung)
 	}
 	if cc := td.Find("ctxchild"); cc == nil || cc.Parent != td.Root().ID {
 		t.Fatalf("bad context child %+v", cc)

@@ -8,9 +8,7 @@ package datacomp_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"testing"
 
 	"github.com/datacomp/datacomp/internal/codec"
@@ -177,9 +175,8 @@ func TestSteadyStateAllocsWithDict(t *testing.T) {
 
 // TestContainerSteadyStateAllocs gates the container's per-block hot paths:
 // once scratch buffers are warm, random-access reads over Open (DecodeBlock
-// and ReadFrame in place, ReadAt) and sequential append
-// (Builder.AppendBlock with a reserved index and a pre-grown sink) must not
-// allocate. This is what makes the kvstore point lookup, its compaction
+// and ReadFrame in place) and sequential append (Builder.AppendBlock with an
+// index warmed by one Reset cycle and a pre-grown sink) must not allocate. This is what makes the kvstore point lookup, its compaction
 // carry and the stripe writer allocation-free per block.
 func TestContainerSteadyStateAllocs(t *testing.T) {
 	if testing.CoverMode() != "" {
@@ -226,25 +223,24 @@ func TestContainerSteadyStateAllocs(t *testing.T) {
 		bi++
 	})
 
-	// Stride past a block each op so ReadAt keeps decoding fresh blocks
-	// through its reused scratch rather than serving the cached one.
-	p := make([]byte, 1<<10)
-	off := int64(0)
-	requireZeroAllocs(t, "ReadAt", func() {
-		if _, err := ra.ReadAt(p, off%ra.Size()); err != nil && !errors.Is(err, io.EOF) {
-			t.Fatal(err)
-		}
-		off += int64(len(block)) + 1<<10
-	})
-
+	// One full container warms the engine, the scratch and the index; Reset
+	// keeps the index's capacity, as the kvstore's table workspace does.
 	var out bytes.Buffer
 	out.Grow(1 << 20)
 	ab, err := container.NewBuilder(&out, "zstd", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ab.Reserve(64)
-	if err := ab.AppendBlock(block); err != nil { // warm engine + scratch
+	for i := 0; i < 16; i++ {
+		if err := ab.AppendBlock(block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ab.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := ab.Reset(&out, "zstd", 0); err != nil {
 		t.Fatal(err)
 	}
 	requireZeroAllocs(t, "AppendBlock", func() {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/datacomp/datacomp/internal/container"
 	"github.com/datacomp/datacomp/internal/corpus"
 	"github.com/datacomp/datacomp/internal/rpc"
 	"github.com/datacomp/datacomp/internal/telemetry"
@@ -16,10 +15,9 @@ import (
 
 // TestTraceEndToEnd drives one traced request through the full spine:
 // a client Call whose span context crosses the RPC frame header, a server
-// handler that streams through the container pipeline, and transport
-// compression on both directions. It then asserts the pieces the tracing
-// work promises: one stitched trace holding client and server halves with
-// rpc and per-block spans; a latency histogram exemplar naming
+// handler, and transport compression on both directions. It then asserts
+// the pieces the tracing work promises: one stitched trace holding client
+// and server halves with rpc spans; a latency histogram exemplar naming
 // that trace; the flight recorder retaining it among the slowest; and a
 // Chrome trace-event export that survives its own decoder.
 func TestTraceEndToEnd(t *testing.T) {
@@ -28,14 +26,7 @@ func TestTraceEndToEnd(t *testing.T) {
 
 	comp := rpc.Compression{Codec: "zstd", Level: 1}
 	server := rpc.NewServer(comp, rpc.WithServerTracer(tracer))
-	server.Register("store", func(ctx context.Context, req []byte) ([]byte, error) {
-		var blob bytes.Buffer
-		if _, err := container.Encode(ctx, &blob, bytes.NewReader(req),
-			container.Config{Codec: "zstd", Level: 1, BlockSize: 16 << 10, Workers: 2}); err != nil {
-			return nil, err
-		}
-		return req[:1024], nil
-	})
+	server.Register("store", rpc.Func(func(req []byte) ([]byte, error) { return req[:1024], nil }))
 
 	cc, sc := net.Pipe()
 	serveDone := make(chan struct{})
@@ -80,10 +71,9 @@ func TestTraceEndToEnd(t *testing.T) {
 
 	// The stitched tree must carry every layer's spans.
 	for _, name := range []string{
-		"rpc.call",        // client root
-		"rpc.serve",       // server half, parented on the wire context
-		"rpc.compress",    // transport codec work
-		"container.block", // per-block pipeline spans
+		"rpc.call",     // client root
+		"rpc.serve",    // server half, parented on the wire context
+		"rpc.compress", // transport codec work
 	} {
 		if td.Find(name) == nil {
 			t.Errorf("stitched trace missing %q span", name)
