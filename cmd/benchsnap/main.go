@@ -21,6 +21,7 @@ import (
 	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/container"
 	"github.com/datacomp/datacomp/internal/corpus"
+	"github.com/datacomp/datacomp/internal/dict"
 	"github.com/datacomp/datacomp/internal/graph"
 	"github.com/datacomp/datacomp/internal/telemetry"
 	"github.com/datacomp/datacomp/internal/trace"
@@ -295,7 +296,10 @@ func measureGraph() ([]Entry, bool) {
 // an escaping output buffer). The rows of one configuration are sampled
 // interleaved, best-of-N, so the pooled-vs-percall comparison is best
 // rounds of the same noise environment rather than whichever mode ran
-// during a quiet slice.
+// during a quiet slice. zstd-1 also codes the 1 KiB and 4 KiB records
+// against a 2 KiB dictionary dict.TrainZstd trained on other records of
+// the size, as a store codes its blocks and a node its get replies
+// ("/dict2KiB" rows, pooled only).
 func measureSmallPayloads() ([]Entry, bool) {
 	const items = 64
 	sizes := []struct {
@@ -309,7 +313,8 @@ func measureSmallPayloads() ([]Entry, bool) {
 	smallCfgs := []struct {
 		codec string
 		level int
-	}{{"lz4", 1}, {"zstd", 1}, {"zlib", 1}}
+		dict  bool
+	}{{"lz4", 1, false}, {"zstd", 1, false}, {"zlib", 1, false}, {"zstd", 1, true}}
 
 	var entries []Entry
 	dirty := false
@@ -319,7 +324,24 @@ func measureSmallPayloads() ([]Entry, bool) {
 	}
 	for _, cfg := range smallCfgs {
 		for _, sz := range sizes {
-			pool, err := codec.NewPool(cfg.codec, codec.Options{Level: cfg.level, Checksum: true})
+			opts := codec.Options{Level: cfg.level, Checksum: true}
+			name := sz.name
+			if cfg.dict {
+				if sz.bytes < 1<<10 {
+					continue
+				}
+				samples := make([][]byte, items)
+				for i := range samples {
+					samples[i] = corpus.Records(int64(31*i+1000), sz.bytes)
+				}
+				d, err := dict.TrainZstd(cfg.level, 2<<10, samples, samples)
+				if err != nil {
+					fatal("%s L%d %s: training: %v", cfg.codec, cfg.level, sz.name, err)
+				}
+				opts.Dict = d
+				name += "/dict2KiB"
+			}
+			pool, err := codec.NewPool(cfg.codec, opts)
 			if err != nil {
 				fatal("%s L%d: %v", cfg.codec, cfg.level, err)
 			}
@@ -416,6 +438,9 @@ func measureSmallPayloads() ([]Entry, bool) {
 					}
 				}},
 			}
+			if cfg.dict {
+				modes = modes[:2]
+			}
 			best := make([]testing.BenchmarkResult, len(modes))
 			maxRuns := 0
 			for _, m := range modes {
@@ -440,7 +465,7 @@ func measureSmallPayloads() ([]Entry, bool) {
 				e := Entry{
 					Codec:       cfg.codec,
 					Level:       cfg.level,
-					Payload:     sz.name,
+					Payload:     name,
 					Direction:   m.dir,
 					NsPerOp:     res.NsPerOp(),
 					MBPerS:      float64(res.Bytes) * float64(res.N) / res.T.Seconds() / 1e6,
@@ -451,7 +476,7 @@ func measureSmallPayloads() ([]Entry, bool) {
 				if m.gate && e.AllocsPerOp != 0 {
 					dirty = true
 					fmt.Fprintf(os.Stderr, "benchsnap: ALLOC REGRESSION: %s L%d %s %s: %d allocs/op (%d B/op)\n",
-						cfg.codec, cfg.level, sz.name, m.dir, e.AllocsPerOp, e.BytesPerOp)
+						cfg.codec, cfg.level, name, m.dir, e.AllocsPerOp, e.BytesPerOp)
 				}
 				entries = append(entries, e)
 			}

@@ -20,6 +20,7 @@ import (
 	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/container"
 	"github.com/datacomp/datacomp/internal/corpus"
+	"github.com/datacomp/datacomp/internal/dict"
 	"github.com/datacomp/datacomp/internal/fse"
 	"github.com/datacomp/datacomp/internal/huffman"
 	"github.com/datacomp/datacomp/internal/lz4"
@@ -222,9 +223,35 @@ func FuzzEntropyRoundTrip(f *testing.F) {
 	})
 }
 
+// fuzzDictEngine returns a store-shaped 2 KiB dictionary trained on records
+// from seed, and the engine a node codes kv.get replies against it with:
+// zstd-1 in a checksum frame.
+func fuzzDictEngine(f *testing.F, seed int64) ([]byte, codec.Engine) {
+	var samples [][]byte
+	for i := int64(0); i < 64; i++ {
+		samples = append(samples, corpus.Records(seed+i, 1<<10))
+	}
+	d, err := dict.TrainZstd(1, 2<<10, samples, samples)
+	if err != nil {
+		f.Fatal(err)
+	}
+	eng, err := codec.NewEngine("zstd", codec.WithLevel(1), codec.WithDict(d), codec.WithChecksum(true))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return d, eng
+}
+
+// flagDict is the rpc frame flag of a reply coded against the server's
+// dictionary.
+const flagDict = 1 << 3
+
 // FuzzRPCFrame parses every input as one rpc frame: an error, never a
 // panic; an accepted frame round-trips; and the parse allocates on the
-// bytes it was given, not on the lengths its header claims.
+// bytes it was given, not on the lengths its header claims. Each input is
+// also parsed as a reply from a server whose dictionary the client holds:
+// a dictionary-coded one decodes, or fails as corrupt or with
+// rpc.UnknownDictError.
 func FuzzRPCFrame(f *testing.F) {
 	for _, frame := range [][]byte{
 		rpc.EncodeFrame(0, "echo", nil),
@@ -242,6 +269,41 @@ func FuzzRPCFrame(f *testing.F) {
 	// A header that claims a 64 MiB payload and carries ten bytes of it.
 	claim := binary.AppendUvarint([]byte{0, 4, 'e', 'c', 'h', 'o'}, 64<<20)
 	f.Add(append(append(claim, make([]byte, 8)...), "ten bytes!"...))
+	// Dictionary-coded replies: a valid one; one naming a dictionary the
+	// client lacks; one cut inside its zstd header; one whose header names
+	// the client's dictionary over a frame coded against another. As
+	// requests, all four carry a flag only replies may.
+	known, knownEng := fuzzDictEngine(f, 100)
+	_, otherEng := fuzzDictEngine(f, 900)
+	rec := corpus.Records(7, 1<<10)
+	valid, err := knownEng.Compress(nil, rec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	unknown, err := otherEng.Compress(nil, rec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The zstd header sits behind the 9-byte checksum header: magic, flags,
+	// uvarint content size, then the dictionary ID.
+	idAt := 9 + 5 + len(binary.AppendUvarint(nil, uint64(len(rec))))
+	wrongDict := bytes.Clone(unknown)
+	binary.LittleEndian.PutUint32(wrongDict[idAt:], zstd.DictID(known))
+	resolve := func(id uint32) []byte {
+		if id == zstd.DictID(known) {
+			return known
+		}
+		return nil
+	}
+	for i, payload := range [][]byte{valid, unknown, unknown[:idAt+2], wrongDict} {
+		frame := rpc.EncodeFrame(flagDict, "kv.get", payload)
+		f.Add(frame)
+		_, _, got, err := rpc.ParseReplyFrame(frame, resolve)
+		var u *rpc.UnknownDictError
+		if ok := [...]bool{err == nil && bytes.Equal(got, rec), errors.As(err, &u), errors.Is(err, rpc.ErrCorrupt), errors.Is(err, rpc.ErrCorrupt)}[i]; !ok {
+			f.Fatalf("dictionary seed %d parses to %v", i, err)
+		}
+	}
 	// A frame's payload buffer grows with the bytes that arrive — at most
 	// readAhead beyond them at first, then by doubling — whatever length the
 	// header claims; the rest of the slack is the reader's own buffers.
@@ -251,6 +313,7 @@ func FuzzRPCFrame(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		flags, method, payload, err := rpc.ParseFrame(data)
 		runtime.ReadMemStats(&after)
+		fuzzReplyFrame(t, data, resolve)
 		bound := uint64(len(data)) + readAhead + parseSlack
 		if len(data) > readAhead {
 			bound += 3 * uint64(len(data)) // doubling past the first step
@@ -278,6 +341,24 @@ func FuzzRPCFrame(f *testing.F) {
 			t.Fatal("frame did not round-trip")
 		}
 	})
+}
+
+// fuzzReplyFrame parses data as a reply frame with resolve's dictionary:
+// an error is a clean EOF, corruption or an unknown dictionary, and an
+// accepted frame's payload round-trips as an uncoded frame.
+func fuzzReplyFrame(t *testing.T, data []byte, resolve func(uint32) []byte) {
+	flags, method, payload, err := rpc.ParseReplyFrame(data, resolve)
+	var unknown *rpc.UnknownDictError
+	if err != nil {
+		if !errors.Is(err, rpc.ErrCorrupt) && !errors.Is(err, io.EOF) && !errors.As(err, &unknown) {
+			t.Fatalf("reply: unexpected error class: %v", err)
+		}
+		return
+	}
+	flags2, method2, payload2, err := rpc.ParseFrame(rpc.EncodeFrame(flags&^flagDict, string(method), payload))
+	if err != nil || flags2 != flags&^flagDict || !bytes.Equal(method2, method) || !bytes.Equal(payload2, payload) {
+		t.Fatalf("reply did not round-trip: %v", err)
+	}
 }
 
 func FuzzORCDecodeStripe(f *testing.F) {

@@ -14,6 +14,7 @@ import (
 	"github.com/datacomp/datacomp/internal/kvstore"
 	"github.com/datacomp/datacomp/internal/rpc"
 	"github.com/datacomp/datacomp/internal/telemetry"
+	"github.com/datacomp/datacomp/internal/zstd"
 )
 
 // Package-level telemetry on the shared registry.
@@ -26,6 +27,7 @@ var (
 	cmQuorumFailures, cmRebalancedRecords  *telemetry.Counter
 	cmReplicaErrors                        *telemetry.Counter
 	cmPutBlind, cmPutCompared              *telemetry.Counter
+	cmDictFetches                          *telemetry.Counter
 )
 
 func cm() {
@@ -46,6 +48,7 @@ func cm() {
 		cmReplicaErrors = r.Counter("cluster_replica_errors_total", "per-replica call failures")
 		cmPutBlind = r.Counter("cluster_put_blind_total", "replica puts written without reading the stored record")
 		cmPutCompared = r.Counter("cluster_put_compared_total", "replica puts that read and compared the stored record first")
+		cmDictFetches = r.Counter("cluster_dict_fetches_total", "kv.dict calls fetching a node's store dictionary for its kv.get replies")
 	})
 }
 
@@ -116,6 +119,9 @@ type Cluster struct {
 	nodes   map[string]*Node
 	clients map[string]*clientPool
 
+	// dicts are the store dictionaries node replies are coded against.
+	dicts dictCache
+
 	// coders are idle Coders for cfg.comp, which code each write's request
 	// once for all of its owners' links: as many as clientsPerNode, the
 	// writes that run on pooled clients alone. A channel rather than a
@@ -131,6 +137,7 @@ type Cluster struct {
 	digests   atomic.Int64
 	fulls     atomic.Int64
 	escalated atomic.Int64
+	fetches   atomic.Int64
 }
 
 // New builds an empty cluster; add members with AddNode.
@@ -683,6 +690,7 @@ type Stats struct {
 	DigestReads       int64 // replica reads answered by kv.digest
 	FullReads         int64 // replica reads answered by kv.get
 	EscalatedReads    int64 // kv.get calls beyond the first owner's
+	DictFetches       int64 // kv.dict calls, accepted or refused
 }
 
 // Stats returns per-cluster counters (the telemetry registry carries the
@@ -695,6 +703,7 @@ func (c *Cluster) Stats() Stats {
 		DigestReads:       c.digests.Load(),
 		FullReads:         c.fulls.Load(),
 		EscalatedReads:    c.escalated.Load(),
+		DictFetches:       c.fetches.Load(),
 	}
 }
 
@@ -728,7 +737,7 @@ func (p *clientPool) acquire(ctx context.Context) (*rpc.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rpc.NewClient(conn, p.c.cfg.comp)
+	return rpc.NewClient(conn, p.c.cfg.comp, rpc.WithDictResolver(p.c.dicts.lookup))
 }
 
 func (p *clientPool) release(cl *rpc.Client) {
@@ -741,8 +750,31 @@ func (p *clientPool) release(cl *rpc.Client) {
 
 // call runs one rpc against the node with a pooled client, appending the
 // reply to dst: body when it is not nil, else method with req. On error it
-// returns dst unchanged.
+// returns dst unchanged. A reply coded against a store dictionary the
+// cluster lacks is not an error of the node's: the dictionary is fetched
+// from the node, and the call — a read, so idempotent — sent once more.
 func (p *clientPool) call(ctx context.Context, dst []byte, method string, req []byte, body *rpc.Body) ([]byte, error) {
+	resp, err := p.callOnce(ctx, dst, method, req, body)
+	if err != nil {
+		if id, ok := unknownDict(err); ok && p.fetchDict(ctx, id) == nil {
+			resp, err = p.callOnce(ctx, dst, method, req, body)
+		}
+	}
+	return resp, err
+}
+
+// unknownDict reports the dictionary an rpc.UnknownDictError names. It is
+// called on failed calls only: its target escapes.
+func unknownDict(err error) (uint32, bool) {
+	var u *rpc.UnknownDictError
+	if errors.As(err, &u) {
+		return u.ID, true
+	}
+	return 0, false
+}
+
+// callOnce is call without the dictionary fetch.
+func (p *clientPool) callOnce(ctx context.Context, dst []byte, method string, req []byte, body *rpc.Body) ([]byte, error) {
 	cl, err := p.acquire(ctx)
 	if err != nil {
 		return dst, err
@@ -756,11 +788,76 @@ func (p *clientPool) call(ctx context.Context, dst []byte, method string, req []
 	if err != nil {
 		// A dead or desynced connection (node stop or crash, a corrupt
 		// frame) poisons the client; drop it so a later call dials fresh.
-		cl.Close()
+		// An unknown dictionary leaves the connection as it was.
+		if _, ok := unknownDict(err); ok {
+			p.release(cl)
+		} else {
+			cl.Close()
+		}
 		return dst, err
 	}
 	p.release(cl)
 	return resp, nil
+}
+
+// errDictMismatch refuses a kv.dict reply that is not the dictionary asked
+// for.
+var errDictMismatch = errors.New("cluster: kv.dict reply does not hash to the dictionary ID")
+
+// fetchDict asks the node for its store dictionary and keeps it when it is
+// the one with id.
+func (p *clientPool) fetchDict(ctx context.Context, id uint32) error {
+	p.c.fetches.Add(1)
+	cmDictFetches.Inc()
+	d, err := p.callOnce(ctx, nil, MethodDict, nil, nil)
+	if err != nil {
+		return err
+	}
+	if zstd.DictID(d) != id {
+		return fmt.Errorf("%w: %s sent %08x for %08x", errDictMismatch, p.node.Name(), zstd.DictID(d), id)
+	}
+	p.c.dicts.add(id, d)
+	return nil
+}
+
+// maxDicts bounds the dictionary cache: one dictionary per node is what a
+// cluster uses, so the bound only stops a churning membership from growing
+// it without end.
+const maxDicts = 64
+
+// dictCache is the cluster's one cache of node store dictionaries by
+// zstd.DictID, shared by every node's clients as their rpc resolver. A
+// restarted node keeps its dictionary and so its entry; past maxDicts the
+// oldest entry goes. Safe for concurrent use.
+type dictCache struct {
+	mu    sync.RWMutex
+	byID  map[uint32][]byte
+	order []uint32 // insertion order, oldest first
+}
+
+// lookup returns the dictionary with id, or nil.
+func (d *dictCache) lookup(id uint32) []byte {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.byID[id]
+}
+
+// add keeps b as the dictionary with id.
+func (d *dictCache) add(id uint32, b []byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, ok := d.byID[id]; ok {
+		return
+	}
+	if d.byID == nil {
+		d.byID = make(map[uint32][]byte)
+	}
+	if len(d.order) >= maxDicts {
+		delete(d.byID, d.order[0])
+		d.order = d.order[1:]
+	}
+	d.byID[id] = b
+	d.order = append(d.order, id)
 }
 
 func (p *clientPool) close() {

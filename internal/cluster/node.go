@@ -26,7 +26,10 @@ const (
 	// replays and retries are idempotent.
 	MethodPut = "kv.put"
 	// MethodGet fetches the record for a key: request is the raw key,
-	// response is 0x00 (none) or 0x01 followed by the record.
+	// response is 0x00 (none) or 0x01 followed by the record. A reply of at
+	// least the link's MinSize is coded against the node's store dictionary
+	// when the store has one (rpc.Server.RegisterAppendDict), and the
+	// coordinator fetches that dictionary with MethodDict.
 	MethodGet = "kv.get"
 	// MethodDigest fetches only the record header for a key: request is the
 	// raw key, response is 0x00 (none) or 0x01 followed by the 17 header
@@ -38,6 +41,9 @@ const (
 	// MethodDump streams every live record: uvarint klen | key |
 	// uvarint reclen | record, repeated. Rebalancing reads it.
 	MethodDump = "kv.dump"
+	// MethodDict fetches the node's store dictionary: the request is empty,
+	// the response the dictionary's bytes, empty when the store has none.
+	MethodDict = "kv.dict"
 )
 
 // Versioned record layout, built by the cluster and stored opaquely in the
@@ -214,10 +220,11 @@ func (n *Node) start(ctx context.Context) error {
 	}
 	srv := rpc.NewServer(n.cfg.comp)
 	srv.RegisterCoded(MethodPut, n.handlePut)
-	srv.RegisterAppend(MethodGet, n.handleGet)
+	srv.RegisterAppendDict(MethodGet, n.handleGet, n.replyDict)
 	srv.RegisterAppend(MethodDigest, n.handleDigest)
 	srv.Register(MethodDelete, n.handleDelete)
 	srv.RegisterAppend(MethodDump, n.handleDump)
+	srv.Register(MethodDict, n.handleDict)
 
 	n.putMu.Lock()
 	n.versions = make(map[string]*[recHeaderLen]byte)
@@ -482,6 +489,26 @@ func (n *Node) handleGet(ctx context.Context, dst, req []byte) ([]byte, error) {
 		n.putMu.Unlock()
 	}
 	return resp, nil
+}
+
+// replyDict is the dictionary kv.get replies are coded against: the store's,
+// at the store's level, or none.
+func (n *Node) replyDict() rpc.Dict {
+	db, err := n.store()
+	if err != nil {
+		return rpc.Dict{}
+	}
+	d := db.Dict()
+	return rpc.Dict{Bytes: d.Bytes, ID: d.ID, Level: d.Level}
+}
+
+// handleDict returns the store dictionary, empty when the store has none.
+func (n *Node) handleDict(ctx context.Context, req []byte) ([]byte, error) {
+	db, err := n.store()
+	if err != nil {
+		return nil, err
+	}
+	return db.Dict().Bytes, nil
 }
 
 // handleDigest appends the header of the stored record to dst: from the

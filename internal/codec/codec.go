@@ -301,6 +301,17 @@ func (c *checksummed) Unwrap() Engine { return c.eng }
 // for frames a Decompress already accepted.
 func StripChecksum(frame []byte) []byte { return frame[checksumHeaderLen:] }
 
+// ChecksumPayload returns the inner codec payload of a frame an engine built
+// with Checksum coded, checking only that the frame carries the checksum
+// header: for reading the inner frame's own header (the dictionary it names,
+// say) before Decompress verifies the content.
+func ChecksumPayload(frame []byte) ([]byte, error) {
+	if len(frame) < checksumHeaderLen || frame[0] != checksumMagic {
+		return nil, errChecksumHeader
+	}
+	return frame[checksumHeaderLen:], nil
+}
+
 // NewEngine looks up a codec by name and builds an engine from functional
 // options — the construction surface for everything outside this package:
 //

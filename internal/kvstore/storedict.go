@@ -41,6 +41,30 @@ const (
 
 var dictMagic = [4]byte{'K', 'V', 'D', '1'}
 
+// StoreDict is a store's dictionary, as DB.Dict reports it: the bytes every
+// table is coded against, their zstd.DictID and the zstd level the store
+// codes at. The zero StoreDict means the store has none.
+type StoreDict struct {
+	Bytes []byte
+	ID    uint32
+	Level int
+}
+
+// Dict returns the store dictionary, or the zero StoreDict while the store
+// has none: before its first flush trains one, for life when that flush had
+// too little to train on, and always for a store given its engine
+// (WithEngine) or coding with another codec than zstd. A reopened store
+// reports the dictionary it closed with. The bytes are the store's: callers
+// must not modify them.
+func (db *DB) Dict() StoreDict {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.dict == nil {
+		return StoreDict{}
+	}
+	return StoreDict{Bytes: db.dict, ID: db.dictID, Level: db.cfg.level}
+}
+
 // trainDictLocked trains the store dictionary from the memtable and rebuilds
 // the block engine against it. A store given its engine, or whose codec is
 // not zstd, is left as it is; so is one with too little data to train on,

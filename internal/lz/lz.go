@@ -184,6 +184,11 @@ type Matcher struct {
 	// Precomputed hashWord shifts for p.MinMatch and p.HashLog.
 	hashPre  uint8
 	hashPost uint8
+	// dict and dictHead are the dictionary SetDict gave a Fast matcher and
+	// its one-time table: for each bucket, 1 + the last dictionary position
+	// whose 8-byte hash window lies wholly inside the dictionary (0: none).
+	dict     []byte
+	dictHead []int32
 }
 
 // NewMatcher allocates a match finder for the given parameters.
@@ -207,6 +212,47 @@ func NewMatcher(p Params) (*Matcher, error) {
 // Params returns the matcher's configuration.
 func (m *Matcher) Params() Params { return m.p }
 
+// SetDict gives the matcher the dictionary d that ParseDict's history is
+// cut from. A Fast matcher indexes d here, once, where Parse indexes its
+// history on every call; chain strategies keep indexing per call. The
+// matcher keeps d, which must not change while it is set.
+func (m *Matcher) SetDict(d []byte) {
+	m.dict, m.dictHead = d, nil
+	if m.p.Strategy != Fast || len(d) < 8 {
+		return
+	}
+	m.dictHead = make([]int32, 1<<m.p.HashLog)
+	pre, post := uint(m.hashPre), uint(m.hashPost)
+	for j := 0; j+8 <= len(d); j++ {
+		m.dictHead[hashWord(binary.LittleEndian.Uint64(d[j:]), pre, post)] = int32(j + 1)
+	}
+}
+
+// ParseDict is Parse for an src whose first start bytes are the last start
+// bytes of the dictionary SetDict gave, and returns exactly what Parse
+// returns. A Fast matcher looks the history up in the dictionary's table
+// instead of hashing it, so a small src does not pay to index the whole
+// dictionary on every call.
+func (m *Matcher) ParseDict(dst []Sequence, src []byte, start int) []Sequence {
+	if m.dictHead == nil || start > len(m.dict) || start >= len(src) {
+		return m.Parse(dst, src, start)
+	}
+	m.resetEpoch(len(src))
+	dst = m.parseFast(dst, src, start, len(m.dict)-start)
+	m.base += int32(len(src))
+	return dst
+}
+
+// resetEpoch takes the one real table clear when a parse of n bytes would
+// overflow the epoch counter (~2 GiB parsed through one matcher).
+func (m *Matcher) resetEpoch(n int) {
+	if int64(m.base)+int64(n) >= 1<<31 {
+		clear(m.head)
+		clear(m.prev)
+		m.base = 1
+	}
+}
+
 // hashAt hashes the MinMatch-byte prefix at src[i:]. Callers must ensure
 // i+8 <= len(src): the kernel always loads a full word.
 func (m *Matcher) hashAt(src []byte, i int) uint32 {
@@ -221,16 +267,10 @@ func (m *Matcher) Parse(dst []Sequence, src []byte, start int) []Sequence {
 	if start >= len(src) {
 		return dst
 	}
-	if int64(m.base)+int64(len(src)) >= 1<<31 {
-		// Epoch overflow (~2 GiB parsed through one matcher): take the one
-		// real table clear and restart the epoch counter.
-		clear(m.head)
-		clear(m.prev)
-		m.base = 1
-	}
+	m.resetEpoch(len(src))
 	switch m.p.Strategy {
 	case Fast:
-		dst = m.parseFast(dst, src, start)
+		dst = m.parseFast(dst, src, start, -1)
 	case Optimal:
 		dst = m.parseOptimal(dst, src, start)
 	default:
@@ -240,7 +280,14 @@ func (m *Matcher) Parse(dst []Sequence, src []byte, start int) []Sequence {
 	return dst
 }
 
-func (m *Matcher) parseFast(dst []Sequence, src []byte, start int) []Sequence {
+// parseFast is the Fast parse. doff < 0 indexes the history src[:start]
+// into the main table. doff ≥ 0 says the history is the dictionary from
+// position doff on: only its last 7 positions, whose hash windows reach
+// into src[start:], are hashed, and a bucket holding no entry from this
+// parse falls back to the dictionary's table — the entry indexing the
+// whole history would have left there, since a later position always
+// overwrites an earlier one.
+func (m *Matcher) parseFast(dst []Sequence, src []byte, start, doff int) []Sequence {
 	minMatch := m.p.MinMatch
 	window := 1 << m.p.WindowLog
 	step := m.p.SkipStep
@@ -262,7 +309,13 @@ func (m *Matcher) parseFast(dst []Sequence, src []byte, start int) []Sequence {
 		qmask = 0x00ffffff
 	}
 	// Index history so matches can reach into it.
-	for i := 0; i < start && i <= hashEnd; i++ {
+	var dictHead []int32
+	first := 0
+	if doff >= 0 {
+		dictHead = m.dictHead
+		first = max(0, start-7)
+	}
+	for i := first; i < start && i <= hashEnd; i++ {
 		head[hashWord(binary.LittleEndian.Uint64(src[i:]), pre, post)] = base + int32(i)
 	}
 
@@ -275,7 +328,11 @@ func (m *Matcher) parseFast(dst []Sequence, src []byte, start int) []Sequence {
 	for i <= hashEnd {
 		x := binary.LittleEndian.Uint64(src[i:])
 		h := hashWord(x, pre, post)
-		cand := int(head[h] - base)
+		v := head[h]
+		cand := int(v - base)
+		if v < base && dictHead != nil {
+			cand = int(dictHead[h]) - 1 - doff
+		}
 		head[h] = base + int32(i)
 		if cand >= 0 && i-cand <= window &&
 			(uint32(x)^binary.LittleEndian.Uint32(src[cand:]))&qmask == 0 {

@@ -37,13 +37,24 @@ func WithTracer(tr *trace.Tracer) ClientOption {
 	return func(c *Client) { c.tracer = tr }
 }
 
+// WithDictResolver gives the client the dictionaries its replies may be
+// coded against (Server.RegisterAppendDict): resolve returns the bytes of
+// the dictionary with a zstd.DictID, or nil when it holds none, and the
+// call then fails with UnknownDictError. The client asks once per
+// dictionary it switches to; resolve must be safe for concurrent use when
+// it serves several clients.
+func WithDictResolver(resolve func(id uint32) []byte) ClientOption {
+	return func(c *Client) { c.resolve = resolve }
+}
+
 // Client issues calls over one connection, one request/response exchange
 // per call. Safe for concurrent use; calls are serialized.
 type Client struct {
-	comp   Compression
-	tracer *trace.Tracer
-	conn   io.ReadWriter
-	t      *transport
+	comp    Compression
+	tracer  *trace.Tracer
+	resolve func(id uint32) []byte
+	conn    io.ReadWriter
+	t       *transport
 
 	mu     sync.Mutex
 	closed bool
@@ -72,6 +83,7 @@ func NewClient(conn io.ReadWriter, comp Compression, opts ...ClientOption) (*Cli
 	if err != nil {
 		return nil, err
 	}
+	t.replies, t.resolve = true, c.resolve
 	c.t = t
 	return c, nil
 }

@@ -26,6 +26,22 @@ type Coder struct {
 	buf   []byte                      // coding scratch, which a compressed Body aliases
 	mbuf  []byte                      // method scratch for Code
 	stats *counters                   // the owning transport's; nil for a standalone Coder
+
+	// dict is the dictionary engine last coded or decoded with (flagDict
+	// frames): built once per dictionary, not pooled.
+	dict struct {
+		id  uint32
+		eng codec.Engine
+	}
+}
+
+// Dict is a zstd dictionary a server codes a method's replies against, and
+// the level it codes them at. ID is zstd.DictID(Bytes); the zero Dict codes
+// nothing.
+type Dict struct {
+	Bytes []byte
+	ID    uint32
+	Level int
 }
 
 // Body is a request as a Coder coded it: the bytes its frame carries — the
@@ -80,13 +96,26 @@ func (c *Coder) init(comp Compression) error {
 	return nil
 }
 
-// Close returns the Coder's engine to its pool. Safe to call more than once.
+// Close returns the Coder's engine to its pool and drops its dictionary
+// engine. Safe to call more than once.
 func (c *Coder) Close() {
 	if c.pool != nil && c.eng != nil {
 		c.pool.Put(c.eng)
 		c.eng = nil
 		c.pool = nil
 	}
+	c.dict.id, c.dict.eng = 0, nil
+}
+
+// useDict builds the engine for d: zstd at d's level, in the checksum
+// frame flagDict payloads carry.
+func (c *Coder) useDict(d Dict) error {
+	eng, err := codec.NewEngine("zstd", codec.WithLevel(d.Level), codec.WithDict(d.Bytes), codec.WithChecksum(true))
+	if err != nil {
+		return err
+	}
+	c.dict.id, c.dict.eng = d.ID, eng
+	return nil
 }
 
 // Code codes payload for method. The coding's time counts once, in
@@ -103,15 +132,34 @@ func (c *Coder) Code(ctx context.Context, method string, payload []byte) (Body, 
 // carries it, timed into rpc_compress_ns_total and the owning transport's
 // stats, with an "rpc.compress" span under parent.
 func (c *Coder) code(method, payload []byte, parent trace.SpanHandle) (Body, error) {
+	return c.codeDict(Dict{}, method, payload, parent)
+}
+
+// codeDict is code with payload coded against d instead, as a flagDict
+// frame, when d is a dictionary and the link has a static codec; an
+// adaptive link keeps its controller's coding, and an uncompressed link
+// codes nothing.
+func (c *Coder) codeDict(d Dict, method, payload []byte, parent trace.SpanHandle) (Body, error) {
 	b := Body{comp: c.comp, raw: len(payload), wire: payload}
 	if c.eng == nil && c.comp.Adaptive == nil || len(payload) < c.comp.MinSize {
 		return b, nil
+	}
+	flag := byte(flagCompressed)
+	if d.Bytes != nil && c.eng != nil {
+		if c.dict.eng == nil || c.dict.id != d.ID {
+			if err := c.useDict(d); err != nil {
+				return Body{}, err
+			}
+		}
+		flag = flagDict
 	}
 	sp := parent.Child("rpc.compress") // zero handle when untraced
 	t0 := time.Now()
 	var out []byte
 	var err error
-	if c.comp.Adaptive != nil {
+	if flag == flagDict {
+		out, err = c.dict.eng.Compress(c.buf[:0], payload)
+	} else if c.comp.Adaptive != nil {
 		var h *adaptive.Handle
 		if h, err = c.adaptiveHandle(method); err == nil {
 			out, err = h.Compress(c.buf[:0], payload)
@@ -132,7 +180,7 @@ func (c *Coder) code(method, payload []byte, parent trace.SpanHandle) (Body, err
 		c.buf = out
 	}
 	if len(out) < len(payload) {
-		b.wire, b.flags = out, flagCompressed
+		b.wire, b.flags = out, flag
 	}
 	sp.SetInt("raw", int64(len(payload))).SetInt("wire", int64(len(b.wire))).End()
 	return b, nil

@@ -38,6 +38,7 @@ import (
 	"github.com/datacomp/datacomp/internal/telemetry"
 	"github.com/datacomp/datacomp/internal/trace"
 	"github.com/datacomp/datacomp/internal/xxhash"
+	"github.com/datacomp/datacomp/internal/zstd"
 )
 
 // Compression configures the transport's codec.
@@ -88,7 +89,19 @@ var (
 	errHeader       = fmt.Errorf("%w: malformed frame header", ErrCorrupt)
 	errTruncated    = fmt.Errorf("%w: truncated frame", ErrCorrupt)
 	errSumMismatch  = fmt.Errorf("%w: frame checksum mismatch", ErrCorrupt)
+	errDictFlags    = fmt.Errorf("%w: dictionary flag on a request or with another coding", ErrCorrupt)
+	errDictFrame    = fmt.Errorf("%w: dictionary-coded payload names no dictionary", ErrCorrupt)
 )
+
+// UnknownDictError fails a call whose reply is coded against a dictionary
+// the client's resolver (WithDictResolver) does not hold. The whole frame
+// was read and verified, so the client stays usable: a caller that obtains
+// the dictionary can call again.
+type UnknownDictError struct{ ID uint32 }
+
+func (e *UnknownDictError) Error() string {
+	return fmt.Sprintf("rpc: reply coded against unknown dictionary %08x", e.ID)
+}
 
 // alignedError marks a frame error detected after the whole frame was
 // consumed: the byte stream is still frame-aligned, so the connection
@@ -112,6 +125,7 @@ type Stats struct {
 	Calls          int64
 	RawBytes       int64 // payload bytes before compression (both directions)
 	WireBytes      int64 // payload bytes on the wire
+	DictFrames     int64 // frames coded against a dictionary (flagDict), sent or received
 	CompressTime   time.Duration
 	DecompressTime time.Duration
 }
@@ -131,6 +145,7 @@ type counters struct {
 	calls        atomic.Int64
 	rawBytes     atomic.Int64
 	wireBytes    atomic.Int64
+	dictFrames   atomic.Int64
 	compressNS   atomic.Int64
 	decompressNS atomic.Int64
 }
@@ -140,6 +155,7 @@ func (c *counters) snapshot() Stats {
 		Calls:          c.calls.Load(),
 		RawBytes:       c.rawBytes.Load(),
 		WireBytes:      c.wireBytes.Load(),
+		DictFrames:     c.dictFrames.Load(),
 		CompressTime:   time.Duration(c.compressNS.Load()),
 		DecompressTime: time.Duration(c.decompressNS.Load()),
 	}
@@ -149,6 +165,7 @@ func (c *counters) foldInto(dst *counters) {
 	dst.calls.Add(c.calls.Load())
 	dst.rawBytes.Add(c.rawBytes.Load())
 	dst.wireBytes.Add(c.wireBytes.Load())
+	dst.dictFrames.Add(c.dictFrames.Load())
 	dst.compressNS.Add(c.compressNS.Load())
 	dst.decompressNS.Add(c.decompressNS.Load())
 }
@@ -161,6 +178,7 @@ var (
 	tmWireBytes  *telemetry.Counter
 	tmCompNS     *telemetry.Counter
 	tmDecompNS   *telemetry.Counter
+	tmDictFrames *telemetry.Counter
 	tmFrameBytes *telemetry.Histogram
 	tmCallNS     *telemetry.Histogram
 	tmCorrupt    *telemetry.Counter
@@ -175,6 +193,7 @@ func tm() {
 		tmWireBytes = r.Counter("rpc_wire_bytes_total", "payload bytes on the wire")
 		tmCompNS = r.Counter("rpc_compress_ns_total", "time compressing RPC payloads")
 		tmDecompNS = r.Counter("rpc_decompress_ns_total", "time decompressing RPC payloads")
+		tmDictFrames = r.Counter("rpc_dict_frames_total", "frames coded against a dictionary, counted at both ends")
 		tmFrameBytes = r.Histogram("rpc_wire_frame_bytes", "wire payload size per frame", "bytes")
 		tmCallNS = r.Histogram("rpc_call_ns", "client call latency end to end", "ns")
 		// Exemplars link a tail-latency bucket to the trace that landed there.
@@ -186,8 +205,8 @@ func tm() {
 
 // Frame layout (v2, with the v2.1 trace extension):
 //
-//	flags   1 byte   (flagCompressed | flagError | flagTrace; anything else
-//	                  is corrupt)
+//	flags   1 byte   (flagCompressed | flagError | flagTrace | flagDict;
+//	                  anything else is corrupt)
 //	trace   18 bytes trace span context (present iff flagTrace; see
 //	                  trace.AppendWire for the field's own layout)
 //	mlen    uvarint  method length (≤ maxMethod)
@@ -207,12 +226,19 @@ func tm() {
 // flagTrace frame rejects it as unknown-flags corruption rather than
 // misparsing it — enabling tracing requires both ends at this version
 // (DESIGN.md §9).
+//
+// flagDict marks a reply whose payload is a checksum-wrapped zstd frame
+// (codec.WithChecksum) coded against the dictionary its header names: the
+// server's own, which the client resolves by ID (Server.RegisterAppendDict,
+// WithDictResolver). It never rides with flagCompressed, and a request
+// carrying it is corrupt.
 const (
 	flagCompressed = 1 << 0
 	flagError      = 1 << 1
 	flagTrace      = 1 << 2
+	flagDict       = 1 << 3
 
-	flagsKnown = flagCompressed | flagError | flagTrace
+	flagsKnown = flagCompressed | flagError | flagTrace | flagDict
 )
 
 const (
@@ -237,6 +263,12 @@ const readStep = 64 << 10
 // framing allocates nothing once those buffers are warm.
 type transport struct {
 	Coder
+	// replies says this end reads replies (a client's), which alone may be
+	// coded against a dictionary; resolve maps a dictionary ID to its bytes
+	// (nil: none known).
+	replies bool
+	resolve func(id uint32) []byte
+
 	r       *bufio.Reader
 	w       *bufio.Writer
 	stats   counters
@@ -335,6 +367,10 @@ func (t *transport) writeBody(flags byte, method []byte, b *Body) error {
 	}
 	t.stats.rawBytes.Add(int64(b.raw))
 	t.stats.wireBytes.Add(int64(len(wire)))
+	if flags&flagDict != 0 {
+		t.stats.dictFrames.Add(1)
+		tmDictFrames.Inc()
+	}
 	tmRawBytes.Add(int64(b.raw))
 	tmWireBytes.Add(int64(len(wire)))
 	tmFrameBytes.Observe(int64(len(wire)))
@@ -396,8 +432,10 @@ func (t *transport) readPayload(dst []byte, n int) ([]byte, error) {
 
 // readFrame receives one message, verifying the frame checksum and
 // decompressing as flagged, and appends its payload to dst: an uncompressed
-// payload is read straight into dst's tail, a compressed one is read into
-// the transport's scratch and decompressed onto dst. payload is dst
+// payload is read straight into dst's tail, a coded one is read into the
+// transport's scratch and decoded onto dst. A reply coded against a
+// dictionary the client cannot resolve fails with UnknownDictError, marked
+// aligned like every error found after the whole frame was read. payload is dst
 // extended; method aliases scratch valid until the next readFrame, and so
 // does coding, a compressed payload's verified wire bytes (nil for an
 // uncompressed one). Stats count only the appended bytes.
@@ -409,6 +447,10 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload, coding [
 	}
 	if flags&^flagsKnown != 0 {
 		return 0, nil, nil, nil, corruptFrame(errUnknownFlags)
+	}
+	dictCoded := flags&flagDict != 0
+	if dictCoded && (!t.replies || flags&flagCompressed != 0) {
+		return 0, nil, nil, nil, corruptFrame(errDictFlags)
 	}
 	var trc []byte
 	if flags&flagTrace != 0 {
@@ -452,7 +494,7 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload, coding [
 	compressed := flags&flagCompressed != 0
 	base := len(dst)
 	var wire []byte
-	if compressed {
+	if compressed || dictCoded {
 		wire, err = t.readPayload(t.rbuf[:0], int(plen))
 		if cap(wire) <= maxKeptBuffer {
 			t.rbuf = wire
@@ -471,20 +513,23 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload, coding [
 	}
 	t.stats.wireBytes.Add(int64(len(wire)))
 	tmWireBytes.Add(int64(len(wire)))
-	if compressed {
-		if t.eng == nil && t.comp.Adaptive == nil {
+	if compressed || dictCoded {
+		if compressed && t.eng == nil && t.comp.Adaptive == nil {
 			return 0, nil, nil, nil, aligned(corruptFrame(fmt.Errorf("%w: compressed frame on uncompressed transport", ErrCorrupt)))
 		}
 		sp := t.cur.Child("rpc.decompress") // zero handle when untraced
 		t0 := time.Now()
 		var out []byte
 		var err error
-		if t.comp.Adaptive != nil {
+		switch {
+		case dictCoded:
+			out, err = t.decompressDict(dst, wire)
+		case t.comp.Adaptive != nil:
 			var h *adaptive.Handle
 			if h, err = t.adaptiveHandle(mbuf); err == nil {
 				out, err = h.Decompress(dst, wire)
 			}
-		} else {
+		default:
 			out, err = t.eng.Decompress(dst, wire)
 		}
 		ns := time.Since(t0).Nanoseconds()
@@ -492,17 +537,55 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload, coding [
 		tmDecompNS.Add(ns)
 		if err != nil {
 			sp.End()
-			// codec decode errors wrap codec.ErrCorrupt; the frame itself
-			// was consumed, so the connection stays aligned.
-			return 0, nil, nil, nil, aligned(corruptFrame(err))
+			// The frame itself was consumed, so the connection stays
+			// aligned; codec decode errors wrap codec.ErrCorrupt.
+			if _, unknown := err.(*UnknownDictError); !unknown {
+				err = corruptFrame(err)
+			}
+			return 0, nil, nil, nil, aligned(err)
 		}
 		sp.SetInt("wire", int64(len(wire))).SetInt("raw", int64(len(out)-base)).End()
 		dst = out
-		coding = wire
+		if dictCoded {
+			t.stats.dictFrames.Add(1)
+			tmDictFrames.Inc()
+		} else {
+			coding = wire
+		}
 	}
 	t.stats.rawBytes.Add(int64(len(dst) - base))
 	tmRawBytes.Add(int64(len(dst) - base))
 	return flags, mbuf, dst, coding, nil
+}
+
+// decompressDict decodes a flagDict payload onto dst with an engine for the
+// dictionary its zstd header names: the one the transport last decoded
+// with, or else the one its resolver returns, whose ID must match.
+func (t *transport) decompressDict(dst, wire []byte) ([]byte, error) {
+	inner, err := codec.ChecksumPayload(wire)
+	if err != nil {
+		return nil, err
+	}
+	id, named, err := zstd.FrameDictID(inner)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if !named {
+		return nil, errDictFrame
+	}
+	if t.dict.eng == nil || t.dict.id != id {
+		var d []byte
+		if t.resolve != nil {
+			d = t.resolve(id)
+		}
+		if d == nil || zstd.DictID(d) != id {
+			return nil, &UnknownDictError{ID: id}
+		}
+		if err := t.useDict(Dict{Bytes: d, ID: id}); err != nil {
+			return nil, err
+		}
+	}
+	return t.dict.eng.Decompress(dst, wire)
 }
 
 // coded is a frame's coding, as readFrame returned it, as a handler may keep
@@ -552,6 +635,16 @@ func EncodeFrameWithTrace(flags byte, method string, payload []byte, sc trace.Sp
 // input must yield an error, never a panic.
 func ParseFrame(data []byte) (flags byte, method, payload []byte, err error) {
 	flags, method, payload, _, err = ParseFrameTrace(data)
+	return flags, method, payload, err
+}
+
+// ParseReplyFrame decodes one frame as a client reads a reply, with no link
+// codec and dictionaries resolved by resolve — the parser half of the
+// flagDict format, exposed for fuzzing and tests.
+func ParseReplyFrame(data []byte, resolve func(id uint32) []byte) (flags byte, method, payload []byte, err error) {
+	tm()
+	t := &transport{r: bufio.NewReader(bytes.NewReader(data)), replies: true, resolve: resolve}
+	flags, method, payload, _, err = t.readFrame(nil)
 	return flags, method, payload, err
 }
 

@@ -79,6 +79,7 @@ type Server struct {
 type handler struct {
 	serve   func(ctx context.Context, dst, req []byte, coded Coded) ([]byte, error)
 	appends bool
+	dict    func() Dict // nil: replies are coded as the link codes them
 }
 
 // maxKeptBuffer bounds every buffer a connection keeps between frames: the
@@ -102,6 +103,18 @@ func NewServer(comp Compression, opts ...ServerOption) *Server {
 // RegisterAppend installs the append-form handler for method.
 func (s *Server) RegisterAppend(method string, h AppendHandlerFunc) {
 	s.register(method, handler{serve: func(ctx context.Context, dst, req []byte, _ Coded) ([]byte, error) { return h(ctx, dst, req) }, appends: true})
+}
+
+// RegisterAppendDict installs the append-form handler for method, with its
+// replies of at least MinSize coded against the dictionary dict returns,
+// asked for each such reply: on a link with a static codec the reply goes
+// out as a flagDict frame (zstd at the Dict's level, in a checksum frame)
+// when that is smaller, and its coding counts in Stats and
+// rpc_compress_ns_total as the link's own does. A zero Dict, an adaptive
+// link or an uncompressed one codes the reply as the link does. The client
+// resolves the dictionary by ID (WithDictResolver).
+func (s *Server) RegisterAppendDict(method string, h AppendHandlerFunc, dict func() Dict) {
+	s.register(method, handler{serve: func(ctx context.Context, dst, req []byte, _ Coded) ([]byte, error) { return h(ctx, dst, req) }, appends: true, dict: dict})
 }
 
 // Register installs the handler for method. It serves through the append
@@ -219,7 +232,14 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 		}
 		t.stats.calls.Add(1)
 		tmCalls.Inc()
-		err = t.writeFrame(flags, method, resp)
+		var d Dict
+		if flags == 0 && h.dict != nil && len(resp) >= t.comp.MinSize {
+			d = h.dict()
+		}
+		var b Body
+		if b, err = t.codeDict(d, method, resp, t.cur); err == nil {
+			err = t.writeBody(flags, method, &b)
+		}
 		if kept && resp != nil && cap(resp) <= maxKeptBuffer {
 			reply = resp[:0]
 		}

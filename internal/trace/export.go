@@ -29,18 +29,6 @@ type chromeFile struct {
 	TraceEvents []ChromeEvent `json:"traceEvents"`
 }
 
-// chromeTID picks the event's thread lane: worker-attributed spans get
-// per-worker lanes so a fan-out is visible; everything else nests on
-// lane 1.
-func chromeTID(sp SpanData) int64 {
-	for _, a := range sp.Attrs {
-		if a.Key == "worker" && !a.IsStr {
-			return 2 + a.Int
-		}
-	}
-	return 1
-}
-
 // WriteChromeTrace renders traces as Chrome trace-event JSON. Each trace
 // becomes one "process" (pid = low bits of the trace ID) so stitched
 // client+server halves share a track group; ts is absolute wall time so
@@ -58,7 +46,7 @@ func WriteChromeTrace(w io.Writer, traces []TraceData) error {
 				TS:    float64(td.Start.Add(sp.Start).UnixNano()) / 1e3,
 				Dur:   float64(sp.Dur.Nanoseconds()) / 1e3,
 				PID:   pid,
-				TID:   chromeTID(sp),
+				TID:   1, // one lane: spans nest by time
 				Args: map[string]any{
 					"trace": strconv.FormatUint(uint64(td.ID), 16),
 					"span":  strconv.FormatUint(uint64(sp.ID), 16),

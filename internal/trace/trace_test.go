@@ -290,7 +290,7 @@ func TestChromeExportRoundTrip(t *testing.T) {
 	rec := NewRecorder(2, 2)
 	tr := New(Config{SampleEvery: 1, Recorder: rec})
 	_, root := tr.StartRoot(context.Background(), "root")
-	root.Child("block").SetInt("worker", 2).SetInt("block", 7).End()
+	root.Child("block").SetInt("block", 7).End()
 	root.End()
 
 	var buf bytes.Buffer
@@ -313,10 +313,10 @@ func TestChromeExportRoundTrip(t *testing.T) {
 	if blockEv == nil {
 		t.Fatal("block event missing")
 	}
-	if blockEv.TID != 4 {
-		t.Fatalf("worker-attributed event on tid %d, want 4", blockEv.TID)
+	if blockEv.TID != 1 {
+		t.Fatalf("event on tid %d, want 1: every span shares one lane", blockEv.TID)
 	}
-	if blockEv.Args["worker"] != float64(2) || blockEv.Args["block"] != float64(7) {
+	if blockEv.Args["block"] != float64(7) {
 		t.Fatalf("attrs lost: %+v", blockEv.Args)
 	}
 	if blockEv.Args["parent"] == nil {

@@ -189,6 +189,7 @@ func (e *Encoder) matcher(srcLen int) (*lz.Matcher, error) {
 		if err != nil {
 			return nil, err
 		}
+		m.SetDict(e.content)
 		e.matchers[p] = m
 	}
 	e.lastP, e.lastM = p, m
@@ -310,9 +311,14 @@ func (e *Encoder) compressBlock(dst, buf []byte, blockStart, blockEnd int, last 
 }
 
 // parse finds the matches of buf[blockStart:blockEnd] with m, over the
-// window preceding the block, into e.seqs.
+// window preceding the block, into e.seqs. The first block's window is the
+// dictionary content's tail, which m has indexed once (lz.Matcher.SetDict).
 func (e *Encoder) parse(m *lz.Matcher, buf []byte, blockStart, blockEnd int) {
 	windowBase := max(0, blockStart-(1<<m.Params().WindowLog))
+	if blockStart == len(e.content) {
+		e.seqs = m.ParseDict(e.seqs[:0], buf[windowBase:blockEnd], blockStart-windowBase)
+		return
+	}
 	e.seqs = m.Parse(e.seqs[:0], buf[windowBase:blockEnd], blockStart-windowBase)
 }
 

@@ -9,6 +9,8 @@ package datacomp_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/datacomp/datacomp/internal/codec"
@@ -18,19 +20,48 @@ import (
 	"github.com/datacomp/datacomp/internal/zstd"
 )
 
+// allocRuns is how many warmed calls an allocation gate measures.
+const allocRuns = 10
+
+// mallocs returns the heap allocations op makes over allocRuns calls, after
+// one warm-up call that keeps first-call table and buffer growth out of
+// the count. Unlike testing.AllocsPerRun, which divides the total by the
+// runs in integers, it misses no allocation: an op that allocates in one
+// run of ten counts 1, not 0. The count is process-wide, so no collection
+// may start inside it: a cycle starts the runtime's own cleanups (the
+// unique package's map sweep allocates), which would read as the op's. The
+// collector is off until the runs are counted, and cleanups a cycle before
+// it started get the processor first.
+func mallocs(op func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	op()
+	for i := 0; i < 4; i++ {
+		runtime.Gosched()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < allocRuns; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // allocsPerOp measures steady-state allocations of op after one warm-up
-// call. AllocsPerRun already averages over runs; the explicit warm-up keeps
-// first-call table/buffer growth out of the measurement.
+// call, as testing.AllocsPerRun reads them: the integer mean over the
+// runs. The bounded call-path gates use it; a zero gate must not
+// (requireZeroAllocs).
 func allocsPerOp(t *testing.T, op func()) float64 {
 	t.Helper()
 	op()
-	return testing.AllocsPerRun(10, op)
+	return testing.AllocsPerRun(allocRuns, op)
 }
 
 func requireZeroAllocs(t *testing.T, name string, op func()) {
 	t.Helper()
-	if n := allocsPerOp(t, op); n != 0 {
-		t.Errorf("%s: %v allocs/op, want 0", name, n)
+	if n := mallocs(op); n != 0 {
+		t.Errorf("%s: %d allocations over %d warmed runs, want 0", name, n, allocRuns)
 	}
 }
 
