@@ -19,10 +19,6 @@ import (
 	"github.com/datacomp/datacomp/internal/rpc"
 )
 
-// raceEnabled is set by race_test.go under the race detector, which drops
-// sync.Pool puts at random and so allocates pooled state now and then.
-var raceEnabled bool
-
 // nodeLink is the compression the cluster's node links use by default. The
 // call and hot-get gates' payloads are below its MinSize, so no codec runs;
 // the AppendCall and flushed-get gates cross it.
@@ -162,9 +158,6 @@ func TestCallAllocsClusterGet(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
-	if raceEnabled {
-		t.Skip("the race detector drops pooled fan-out state at random")
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	c := cluster.New()
@@ -201,9 +194,6 @@ const maxGetBytesOverValue = 160
 func TestCallAllocsClusterGetBytes(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
-	}
-	if raceEnabled {
-		t.Skip("the race detector drops pooled fan-out state at random")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -264,9 +254,6 @@ const maxClusterPutAllocs = 3
 func TestCallAllocsClusterPut(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
-	}
-	if raceEnabled {
-		t.Skip("the race detector drops pooled fan-out state at random")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

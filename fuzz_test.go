@@ -55,10 +55,11 @@ func seedFrames(f *testing.F, compress func([]byte) ([]byte, error)) {
 	}
 }
 
-// FuzzZstdDecompress decodes every input as a frame with no dictionary and
-// with a dictionary that carries entropy tables (the compat fixture's), and
-// parses it as a dictionary: a parse may fail, never panic, and allocates
-// its tables only — a bounded amount, whatever the input declares.
+// FuzzZstdDecompress decodes every input as a frame with no dictionary, with
+// a dictionary that carries entropy tables (the compat fixture's) and with
+// a store's trained dictionary, and parses it as a dictionary: a parse may
+// fail, never panic, and allocates its tables only — a bounded amount,
+// whatever the input declares.
 func FuzzZstdDecompress(f *testing.F) {
 	enc, err := zstd.NewEncoder(zstd.Options{Level: 3, Checksum: true})
 	if err != nil {
@@ -80,6 +81,49 @@ func FuzzZstdDecompress(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// Level 1's Fast parse: plain frames, a frame of repeat offsets (lines
+	// that repeat at one stride with a byte changed every few bytes), and
+	// the store's blocks and records coded against the dictionary the
+	// store trains from them.
+	fast, err := zstd.NewEncoder(zstd.Options{Level: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seedFrames(f, func(src []byte) ([]byte, error) { return fast.Compress(nil, src) })
+	repeats := bytes.Repeat([]byte("ts=1681234567 svc=kv op=get key=user:0000 ok\n"), 200)
+	for i := 7; i < len(repeats); i += 11 {
+		repeats[i] ^= byte(i)
+	}
+	frame, err := fast.Compress(nil, repeats)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if back, err := zstd.Decompress(nil, frame, nil); err != nil || !bytes.Equal(back, repeats) {
+		f.Fatalf("repeat-offset frame does not round-trip: %v", err)
+	}
+	f.Add(frame)
+	records, blocks, storeDict := storeShaped(f)
+	senc, err := zstd.NewEncoder(zstd.Options{Level: 1, Dict: storeDict})
+	if err != nil {
+		f.Fatal(err)
+	}
+	sdec, err := zstd.NewDecoder(storeDict)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, src := range [][]byte{blocks[0], blocks[len(blocks)-1], records[0]} {
+		frame, err := senc.Compress(nil, src)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if back, err := sdec.Decompress(nil, frame); err != nil || !bytes.Equal(back, src) {
+			f.Fatalf("store-dictionary frame does not round-trip: %v", err)
+		}
+		f.Add(frame)
+		mut := bytes.Clone(frame)
+		mut[len(mut)/2] ^= 0x55
+		f.Add(mut)
+	}
 	const parseAllocBound = 256 << 10
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -99,6 +143,7 @@ func FuzzZstdDecompress(f *testing.F) {
 		}
 		_, _ = zstd.Decompress(nil, data, nil)
 		_, _ = tdec.Decompress(nil, data)
+		_, _ = sdec.Decompress(nil, data)
 		_, _, _ = zstd.FrameDictID(data)
 	})
 }

@@ -61,12 +61,21 @@ func (w *Writer64) Add(v uint64, n uint) {
 }
 
 // Carry stores the accumulator's complete bytes into the buffer with one
-// 8-byte write, leaving at most 7 bits pending.
+// 8-byte write, leaving at most 7 bits pending. With 8 bytes of spare
+// capacity the word lands in it whole, so up to 7 bytes past the buffer's
+// new length are overwritten: a writer's buffer is its own scratch.
 func (w *Writer64) Carry() {
-	var word [8]byte
-	binary.LittleEndian.PutUint64(word[:], w.acc)
 	nbytes := w.nacc >> 3
-	w.buf = append(w.buf, word[:nbytes]...)
+	if n := len(w.buf); cap(w.buf)-n >= 8 {
+		// Store the whole word past the end and keep its complete bytes:
+		// no append, no copy of a partial word.
+		binary.LittleEndian.PutUint64(w.buf[n:n+8], w.acc)
+		w.buf = w.buf[:n+int(nbytes)]
+	} else {
+		var word [8]byte
+		binary.LittleEndian.PutUint64(word[:], w.acc)
+		w.buf = append(w.buf, word[:nbytes]...)
+	}
 	w.acc >>= nbytes * 8
 	w.nacc &= 7
 }

@@ -129,6 +129,12 @@ type Cluster struct {
 	// engine.
 	coders chan *rpc.Coder
 
+	// ops are idle fan-out states (op), as many as clientsPerNode, the
+	// operations that run on pooled clients alone: a channel for the
+	// same reason as coders, since a GC would empty a sync.Pool and each
+	// refill would regrow the replica slots and their reply buffers.
+	ops chan *op
+
 	// Stats below are process-wide mirrors of the telemetry counters,
 	// kept per-cluster for tests.
 	repairs   atomic.Int64
@@ -156,6 +162,7 @@ func New(opts ...Option) *Cluster {
 		nodes:   make(map[string]*Node),
 		clients: make(map[string]*clientPool),
 		coders:  make(chan *rpc.Coder, cfg.clientsPerNode),
+		ops:     make(chan *op, cfg.clientsPerNode),
 	}
 }
 
@@ -284,10 +291,11 @@ func (r *replica) version() uint64 { return binary.LittleEndian.Uint64(r.resp[1:
 func (r *replica) header() []byte { return r.resp[1 : 1+recHeaderLen] }
 
 // op is one operation's replica set and fan-out state. It is recycled
-// through opPool, so an operation allocates none of its own bookkeeping;
-// nothing may keep an op, a slice of its reps, or a reply or request in
-// its buffers past release.
+// through its cluster's ops, so an operation allocates none of its own
+// bookkeeping; nothing may keep an op, a slice of its reps, or a reply or
+// request in its buffers past release.
 type op struct {
+	free  chan *op  // the cluster's ops, which release returns it to
 	reps  []replica // each slot's resp buffer survives release for the next op
 	names []string  // reps' node names, as the ring returned them
 	wg    sync.WaitGroup
@@ -303,8 +311,6 @@ type op struct {
 	coded  rpc.Body
 }
 
-var opPool = sync.Pool{New: func() any { return new(op) }}
-
 // maxPooledBuffer bounds each request and reply buffer a pooled op keeps.
 const maxPooledBuffer = 64 << 10
 
@@ -315,7 +321,12 @@ func (c *Cluster) owners(key []byte) (*op, error) {
 	if c.ring.Len() == 0 {
 		return nil, ErrNoNodes
 	}
-	o := opPool.Get().(*op)
+	var o *op
+	select {
+	case o = <-c.ops:
+	default:
+		o = &op{free: c.ops}
+	}
 	o.names = c.ring.AppendOwners(o.names[:0], key, replication)
 	o.reps = slices.Grow(o.reps, len(o.names))[:len(o.names)]
 	for i, name := range o.names {
@@ -325,8 +336,9 @@ func (c *Cluster) owners(key []byte) (*op, error) {
 	return o, nil
 }
 
-// release returns o to opPool holding no error, context or request, and
-// every slot's reply buffer emptied for the next operation.
+// release returns o to its cluster's ops holding no error, context or
+// request, and every slot's reply buffer emptied for the next operation;
+// when enough are kept, o is dropped.
 func (o *op) release() {
 	for i := range o.reps {
 		r := &o.reps[i]
@@ -341,7 +353,10 @@ func (o *op) release() {
 	if cap(o.buf) > maxPooledBuffer {
 		o.buf = nil
 	}
-	opPool.Put(o)
+	select {
+	case o.free <- o:
+	default:
+	}
 }
 
 // fanOut calls every owner at once — reps[0] on the caller's goroutine, the

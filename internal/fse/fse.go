@@ -287,12 +287,18 @@ func encodeWith2(w *bits.Writer64, t *EncTable, syms []byte) error {
 		c1.init(t, syms[i-2])
 		i -= 2
 	}
-	for i > 0 {
-		// One pair per carry: ≤ 2×tableLog ≤ 24 bits accumulated.
+	for ; i >= 4; i -= 4 {
+		// Two pairs per carry: ≤ 4×tableLog ≤ 48 bits accumulated.
+		c2.encode(w, syms[i-1])
+		c1.encode(w, syms[i-2])
+		c2.encode(w, syms[i-3])
+		c1.encode(w, syms[i-4])
+		w.Carry()
+	}
+	if i > 0 {
 		c2.encode(w, syms[i-1])
 		c1.encode(w, syms[i-2])
 		w.Carry()
-		i -= 2
 	}
 	c2.flush(w)
 	c1.flush(w)

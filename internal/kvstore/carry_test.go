@@ -302,10 +302,11 @@ func TestTrivialMoveCodesNothing(t *testing.T) {
 	}
 
 	// The automatic path: a sequential load through small memtables
-	// compacts only by moves, and so decodes nothing.
+	// compacts only by moves, and so decodes nothing. The load is sized to
+	// overflow L1 at the ratio zstd-1 codes these records with.
 	auto := testDB(t, WithBlockSize(1<<10), WithMemtableBytes(8<<10), WithL0CompactionTrigger(2),
 		WithBaseLevelBytes(32<<10), WithMaxTableBytes(16<<10))
-	for i := 0; i < 3000; i++ {
+	for i := 0; i < 4000; i++ {
 		mustPut(t, auto, fmt.Sprintf("key-%05d", i), fmt.Sprintf("value-%05d-%040d", i, i))
 	}
 	checkTables(t, auto)

@@ -22,6 +22,22 @@ func textish(rng *rand.Rand, n int, pool []byte) []byte {
 	return b[:n]
 }
 
+// strided appends n bytes to hist that mostly repeat the byte stride back,
+// with a mutation every few bytes: after each mutation the parse resumes at
+// the same offset, a repeat, which reaches into hist while the payload is
+// shorter than stride.
+func strided(rng *rand.Rand, hist []byte, n, stride int) []byte {
+	b := slices.Clone(hist)
+	for k := 0; k < n; k++ {
+		if at := len(b) - stride; at >= 0 && rng.Intn(12) != 0 {
+			b = append(b, b[at])
+			continue
+		}
+		b = append(b, "abcdefgh ,.01"[rng.Intn(13)])
+	}
+	return b[len(hist):]
+}
+
 // TestParseDictMatchesParse holds the one-time dictionary table to the
 // per-call indexing it replaces: for random dictionaries of 0 to 16 KiB,
 // histories cut anywhere from the dictionary's tail (lengths near the
@@ -36,7 +52,14 @@ func TestParseDictMatchesParse(t *testing.T) {
 		{WindowLog: 17, HashLog: 15, MinMatch: 4, SkipStep: 1, Strategy: Fast},
 		{WindowLog: 14, HashLog: 8, MinMatch: 3, SkipStep: 3, Strategy: Fast},
 		{WindowLog: 12, HashLog: 12, ChainLog: 12, Depth: 4, MinMatch: 4, Strategy: Greedy},
+		// zstd's: repeat offsets, whose probes read the history in src.
+		{WindowLog: 17, HashLog: 15, MinMatch: 6, SkipStep: 1, Strategy: Fast, RepeatOffsets: true},
+		{WindowLog: 14, HashLog: 14, MinMatch: 5, SkipStep: 1, Strategy: Fast, RepeatOffsets: true},
+		{WindowLog: 12, HashLog: 8, MinMatch: 5, SkipStep: 3, Strategy: Fast, RepeatOffsets: true},
 	}
+	// repIntoHistory counts repeat-offset matches whose source lies in the
+	// history, so the test is known to reach them.
+	repIntoHistory := 0
 	dictSizes := []int{0, 1, 7, 8, 9, 15, 16, 17, 100, 2048, 4096 + 3, 16 << 10}
 	payloadSizes := []int{0, 1, 7, 8, 9, 15, 16, 300, 1024, 5000}
 	for _, p := range params {
@@ -59,20 +82,40 @@ func TestParseDictMatchesParse(t *testing.T) {
 			}
 			for _, start := range starts {
 				for _, pn := range payloadSizes {
-					src := append(slices.Clone(dict[dn-start:]), textish(rng, pn, dict)...)
-					want := plain.Parse(nil, src, start)
-					got := withDict.ParseDict(nil, src, start)
-					if !slices.Equal(got, want) {
-						t.Fatalf("%v dict %d history %d payload %d: ParseDict differs from Parse\n got %v\nwant %v",
-							p.Strategy, dn, start, pn, got, want)
+					hist := slices.Clone(dict[dn-start:])
+					payloads := [][]byte{textish(rng, pn, dict)}
+					if p.RepeatOffsets {
+						payloads = append(payloads, strided(rng, hist, pn, 1+rng.Intn(max(1, min(start, 600)))))
 					}
-					if pn > 0 {
-						if _, err := Apply(src, start, got); err != nil {
-							t.Fatalf("%v dict %d history %d payload %d: %v", p.Strategy, dn, start, pn, err)
+					for _, payload := range payloads {
+						src := append(slices.Clone(hist), payload...)
+						want := plain.Parse(nil, src, start)
+						got := withDict.ParseDict(nil, src, start)
+						if !slices.Equal(got, want) {
+							t.Fatalf("%v dict %d history %d payload %d: ParseDict differs from Parse\n got %v\nwant %v",
+								p.Strategy, dn, start, pn, got, want)
+						}
+						if pn > 0 {
+							if _, err := Apply(src, start, got); err != nil {
+								t.Fatalf("%v dict %d history %d payload %d: %v", p.Strategy, dn, start, pn, err)
+							}
+						}
+						pos, last := start, uint32(0)
+						for _, sq := range got {
+							pos += int(sq.LitLen)
+							if sq.MatchLen > 0 && sq.Offset == last && pos-int(sq.Offset) < start {
+								repIntoHistory++
+							}
+							pos += int(sq.MatchLen)
+							last = sq.Offset
 						}
 					}
 				}
 			}
 		}
 	}
+	if repIntoHistory == 0 {
+		t.Fatal("no repeat-offset match reached into the history")
+	}
+	t.Logf("%d repeat-offset matches reached into the history", repIntoHistory)
 }

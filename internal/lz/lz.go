@@ -91,6 +91,13 @@ type Params struct {
 	MaxMatch  int  // largest emitted match length, 0 = unlimited
 	SkipStep  int  // Fast only: advance per miss; >1 trades ratio for speed
 	Strategy  Strategy
+	// RepeatOffsets says the format codes a match at the most recent offset
+	// for a few bits (zstd's repeat codes; LZ4 and DEFLATE have none). Fast
+	// then parses the way zstd's fast strategy does: it probes that offset
+	// one byte ahead before each lookup, and checks the next position for a
+	// longer match before it takes a short one, since in such a format a
+	// sequence costs about what the literals of a short match save.
+	RepeatOffsets bool
 }
 
 // Validate reports whether the parameters are internally consistent.
@@ -168,6 +175,10 @@ const skipTrigger = 6
 // ratio gain of unbounded seeding (+0.7% logs, +1.4% records) at a
 // fraction of its cost.
 const seedCap = 8
+
+// lazyLen is the match length below which a RepeatOffsets Fast parse looks
+// one position on for a longer match.
+const lazyLen = 12
 
 // Matcher is a reusable match finder. It is not safe for concurrent use.
 type Matcher struct {
@@ -286,7 +297,8 @@ func (m *Matcher) Parse(dst []Sequence, src []byte, start int) []Sequence {
 // into src[start:], are hashed, and a bucket holding no entry from this
 // parse falls back to the dictionary's table — the entry indexing the
 // whole history would have left there, since a later position always
-// overwrites an earlier one.
+// overwrites an earlier one. A repeat offset reads src itself, whose
+// history is the same bytes either way.
 func (m *Matcher) parseFast(dst []Sequence, src []byte, start, doff int) []Sequence {
 	minMatch := m.p.MinMatch
 	window := 1 << m.p.WindowLog
@@ -319,6 +331,9 @@ func (m *Matcher) parseFast(dst []Sequence, src []byte, start, doff int) []Seque
 		head[hashWord(binary.LittleEndian.Uint64(src[i:]), pre, post)] = base + int32(i)
 	}
 
+	// rep is the offset of the last match (0: none yet, or a format with no
+	// repeat offsets).
+	rep, repeats := 0, m.p.RepeatOffsets
 	litStart := start
 	i := start
 	// Branch-reduced skip acceleration: sw counts misses in its low bits and
@@ -334,52 +349,83 @@ func (m *Matcher) parseFast(dst []Sequence, src []byte, start, doff int) []Seque
 			cand = int(dictHead[h]) - 1 - doff
 		}
 		head[h] = base + int32(i)
-		if cand >= 0 && i-cand <= window &&
-			(uint32(x)^binary.LittleEndian.Uint32(src[cand:]))&qmask == 0 {
-			ml := matchLen(src, cand, i, end)
-			if ml >= minMatch {
-				// Extend backwards into pending literals.
-				for i > litStart && cand > 0 && src[i-1] == src[cand-1] {
-					i--
-					cand--
-					ml++
-				}
-				if m.p.MaxMatch > 0 && ml > m.p.MaxMatch {
-					ml = m.p.MaxMatch
-				}
-				dst = append(dst, Sequence{
-					LitLen:   uint32(i - litStart),
-					MatchLen: uint32(ml),
-					Offset:   uint32(i - cand),
-				})
-				// Seed the matched span so later data still finds it: every
-				// skipped position up to seedCap, then midpoint and tail of
-				// anything longer.
-				next := i + ml
-				seedEnd := next
-				if seedEnd > i+1+seedCap {
-					seedEnd = i + 1 + seedCap
-				}
-				if seedEnd > hashEnd+1 {
-					seedEnd = hashEnd + 1
-				}
-				for k := i + 1; k < seedEnd; k++ {
-					head[hashWord(binary.LittleEndian.Uint64(src[k:]), pre, post)] = base + int32(k)
-				}
-				if mid := i + ml/2; mid <= hashEnd && mid >= seedEnd {
-					head[hashWord(binary.LittleEndian.Uint64(src[mid:]), pre, post)] = base + int32(mid)
-				}
-				if t := next - 1; t >= seedEnd && t <= hashEnd {
-					head[hashWord(binary.LittleEndian.Uint64(src[t:]), pre, post)] = base + int32(t)
-				}
-				i = next
-				litStart = next
-				sw = uint32(step) << skipTrigger
-				continue
+		ml := 0
+		// A match at the last offset one byte on codes as a repeat: take
+		// it before the table's candidate, as zstd's fast strategy does.
+		if rep > 0 {
+			if r := i + 1 - rep; r >= 0 && uint32(x>>8) == binary.LittleEndian.Uint32(src[r:]) {
+				i, cand = i+1, r
+				ml = matchLen(src, cand, i, end)
 			}
 		}
-		i += int(sw >> skipTrigger)
-		sw++
+		if ml == 0 {
+			if cand < 0 || i-cand > window ||
+				(uint32(x)^binary.LittleEndian.Uint32(src[cand:]))&qmask != 0 {
+				i += int(sw >> skipTrigger)
+				sw++
+				continue
+			}
+			if ml = matchLen(src, cand, i, end); ml < minMatch {
+				i += int(sw >> skipTrigger)
+				sw++
+				continue
+			}
+			if repeats && ml < lazyLen && i < hashEnd {
+				// One step lazy: a longer match at i+1 is worth the literal.
+				h1 := hashWord(binary.LittleEndian.Uint64(src[i+1:]), pre, post)
+				v1 := head[h1]
+				c1 := int(v1 - base)
+				if v1 < base && dictHead != nil {
+					c1 = int(dictHead[h1]) - 1 - doff
+				}
+				head[h1] = base + int32(i+1)
+				if c1 >= 0 && i+1-c1 <= window {
+					if ml1 := matchLen(src, c1, i+1, end); ml1 > ml {
+						i, cand, ml = i+1, c1, ml1
+					}
+				}
+			}
+		}
+		// Extend backwards into pending literals.
+		for i > litStart && cand > 0 && src[i-1] == src[cand-1] {
+			i--
+			cand--
+			ml++
+		}
+		if m.p.MaxMatch > 0 && ml > m.p.MaxMatch {
+			ml = m.p.MaxMatch
+		}
+		dst = append(dst, Sequence{
+			LitLen:   uint32(i - litStart),
+			MatchLen: uint32(ml),
+			Offset:   uint32(i - cand),
+		})
+		if repeats {
+			rep = i - cand
+		}
+		// Seed the matched span so later data still finds it: every
+		// skipped position up to seedCap, then midpoint and tail of
+		// anything longer.
+		next := i + ml
+		seedEnd := next
+		if seedEnd > i+1+seedCap {
+			seedEnd = i + 1 + seedCap
+		}
+		if seedEnd > hashEnd+1 {
+			seedEnd = hashEnd + 1
+		}
+		for k := i + 1; k < seedEnd; k++ {
+			head[hashWord(binary.LittleEndian.Uint64(src[k:]), pre, post)] = base + int32(k)
+		}
+		if mid := i + ml/2; mid <= hashEnd && mid >= seedEnd {
+			head[hashWord(binary.LittleEndian.Uint64(src[mid:]), pre, post)] = base + int32(mid)
+		}
+		if t := next - 1; t >= seedEnd && t <= hashEnd {
+			head[hashWord(binary.LittleEndian.Uint64(src[t:]), pre, post)] = base + int32(t)
+		}
+		i = next
+		litStart = next
+		sw = uint32(step) << skipTrigger
 	}
 	if litStart < end {
 		dst = append(dst, Sequence{LitLen: uint32(end - litStart)})

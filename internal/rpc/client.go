@@ -54,6 +54,7 @@ type Client struct {
 	tracer  *trace.Tracer
 	resolve func(id uint32) []byte
 	conn    io.ReadWriter
+	nc      net.Conn // conn when it is a net.Conn, whose deadlines a call arms; asserted once, not per call
 	t       *transport
 
 	mu     sync.Mutex
@@ -76,6 +77,7 @@ type Client struct {
 func NewClient(conn io.ReadWriter, comp Compression, opts ...ClientOption) (*Client, error) {
 	comp.fill()
 	c := &Client{comp: comp, conn: conn}
+	c.nc, _ = conn.(net.Conn)
 	for _, o := range opts {
 		o(c)
 	}
@@ -212,7 +214,7 @@ func (c *Client) callLocked(ctx context.Context, dst []byte, method string, req 
 // call stages the span context onto the request frame and parents the
 // transport's codec spans.
 func (c *Client) exchange(ctx context.Context, dst []byte, body *Body, span trace.SpanHandle) ([]byte, error) {
-	if nc, ok := c.conn.(net.Conn); ok {
+	if nc := c.nc; nc != nil {
 		c.enter(ctx, nc)
 		defer c.exit(nc)
 	}
@@ -311,6 +313,6 @@ func (c *Client) cancelled(done <-chan struct{}) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if c.inflight == done {
-		c.conn.(net.Conn).SetDeadline(pastDeadline)
+		c.nc.SetDeadline(pastDeadline)
 	}
 }

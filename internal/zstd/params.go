@@ -45,29 +45,41 @@ type levelParams struct {
 // deeper chains, lazier parsing as the level climbs, and optimal (DP)
 // parsing at the top levels (btopt territory).
 var levelTable = map[int]levelParams{
-	1:  {17, 15, 0, 0, 4, lz.Fast, 1},
-	2:  {18, 16, 0, 0, 4, lz.Fast, 1},
+	1:  {17, 15, 0, 0, 6, lz.Fast, 1},
+	2:  {18, 16, 0, 0, 6, lz.Fast, 1},
 	3:  {18, 17, 16, 4, 4, lz.Greedy, 0},
 	4:  {18, 17, 17, 8, 4, lz.Greedy, 0},
-	5:  {18, 18, 17, 8, 3, lz.Lazy, 0},
-	6:  {18, 18, 18, 16, 3, lz.Lazy, 0},
-	7:  {19, 18, 18, 16, 3, lz.Lazy2, 0},
-	8:  {19, 18, 19, 32, 3, lz.Lazy2, 0},
-	9:  {19, 19, 19, 48, 3, lz.Lazy2, 0},
-	10: {20, 19, 20, 64, 3, lz.Lazy2, 0},
-	11: {20, 20, 20, 96, 3, lz.Lazy2, 0},
-	12: {20, 20, 21, 128, 3, lz.Lazy2, 0},
-	13: {21, 20, 21, 192, 3, lz.Lazy2, 0},
-	14: {21, 20, 21, 256, 3, lz.Lazy2, 0},
-	15: {21, 21, 22, 384, 3, lz.Lazy2, 0},
-	16: {21, 21, 22, 512, 3, lz.Lazy2, 0},
-	17: {22, 22, 22, 768, 3, lz.Lazy2, 0},
-	18: {22, 22, 23, 1024, 3, lz.Lazy2, 0},
+	5:  {18, 18, 17, 8, 4, lz.Lazy, 0},
+	6:  {18, 18, 18, 16, 4, lz.Lazy, 0},
+	7:  {19, 18, 18, 16, 4, lz.Lazy2, 0},
+	8:  {19, 18, 19, 32, 4, lz.Lazy2, 0},
+	9:  {19, 19, 19, 48, 4, lz.Lazy2, 0},
+	10: {20, 19, 20, 64, 4, lz.Lazy2, 0},
+	11: {20, 20, 20, 96, 4, lz.Lazy2, 0},
+	12: {20, 20, 21, 128, 4, lz.Lazy2, 0},
+	13: {21, 20, 21, 192, 4, lz.Lazy2, 0},
+	14: {21, 20, 21, 256, 4, lz.Lazy2, 0},
+	15: {21, 21, 22, 384, 4, lz.Lazy2, 0},
+	16: {21, 21, 22, 512, 4, lz.Lazy2, 0},
+	17: {22, 22, 22, 768, 4, lz.Lazy2, 0},
+	18: {22, 22, 23, 1024, 4, lz.Lazy2, 0},
 	19: {23, 22, 23, 1536, 3, lz.Optimal, 0},
 	20: {25, 23, 24, 2048, 3, lz.Optimal, 0},
 	21: {26, 23, 24, 3072, 3, lz.Optimal, 0},
 	22: {27, 23, 24, 4096, 3, lz.Optimal, 0},
 }
+
+// The Fast levels take their minimum match from zstd's per-source-size rows
+// (lib/compress/clevels.h): 6 at levels 1 and 2 for a block of more than
+// smallSource bytes, as zstd's rows for sources of up to 128 KiB (the
+// largest block), and smallMinMatch for a smaller one — the store's 8 KiB
+// blocks and its get replies — and at the negative levels, zstd's base row.
+// zstd's level 2 lowers the minimum by one below level 1; here that loses
+// ratio to level 1, so level 2 differs from it only by its larger tables.
+const (
+	smallSource   = 16 << 10
+	smallMinMatch = 5
+)
 
 // paramsForLevel resolves a level to its parameter row.
 func paramsForLevel(level int) (levelParams, error) {
@@ -83,6 +95,7 @@ func paramsForLevel(level int) (levelParams, error) {
 	}
 	p := levelTable[1]
 	p.skipStep = 1 - level // -1 → 2, -5 → 6
+	p.minMatch = smallMinMatch
 	return p, nil
 }
 
@@ -132,6 +145,9 @@ func adaptParams(p levelParams, srcLen int, windowOverride uint) lz.Params {
 		if p.chainLog > need+1 && p.chainLog != 0 {
 			p.chainLog = need + 1
 		}
+		if p.strategy == lz.Fast && srcLen <= smallSource {
+			p.minMatch = smallMinMatch
+		}
 	}
 	if p.hashLog < 6 {
 		p.hashLog = 6
@@ -147,5 +163,7 @@ func adaptParams(p levelParams, srcLen int, windowOverride uint) lz.Params {
 		MinMatch:  p.minMatch,
 		SkipStep:  p.skipStep,
 		Strategy:  p.strategy,
+		// The offset codes keep three repeat slots (codes.go).
+		RepeatOffsets: true,
 	}
 }

@@ -48,14 +48,16 @@ func mallocs(op func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// allocsPerOp measures steady-state allocations of op after one warm-up
-// call, as testing.AllocsPerRun reads them: the integer mean over the
-// runs. The bounded call-path gates use it; a zero gate must not
-// (requireZeroAllocs).
+// allocsPerOp measures the mean steady-state allocations of op over
+// allocRuns warmed calls, exactly (mallocs): one allocation more in one run
+// of ten reads +0.1, which testing.AllocsPerRun's integer mean hid. A
+// collection runs first, so state the collector drops is counted when the
+// op rebuilds it. The bounded call-path gates use it.
 func allocsPerOp(t *testing.T, op func()) float64 {
 	t.Helper()
 	op()
-	return testing.AllocsPerRun(allocRuns, op)
+	runtime.GC()
+	return float64(mallocs(op)) / allocRuns
 }
 
 func requireZeroAllocs(t *testing.T, name string, op func()) {
