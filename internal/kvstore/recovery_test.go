@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -152,7 +153,7 @@ func TestTornRecordEveryOffset(t *testing.T) {
 		}
 		bounds = append(bounds, p.WALBytes())
 	}
-	full := append([]byte{}, p.wal...)
+	full := p.walCopy()
 
 	batchesAt := func(cut int64) int {
 		n := 0
@@ -183,6 +184,98 @@ func TestTornRecordEveryOffset(t *testing.T) {
 			t.Fatalf("cut=%d: put after recovery: %v", cut, err)
 		}
 		db2.Close()
+	}
+}
+
+// TestMemPersisterChunks holds MemPersister's chunked log to the one byte
+// string it stands for: a log of several chunks, one of them a record
+// larger than a chunk, replays every record in order; a cut anywhere, a
+// chunk's end included, keeps exactly the whole records before it; and a
+// reset log refills the chunks it had without allocating.
+func TestMemPersisterChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var recs [][]byte
+	var bounds []int // log length after each record
+	for n := 0; n < 3*walChunk; {
+		size := 1 + rng.Intn(5000)
+		if len(recs) == 20 {
+			size = walChunk + 100
+		}
+		payload := make([]byte, size)
+		rng.Read(payload)
+		rec := appendWALRecord(nil, uint64(len(recs)+1), payload)
+		recs = append(recs, rec)
+		n += len(rec)
+		bounds = append(bounds, n)
+	}
+	fill := func(p *MemPersister) {
+		for _, rec := range recs {
+			if err := p.AppendWAL(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	replay := func(p *MemPersister) (got [][]byte) {
+		if err := p.ReplayWAL(func(rec []byte) error {
+			got = append(got, bytes.Clone(rec))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	p := NewMemPersister()
+	fill(p)
+	if len(p.wal) < 4 {
+		t.Fatalf("%d B of log in %d chunks, want several", bounds[len(bounds)-1], len(p.wal))
+	}
+	cuts := []int{0, bounds[len(bounds)-1]}
+	for i, b := range bounds {
+		cuts = append(cuts, b-1, b, b+1)
+		if i > 0 && b/walChunk != bounds[i-1]/walChunk {
+			cuts = append(cuts, b/walChunk*walChunk)
+		}
+	}
+	pos := 0
+	for _, c := range p.wal {
+		pos += len(c)
+		cuts = append(cuts, pos-1, pos)
+	}
+	for _, cut := range cuts {
+		cut = min(cut, bounds[len(bounds)-1])
+		p.TruncateWAL(int64(cut))
+		whole := 0
+		for whole < len(bounds) && bounds[whole] <= cut {
+			whole++
+		}
+		got := replay(p)
+		if len(got) != whole {
+			t.Fatalf("cut %d: replayed %d records, want %d", cut, len(got), whole)
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], recs[i]) {
+				t.Fatalf("cut %d: record %d differs", cut, i)
+			}
+		}
+		want := 0
+		if whole > 0 {
+			want = bounds[whole-1]
+		}
+		if p.WALBytes() != int64(want) {
+			t.Fatalf("cut %d: replay kept %d B, want the %d B of whole records", cut, p.WALBytes(), want)
+		}
+		p.TruncateWAL(0)
+		fill(p)
+	}
+
+	if allocs := testing.AllocsPerRun(5, func() {
+		if err := p.ResetWAL(); err != nil {
+			t.Fatal(err)
+		}
+		fill(p)
+	}); allocs != 0 {
+		t.Fatalf("refilling a reset log allocated %.1f times", allocs)
 	}
 }
 
@@ -270,17 +363,17 @@ func TestStaleWALAfterManifest(t *testing.T) {
 	}
 	// Checkpoint the current state, but resurrect the pre-commit WAL — as if
 	// the crash hit after the manifest was renamed in, before the reset.
-	staleWAL := append([]byte{}, p.wal...)
+	staleWAL := p.walCopy()
 	if err := db.Flush(tctx); err != nil {
 		t.Fatal(err)
 	}
 	if p.WALBytes() != 0 {
 		t.Fatalf("checkpoint left %d bytes in the WAL", p.WALBytes())
 	}
-	p.mu.Lock()
-	p.wal = append(p.wal[:0], staleWAL...)
-	p.synced = len(p.wal)
-	p.mu.Unlock()
+	if err := p.AppendWAL(staleWAL); err != nil {
+		t.Fatal(err)
+	}
+	p.Sync()
 
 	db2, err := Open(tctx, "", WithPersister(p))
 	if err != nil {
@@ -492,7 +585,7 @@ func FuzzWALReplay(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	real := append([]byte{}, p.wal...)
+	real := p.walCopy()
 	f.Add(real)
 	f.Add(real[:len(real)/2])
 	mut := append([]byte{}, real...)
@@ -512,14 +605,15 @@ func FuzzWALReplay(f *testing.F) {
 		case 1:
 			err = db.ApplyCoded(tctx, body, "lz4", linkCoding(f, body))
 		case 2:
-			p.wal = appendV1Record(f, p.wal, db.Seq()+1, body)
+			err = p.AppendWAL(appendV1Record(f, nil, db.Seq()+1, body))
 		}
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(append([]byte{}, p.wal[len(real):]...))
-		f.Add(append([]byte{}, p.wal[:len(p.wal)-5]...))
-		real = append(real[:0], p.wal...)
+		log := p.walCopy()
+		f.Add(log[len(real):])
+		f.Add(log[:len(log)-5])
+		real = log
 	}
 
 	f.Fuzz(func(t *testing.T, wal []byte) {

@@ -30,6 +30,17 @@ func linkCoding(t testing.TB, body []byte) []byte {
 	return codec.StripChecksum(frame)
 }
 
+// walCopy returns a copy of p's whole log.
+func (p *MemPersister) walCopy() []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var log []byte
+	for _, c := range p.wal {
+		log = append(log, c...)
+	}
+	return log
+}
+
 // appendV1Record appends the record the format before this one wrote for a
 // batch: container-framed, the sequence number coded ahead of the body.
 func appendV1Record(t testing.TB, dst []byte, seq uint64, body []byte) []byte {
@@ -114,11 +125,11 @@ func TestWALRecordNoLarger(t *testing.T) {
 			if err := db.Put(tctx, key, v); err != nil {
 				t.Fatal(err)
 			}
-			stored := append([]byte{}, p.wal...)
+			stored := p.walCopy()
 			if err := db.ApplyCoded(tctx, body, "lz4", linkCoding(t, body)); err != nil {
 				t.Fatal(err)
 			}
-			linked := p.wal[len(stored):]
+			linked := p.walCopy()[len(stored):]
 			v1 := appendV1Record(t, nil, seq, body)
 			if len(stored) > len(v1) {
 				t.Errorf("seq %d, %d B value %d: store-coded record %d B, v1 record %d B", seq, len(v), i, len(stored), len(v1))
@@ -234,13 +245,13 @@ func TestWALOriginsTornEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		state[key] = value
-		add(p.wal[len(log):])
+		add(p.walCopy()[len(log):])
 		if i == 6 {
 			if err := db.Delete(tctx, []byte("old-1")); err != nil {
 				t.Fatal(err)
 			}
 			delete(state, "old-1")
-			add(p.wal[len(log):])
+			add(p.walCopy()[len(log):])
 		}
 	}
 	if st := db.Stats(); st.WALCoded != 5 || st.WALAppends != 9 {
