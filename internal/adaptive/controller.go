@@ -88,9 +88,6 @@ type Config struct {
 	// Budget caps shadow CPU as a fraction of one core (default 0.10):
 	// after each trial the worker sleeps busy·(1-B)/B.
 	Budget float64
-	// Margin is the hysteresis bar: a challenger must beat the incumbent's
-	// cost by this fraction to displace it (default 0.05).
-	Margin float64
 	// MinSamples gates trials until the reservoir has substance (default 8).
 	MinSamples int
 	// ReservoirSize is the per-class sample reservoir (default 32).
@@ -107,13 +104,14 @@ type Config struct {
 	// pools alive in the shared registry; older ones are released and
 	// re-materialized on demand from the frame descriptor (default 4).
 	RetainGenerations int
-	// Checksum applies the XXH64 content frame to serving engines (off by
-	// default: RPC frames and containers carry their own checksums).
-	Checksum bool
 	// Tracer, when enabled, receives an "adaptive.swap" root span per
 	// generation swap (subject to its own sampling policy).
 	Tracer *trace.Tracer
 }
+
+// margin is the hysteresis bar: a challenger must beat the incumbent's cost
+// by this fraction to displace it.
+const margin = 0.05
 
 func (cfg Config) withDefaults() Config {
 	if cfg.Default.Algorithm == "" {
@@ -130,9 +128,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Budget <= 0 || cfg.Budget > 1 {
 		cfg.Budget = 0.10
-	}
-	if cfg.Margin <= 0 {
-		cfg.Margin = 0.05
 	}
 	if cfg.MinSamples <= 0 {
 		cfg.MinSamples = 8
@@ -433,7 +428,7 @@ func (c *Controller) trial(h *Handle) time.Duration {
 		d.Best = best.Config.String()
 		d.BestCost = best.TotalCost()
 	}
-	if haveBest && (!inc.Feasible || best.TotalCost() < inc.TotalCost()*(1-c.cfg.Margin)) {
+	if haveBest && (!inc.Feasible || best.TotalCost() < inc.TotalCost()*(1-margin)) {
 		if err := h.adopt(best); err != nil {
 			tmErrors.Inc()
 		} else {

@@ -163,7 +163,6 @@ func (h *Handle) newGeneration(r core.Result) (*generation, error) {
 		Level:     cfg.Level,
 		WindowLog: cfg.WindowLog,
 		Dict:      cfg.Dict,
-		Checksum:  h.ctrl.cfg.Checksum,
 	})
 	if err != nil {
 		return nil, err
@@ -282,9 +281,8 @@ func (h *Handle) decodePool(codecID byte, dictID uint32) (*codec.Pool, error) {
 		}
 	}
 	p, err := codec.NewPool(codecNameOf(codecID), codec.Options{
-		Level:    1,
-		Dict:     dict,
-		Checksum: h.ctrl.cfg.Checksum,
+		Level: 1,
+		Dict:  dict,
 	})
 	if err != nil {
 		return nil, err

@@ -385,10 +385,10 @@ func (r *replica) send(ctx context.Context, method string, req []byte, body *rpc
 	r.resp, r.err = r.pool.call(ctx, r.resp[:0], method, req, body)
 }
 
-// code codes a write's request once for all of its owners' links. The Body
-// holds the returned Coder's scratch, so the caller hands the Coder back
-// (release) only once no call holds the Body.
-func (c *Cluster) code(ctx context.Context, method string, req []byte) (*rpc.Coder, rpc.Body, error) {
+// code codes a MethodPut request once for all of its owners' links. The
+// Body holds the returned Coder's scratch, so the caller hands the Coder
+// back (release) only once no call holds the Body.
+func (c *Cluster) code(ctx context.Context, req []byte) (*rpc.Coder, rpc.Body, error) {
 	var cd *rpc.Coder
 	select {
 	case cd = <-c.coders:
@@ -398,7 +398,7 @@ func (c *Cluster) code(ctx context.Context, method string, req []byte) (*rpc.Cod
 			return nil, rpc.Body{}, err
 		}
 	}
-	b, err := cd.Code(ctx, method, req)
+	b, err := cd.Code(ctx, MethodPut, req)
 	if err != nil {
 		c.release(cd)
 		return nil, rpc.Body{}, err
@@ -426,40 +426,35 @@ func (c *Cluster) Put(ctx context.Context, key, value []byte) error {
 		return kvstore.ErrEmptyKey
 	}
 	cmPuts.Inc()
-	version := c.NextVersion()
-	return c.writeQuorum(ctx, key, MethodPut, func(dst []byte) []byte {
-		return appendPutRequest(dst, key, version, false, value)
-	})
+	return c.writeQuorum(ctx, key, false, value)
 }
 
-// Delete replicates a versioned tombstone for key.
+// Delete replicates a versioned tombstone for key, as a put.
 func (c *Cluster) Delete(ctx context.Context, key []byte) error {
 	if len(key) == 0 {
 		return kvstore.ErrEmptyKey
 	}
 	cmDeletes.Inc()
-	version := c.NextVersion()
-	return c.writeQuorum(ctx, key, MethodDelete, func(dst []byte) []byte {
-		return appendDeleteRequest(dst, key, version)
-	})
+	return c.writeQuorum(ctx, key, true, nil)
 }
 
-// writeQuorum sends method to key's owners with the request frame appends
-// to the op's buffer, coded once for all of them.
-func (c *Cluster) writeQuorum(ctx context.Context, key []byte, method string, frame func(dst []byte) []byte) error {
+// writeQuorum puts a new version of key, value or a tombstone, to key's
+// owners, the request coded once for all of them.
+func (c *Cluster) writeQuorum(ctx context.Context, key []byte, tombstone bool, value []byte) error {
+	version := c.NextVersion()
 	o, err := c.owners(key)
 	if err != nil {
 		return err
 	}
 	defer o.release()
-	o.buf = frame(o.buf[:0])
-	cd, body, err := c.code(ctx, method, o.buf)
+	o.buf = appendPutRequest(o.buf[:0], key, version, tombstone, value)
+	cd, body, err := c.code(ctx, o.buf)
 	if err != nil {
 		return err
 	}
 	defer c.release(cd)
 	o.coded = body
-	o.fanOut(ctx, method, method, nil, &o.coded)
+	o.fanOut(ctx, MethodPut, MethodPut, nil, &o.coded)
 	reps := o.reps
 	acks := 0
 	var lastErr error
@@ -584,7 +579,7 @@ func (c *Cluster) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 		}
 		if cd == nil {
 			o.buf = appendKeyRecord(o.buf[:0], key, best.resp[1:])
-			if cd, o.coded, err = c.code(ctx, MethodPut, o.buf); err != nil {
+			if cd, o.coded, err = c.code(ctx, o.buf); err != nil {
 				break // the read stands; only the repair is lost
 			}
 		}
@@ -677,7 +672,7 @@ func (c *Cluster) drainFrom(ctx context.Context, src *clientPool) error {
 		}
 		defer o.release()
 		req = appendKeyRecord(req[:0], key, rec)
-		cd, body, err := c.code(ctx, MethodPut, req)
+		cd, body, err := c.code(ctx, req)
 		if err != nil {
 			return err
 		}

@@ -19,15 +19,15 @@ import (
 // RPC method names a node serves. Exported as constants so clients and
 // servers can never drift on the string.
 const (
-	// MethodPut stores a versioned record. The request is a kvstore batch
-	// body holding the one put key→record (kvstore.AppendPutHead), so a
-	// replica's WAL can keep the coding it arrived in (DESIGN.md §6). The
-	// node applies it only if the version exceeds the stored one, so
-	// replays and retries are idempotent.
+	// MethodPut stores a versioned record, a tombstone for a delete. The
+	// request is a kvstore batch body holding the one put key→record
+	// (kvstore.AppendPutHead), so a replica's WAL can keep the coding it
+	// arrived in (DESIGN.md §6). The node applies it only if the version
+	// exceeds the stored one, so replays and retries are idempotent.
 	MethodPut = "kv.put"
 	// MethodGet fetches the record for a key: request is the raw key,
 	// response is 0x00 (none) or 0x01 followed by the record. A reply of at
-	// least the link's MinSize is coded against the node's store dictionary
+	// least rpc.MinSize is coded against the node's store dictionary
 	// when the store has one (rpc.Server.RegisterAppendDict), and the
 	// coordinator fetches that dictionary with MethodDict.
 	MethodGet = "kv.get"
@@ -35,9 +35,6 @@ const (
 	// raw key, response is 0x00 (none) or 0x01 followed by the 17 header
 	// bytes (version | flags | payload checksum) of the stored record.
 	MethodDigest = "kv.digest"
-	// MethodDelete writes a versioned tombstone: uvarint klen | key |
-	// 8-byte version.
-	MethodDelete = "kv.delete"
 	// MethodDump streams every live record: uvarint klen | key |
 	// uvarint reclen | record, repeated. Rebalancing reads it.
 	MethodDump = "kv.dump"
@@ -222,7 +219,6 @@ func (n *Node) start(ctx context.Context) error {
 	srv.RegisterCoded(MethodPut, n.handlePut)
 	srv.RegisterAppendDict(MethodGet, n.handleGet, n.replyDict)
 	srv.RegisterAppend(MethodDigest, n.handleDigest)
-	srv.Register(MethodDelete, n.handleDelete)
 	srv.RegisterAppend(MethodDump, n.handleDump)
 	srv.Register(MethodDict, n.handleDict)
 
@@ -384,8 +380,7 @@ func (n *Node) PutStats() PutStats {
 // The store commits req, a batch body, with the coding it arrived in: when
 // the link's codec is the WAL's (lz4 on the default links), the log keeps
 // those bytes and no replica codes the record again. A request that came
-// uncoded, or coded by an adaptive link or another codec, the store codes
-// itself.
+// uncoded, or coded by another codec, the store codes itself.
 func (n *Node) handlePut(ctx context.Context, req []byte, coded rpc.Coded) ([]byte, error) {
 	key, rest, err := kvstore.ParsePutBody(req)
 	if err != nil {
@@ -546,18 +541,6 @@ func (n *Node) handleDigest(ctx context.Context, dst, req []byte) ([]byte, error
 	return append(append(dst, 0x01), hdr[:]...), nil
 }
 
-// handleDelete stores a versioned tombstone via the same newer-wins rule.
-func (n *Node) handleDelete(ctx context.Context, req []byte) ([]byte, error) {
-	key, rest, err := splitKey(req)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 8 {
-		return nil, errBadRecord
-	}
-	return n.handlePut(ctx, appendPutRequest(nil, key, binary.LittleEndian.Uint64(rest), true, nil), rpc.Coded{})
-}
-
 // handleDump appends every stored record to dst, tombstones included.
 func (n *Node) handleDump(ctx context.Context, dst, req []byte) ([]byte, error) {
 	db, err := n.store()
@@ -578,15 +561,6 @@ func (n *Node) handleDump(ctx context.Context, dst, req []byte) ([]byte, error) 
 	return out, nil
 }
 
-// splitKey parses "uvarint klen | key | rest".
-func splitKey(b []byte) (key, rest []byte, err error) {
-	klen, n := binary.Uvarint(b)
-	if n <= 0 || klen == 0 || klen > uint64(len(b)-n) {
-		return nil, nil, errBadRecord
-	}
-	return b[n : n+int(klen)], b[n+int(klen):], nil
-}
-
 // appendKeyRecord frames key and rec as a MethodPut request, growing dst at
 // most once.
 func appendKeyRecord(dst, key, rec []byte) []byte {
@@ -603,13 +577,6 @@ func appendPutRequest(dst, key []byte, version uint64, tombstone bool, payload [
 		dst = append(make([]byte, 0, n), dst...)
 	}
 	return appendRecord(kvstore.AppendPutHead(dst, key, reclen), version, tombstone, payload)
-}
-
-// appendDeleteRequest frames "uvarint klen | key | 8B LE version" for
-// MethodDelete.
-func appendDeleteRequest(dst, key []byte, version uint64) []byte {
-	dst = append(binary.AppendUvarint(dst, uint64(len(key))), key...)
-	return binary.LittleEndian.AppendUint64(dst, version)
 }
 
 // walkDump iterates a MethodDump response.

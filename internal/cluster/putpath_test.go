@@ -42,6 +42,15 @@ func putRec(t *testing.T, n *Node, key string, rec []byte) {
 	}
 }
 
+// delRec applies a tombstone at version for key, the request Cluster.Delete
+// sends.
+func delRec(t *testing.T, n *Node, key string, version uint64) {
+	t.Helper()
+	if _, err := n.handlePut(tctx, appendPutRequest(nil, []byte(key), version, true, nil), rpc.Coded{}); err != nil {
+		t.Fatalf("delete %s: %v", key, err)
+	}
+}
+
 // stored reads key's raw record from the node's store (nil when absent).
 func stored(t *testing.T, n *Node, key string) []byte {
 	t.Helper()
@@ -196,10 +205,7 @@ func TestNodePutModel(t *testing.T) {
 				case r < 58: // delete
 					op = "delete"
 					version++
-					req := appendDeleteRequest(nil, []byte(key), version)
-					if _, err := n.handleDelete(tctx, req); err != nil {
-						t.Fatalf("delete: %v", err)
-					}
+					delRec(t, n, key, version)
 					apply(key, appendRecord(nil, version, true, nil))
 				case r < 70: // stale writer: any version up to the newest minted
 					op = "stale"
@@ -347,10 +353,7 @@ func TestNodeOlderPutAfterBlindPutIsNoop(t *testing.T) {
 	}
 	putRec(t, n, "k", appendRecord(nil, 15, false, []byte("fifteen")))
 	putRec(t, n, "k", appendRecord(nil, 20, false, []byte("twenty")))
-	req := appendDeleteRequest(nil, []byte("k"), 19)
-	if _, err := n.handleDelete(tctx, req); err != nil {
-		t.Fatal(err)
-	}
+	delRec(t, n, "k", 19)
 	rec, ok := validRecord(stored(t, n, "k"))
 	if !ok || rec.version != 20 || string(rec.payload) != "twenty" || rec.tombstone {
 		t.Fatalf("stored = version %d %q tombstone=%v valid=%v, want version 20 \"twenty\"", rec.version, rec.payload, rec.tombstone, ok)
@@ -597,11 +600,7 @@ func TestPutRequestFraming(t *testing.T) {
 
 	n := testNode(t)
 	putRec(t, n, "k", appendRecord(nil, 3, false, []byte("three")))
-	del := binary.AppendUvarint(nil, 1)
-	del = append(append(del, 'k'), binary.LittleEndian.AppendUint64(nil, 4)...)
-	if _, err := n.handleDelete(tctx, del); err != nil {
-		t.Fatal(err)
-	}
+	delRec(t, n, "k", 4)
 	if got, want := stored(t, n, "k"), appendRecord(nil, 4, true, nil); !bytes.Equal(got, want) {
 		t.Fatalf("after a delete the replica stores %x, want tombstone %x", got, want)
 	}
@@ -659,10 +658,7 @@ func TestFreshNodeBlindPuts(t *testing.T) {
 		putRec(t, n, "k", appendRecord(nil, 10, false, []byte("ten"))) // blind: new key
 		putRec(t, n, "k", appendRecord(nil, 5, false, []byte("five")))
 		putRec(t, n, "k", appendRecord(nil, 10, false, []byte("ten")))
-		req := appendDeleteRequest(nil, []byte("k"), 7)
-		if _, err := n.handleDelete(tctx, req); err != nil {
-			t.Fatal(err)
-		}
+		delRec(t, n, "k", 7)
 		holds(t, n, "k", 10, "ten")
 		if st := n.PutStats(); st.Blind != 2 || st.Compared != 3 {
 			t.Fatalf("put paths = %+v, want 2 blind (two new keys) and 3 compared", st)

@@ -372,16 +372,3 @@ func nodeString(nd *Node) string {
 	}
 	return s + ")"
 }
-
-// countLeaves returns the number of entropy terminals, which equals the
-// number of streams stored in a frame encoded with the graph.
-func countLeaves(nd *Node) int {
-	if len(nd.Children) == 0 {
-		return 1
-	}
-	n := 0
-	for _, c := range nd.Children {
-		n += countLeaves(c)
-	}
-	return n
-}

@@ -302,15 +302,19 @@ func TestClosedClientFailsFast(t *testing.T) {
 
 // TestChecksumMismatchKeepsConnectionAligned: a checksum failure is
 // detected after the full frame is consumed, so the same connection keeps
-// serving without a redial.
+// serving without a redial. So is a compressed frame on an uncompressed
+// link, whose checksum holds but which no engine can decode.
 func TestChecksumMismatchKeepsConnectionAligned(t *testing.T) {
 	good := EncodeFrame(0, "m", []byte("payload"))
 	flip := append([]byte(nil), good...)
 	flip[len(flip)-1] ^= 0x01
-	stream := append(append([]byte(nil), flip...), good...)
+	coded := EncodeFrame(flagCompressed, "m", []byte("payload"))
+	stream := append(append(append([]byte(nil), flip...), coded...), good...)
 	t2 := &transport{r: bufio.NewReader(bytes.NewReader(stream))}
-	if _, _, _, _, err := t2.readFrame(nil); !errors.Is(err, ErrCorrupt) || !isAligned(err) {
-		t.Fatalf("flipped frame: err = %v (aligned = %v)", err, isAligned(err))
+	for _, name := range []string{"flipped frame", "compressed frame on an uncompressed link"} {
+		if _, _, _, _, err := t2.readFrame(nil); !errors.Is(err, ErrCorrupt) || !isAligned(err) {
+			t.Fatalf("%s: err = %v (aligned = %v)", name, err, isAligned(err))
+		}
 	}
 	_, method, payload, _, err := t2.readFrame(nil)
 	if err != nil || string(method) != "m" || string(payload) != "payload" {

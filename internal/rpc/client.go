@@ -50,7 +50,6 @@ func WithDictResolver(resolve func(id uint32) []byte) ClientOption {
 // Client issues calls over one connection, one request/response exchange
 // per call. Safe for concurrent use; calls are serialized.
 type Client struct {
-	comp    Compression
 	tracer  *trace.Tracer
 	resolve func(id uint32) []byte
 	conn    io.ReadWriter
@@ -75,8 +74,7 @@ type Client struct {
 // NewClient wraps an established connection. Both ends must use the same
 // Compression configuration.
 func NewClient(conn io.ReadWriter, comp Compression, opts ...ClientOption) (*Client, error) {
-	comp.fill()
-	c := &Client{comp: comp, conn: conn}
+	c := &Client{conn: conn}
 	c.nc, _ = conn.(net.Conn)
 	for _, o := range opts {
 		o(c)
@@ -133,7 +131,7 @@ func (c *Client) AppendCall(ctx context.Context, dst []byte, method string, req 
 // are, so a request sent to several peers is coded once. It fails without
 // sending when the Body was coded for another Compression.
 func (c *Client) AppendCallBody(ctx context.Context, dst []byte, b *Body) ([]byte, error) {
-	if b.comp != c.comp {
+	if b.comp != c.t.comp {
 		return dst, errBodyCompression
 	}
 	return c.appendCall(ctx, dst, b.method, nil, b)
@@ -199,7 +197,7 @@ func (c *Client) callLocked(ctx context.Context, dst []byte, method string, req 
 	}
 	c.t.wmethod = append(c.t.wmethod[:0], method...)
 	if body == nil {
-		b, err := c.t.code(c.t.wmethod, req, span)
+		b, err := c.t.code(req, span)
 		if err != nil {
 			return nil, err
 		}

@@ -6,26 +6,23 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/datacomp/datacomp/internal/adaptive"
 	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/trace"
 )
 
 // Coder codes payloads exactly as a transport with its Compression does:
-// with the shared-pool engine, or the adaptive controller's handle for
-// "rpc:"+method, when the payload is at least MinSize, keeping the coding
-// only when it is smaller. Every transport owns one for its frames; a caller
-// that sends one request to several peers codes it once with its own Coder
-// and hands the same Body to each peer's client (Client.AppendCallBody). A
-// Coder serves one goroutine at a time and must not be used after Close.
+// with the shared-pool engine, when the payload is at least MinSize, keeping
+// the coding only when it is smaller. Every transport owns one for its
+// frames; a caller that sends one request to several peers codes it once
+// with its own Coder and hands the same Body to each peer's client
+// (Client.AppendCallBody). A Coder serves one goroutine at a time and must
+// not be used after Close.
 type Coder struct {
-	comp  Compression                 // filled
-	eng   codec.Engine                // nil = no static codec
-	pool  *codec.Pool                 // where eng came from, for Close
-	ahnd  map[string]*adaptive.Handle // method → class handle cache (comp.Adaptive set)
-	buf   []byte                      // coding scratch, which a compressed Body aliases
-	mbuf  []byte                      // method scratch for Code
-	stats *counters                   // the owning transport's; nil for a standalone Coder
+	comp  Compression
+	eng   codec.Engine // nil = uncompressed link
+	pool  *codec.Pool  // where eng came from, for Close
+	buf   []byte       // coding scratch, which a compressed Body aliases
+	stats *counters    // the owning transport's; nil for a standalone Coder
 
 	// dict is the dictionary engine last coded or decoded with (flagDict
 	// frames): built once per dictionary, not pooled.
@@ -69,13 +66,8 @@ func NewCoder(comp Compression) (*Coder, error) {
 }
 
 func (c *Coder) init(comp Compression) error {
-	comp.fill()
 	tm()
 	c.comp = comp
-	if comp.Adaptive != nil {
-		c.ahnd = make(map[string]*adaptive.Handle, 4)
-		return nil
-	}
 	if comp.Codec == "" {
 		return nil
 	}
@@ -122,51 +114,37 @@ func (c *Coder) useDict(d Dict) error {
 // rpc_compress_ns_total and an "rpc.compress" span under ctx's, however many
 // clients then send the Body.
 func (c *Coder) Code(ctx context.Context, method string, payload []byte) (Body, error) {
-	c.mbuf = append(c.mbuf[:0], method...)
-	b, err := c.code(c.mbuf, payload, trace.FromContext(ctx))
+	b, err := c.code(payload, trace.FromContext(ctx))
 	b.method = method
 	return b, err
 }
 
-// code is the package's one coding step: payload as a frame for method
-// carries it, timed into rpc_compress_ns_total and the owning transport's
-// stats, with an "rpc.compress" span under parent.
-func (c *Coder) code(method, payload []byte, parent trace.SpanHandle) (Body, error) {
-	return c.codeDict(Dict{}, method, payload, parent)
+// code is the package's one coding step: payload as a frame carries it,
+// timed into rpc_compress_ns_total and the owning transport's stats, with an
+// "rpc.compress" span under parent.
+func (c *Coder) code(payload []byte, parent trace.SpanHandle) (Body, error) {
+	return c.codeDict(Dict{}, payload, parent)
 }
 
 // codeDict is code with payload coded against d instead, as a flagDict
-// frame, when d is a dictionary and the link has a static codec; an
-// adaptive link keeps its controller's coding, and an uncompressed link
-// codes nothing.
-func (c *Coder) codeDict(d Dict, method, payload []byte, parent trace.SpanHandle) (Body, error) {
+// frame, when d is a dictionary; an uncompressed link codes nothing.
+func (c *Coder) codeDict(d Dict, payload []byte, parent trace.SpanHandle) (Body, error) {
 	b := Body{comp: c.comp, raw: len(payload), wire: payload}
-	if c.eng == nil && c.comp.Adaptive == nil || len(payload) < c.comp.MinSize {
+	if c.eng == nil || len(payload) < MinSize {
 		return b, nil
 	}
-	flag := byte(flagCompressed)
-	if d.Bytes != nil && c.eng != nil {
+	eng, flag := c.eng, byte(flagCompressed)
+	if d.Bytes != nil {
 		if c.dict.eng == nil || c.dict.id != d.ID {
 			if err := c.useDict(d); err != nil {
 				return Body{}, err
 			}
 		}
-		flag = flagDict
+		eng, flag = c.dict.eng, flagDict
 	}
 	sp := parent.Child("rpc.compress") // zero handle when untraced
 	t0 := time.Now()
-	var out []byte
-	var err error
-	if flag == flagDict {
-		out, err = c.dict.eng.Compress(c.buf[:0], payload)
-	} else if c.comp.Adaptive != nil {
-		var h *adaptive.Handle
-		if h, err = c.adaptiveHandle(method); err == nil {
-			out, err = h.Compress(c.buf[:0], payload)
-		}
-	} else {
-		out, err = c.eng.Compress(c.buf[:0], payload)
-	}
+	out, err := eng.Compress(c.buf[:0], payload)
 	ns := time.Since(t0).Nanoseconds()
 	tmCompNS.Add(ns)
 	if c.stats != nil {
@@ -184,19 +162,4 @@ func (c *Coder) codeDict(d Dict, method, payload []byte, parent trace.SpanHandle
 	}
 	sp.SetInt("raw", int64(len(payload))).SetInt("wire", int64(len(b.wire))).End()
 	return b, nil
-}
-
-// adaptiveHandle resolves the class handle for a method, caching per Coder
-// so steady-state frames pay one map lookup (alloc-free: Go map reads with a
-// string([]byte) key do not copy).
-func (c *Coder) adaptiveHandle(method []byte) (*adaptive.Handle, error) {
-	if h, ok := c.ahnd[string(method)]; ok {
-		return h, nil
-	}
-	h, err := c.comp.Adaptive.Handle(adaptiveClassPrefix + string(method))
-	if err != nil {
-		return nil, err
-	}
-	c.ahnd[string(method)] = h
-	return h, nil
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/datacomp/datacomp/internal/adaptive"
 	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/corpus"
 	"github.com/datacomp/datacomp/internal/telemetry"
@@ -43,22 +42,12 @@ func (c *recConn) take() []byte {
 // the raw and wire bytes count per frame and the coding's time once. A body
 // below MinSize travels raw, and a body coded for another link is refused.
 func TestCodedBodyFramesIdentical(t *testing.T) {
-	ctrl, err := adaptive.New(adaptive.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ctrl.Close)
 	tctx := context.Background()
 	compNS := telemetry.Default.Counter("rpc_compress_ns_total", "time compressing RPC payloads")
 	for _, comp := range []Compression{
 		{Codec: "lz4", Level: 1, Checksum: true},
-		{Adaptive: ctrl},
 	} {
-		name := comp.Codec
-		if comp.Adaptive != nil {
-			name = "adaptive"
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(comp.Codec, func(t *testing.T) {
 			var mu sync.Mutex
 			var got [][]byte
 			srv := NewServer(comp)
@@ -109,7 +98,7 @@ func TestCodedBodyFramesIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				coded := compNS.Value() - ns0
-				if raw := len(payload) < defaultMinSize; raw != (body.flags == 0) || raw != bytes.Equal(body.wire, payload) {
+				if raw := len(payload) < MinSize; raw != (body.flags == 0) || raw != bytes.Equal(body.wire, payload) {
 					t.Fatalf("%d B payload: body flags %#x, %d wire bytes; want raw exactly below MinSize", len(payload), body.flags, len(body.wire))
 				}
 				ns0 = compNS.Value()
@@ -152,7 +141,7 @@ func TestCodedBodyFramesIdentical(t *testing.T) {
 			}
 
 			other := comp
-			other.MinSize = 1 << 20
+			other.Level++
 			cl, _ := dial()
 			ocd, err := NewCoder(other)
 			if err != nil {
@@ -164,7 +153,7 @@ func TestCodedBodyFramesIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := cl.AppendCallBody(tctx, nil, &obody); !errors.Is(err, errBodyCompression) {
-				t.Fatalf("a body coded for MinSize %d sent over a MinSize %d link: err = %v, want %v", other.MinSize, defaultMinSize, err, errBodyCompression)
+				t.Fatalf("a body coded at level %d sent over a level %d link: err = %v, want %v", other.Level, comp.Level, err, errBodyCompression)
 			}
 			if st := cl.Stats(); st.RawBytes != 0 || st.WireBytes != 0 {
 				t.Fatalf("a refused body reached the wire: %+v", st)
@@ -175,14 +164,8 @@ func TestCodedBodyFramesIdentical(t *testing.T) {
 
 // TestCodedHandlerSeesCoding: a coded handler gets the coding its request
 // arrived in, as an engine of the link's codec without a checksum frame
-// codes the request, and the zero Coded when the request came uncoded or an
-// adaptive controller coded it.
+// codes the request, and the zero Coded when the request came uncoded.
 func TestCodedHandlerSeesCoding(t *testing.T) {
-	ctrl, err := adaptive.New(adaptive.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ctrl.Close)
 	tctx := context.Background()
 	incompressible := make([]byte, 4<<10)
 	rngFill(incompressible)
@@ -190,7 +173,6 @@ func TestCodedHandlerSeesCoding(t *testing.T) {
 		{Codec: "lz4", Level: 1, Checksum: true},
 		{Codec: "lz4", Level: 1},
 		{Codec: "zstd", Level: 3, Checksum: true},
-		{Adaptive: ctrl},
 		{},
 	} {
 		var req []byte
@@ -213,7 +195,7 @@ func TestCodedHandlerSeesCoding(t *testing.T) {
 			if !bytes.Equal(req, payload) {
 				t.Fatalf("%+v: handler saw a %d-byte request, want the %d-byte payload", comp, len(req), len(payload))
 			}
-			if !c.shrinks || comp.Codec == "" || comp.Adaptive != nil {
+			if !c.shrinks || comp.Codec == "" {
 				if got.Codec != "" || got.Data != nil {
 					t.Fatalf("%+v, %d B payload: handler saw a %s coding of %d bytes, want none", comp, len(payload), got.Codec, len(got.Data))
 				}

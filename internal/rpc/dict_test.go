@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/datacomp/datacomp/internal/adaptive"
 	"github.com/datacomp/datacomp/internal/corpus"
 	"github.com/datacomp/datacomp/internal/dict"
 	"github.com/datacomp/datacomp/internal/zstd"
@@ -190,27 +189,23 @@ func TestDictFlagOnlyOnReplies(t *testing.T) {
 	cc.Close()
 }
 
-// TestDictReplyNeedsStaticCodec: an uncompressed link codes nothing and an
-// adaptive one keeps its controller's coding, dictionary or not.
+// TestDictReplyNeedsStaticCodec: an uncompressed link codes nothing,
+// dictionary or not.
 func TestDictReplyNeedsStaticCodec(t *testing.T) {
 	ctx := context.Background()
 	d := trainedDict(t, 1)
 	var r resolver
 	r.add(d)
-	for name, comp := range map[string]Compression{
-		"uncompressed": {},
-		"adaptive":     {Adaptive: adaptiveController(t, adaptive.Config{})},
-	} {
-		s, recs := dictServer(comp, &d)
-		c := dictClient(t, s, comp, &r)
-		for i := range recs {
-			got, err := c.Call(ctx, "get", []byte{byte(i)})
-			if err != nil || !bytes.Equal(got, recs[i]) {
-				t.Fatalf("%s: call %d: %v", name, i, err)
-			}
+	comp := Compression{}
+	s, recs := dictServer(comp, &d)
+	c := dictClient(t, s, comp, &r)
+	for i := range recs {
+		got, err := c.Call(ctx, "get", []byte{byte(i)})
+		if err != nil || !bytes.Equal(got, recs[i]) {
+			t.Fatalf("call %d: %v", i, err)
 		}
-		if n := s.Stats().DictFrames; n != 0 {
-			t.Fatalf("%s: %d dictionary frames, want 0", name, n)
-		}
+	}
+	if n := s.Stats().DictFrames; n != 0 {
+		t.Fatalf("%d dictionary frames, want 0", n)
 	}
 }

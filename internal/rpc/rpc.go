@@ -4,8 +4,8 @@
 // cycles for network bytes.
 //
 // Messages are length-delimited binary frames carrying an XXH64 integrity
-// checksum over method and payload; payloads at or above a configurable
-// threshold are compressed with the configured codec and flagged, so the
+// checksum over method and payload; payloads of at least MinSize bytes are
+// compressed with the configured codec and flagged, so the
 // peer decompresses only what was actually compressed (small messages skip
 // the codec entirely, as fleet services do). The serving path is hardened
 // for production failure modes: corrupt frames surface as ErrCorrupt (never
@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/datacomp/datacomp/internal/adaptive"
 	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/telemetry"
 	"github.com/datacomp/datacomp/internal/trace"
@@ -47,33 +46,15 @@ type Compression struct {
 	Codec string
 	// Level is the codec level (0 = codec default).
 	Level int
-	// MinSize skips compression for smaller payloads (default 256).
-	MinSize int
 	// Checksum additionally frames codec payloads with a content checksum
 	// (codec.WithChecksum), verifying decompressed bytes end to end on top
 	// of the always-on wire-frame checksum.
 	Checksum bool
-	// Adaptive routes payloads through a live-reoptimizing controller
-	// instead of the static Codec/Level engine: each RPC method becomes
-	// its own traffic class ("rpc:" + method) whose config
-	// the controller retunes from reservoir samples. Frames are
-	// self-describing, so both connection ends must use the same
-	// controller (in-process) or controllers sharing dictionary state.
-	// Codec and Level are ignored when set; MinSize still applies.
-	Adaptive *adaptive.Controller
 }
 
-// adaptiveClassPrefix namespaces the per-method adaptive classes.
-const adaptiveClassPrefix = "rpc:"
-
-// defaultMinSize is MinSize when a Compression leaves it 0.
-const defaultMinSize = 256
-
-func (c *Compression) fill() {
-	if c.MinSize == 0 {
-		c.MinSize = defaultMinSize
-	}
-}
+// MinSize is the smallest payload a compressed link codes; smaller ones
+// travel raw, as fleet services skip the codec for small messages.
+const MinSize = 256
 
 // ErrCorrupt is the typed error for frames that fail integrity
 // verification — a checksum mismatch, a malformed header, a truncated
@@ -252,10 +233,10 @@ const (
 // allocated on its word alone.
 const readStep = 64 << 10
 
-// transport frames and (de)compresses messages on one connection.
-// Its Coder (engine, adaptive handles, compression scratch) is
-// single-goroutine (Client/Server serialize frame I/O), but the stats
-// counters are safe to read concurrently.
+// transport frames and (de)compresses messages on one connection. Its Coder
+// (engine, compression scratch) is single-goroutine (Client/Server
+// serialize frame I/O), but the stats counters are safe to read
+// concurrently.
 //
 // readFrame appends the payload to a buffer its caller owns — the server's
 // request scratch, or the dst of Client.AppendCall — so the transport itself
@@ -318,15 +299,6 @@ func frameSum(trc, method, wire []byte) uint64 {
 	d.Write(method)
 	d.Write(wire)
 	return d.Sum64()
-}
-
-// writeFrame codes payload for method and sends it.
-func (t *transport) writeFrame(flags byte, method, payload []byte) error {
-	b, err := t.code(method, payload, t.cur)
-	if err != nil {
-		return err
-	}
-	return t.writeBody(flags, method, &b)
 }
 
 // writeBody is the one frame writer: flags, method and the body's wire
@@ -514,22 +486,16 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload, coding [
 	t.stats.wireBytes.Add(int64(len(wire)))
 	tmWireBytes.Add(int64(len(wire)))
 	if compressed || dictCoded {
-		if compressed && t.eng == nil && t.comp.Adaptive == nil {
+		if compressed && t.eng == nil {
 			return 0, nil, nil, nil, aligned(corruptFrame(fmt.Errorf("%w: compressed frame on uncompressed transport", ErrCorrupt)))
 		}
 		sp := t.cur.Child("rpc.decompress") // zero handle when untraced
 		t0 := time.Now()
 		var out []byte
 		var err error
-		switch {
-		case dictCoded:
+		if dictCoded {
 			out, err = t.decompressDict(dst, wire)
-		case t.comp.Adaptive != nil:
-			var h *adaptive.Handle
-			if h, err = t.adaptiveHandle(mbuf); err == nil {
-				out, err = h.Decompress(dst, wire)
-			}
-		default:
+		} else {
 			out, err = t.eng.Decompress(dst, wire)
 		}
 		ns := time.Since(t0).Nanoseconds()
@@ -589,10 +555,9 @@ func (t *transport) decompressDict(dst, wire []byte) ([]byte, error) {
 }
 
 // coded is a frame's coding, as readFrame returned it, as a handler may keep
-// it (Coded): only a static codec's, since an adaptive frame names its own
-// config.
+// it (Coded).
 func (t *transport) coded(coding []byte) Coded {
-	if coding == nil || t.comp.Adaptive != nil {
+	if coding == nil {
 		return Coded{}
 	}
 	data := coding
@@ -605,15 +570,7 @@ func (t *transport) coded(coding []byte) Coded {
 // EncodeFrame renders one uncompressed frame to bytes — the writer half of
 // the wire format, exposed for fuzzing and tests.
 func EncodeFrame(flags byte, method string, payload []byte) []byte {
-	tm()
-	var buf bytes.Buffer
-	t := &transport{w: bufio.NewWriter(&buf)}
-	if err := t.writeFrame(flags, []byte(method), payload); err != nil {
-		// A bytes.Buffer write cannot fail; a failure here is a programming
-		// error in the frame writer itself.
-		panic(err)
-	}
-	return buf.Bytes()
+	return EncodeFrameWithTrace(flags, method, payload, trace.SpanContext{})
 }
 
 // EncodeFrameWithTrace renders one uncompressed frame carrying a wire trace
@@ -624,7 +581,9 @@ func EncodeFrameWithTrace(flags byte, method string, payload []byte, sc trace.Sp
 	var buf bytes.Buffer
 	t := &transport{w: bufio.NewWriter(&buf)}
 	t.wsc = sc
-	if err := t.writeFrame(flags, []byte(method), payload); err != nil {
+	if err := t.writeBody(flags, []byte(method), &Body{raw: len(payload), wire: payload}); err != nil {
+		// A bytes.Buffer write cannot fail; a failure here is a programming
+		// error in the frame writer itself.
 		panic(err)
 	}
 	return buf.Bytes()

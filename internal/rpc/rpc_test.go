@@ -83,13 +83,24 @@ func TestCallCompressedSavesWireBytes(t *testing.T) {
 }
 
 func TestSmallMessagesSkipCodec(t *testing.T) {
-	comp := Compression{Codec: "zstd", Level: 1, MinSize: 1024}
+	comp := Compression{Codec: "zstd", Level: 1}
 	c := pipePair(t, echoServer(comp), comp)
-	if _, err := c.Call(context.Background(), "echo", []byte("tiny")); err != nil {
+	payload := corpus.LogLines(4, MinSize-1)
+	resp, err := c.Call(context.Background(), "echo", payload)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.CompressTime != 0 {
-		t.Fatalf("small payload hit the codec: %+v", st)
+	if !bytes.Equal(resp, payload) {
+		t.Fatal("echo mismatch")
+	}
+	if st := c.Stats(); st.CompressTime != 0 || st.WireBytes != st.RawBytes {
+		t.Fatalf("a payload below MinSize hit the codec: %+v", st)
+	}
+	if _, err := c.Call(context.Background(), "echo", corpus.LogLines(4, MinSize)); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.CompressTime == 0 {
+		t.Fatalf("a payload of MinSize skipped the codec: %+v", st)
 	}
 }
 

@@ -45,8 +45,8 @@ type CodedHandlerFunc func(ctx context.Context, req []byte, coded Coded) ([]byte
 // without a checksum frame codes it (a link's checksum header, already
 // checked, is cut off). Data aliases the connection's read scratch and is
 // valid only until the handler returns, like the request. The zero Coded
-// means the request arrived uncoded (below MinSize, not smaller coded, or
-// over an uncompressed link) or an adaptive controller coded it.
+// means the request arrived uncoded: below MinSize, not smaller coded, or
+// over an uncompressed link.
 type Coded struct {
 	Codec string
 	Data  []byte
@@ -107,11 +107,11 @@ func (s *Server) RegisterAppend(method string, h AppendHandlerFunc) {
 
 // RegisterAppendDict installs the append-form handler for method, with its
 // replies of at least MinSize coded against the dictionary dict returns,
-// asked for each such reply: on a link with a static codec the reply goes
+// asked for each such reply: on a compressed link the reply goes
 // out as a flagDict frame (zstd at the Dict's level, in a checksum frame)
 // when that is smaller, and its coding counts in Stats and
-// rpc_compress_ns_total as the link's own does. A zero Dict, an adaptive
-// link or an uncompressed one codes the reply as the link does. The client
+// rpc_compress_ns_total as the link's own does. A zero Dict or an
+// uncompressed link codes the reply as the link does. The client
 // resolves the dictionary by ID (WithDictResolver).
 func (s *Server) RegisterAppendDict(method string, h AppendHandlerFunc, dict func() Dict) {
 	s.register(method, handler{serve: func(ctx context.Context, dst, req []byte, _ Coded) ([]byte, error) { return h(ctx, dst, req) }, appends: true, dict: dict})
@@ -233,11 +233,11 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 		t.stats.calls.Add(1)
 		tmCalls.Inc()
 		var d Dict
-		if flags == 0 && h.dict != nil && len(resp) >= t.comp.MinSize {
+		if flags == 0 && h.dict != nil && len(resp) >= MinSize {
 			d = h.dict()
 		}
 		var b Body
-		if b, err = t.codeDict(d, method, resp, t.cur); err == nil {
+		if b, err = t.codeDict(d, resp, t.cur); err == nil {
 			err = t.writeBody(flags, method, &b)
 		}
 		if kept && resp != nil && cap(resp) <= maxKeptBuffer {
