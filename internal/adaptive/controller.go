@@ -40,33 +40,18 @@ import (
 	"github.com/datacomp/datacomp/internal/trace"
 )
 
-// Package-level telemetry on the shared registry, registered at first
-// controller construction.
+// Package-level telemetry on the shared registry, registered at package
+// initialisation.
 var (
-	tmOnce       sync.Once
-	tmSwaps      *telemetry.Counter
-	tmDecisions  *telemetry.Counter
-	tmTrials     *telemetry.Counter
-	tmShadowNS   *telemetry.Counter
-	tmThrottleNS *telemetry.Counter
-	tmDictTrains *telemetry.Counter
-	tmErrors     *telemetry.Counter
-	tmBudget     *telemetry.Gauge
+	tmSwaps      = telemetry.Default.Counter("adaptive_swaps_total", "serving-config generation swaps")
+	tmDecisions  = telemetry.Default.Counter("adaptive_decisions_total", "candidate configurations shadow-priced")
+	tmTrials     = telemetry.Default.Counter("adaptive_trials_total", "shadow trial rounds")
+	tmShadowNS   = telemetry.Default.Counter("adaptive_shadow_ns_total", "CPU time spent in shadow measurement")
+	tmThrottleNS = telemetry.Default.Counter("adaptive_throttle_ns_total", "sleep inserted to hold the shadow CPU budget")
+	tmDictTrains = telemetry.Default.Counter("adaptive_dict_trains_total", "dictionaries trained from reservoir samples")
+	tmErrors     = telemetry.Default.Counter("adaptive_trial_errors_total", "shadow trials that failed to measure or adopt")
+	tmBudget     = telemetry.Default.Gauge("adaptive_shadow_budget_permille", "configured shadow CPU budget, in thousandths of one core")
 )
-
-func tm() {
-	tmOnce.Do(func() {
-		r := telemetry.Default
-		tmSwaps = r.Counter("adaptive_swaps_total", "serving-config generation swaps")
-		tmDecisions = r.Counter("adaptive_decisions_total", "candidate configurations shadow-priced")
-		tmTrials = r.Counter("adaptive_trials_total", "shadow trial rounds")
-		tmShadowNS = r.Counter("adaptive_shadow_ns_total", "CPU time spent in shadow measurement")
-		tmThrottleNS = r.Counter("adaptive_throttle_ns_total", "sleep inserted to hold the shadow CPU budget")
-		tmDictTrains = r.Counter("adaptive_dict_trains_total", "dictionaries trained from reservoir samples")
-		tmErrors = r.Counter("adaptive_trial_errors_total", "shadow trials that failed to measure or adopt")
-		tmBudget = r.Gauge("adaptive_shadow_budget_permille", "configured shadow CPU budget, in thousandths of one core")
-	})
-}
 
 // Config parameterizes a Controller. The zero value is usable: every
 // field has a production default.
@@ -255,7 +240,6 @@ func New(cfg Config) (*Controller, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
-	tm()
 	tmBudget.Set(int64(cfg.Budget * 1000))
 	return &Controller{
 		cfg:     cfg,

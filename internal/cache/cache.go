@@ -22,34 +22,19 @@ import (
 	"github.com/datacomp/datacomp/internal/telemetry"
 )
 
-// Package-level telemetry on the shared registry, registered on first
-// cache construction. All caches in the process aggregate here; per-cache
+// Package-level telemetry on the shared registry, registered at package
+// initialisation. All caches in the process aggregate here; per-cache
 // numbers stay available via Cache.Stats.
 var (
-	tmOnce      sync.Once
-	tmHits      *telemetry.Counter
-	tmMisses    *telemetry.Counter
-	tmSets      *telemetry.Counter
-	tmEvicts    *telemetry.Counter
-	tmCompNS    *telemetry.Counter
-	tmDecompNS  *telemetry.Counter
-	tmItemBytes *telemetry.Histogram
-	tmResident  *telemetry.Gauge
+	tmHits      = telemetry.Default.Counter("cache_hits_total", "cache get hits")
+	tmMisses    = telemetry.Default.Counter("cache_misses_total", "cache get misses")
+	tmSets      = telemetry.Default.Counter("cache_sets_total", "cache sets")
+	tmEvicts    = telemetry.Default.Counter("cache_evictions_total", "LRU evictions")
+	tmCompNS    = telemetry.Default.Counter("cache_compress_ns_total", "server-side compression time")
+	tmDecompNS  = telemetry.Default.Counter("cache_decompress_ns_total", "client-side decompression time")
+	tmItemBytes = telemetry.Default.Histogram("cache_item_bytes", "raw item size on set", "bytes")
+	tmResident  = telemetry.Default.Gauge("cache_resident_compressed_bytes", "resident compressed bytes across caches")
 )
-
-func tm() {
-	tmOnce.Do(func() {
-		r := telemetry.Default
-		tmHits = r.Counter("cache_hits_total", "cache get hits")
-		tmMisses = r.Counter("cache_misses_total", "cache get misses")
-		tmSets = r.Counter("cache_sets_total", "cache sets")
-		tmEvicts = r.Counter("cache_evictions_total", "LRU evictions")
-		tmCompNS = r.Counter("cache_compress_ns_total", "server-side compression time")
-		tmDecompNS = r.Counter("cache_decompress_ns_total", "client-side decompression time")
-		tmItemBytes = r.Histogram("cache_item_bytes", "raw item size on set", "bytes")
-		tmResident = r.Gauge("cache_resident_compressed_bytes", "resident compressed bytes across caches")
-	})
-}
 
 // Config configures a Cache. The struct form stays because cache configs
 // are written as literals in service manifests.
@@ -142,7 +127,6 @@ type Cache struct {
 // New builds a cache from cfg.
 func New(cfg Config) (*Cache, error) {
 	cfg.fill()
-	tm()
 	if cfg.Adaptive == nil {
 		return nil, errors.New("cache: Config.Adaptive is required")
 	}

@@ -17,40 +17,26 @@ import (
 	"github.com/datacomp/datacomp/internal/zstd"
 )
 
-// Package-level telemetry on the shared registry.
+// Package-level telemetry on the shared registry, registered at package
+// initialisation: the one count of cluster and node events.
 var (
-	cmOnce                                 sync.Once
-	cmPuts, cmGets, cmDeletes              *telemetry.Counter
-	cmRepairs, cmCorrupt, cmStale          *telemetry.Counter
-	cmMissing                              *telemetry.Counter
-	cmGetDigest, cmGetFull, cmGetEscalated *telemetry.Counter
-	cmQuorumFailures, cmRebalancedRecords  *telemetry.Counter
-	cmReplicaErrors                        *telemetry.Counter
-	cmPutBlind, cmPutCompared              *telemetry.Counter
-	cmDictFetches                          *telemetry.Counter
+	cmPuts              = telemetry.Default.Counter("cluster_puts_total", "cluster put operations")
+	cmGets              = telemetry.Default.Counter("cluster_gets_total", "cluster get operations")
+	cmDeletes           = telemetry.Default.Counter("cluster_deletes_total", "cluster delete operations")
+	cmRepairs           = telemetry.Default.Counter("cluster_read_repairs_total", "replica records rewritten by read-repair")
+	cmCorrupt           = telemetry.Default.Counter("cluster_corrupt_replicas_total", "replica reads failing the record checksum")
+	cmStale             = telemetry.Default.Counter("cluster_stale_replicas_total", "replica reads returning an older version")
+	cmMissing           = telemetry.Default.Counter("cluster_missing_replicas_total", "replica reads finding no record where another owner held one")
+	cmGetDigest         = telemetry.Default.Counter("cluster_get_digest_total", "replica reads answered by kv.digest (header only)")
+	cmGetFull           = telemetry.Default.Counter("cluster_get_full_total", "replica reads answered by kv.get (whole record)")
+	cmGetEscalated      = telemetry.Default.Counter("cluster_get_escalated_total", "kv.get calls beyond the first owner's: a digest was newer, disagreed or failed, or the first owner had no valid record")
+	cmQuorumFailures    = telemetry.Default.Counter("cluster_quorum_failures_total", "operations failing to reach quorum")
+	cmRebalancedRecords = telemetry.Default.Counter("cluster_rebalanced_records_total", "records copied during rebalancing")
+	cmReplicaErrors     = telemetry.Default.Counter("cluster_replica_errors_total", "per-replica call failures")
+	cmPutBlind          = telemetry.Default.Counter("cluster_put_blind_total", "replica puts written without reading the stored record")
+	cmPutCompared       = telemetry.Default.Counter("cluster_put_compared_total", "replica puts that read and compared the stored record first")
+	cmDictFetches       = telemetry.Default.Counter("cluster_dict_fetches_total", "kv.dict calls fetching a node's store dictionary for its kv.get replies")
 )
-
-func cm() {
-	cmOnce.Do(func() {
-		r := telemetry.Default
-		cmPuts = r.Counter("cluster_puts_total", "cluster put operations")
-		cmGets = r.Counter("cluster_gets_total", "cluster get operations")
-		cmDeletes = r.Counter("cluster_deletes_total", "cluster delete operations")
-		cmRepairs = r.Counter("cluster_read_repairs_total", "replica records rewritten by read-repair")
-		cmCorrupt = r.Counter("cluster_corrupt_replicas_total", "replica reads failing the record checksum")
-		cmStale = r.Counter("cluster_stale_replicas_total", "replica reads returning an older version")
-		cmMissing = r.Counter("cluster_missing_replicas_total", "replica reads finding no record where another owner held one")
-		cmGetDigest = r.Counter("cluster_get_digest_total", "replica reads answered by kv.digest (header only)")
-		cmGetFull = r.Counter("cluster_get_full_total", "replica reads answered by kv.get (whole record)")
-		cmGetEscalated = r.Counter("cluster_get_escalated_total", "kv.get calls beyond the first owner's: a digest was newer, disagreed or failed, or the first owner had no valid record")
-		cmQuorumFailures = r.Counter("cluster_quorum_failures_total", "operations failing to reach quorum")
-		cmRebalancedRecords = r.Counter("cluster_rebalanced_records_total", "records copied during rebalancing")
-		cmReplicaErrors = r.Counter("cluster_replica_errors_total", "per-replica call failures")
-		cmPutBlind = r.Counter("cluster_put_blind_total", "replica puts written without reading the stored record")
-		cmPutCompared = r.Counter("cluster_put_compared_total", "replica puts that read and compared the stored record first")
-		cmDictFetches = r.Counter("cluster_dict_fetches_total", "kv.dict calls fetching a node's store dictionary for its kv.get replies")
-	})
-}
 
 // ErrNoQuorum is returned when fewer replicas than the required quorum
 // acknowledged an operation.
@@ -134,16 +120,6 @@ type Cluster struct {
 	// same reason as coders, since a GC would empty a sync.Pool and each
 	// refill would regrow the replica slots and their reply buffers.
 	ops chan *op
-
-	// Stats below are process-wide mirrors of the telemetry counters,
-	// kept per-cluster for tests.
-	repairs   atomic.Int64
-	corrupt   atomic.Int64
-	rebalance atomic.Int64
-	digests   atomic.Int64
-	fulls     atomic.Int64
-	escalated atomic.Int64
-	fetches   atomic.Int64
 }
 
 // New builds an empty cluster; add members with AddNode.
@@ -155,7 +131,6 @@ func New(opts ...Option) *Cluster {
 	if cfg.clientsPerNode < 1 {
 		cfg.clientsPerNode = 1
 	}
-	cm()
 	return &Cluster{
 		cfg:     cfg,
 		ring:    NewRing(0),
@@ -531,7 +506,6 @@ func (c *Cluster) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 			break
 		}
 		cmGetEscalated.Inc()
-		c.escalated.Add(1)
 		next.send(ctx, MethodGet, key, nil)
 		c.classify(next, true)
 	}
@@ -585,7 +559,6 @@ func (c *Cluster) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 		}
 		if _, err := r.pool.call(ctx, nil, "", nil, &o.coded); err == nil {
 			cmRepairs.Inc()
-			c.repairs.Add(1)
 		}
 	}
 	if cd != nil {
@@ -625,14 +598,11 @@ func (c *Cluster) classify(r *replica, full bool) {
 	}
 	if r.full {
 		cmGetFull.Inc()
-		c.fulls.Add(1)
 	} else {
 		cmGetDigest.Inc()
-		c.digests.Add(1)
 	}
 	if r.state == repLost {
 		cmCorrupt.Inc()
-		c.corrupt.Add(1)
 	}
 }
 
@@ -686,35 +656,9 @@ func (c *Cluster) drainFrom(ctx context.Context, src *clientPool) error {
 				continue // best-effort: quorum reads tolerate a lagging copy
 			}
 			cmRebalancedRecords.Inc()
-			c.rebalance.Add(1)
 		}
 		return nil
 	})
-}
-
-// Stats is a per-cluster view of read, repair and rebalance activity.
-type Stats struct {
-	ReadRepairs       int64
-	CorruptReplicas   int64
-	RebalancedRecords int64
-	DigestReads       int64 // replica reads answered by kv.digest
-	FullReads         int64 // replica reads answered by kv.get
-	EscalatedReads    int64 // kv.get calls beyond the first owner's
-	DictFetches       int64 // kv.dict calls, accepted or refused
-}
-
-// Stats returns per-cluster counters (the telemetry registry carries the
-// process-wide versions).
-func (c *Cluster) Stats() Stats {
-	return Stats{
-		ReadRepairs:       c.repairs.Load(),
-		CorruptReplicas:   c.corrupt.Load(),
-		RebalancedRecords: c.rebalance.Load(),
-		DigestReads:       c.digests.Load(),
-		FullReads:         c.fulls.Load(),
-		EscalatedReads:    c.escalated.Load(),
-		DictFetches:       c.fetches.Load(),
-	}
 }
 
 // clientPool is a fixed-size pool of rpc clients to one node. A client
@@ -817,7 +761,6 @@ var errDictMismatch = errors.New("cluster: kv.dict reply does not hash to the di
 // fetchDict asks the node for its store dictionary and keeps it when it is
 // the one with id.
 func (p *clientPool) fetchDict(ctx context.Context, id uint32) error {
-	p.c.fetches.Add(1)
 	cmDictFetches.Inc()
 	d, err := p.callOnce(ctx, nil, MethodDict, nil, nil)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/datacomp/datacomp/internal/corpus"
+	"github.com/datacomp/datacomp/internal/telemetry"
 )
 
 var tctx = context.Background()
@@ -25,6 +26,51 @@ func testCluster(t *testing.T, n int, opts ...Option) *Cluster {
 		}
 	}
 	return c
+}
+
+// counts are the process-wide counters the tests assert on. A test takes
+// their growth across its own operations (since); the package's tests run
+// one at a time, so no other test adds to it.
+type counts struct {
+	ReadRepairs, CorruptReplicas, RebalancedRecords int64
+	DigestReads, FullReads, EscalatedReads          int64
+	DictFetches                                     int64
+	DictFrames                                      int64 // rpc_dict_frames_total: each coded reply's sender and decoder count it
+	Blind, Compared                                 int64 // replica puts by the path handlePut took
+}
+
+var rpcDictFrames = telemetry.Default.Counter("rpc_dict_frames_total", "")
+
+func counted() counts {
+	return counts{
+		ReadRepairs:       cmRepairs.Value(),
+		CorruptReplicas:   cmCorrupt.Value(),
+		RebalancedRecords: cmRebalancedRecords.Value(),
+		DigestReads:       cmGetDigest.Value(),
+		FullReads:         cmGetFull.Value(),
+		EscalatedReads:    cmGetEscalated.Value(),
+		DictFetches:       cmDictFetches.Value(),
+		DictFrames:        rpcDictFrames.Value(),
+		Blind:             cmPutBlind.Value(),
+		Compared:          cmPutCompared.Value(),
+	}
+}
+
+// since is each counter's growth from before to now.
+func since(before counts) counts {
+	now := counted()
+	return counts{
+		ReadRepairs:       now.ReadRepairs - before.ReadRepairs,
+		CorruptReplicas:   now.CorruptReplicas - before.CorruptReplicas,
+		RebalancedRecords: now.RebalancedRecords - before.RebalancedRecords,
+		DigestReads:       now.DigestReads - before.DigestReads,
+		FullReads:         now.FullReads - before.FullReads,
+		EscalatedReads:    now.EscalatedReads - before.EscalatedReads,
+		DictFetches:       now.DictFetches - before.DictFetches,
+		DictFrames:        now.DictFrames - before.DictFrames,
+		Blind:             now.Blind - before.Blind,
+		Compared:          now.Compared - before.Compared,
+	}
 }
 
 // ownerNodes returns key's owners in ring order: a get asks the first for the
@@ -148,6 +194,7 @@ func keysOf(m map[string][]byte) []string {
 
 func TestClusterReadRepairCorruptReplica(t *testing.T) {
 	c := testCluster(t, 3)
+	base := counted()
 	k := []byte("precious")
 	if err := c.Put(tctx, k, []byte("intact-value")); err != nil {
 		t.Fatalf("put: %v", err)
@@ -173,7 +220,7 @@ func TestClusterReadRepairCorruptReplica(t *testing.T) {
 	if err != nil || !ok || string(v) != "intact-value" {
 		t.Fatalf("get after corruption = %q ok=%v err=%v", v, ok, err)
 	}
-	st := c.Stats()
+	st := since(base)
 	if st.CorruptReplicas == 0 {
 		t.Fatal("corrupt replica not detected")
 	}
@@ -360,6 +407,7 @@ func TestClusterWritesFailWithoutQuorum(t *testing.T) {
 
 func TestClusterJoinLeaveRebalance(t *testing.T) {
 	c := testCluster(t, 3)
+	base := counted()
 	const keys = 120
 	for i := 0; i < keys; i++ {
 		k := []byte(fmt.Sprintf("rb-%03d", i))
@@ -372,7 +420,7 @@ func TestClusterJoinLeaveRebalance(t *testing.T) {
 	if _, err := c.AddNode(tctx, "node-3"); err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	if c.Stats().RebalancedRecords == 0 {
+	if since(base).RebalancedRecords == 0 {
 		t.Fatal("join rebalanced nothing")
 	}
 	for i := 0; i < keys; i++ {

@@ -10,14 +10,6 @@ import (
 	"github.com/datacomp/datacomp/internal/kvstore"
 )
 
-// dictFrames counts the node's replies coded against its store dictionary
-// since its last start.
-func (n *Node) dictFrames() int64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.server.Stats().DictFrames
-}
-
 // dictValue is key i's value at version v: a 1 KiB record, big enough that
 // its kv.get reply is coded, and shaped like the records a store trains on.
 func dictValue(i, v int) []byte {
@@ -103,26 +95,29 @@ func distinctDicts(t *testing.T, c *Cluster) {
 // and decodes from the cache.
 func TestClusterDictFetchOnce(t *testing.T) {
 	c := testCluster(t, 4)
+	base := counted()
 	keys, acked := dictKeys(t, c, 160)
 	distinctDicts(t, c)
 	for fetched, name := range c.Nodes() {
-		n := c.Node(name)
 		for i, k := range firstOwnedBy(t, c, keys, name) {
-			frames := n.dictFrames()
+			frames := counted().DictFrames
 			getAcked(t, c, acked, k)
-			want := int64(1)
+			// Only the first owner sends a whole record. Its dictionary-coded
+			// reply counts once sent and once decoded; the coordinator cannot
+			// decode the first, and the retry's is the second.
+			want := int64(2)
 			if i == 0 {
-				want = 2 // the reply the coordinator could not decode, then the retry's
+				want = 3
 			}
-			if got := n.dictFrames() - frames; got != want {
-				t.Fatalf("%s get %d: %d dictionary-coded replies, want %d", name, i, got, want)
+			if got := counted().DictFrames - frames; got != want {
+				t.Fatalf("%s get %d: rpc_dict_frames_total grew %d, want %d", name, i, got, want)
 			}
-			if f := c.Stats().DictFetches; f != int64(fetched+1) {
+			if f := since(base).DictFetches; f != int64(fetched+1) {
 				t.Fatalf("%s get %d: %d dictionary fetches, want %d", name, i, f, fetched+1)
 			}
 		}
 	}
-	if st := c.Stats(); st.EscalatedReads != 0 || st.ReadRepairs != 0 {
+	if st := since(base); st.EscalatedReads != 0 || st.ReadRepairs != 0 {
 		t.Fatalf("healthy dictionary-coded gets escalated or repaired: %+v", st)
 	}
 }
@@ -136,7 +131,7 @@ func TestClusterDictRestartKeepsID(t *testing.T) {
 	for _, k := range keys {
 		getAcked(t, c, acked, k)
 	}
-	fetches := c.Stats().DictFetches
+	fetches := counted().DictFetches
 	victim := c.Node("node-1")
 	id := storeOf(t, victim).Dict().ID
 	mine := firstOwnedBy(t, c, keys, "node-1")
@@ -149,16 +144,20 @@ func TestClusterDictRestartKeepsID(t *testing.T) {
 		if got := storeOf(t, victim).Dict().ID; got != id {
 			t.Fatalf("round %d: restarted store has dictionary %08x, want %08x", round, got, id)
 		}
+		before := counted()
 		for _, k := range mine {
 			getAcked(t, c, acked, k)
 		}
 		// A pooled client left on the old server fails its first call, so
-		// a get or two reads through the other owners instead.
-		if n := victim.dictFrames(); n < int64(len(mine)-c.cfg.clientsPerNode) {
+		// a get or two reads through the other owners instead. Every
+		// dictionary-coded reply decodes (no fetch), so it counts twice;
+		// the victim sent those the escalated reads did not.
+		d := since(before)
+		if n := d.DictFrames/2 - d.EscalatedReads; n < int64(len(mine)-c.cfg.clientsPerNode) {
 			t.Fatalf("round %d: %d dictionary-coded replies for %d gets", round, n, len(mine))
 		}
 	}
-	if f := c.Stats().DictFetches; f != fetches {
+	if f := counted().DictFetches; f != fetches {
 		t.Fatalf("restarts caused %d dictionary fetches, want none", f-fetches)
 	}
 }
@@ -175,24 +174,29 @@ func TestClusterDictFreshNodeJoins(t *testing.T) {
 		t.Fatal(err)
 	}
 	mine := firstOwnedBy(t, c, keys, "node-3")
+	frames := counted().DictFrames
 	for _, k := range mine {
 		getAcked(t, c, acked, k)
 	}
-	if n := joined.dictFrames(); n != 0 {
+	// The joiner, these keys' first owner, sends each get's one whole
+	// record, so every coded reply here would be its.
+	if n := counted().DictFrames - frames; n != 0 {
 		t.Fatalf("dictless joiner sent %d dictionary-coded replies", n)
 	}
 	flushNode(t, joined)
 	if storeOf(t, joined).Dict().ID == 0 {
 		t.Fatal("the joiner's first flush trained no dictionary")
 	}
-	base := c.Stats().DictFetches
+	base := counted()
 	for _, k := range mine {
 		getAcked(t, c, acked, k)
 	}
-	if n := joined.dictFrames(); n != int64(len(mine)+1) {
-		t.Fatalf("after its flush the joiner sent %d dictionary-coded replies for %d gets, want one more", n, len(mine))
+	// Each reply counts once sent and once decoded, but the first, which
+	// the coordinator could not decode, is sent twice.
+	if n := since(base).DictFrames; n != int64(2*len(mine)+1) {
+		t.Fatalf("after its flush the joiner's %d gets grew rpc_dict_frames_total %d, want one more than twice that", len(mine), n)
 	}
-	if f := c.Stats().DictFetches - base; f != 1 {
+	if f := since(base).DictFetches; f != 1 {
 		t.Fatalf("after its flush: %d fetches, want 1 (the joiner's)", f)
 	}
 }
@@ -213,27 +217,19 @@ func TestClusterDictEscalatedRead(t *testing.T) {
 	if err := first.Restart(tctx); err != nil {
 		t.Fatal(err)
 	}
-	frames := make([]int64, len(owners))
-	for i, n := range owners {
-		frames[i] = n.dictFrames()
-	}
-	before := c.Stats()
+	before := counted()
 	getAcked(t, c, acked, key)
-	after := c.Stats()
-	if after.EscalatedReads-before.EscalatedReads != 1 {
-		t.Fatalf("escalated %d reads, want 1", after.EscalatedReads-before.EscalatedReads)
+	d := since(before)
+	if d.EscalatedReads != 1 {
+		t.Fatalf("escalated %d reads, want 1", d.EscalatedReads)
 	}
-	escalatedTo := -1
-	for i := 1; i < len(owners); i++ {
-		if owners[i].dictFrames() > frames[i] {
-			escalatedTo = i
-		}
+	// Two dictionary-coded records, the first owner's and the escalated
+	// one's, each sent, not decodable, fetched for, sent again and decoded.
+	if d.DictFrames != 6 {
+		t.Fatalf("rpc_dict_frames_total grew %d, want 6: no digest owner sent a dictionary-coded record", d.DictFrames)
 	}
-	if escalatedTo < 0 {
-		t.Fatal("no digest owner sent a dictionary-coded record")
-	}
-	if f := after.DictFetches - before.DictFetches; f != 2 {
-		t.Fatalf("%d dictionary fetches, want 2: the first owner's and the escalated one's", f)
+	if d.DictFetches != 2 {
+		t.Fatalf("%d dictionary fetches, want 2: the first owner's and the escalated one's", d.DictFetches)
 	}
 	getAcked(t, c, acked, key)
 }
@@ -246,6 +242,7 @@ func TestClusterDictlessStoreNoFlag(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			c := New()
 			t.Cleanup(func() { c.Close() })
+			base := counted()
 			for i := 0; i < 3; i++ {
 				opt := kvstore.WithCodec("lz4")
 				if name == "engine" {
@@ -268,11 +265,14 @@ func TestClusterDictlessStoreNoFlag(t *testing.T) {
 				getAcked(t, c, acked, k)
 			}
 			for _, n := range c.Nodes() {
-				if d := storeOf(t, c.Node(n)).Dict(); d.Bytes != nil || c.Node(n).dictFrames() != 0 {
-					t.Fatalf("%s: dictionary %08x, %d dictionary-coded replies", n, d.ID, c.Node(n).dictFrames())
+				if d := storeOf(t, c.Node(n)).Dict(); d.Bytes != nil {
+					t.Fatalf("%s: dictionary %08x", n, d.ID)
 				}
 			}
-			if f := c.Stats().DictFetches; f != 0 {
+			if n := since(base).DictFrames; n != 0 {
+				t.Fatalf("%d dictionary-coded replies from dictless stores", n)
+			}
+			if f := since(base).DictFetches; f != 0 {
 				t.Fatalf("%d dictionary fetches from dictless stores", f)
 			}
 		})
@@ -293,9 +293,9 @@ func TestClusterDictMismatchRefused(t *testing.T) {
 	liar.server.Register(MethodDict, func(context.Context, []byte) ([]byte, error) { return other, nil })
 	liar.mu.RUnlock()
 	for _, k := range firstOwnedBy(t, c, keys, "node-2") {
-		before := c.Stats().DictFetches
+		before := counted().DictFetches
 		getAcked(t, c, acked, k)
-		if c.Stats().DictFetches == before {
+		if counted().DictFetches == before {
 			t.Fatalf("get %s fetched no dictionary from the liar", k)
 		}
 		if c.dicts.lookup(id) != nil {

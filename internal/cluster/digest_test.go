@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -36,6 +35,7 @@ func keyOwnedAt(t *testing.T, c *Cluster, node string, pos int, prefix string) [
 // from their version tables without touching kvstore.
 func TestClusterDigestGetDecodesOneBlock(t *testing.T) {
 	c := testCluster(t, 3, WithNodeDefaults(smallStore()))
+	base := counted()
 	const keys = 60
 	for i := 0; i < keys; i++ {
 		k := []byte(fmt.Sprintf("cold-%03d", i))
@@ -79,7 +79,7 @@ func TestClusterDigestGetDecodesOneBlock(t *testing.T) {
 	if d := decoded() - decoded0; d == 0 || d > keys {
 		t.Fatalf("%d gets decoded %d blocks across the cluster, want between 1 and %d", keys, d, keys)
 	}
-	if st := c.Stats(); st.FullReads != keys || st.DigestReads != 2*keys || st.EscalatedReads != 0 || st.ReadRepairs != 0 {
+	if st := since(base); st.FullReads != keys || st.DigestReads != 2*keys || st.EscalatedReads != 0 || st.ReadRepairs != 0 {
 		t.Fatalf("healthy gets: %+v, want %d full, %d digest, nothing escalated or repaired", st, keys, 2*keys)
 	}
 }
@@ -90,6 +90,7 @@ func TestClusterDigestGetDecodesOneBlock(t *testing.T) {
 // it; the second digest is served from the table the first one warmed.
 func TestClusterDigestOwnerStaleOrMissingRepaired(t *testing.T) {
 	c := testCluster(t, 3)
+	base := counted()
 	victim := c.Node("node-1")
 	stale := keyOwnedAt(t, c, "node-1", 1, "stale")
 	missing := keyOwnedAt(t, c, "node-1", 2, "missing")
@@ -116,7 +117,7 @@ func TestClusterDigestOwnerStaleOrMissingRepaired(t *testing.T) {
 	if rec, ok := validRecord(stored(t, victim, string(missing))); !ok || string(rec.payload) != "born while node-1 was down" {
 		t.Fatalf("missing digest owner not repaired: %q valid=%v", rec.payload, ok)
 	}
-	if st := c.Stats(); st.ReadRepairs != 2 || st.EscalatedReads != 0 {
+	if st := since(base); st.ReadRepairs != 2 || st.EscalatedReads != 0 {
 		t.Fatalf("%+v, want 2 repairs pushed from the data owner's record and no escalation", st)
 	}
 	if ds, dm := cmStale.Value()-stale0, cmMissing.Value()-missing0; ds < 1 || dm < 1 {
@@ -130,7 +131,7 @@ func TestClusterDigestOwnerStaleOrMissingRepaired(t *testing.T) {
 	if d := victim.Store().Stats().Gets - gets; d != 0 {
 		t.Fatalf("digests of re-tracked keys read the store %d times", d)
 	}
-	if st := c.Stats(); st.ReadRepairs != 2 {
+	if st := since(base); st.ReadRepairs != 2 {
 		t.Fatalf("healthy re-read repaired again: %+v", st)
 	}
 }
@@ -138,13 +139,14 @@ func TestClusterDigestOwnerStaleOrMissingRepaired(t *testing.T) {
 // With the data owner down the next owner serves the record.
 func TestClusterDigestDataOwnerDown(t *testing.T) {
 	c := testCluster(t, 3)
+	base := counted()
 	k := keyOwnedAt(t, c, "node-2", 0, "k")
 	if err := c.Put(tctx, k, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	c.Node("node-2").Crash()
 	mustGet(t, c, k, "v")
-	if st := c.Stats(); st.EscalatedReads != 1 || st.FullReads != 1 || st.DigestReads != 2 || st.ReadRepairs != 0 {
+	if st := since(base); st.EscalatedReads != 1 || st.FullReads != 1 || st.DigestReads != 2 || st.ReadRepairs != 0 {
 		t.Fatalf("%+v, want two digests and one escalated kv.get, nothing to repair", st)
 	}
 	// A second owner down leaves one of three: no quorum, whoever is left.
@@ -159,6 +161,7 @@ func TestClusterDigestDataOwnerDown(t *testing.T) {
 // surfaces the first time that owner has to serve the record.
 func TestClusterDigestOwnerRotSurfacesWhenServingData(t *testing.T) {
 	c := testCluster(t, 3)
+	base := counted()
 	k := []byte("precious")
 	if err := c.Put(tctx, k, []byte("intact")); err != nil {
 		t.Fatal(err)
@@ -166,12 +169,12 @@ func TestClusterDigestOwnerRotSurfacesWhenServingData(t *testing.T) {
 	owners := ownerNodes(t, c, k)
 	corruptInPlace(t, owners[1], string(k))
 	mustGet(t, c, k, "intact")
-	if st := c.Stats(); st.CorruptReplicas != 0 || st.ReadRepairs != 0 {
+	if st := since(base); st.CorruptReplicas != 0 || st.ReadRepairs != 0 {
 		t.Fatalf("a healthy read noticed rot under a digest owner: %+v", st)
 	}
 	owners[0].Crash()
 	mustGet(t, c, k, "intact") // owners[1] is asked first, is corrupt; owners[2] serves
-	if st := c.Stats(); st.CorruptReplicas != 1 || st.ReadRepairs != 1 || st.EscalatedReads != 2 {
+	if st := since(base); st.CorruptReplicas != 1 || st.ReadRepairs != 1 || st.EscalatedReads != 2 {
 		t.Fatalf("%+v, want the rot found, repaired, and two escalated reads", st)
 	}
 	if rec, ok := validRecord(stored(t, owners[1], string(k))); !ok || string(rec.payload) != "intact" {
@@ -184,6 +187,7 @@ func TestClusterDigestOwnerRotSurfacesWhenServingData(t *testing.T) {
 // asked for the whole record, and the get counts and repairs it.
 func TestClusterDigestOfCorruptRecordEscalates(t *testing.T) {
 	c := testCluster(t, 3)
+	base := counted()
 	k := []byte("precious")
 	if err := c.Put(tctx, k, []byte("intact")); err != nil {
 		t.Fatal(err)
@@ -192,7 +196,7 @@ func TestClusterDigestOfCorruptRecordEscalates(t *testing.T) {
 	corruptInPlace(t, victim, string(k))
 	victim.forget(k)
 	mustGet(t, c, k, "intact")
-	if st := c.Stats(); st.CorruptReplicas != 1 || st.ReadRepairs != 1 || st.EscalatedReads != 1 {
+	if st := since(base); st.CorruptReplicas != 1 || st.ReadRepairs != 1 || st.EscalatedReads != 1 {
 		t.Fatalf("%+v, want one corrupt replica found by one escalated read and repaired", st)
 	}
 	if rec, ok := validRecord(stored(t, victim, string(k))); !ok || string(rec.payload) != "intact" {
@@ -204,6 +208,7 @@ func TestClusterDigestOfCorruptRecordEscalates(t *testing.T) {
 // that is an error, not a miss.
 func TestClusterGetAllReplicasCorrupt(t *testing.T) {
 	c := testCluster(t, 3)
+	base := counted()
 	k := []byte("doomed")
 	if err := c.Put(tctx, k, []byte("value")); err != nil {
 		t.Fatal(err)
@@ -215,7 +220,7 @@ func TestClusterGetAllReplicasCorrupt(t *testing.T) {
 	if !errors.Is(err, ErrAllReplicasCorrupt) || ok || v != nil {
 		t.Fatalf("get = %q ok=%v err=%v, want ErrAllReplicasCorrupt", v, ok, err)
 	}
-	if st := c.Stats(); st.CorruptReplicas != 3 || st.ReadRepairs != 0 {
+	if st := since(base); st.CorruptReplicas != 3 || st.ReadRepairs != 0 {
 		t.Fatalf("%+v, want three corrupt replicas and nothing to repair them with", st)
 	}
 	// One intact copy anywhere is enough again.
@@ -265,53 +270,26 @@ func TestFanOutWaitsForAll(t *testing.T) {
 // return the last value acknowledged before it began, or a later one.
 func TestClusterHammerPutGet(t *testing.T) {
 	c := testCluster(t, 3, WithClientsPerNode(4))
-	const workers, keys, opsPerWorker = 4, 8, 600
-	var acked, issued [keys]atomic.Int64
-	key := func(k int) []byte { return []byte(fmt.Sprintf("hot-%d", k)) }
-	for k := 0; k < keys; k++ {
-		if err := c.Put(tctx, key(k), []byte("0")); err != nil {
+	base := counted()
+	m := &hammerModel{prefix: "hot"}
+	for k := 0; k < hammerKeys; k++ {
+		if err := c.Put(tctx, m.key(k), []byte("0")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var wg sync.WaitGroup
 	var half sync.WaitGroup
-	half.Add(workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			halfway := sync.OnceFunc(half.Done)
-			defer halfway() // a worker that fails early must not strand the restart
-			for i := 0; i < opsPerWorker; i++ {
-				if i == opsPerWorker/2 {
-					halfway()
-				}
-				if i%3 == 0 { // write one of this worker's own keys
-					k := w + workers*(i/3%2)
-					seq := issued[k].Add(1)
-					if err := c.Put(tctx, key(k), []byte(fmt.Sprint(seq))); err != nil {
-						t.Errorf("put hot-%d seq %d: %v", k, seq, err)
-						return
-					}
-					acked[k].Store(seq)
-					continue
-				}
-				k := (w + i) % keys
-				floor := acked[k].Load()
-				v, ok, err := c.Get(tctx, key(k))
-				if err != nil || !ok {
-					t.Errorf("get hot-%d: ok=%v err=%v", k, ok, err)
-					return
-				}
-				var seq int64
-				fmt.Sscan(string(v), &seq)
-				if ceil := issued[k].Load(); seq < floor || seq > ceil {
-					t.Errorf("get hot-%d = seq %d, want between the last acked before it (%d) and the last issued (%d)", k, seq, floor, ceil)
-					return
-				}
+	half.Add(hammerWorkers)
+	wait := m.start(t, 600, half.Done,
+		func(k int) error {
+			return m.put(k, func(key, value []byte) error { return c.Put(tctx, key, value) })
+		},
+		func(key []byte) ([]byte, error) {
+			v, ok, err := c.Get(tctx, key)
+			if err == nil && !ok {
+				err = errors.New("not found")
 			}
-		}(w)
-	}
+			return v, err
+		})
 	// One owner of every key misses writes for a while, then returns with a
 	// cold table: stale digests, and stale data where it is the first owner.
 	c.Node("node-1").Crash()
@@ -319,11 +297,11 @@ func TestClusterHammerPutGet(t *testing.T) {
 	if err := c.Node("node-1").Restart(tctx); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
-	for k := 0; k < keys; k++ {
-		mustGet(t, c, key(k), fmt.Sprint(acked[k].Load()))
+	wait()
+	for k := 0; k < hammerKeys; k++ {
+		mustGet(t, c, m.key(k), fmt.Sprint(m.acked[k].Load()))
 	}
-	st := c.Stats()
+	st := since(base)
 	if st.DigestReads == 0 || st.EscalatedReads == 0 || st.ReadRepairs == 0 {
 		t.Fatalf("hammer never left the healthy path: %+v", st)
 	}

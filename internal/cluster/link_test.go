@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -35,7 +34,7 @@ func (l flipLink) Read(p []byte) (int, error) { return l.r.Read(p) }
 // indeterminate), every failure must be a lost quorum, and once new dials
 // flip nothing, every key must read its last acked value.
 func TestClusterLinkBitFlips(t *testing.T) {
-	const workers, keys, opsPerWorker, clients = 4, 8, 300, 4
+	const opsPerWorker, clients = 300, 4
 	var flipRate atomic.Uint64 // math.Float64bits of the rate a new dial gets
 	var dials, seed atomic.Uint64
 	flipRate.Store(math.Float64bits(0.002))
@@ -60,73 +59,53 @@ func TestClusterLinkBitFlips(t *testing.T) {
 	opCtx := func() (context.Context, context.CancelFunc) {
 		return context.WithTimeout(tctx, 250*time.Millisecond)
 	}
-	var acked, issued [keys]atomic.Int64
-	key := func(k int) []byte { return []byte(fmt.Sprintf("link-%d", k)) }
+	m := &hammerModel{prefix: "link"}
 	// put writes key k's next value, retrying a lost quorum up to tries
 	// times, each under a new sequence number.
 	put := func(k, tries int) error {
 		var err error
 		for try := 0; try < tries; try++ {
-			seq := issued[k].Add(1)
-			ctx, cancel := opCtx()
-			err = c.Put(ctx, key(k), []byte(fmt.Sprint(seq)))
-			cancel()
-			if err == nil {
-				acked[k].Store(seq)
-				return nil
-			}
+			err = m.put(k, func(key, value []byte) error {
+				ctx, cancel := opCtx()
+				defer cancel()
+				return c.Put(ctx, key, value)
+			})
 			if !errors.Is(err, ErrNoQuorum) {
 				return err
 			}
 		}
 		return err
 	}
-	for k := 0; k < keys; k++ {
+	for k := 0; k < hammerKeys; k++ {
 		if err := put(k, 20); err != nil {
-			t.Fatalf("preload link-%d: %v", k, err)
+			t.Fatalf("preload %s: %v", m.key(k), err)
 		}
 	}
 
 	var putFails, getFails atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < opsPerWorker; i++ {
-				if i%3 == 0 { // write one of this worker's own keys
-					if err := put(w+workers*(i/3%2), 1); err != nil {
-						if !errors.Is(err, ErrNoQuorum) {
-							t.Errorf("put: %v, want only ErrNoQuorum", err)
-							return
-						}
-						putFails.Add(1)
-					}
-					continue
-				}
-				k := (w + i) % keys
-				floor := acked[k].Load()
-				ctx, cancel := opCtx()
-				v, ok, err := c.Get(ctx, key(k))
-				cancel()
-				if err != nil {
-					if !errors.Is(err, ErrNoQuorum) {
-						t.Errorf("get link-%d: %v, want only ErrNoQuorum", k, err)
-						return
-					}
-					getFails.Add(1)
-					continue
-				}
-				var seq int64
-				fmt.Sscan(string(v), &seq)
-				if ceil := issued[k].Load(); !ok || seq < floor || seq > ceil {
-					t.Errorf("get link-%d = %q ok=%v, want between the last acked before it (%d) and the last issued (%d)", k, v, ok, floor, ceil)
-					return
-				}
+	wait := m.start(t, opsPerWorker, nil,
+		func(k int) error {
+			err := put(k, 1)
+			if errors.Is(err, ErrNoQuorum) {
+				putFails.Add(1)
+				return nil
 			}
-		}(w)
-	}
-	wg.Wait()
+			return err
+		},
+		func(key []byte) ([]byte, error) {
+			ctx, cancel := opCtx()
+			defer cancel()
+			v, ok, err := c.Get(ctx, key)
+			if errors.Is(err, ErrNoQuorum) {
+				getFails.Add(1)
+				return nil, nil
+			}
+			if err == nil && !ok {
+				err = errors.New("not found")
+			}
+			return v, err
+		})
+	wait()
 	if t.Failed() {
 		return
 	}
@@ -155,28 +134,28 @@ func TestClusterLinkBitFlips(t *testing.T) {
 	// settles every key whose last put was indeterminate, and then every
 	// key reads exactly its last acked value.
 	flipRate.Store(0)
-	for k := 0; k < keys; k++ {
-		if issued[k].Load() != acked[k].Load() {
+	for k := 0; k < hammerKeys; k++ {
+		if m.issued[k].Load() != m.acked[k].Load() {
 			if err := put(k, 3*clients+1); err != nil {
-				t.Fatalf("settle link-%d: %v", k, err)
+				t.Fatalf("settle %s: %v", m.key(k), err)
 			}
 		}
 	}
-	for k := 0; k < keys; k++ {
-		want := fmt.Sprint(acked[k].Load())
+	for k := 0; k < hammerKeys; k++ {
+		want := fmt.Sprint(m.acked[k].Load())
 		var v []byte
 		var ok bool
 		var err error
 		for try := 0; try <= 3*clients; try++ {
 			ctx, cancel := opCtx()
-			v, ok, err = c.Get(ctx, key(k))
+			v, ok, err = c.Get(ctx, m.key(k))
 			cancel()
 			if !errors.Is(err, ErrNoQuorum) {
 				break
 			}
 		}
 		if err != nil || !ok || string(v) != want {
-			t.Fatalf("get link-%d = %q ok=%v err=%v, want its last acked %q", k, v, ok, err, want)
+			t.Fatalf("get %s = %q ok=%v err=%v, want its last acked %q", m.key(k), v, ok, err, want)
 		}
 	}
 }

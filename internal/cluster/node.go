@@ -9,7 +9,6 @@ import (
 	"net"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/datacomp/datacomp/internal/kvstore"
 	"github.com/datacomp/datacomp/internal/rpc"
@@ -170,9 +169,6 @@ type Node struct {
 	// start() opens an empty store again. Guarded by putMu.
 	exhaustive bool
 
-	// Which path each replica put took (see handlePut).
-	blindPuts, comparedPuts atomic.Int64
-
 	// lifeMu serializes Stop/Crash/Restart so two lifecycle transitions
 	// can never interleave (e.g. concurrent Restarts double-opening the
 	// store over one persister).
@@ -199,7 +195,6 @@ func newNode(ctx context.Context, name string, comp rpc.Compression, opts ...Nod
 	if cfg.persister == nil {
 		cfg.persister = kvstore.NewMemPersister()
 	}
-	cm()
 	n := &Node{name: name, cfg: cfg}
 	if err := n.start(ctx); err != nil {
 		return nil, err
@@ -354,18 +349,6 @@ func (n *Node) store() (*kvstore.DB, error) {
 	return n.db, nil
 }
 
-// PutStats counts replica puts by the path handlePut took.
-type PutStats struct {
-	Blind    int64 // written without reading the stored record
-	Compared int64 // stored record read and compared first
-}
-
-// PutStats reports the node's put-path counters (the telemetry registry
-// carries the process-wide versions).
-func (n *Node) PutStats() PutStats {
-	return PutStats{Blind: n.blindPuts.Load(), Compared: n.comparedPuts.Load()}
-}
-
 // handlePut applies a versioned record if it is newer than the stored one.
 //
 // Blind path: the version table holds the key and the record is above the
@@ -398,10 +381,8 @@ func (n *Node) handlePut(ctx context.Context, req []byte, coded rpc.Coded) ([]by
 	defer n.putMu.Unlock()
 	seen := n.versions[string(key)] // nil when untracked
 	if seen == nil && n.exhaustive || seen != nil && rec.version > binary.LittleEndian.Uint64(seen[:8]) {
-		n.blindPuts.Add(1)
 		cmPutBlind.Inc()
 	} else {
-		n.comparedPuts.Add(1)
 		cmPutCompared.Inc()
 		cur, ok, err := db.Get(ctx, key)
 		if err != nil {

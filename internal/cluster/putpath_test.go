@@ -110,6 +110,7 @@ func TestNodePutModel(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			n := testNode(t, smallStore(), WithNodeStoreOptions(kvstore.WithWAL(kvstore.SyncOnCheckpoint)))
+			base := counted()
 
 			model := map[string][]byte{}   // what the store must hold, raw
 			durable := map[string][]byte{} // model as of the last sync or checkpoint
@@ -293,7 +294,7 @@ func TestNodePutModel(t *testing.T) {
 				}
 			}
 			check(3000, "end")
-			st := n.PutStats()
+			st := since(base)
 			if st.Blind == 0 || st.Compared == 0 {
 				t.Fatalf("model run took one path only: %+v", st)
 			}
@@ -303,12 +304,11 @@ func TestNodePutModel(t *testing.T) {
 
 // TestNodeBlindPutCounters proves the blind path is actually taken: on a
 // node whose table is not exhaustive the first put of a key compares (the
-// table has not seen it), every strictly newer put after that is blind, and
-// the telemetry counters move with the per-node ones.
+// table has not seen it), and every strictly newer put after that is blind.
 func TestNodeBlindPutCounters(t *testing.T) {
 	n := testNode(t, smallStore())
 	n.endExhaustive()
-	blind0, compared0 := cmPutBlind.Value(), cmPutCompared.Value()
+	base := counted()
 	const keys, rounds = 20, 30
 	var version uint64
 	for r := 0; r < rounds; r++ {
@@ -317,15 +317,8 @@ func TestNodeBlindPutCounters(t *testing.T) {
 			putRec(t, n, fmt.Sprintf("key-%02d", k), appendRecord(nil, version, false, bytes.Repeat([]byte{byte(r)}, 200)))
 		}
 	}
-	st := n.PutStats()
-	if st.Compared != keys || st.Blind != keys*(rounds-1) {
+	if st := since(base); st.Compared != keys || st.Blind != keys*(rounds-1) {
 		t.Fatalf("put paths = %+v, want %d compared and %d blind", st, keys, keys*(rounds-1))
-	}
-	if d := cmPutBlind.Value() - blind0; d < st.Blind {
-		t.Fatalf("cluster_put_blind_total moved by %d, node counted %d", d, st.Blind)
-	}
-	if d := cmPutCompared.Value() - compared0; d < st.Compared {
-		t.Fatalf("cluster_put_compared_total moved by %d, node counted %d", d, st.Compared)
 	}
 	// Blind puts skip the store's read path entirely.
 	if gets := n.Store().Stats().Gets; gets != keys {
@@ -344,11 +337,12 @@ func TestNodeBlindPutCounters(t *testing.T) {
 // exhaustive.)
 func TestNodeOlderPutAfterBlindPutIsNoop(t *testing.T) {
 	n := testNode(t)
+	base := counted()
 	// With the table's exhaustive claim ended, a first sight compares.
 	n.endExhaustive()
 	putRec(t, n, "k", appendRecord(nil, 10, false, []byte("ten")))    // compared (first sight)
 	putRec(t, n, "k", appendRecord(nil, 20, false, []byte("twenty"))) // blind
-	if st := n.PutStats(); st.Blind != 1 {
+	if st := since(base); st.Blind != 1 {
 		t.Fatalf("second put not blind: %+v", st)
 	}
 	putRec(t, n, "k", appendRecord(nil, 15, false, []byte("fifteen")))
@@ -358,7 +352,7 @@ func TestNodeOlderPutAfterBlindPutIsNoop(t *testing.T) {
 	if !ok || rec.version != 20 || string(rec.payload) != "twenty" || rec.tombstone {
 		t.Fatalf("stored = version %d %q tombstone=%v valid=%v, want version 20 \"twenty\"", rec.version, rec.payload, rec.tombstone, ok)
 	}
-	if st := n.PutStats(); st.Blind != 1 || st.Compared != 4 {
+	if st := since(base); st.Blind != 1 || st.Compared != 4 {
 		t.Fatalf("put paths = %+v, want 1 blind and 4 compared", st)
 	}
 }
@@ -400,6 +394,7 @@ func TestNodeCorruptRecordRepairedBySameVersion(t *testing.T) {
 // compared after it.
 func TestNodeVersionTableOverflow(t *testing.T) {
 	n := testNode(t)
+	base := counted()
 	const extra = 500
 	total := maxTrackedVersions + extra
 	val := []byte("v")
@@ -409,7 +404,7 @@ func TestNodeVersionTableOverflow(t *testing.T) {
 	if size := tableLen(n); size != maxTrackedVersions {
 		t.Fatalf("table holds %d entries, bound is %d", size, maxTrackedVersions)
 	}
-	before := n.PutStats()
+	before := since(base)
 	// The put that makes the first eviction is decided before it evicts.
 	if before.Blind != maxTrackedVersions+1 || before.Compared != extra-1 {
 		t.Fatalf("first puts: %+v, want %d blind until the first eviction and %d compared after it", before, maxTrackedVersions+1, extra-1)
@@ -420,7 +415,7 @@ func TestNodeVersionTableOverflow(t *testing.T) {
 		key := fmt.Sprintf("key-%06d", i)
 		putRec(t, n, key, appendRecord(nil, uint64(total+i+1), false, val))
 	}
-	after := n.PutStats()
+	after := since(base)
 	if compared := after.Compared - before.Compared; compared < extra || compared == int64(total) {
 		t.Fatalf("second round compared %d puts, want at least the %d evicted keys and not all %d", compared, extra, total)
 	}
@@ -500,9 +495,9 @@ func TestNodeRestartColdTable(t *testing.T) {
 	if rec, ok := validRecord(stored(t, n, "k")); !ok || rec.version != 1 {
 		t.Fatalf("after crash the store holds version %d, want the checkpointed 1", rec.version)
 	}
-	before := n.PutStats()
+	before := counted()
 	putRec(t, n, "k", appendRecord(nil, 4, false, []byte("four")))
-	after := n.PutStats()
+	after := counted()
 	if after.Compared != before.Compared+1 || after.Blind != before.Blind {
 		t.Fatalf("first put after restart: %+v → %+v, want one compared put", before, after)
 	}
@@ -516,6 +511,7 @@ func TestNodeRestartColdTable(t *testing.T) {
 // the nodes are fresh, so their tables hold every key their stores do.
 func TestClusterOverwritesAreBlind(t *testing.T) {
 	c := testCluster(t, 3)
+	base := counted()
 	const keys, rounds = 50, 4
 	put := func(round int) {
 		for k := 0; k < keys; k++ {
@@ -524,23 +520,15 @@ func TestClusterOverwritesAreBlind(t *testing.T) {
 			}
 		}
 	}
-	sum := func() (st PutStats) {
-		for _, name := range c.Nodes() {
-			s := c.Node(name).PutStats()
-			st.Blind += s.Blind
-			st.Compared += s.Compared
-		}
-		return st
-	}
 	put(0)
-	preload := sum()
+	preload := since(base)
 	if preload.Blind != 3*keys || preload.Compared != 0 {
 		t.Fatalf("preload: %+v, want %d blind puts", preload, 3*keys)
 	}
 	for r := 1; r <= rounds; r++ {
 		put(r)
 	}
-	if st := sum(); st.Blind-preload.Blind != 3*keys*rounds || st.Compared != preload.Compared {
+	if st := since(base); st.Blind-preload.Blind != 3*keys*rounds || st.Compared != preload.Compared {
 		t.Fatalf("overwrites: %+v, want %d blind and no more compared than the preload's %d", st, 3*keys*rounds, preload.Compared)
 	}
 	// A healthy read repairs nothing and so puts nothing.
@@ -550,7 +538,7 @@ func TestClusterOverwritesAreBlind(t *testing.T) {
 			t.Fatalf("get user:%04d = %q ok=%v err=%v", k, v, ok, err)
 		}
 	}
-	if st := sum(); st.Blind-preload.Blind != 3*keys*rounds || st.Compared != preload.Compared {
+	if st := since(base); st.Blind-preload.Blind != 3*keys*rounds || st.Compared != preload.Compared {
 		t.Fatalf("reads changed the put counters: %+v", st)
 	}
 }
@@ -629,12 +617,12 @@ func TestFreshNodeBlindPuts(t *testing.T) {
 	// exhaustive, a read for each and a compared put once it is not.
 	expect := func(t *testing.T, n *Node, key string, exhaustive bool) {
 		t.Helper()
-		gets, before := storeOf(t, n).Stats().Gets, n.PutStats()
+		gets, before := storeOf(t, n).Stats().Gets, counted()
 		if d, err := digestOf(n, "unknown-"+key); err != nil || !bytes.Equal(d, []byte{0x00}) {
 			t.Fatalf("digest of an unknown key = %x, %v, want 00", d, err)
 		}
 		putRec(t, n, key, appendRecord(nil, 1, false, []byte(key)))
-		after, reads := n.PutStats(), storeOf(t, n).Stats().Gets-gets
+		after, reads := counted(), storeOf(t, n).Stats().Gets-gets
 		blind, compared := after.Blind-before.Blind, after.Compared-before.Compared
 		if exhaustive && (blind != 1 || compared != 0 || reads != 0) {
 			t.Fatalf("exhaustive table: new %s took %d blind and %d compared puts and %d store reads, want 1 blind and no read", key, blind, compared, reads)
@@ -654,13 +642,14 @@ func TestFreshNodeBlindPuts(t *testing.T) {
 
 	t.Run("older-loses", func(t *testing.T) {
 		n := testNode(t)
+		base := counted()
 		expect(t, n, "a", true)
 		putRec(t, n, "k", appendRecord(nil, 10, false, []byte("ten"))) // blind: new key
 		putRec(t, n, "k", appendRecord(nil, 5, false, []byte("five")))
 		putRec(t, n, "k", appendRecord(nil, 10, false, []byte("ten")))
 		delRec(t, n, "k", 7)
 		holds(t, n, "k", 10, "ten")
-		if st := n.PutStats(); st.Blind != 2 || st.Compared != 3 {
+		if st := since(base); st.Blind != 2 || st.Compared != 3 {
 			t.Fatalf("put paths = %+v, want 2 blind (two new keys) and 3 compared", st)
 		}
 		if d, err := digestOf(n, "k"); err != nil || binary.LittleEndian.Uint64(d[1:9]) != 10 {

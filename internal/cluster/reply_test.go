@@ -57,6 +57,7 @@ func TestReplyBufferGetOwnsValue(t *testing.T) {
 // request buffer.
 func TestReplyBufferConcurrentGets(t *testing.T) {
 	c := testCluster(t, 3, WithClientsPerNode(4))
+	base := counted()
 	const workers, keys, rounds = 4, 6, 50
 	value := func(k int) []byte { return bytes.Repeat([]byte{byte('a' + k)}, 100+k*300) }
 	key := func(k int) []byte { return []byte(fmt.Sprintf("key-%d", k)) }
@@ -97,7 +98,7 @@ func TestReplyBufferConcurrentGets(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if st := c.Stats(); st.ReadRepairs == 0 {
+	if st := since(base); st.ReadRepairs == 0 {
 		t.Fatalf("%+v, want the stale replica repaired", st)
 	}
 	if rec, ok := validRecord(stored(t, victim, string(stale))); !ok || !bytes.Equal(rec.payload, value(0)) {

@@ -43,7 +43,6 @@ func NewBuilder(w io.Writer, codecName string, eng codec.Engine, blockSize int) 
 			return nil, fmt.Errorf("container: %w", err)
 		}
 	}
-	tm()
 	b := &Builder{eng: eng}
 	if err := b.Reset(w, codecName, blockSize); err != nil {
 		return nil, err

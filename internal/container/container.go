@@ -30,7 +30,6 @@ package container
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/telemetry"
@@ -65,19 +64,12 @@ var (
 	trailerMagic = [4]byte{'Z', 'S', 'X', 'I'}
 )
 
-// Package telemetry on the shared registry, registered on first use.
+// Package telemetry on the shared registry, registered at package
+// initialisation.
 var (
-	tmOnce                   sync.Once
-	tmBlocksEnc, tmBlocksDec *telemetry.Counter
+	tmBlocksEnc = telemetry.Default.Counter("container_blocks_encoded_total", "container blocks compressed")
+	tmBlocksDec = telemetry.Default.Counter("container_blocks_decoded_total", "container blocks decompressed")
 )
-
-func tm() {
-	tmOnce.Do(func() {
-		r := telemetry.Default
-		tmBlocksEnc = r.Counter("container_blocks_encoded_total", "container blocks compressed")
-		tmBlocksDec = r.Counter("container_blocks_decoded_total", "container blocks decompressed")
-	})
-}
 
 // defaultedLevel resolves a zero compression level to the codec's declared
 // default, since not every codec (lz4) accepts 0 as a level.

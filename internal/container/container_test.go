@@ -55,7 +55,6 @@ func checkBlocks(t *testing.T, ra *ReaderAt, blocks [][]byte) {
 // exact multiple of the block size; container_blocks_encoded_total
 // advances once per block.
 func TestBuilderReaderAtRoundtrip(t *testing.T) {
-	tm()
 	build := func(t *testing.T, name string, blocks [][]byte) *ReaderAt {
 		t.Helper()
 		before := tmBlocksEnc.Value()

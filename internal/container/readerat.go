@@ -52,7 +52,6 @@ func Open(data []byte, opts ...ReaderOption) (*ReaderAt, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	tm()
 	size := len(data)
 	minHeader := len(headerMagic) + 1 + 2 // magic, version, 1-byte name, block size
 	if size < minHeader+1+trailerLen {    // + terminator

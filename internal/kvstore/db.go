@@ -17,59 +17,40 @@ import (
 	"github.com/datacomp/datacomp/internal/telemetry"
 )
 
-// Package-level telemetry on the shared registry, registered on first Open.
-// All DBs in the process aggregate here; per-DB numbers remain in DB.Stats.
+// Package-level telemetry on the shared registry, registered at package
+// initialisation. All DBs in the process aggregate here; per-DB numbers
+// remain in DB.Stats.
 var (
-	tmOnce                                  sync.Once
-	tmPuts, tmGets, tmDeletes               *telemetry.Counter
-	tmFlushes, tmCompactions                *telemetry.Counter
-	tmCompNS, tmDecompNS, tmReadNS          *telemetry.Counter
-	tmBlocksWritten, tmBlocksRead           *telemetry.Counter
-	tmBlocksDecompressed, tmBlockCacheHits  *telemetry.Counter
-	tmRawBytesWritten, tmStoredBytesWritten *telemetry.Counter
-	tmBytesDecompressed                     *telemetry.Counter
-	tmBlocksCarried, tmCarriedBytes         *telemetry.Counter
-	tmTrivialMoves, tmTableBlobAllocs       *telemetry.Counter
-	tmWALAppends, tmWALBytes, tmWALSyncs    *telemetry.Counter
-	tmWALCompNS                             *telemetry.Counter
-	tmSnapshots, tmSnapshotBytes            *telemetry.Counter
-	tmReplayedBatches, tmRecoveries         *telemetry.Counter
+	tmPuts               = telemetry.Default.Counter("kvstore_puts_total", "kvstore put operations")
+	tmGets               = telemetry.Default.Counter("kvstore_gets_total", "kvstore get operations")
+	tmDeletes            = telemetry.Default.Counter("kvstore_deletes_total", "kvstore delete operations")
+	tmFlushes            = telemetry.Default.Counter("kvstore_flushes_total", "memtable flushes")
+	tmCompactions        = telemetry.Default.Counter("kvstore_compactions_total", "level compactions")
+	tmCompNS             = telemetry.Default.Counter("kvstore_compress_ns_total", "block compression time (flush + compaction)")
+	tmDecompNS           = telemetry.Default.Counter("kvstore_decompress_ns_total", "block decompression time")
+	tmReadNS             = telemetry.Default.Counter("kvstore_read_ns_total", "time inside Get")
+	tmBlocksWritten      = telemetry.Default.Counter("kvstore_blocks_written_total", "data blocks written")
+	tmBlocksRead         = telemetry.Default.Counter("kvstore_blocks_read_total", "data blocks read")
+	tmBlocksDecompressed = telemetry.Default.Counter("kvstore_blocks_decompressed_total", "data blocks decompressed")
+	tmBlockCacheHits     = telemetry.Default.Counter("kvstore_block_cache_hits_total", "decoded-block cache hits")
+	tmRawBytesWritten    = telemetry.Default.Counter("kvstore_raw_bytes_written_total", "raw bytes entering block compression")
+	tmStoredBytesWritten = telemetry.Default.Counter("kvstore_stored_bytes_written_total", "stored bytes after block compression")
+	tmBytesDecompressed  = telemetry.Default.Counter("kvstore_bytes_decompressed_total", "uncompressed bytes produced by block decodes")
+	tmBlocksCarried      = telemetry.Default.Counter("kvstore_blocks_carried_total", "data blocks compaction copied into its output unread")
+	tmCarriedBytes       = telemetry.Default.Counter("kvstore_carried_bytes_total", "uncompressed bytes of the blocks compaction carried")
+	tmTrivialMoves       = telemetry.Default.Counter("kvstore_trivial_moves_total", "compactions that moved their tables down a level unrewritten")
+	tmTableBlobAllocs    = telemetry.Default.Counter("kvstore_table_blob_allocs_total", "table blobs allocated because no free blob fit")
+	tmWALAppends         = telemetry.Default.Counter("kvstore_wal_appends_total", "WAL record batches appended")
+	tmWALBytes           = telemetry.Default.Counter("kvstore_wal_bytes_total", "framed WAL bytes appended")
+	tmWALSyncs           = telemetry.Default.Counter("kvstore_wal_syncs_total", "WAL fsyncs")
+	tmWALCompNS          = telemetry.Default.Counter("kvstore_wal_compress_ns_total", "time coding WAL records the store codes itself (compress + frame + checksum); a record that keeps the coding its batch arrived in adds nothing")
+	// The checkpoint counters keep their names from when a checkpoint was a
+	// snapshot: dashboards and the serving benchmark read them.
+	tmSnapshots       = telemetry.Default.Counter("kvstore_snapshots_total", "checkpoints: manifest commits")
+	tmSnapshotBytes   = telemetry.Default.Counter("kvstore_snapshot_bytes_total", "manifest bytes written by checkpoints")
+	tmReplayedBatches = telemetry.Default.Counter("kvstore_wal_replayed_batches_total", "WAL batches applied during recovery")
+	tmRecoveries      = telemetry.Default.Counter("kvstore_recoveries_total", "DB opens that recovered prior state")
 )
-
-func tm() {
-	tmOnce.Do(func() {
-		r := telemetry.Default
-		tmPuts = r.Counter("kvstore_puts_total", "kvstore put operations")
-		tmGets = r.Counter("kvstore_gets_total", "kvstore get operations")
-		tmDeletes = r.Counter("kvstore_deletes_total", "kvstore delete operations")
-		tmFlushes = r.Counter("kvstore_flushes_total", "memtable flushes")
-		tmCompactions = r.Counter("kvstore_compactions_total", "level compactions")
-		tmCompNS = r.Counter("kvstore_compress_ns_total", "block compression time (flush + compaction)")
-		tmDecompNS = r.Counter("kvstore_decompress_ns_total", "block decompression time")
-		tmReadNS = r.Counter("kvstore_read_ns_total", "time inside Get")
-		tmBlocksWritten = r.Counter("kvstore_blocks_written_total", "data blocks written")
-		tmBlocksRead = r.Counter("kvstore_blocks_read_total", "data blocks read")
-		tmBlocksDecompressed = r.Counter("kvstore_blocks_decompressed_total", "data blocks decompressed")
-		tmBlockCacheHits = r.Counter("kvstore_block_cache_hits_total", "decoded-block cache hits")
-		tmRawBytesWritten = r.Counter("kvstore_raw_bytes_written_total", "raw bytes entering block compression")
-		tmStoredBytesWritten = r.Counter("kvstore_stored_bytes_written_total", "stored bytes after block compression")
-		tmBytesDecompressed = r.Counter("kvstore_bytes_decompressed_total", "uncompressed bytes produced by block decodes")
-		tmBlocksCarried = r.Counter("kvstore_blocks_carried_total", "data blocks compaction copied into its output unread")
-		tmCarriedBytes = r.Counter("kvstore_carried_bytes_total", "uncompressed bytes of the blocks compaction carried")
-		tmTrivialMoves = r.Counter("kvstore_trivial_moves_total", "compactions that moved their tables down a level unrewritten")
-		tmTableBlobAllocs = r.Counter("kvstore_table_blob_allocs_total", "table blobs allocated because no free blob fit")
-		tmWALAppends = r.Counter("kvstore_wal_appends_total", "WAL record batches appended")
-		tmWALBytes = r.Counter("kvstore_wal_bytes_total", "framed WAL bytes appended")
-		tmWALSyncs = r.Counter("kvstore_wal_syncs_total", "WAL fsyncs")
-		tmWALCompNS = r.Counter("kvstore_wal_compress_ns_total", "time coding WAL records the store codes itself (compress + frame + checksum); a record that keeps the coding its batch arrived in adds nothing")
-		// The checkpoint counters keep their names from when a checkpoint was a
-		// snapshot: dashboards and the serving benchmark read them.
-		tmSnapshots = r.Counter("kvstore_snapshots_total", "checkpoints: manifest commits")
-		tmSnapshotBytes = r.Counter("kvstore_snapshot_bytes_total", "manifest bytes written by checkpoints")
-		tmReplayedBatches = r.Counter("kvstore_wal_replayed_batches_total", "WAL batches applied during recovery")
-		tmRecoveries = r.Counter("kvstore_recoveries_total", "DB opens that recovered prior state")
-	})
-}
 
 const numLevels = 7
 
@@ -189,7 +170,6 @@ func Open(ctx context.Context, path string, opts ...Option) (*DB, error) {
 		ctx = context.Background()
 	}
 	cfg := buildConfig(opts)
-	tm()
 	eng := cfg.engine
 	if eng == nil {
 		var err error

@@ -66,7 +66,6 @@ func NewCoder(comp Compression) (*Coder, error) {
 }
 
 func (c *Coder) init(comp Compression) error {
-	tm()
 	c.comp = comp
 	if comp.Codec == "" {
 		return nil

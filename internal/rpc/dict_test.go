@@ -99,6 +99,7 @@ func TestDictReplyRoundTrip(t *testing.T) {
 		}
 		s, recs := dictServer(comp, &served)
 		c := dictClient(t, s, comp, &r)
+		before := counted()
 		for i := range recs {
 			got, err := c.Call(ctx, "get", []byte{byte(i)})
 			if err != nil {
@@ -111,7 +112,7 @@ func TestDictReplyRoundTrip(t *testing.T) {
 		if got, err := c.Call(ctx, "get", []byte{0xff}); err != nil || string(got) != "small" {
 			t.Fatalf("%s: small reply %q, %v", name, got, err)
 		}
-		cs, ss := c.Stats(), s.Stats()
+		cs, ss := c.Stats(), serverSince(before, c)
 		wantDict := int64(0)
 		if name == "dict" {
 			wantDict = int64(len(recs))
@@ -199,13 +200,14 @@ func TestDictReplyNeedsStaticCodec(t *testing.T) {
 	comp := Compression{}
 	s, recs := dictServer(comp, &d)
 	c := dictClient(t, s, comp, &r)
+	before := counted()
 	for i := range recs {
 		got, err := c.Call(ctx, "get", []byte{byte(i)})
 		if err != nil || !bytes.Equal(got, recs[i]) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if n := s.Stats().DictFrames; n != 0 {
+	if n := serverSince(before, c).DictFrames; n != 0 {
 		t.Fatalf("%d dictionary frames, want 0", n)
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -142,47 +141,26 @@ func (c *counters) snapshot() Stats {
 	}
 }
 
-func (c *counters) foldInto(dst *counters) {
-	dst.calls.Add(c.calls.Load())
-	dst.rawBytes.Add(c.rawBytes.Load())
-	dst.wireBytes.Add(c.wireBytes.Load())
-	dst.dictFrames.Add(c.dictFrames.Load())
-	dst.compressNS.Add(c.compressNS.Load())
-	dst.decompressNS.Add(c.decompressNS.Load())
-}
-
-// Package-level telemetry, registered once on first transport creation.
+// Package-level telemetry on the shared registry, registered at package
+// initialisation. Both ends of every link in the process count here; a
+// Client's Stats keep its own share as well.
 var (
-	tmOnce       sync.Once
-	tmCalls      *telemetry.Counter
-	tmRawBytes   *telemetry.Counter
-	tmWireBytes  *telemetry.Counter
-	tmCompNS     *telemetry.Counter
-	tmDecompNS   *telemetry.Counter
-	tmDictFrames *telemetry.Counter
-	tmFrameBytes *telemetry.Histogram
-	tmCallNS     *telemetry.Histogram
-	tmCorrupt    *telemetry.Counter
-	tmDeadline   *telemetry.Counter
-)
-
-func tm() {
-	tmOnce.Do(func() {
-		r := telemetry.Default
-		tmCalls = r.Counter("rpc_calls_total", "completed RPC calls")
-		tmRawBytes = r.Counter("rpc_raw_bytes_total", "payload bytes before compression")
-		tmWireBytes = r.Counter("rpc_wire_bytes_total", "payload bytes on the wire")
-		tmCompNS = r.Counter("rpc_compress_ns_total", "time compressing RPC payloads")
-		tmDecompNS = r.Counter("rpc_decompress_ns_total", "time decompressing RPC payloads")
-		tmDictFrames = r.Counter("rpc_dict_frames_total", "frames coded against a dictionary, counted at both ends")
-		tmFrameBytes = r.Histogram("rpc_wire_frame_bytes", "wire payload size per frame", "bytes")
-		tmCallNS = r.Histogram("rpc_call_ns", "client call latency end to end", "ns")
+	tmCalls      = telemetry.Default.Counter("rpc_calls_total", "completed RPC calls")
+	tmRawBytes   = telemetry.Default.Counter("rpc_raw_bytes_total", "payload bytes before compression")
+	tmWireBytes  = telemetry.Default.Counter("rpc_wire_bytes_total", "payload bytes on the wire")
+	tmCompNS     = telemetry.Default.Counter("rpc_compress_ns_total", "time compressing RPC payloads")
+	tmDecompNS   = telemetry.Default.Counter("rpc_decompress_ns_total", "time decompressing RPC payloads")
+	tmDictFrames = telemetry.Default.Counter("rpc_dict_frames_total", "frames coded against a dictionary, counted at both ends")
+	tmFrameBytes = telemetry.Default.Histogram("rpc_wire_frame_bytes", "wire payload size per frame", "bytes")
+	tmCallNS     = func() *telemetry.Histogram {
+		h := telemetry.Default.Histogram("rpc_call_ns", "client call latency end to end", "ns")
 		// Exemplars link a tail-latency bucket to the trace that landed there.
-		tmCallNS.EnableExemplars()
-		tmCorrupt = r.Counter("rpc_corrupt_frames_total", "frames failing integrity verification")
-		tmDeadline = r.Counter("rpc_deadline_exceeded_total", "calls failed by context deadline or cancellation")
-	})
-}
+		h.EnableExemplars()
+		return h
+	}()
+	tmCorrupt  = telemetry.Default.Counter("rpc_corrupt_frames_total", "frames failing integrity verification")
+	tmDeadline = telemetry.Default.Counter("rpc_deadline_exceeded_total", "calls failed by context deadline or cancellation")
+)
 
 // Frame layout (v2, with the v2.1 trace extension):
 //
@@ -235,8 +213,8 @@ const readStep = 64 << 10
 
 // transport frames and (de)compresses messages on one connection. Its Coder
 // (engine, compression scratch) is single-goroutine (Client/Server
-// serialize frame I/O), but the stats counters are safe to read
-// concurrently.
+// serialize frame I/O), but the stats counters, which a Client reports,
+// are safe to read concurrently.
 //
 // readFrame appends the payload to a buffer its caller owns — the server's
 // request scratch, or the dst of Client.AppendCall — so the transport itself
@@ -577,7 +555,6 @@ func EncodeFrame(flags byte, method string, payload []byte) []byte {
 // context — the flagTrace variant of EncodeFrame, exposed for fuzz seeding
 // and frame-format tests. An invalid sc encodes a plain frame.
 func EncodeFrameWithTrace(flags byte, method string, payload []byte, sc trace.SpanContext) []byte {
-	tm()
 	var buf bytes.Buffer
 	t := &transport{w: bufio.NewWriter(&buf)}
 	t.wsc = sc
@@ -601,7 +578,6 @@ func ParseFrame(data []byte) (flags byte, method, payload []byte, err error) {
 // codec and dictionaries resolved by resolve — the parser half of the
 // flagDict format, exposed for fuzzing and tests.
 func ParseReplyFrame(data []byte, resolve func(id uint32) []byte) (flags byte, method, payload []byte, err error) {
-	tm()
 	t := &transport{r: bufio.NewReader(bytes.NewReader(data)), replies: true, resolve: resolve}
 	flags, method, payload, _, err = t.readFrame(nil)
 	return flags, method, payload, err
@@ -610,7 +586,6 @@ func ParseReplyFrame(data []byte, resolve func(id uint32) []byte) (flags byte, m
 // ParseFrameTrace is ParseFrame plus the frame's wire trace context (the
 // zero SpanContext when the frame carried none).
 func ParseFrameTrace(data []byte) (flags byte, method, payload []byte, sc trace.SpanContext, err error) {
-	tm()
 	t := &transport{r: bufio.NewReader(bytes.NewReader(data))}
 	flags, method, payload, _, err = t.readFrame(nil)
 	return flags, method, payload, t.rsc, err

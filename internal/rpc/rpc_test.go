@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/datacomp/datacomp/internal/corpus"
 )
@@ -26,6 +27,34 @@ func pipePair(t *testing.T, s *Server, comp Compression) *Client {
 	}
 	t.Cleanup(func() { cc.Close() })
 	return c
+}
+
+// counted reads the process-wide rpc counters, which both ends of every link
+// in the process feed.
+func counted() Stats {
+	return Stats{
+		Calls:          tmCalls.Value(),
+		RawBytes:       tmRawBytes.Value(),
+		WireBytes:      tmWireBytes.Value(),
+		DictFrames:     tmDictFrames.Value(),
+		CompressTime:   time.Duration(tmCompNS.Value()),
+		DecompressTime: time.Duration(tmDecompNS.Value()),
+	}
+}
+
+// serverSince is what the server end of c's link counted since before, a
+// counted() read while c had made no call: the process-wide growth less
+// c's own.
+func serverSince(before Stats, c *Client) Stats {
+	now, cs := counted(), c.Stats()
+	return Stats{
+		Calls:          now.Calls - before.Calls - cs.Calls,
+		RawBytes:       now.RawBytes - before.RawBytes - cs.RawBytes,
+		WireBytes:      now.WireBytes - before.WireBytes - cs.WireBytes,
+		DictFrames:     now.DictFrames - before.DictFrames - cs.DictFrames,
+		CompressTime:   now.CompressTime - before.CompressTime - cs.CompressTime,
+		DecompressTime: now.DecompressTime - before.DecompressTime - cs.DecompressTime,
+	}
 }
 
 func echoServer(comp Compression) *Server {
@@ -236,6 +265,7 @@ func TestStatsConcurrentWithCalls(t *testing.T) {
 	comp := Compression{Codec: "zstd", Level: 1}
 	s := echoServer(comp)
 	c := pipePair(t, s, comp)
+	before := counted()
 	payload := corpus.LogLines(5, 16<<10)
 
 	done := make(chan struct{})
@@ -249,7 +279,7 @@ func TestStatsConcurrentWithCalls(t *testing.T) {
 				return
 			default:
 				_ = c.Stats()
-				_ = s.Stats()
+				_ = counted()
 			}
 		}
 	}()
@@ -266,8 +296,8 @@ func TestStatsConcurrentWithCalls(t *testing.T) {
 	if st.Calls != 50 {
 		t.Fatalf("client calls = %d, want 50", st.Calls)
 	}
-	// The server view includes the still-live connection.
-	if srv := s.Stats(); srv.Calls != 50 {
+	// The server end counts its calls while the connection is still live.
+	if srv := serverSince(before, c); srv.Calls != 50 {
 		t.Fatalf("server calls = %d, want 50", srv.Calls)
 	}
 }
@@ -304,13 +334,14 @@ func TestServerStatsAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := counted()
 	if _, err := c.Call(context.Background(), "echo", corpus.LogLines(1, 32<<10)); err != nil {
 		t.Fatal(err)
 	}
 	cc.Close()
 	sc.Close()
 	<-done
-	st := s.Stats()
+	st := serverSince(before, c)
 	if st.RawBytes == 0 || st.WireBytes == 0 {
 		t.Fatalf("server stats empty: %+v", st)
 	}

@@ -70,8 +70,6 @@ type Server struct {
 
 	mu       sync.RWMutex
 	handlers map[string]handler
-	live     map[*transport]struct{}
-	closed   counters
 }
 
 // handler is a registered method: the one dispatch shape, and whether the
@@ -92,7 +90,6 @@ func NewServer(comp Compression, opts ...ServerOption) *Server {
 	s := &Server{
 		comp:     comp,
 		handlers: make(map[string]handler),
-		live:     make(map[*transport]struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -109,8 +106,8 @@ func (s *Server) RegisterAppend(method string, h AppendHandlerFunc) {
 // replies of at least MinSize coded against the dictionary dict returns,
 // asked for each such reply: on a compressed link the reply goes
 // out as a flagDict frame (zstd at the Dict's level, in a checksum frame)
-// when that is smaller, and its coding counts in Stats and
-// rpc_compress_ns_total as the link's own does. A zero Dict or an
+// when that is smaller, and its coding counts in rpc_compress_ns_total as
+// the link's own does. A zero Dict or an
 // uncompressed link codes the reply as the link does. The client
 // resolves the dictionary by ID (WithDictResolver).
 func (s *Server) RegisterAppendDict(method string, h AppendHandlerFunc, dict func() Dict) {
@@ -165,16 +162,7 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.live[t] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.live, t)
-		s.mu.Unlock()
-		t.stats.foldInto(&s.closed)
-		t.release()
-	}()
+	defer t.release()
 	if ctx.Done() != nil {
 		// Unblock the serve loop when ctx ends: force past read AND write
 		// deadlines on net conns (a response flush can be mid-write into a
@@ -230,7 +218,6 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 		} else {
 			kept = h.appends
 		}
-		t.stats.calls.Add(1)
 		tmCalls.Inc()
 		var d Dict
 		if flags == 0 && h.dict != nil && len(resp) >= MinSize {
@@ -254,17 +241,4 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 			return err
 		}
 	}
-}
-
-// Stats returns aggregate server-side traffic, including connections still
-// in flight — the live view a telemetry scrape needs.
-func (s *Server) Stats() Stats {
-	var agg counters
-	s.closed.foldInto(&agg)
-	s.mu.RLock()
-	for t := range s.live {
-		t.stats.foldInto(&agg)
-	}
-	s.mu.RUnlock()
-	return agg.snapshot()
 }

@@ -75,10 +75,6 @@ func newHistogram() *Histogram {
 	return h
 }
 
-// NewHistogram returns an unregistered histogram (for local aggregation;
-// use Registry.Histogram for published metrics).
-func NewHistogram() *Histogram { return newHistogram() }
-
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
 	h.counts[bucketIndex(v)].Add(1)

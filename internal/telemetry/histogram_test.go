@@ -69,7 +69,7 @@ func TestBucketBoundsRoundtrip(t *testing.T) {
 }
 
 func TestHistogramObserve(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	for _, v := range []int64{1, 2, 2, 100, 1000} {
 		h.Observe(v)
 	}
@@ -96,7 +96,7 @@ func TestHistogramObserve(t *testing.T) {
 }
 
 func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	if q := (Snapshot{}).Quantile(0.5); q != 0 {
 		t.Fatalf("empty quantile = %d", q)
 	}
@@ -124,7 +124,7 @@ func TestHistogramQuantile(t *testing.T) {
 }
 
 func TestHistogramConcurrentObserve(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	const goroutines = 8
 	const perG = 5000
 	var wg sync.WaitGroup

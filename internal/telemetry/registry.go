@@ -66,8 +66,8 @@ type entry struct {
 
 // Registry is a concurrent collection of named metrics. Metric names may
 // carry a Prometheus-style label suffix (see Label); two registrations of
-// the same name return the same instrument, so packages can lazily
-// get-or-create metrics on their hot paths' setup.
+// the same name return the same instrument, and the first one's help, so a
+// reader can look a metric up by name.
 type Registry struct {
 	mu      sync.RWMutex
 	entries map[string]*entry

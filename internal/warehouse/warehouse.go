@@ -26,7 +26,6 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime/pprof"
-	"sync"
 	"time"
 
 	"github.com/datacomp/datacomp/internal/codec"
@@ -37,26 +36,16 @@ import (
 	"github.com/datacomp/datacomp/internal/telemetry"
 )
 
-// Package-level telemetry on the shared registry, registered at first
-// stripe I/O. All workflows in the process aggregate here; per-run numbers
+// Package-level telemetry on the shared registry, registered at package
+// initialisation. All workflows in the process aggregate here; per-run numbers
 // remain in the returned Stats.
 var (
-	tmOnce                   sync.Once
-	tmCompNS, tmDecompNS     *telemetry.Counter
-	tmRawBytes, tmStoredByte *telemetry.Counter
-	tmStripeBytes            *telemetry.Histogram
+	tmCompNS      = telemetry.Default.Counter("warehouse_compress_ns_total", "stripe compression time")
+	tmDecompNS    = telemetry.Default.Counter("warehouse_decompress_ns_total", "stripe decompression time")
+	tmRawBytes    = telemetry.Default.Counter("warehouse_raw_bytes_total", "raw stripe bytes compressed")
+	tmStoredByte  = telemetry.Default.Counter("warehouse_stored_bytes_total", "stored stripe bytes after compression")
+	tmStripeBytes = telemetry.Default.Histogram("warehouse_stripe_raw_bytes", "raw encoded stripe size", "bytes")
 )
-
-func tm() {
-	tmOnce.Do(func() {
-		r := telemetry.Default
-		tmCompNS = r.Counter("warehouse_compress_ns_total", "stripe compression time")
-		tmDecompNS = r.Counter("warehouse_decompress_ns_total", "stripe decompression time")
-		tmRawBytes = r.Counter("warehouse_raw_bytes_total", "raw stripe bytes compressed")
-		tmStoredByte = r.Counter("warehouse_stored_bytes_total", "stored stripe bytes after compression")
-		tmStripeBytes = r.Histogram("warehouse_stripe_raw_bytes", "raw encoded stripe size", "bytes")
-	})
-}
 
 // Stats aggregates one workflow run.
 type Stats struct {
@@ -310,7 +299,6 @@ func columnChunks(n int) int {
 // its kind's hint; other kinds, and every column under a plain engine,
 // keep the ORC encoding.
 func writeStripe(cols []orc.Column, eng codec.Engine, st *Stats) ([]byte, error) {
-	tm()
 	h := hinter(eng)
 	encoded := make([][]byte, len(cols))
 	encs := make([]byte, len(cols))
@@ -406,7 +394,6 @@ func readStripe(framed []byte, eng codec.Engine, st *Stats) ([]orc.Column, error
 // columns in want (nil = all), skipping the container blocks of pruned
 // columns entirely — their bytes are never decompressed.
 func readStripeColumns(framed []byte, eng codec.Engine, st *Stats, want map[string]bool) ([]orc.Column, error) {
-	tm()
 	ra, err := container.Open(framed, container.WithEngine(eng))
 	if err != nil {
 		return nil, err
