@@ -108,7 +108,7 @@ func runAdaptive(tracer *trace.Tracer) {
 			100*(1-float64(adN)/float64(stN)))
 	}
 	for _, s := range ctrl.Status() {
-		fmt.Printf("class %-10s gen=%d swaps=%d serving=%s feasible=%v retired-gen decodes=%d\n",
-			s.Class, s.Generation, s.Swaps, s.Config, s.Feasible, s.DecodeRetired)
+		fmt.Printf("class %-10s gen=%d swaps=%d serving=%s retired-gen decodes=%d\n",
+			s.Class, s.Generation, s.Swaps, s.Config, s.DecodeRetired)
 	}
 }

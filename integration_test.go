@@ -156,7 +156,7 @@ func TestDictionaryWorkflowAcrossPackages(t *testing.T) {
 // dictionary and then store held-out items smaller than a controller that
 // never trains, with every item written before and after adoption readable.
 func TestManagedServiceOverCacheTraffic(t *testing.T) {
-	ctrl, err := adaptive.New(adaptive.Config{Interval: 10 * time.Millisecond, Budget: 0.5, SampleEvery: 1})
+	ctrl, err := adaptive.New(adaptive.Config{Interval: 10 * time.Millisecond, SampleEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,9 @@
 //     reservoir, shadow-measures a rotating subset of candidate configs
 //     with core.CompEngine (measured ratio/speed, not synthetic curves),
 //     prices them with equations (1)-(4), and swaps the serving config
-//     when a challenger beats the incumbent by the hysteresis margin
-//     while satisfying the SLO constraints. Shadow CPU is duty-cycled to
-//     a configured budget and every decision is visible in telemetry.
+//     when a challenger beats the incumbent by the hysteresis margin.
+//     Shadow CPU is duty-cycled to a fixed budget and every decision is
+//     visible in telemetry.
 //
 // A class is also the paper's Managed Compression service (§II-B): one
 // handle per use case, its reservoir the payload sample, a dictionary
@@ -60,35 +60,13 @@ type Config struct {
 	// CompOpt's role is to beat it ((zstd, 3) by default, the paper's
 	// baseline).
 	Default core.Config
-	// Candidates is the challenger search space (a compact online subset
-	// of core.DefaultCandidates by default). Every class also challenges
-	// with a zstd dictionary trained on its own reservoir.
-	Candidates []core.Config
-	// Params is the cost model (core.DefaultCostParams by default).
-	Params core.CostParams
-	// Constraints are the per-class SLOs every adopted config must meet.
-	Constraints core.Constraints
 	// Interval is the cadence of shadow trial rounds (default 500ms).
 	Interval time.Duration
-	// Budget caps shadow CPU as a fraction of one core (default 0.10):
-	// after each trial the worker sleeps busy·(1-B)/B.
-	Budget float64
 	// MinSamples gates trials until the reservoir has substance (default 8).
 	MinSamples int
-	// ReservoirSize is the per-class sample reservoir (default 32).
-	ReservoirSize int
 	// SampleEvery subsamples the hot path: one in N compress calls is
 	// offered to the reservoir (default 64; rounded up to a power of two).
 	SampleEvery int
-	// SampleBytes caps each retained sample (default 64 KiB).
-	SampleBytes int
-	// ChallengersPerRound bounds how many candidates one round measures,
-	// rotating through the space across rounds (default 3).
-	ChallengersPerRound int
-	// RetainGenerations keeps this many retired generations' encoder
-	// pools alive in the shared registry; older ones are released and
-	// re-materialized on demand from the frame descriptor (default 4).
-	RetainGenerations int
 	// Tracer, when enabled, receives an "adaptive.swap" root span per
 	// generation swap (subject to its own sampling policy).
 	Tracer *trace.Tracer
@@ -98,27 +76,36 @@ type Config struct {
 // by this fraction to displace it.
 const margin = 0.05
 
+// tuning is the controller's fixed parameters. New sets their production
+// values; in-package tests override them before making a class.
+type tuning struct {
+	// candidates is the challenger search space. Every class also
+	// challenges with a zstd dictionary trained on its own reservoir.
+	candidates []core.Config
+	params     core.CostParams // the cost model
+	// budget caps shadow CPU as a fraction of one core: after each trial
+	// the worker sleeps busy·(1-B)/B.
+	budget        float64
+	reservoirSize int // per-class sample reservoir
+	sampleBytes   int // cap on each retained sample
+	// perRound bounds how many candidates one round measures, rotating
+	// through the space across rounds.
+	perRound int
+	// retain keeps this many retired generations' encoder pools alive in
+	// the shared registry; older ones are released and re-materialized on
+	// demand from the frame descriptor.
+	retain int
+}
+
 func (cfg Config) withDefaults() Config {
 	if cfg.Default.Algorithm == "" {
 		cfg.Default = core.Config{Algorithm: "zstd", Level: 3}
 	}
-	if cfg.Candidates == nil {
-		cfg.Candidates = DefaultOnlineCandidates()
-	}
-	if cfg.Params.Base == 0 {
-		cfg.Params = core.DefaultCostParams()
-	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 500 * time.Millisecond
 	}
-	if cfg.Budget <= 0 || cfg.Budget > 1 {
-		cfg.Budget = 0.10
-	}
 	if cfg.MinSamples <= 0 {
 		cfg.MinSamples = 8
-	}
-	if cfg.ReservoirSize <= 0 {
-		cfg.ReservoirSize = 32
 	}
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 64
@@ -129,15 +116,6 @@ func (cfg Config) withDefaults() Config {
 		p <<= 1
 	}
 	cfg.SampleEvery = p
-	if cfg.SampleBytes <= 0 {
-		cfg.SampleBytes = 64 << 10
-	}
-	if cfg.ChallengersPerRound <= 0 {
-		cfg.ChallengersPerRound = 3
-	}
-	if cfg.RetainGenerations <= 0 {
-		cfg.RetainGenerations = 4
-	}
 	return cfg
 }
 
@@ -152,11 +130,11 @@ const (
 	dictLevel         = 3
 )
 
-// DefaultOnlineCandidates is the compact challenger space used when
-// Config.Candidates is nil: wide enough to cover the speed/ratio frontier
-// the paper's studies map out, small enough that a rotating three-per-round
-// schedule revisits every point within a couple of seconds.
-func DefaultOnlineCandidates() []core.Config {
+// onlineCandidates is the compact challenger space: wide enough to cover
+// the speed/ratio frontier the paper's studies map out, small enough that a
+// rotating three-per-round schedule revisits every point within a couple of
+// seconds.
+func onlineCandidates() []core.Config {
 	return []core.Config{
 		{Algorithm: "zstd", Level: 1},
 		{Algorithm: "zstd", Level: 3},
@@ -177,15 +155,11 @@ type Decision struct {
 	Class         string
 	Incumbent     string  // config serving after this round
 	IncumbentCost float64 // its cost on current samples
-	Best          string  // cheapest feasible challenger measured
+	Best          string  // cheapest challenger measured
 	BestCost      float64
 	DefaultCost   float64 // the static default priced on the same samples
 	Swapped       bool
 	From          string // pre-round config when Swapped
-	Feasible      bool   // the serving config meets the SLO on current data
-	// Pressure is the round's SLO multiplier: how many times slower the
-	// serving path compressed than the shadow measured the incumbent (≥ 1).
-	Pressure float64
 }
 
 // MarginVsDefault is the fractional cost win of the serving config over
@@ -203,7 +177,6 @@ type ClassStatus struct {
 	Config        string
 	Generation    uint64
 	Swaps         uint64
-	Feasible      bool // current config was SLO-feasible at adoption
 	DecodeCurrent uint64
 	DecodeRetired uint64
 	SampleDrops   uint64
@@ -215,6 +188,7 @@ type ClassStatus struct {
 // handles. Create with New, wire handles into serving paths, then Start.
 type Controller struct {
 	cfg Config
+	tuning
 
 	mu      sync.RWMutex
 	classes map[string]*Handle
@@ -225,28 +199,30 @@ type Controller struct {
 	done      chan struct{}
 }
 
-// New builds a controller. Candidate configurations (and the default) are
-// validated eagerly: every algorithm must have a wire ID.
+// New builds a controller. The default configuration is validated eagerly:
+// its algorithm must have a wire ID.
 func New(cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
 	if codecIDOf(cfg.Default.Algorithm) == codecInvalid {
 		return nil, fmt.Errorf("adaptive: default codec %q has no wire id", cfg.Default.Algorithm)
 	}
-	for _, c := range cfg.Candidates {
-		if codecIDOf(c.Algorithm) == codecInvalid {
-			return nil, fmt.Errorf("adaptive: candidate codec %q has no wire id", c.Algorithm)
-		}
-	}
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, err
-	}
-	tmBudget.Set(int64(cfg.Budget * 1000))
-	return &Controller{
-		cfg:     cfg,
+	c := &Controller{
+		cfg: cfg,
+		tuning: tuning{
+			candidates:    onlineCandidates(),
+			params:        core.DefaultCostParams(),
+			budget:        0.10,
+			reservoirSize: 32,
+			sampleBytes:   64 << 10,
+			perRound:      3,
+			retain:        4,
+		},
 		classes: make(map[string]*Handle),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
-	}, nil
+	}
+	tmBudget.Set(int64(c.budget * 1000))
+	return c, nil
 }
 
 // Handle returns the serving handle for a traffic class, creating it on
@@ -326,7 +302,7 @@ func (c *Controller) run() {
 			// Duty-cycle to the CPU budget: busy·(1-B)/B idle per busy
 			// slice, capped so one slow measurement cannot park the
 			// worker for minutes.
-			idle := time.Duration(float64(busy) * (1 - c.cfg.Budget) / c.cfg.Budget)
+			idle := time.Duration(float64(busy) * (1 - c.budget) / c.budget)
 			if idle > 10*time.Second {
 				idle = 10 * time.Second
 			}
@@ -348,8 +324,8 @@ func configEqual(a, b core.Config) bool {
 
 // trial runs one budgeted shadow round for a class: price the incumbent,
 // the static default, and a rotating slice of challengers on the current
-// reservoir, then swap if a feasible challenger clears the hysteresis bar
-// (or the incumbent fell out of the SLO). Returns the CPU time spent.
+// reservoir, then swap if the best challenger clears the hysteresis bar.
+// Returns the CPU time spent.
 func (c *Controller) trial(h *Handle) time.Duration {
 	samples := h.snapshotSamples()
 	if len(samples) < c.cfg.MinSamples {
@@ -361,17 +337,8 @@ func (c *Controller) trial(h *Handle) time.Duration {
 	sh.Samples = samples
 	sh.Repeats = 1
 
-	// Latency pressure: while the serving path compresses k× slower than
-	// the shadow measures the incumbent, this round prices every config
-	// against a k-fold tighter speed SLO.
 	cur := h.cur.Load()
 	inc, err := sh.Evaluate(cur.cfg)
-	k := 1.0
-	if err == nil {
-		k = cur.pressure(inc.Metrics.CompressMBps(), c.cfg.MinSamples)
-		sh.Constraints.MinCompressMBps = c.cfg.Constraints.MinCompressMBps * k
-		inc, err = sh.PriceMeasured(cur.cfg, inc.Metrics)
-	}
 	if err != nil {
 		tmErrors.Inc()
 		return time.Since(start)
@@ -392,7 +359,7 @@ func (c *Controller) trial(h *Handle) time.Duration {
 		}
 		r, err := sh.Evaluate(cand)
 		tmDecisions.Inc()
-		if err != nil || !r.Feasible {
+		if err != nil {
 			continue
 		}
 		if !haveBest || r.TotalCost() < best.TotalCost() {
@@ -405,15 +372,13 @@ func (c *Controller) trial(h *Handle) time.Duration {
 		Incumbent:     cur.cfg.String(),
 		IncumbentCost: inc.TotalCost(),
 		DefaultCost:   def.TotalCost(),
-		Feasible:      inc.Feasible,
-		Pressure:      k,
 	}
 	if haveBest {
 		d.Best = best.Config.String()
 		d.BestCost = best.TotalCost()
 	}
-	if haveBest && (!inc.Feasible || best.TotalCost() < inc.TotalCost()*(1-margin)) {
-		if err := h.adopt(best); err != nil {
+	if haveBest && best.TotalCost() < inc.TotalCost()*(1-margin) {
+		if err := h.Adopt(best.Config); err != nil {
 			tmErrors.Inc()
 		} else {
 			tmSwaps.Inc()
@@ -421,7 +386,6 @@ func (c *Controller) trial(h *Handle) time.Duration {
 			d.From = d.Incumbent
 			d.Incumbent = best.Config.String()
 			d.IncumbentCost = best.TotalCost()
-			d.Feasible = true
 			c.publishCurrent(h, best.Config)
 			c.traceSwap(h, d)
 		}
@@ -433,11 +397,11 @@ func (c *Controller) trial(h *Handle) time.Duration {
 // challengers returns this round's candidate slice: a rotating window over
 // the configured space plus the class's dictionary candidate, once trained.
 func (c *Controller) challengers(h *Handle, samples [][]byte) []core.Config {
-	k := c.cfg.ChallengersPerRound
-	n := len(c.cfg.Candidates)
+	k := c.perRound
+	n := len(c.candidates)
 	out := make([]core.Config, 0, k+1)
 	for i := 0; i < k && i < n; i++ {
-		out = append(out, c.cfg.Candidates[(h.nextCand+i)%n])
+		out = append(out, c.candidates[(h.nextCand+i)%n])
 	}
 	if n > 0 {
 		h.nextCand = (h.nextCand + k) % n
@@ -474,8 +438,7 @@ func (c *Controller) publishCurrent(h *Handle, cfg core.Config) {
 }
 
 // traceSwap emits an "adaptive.swap" root span (one-shot event) when the
-// tracer samples it, recording each config change and the pressure behind
-// it in the flight recorder.
+// tracer samples it, recording each config change in the flight recorder.
 func (c *Controller) traceSwap(h *Handle, d Decision) {
 	tr := c.cfg.Tracer
 	if !tr.Enabled() {
@@ -490,7 +453,6 @@ func (c *Controller) traceSwap(h *Handle, d Decision) {
 		SetStr("to", d.Incumbent).
 		SetInt("generation", int64(h.Generation())).
 		SetInt("win_vs_default_ppm", int64(d.MarginVsDefault()*1e6)).
-		SetInt("pressure_milli", int64(d.Pressure*1e3)).
 		End()
 }
 
@@ -506,7 +468,6 @@ func (c *Controller) Status() []ClassStatus {
 			Config:        g.cfg.String(),
 			Generation:    g.gen,
 			Swaps:         h.swaps.Load(),
-			Feasible:      g.feasible,
 			DecodeCurrent: h.decodeCur.Load(),
 			DecodeRetired: h.decodeOld.Load(),
 			SampleDrops:   h.sampleDrops.Load(),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/core"
@@ -25,30 +24,6 @@ type generation struct {
 	dictID  uint32
 	pool    *codec.Pool // refcounted via codec.AcquireShared
 	hdr     []byte      // precomputed frame header
-	// Adoption-time evidence, surfaced in ClassStatus.
-	result   core.Result
-	feasible bool
-	// Serving-path compress timing of the sampled ops under this
-	// generation, drained by each trial round (see pressure).
-	liveOps, liveBytes, liveNS atomic.Int64
-}
-
-// record adds one timed serving-path compress of n bytes.
-func (g *generation) record(n int, d time.Duration) {
-	g.liveOps.Add(1)
-	g.liveBytes.Add(int64(n))
-	g.liveNS.Add(int64(d))
-}
-
-// pressure drains the live counters and returns how many times slower the
-// serving path compresses than shadowMBps, the shadow speed of the same
-// config: max(1, shadow ÷ live), or 1 when fewer than minOps were timed.
-func (g *generation) pressure(shadowMBps float64, minOps int) float64 {
-	ops, n, ns := g.liveOps.Swap(0), g.liveBytes.Swap(0), g.liveNS.Swap(0)
-	if ops < int64(minOps) || n <= 0 || ns <= 0 {
-		return 1
-	}
-	return max(1, shadowMBps/(float64(n)/float64(ns)*1e3)) // B/ns → MB/s
 }
 
 // decPoolKey identifies a decode-side engine: decompression is insensitive
@@ -74,15 +49,14 @@ type Handle struct {
 	// The hot path pays one atomic increment; the sampled call pays a
 	// TryLock and a bounded copy into a recycled slot, and drops the
 	// sample on contention rather than ever blocking serving traffic.
-	ops         atomic.Uint64
-	sampleMask  uint64
-	sampleBytes int
-	resMu       sync.Mutex
-	slots       [][]byte
-	offered     uint64 // samples offered to the reservoir (algorithm R's t)
-	rng         uint64
+	ops        atomic.Uint64
+	sampleMask uint64
+	resMu      sync.Mutex
+	slots      [][]byte
+	offered    uint64 // samples offered to the reservoir (algorithm R's t)
+	rng        uint64
 
-	// Retired generations, newest last; bounded by RetainGenerations.
+	// Retired generations, newest last; bounded by the controller's retain.
 	// Guarded by swapMu (swaps are controller-only and rare).
 	swapMu  sync.Mutex
 	retired []*generation
@@ -113,23 +87,19 @@ type Handle struct {
 // newHandle builds a handle serving cfg as generation 1.
 func newHandle(ctrl *Controller, class string, cfg core.Config) (*Handle, error) {
 	h := &Handle{
-		class:       class,
-		ctrl:        ctrl,
-		sampleMask:  uint64(ctrl.cfg.SampleEvery) - 1,
-		sampleBytes: ctrl.cfg.SampleBytes,
-		slots:       make([][]byte, 0, ctrl.cfg.ReservoirSize),
-		trialBuf:    make([][]byte, 0, ctrl.cfg.ReservoirSize),
-		copies:      make([][]byte, ctrl.cfg.ReservoirSize),
-		decPools:    make(map[decPoolKey]*codec.Pool),
-		dicts:       make(map[uint32][]byte),
-		maxDecode:   ctrl.cfg.RetainGenerations * 2,
-		rng:         0x9E3779B97F4A7C15,
-		shadow: &core.CompEngine{
-			Params:      ctrl.cfg.Params,
-			Constraints: ctrl.cfg.Constraints,
-		},
+		class:      class,
+		ctrl:       ctrl,
+		sampleMask: uint64(ctrl.cfg.SampleEvery) - 1,
+		slots:      make([][]byte, 0, ctrl.reservoirSize),
+		trialBuf:   make([][]byte, 0, ctrl.reservoirSize),
+		copies:     make([][]byte, ctrl.reservoirSize),
+		decPools:   make(map[decPoolKey]*codec.Pool),
+		dicts:      make(map[uint32][]byte),
+		maxDecode:  ctrl.retain * 2,
+		rng:        0x9E3779B97F4A7C15,
+		shadow:     &core.CompEngine{Params: ctrl.params},
 	}
-	g, err := h.newGeneration(core.Result{Config: cfg, Feasible: true})
+	g, err := h.newGeneration(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -146,8 +116,7 @@ func (h *Handle) Generation() uint64 { return h.cur.Load().gen }
 // Config returns the currently serving configuration.
 func (h *Handle) Config() core.Config { return h.cur.Load().cfg }
 
-func (h *Handle) newGeneration(r core.Result) (*generation, error) {
-	cfg := r.Config
+func (h *Handle) newGeneration(cfg core.Config) (*generation, error) {
 	id := codecIDOf(cfg.Algorithm)
 	if id == codecInvalid {
 		return nil, fmt.Errorf("adaptive: codec %q has no wire id", cfg.Algorithm)
@@ -168,13 +137,11 @@ func (h *Handle) newGeneration(r core.Result) (*generation, error) {
 		return nil, err
 	}
 	g := &generation{
-		gen:      h.nextGen.Add(1),
-		cfg:      cfg,
-		codecID:  id,
-		dictID:   dictID,
-		pool:     pool,
-		result:   r,
-		feasible: r.Feasible,
+		gen:     h.nextGen.Add(1),
+		cfg:     cfg,
+		codecID: id,
+		dictID:  dictID,
+		pool:    pool,
 	}
 	g.hdr = appendHeader(make([]byte, 0, 16), g.gen, id, dictID)
 	if dictID != 0 {
@@ -185,17 +152,19 @@ func (h *Handle) newGeneration(r core.Result) (*generation, error) {
 	return g, nil
 }
 
-// adopt swaps the serving config to r, retiring the old generation. Only
-// the controller worker calls it.
-func (h *Handle) adopt(r core.Result) error {
-	g, err := h.newGeneration(r)
+// Adopt swaps the serving config to cfg, retiring the old generation. The
+// controller worker adopts the challengers it picks; called directly it is
+// an operator override of the decision rule (and the hook the swap-hammer
+// tests churn).
+func (h *Handle) Adopt(cfg core.Config) error {
+	g, err := h.newGeneration(cfg)
 	if err != nil {
 		return err
 	}
 	h.swapMu.Lock()
 	old := h.cur.Swap(g)
 	h.retired = append(h.retired, old)
-	if n := h.ctrl.cfg.RetainGenerations; len(h.retired) > n {
+	if n := h.ctrl.retain; len(h.retired) > n {
 		evict := h.retired[0]
 		h.retired = append(h.retired[:0], h.retired[1:]...)
 		codec.ReleaseShared(evict.pool)
@@ -205,33 +174,18 @@ func (h *Handle) adopt(r core.Result) error {
 	return nil
 }
 
-// Adopt forces the serving configuration immediately, bypassing the
-// controller's decision rule — an operator override (and the hook the
-// swap-hammer tests churn). The config is treated as feasible by fiat.
-func (h *Handle) Adopt(cfg core.Config) error {
-	return h.adopt(core.Result{Config: cfg, Feasible: true})
-}
-
 // Compress encodes src under the current generation, appending a
 // self-describing adaptive frame to dst. A sampled op is also offered to
-// the reservoir and its engine call timed for the live speed. Safe for
-// concurrent use; allocation-free once pools are warm.
+// the reservoir. Safe for concurrent use; allocation-free once pools are
+// warm.
 func (h *Handle) Compress(dst, src []byte) ([]byte, error) {
-	sampled := h.ops.Add(1)&h.sampleMask == 0
-	if sampled {
+	if h.ops.Add(1)&h.sampleMask == 0 {
 		h.offer(src)
 	}
 	g := h.cur.Load()
 	dst = append(dst, g.hdr...)
 	e := g.pool.Get()
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
 	out, err := e.Compress(dst, src)
-	if sampled && err == nil {
-		g.record(len(src), time.Since(t0))
-	}
 	g.pool.Put(e)
 	return out, err
 }
@@ -298,7 +252,7 @@ func (h *Handle) decodePool(codecID byte, dictID uint32) (*codec.Pool, error) {
 }
 
 // offer places one payload into the reservoir. Algorithm R over the
-// subsampled stream: the first ReservoirSize offers fill the slots, after
+// subsampled stream: the first reservoirSize offers fill the slots, after
 // which each offer replaces a uniformly random slot with probability
 // size/offered. Slot buffers are recycled; contention drops the sample.
 func (h *Handle) offer(src []byte) {
@@ -327,7 +281,7 @@ func (h *Handle) offer(src []byte) {
 		}
 		slot = int(j)
 	}
-	n := min(len(src), h.sampleBytes)
+	n := min(len(src), h.ctrl.sampleBytes)
 	h.slots[slot] = append(h.slots[slot][:0], src[:n]...)
 }
 

@@ -17,7 +17,7 @@ import (
 // to the exact payload, and its header must name the generation that was
 // serving when it was encoded.
 func TestSwapHammer(t *testing.T) {
-	c := testController(t, Config{RetainGenerations: 2})
+	c := testController(t, Config{}, func(s *tuning) { s.retain = 2 })
 	h, err := c.Handle("hammer")
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestSwapHammer(t *testing.T) {
 				return
 			case <-time.After(2 * time.Millisecond):
 			}
-			if err := h.adopt(core.Result{Config: configs[i%len(configs)], Feasible: true}); err != nil {
+			if err := h.Adopt(configs[i%len(configs)]); err != nil {
 				t.Errorf("adopt: %v", err)
 				return
 			}

@@ -55,7 +55,7 @@ func TestAdaptiveCacheRoundtrip(t *testing.T) {
 // decoding — the cache is exactly the consumer whose payloads outlive
 // config changes.
 func TestAdaptiveCacheSwapHammer(t *testing.T) {
-	ctrl, err := adaptive.New(adaptive.Config{RetainGenerations: 2})
+	ctrl, err := adaptive.New(adaptive.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,17 +150,12 @@ func TestLRUEviction(t *testing.T) {
 }
 
 // TestDictionaryImprovesResidentRatio drives small items through a started
-// controller whose only challenger is the class's trained dictionary. Once
-// the cache:edge_assoc class adopts it, the same items sit smaller than
-// under a controller that never trains.
+// default controller. Once the cache:edge_assoc class adopts the dictionary
+// it trains, the same items sit smaller than under a controller that never
+// trains.
 func TestDictionaryImprovesResidentRatio(t *testing.T) {
 	typ := corpus.DefaultItemTypes()[2] // edge_assoc: small items
-	ctrl, err := adaptive.New(adaptive.Config{
-		Candidates:  []core.Config{{Algorithm: "zstd", Level: 3}},
-		Interval:    10 * time.Millisecond,
-		Budget:      0.5,
-		SampleEvery: 1,
-	})
+	ctrl, err := adaptive.New(adaptive.Config{Interval: 10 * time.Millisecond, SampleEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

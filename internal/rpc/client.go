@@ -84,6 +84,8 @@ func NewClient(conn io.ReadWriter, comp Compression, opts ...ClientOption) (*Cli
 		return nil, err
 	}
 	t.replies, t.resolve = true, c.resolve
+	t.stats = new(counters)
+	t.Coder.stats = t.stats
 	c.t = t
 	return c, nil
 }

@@ -22,7 +22,7 @@ type Coder struct {
 	eng   codec.Engine // nil = uncompressed link
 	pool  *codec.Pool  // where eng came from, for Close
 	buf   []byte       // coding scratch, which a compressed Body aliases
-	stats *counters    // the owning transport's; nil for a standalone Coder
+	stats *counters    // the owning client's; nil for a server's or a standalone Coder
 
 	// dict is the dictionary engine last coded or decoded with (flagDict
 	// frames): built once per dictionary, not pooled.
@@ -119,7 +119,7 @@ func (c *Coder) Code(ctx context.Context, method string, payload []byte) (Body, 
 }
 
 // code is the package's one coding step: payload as a frame carries it,
-// timed into rpc_compress_ns_total and the owning transport's stats, with an
+// timed into rpc_compress_ns_total and the owning client's stats, with an
 // "rpc.compress" span under parent.
 func (c *Coder) code(payload []byte, parent trace.SpanHandle) (Body, error) {
 	return c.codeDict(Dict{}, payload, parent)

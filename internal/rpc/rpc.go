@@ -15,10 +15,10 @@
 // a fresh connection. Recovery beyond that is the caller's: the cluster
 // answers a failed replica call with quorum and a fresh client.
 //
-// Both ends account raw vs wire bytes and codec time with atomic counters
-// and publish into the shared telemetry registry. Transports draw engines
-// from a codec.Pool keyed by configuration, so connection churn does not
-// pay engine construction.
+// Both ends account raw vs wire bytes and codec time in the shared
+// telemetry registry; a client also keeps its own share. Transports draw
+// engines from a codec.Pool keyed by configuration, so connection churn
+// does not pay engine construction.
 package rpc
 
 import (
@@ -213,8 +213,9 @@ const readStep = 64 << 10
 
 // transport frames and (de)compresses messages on one connection. Its Coder
 // (engine, compression scratch) is single-goroutine (Client/Server
-// serialize frame I/O), but the stats counters, which a Client reports,
-// are safe to read concurrently.
+// serialize frame I/O). Only a client's transport keeps stats, which the
+// Client reports and which are safe to read concurrently; a server's counts
+// only into the process-wide counters.
 //
 // readFrame appends the payload to a buffer its caller owns — the server's
 // request scratch, or the dst of Client.AppendCall — so the transport itself
@@ -230,10 +231,10 @@ type transport struct {
 
 	r       *bufio.Reader
 	w       *bufio.Writer
-	stats   counters
-	mbuf    []byte // method scratch (read side)
-	rbuf    []byte // compressed-payload scratch (read side)
-	wmethod []byte // method scratch (write side, avoids string→[]byte churn)
+	stats   *counters // nil on a server's transport
+	mbuf    []byte    // method scratch (read side)
+	rbuf    []byte    // compressed-payload scratch (read side)
+	wmethod []byte    // method scratch (write side, avoids string→[]byte churn)
 
 	// Tracing state. cur is the span the owner (a Client call or the
 	// server request loop) is inside of; the frame codecs hang their
@@ -260,7 +261,6 @@ func newTransport(conn io.ReadWriter, comp Compression) (*transport, error) {
 	if err := t.init(comp); err != nil {
 		return nil, err
 	}
-	t.Coder.stats = &t.stats
 	return t, nil
 }
 
@@ -315,10 +315,11 @@ func (t *transport) writeBody(flags byte, method []byte, b *Body) error {
 	if _, err := t.w.Write(wire); err != nil {
 		return err
 	}
-	t.stats.rawBytes.Add(int64(b.raw))
-	t.stats.wireBytes.Add(int64(len(wire)))
+	if t.stats != nil { // a client's, which sends no dictionary frames
+		t.stats.rawBytes.Add(int64(b.raw))
+		t.stats.wireBytes.Add(int64(len(wire)))
+	}
 	if flags&flagDict != 0 {
-		t.stats.dictFrames.Add(1)
 		tmDictFrames.Inc()
 	}
 	tmRawBytes.Add(int64(b.raw))
@@ -461,7 +462,9 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload, coding [
 		// stream is still aligned.
 		return 0, nil, nil, nil, aligned(corruptFrame(errSumMismatch))
 	}
-	t.stats.wireBytes.Add(int64(len(wire)))
+	if t.stats != nil {
+		t.stats.wireBytes.Add(int64(len(wire)))
+	}
 	tmWireBytes.Add(int64(len(wire)))
 	if compressed || dictCoded {
 		if compressed && t.eng == nil {
@@ -477,7 +480,9 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload, coding [
 			out, err = t.eng.Decompress(dst, wire)
 		}
 		ns := time.Since(t0).Nanoseconds()
-		t.stats.decompressNS.Add(ns)
+		if t.stats != nil {
+			t.stats.decompressNS.Add(ns)
+		}
 		tmDecompNS.Add(ns)
 		if err != nil {
 			sp.End()
@@ -491,13 +496,17 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload, coding [
 		sp.SetInt("wire", int64(len(wire))).SetInt("raw", int64(len(out)-base)).End()
 		dst = out
 		if dictCoded {
-			t.stats.dictFrames.Add(1)
+			if t.stats != nil {
+				t.stats.dictFrames.Add(1)
+			}
 			tmDictFrames.Inc()
 		} else {
 			coding = wire
 		}
 	}
-	t.stats.rawBytes.Add(int64(len(dst) - base))
+	if t.stats != nil {
+		t.stats.rawBytes.Add(int64(len(dst) - base))
+	}
 	tmRawBytes.Add(int64(len(dst) - base))
 	return flags, mbuf, dst, coding, nil
 }

@@ -12,7 +12,7 @@ import (
 // downstream stage still reads the dataset — including stripes written
 // under the now-retired generation.
 func TestIngestEngineAdaptive(t *testing.T) {
-	ctrl, err := adaptive.New(adaptive.Config{RetainGenerations: 2})
+	ctrl, err := adaptive.New(adaptive.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
