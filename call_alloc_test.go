@@ -16,7 +16,10 @@ import (
 	"testing"
 
 	"github.com/datacomp/datacomp/internal/cluster"
+	"github.com/datacomp/datacomp/internal/corpus"
+	"github.com/datacomp/datacomp/internal/dict"
 	"github.com/datacomp/datacomp/internal/rpc"
+	"github.com/datacomp/datacomp/internal/zstd"
 )
 
 // nodeLink is the compression the cluster's node links use by default. The
@@ -146,6 +149,66 @@ func TestCallAllocsAppendCallBody(t *testing.T) {
 	}
 }
 
+// A warmed put coded against a dictionary (a Coder's CodeDict, then
+// AppendCallBody to a method registered with a resolver) allocates nothing
+// at either end: the dictionary engines come from the shared pool once per
+// link and stay, the coding lands in the Coder's scratch, and the server
+// decodes into its request buffer.
+func TestCallAllocsAppendCallBodyDict(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	var samples [][]byte
+	for i := 0; i < 32; i++ {
+		samples = append(samples, corpus.Records(int64(i), 2<<10))
+	}
+	b, err := dict.TrainZstd(-3, 2<<10, samples, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := rpc.Dict{Bytes: b, ID: zstd.DictID(b), Level: -3}
+	srv := rpc.NewServer(nodeLink)
+	var got int
+	srv.RegisterCodedDict("put", func(_ context.Context, req []byte, coded rpc.Coded) ([]byte, error) {
+		got = len(req)
+		if coded.Codec != "zstd" {
+			return nil, fmt.Errorf("put arrived as %q", coded.Codec)
+		}
+		return nil, nil
+	}, func(id uint32) []byte {
+		if id == d.ID {
+			return d.Bytes
+		}
+		return nil
+	})
+	cl := servePipe(t, srv)
+	cd, err := rpc.NewCoder(nodeLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cd.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := corpus.Records(99, 2<<10)
+	var dst []byte
+	n := allocsPerOp(t, func() {
+		body, err := cd.CodeDict(ctx, "put", req, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dst, err = cl.AppendCallBody(ctx, dst[:0], &body); err != nil || got != len(req) {
+			t.Fatalf("put: %v", err)
+		}
+	})
+	t.Logf("warmed CodeDict + AppendCallBody, %d B: %v allocs/op", len(req), n)
+	if n != 0 {
+		t.Errorf("warmed dictionary-coded put of %d B: %v allocs/op, want 0", len(req), n)
+	}
+	if frames := cl.Stats().DictFrames; frames == 0 {
+		t.Fatal("no put travelled dictionary-coded")
+	}
+}
+
 // maxClusterGetAllocs pins a warmed Cluster.Get of a memtable-resident
 // 128 B value on three nodes at RF=3: the value copied out for the caller
 // and the two fan-out goroutines' closures. With each record and digest
@@ -271,7 +334,9 @@ func TestCallAllocsClusterPut(t *testing.T) {
 		}
 	}
 	// Warm every node's batch, WAL and memtable buffers; 64 puts of one key
-	// are 130 KiB of WAL and one overwritten slot, far from a flush.
+	// are 130 KiB of WAL and one overwritten slot, far from a flush. Their
+	// first 64 KiB train the cluster dictionary the measured puts are coded
+	// against.
 	for i := 0; i < 64; i++ {
 		put()
 	}

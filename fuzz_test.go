@@ -287,9 +287,12 @@ func fuzzDictEngine(f *testing.F, seed int64) ([]byte, codec.Engine) {
 	return d, eng
 }
 
-// flagDict is the rpc frame flag of a reply coded against the server's
-// dictionary.
-const flagDict = 1 << 3
+// flagDict is the rpc frame flag of a payload coded against a dictionary,
+// and flagError that of a reply carrying an error.
+const (
+	flagError = 1 << 1
+	flagDict  = 1 << 3
+)
 
 // FuzzRPCFrame parses every input as one rpc frame: an error, never a
 // panic; an accepted frame round-trips; and the parse allocates on the
@@ -317,7 +320,9 @@ func FuzzRPCFrame(f *testing.F) {
 	// Dictionary-coded replies: a valid one; one naming a dictionary the
 	// client lacks; one cut inside its zstd header; one whose header names
 	// the client's dictionary over a frame coded against another. As
-	// requests, all four carry a flag only replies may.
+	// requests, all four carry a flag only a method registered with a
+	// dictionary resolver takes, and parse as a server whose methods all
+	// take one reads them.
 	known, knownEng := fuzzDictEngine(f, 100)
 	_, otherEng := fuzzDictEngine(f, 900)
 	rec := corpus.Records(7, 1<<10)
@@ -341,14 +346,23 @@ func FuzzRPCFrame(f *testing.F) {
 		return nil
 	}
 	for i, payload := range [][]byte{valid, unknown, unknown[:idAt+2], wrongDict} {
-		frame := rpc.EncodeFrame(flagDict, "kv.get", payload)
-		f.Add(frame)
-		_, _, got, err := rpc.ParseReplyFrame(frame, resolve)
-		var u *rpc.UnknownDictError
-		if ok := [...]bool{err == nil && bytes.Equal(got, rec), errors.As(err, &u), errors.Is(err, rpc.ErrCorrupt), errors.Is(err, rpc.ErrCorrupt)}[i]; !ok {
-			f.Fatalf("dictionary seed %d parses to %v", i, err)
+		for _, method := range []string{"kv.get", "kv.put"} {
+			frame := rpc.EncodeFrame(flagDict, method, payload)
+			f.Add(frame)
+			parse := rpc.ParseReplyFrame
+			if method == "kv.put" {
+				parse = rpc.ParseRequestFrame
+			}
+			_, _, got, err := parse(frame, resolve)
+			var u *rpc.UnknownDictError
+			if ok := [...]bool{err == nil && bytes.Equal(got, rec), errors.As(err, &u) && u.Request == (method == "kv.put"), errors.Is(err, rpc.ErrCorrupt), errors.Is(err, rpc.ErrCorrupt)}[i]; !ok {
+				f.Fatalf("dictionary seed %d as a %s parses to %v", i, method, err)
+			}
 		}
 	}
+	// A server's refusal of a request coded against a dictionary it lacks:
+	// flagError|flagDict and the dictionary's 4-byte ID, a reply only.
+	f.Add(rpc.EncodeFrame(flagError|flagDict, "", binary.LittleEndian.AppendUint32(nil, zstd.DictID(known))))
 	// A frame's payload buffer grows with the bytes that arrive — at most
 	// readAhead beyond them at first, then by doubling — whatever length the
 	// header claims; the rest of the slack is the reader's own buffers.
@@ -359,6 +373,7 @@ func FuzzRPCFrame(f *testing.F) {
 		flags, method, payload, err := rpc.ParseFrame(data)
 		runtime.ReadMemStats(&after)
 		fuzzReplyFrame(t, data, resolve)
+		fuzzRequestFrame(t, data, resolve)
 		bound := uint64(len(data)) + readAhead + parseSlack
 		if len(data) > readAhead {
 			bound += 3 * uint64(len(data)) // doubling past the first step
@@ -403,6 +418,25 @@ func fuzzReplyFrame(t *testing.T, data []byte, resolve func(uint32) []byte) {
 	flags2, method2, payload2, err := rpc.ParseFrame(rpc.EncodeFrame(flags&^flagDict, string(method), payload))
 	if err != nil || flags2 != flags&^flagDict || !bytes.Equal(method2, method) || !bytes.Equal(payload2, payload) {
 		t.Fatalf("reply did not round-trip: %v", err)
+	}
+}
+
+// fuzzRequestFrame parses data as a request frame to a server whose methods
+// all take requests coded against resolve's dictionary: an error is a clean
+// EOF, corruption or an unknown dictionary, and an accepted frame's payload
+// round-trips as an uncoded frame.
+func fuzzRequestFrame(t *testing.T, data []byte, resolve func(uint32) []byte) {
+	flags, method, payload, err := rpc.ParseRequestFrame(data, resolve)
+	var unknown *rpc.UnknownDictError
+	if err != nil {
+		if !errors.Is(err, rpc.ErrCorrupt) && !errors.Is(err, io.EOF) && !(errors.As(err, &unknown) && unknown.Request) {
+			t.Fatalf("request: unexpected error class: %v", err)
+		}
+		return
+	}
+	flags2, method2, payload2, err := rpc.ParseFrame(rpc.EncodeFrame(flags&^flagDict, string(method), payload))
+	if err != nil || flags2 != flags&^flagDict || !bytes.Equal(method2, method) || !bytes.Equal(payload2, payload) {
+		t.Fatalf("request did not round-trip: %v", err)
 	}
 }
 

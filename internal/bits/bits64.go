@@ -80,6 +80,19 @@ func (w *Writer64) Carry() {
 	w.nacc &= 7
 }
 
+// State returns the writer's buffer and the bits written but not yet
+// carried into it, with their count, for an encode loop to hold in local
+// variables, which the compiler keeps in registers: a Writer64 lives in
+// memory, and every Add would store and reload it. The loop appends as Add
+// and Carry do and hands all three back with SetState before the writer is
+// used again. The bytes a writer ends with do not depend on when it
+// carried, only on the bits written.
+func (w *Writer64) State() (buf []byte, acc uint64, n uint) { return w.buf, w.acc, w.nacc }
+
+// SetState makes buf, acc and n, which State returned and a loop appended
+// to, the writer's state.
+func (w *Writer64) SetState(buf []byte, acc uint64, n uint) { w.buf, w.acc, w.nacc = buf, acc, n }
+
 // WriteBits appends the n low bits of v (n ≤ 56), carrying automatically.
 // Slower than Add/Carry groups; used outside the innermost loops.
 func (w *Writer64) WriteBits(v uint64, n uint) {

@@ -2,58 +2,25 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
-	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/corpus"
-	"github.com/datacomp/datacomp/internal/kvstore"
+	"github.com/datacomp/datacomp/internal/trace"
 )
-
-// countedLZ4 is lz4 under another name, counting the payloads it compresses.
-const countedLZ4 = "lz4-counted"
-
-var (
-	countedOnce sync.Once
-	codings     atomic.Int64
-)
-
-type countingCodec struct{ codec.Codec }
-
-func (countingCodec) Name() string { return countedLZ4 }
-
-func (c countingCodec) New(opts codec.Options) (codec.Engine, error) {
-	e, err := c.Codec.New(opts)
-	return countingEngine{e}, err
-}
-
-type countingEngine struct{ codec.Engine }
-
-func (e countingEngine) Compress(dst, src []byte) ([]byte, error) {
-	codings.Add(1)
-	return e.Engine.Compress(dst, src)
-}
 
 // BenchmarkClusterPut is a warm three-node cluster's put of a 1 KiB corpus
-// record over links coded as the default ones (lz4-1 with checksums),
-// through a codec that counts its calls and that the nodes' WALs use too,
-// as the default links and WALs share lz4. codings/put is how many times one
-// put's kv.put request is coded for the links: coding it per replica client
-// reads 3, once per fan-out 1. walcodings/put is how many times the
-// replicas code it again for their logs (the stores' WALCoded): 3 when each
-// codes its record, 0 when each log keeps the link's coding.
+// record with the default links (lz4-1 with checksums) and WALs (lz4):
+// past its first 64 KiB of puts the cluster codes them against its
+// dictionary. codings/put is how many times one put's kv.put request is
+// coded for the links, counted as "rpc.compress" spans over traced puts
+// after the timed ones: coding it per replica client reads 3, once per
+// fan-out 1. dictframes/put is rpc_dict_frames_total's growth per timed
+// put: 6 when every put is dictionary-coded, sent to 3 replicas and
+// decoded by each. walcodings/put is how many times the replicas code it
+// again for their logs (the stores' WALCoded): 3 when each codes its
+// record, 0 when each log keeps the coding it arrived in.
 func BenchmarkClusterPut(b *testing.B) {
-	countedOnce.Do(func() {
-		lz4, ok := codec.Lookup("lz4")
-		if !ok {
-			b.Fatal("lz4 is not registered")
-		}
-		codec.Register(countingCodec{lz4})
-	})
-	link := defaultCompression
-	link.Codec = countedLZ4
-	c := New(WithCompression(link), WithNodeDefaults(WithNodeStoreOptions(kvstore.WithWALCodec(countedLZ4))))
+	c := New()
 	defer c.Close()
 	for i := 0; i < replication; i++ {
 		if _, err := c.AddNode(tctx, fmt.Sprintf("node-%d", i)); err != nil {
@@ -87,14 +54,33 @@ func BenchmarkClusterPut(b *testing.B) {
 		}
 		return n
 	}
-	before, walBefore := codings.Load(), walCoded()
+	frames, walBefore := rpcDictFrames.Value(), walCoded()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		put(i)
 	}
 	b.StopTimer()
-	wal := walCoded() - walBefore
-	b.ReportMetric(float64(codings.Load()-before-wal)/float64(b.N), "codings/put")
-	b.ReportMetric(float64(wal)/float64(b.N), "walcodings/put")
+	b.ReportMetric(float64(rpcDictFrames.Value()-frames)/float64(b.N), "dictframes/put")
+	b.ReportMetric(float64(walCoded()-walBefore)/float64(b.N), "walcodings/put")
+
+	const traced = 64
+	rec := trace.NewRecorder(0, traced)
+	tracer := trace.New(trace.Config{SampleEvery: 1, Recorder: rec})
+	for i := 0; i < traced; i++ {
+		ctx, root := tracer.StartRoot(tctx, "put")
+		if err := c.Put(ctx, keys[i], values[i%valueCount]); err != nil {
+			b.Fatal(err)
+		}
+		root.End()
+	}
+	spans := 0
+	for _, td := range rec.Snapshot() {
+		for _, sp := range td.Spans {
+			if sp.Name == "rpc.compress" {
+				spans++
+			}
+		}
+	}
+	b.ReportMetric(float64(spans)/traced, "codings/put")
 }

@@ -13,6 +13,7 @@ import (
 	"github.com/datacomp/datacomp/internal/kvstore"
 	"github.com/datacomp/datacomp/internal/rpc"
 	"github.com/datacomp/datacomp/internal/xxhash"
+	"github.com/datacomp/datacomp/internal/zstd"
 )
 
 // RPC method names a node serves. Exported as constants so clients and
@@ -21,8 +22,10 @@ const (
 	// MethodPut stores a versioned record, a tombstone for a delete. The
 	// request is a kvstore batch body holding the one put key→record
 	// (kvstore.AppendPutHead), so a replica's WAL can keep the coding it
-	// arrived in (DESIGN.md §6). The node applies it only if the version
-	// exceeds the stored one, so replays and retries are idempotent.
+	// arrived in (DESIGN.md §6): the link's, or a zstd coding against the
+	// cluster dictionary (MethodInstall). The node applies it only if the
+	// version exceeds the stored one, so replays and retries are
+	// idempotent.
 	MethodPut = "kv.put"
 	// MethodGet fetches the record for a key: request is the raw key,
 	// response is 0x00 (none) or 0x01 followed by the record. A reply of at
@@ -40,6 +43,13 @@ const (
 	// MethodDict fetches the node's store dictionary: the request is empty,
 	// the response the dictionary's bytes, empty when the store has none.
 	MethodDict = "kv.dict"
+	// MethodInstall gives the node the cluster dictionary its MethodPut
+	// requests may then be coded against: the request is the dictionary's
+	// zstd.DictID, 4 bytes little-endian, then its bytes, and the response
+	// is empty. The node refuses bytes that do not hash to the ID, and
+	// acks only once its store holds the dictionary durably
+	// (kvstore.DB.AddWALDict), for its WAL to keep those codings.
+	MethodInstall = "kv.install"
 )
 
 // Versioned record layout, built by the cluster and stored opaquely in the
@@ -211,7 +221,8 @@ func (n *Node) start(ctx context.Context) error {
 		return err
 	}
 	srv := rpc.NewServer(n.cfg.comp)
-	srv.RegisterCoded(MethodPut, n.handlePut)
+	srv.RegisterCodedDict(MethodPut, n.handlePut, n.walDict)
+	srv.Register(MethodInstall, n.handleInstall)
 	srv.RegisterAppendDict(MethodGet, n.handleGet, n.replyDict)
 	srv.RegisterAppend(MethodDigest, n.handleDigest)
 	srv.RegisterAppend(MethodDump, n.handleDump)
@@ -361,9 +372,11 @@ func (n *Node) store() (*kvstore.DB, error) {
 // version vetoes the write.
 //
 // The store commits req, a batch body, with the coding it arrived in: when
-// the link's codec is the WAL's (lz4 on the default links), the log keeps
-// those bytes and no replica codes the record again. A request that came
-// uncoded, or coded by another codec, the store codes itself.
+// the link's codec is the WAL's (lz4 on the default links), or the request
+// came coded against the cluster dictionary, which the store holds
+// (MethodInstall), the log keeps those bytes and no replica codes the
+// record again. A request that came uncoded, or coded by another codec,
+// the store codes itself.
 func (n *Node) handlePut(ctx context.Context, req []byte, coded rpc.Coded) ([]byte, error) {
 	key, rest, err := kvstore.ParsePutBody(req)
 	if err != nil {
@@ -476,6 +489,37 @@ func (n *Node) replyDict() rpc.Dict {
 	}
 	d := db.Dict()
 	return rpc.Dict{Bytes: d.Bytes, ID: d.ID, Level: d.Level}
+}
+
+// walDict resolves the cluster dictionary a kv.put request is coded
+// against: one the store holds for its WAL, or nil.
+func (n *Node) walDict(id uint32) []byte {
+	db, err := n.store()
+	if err != nil {
+		return nil
+	}
+	return db.WALDict(id)
+}
+
+// errInstallMismatch refuses a kv.install whose bytes do not hash to the ID
+// it names.
+var errInstallMismatch = errors.New("cluster: kv.install bytes do not hash to the dictionary ID")
+
+// handleInstall makes the dictionary req carries durable in the store, for
+// kv.put requests coded against it.
+func (n *Node) handleInstall(ctx context.Context, req []byte) ([]byte, error) {
+	if len(req) < 4 {
+		return nil, errBadRecord
+	}
+	id, d := binary.LittleEndian.Uint32(req), req[4:]
+	if zstd.DictID(d) != id {
+		return nil, fmt.Errorf("%w: %08x names %08x", errInstallMismatch, zstd.DictID(d), id)
+	}
+	db, err := n.store()
+	if err != nil {
+		return nil, err
+	}
+	return nil, db.AddWALDict(d)
 }
 
 // handleDict returns the store dictionary, empty when the store has none.

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/datacomp/datacomp/internal/corpus"
 	"github.com/datacomp/datacomp/internal/kvstore"
 	"github.com/datacomp/datacomp/internal/rpc"
 )
@@ -719,4 +720,31 @@ func TestFreshNodeBlindPuts(t *testing.T) {
 		n.Store()
 		expect(t, n, "b", false)
 	})
+}
+
+// TestClusterDictPutWALCodings: a put coded against the cluster dictionary
+// is logged by every replica as it arrived, in the WAL's dictionary form:
+// each put adds one record to each log and wal_codings_per_put, the
+// records the replicas code themselves, reads 0.
+func TestClusterDictPutWALCodings(t *testing.T) {
+	c := testCluster(t, 3)
+	keys, acked := putDictKeys(t, c, 40)
+	type logged struct{ appends, coded int64 }
+	logs := func() (l []logged) {
+		for _, name := range c.Nodes() {
+			st := storeOf(t, c.Node(name)).Stats()
+			l = append(l, logged{st.WALAppends, st.WALCoded})
+		}
+		return l
+	}
+	before := logs()
+	for i, k := range keys {
+		putAcked(t, c, acked, k, corpus.Records(int64(2000+i), 2<<10))
+	}
+	for i, now := range logs() {
+		if now.appends-before[i].appends != int64(len(keys)) || now.coded != before[i].coded {
+			t.Fatalf("node %d: %d records for %d puts, %d coded by the replica; want one each and none",
+				i, now.appends-before[i].appends, len(keys), now.coded-before[i].coded)
+		}
+	}
 }

@@ -80,7 +80,8 @@ func crashOpts(p Persister) []Option {
 }
 
 // checkNoOrphans: the persister holds exactly the tables the DB's levels
-// name, plus the manifest, plus the store dictionary when the DB has one.
+// name, plus the manifest, plus the store dictionary when the DB has one,
+// plus its WAL dictionaries.
 func checkNoOrphans(t *testing.T, what string, db *DB, p Persister) {
 	t.Helper()
 	names, err := p.ListBlobs()
@@ -98,6 +99,9 @@ func checkNoOrphans(t *testing.T, what string, db *DB, p Persister) {
 	}
 	if db.dict != nil {
 		want = append(want, dictName)
+	}
+	for id := range db.walDicts {
+		want = append(want, walDictName(id))
 	}
 	slices.Sort(names)
 	slices.Sort(want)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/datacomp/datacomp/internal/faultinject"
+	"github.com/datacomp/datacomp/internal/zstd"
 )
 
 // dump collects the DB's full live state for equivalence checks.
@@ -203,7 +204,7 @@ func TestMemPersisterChunks(t *testing.T) {
 		}
 		payload := make([]byte, size)
 		rng.Read(payload)
-		rec := appendWALRecord(nil, uint64(len(recs)+1), payload)
+		rec := appendWALRecord(nil, uint64(len(recs)+1), 0, payload)
 		recs = append(recs, rec)
 		n += len(rec)
 		bounds = append(bounds, n)
@@ -594,8 +595,13 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x00, 0xff})
 	// Each origin of a record, whole and torn: the store's own coding, a
-	// kept link coding, and the v1 format.
-	for i := 0; i < 3; i++ {
+	// kept link coding, the v1 format, and a kept coding against a WAL
+	// dictionary, which every fuzzed store holds.
+	wd := testWALDict(f, 1)
+	if err := db.AddWALDict(wd); err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
 		key, value := []byte(fmt.Sprintf("o%d", i)), bytes.Repeat([]byte("origin "), 20+i)
 		body := putBody(key, value)
 		var err error
@@ -606,6 +612,8 @@ func FuzzWALReplay(f *testing.F) {
 			err = db.ApplyCoded(tctx, body, "lz4", linkCoding(f, body))
 		case 2:
 			err = p.AppendWAL(appendV1Record(f, nil, db.Seq()+1, body))
+		case 3:
+			err = db.ApplyCoded(tctx, body, "zstd", dictCoding(f, wd, body))
 		}
 		if err != nil {
 			f.Fatal(err)
@@ -619,6 +627,9 @@ func FuzzWALReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, wal []byte) {
 		p := NewMemPersister()
 		if err := p.AppendWAL(wal); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.PutBlob(walDictName(zstd.DictID(wd)), encodeDict(wd)); err != nil {
 			t.Fatal(err)
 		}
 		db, err := Open(tctx, "", WithPersister(p))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"strings"
 
 	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/dict"
@@ -34,6 +35,14 @@ import (
 //	"KVD1" | dictionary | 8-byte LE XXH64 of everything before it
 //
 // A store whose dictionary predates the tables keeps its content-only one.
+//
+// WAL dictionaries are a store's others: zstd dictionaries its WAL records
+// may be coded against, given to it by whoever sends it coded batches
+// (DB.AddWALDict; a cluster's coordinator codes its puts against one). Each
+// is persisted, in the same framing, as its own blob walDictName(id) before
+// AddWALDict returns, so it is durable before any record names it; Open
+// loads every one before it replays the log, and a store keeps them for
+// life.
 const (
 	dictBytes       = 2 << 10  // the dictionary content's size bound
 	dictSampleBytes = 64 << 10 // memtable values the content is trained on, at most
@@ -138,11 +147,10 @@ func (db *DB) loadDictLocked(id uint32) error {
 	if err != nil {
 		return err
 	}
-	n := len(blob) - 8
-	if n < len(dictMagic) || [4]byte(blob[:4]) != dictMagic || xxhash.Sum64(blob[:n]) != binary.LittleEndian.Uint64(blob[n:]) {
-		return fmt.Errorf("%w: %s magic or checksum", ErrCorrupt, dictName)
+	d, err := decodeDict(dictName, blob)
+	if err != nil {
+		return err
 	}
-	d := blob[len(dictMagic):n:n]
 	if got := zstd.DictID(d); got != id {
 		return fmt.Errorf("%w: %s holds dictionary %08x, the manifest names %08x", ErrCorrupt, dictName, got, id)
 	}
@@ -150,9 +158,133 @@ func (db *DB) loadDictLocked(id uint32) error {
 	return db.useDictLocked(d)
 }
 
-// encodeDict frames d as the store.dict blob.
+// decodeDict returns the dictionary blob name holds, verified against its
+// magic and checksum. It aliases blob.
+func decodeDict(name string, blob []byte) ([]byte, error) {
+	n := len(blob) - 8
+	if n < len(dictMagic) || [4]byte(blob[:4]) != dictMagic || xxhash.Sum64(blob[:n]) != binary.LittleEndian.Uint64(blob[n:]) {
+		return nil, fmt.Errorf("%w: %s magic or checksum", ErrCorrupt, name)
+	}
+	return blob[len(dictMagic):n:n], nil
+}
+
+// encodeDict frames d as a dictionary blob (store.dict, a WAL dictionary's).
 func encodeDict(d []byte) []byte {
 	b := make([]byte, 0, len(dictMagic)+len(d)+8)
 	b = append(append(b, dictMagic[:]...), d...)
 	return binary.LittleEndian.AppendUint64(b, xxhash.Sum64(b))
+}
+
+// walDict is a WAL dictionary and the engine replay decodes its records
+// with, built on first use.
+type walDict struct {
+	bytes []byte
+	eng   codec.Engine
+}
+
+// walDictPrefix and walDictSuffix frame a WAL dictionary's blob name.
+const (
+	walDictPrefix = "wal-"
+	walDictSuffix = ".dict"
+)
+
+// walDictName is the blob a WAL dictionary is persisted as.
+func walDictName(id uint32) string { return fmt.Sprintf("%s%08x%s", walDictPrefix, id, walDictSuffix) }
+
+// AddWALDict gives the store d, a zstd dictionary, for its WAL: once it
+// returns nil, d is durable and ApplyCoded keeps a body's zstd coding
+// against d as it arrived (the record names d by its zstd.DictID) rather
+// than coding the body again, and WALDict returns d. Adding a dictionary
+// the store holds already is a no-op. The store keeps a copy of d.
+func (db *DB) AddWALDict(d []byte) error {
+	id := zstd.DictID(d)
+	if id == 0 {
+		return errors.New("kvstore: empty WAL dictionary")
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.closed {
+		return ErrClosed
+	}
+	if db.walDicts[id] != nil {
+		return nil
+	}
+	if db.persister == nil {
+		return errors.New("kvstore: a store without a WAL takes no WAL dictionary")
+	}
+	d = bytes.Clone(d)
+	if err := db.persister.PutBlob(walDictName(id), encodeDict(d)); err != nil {
+		return err
+	}
+	if db.walDicts == nil {
+		db.walDicts = make(map[uint32]*walDict)
+	}
+	db.walDicts[id] = &walDict{bytes: d}
+	return nil
+}
+
+// WALDict returns the WAL dictionary with id, or nil when the store holds
+// none. The bytes are the store's: callers must not modify them.
+func (db *DB) WALDict(id uint32) []byte {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if d := db.walDicts[id]; d != nil {
+		return d.bytes
+	}
+	return nil
+}
+
+// loadWALDictsLocked loads every WAL dictionary among the blobs names,
+// each verified against its checksum and its name's id. A corrupt or
+// mismatched blob is ErrCorrupt: records may name it.
+func (db *DB) loadWALDictsLocked(names []string) error {
+	for _, name := range names {
+		if !strings.HasPrefix(name, walDictPrefix) || !strings.HasSuffix(name, walDictSuffix) {
+			continue
+		}
+		blob, err := db.persister.GetBlob(name)
+		if err != nil {
+			return err
+		}
+		d, err := decodeDict(name, blob)
+		if err != nil {
+			return err
+		}
+		id := zstd.DictID(d)
+		if walDictName(id) != name {
+			return fmt.Errorf("%w: %s holds dictionary %08x", ErrCorrupt, name, id)
+		}
+		if db.walDicts == nil {
+			db.walDicts = make(map[uint32]*walDict)
+		}
+		db.walDicts[id] = &walDict{bytes: d}
+	}
+	return nil
+}
+
+// walDictEngineLocked is the engine replay decodes records against WAL
+// dictionary id with.
+func (db *DB) walDictEngineLocked(id uint32) (codec.Engine, error) {
+	d := db.walDicts[id]
+	if d == nil {
+		return nil, fmt.Errorf("%w: %08x", errWALDictMissing, id)
+	}
+	if d.eng == nil {
+		eng, err := codec.NewEngine("zstd", codec.WithDict(d.bytes))
+		if err != nil {
+			return nil, err
+		}
+		d.eng = eng
+	}
+	return d.eng, nil
+}
+
+// zstdFrameDict is the dictionary a zstd frame names, 0 for none or for
+// bytes that are no frame.
+func zstdFrameDict(frame []byte) uint32 {
+	id, named, err := zstd.FrameDictID(frame)
+	if err != nil || !named {
+		return 0
+	}
+	return id
 }

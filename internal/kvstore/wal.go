@@ -26,14 +26,25 @@ import (
 //	0x00 | uvarint seq | uvarint codingLen | coding |
 //	8-byte LE XXH64 of everything before it
 //
+// or, in the dictionary form, as zstd codes it against a WAL dictionary the
+// record names by its zstd.DictID:
+//
+//	0x01 | uvarint seq | uvarint dictID | uvarint codingLen | coding |
+//	8-byte LE XXH64 of everything before it
+//
 // The coding is the same bytes whoever made it: the store codes a body
-// itself, or keeps the coding it arrived in when the sender coded it with
-// the WAL codec (DB.ApplyCoded; a replicated put's kv.put request is a batch
-// body). Replay decodes every coding with the WAL engine. A v1 record, the
-// format before this one, is container-framed (uvarint compLen | uvarint
-// rawLen | XXH64 | compressed payload) and codes the sequence number inside
-// the payload, ahead of the body; its compLen is never 0, so the leading
-// zero byte tells the formats apart, and replay reads both.
+// itself with the WAL codec, or keeps the coding it arrived in when the
+// sender coded it with the WAL codec, or with zstd against a dictionary the
+// store holds for its log (DB.ApplyCoded, DB.AddWALDict; a replicated put's
+// kv.put request is a batch body). Replay decodes a coding with the WAL
+// engine, or with an engine for the dictionary its record names, which the
+// store persisted before it logged any record naming it (storedict.go). A
+// v1 record, the format before these, is container-framed (uvarint compLen
+// | uvarint rawLen | XXH64 | compressed payload) and codes the sequence
+// number inside the payload, ahead of the body; its compLen is never 0, and
+// never 1 (the payload holds a sequence number and a batch body, at least 5
+// bytes, which the WAL codec never codes to one), so the leading byte tells
+// the formats apart, and replay reads all three.
 //
 // Manifest: the one mutable blob, replaced atomically whenever the table
 // set changes:
@@ -207,8 +218,12 @@ var errPutBody = fmt.Errorf("%w: not a one-put batch body", ErrCorrupt)
 // uvarintLen is the length of x's uvarint encoding.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// walRecordMark opens every record of the current WAL format.
-const walRecordMark = 0x00
+// walRecordMark opens every record of the current WAL format, and
+// walDictRecordMark every record of its dictionary form.
+const (
+	walRecordMark     = 0x00
+	walDictRecordMark = 0x01
+)
 
 // maxWALCoding bounds a record's coding: a header claiming more is garbage.
 // A body is at most container.MaxBlockSize, and no codec doubles it.
@@ -217,26 +232,37 @@ const maxWALCoding = 2 * container.MaxBlockSize
 var (
 	errWALRecord    = fmt.Errorf("%w: WAL record torn or malformed", ErrCorrupt)
 	errWALRecordSum = fmt.Errorf("%w: WAL record checksum mismatch", ErrCorrupt)
+	// errWALDictMissing fails a verified record that names a dictionary the
+	// store does not hold.
+	errWALDictMissing = fmt.Errorf("%w: WAL record names a dictionary the store does not hold", ErrCorrupt)
 )
 
 // appendWALRecord frames seq and coding, a batch body as the WAL codec
-// coded it, as one record.
-func appendWALRecord(dst []byte, seq uint64, coding []byte) []byte {
+// coded it (dictID 0) or as zstd coded it against WAL dictionary dictID, as
+// one record.
+func appendWALRecord(dst []byte, seq uint64, dictID uint32, coding []byte) []byte {
 	start := len(dst)
-	dst = binary.AppendUvarint(append(dst, walRecordMark), seq)
+	if dictID == 0 {
+		dst = binary.AppendUvarint(append(dst, walRecordMark), seq)
+	} else {
+		dst = binary.AppendUvarint(binary.AppendUvarint(append(dst, walDictRecordMark), seq), uint64(dictID))
+	}
 	dst = append(binary.AppendUvarint(dst, uint64(len(coding))), coding...)
 	return binary.LittleEndian.AppendUint64(dst, xxhash.Sum64(dst[start:]))
 }
 
 // walRecordBounds returns the length of the record at the start of b, of
-// either format. Any error means no whole record starts there: the log's
-// clean end (io.EOF), a torn tail or garbage.
+// any format. Any error means no whole record starts there: the log's clean
+// end (io.EOF), a torn tail or garbage.
 func walRecordBounds(b []byte) (int, error) {
-	if len(b) == 0 || b[0] != walRecordMark {
+	if len(b) == 0 || b[0] != walRecordMark && b[0] != walDictRecordMark {
 		return container.RecordBounds(b)
 	}
 	r := metaReader{b: b[1:]}
 	r.uvarint() // seq
+	if b[0] == walDictRecordMark {
+		r.uvarint() // dictID
+	}
 	n := r.uvarint()
 	if r.bad || n == 0 || n > maxWALCoding || uint64(len(r.b)) < n+8 {
 		return 0, errWALRecord
@@ -245,11 +271,12 @@ func walRecordBounds(b []byte) (int, error) {
 }
 
 // decodeWALRecord verifies rec, one record as walRecordBounds cut it, and
-// decodes its coding with eng, the WAL engine, onto dst. out is dst
-// extended, for the caller to reuse; body is the batch body within it.
-func decodeWALRecord(dst []byte, eng codec.Engine, rec []byte) (out []byte, seq uint64, body []byte, err error) {
+// decodes its coding onto dst with eng, the WAL engine, or with the engine
+// dicts returns for the dictionary a dictionary-form record names. out is
+// dst extended, for the caller to reuse; body is the batch body within it.
+func decodeWALRecord(dst []byte, eng codec.Engine, dicts func(id uint32) (codec.Engine, error), rec []byte) (out []byte, seq uint64, body []byte, err error) {
 	base := len(dst)
-	if rec[0] != walRecordMark {
+	if rec[0] != walRecordMark && rec[0] != walDictRecordMark {
 		// v1: the sequence number leads the coded payload.
 		if out, _, err = container.DecodeRecord(dst, eng, rec); err != nil {
 			return dst, 0, nil, err
@@ -262,13 +289,22 @@ func decodeWALRecord(dst []byte, eng codec.Engine, rec []byte) (out []byte, seq 
 	}
 	r := metaReader{b: rec[1:]}
 	seq = r.uvarint()
+	var dictID uint64
+	if rec[0] == walDictRecordMark {
+		dictID = r.uvarint()
+	}
 	coding := r.bytes()
 	end := len(rec) - len(r.b)
-	if r.bad || len(r.b) != 8 {
+	if r.bad || len(r.b) != 8 || dictID > math.MaxUint32 || rec[0] == walDictRecordMark && dictID == 0 {
 		return dst, 0, nil, errWALRecord
 	}
 	if xxhash.Sum64(rec[:end]) != binary.LittleEndian.Uint64(r.b) {
 		return dst, 0, nil, errWALRecordSum
+	}
+	if dictID != 0 {
+		if eng, err = dicts(uint32(dictID)); err != nil {
+			return dst, 0, nil, err
+		}
 	}
 	if out, err = eng.Decompress(dst, coding); err != nil {
 		return dst, 0, nil, err

@@ -135,7 +135,7 @@ func TestWALRecordNoLarger(t *testing.T) {
 				t.Errorf("seq %d, %d B value %d: store-coded record %d B, v1 record %d B", seq, len(v), i, len(stored), len(v1))
 			}
 			// Same bytes but the sequence number, one higher.
-			if want := appendWALRecord(nil, seq+1, linkCoding(t, body)); !bytes.Equal(linked, want) ||
+			if want := appendWALRecord(nil, seq+1, 0, linkCoding(t, body)); !bytes.Equal(linked, want) ||
 				!bytes.Equal(linkCoding(t, body), db.walComp) {
 				t.Errorf("seq %d, value %d: the link-coded record is not the store-coded one's coding", seq, i)
 			}

@@ -195,11 +195,19 @@ type Matcher struct {
 	// Precomputed hashWord shifts for p.MinMatch and p.HashLog.
 	hashPre  uint8
 	hashPost uint8
-	// dict and dictHead are the dictionary SetDict gave a Fast matcher and
-	// its one-time table: for each bucket, 1 + the last dictionary position
-	// whose 8-byte hash window lies wholly inside the dictionary (0: none).
-	dict     []byte
-	dictHead []int32
+	// dict and dictSeeds are the dictionary SetDict gave a Fast matcher and
+	// its one-time index: for each bucket some position hashed to, the last
+	// dictionary position whose 8-byte hash window lies wholly inside the
+	// dictionary and hashes there — what indexing the whole dictionary
+	// leaves in the table.
+	dict      []byte
+	dictSeeds []dictSeed
+}
+
+// dictSeed is one bucket's entry of a dictionary's index.
+type dictSeed struct {
+	h   uint32
+	pos int32
 }
 
 // NewMatcher allocates a match finder for the given parameters.
@@ -228,30 +236,55 @@ func (m *Matcher) Params() Params { return m.p }
 // history on every call; chain strategies keep indexing per call. The
 // matcher keeps d, which must not change while it is set.
 func (m *Matcher) SetDict(d []byte) {
-	m.dict, m.dictHead = d, nil
+	m.dict, m.dictSeeds = d, nil
 	if m.p.Strategy != Fast || len(d) < 8 {
 		return
 	}
-	m.dictHead = make([]int32, 1<<m.p.HashLog)
+	last := make([]int32, 1<<m.p.HashLog) // 1 + a bucket's last position, 0: none
 	pre, post := uint(m.hashPre), uint(m.hashPost)
 	for j := 0; j+8 <= len(d); j++ {
-		m.dictHead[hashWord(binary.LittleEndian.Uint64(d[j:]), pre, post)] = int32(j + 1)
+		last[hashWord(binary.LittleEndian.Uint64(d[j:]), pre, post)] = int32(j + 1)
+	}
+	m.dictSeeds = []dictSeed{}
+	for h, v := range last {
+		if v != 0 {
+			m.dictSeeds = append(m.dictSeeds, dictSeed{h: uint32(h), pos: v - 1})
+		}
 	}
 }
 
 // ParseDict is Parse for an src whose first start bytes are the last start
 // bytes of the dictionary SetDict gave, and returns exactly what Parse
-// returns. A Fast matcher looks the history up in the dictionary's table
-// instead of hashing it, so a small src does not pay to index the whole
-// dictionary on every call.
+// returns. A Fast matcher seeds its table from the dictionary's index —
+// one store per bucket the dictionary hashed to, each entry what indexing
+// the whole history would have left there, since a later position always
+// overwrites an earlier one — and hashes only the history's last 7
+// positions, whose hash windows reach into src[start:]. So a small src does
+// not pay to index the whole dictionary on every call.
 func (m *Matcher) ParseDict(dst []Sequence, src []byte, start int) []Sequence {
-	if m.dictHead == nil || start > len(m.dict) || start >= len(src) {
+	if m.dictSeeds == nil || start > len(m.dict) || start >= len(src) {
 		return m.Parse(dst, src, start)
 	}
 	m.resetEpoch(len(src))
-	dst = m.parseFast(dst, src, start, len(m.dict)-start)
+	// Dictionary position j is src position j-doff; one before the history
+	// lands below base, where a lookup reads it as no candidate.
+	at := m.base - int32(len(m.dict)-start)
+	head := m.head
+	for _, sd := range m.dictSeeds {
+		head[sd.h] = at + sd.pos
+	}
+	dst = m.fast(dst, src, start, max(0, start-7))
 	m.base += int32(len(src))
 	return dst
+}
+
+// fast is the Fast parse of src[start:] with src[first:start] indexed as
+// history: one loop for formats with repeat offsets, one for those without.
+func (m *Matcher) fast(dst []Sequence, src []byte, start, first int) []Sequence {
+	if m.p.RepeatOffsets {
+		return m.parseFastRep(dst, src, start, first)
+	}
+	return m.parseFast(dst, src, start, first)
 }
 
 // resetEpoch takes the one real table clear when a parse of n bytes would
@@ -281,7 +314,7 @@ func (m *Matcher) Parse(dst []Sequence, src []byte, start int) []Sequence {
 	m.resetEpoch(len(src))
 	switch m.p.Strategy {
 	case Fast:
-		dst = m.parseFast(dst, src, start, -1)
+		dst = m.fast(dst, src, start, 0)
 	case Optimal:
 		dst = m.parseOptimal(dst, src, start)
 	default:
@@ -291,21 +324,14 @@ func (m *Matcher) Parse(dst []Sequence, src []byte, start int) []Sequence {
 	return dst
 }
 
-// parseFast is the Fast parse. doff < 0 indexes the history src[:start]
-// into the main table. doff ≥ 0 says the history is the dictionary from
-// position doff on: only its last 7 positions, whose hash windows reach
-// into src[start:], are hashed, and a bucket holding no entry from this
-// parse falls back to the dictionary's table — the entry indexing the
-// whole history would have left there, since a later position always
-// overwrites an earlier one. A repeat offset reads src itself, whose
-// history is the same bytes either way.
-func (m *Matcher) parseFast(dst []Sequence, src []byte, start, doff int) []Sequence {
+// parseFast is the Fast parse for a format without repeat offsets (LZ4,
+// DEFLATE): greedy, with skip acceleration over misses. It indexes the
+// history src[first:start] into the main table first, so matches may reach
+// into it.
+func (m *Matcher) parseFast(dst []Sequence, src []byte, start, first int) []Sequence {
 	minMatch := m.p.MinMatch
 	window := 1 << m.p.WindowLog
-	step := m.p.SkipStep
-	if step < 1 {
-		step = 1
-	}
+	step := max(m.p.SkipStep, 1)
 	end := len(src)
 	// The SWAR kernels load 8 bytes at every hashed position, so indexing
 	// stops at len-8; the final tail stays literal (LZ4's own end-of-block
@@ -320,20 +346,10 @@ func (m *Matcher) parseFast(dst []Sequence, src []byte, start, doff int) []Seque
 	if minMatch == 3 {
 		qmask = 0x00ffffff
 	}
-	// Index history so matches can reach into it.
-	var dictHead []int32
-	first := 0
-	if doff >= 0 {
-		dictHead = m.dictHead
-		first = max(0, start-7)
-	}
 	for i := first; i < start && i <= hashEnd; i++ {
 		head[hashWord(binary.LittleEndian.Uint64(src[i:]), pre, post)] = base + int32(i)
 	}
 
-	// rep is the offset of the last match (0: none yet, or a format with no
-	// repeat offsets).
-	rep, repeats := 0, m.p.RepeatOffsets
 	litStart := start
 	i := start
 	// Branch-reduced skip acceleration: sw counts misses in its low bits and
@@ -343,15 +359,81 @@ func (m *Matcher) parseFast(dst []Sequence, src []byte, start, doff int) []Seque
 	for i <= hashEnd {
 		x := binary.LittleEndian.Uint64(src[i:])
 		h := hashWord(x, pre, post)
-		v := head[h]
-		cand := int(v - base)
-		if v < base && dictHead != nil {
-			cand = int(dictHead[h]) - 1 - doff
+		cand := int(head[h] - base)
+		head[h] = base + int32(i)
+		if cand < 0 || i-cand > window ||
+			(uint32(x)^binary.LittleEndian.Uint32(src[cand:]))&qmask != 0 {
+			i += int(sw >> skipTrigger)
+			sw++
+			continue
 		}
+		ml := matchLen(src, cand, i, end)
+		if ml < minMatch {
+			i += int(sw >> skipTrigger)
+			sw++
+			continue
+		}
+		// Extend backwards into pending literals.
+		for i > litStart && cand > 0 && src[i-1] == src[cand-1] {
+			i--
+			cand--
+			ml++
+		}
+		if m.p.MaxMatch > 0 && ml > m.p.MaxMatch {
+			ml = m.p.MaxMatch
+		}
+		dst = append(dst, Sequence{
+			LitLen:   uint32(i - litStart),
+			MatchLen: uint32(ml),
+			Offset:   uint32(i - cand),
+		})
+		i = seedMatch(head, src, i, ml, hashEnd, base, pre, post)
+		litStart = i
+		sw = uint32(step) << skipTrigger
+	}
+	if litStart < end {
+		dst = append(dst, Sequence{LitLen: uint32(end - litStart)})
+	}
+	return dst
+}
+
+// parseFastRep is the Fast parse for a format with repeat offsets (zstd),
+// parsing the way zstd's fast strategy does: before each lookup it probes
+// the last match's offset one byte ahead and takes a match there first,
+// and it checks the next position for a longer match before it takes a
+// short one. Otherwise it is parseFast.
+func (m *Matcher) parseFastRep(dst []Sequence, src []byte, start, first int) []Sequence {
+	minMatch := m.p.MinMatch
+	window := 1 << m.p.WindowLog
+	step := max(m.p.SkipStep, 1)
+	end := len(src)
+	hashEnd := end - 8
+	pre, post := uint(m.hashPre), uint(m.hashPost)
+	base := m.base
+	head := m.head
+	qmask := uint32(0xffffffff)
+	if minMatch == 3 {
+		qmask = 0x00ffffff
+	}
+	for i := first; i < start && i <= hashEnd; i++ {
+		head[hashWord(binary.LittleEndian.Uint64(src[i:]), pre, post)] = base + int32(i)
+	}
+
+	// rep is the offset of the last match (0: none yet). A repeat probe
+	// reads src itself, whose history is the dictionary's tail when there
+	// is one.
+	rep := 0
+	litStart := start
+	i := start
+	sw := uint32(step) << skipTrigger
+	for i <= hashEnd {
+		x := binary.LittleEndian.Uint64(src[i:])
+		h := hashWord(x, pre, post)
+		cand := int(head[h] - base)
 		head[h] = base + int32(i)
 		ml := 0
 		// A match at the last offset one byte on codes as a repeat: take
-		// it before the table's candidate, as zstd's fast strategy does.
+		// it before the table's candidate.
 		if rep > 0 {
 			if r := i + 1 - rep; r >= 0 && uint32(x>>8) == binary.LittleEndian.Uint32(src[r:]) {
 				i, cand = i+1, r
@@ -370,14 +452,10 @@ func (m *Matcher) parseFast(dst []Sequence, src []byte, start, doff int) []Seque
 				sw++
 				continue
 			}
-			if repeats && ml < lazyLen && i < hashEnd {
+			if ml < lazyLen && i < hashEnd {
 				// One step lazy: a longer match at i+1 is worth the literal.
 				h1 := hashWord(binary.LittleEndian.Uint64(src[i+1:]), pre, post)
-				v1 := head[h1]
-				c1 := int(v1 - base)
-				if v1 < base && dictHead != nil {
-					c1 = int(dictHead[h1]) - 1 - doff
-				}
+				c1 := int(head[h1] - base)
 				head[h1] = base + int32(i+1)
 				if c1 >= 0 && i+1-c1 <= window {
 					if ml1 := matchLen(src, c1, i+1, end); ml1 > ml {
@@ -400,37 +478,33 @@ func (m *Matcher) parseFast(dst []Sequence, src []byte, start, doff int) []Seque
 			MatchLen: uint32(ml),
 			Offset:   uint32(i - cand),
 		})
-		if repeats {
-			rep = i - cand
-		}
-		// Seed the matched span so later data still finds it: every
-		// skipped position up to seedCap, then midpoint and tail of
-		// anything longer.
-		next := i + ml
-		seedEnd := next
-		if seedEnd > i+1+seedCap {
-			seedEnd = i + 1 + seedCap
-		}
-		if seedEnd > hashEnd+1 {
-			seedEnd = hashEnd + 1
-		}
-		for k := i + 1; k < seedEnd; k++ {
-			head[hashWord(binary.LittleEndian.Uint64(src[k:]), pre, post)] = base + int32(k)
-		}
-		if mid := i + ml/2; mid <= hashEnd && mid >= seedEnd {
-			head[hashWord(binary.LittleEndian.Uint64(src[mid:]), pre, post)] = base + int32(mid)
-		}
-		if t := next - 1; t >= seedEnd && t <= hashEnd {
-			head[hashWord(binary.LittleEndian.Uint64(src[t:]), pre, post)] = base + int32(t)
-		}
-		i = next
-		litStart = next
+		rep = i - cand
+		i = seedMatch(head, src, i, ml, hashEnd, base, pre, post)
+		litStart = i
 		sw = uint32(step) << skipTrigger
 	}
 	if litStart < end {
 		dst = append(dst, Sequence{LitLen: uint32(end - litStart)})
 	}
 	return dst
+}
+
+// seedMatch indexes the match of ml bytes at i so later data still finds
+// it — every skipped position up to seedCap, then the midpoint and tail of
+// anything longer — and returns the position after it.
+func seedMatch(head []int32, src []byte, i, ml, hashEnd int, base int32, pre, post uint) int {
+	next := i + ml
+	seedEnd := min(next, i+1+seedCap, hashEnd+1)
+	for k := i + 1; k < seedEnd; k++ {
+		head[hashWord(binary.LittleEndian.Uint64(src[k:]), pre, post)] = base + int32(k)
+	}
+	if mid := i + ml/2; mid <= hashEnd && mid >= seedEnd {
+		head[hashWord(binary.LittleEndian.Uint64(src[mid:]), pre, post)] = base + int32(mid)
+	}
+	if t := next - 1; t >= seedEnd && t <= hashEnd {
+		head[hashWord(binary.LittleEndian.Uint64(src[t:]), pre, post)] = base + int32(t)
+	}
+	return next
 }
 
 // findBest walks the hash chain at position i and returns the best match.

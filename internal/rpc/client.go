@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -83,7 +84,7 @@ func NewClient(conn io.ReadWriter, comp Compression, opts ...ClientOption) (*Cli
 	if err != nil {
 		return nil, err
 	}
-	t.replies, t.resolve = true, c.resolve
+	t.replies, t.dicts = true, acceptAll(c.resolve)
 	t.stats = new(counters)
 	t.Coder.stats = t.stats
 	c.t = t
@@ -237,6 +238,9 @@ func (c *Client) exchange(ctx context.Context, dst []byte, body *Body, span trac
 	c.t.stats.calls.Add(1)
 	tmCalls.Inc()
 	if flags&flagError != 0 {
+		if flags&flagDict != 0 { // readFrame checked the payload is an ID
+			return nil, &UnknownDictError{ID: binary.LittleEndian.Uint32(resp[len(dst):]), Request: true}
+		}
 		return nil, &RemoteError{Msg: string(resp[len(dst):])}
 	}
 	return resp, nil

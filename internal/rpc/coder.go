@@ -24,17 +24,48 @@ type Coder struct {
 	buf   []byte       // coding scratch, which a compressed Body aliases
 	stats *counters    // the owning client's; nil for a server's or a standalone Coder
 
-	// dict is the dictionary engine last coded or decoded with (flagDict
-	// frames): built once per dictionary, not pooled.
-	dict struct {
-		id  uint32
-		eng codec.Engine
-	}
+	// The dictionary engines last coded with (enc) and decoded with (dec),
+	// flagDict frames: a transport codes against one dictionary and decodes
+	// against another (a server codes replies with its store's and decodes
+	// requests with its cluster's), so each direction keeps its own and a
+	// connection that serves both does not switch per frame.
+	enc, dec dictEngine
 }
 
-// Dict is a zstd dictionary a server codes a method's replies against, and
-// the level it codes them at. ID is zstd.DictID(Bytes); the zero Dict codes
-// nothing.
+// dictEngine is an engine for one dictionary, drawn from the shared pool
+// its configuration keys.
+type dictEngine struct {
+	id   uint32
+	eng  codec.Engine
+	pool *codec.Pool
+}
+
+// use makes e an engine for d, zstd at d's level in the checksum frame
+// flagDict payloads carry, unless it is one already.
+func (e *dictEngine) use(d Dict) error {
+	if e.eng != nil && e.id == d.ID {
+		return nil
+	}
+	pool, err := codec.SharedPool("zstd", codec.Options{Level: d.Level, Dict: d.Bytes, Checksum: true})
+	if err != nil {
+		return err
+	}
+	e.release()
+	e.id, e.eng, e.pool = d.ID, pool.Get(), pool
+	return nil
+}
+
+// release returns e's engine to its pool.
+func (e *dictEngine) release() {
+	if e.eng != nil {
+		e.pool.Put(e.eng)
+	}
+	*e = dictEngine{}
+}
+
+// Dict is a zstd dictionary a frame is coded against — a server's for a
+// method's replies, a caller's for its requests — and the level it codes
+// them at. ID is zstd.DictID(Bytes); the zero Dict codes nothing.
 type Dict struct {
 	Bytes []byte
 	ID    uint32
@@ -87,33 +118,32 @@ func (c *Coder) init(comp Compression) error {
 	return nil
 }
 
-// Close returns the Coder's engine to its pool and drops its dictionary
-// engine. Safe to call more than once.
+// Close returns the Coder's engines to their pools. Safe to call more than
+// once.
 func (c *Coder) Close() {
 	if c.pool != nil && c.eng != nil {
 		c.pool.Put(c.eng)
 		c.eng = nil
 		c.pool = nil
 	}
-	c.dict.id, c.dict.eng = 0, nil
-}
-
-// useDict builds the engine for d: zstd at d's level, in the checksum
-// frame flagDict payloads carry.
-func (c *Coder) useDict(d Dict) error {
-	eng, err := codec.NewEngine("zstd", codec.WithLevel(d.Level), codec.WithDict(d.Bytes), codec.WithChecksum(true))
-	if err != nil {
-		return err
-	}
-	c.dict.id, c.dict.eng = d.ID, eng
-	return nil
+	c.enc.release()
+	c.dec.release()
 }
 
 // Code codes payload for method. The coding's time counts once, in
 // rpc_compress_ns_total and an "rpc.compress" span under ctx's, however many
 // clients then send the Body.
 func (c *Coder) Code(ctx context.Context, method string, payload []byte) (Body, error) {
-	b, err := c.code(payload, trace.FromContext(ctx))
+	return c.CodeDict(ctx, method, payload, Dict{})
+}
+
+// CodeDict is Code with payload coded against d instead, as a flagDict
+// frame (zstd at d's level, in a checksum frame), when that is smaller: a
+// request the peer registered a dictionary resolver for
+// (Server.RegisterCodedDict), and which must then hold d. A zero Dict codes
+// as Code does; an uncompressed link codes nothing.
+func (c *Coder) CodeDict(ctx context.Context, method string, payload []byte, d Dict) (Body, error) {
+	b, err := c.codeDict(d, payload, trace.FromContext(ctx))
 	b.method = method
 	return b, err
 }
@@ -134,12 +164,10 @@ func (c *Coder) codeDict(d Dict, payload []byte, parent trace.SpanHandle) (Body,
 	}
 	eng, flag := c.eng, byte(flagCompressed)
 	if d.Bytes != nil {
-		if c.dict.eng == nil || c.dict.id != d.ID {
-			if err := c.useDict(d); err != nil {
-				return Body{}, err
-			}
+		if err := c.enc.use(d); err != nil {
+			return Body{}, err
 		}
-		eng, flag = c.dict.eng, flagDict
+		eng, flag = c.enc.eng, flagDict
 	}
 	sp := parent.Child("rpc.compress") // zero handle when untraced
 	t0 := time.Now()

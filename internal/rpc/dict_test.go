@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/corpus"
 	"github.com/datacomp/datacomp/internal/dict"
 	"github.com/datacomp/datacomp/internal/zstd"
@@ -164,8 +166,9 @@ func TestDictReplyUnknownKeepsClient(t *testing.T) {
 	}
 }
 
-// TestDictFlagOnlyOnReplies: flagDict on a request, or together with
-// flagCompressed, is corruption, and the server drops the connection.
+// TestDictFlagOnlyOnReplies: flagDict on a request for a method registered
+// without a dictionary resolver, or together with flagCompressed, is
+// corruption, and the server drops the connection.
 func TestDictFlagOnlyOnReplies(t *testing.T) {
 	for _, flags := range []byte{flagDict, flagDict | flagCompressed} {
 		frame := EncodeFrame(flags, "get", []byte("whatever"))
@@ -210,4 +213,152 @@ func TestDictReplyNeedsStaticCodec(t *testing.T) {
 	if n := serverSince(before, c).DictFrames; n != 0 {
 		t.Fatalf("%d dictionary frames, want 0", n)
 	}
+}
+
+// putServer serves "put", registered with a dictionary resolver, which
+// records each request and the coding it arrived in.
+type putServer struct {
+	mu    sync.Mutex
+	reqs  [][]byte
+	coded []Coded
+}
+
+func (p *putServer) serve(comp Compression, r *resolver) *Server {
+	s := NewServer(comp)
+	s.RegisterCodedDict("put", func(_ context.Context, req []byte, coded Coded) ([]byte, error) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		p.reqs = append(p.reqs, bytes.Clone(req))
+		p.coded = append(p.coded, Coded{Codec: coded.Codec, Data: bytes.Clone(coded.Data)})
+		return nil, nil
+	}, r.lookup)
+	return s
+}
+
+// TestDictRequestRoundTrip: a request CodeDict codes against a dictionary
+// travels as a flagDict frame, smaller than the link's lz4 codes it, to a
+// method registered with a resolver that holds the dictionary; the handler
+// gets the request and its coding, a zstd frame naming the dictionary that
+// a plain zstd engine with it decodes to the request. Each end counts the
+// frame once.
+func TestDictRequestRoundTrip(t *testing.T) {
+	comp := Compression{Codec: "lz4", Level: 1, Checksum: true}
+	ctx := context.Background()
+	d := trainedDict(t, 1)
+	d.Level = -3
+	var r resolver
+	r.add(d)
+	var ps putServer
+	c := dictClient(t, ps.serve(comp, &r), comp, &resolver{})
+	cd, err := NewCoder(comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cd.Close()
+	plain, err := codec.NewEngine("zstd", codec.WithDict(d.Bytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := counted()
+	var dictWire, lz4Wire int64
+	for i := 0; i < 8; i++ {
+		req := corpus.Records(int64(700+i), 1<<10)
+		for _, dd := range []Dict{d, {}} {
+			body, err := cd.CodeDict(ctx, "put", req, dd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := c.Stats().WireBytes
+			if _, err := c.AppendCallBody(ctx, nil, &body); err != nil {
+				t.Fatalf("put %d: %v", i, err)
+			}
+			if dd.Bytes != nil {
+				dictWire += c.Stats().WireBytes - w
+			} else {
+				lz4Wire += c.Stats().WireBytes - w
+			}
+		}
+		got, coded := ps.reqs[2*i], ps.coded[2*i]
+		if !bytes.Equal(got, req) || coded.Codec != "zstd" {
+			t.Fatalf("put %d: request differs or arrived as %q", i, coded.Codec)
+		}
+		if id, named, err := zstd.FrameDictID(coded.Data); err != nil || !named || id != d.ID {
+			t.Fatalf("put %d: coding names %08x (%v, %v), want %08x", i, id, named, err, d.ID)
+		}
+		if dec, err := plain.Decompress(nil, coded.Data); err != nil || !bytes.Equal(dec, req) {
+			t.Fatalf("put %d: the kept coding does not decode to the request: %v", i, err)
+		}
+		if ps.coded[2*i+1].Codec != "lz4" {
+			t.Fatalf("put %d without a dictionary arrived as %q", i, ps.coded[2*i+1].Codec)
+		}
+	}
+	if cs, ss := c.Stats(), serverSince(before, c); cs.DictFrames != 8 || ss.DictFrames != 8 {
+		t.Fatalf("client %d, server %d dictionary frames, want 8 each", cs.DictFrames, ss.DictFrames)
+	}
+	if dictWire >= lz4Wire*3/4 {
+		t.Fatalf("dictionary-coded requests took %d wire bytes, lz4 %d: want a quarter saved", dictWire, lz4Wire)
+	}
+}
+
+// TestDictRequestUnknownKeepsClient: a request coded against a dictionary
+// the server's resolver lacks fails that call alone with an
+// UnknownDictError whose Request is set, not ErrCorrupt, and the same
+// client succeeds once the server holds the dictionary. A method
+// registered without a resolver still refuses such a frame as corrupt.
+func TestDictRequestUnknownKeepsClient(t *testing.T) {
+	comp := Compression{Codec: "lz4", Level: 1, Checksum: true}
+	ctx := context.Background()
+	d := trainedDict(t, 1)
+	var r resolver
+	var ps putServer
+	c := dictClient(t, ps.serve(comp, &r), comp, &resolver{})
+	cd, err := NewCoder(comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cd.Close()
+	req := corpus.Records(77, 1<<10)
+	body, err := cd.CodeDict(ctx, "put", req, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.AppendCallBody(ctx, nil, &body)
+	var u *UnknownDictError
+	if !errors.As(err, &u) || u.ID != d.ID || !u.Request || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("unknown request dictionary: %v, want UnknownDictError{%08x, Request}", err, d.ID)
+	}
+	r.add(d)
+	if _, err := c.AppendCallBody(ctx, nil, &body); err != nil || len(ps.reqs) != 1 || !bytes.Equal(ps.reqs[0], req) {
+		t.Fatalf("after the server holds the dictionary: %v", err)
+	}
+
+	frame := encodeBody(t, "put", &body)
+	if _, _, _, err := ParseRequestFrame(frame, func(uint32) []byte { return nil }); !errors.As(err, &u) || !u.Request {
+		t.Fatalf("parsing a request naming an unknown dictionary: %v", err)
+	}
+	if _, _, got, err := ParseRequestFrame(frame, func(uint32) []byte { return d.Bytes }); err != nil || !bytes.Equal(got, req) {
+		t.Fatalf("parsing a dictionary-coded request: %v", err)
+	}
+	// A refusal is a reply only, and carries a 4-byte ID.
+	refusal := EncodeFrame(flagError|flagDict, "", []byte{1, 2, 3, 4})
+	if _, _, _, err := ParseRequestFrame(refusal, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a refusal as a request: %v, want ErrCorrupt", err)
+	}
+	if _, _, _, err := ParseReplyFrame(EncodeFrame(flagError|flagDict, "", []byte{1, 2, 3}), nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a refusal of 3 bytes: %v, want ErrCorrupt", err)
+	}
+	if flags, _, got, err := ParseReplyFrame(refusal, nil); err != nil || flags != flagError|flagDict || !bytes.Equal(got, []byte{1, 2, 3, 4}) {
+		t.Fatalf("a refusal as a reply: %#x %v %v", flags, got, err)
+	}
+}
+
+// encodeBody renders the request frame a client writes for b.
+func encodeBody(t *testing.T, method string, b *Body) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	tr := &transport{w: bufio.NewWriter(&buf)}
+	if err := tr.writeBody(0, []byte(method), b); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

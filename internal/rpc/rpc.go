@@ -69,17 +69,25 @@ var (
 	errHeader       = fmt.Errorf("%w: malformed frame header", ErrCorrupt)
 	errTruncated    = fmt.Errorf("%w: truncated frame", ErrCorrupt)
 	errSumMismatch  = fmt.Errorf("%w: frame checksum mismatch", ErrCorrupt)
-	errDictFlags    = fmt.Errorf("%w: dictionary flag on a request or with another coding", ErrCorrupt)
+	errDictFlags    = fmt.Errorf("%w: dictionary flag on a method that takes none, or with another coding", ErrCorrupt)
 	errDictFrame    = fmt.Errorf("%w: dictionary-coded payload names no dictionary", ErrCorrupt)
 )
 
-// UnknownDictError fails a call whose reply is coded against a dictionary
-// the client's resolver (WithDictResolver) does not hold. The whole frame
-// was read and verified, so the client stays usable: a caller that obtains
-// the dictionary can call again.
-type UnknownDictError struct{ ID uint32 }
+// UnknownDictError fails a call coded against a dictionary one end does not
+// hold: its reply, against one the client's resolver (WithDictResolver)
+// lacks, or, with Request set, its request, against one the server's
+// (Server.RegisterCodedDict) lacks. Either frame was read and verified
+// whole, so the connection stays usable: a caller that obtains the
+// dictionary, or gives it to the server, can call again.
+type UnknownDictError struct {
+	ID      uint32
+	Request bool
+}
 
 func (e *UnknownDictError) Error() string {
+	if e.Request {
+		return fmt.Sprintf("rpc: request coded against dictionary %08x, which the server does not hold", e.ID)
+	}
 	return fmt.Sprintf("rpc: reply coded against unknown dictionary %08x", e.ID)
 }
 
@@ -186,11 +194,17 @@ var (
 // misparsing it — enabling tracing requires both ends at this version
 // (DESIGN.md §9).
 //
-// flagDict marks a reply whose payload is a checksum-wrapped zstd frame
-// (codec.WithChecksum) coded against the dictionary its header names: the
-// server's own, which the client resolves by ID (Server.RegisterAppendDict,
-// WithDictResolver). It never rides with flagCompressed, and a request
-// carrying it is corrupt.
+// flagDict marks a payload that is a checksum-wrapped zstd frame
+// (codec.WithChecksum) coded against the dictionary its header names. On a
+// reply that is the server's own, which the client resolves by ID
+// (Server.RegisterAppendDict, WithDictResolver); on a request, one the
+// caller gave the server, which resolves it by ID for the methods
+// registered with a resolver (Server.RegisterCodedDict, Coder.CodeDict) —
+// on a request for any other method it is corrupt. It never rides with
+// flagCompressed. A reply flagged flagError|flagDict says the server does
+// not hold the request's dictionary: its payload is that dictionary's ID,
+// 4 bytes little-endian, uncoded, and the client returns it as an
+// UnknownDictError with Request set.
 const (
 	flagCompressed = 1 << 0
 	flagError      = 1 << 1
@@ -223,11 +237,13 @@ const readStep = 64 << 10
 // framing allocates nothing once those buffers are warm.
 type transport struct {
 	Coder
-	// replies says this end reads replies (a client's), which alone may be
-	// coded against a dictionary; resolve maps a dictionary ID to its bytes
-	// (nil: none known).
+	// replies says this end reads replies (a client's). dicts says which
+	// dictionaries a flagDict frame of a method may be coded against: ok
+	// false makes such a frame corrupt, and resolve maps a dictionary ID to
+	// its bytes (nil: unknown). A client's accepts every reply; a server's,
+	// the requests of the methods registered with a resolver.
 	replies bool
-	resolve func(id uint32) []byte
+	dicts   func(method []byte) (resolve func(id uint32) []byte, ok bool)
 
 	r       *bufio.Reader
 	w       *bufio.Writer
@@ -315,11 +331,14 @@ func (t *transport) writeBody(flags byte, method []byte, b *Body) error {
 	if _, err := t.w.Write(wire); err != nil {
 		return err
 	}
-	if t.stats != nil { // a client's, which sends no dictionary frames
+	if t.stats != nil { // a client's
 		t.stats.rawBytes.Add(int64(b.raw))
 		t.stats.wireBytes.Add(int64(len(wire)))
+		if b.flags&flagDict != 0 {
+			t.stats.dictFrames.Add(1)
+		}
 	}
-	if flags&flagDict != 0 {
+	if b.flags&flagDict != 0 {
 		tmDictFrames.Inc()
 	}
 	tmRawBytes.Add(int64(b.raw))
@@ -384,11 +403,11 @@ func (t *transport) readPayload(dst []byte, n int) ([]byte, error) {
 // readFrame receives one message, verifying the frame checksum and
 // decompressing as flagged, and appends its payload to dst: an uncompressed
 // payload is read straight into dst's tail, a coded one is read into the
-// transport's scratch and decoded onto dst. A reply coded against a
-// dictionary the client cannot resolve fails with UnknownDictError, marked
+// transport's scratch and decoded onto dst. A frame coded against a
+// dictionary this end cannot resolve fails with UnknownDictError, marked
 // aligned like every error found after the whole frame was read. payload is dst
 // extended; method aliases scratch valid until the next readFrame, and so
-// does coding, a compressed payload's verified wire bytes (nil for an
+// does coding, a coded payload's verified wire bytes (nil for an
 // uncompressed one). Stats count only the appended bytes.
 func (t *transport) readFrame(dst []byte) (flags byte, method, payload, coding []byte, err error) {
 	t.rsc = trace.SpanContext{}
@@ -400,8 +419,14 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload, coding [
 		return 0, nil, nil, nil, corruptFrame(errUnknownFlags)
 	}
 	dictCoded := flags&flagDict != 0
-	if dictCoded && (!t.replies || flags&flagCompressed != 0) {
+	// A reply saying the server lacks the request's dictionary carries its
+	// ID uncoded.
+	dictRefused := dictCoded && flags&flagError != 0
+	if dictCoded && (flags&flagCompressed != 0 || dictRefused && !t.replies) {
 		return 0, nil, nil, nil, corruptFrame(errDictFlags)
+	}
+	if dictRefused {
+		dictCoded = false
 	}
 	var trc []byte
 	if flags&flagTrace != 0 {
@@ -435,8 +460,18 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload, coding [
 	if err != nil {
 		return 0, nil, nil, nil, err
 	}
-	if plen > maxFrame {
+	if plen > maxFrame || dictRefused && plen != 4 {
 		return 0, nil, nil, nil, corruptFrame(errFrameLen)
+	}
+	var resolve func(id uint32) []byte
+	if dictCoded {
+		ok := false
+		if t.dicts != nil {
+			resolve, ok = t.dicts(mbuf)
+		}
+		if !ok {
+			return 0, nil, nil, nil, corruptFrame(errDictFlags)
+		}
 	}
 	sum := t.rsum[:]
 	if _, err := io.ReadFull(t.r, sum); err != nil {
@@ -475,7 +510,7 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload, coding [
 		var out []byte
 		var err error
 		if dictCoded {
-			out, err = t.decompressDict(dst, wire)
+			out, err = t.decompressDict(dst, wire, resolve)
 		} else {
 			out, err = t.eng.Decompress(dst, wire)
 		}
@@ -500,9 +535,8 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload, coding [
 				t.stats.dictFrames.Add(1)
 			}
 			tmDictFrames.Inc()
-		} else {
-			coding = wire
 		}
+		coding = wire
 	}
 	if t.stats != nil {
 		t.stats.rawBytes.Add(int64(len(dst) - base))
@@ -513,8 +547,8 @@ func (t *transport) readFrame(dst []byte) (flags byte, method, payload, coding [
 
 // decompressDict decodes a flagDict payload onto dst with an engine for the
 // dictionary its zstd header names: the one the transport last decoded
-// with, or else the one its resolver returns, whose ID must match.
-func (t *transport) decompressDict(dst, wire []byte) ([]byte, error) {
+// with, or else the one resolve returns, whose ID must match.
+func (t *transport) decompressDict(dst, wire []byte, resolve func(id uint32) []byte) ([]byte, error) {
 	inner, err := codec.ChecksumPayload(wire)
 	if err != nil {
 		return nil, err
@@ -526,32 +560,34 @@ func (t *transport) decompressDict(dst, wire []byte) ([]byte, error) {
 	if !named {
 		return nil, errDictFrame
 	}
-	if t.dict.eng == nil || t.dict.id != id {
+	if t.dec.eng == nil || t.dec.id != id {
 		var d []byte
-		if t.resolve != nil {
-			d = t.resolve(id)
+		if resolve != nil {
+			d = resolve(id)
 		}
 		if d == nil || zstd.DictID(d) != id {
-			return nil, &UnknownDictError{ID: id}
+			return nil, &UnknownDictError{ID: id, Request: !t.replies}
 		}
-		if err := t.useDict(Dict{Bytes: d, ID: id}); err != nil {
+		if err := t.dec.use(Dict{Bytes: d, ID: id}); err != nil {
 			return nil, err
 		}
 	}
-	return t.dict.eng.Decompress(dst, wire)
+	return t.dec.eng.Decompress(dst, wire)
 }
 
-// coded is a frame's coding, as readFrame returned it, as a handler may keep
-// it (Coded).
-func (t *transport) coded(coding []byte) Coded {
-	if coding == nil {
+// coded is a frame's coding, as readFrame returned it with its flags, as a
+// handler may keep it (Coded): a flagDict payload is a zstd frame in a
+// checksum frame whatever the link's Compression.
+func (t *transport) coded(flags byte, coding []byte) Coded {
+	switch {
+	case coding == nil:
 		return Coded{}
+	case flags&flagDict != 0:
+		return Coded{Codec: "zstd", Data: codec.StripChecksum(coding)}
+	case t.comp.Checksum:
+		coding = codec.StripChecksum(coding)
 	}
-	data := coding
-	if t.comp.Checksum {
-		data = codec.StripChecksum(data)
-	}
-	return Coded{Codec: t.comp.Codec, Data: data}
+	return Coded{Codec: t.comp.Codec, Data: coding}
 }
 
 // EncodeFrame renders one uncompressed frame to bytes — the writer half of
@@ -587,9 +623,26 @@ func ParseFrame(data []byte) (flags byte, method, payload []byte, err error) {
 // codec and dictionaries resolved by resolve — the parser half of the
 // flagDict format, exposed for fuzzing and tests.
 func ParseReplyFrame(data []byte, resolve func(id uint32) []byte) (flags byte, method, payload []byte, err error) {
-	t := &transport{r: bufio.NewReader(bytes.NewReader(data)), replies: true, resolve: resolve}
+	t := &transport{r: bufio.NewReader(bytes.NewReader(data)), replies: true, dicts: acceptAll(resolve)}
 	flags, method, payload, _, err = t.readFrame(nil)
 	return flags, method, payload, err
+}
+
+// ParseRequestFrame decodes one frame as a server reads a request, with no
+// link codec and the dictionaries of every method resolved by resolve — the
+// parser half of flagDict requests, exposed for fuzzing and tests. An error
+// a server answers in place of the call (an UnknownDictError) comes back as
+// it is.
+func ParseRequestFrame(data []byte, resolve func(id uint32) []byte) (flags byte, method, payload []byte, err error) {
+	t := &transport{r: bufio.NewReader(bytes.NewReader(data)), dicts: acceptAll(resolve)}
+	flags, method, payload, _, err = t.readFrame(nil)
+	return flags, method, payload, err
+}
+
+// acceptAll is a transport's dicts that takes flagDict frames of every
+// method, resolved by resolve.
+func acceptAll(resolve func(id uint32) []byte) func([]byte) (func(uint32) []byte, bool) {
+	return func([]byte) (func(uint32) []byte, bool) { return resolve, true }
 }
 
 // ParseFrameTrace is ParseFrame plus the frame's wire trace context (the

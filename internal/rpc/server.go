@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -43,7 +44,9 @@ type CodedHandlerFunc func(ctx context.Context, req []byte, coded Coded) ([]byte
 // Coded is the coding a request arrived in: Data is the frame's verified
 // codec payload, whose decoding is the request, as an engine of Codec built
 // without a checksum frame codes it (a link's checksum header, already
-// checked, is cut off). Data aliases the connection's read scratch and is
+// checked, is cut off). A request coded against a dictionary
+// (RegisterCodedDict) names codec "zstd", and Data is a zstd frame that
+// names its dictionary (zstd.FrameDictID). Data aliases the connection's read scratch and is
 // valid only until the handler returns, like the request. The zero Coded
 // means the request arrived uncoded: below MinSize, not smaller coded, or
 // over an uncompressed link.
@@ -77,7 +80,8 @@ type Server struct {
 type handler struct {
 	serve   func(ctx context.Context, dst, req []byte, coded Coded) ([]byte, error)
 	appends bool
-	dict    func() Dict // nil: replies are coded as the link codes them
+	dict    func() Dict            // nil: replies are coded as the link codes them
+	resolve func(id uint32) []byte // nil: a request coded against a dictionary is corrupt
 }
 
 // maxKeptBuffer bounds every buffer a connection keeps between frames: the
@@ -127,6 +131,26 @@ func (s *Server) RegisterCoded(method string, h CodedHandlerFunc) {
 	s.register(method, handler{serve: func(ctx context.Context, _, req []byte, coded Coded) ([]byte, error) { return h(ctx, req, coded) }})
 }
 
+// RegisterCodedDict installs the handler for method as RegisterCoded does,
+// and also takes its requests coded against a dictionary (flagDict,
+// Coder.CodeDict): resolve returns the bytes of the dictionary with a
+// zstd.DictID, or nil when the server holds none, and the call then fails
+// at the caller with an UnknownDictError whose Request is set, the
+// connection intact. resolve is asked once per dictionary a connection
+// switches to, and must be safe for concurrent use.
+func (s *Server) RegisterCodedDict(method string, h CodedHandlerFunc, resolve func(id uint32) []byte) {
+	s.register(method, handler{serve: func(ctx context.Context, _, req []byte, coded Coded) ([]byte, error) { return h(ctx, req, coded) }, resolve: resolve})
+}
+
+// requestDicts is a server transport's dicts: the resolver method was
+// registered with.
+func (s *Server) requestDicts(method []byte) (func(id uint32) []byte, bool) {
+	s.mu.RLock()
+	h := s.handlers[string(method)]
+	s.mu.RUnlock()
+	return h.resolve, h.resolve != nil
+}
+
 func (s *Server) register(method string, h handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -163,6 +187,7 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 		return err
 	}
 	defer t.release()
+	t.dicts = s.requestDicts
 	if ctx.Done() != nil {
 		// Unblock the serve loop when ctx ends: force past read AND write
 		// deadlines on net conns (a response flush can be mid-write into a
@@ -182,8 +207,14 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 	// of append-form handlers and holds error messages.
 	var reqBuf, reply []byte
 	for {
-		_, method, req, coding, err := t.readFrame(reqBuf[:0])
+		inFlags, method, req, coding, err := t.readFrame(reqBuf[:0])
 		if err != nil {
+			if id, ok := unknownRequestDict(err); ok {
+				// The frame was read whole: answer in place of the call.
+				if err = t.writeBody(flagError|flagDict, nil, &Body{raw: 4, wire: binary.LittleEndian.AppendUint32(reply[:0], id)}); err == nil {
+					continue
+				}
+			}
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
@@ -212,7 +243,7 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 		if !ok {
 			flags = flagError
 			resp = fmt.Appendf(reply[:0], "rpc: unknown method %q", method)
-		} else if resp, err = h.serve(hctx, reply[:0], req, t.coded(coding)); err != nil {
+		} else if resp, err = h.serve(hctx, reply[:0], req, t.coded(inFlags, coding)); err != nil {
 			flags = flagError
 			resp = append(reply[:0], err.Error()...)
 		} else {
@@ -241,4 +272,14 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 			return err
 		}
 	}
+}
+
+// unknownRequestDict reports the dictionary a request named that the server
+// does not hold. It is called on failed reads only: its target escapes.
+func unknownRequestDict(err error) (uint32, bool) {
+	var u *UnknownDictError
+	if errors.As(err, &u) && u.Request {
+		return u.ID, true
+	}
+	return 0, false
 }
