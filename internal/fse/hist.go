@@ -64,9 +64,38 @@ func (h *Histogram) ShannonEntropy() float64 {
 }
 
 // EstimateCompressedBits returns the entropy-ideal size in bits of coding the
-// histogram's data with an order-0 coder, excluding table headers.
+// histogram's data with an order-0 coder, excluding table headers:
+// n·log2(n) − Σ c·log2(c) over the counts c of its n symbols.
 func (h *Histogram) EstimateCompressedBits() float64 {
-	return h.ShannonEntropy() * float64(h.Total)
+	bits := NLog2N(h.Total)
+	for s := 0; s <= h.MaxSymbol; s++ {
+		if c := h.Counts[s]; c != 0 {
+			bits -= NLog2N(int(c))
+		}
+	}
+	return bits
+}
+
+// nlog2nSmall holds NLog2N for the counts short inputs have: an entropy
+// bound over a small block's few symbols would otherwise spend more on
+// logarithms than on counting.
+var nlog2nSmall = func() (t [256]float64) {
+	for n := 1; n < len(t); n++ {
+		t[n] = float64(n) * math.Log2(float64(n))
+	}
+	return t
+}()
+
+// NLog2N returns n·log2(n), 0 for n ≤ 0: what a symbol counted n times
+// takes off the entropy bound n'·log2(n') of the n' symbols it is among.
+func NLog2N(n int) float64 {
+	if uint(n) < uint(len(nlog2nSmall)) {
+		return nlog2nSmall[n]
+	}
+	if n < 0 {
+		return 0
+	}
+	return float64(n) * math.Log2(float64(n))
 }
 
 // MinTableLog and MaxTableLog bound the table sizes this package codes with.

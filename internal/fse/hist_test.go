@@ -218,3 +218,25 @@ func BenchmarkNormalize(b *testing.B) {
 		}
 	}
 }
+
+// TestEstimateCompressedBits: the entropy bound summed as n·log2(n) −
+// Σ c·log2(c) is the Shannon entropy times the symbol count, for counts
+// below and above NLog2N's table.
+func TestEstimateCompressedBits(t *testing.T) {
+	for _, n := range []int{2, 100, 255, 256, 4000, 70000} {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i*i%7 + i%3) // uneven counts over a few symbols
+		}
+		h := Count(data)
+		want := h.ShannonEntropy() * float64(h.Total)
+		if got := h.EstimateCompressedBits(); math.Abs(got-want) > 1e-9*want+1e-9 {
+			t.Fatalf("%d symbols: %v bits, want %v", n, got, want)
+		}
+	}
+	for _, n := range []int{0, 1, 2, 255, 256, 1000} {
+		if got, want := NLog2N(n), float64(n)*math.Log2(float64(n)); n > 0 && got != want || n == 0 && got != 0 {
+			t.Fatalf("NLog2N(%d) = %v, want %v", n, got, want)
+		}
+	}
+}

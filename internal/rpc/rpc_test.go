@@ -17,7 +17,9 @@ import (
 func pipePair(t *testing.T, s *Server, comp Compression) *Client {
 	t.Helper()
 	cc, sc := net.Pipe()
+	served := make(chan struct{})
 	go func() {
+		defer close(served)
 		_ = s.ServeConn(context.Background(), sc)
 		sc.Close()
 	}()
@@ -25,7 +27,13 @@ func pipePair(t *testing.T, s *Server, comp Compression) *Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cc.Close() })
+	// The server counts a reply after its last byte is read, so a call can
+	// return before the count lands: wait for the server to finish, so a
+	// test's counters never leak into the next one's.
+	t.Cleanup(func() {
+		cc.Close()
+		<-served
+	})
 	return c
 }
 

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/datacomp/datacomp/internal/bits"
 	"github.com/datacomp/datacomp/internal/corpus"
+	"github.com/datacomp/datacomp/internal/lz"
 )
 
 func compressible(seed int64, n int) []byte {
@@ -476,4 +478,43 @@ func TestLiteralRLEBlock(t *testing.T) {
 	src := append(bytes.Repeat([]byte{'z'}, 600), compressible(53, 40)...)
 	src = append(src, bytes.Repeat([]byte{'z'}, 600)...)
 	roundtrip(t, Options{Level: 1}, src)
+}
+
+// TestSequencesExtraBits: the sequence step writes the extra bits a
+// Writer64 writes field by field, also for a sequence whose three fields
+// are as wide as they get (a literal length of 64 KiB, a 30-bit offset and
+// a match length past 64 KiB) behind 0 to 7 bits a previous sequence left
+// uncarried — more than one 64-bit accumulator holds at once.
+func TestSequencesExtraBits(t *testing.T) {
+	e, err := NewEncoder(Options{Level: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint32(3); k <= 10; k++ {
+		e.seqs = []lz.Sequence{
+			{MatchLen: 3, Offset: 1 << k}, // k extra bits
+			{LitLen: 65536, MatchLen: 65539, Offset: 1<<30 + 12345},
+			{LitLen: 70000, MatchLen: 70000, Offset: 3<<28 + 7},
+			{LitLen: 5},
+		}
+		size := 0
+		for _, s := range e.seqs {
+			size += int(s.LitLen + s.MatchLen)
+		}
+		if err := e.sequences(make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+		var w bits.Writer64
+		reps := newRepState()
+		for _, s := range e.seqs[:3] {
+			lc, mc := llCode(s.LitLen), mlCode(s.MatchLen)
+			ofx, ofn := ofExtra(reps.encode(s.Offset))
+			w.WriteBits(uint64(llExtra(s.LitLen, lc)), uint(llExtraBits[lc]))
+			w.WriteBits(uint64(ofx), uint(ofn))
+			w.WriteBits(uint64(mlExtra(s.MatchLen, mc)), uint(mlExtraBits[mc]))
+		}
+		if got, want := e.extras.Flush(), w.Flush(); !bytes.Equal(got, want) {
+			t.Fatalf("%d bits left before the wide sequences: extra bits %x, want %x", k%8, got, want)
+		}
+	}
 }
