@@ -37,6 +37,9 @@ var (
 	cmPutCompared       = telemetry.Default.Counter("cluster_put_compared_total", "replica puts that read and compared the stored record first")
 	cmDictFetches       = telemetry.Default.Counter("cluster_dict_fetches_total", "kv.dict calls fetching a node's store dictionary for its kv.get replies")
 	cmDictInstalls      = telemetry.Default.Counter("cluster_dict_installs_total", "kv.install calls giving a node the cluster dictionary puts are coded against")
+	cmReplyHits         = telemetry.Default.Counter("cluster_reply_cache_hits_total", "kv.get replies sent as a node kept them coded: no store read, no coding")
+	cmReplyMisses       = telemetry.Default.Counter("cluster_reply_cache_misses_total", "kv.get calls a node's reply cache held no current coding for")
+	cmReplyBytes        = telemetry.Default.Gauge("cluster_reply_cache_bytes", "bytes the nodes' reply caches retain")
 )
 
 // ErrNoQuorum is returned when fewer replicas than the required quorum
@@ -234,6 +237,7 @@ func (c *Cluster) Close() error {
 		if err := n.Stop(); err != nil && first == nil {
 			first = err
 		}
+		n.replies.release()
 		delete(c.nodes, name)
 	}
 	for {
@@ -283,6 +287,7 @@ type op struct {
 	free  chan *op  // the cluster's ops, which release returns it to
 	reps  []replica // each slot's resp buffer survives release for the next op
 	names []string  // reps' node names, as the ring returned them
+	calls []func()  // calls[i] runs call(i): bound once per slot, so fanOut starts each goroutine without a closure
 	wg    sync.WaitGroup
 	buf   []byte // the request a write or read-repair frames; no call holds it once the call returns
 
@@ -314,6 +319,7 @@ func (c *Cluster) owners(key []byte) (*op, error) {
 	}
 	o.names = c.ring.AppendOwners(o.names[:0], key, replication)
 	o.reps = slices.Grow(o.reps, len(o.names))[:len(o.names)]
+	o.bind()
 	for i, name := range o.names {
 		r := &o.reps[i]
 		*r = replica{pool: c.clients[name], resp: r.resp[:0]}
@@ -353,10 +359,17 @@ func (o *op) fanOut(ctx context.Context, first, rest string, req []byte, body *r
 	o.ctx, o.method, o.req, o.body = ctx, rest, req, body
 	for i := 1; i < len(o.reps); i++ {
 		o.wg.Add(1)
-		go o.call(i)
+		go o.calls[i]()
 	}
 	o.reps[0].send(ctx, first, req, body)
 	o.wg.Wait()
+}
+
+// bind gives every replica slot its call.
+func (o *op) bind() {
+	for i := len(o.calls); i < len(o.reps); i++ {
+		o.calls = append(o.calls, func() { o.call(i) })
+	}
 }
 
 // call is one of fanOut's goroutines: it sends o's request to reps[i].

@@ -12,6 +12,7 @@ import (
 
 	"github.com/datacomp/datacomp/internal/kvstore"
 	"github.com/datacomp/datacomp/internal/rpc"
+	"github.com/datacomp/datacomp/internal/trace"
 	"github.com/datacomp/datacomp/internal/xxhash"
 	"github.com/datacomp/datacomp/internal/zstd"
 )
@@ -29,9 +30,11 @@ const (
 	MethodPut = "kv.put"
 	// MethodGet fetches the record for a key: request is the raw key,
 	// response is 0x00 (none) or 0x01 followed by the record. A reply of at
-	// least rpc.MinSize is coded against the node's store dictionary
-	// when the store has one (rpc.Server.RegisterAppendDict), and the
-	// coordinator fetches that dictionary with MethodDict.
+	// least rpc.MinSize is coded against the node's store dictionary when
+	// the store has one (rpc.Coder.CodeDict, rpc.Server.RegisterAppendBody),
+	// and the coordinator fetches that dictionary with MethodDict. The node
+	// keeps those codings and sends one again while it still stands for the
+	// stored record (Node.handleGet).
 	MethodGet = "kv.get"
 	// MethodDigest fetches only the record header for a key: request is the
 	// raw key, response is 0x00 (none) or 0x01 followed by the 17 header
@@ -183,6 +186,12 @@ type Node struct {
 	// can never interleave (e.g. concurrent Restarts double-opening the
 	// store over one persister).
 	lifeMu sync.Mutex
+
+	// replies keeps the kv.get replies the node coded against its store
+	// dictionary, across restarts: an entry is served only while it stands
+	// for the stored record (handleGet), which a restart's empty version
+	// table already denies.
+	replies replyCache
 }
 
 // maxTrackedVersions bounds Node.versions. A key outside the table costs one
@@ -215,7 +224,8 @@ func newNode(ctx context.Context, name string, comp rpc.Compression, opts ...Nod
 // start opens the store (recovering from the persister) and builds a fresh
 // rpc server. Callers hold no locks.
 func (n *Node) start(ctx context.Context) error {
-	storeOpts := append([]kvstore.Option{kvstore.WithWAL(kvstore.SyncAlways), kvstore.WithPersister(n.cfg.persister)}, n.cfg.storeOpts...)
+	storeOpts := append([]kvstore.Option{kvstore.WithWAL(kvstore.SyncAlways), kvstore.WithPersister(n.cfg.persister),
+		kvstore.WithBlockCacheEntries(nodeBlockCacheEntries)}, n.cfg.storeOpts...)
 	db, err := kvstore.Open(ctx, "", storeOpts...)
 	if err != nil {
 		return err
@@ -223,7 +233,7 @@ func (n *Node) start(ctx context.Context) error {
 	srv := rpc.NewServer(n.cfg.comp)
 	srv.RegisterCodedDict(MethodPut, n.handlePut, n.walDict)
 	srv.Register(MethodInstall, n.handleInstall)
-	srv.RegisterAppendDict(MethodGet, n.handleGet, n.replyDict)
+	srv.RegisterAppendBody(MethodGet, n.handleGet)
 	srv.RegisterAppend(MethodDigest, n.handleDigest)
 	srv.RegisterAppend(MethodDump, n.handleDump)
 	srv.Register(MethodDict, n.handleDict)
@@ -453,42 +463,77 @@ func (n *Node) drop(key []byte) {
 }
 
 // handleGet appends the stored record to dst (tombstones included — the
-// caller needs their versions for repair ordering). A record that fails its
+// caller needs their versions for repair ordering) and codes it, against
+// the store dictionary when the store has one. A record that fails its
 // checksum is returned as stored, for the caller to count and repair, and
 // leaves the version table so no digest vouches for it meanwhile.
-func (n *Node) handleGet(ctx context.Context, dst, req []byte) ([]byte, error) {
+//
+// A reply coded against the dictionary is kept (replyCache) when its record
+// is checksum-valid, not a tombstone, and the version table holds the key.
+// A later get of the key sends those bytes again — no store read, block
+// decode or coding — while the kept record header equals the key's entry in
+// the version table, which puts, drops and restarts keep equal to the
+// stored record's header as digests trust it, and the store's dictionary is
+// still the one the reply was coded against. The link's Compression is the
+// node's for life, so a kept reply always suits it.
+func (n *Node) handleGet(ctx context.Context, c *rpc.Coder, dst, req []byte) ([]byte, rpc.Body, error) {
 	if len(req) == 0 {
-		return nil, errBadRecord
+		return nil, rpc.Body{}, errBadRecord
 	}
 	db, err := n.store()
 	if err != nil {
-		return nil, err
+		return nil, rpc.Body{}, err
+	}
+	sd := db.Dict()
+	var hdr [recHeaderLen]byte
+	cached := sd.Bytes != nil
+	if cached {
+		hdr, cached = n.tracked(req)
+	}
+	if cached {
+		if resp, raw, ok := n.replies.appendHit(dst, req, &hdr, sd.ID); ok {
+			cmReplyHits.Inc()
+			trace.FromContext(ctx).SetStr("reply_cache", "hit")
+			return resp, c.DictBody(MethodGet, raw, resp[len(dst):]), nil
+		}
+		cmReplyMisses.Inc()
 	}
 	// The record is copied once, straight into the reply behind its 0x01.
 	resp, ok, err := db.AppendGet(ctx, append(dst, 0x01), req)
 	if err != nil {
-		return nil, err
+		return nil, rpc.Body{}, err
 	}
 	if !ok {
-		return append(dst, 0x00), nil
+		resp = append(dst, 0x00)
 	}
-	if _, valid := validRecord(resp[len(dst)+1:]); !valid {
+	rec := resp[len(dst)+1:]
+	valid := true
+	if ok {
+		_, valid = validRecord(rec)
+	}
+	if !valid {
 		n.putMu.Lock()
 		n.drop(req)
 		n.putMu.Unlock()
 	}
-	return resp, nil
+	b, err := c.CodeDict(ctx, MethodGet, resp[len(dst):], rpc.Dict{Bytes: sd.Bytes, ID: sd.ID, Level: sd.Level})
+	if err != nil {
+		return nil, rpc.Body{}, err
+	}
+	if coding := b.DictCoding(); coding != nil && cached && ok && valid && rec[8]&flagTombstone == 0 {
+		n.replies.fill(req, rec[:recHeaderLen], sd.ID, len(resp)-len(dst), coding)
+	}
+	return resp, b, nil
 }
 
-// replyDict is the dictionary kv.get replies are coded against: the store's,
-// at the store's level, or none.
-func (n *Node) replyDict() rpc.Dict {
-	db, err := n.store()
-	if err != nil {
-		return rpc.Dict{}
+// tracked returns the version table's entry for key, if it holds one.
+func (n *Node) tracked(key []byte) (hdr [recHeaderLen]byte, ok bool) {
+	n.putMu.Lock()
+	defer n.putMu.Unlock()
+	if e := n.versions[string(key)]; e != nil {
+		hdr, ok = *e, true
 	}
-	d := db.Dict()
-	return rpc.Dict{Bytes: d.Bytes, ID: d.ID, Level: d.Level}
+	return hdr, ok
 }
 
 // walDict resolves the cluster dictionary a kv.put request is coded

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/corpus"
 	"github.com/datacomp/datacomp/internal/kvstore"
 	"github.com/datacomp/datacomp/internal/rpc"
@@ -99,6 +100,32 @@ func tableLen(n *Node) int {
 // digestOf calls the digest handler directly.
 func digestOf(n *Node, key string) ([]byte, error) { return n.handleDigest(tctx, nil, []byte(key)) }
 
+// getOf calls the kv.get handler directly, with a Coder for the node's
+// links, and returns the reply a client decodes from the Body it returns.
+func getOf(n *Node, key string) ([]byte, error) {
+	cd, err := rpc.NewCoder(n.cfg.comp)
+	if err != nil {
+		return nil, err
+	}
+	defer cd.Close()
+	resp, b, err := n.handleGet(tctx, cd, nil, []byte(key))
+	if err != nil {
+		return nil, err
+	}
+	if coding := b.DictCoding(); coding != nil {
+		db, err := n.store()
+		if err != nil {
+			return nil, err
+		}
+		eng, err := codec.NewEngine("zstd", codec.WithDict(db.Dict().Bytes), codec.WithChecksum(true))
+		if err != nil {
+			return nil, err
+		}
+		return eng.Decompress(nil, coding)
+	}
+	return resp, nil
+}
+
 // TestNodePutModel drives one node with a seeded interleaving of fresh puts,
 // deletes, duplicates, stale versions, read-repair re-puts, digests, in-place
 // corruption, checkpoints, graceful restarts and crashes that lose the WAL
@@ -182,7 +209,7 @@ func TestNodePutModel(t *testing.T) {
 				}
 				n.putMu.Unlock()
 				for key, hdr := range table {
-					got, err := n.handleGet(tctx, nil, []byte(key))
+					got, err := getOf(n, key)
 					if err != nil || len(got) < 1+recHeaderLen || !bytes.Equal(got[1:1+recHeaderLen], hdr[:]) {
 						t.Fatalf("step %d (%s): %s tracked with header %x, get returns %x (%v)", step, op, key, hdr, got, err)
 					}
@@ -238,7 +265,7 @@ func TestNodePutModel(t *testing.T) {
 					// hand, or by the data read that finds the damage.
 					if rng.Intn(2) == 0 {
 						n.forget([]byte(key))
-					} else if got, err := n.handleGet(tctx, nil, []byte(key)); err != nil || !bytes.Equal(got[1:], model[key]) {
+					} else if got, err := getOf(n, key); err != nil || !bytes.Equal(got[1:], model[key]) {
 						t.Fatalf("step %d: get of corrupt %s = %x, %v", step, key, got, err)
 					}
 					if tracked(n, key) {
@@ -709,7 +736,7 @@ func TestFreshNodeBlindPuts(t *testing.T) {
 		if err := storeOf(t, n).Put(tctx, []byte("a"), bad); err != nil { // rot under the store
 			t.Fatal(err)
 		}
-		if got, err := n.handleGet(tctx, nil, []byte("a")); err != nil || !bytes.Equal(got[1:], bad) {
+		if got, err := getOf(n, "a"); err != nil || !bytes.Equal(got[1:], bad) {
 			t.Fatalf("get of the rotten record = %x, %v", got, err)
 		}
 		expect(t, n, "b", false)

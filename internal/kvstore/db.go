@@ -70,6 +70,13 @@ type Stats struct {
 	BlocksDecompressed int64
 	BlockCacheHits     int64
 
+	// BlockCacheBytes is what the block cache retains, at most: the
+	// reservations its buffers are cut from, made as tables land and
+	// within the cache's budget, and the buffers allocated outside them —
+	// for a block over twice the block size, or one that outgrew the
+	// buffer it was decoded into.
+	BlockCacheBytes int64
+
 	// BytesDecompressed counts uncompressed bytes produced by block
 	// decodes — the per-lookup decode cost the container's single-block
 	// point reads keep proportional to block size, not value count.
@@ -265,6 +272,7 @@ func (db *DB) recover(ctx context.Context) error {
 				db.levels[lvl] = append(db.levels[lvl], t)
 			}
 		}
+		db.reserveCacheLocked()
 	}
 	orphans := slices.DeleteFunc(names, func(name string) bool {
 		if name == dictName {
@@ -534,9 +542,6 @@ func (db *DB) AppendGet(ctx context.Context, dst, key []byte) ([]byte, bool, err
 		}
 		return append(dst, v...), true, nil
 	}
-	if c := db.cache; c != nil && len(c.m) < len(c.order) {
-		c.stored = db.tableBlocksLocked() // sizes the cache's next reservation
-	}
 	// L0: newest table wins.
 	for _, t := range db.levels[0] {
 		if bytes.Compare(key, t.smallest) < 0 || bytes.Compare(key, t.largest) > 0 {
@@ -613,7 +618,19 @@ func (db *DB) flushMemLocked(ctx context.Context) error {
 	db.dirty = true
 	db.stats.Flushes++
 	tmFlushes.Inc()
-	return db.maybeCompactLocked(ctx)
+	if err := db.maybeCompactLocked(ctx); err != nil {
+		return err
+	}
+	db.reserveCacheLocked()
+	return nil
+}
+
+// reserveCacheLocked grows the block cache's reservations to the blocks the
+// tables now hold (blockCache.reserve): tables landed. Callers hold db.mu.
+func (db *DB) reserveCacheLocked() {
+	if db.cache != nil {
+		db.cache.reserve(db.tableBlocksLocked())
+	}
 }
 
 // commitLocked is the checkpoint: it makes the in-memory table set the
@@ -1110,7 +1127,11 @@ func (db *DB) Scan(ctx context.Context, fn func(key, value []byte) bool) error {
 func (db *DB) Stats() Stats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.stats
+	s := db.stats
+	if db.cache != nil {
+		s.BlockCacheBytes = int64(db.cache.retained())
+	}
+	return s
 }
 
 // Seq reports the last acknowledged batch sequence number.

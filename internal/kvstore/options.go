@@ -98,7 +98,8 @@ func WithBaseLevelBytes(n int64) Option { return func(c *config) { c.baseLevelBy
 
 // WithBlockCacheEntries bounds the decoded-block cache in blocks (default
 // 4 MiB of decoded blocks: 4 MiB ÷ the block size, 512 at the default
-// 8 KiB; negative disables).
+// 8 KiB; negative disables). Each entry's buffer is one and a half block
+// sizes, reserved as tables land.
 func WithBlockCacheEntries(n int) Option { return func(c *config) { c.blockCacheEntries = n } }
 
 // WithSeed makes skiplist heights deterministic.

@@ -140,27 +140,24 @@ func TestRecycledCacheBoundUnderCompaction(t *testing.T) {
 	}
 }
 
-// TestRecycledFillReservation: a filling cache cuts its new buffers from one
-// reservation, so a cold get while it fills allocates only the value it
-// returns; the reservation covers the blocks the store holds, not the
-// cache's larger entry bound.
+// TestRecycledFillReservation: a filling cache cuts its new buffers from
+// the reservation the flush made, so a cold get while it fills — the first
+// one included — allocates only the value it returns; the reservation
+// covers the blocks the store holds, not the cache's larger entry bound.
 func TestRecycledFillReservation(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
 	db, tb := blockTable(t, 2000, 1<<12)
 	blocks := tb.numBlocks()
+	reserved := int(db.Stats().BlockCacheBytes)
+	if reserved == 0 || reserved > blocks*db.cache.bufSize() {
+		t.Fatalf("the flush reserved %d bytes for %d blocks of 1 KiB (entry bound %d)", reserved, blocks, 1<<12)
+	}
 	b := 0
 	get := func() {
 		getBlock(t, db, tb, b)
 		b++
-	}
-	get() // the first miss reserves
-	db.mu.Lock()
-	reserved := len(db.cache.spare) + cap(db.cache.m[[2]int64{tb.id, 0}])
-	db.mu.Unlock()
-	if reserved == 0 || reserved > blocks*2<<10 {
-		t.Fatalf("the first miss reserved %d bytes for %d blocks of 1 KiB (entry bound %d)", reserved, blocks, 1<<12)
 	}
 	if n := testing.AllocsPerRun(blocks-2, get); n > 1 {
 		t.Errorf("a Get missing a filling block cache: %v allocs/op, want at most the returned value's", n)
@@ -168,12 +165,80 @@ func TestRecycledFillReservation(t *testing.T) {
 	if hits := db.Stats().BlockCacheHits; hits != 0 {
 		t.Fatalf("%d of the gets hit the cache; each should read a new block", hits)
 	}
+	if got := int(db.Stats().BlockCacheBytes); got != reserved {
+		t.Errorf("the gets moved the cache's retained bytes from %d to %d", reserved, got)
+	}
 	checkCacheBound(t, db)
 }
 
+// TestRecycledFlushReserves: the block cache reserves where tables land —
+// at a flush, and at Open for the tables a store recovers — and never at a
+// read: a store that never flushes holds no reservation however it is
+// read, and the first block read after a flush allocates none. The
+// reservation stays within the cache's budget however large the store.
+func TestRecycledFlushReserves(t *testing.T) {
+	const entries = 16
+	p := NewMemPersister()
+	opts := []Option{WithPersister(p), WithBlockSize(1 << 10), WithMemtableBytes(1 << 30),
+		WithL0CompactionTrigger(100), WithBlockCacheEntries(entries)}
+	db, err := Open(tctx, "", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		mustPut(t, db, fmt.Sprintf("key-%06d", i), fmt.Sprintf("value-%06d-%048d", i, i))
+	}
+	for i := 0; i < 100; i++ {
+		if _, _, err := db.Get(tctx, []byte(fmt.Sprintf("key-%06d", i*17))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := db.Stats().BlockCacheBytes; got != 0 {
+		t.Fatalf("a store that never flushed retains %d block-cache bytes, want 0", got)
+	}
+	if err := db.Flush(tctx); err != nil {
+		t.Fatal(err)
+	}
+	budget := int64(entries * db.cache.bufSize())
+	if got := db.Stats().BlockCacheBytes; got == 0 || got > budget {
+		t.Fatalf("after the flush the cache retains %d bytes, want a reservation within the %d-byte budget", got, budget)
+	}
+	tb := db.levels[0][0]
+	// A scan decodes every block outside the cache: the engine's scratch
+	// is warm before the read measured below.
+	if err := db.Scan(tctx, func(k, v []byte) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	getBlock(t, db, tb, 0)
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= uint64(db.cache.bufSize()) {
+		t.Errorf("the first block read after the flush allocated %d bytes, want no reservation (%d-byte buffers)", d, db.cache.bufSize())
+	}
+	for b := 1; b < tb.numBlocks(); b++ {
+		getBlock(t, db, tb, b)
+	}
+	if got := db.Stats().BlockCacheBytes; got > budget {
+		t.Fatalf("after reading every block the cache retains %d bytes, over its %d-byte budget", got, budget)
+	}
+	checkCacheBound(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(tctx, "", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := reopened.Stats().BlockCacheBytes; got == 0 || got > budget {
+		t.Fatalf("a reopened store's cache retains %d bytes, want the recovered tables' reservation within %d", got, budget)
+	}
+}
+
 // TestRecycledFillOversizedBlock: a filling cache cuts its new buffers,
-// each with a quarter of slack, from a reservation of at most its budget
-// (entry bound × block size), and a block far above the block size — one
+// each of one and a half block sizes, from the reservation its flush made,
+// and a block far above the block size — one
 // 64 KiB value — gets one buffer of its own, outside the reservation: a
 // pass over every block of the table allocates near the budget plus that
 // block.
@@ -213,7 +278,11 @@ func TestRecycledFillOversizedBlock(t *testing.T) {
 	spare := func() int {
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		return len(db.cache.spare)
+		n := 0
+		for _, s := range db.cache.spare {
+			n += len(s)
+		}
+		return n
 	}
 
 	first := allocated(func() { getBlock(t, db, tb, 0) })
@@ -248,6 +317,16 @@ func TestRecycledFillOversizedBlock(t *testing.T) {
 	}
 	t.Logf("allocated: first get %d B, oversized block %d B, the other %d blocks %d B", first, oversized, tb.numBlocks()-2, rest)
 	checkCacheBound(t, db)
+	// The cache is full and the big block long evicted: reading it again
+	// evicts the oldest entry like any miss, and the bound holds.
+	if _, ok := db.cache.get(tb.id, bigBlock); ok {
+		t.Fatal("fixture: the big block is still cached")
+	}
+	getBlock(t, db, tb, bigBlock)
+	checkCacheBound(t, db)
+	if n := len(db.cache.m); n > entries {
+		t.Fatalf("the cache holds %d entries, bound %d", n, entries)
+	}
 }
 
 // spoilingEngine decodes blocks, then, when armed, overwrites the restart

@@ -598,6 +598,9 @@ func (t *sstable) loadBlock(bi int, stats *Stats, cache *blockCache) ([]byte, er
 		cache.release(buf)
 		return nil, err
 	}
+	if cap(entries) > cap(buf) { // the block outgrew a reused buffer
+		cache.own += cap(entries)
+	}
 	cache.put(t.id, bi, entries)
 	return entries, nil
 }
@@ -680,7 +683,8 @@ func (it *tableIterator) next() {
 // them — cached and free together — than its entry bound: a miss decodes
 // into a dropped table's buffer, or, once the cache is full, into the
 // buffer of the oldest entry, which it evicts first. While it fills, new
-// buffers are cut from a reservation of at most its budget (see reclaim).
+// buffers are cut from reservations the store makes as its tables land
+// (reserve), of at most its budget together, so a read allocates none.
 type blockCache struct {
 	m     map[[2]int64][]byte
 	order [][2]int64 // ring of m's keys, oldest first from order[head]; len is the entry bound
@@ -688,32 +692,62 @@ type blockCache struct {
 	free  [][]byte // buffers of dropped tables' blocks
 	keys  []byte   // key arena the point reads walk their block with
 
-	blockSize int    // the store's; the budget is the entry bound × blockSize bytes
-	spare     []byte // the unclaimed rest of the last reservation
-	stored    int    // blocks the store's tables hold, as the DB last told a filling cache
+	blockSize int      // the store's; the budget is the entry bound × bufSize
+	spare     [][]byte // the unclaimed rests of the reservations, newest last
+	fresh     bool     // nothing is cut from the newest reservation yet
+	reserved  int      // bytes of every reservation made
+	own       int      // bytes of the buffers allocated outside them
 }
 
 func newBlockCache(maxEntries, blockSize int) *blockCache {
 	return &blockCache{m: make(map[[2]int64][]byte, maxEntries), order: make([][2]int64, maxEntries), blockSize: blockSize}
 }
 
+// bufSize is every buffer the cache cuts from its reservations: one and a
+// half block sizes, since a block overruns the block size by its last
+// entry, so that any block of values well under the block size fits any
+// buffer it is reused for.
+func (c *blockCache) bufSize() int { return c.blockSize + c.blockSize/2 }
+
+// retained is what the cache's buffers take: its reservations, and the
+// buffers it holds outside them.
+func (c *blockCache) retained() int { return c.reserved + c.own }
+
 func (c *blockCache) get(table int64, block int) ([]byte, bool) {
 	b, ok := c.m[[2]int64{table, int64(block)}]
 	return b, ok
 }
 
+// reserve grows the cache's reservations to what blocks blocks — the
+// store's tables, as the DB counts them when tables land: a flush, a
+// compaction, recovery — can fill, a bufSize each, within the budget (the
+// entry bound's). Filling then costs an allocation per table landing, made
+// where tables are written, and none per read: a store that never flushes
+// reserves nothing. A newest reservation nothing is cut from yet is
+// replaced by one of the combined size.
+func (c *blockCache) reserve(blocks int) {
+	size := c.bufSize()
+	grow := min(len(c.order), blocks)*size - c.reserved
+	if grow <= 0 {
+		return
+	}
+	if k := len(c.spare); k > 0 && c.fresh {
+		last := len(c.spare[k-1])
+		grow, c.reserved = grow+last, c.reserved-last
+		c.spare = c.spare[:k-1]
+	}
+	c.spare = append(c.spare, make([]byte, grow))
+	c.reserved += grow
+	c.fresh = true
+}
+
 // reclaim hands a miss the buffer to decode a block of n bytes into: a
-// free one, else the oldest entry's if the cache is full (the entry is
-// evicted), else a new one with a quarter of slack, so that a block it is
-// reused for later seldom outgrows it. While the cache fills, new buffers
-// are cut from a reservation: one allocation for every block the cache
-// can still take and the store holds, but never more than the cache's
-// budget, made when the last one cannot hold the block. Filling costs an
-// allocation per reservation, not per entry, and a cache that starts
-// filling ahead of a serving load — the load's first reads — mostly fills
-// without allocating during it. A block over twice the block size holds a
-// value larger than a block, and gets a buffer of its own. The buffer
-// comes back through put, or release if the decode failed.
+// free one, else — while the cache fills — one of bufSize cut from the
+// reservations, else the oldest entry's, which is evicted. While the cache
+// fills, a block over bufSize holds a value near the block size or larger
+// and gets a buffer of its own, with a quarter of slack, and so does a
+// miss with nothing to cut or evict. The buffer comes back through put, or
+// release if the decode failed.
 func (c *blockCache) reclaim(n int) []byte {
 	if k := len(c.free); k > 0 {
 		b := c.free[k-1]
@@ -721,17 +755,18 @@ func (c *blockCache) reclaim(n int) []byte {
 		return b
 	}
 	if len(c.m) < len(c.order) {
-		size := n + n/4
-		if n > 2*c.blockSize {
-			return make([]byte, 0, size)
+		size := c.bufSize()
+		if k := len(c.spare); n <= size && k > 0 {
+			s := c.spare[k-1] // reservations are whole buffers: never empty here
+			if c.spare[k-1], c.fresh = s[size:], false; len(s) == size {
+				c.spare = c.spare[:k-1]
+			}
+			return s[:0:size]
 		}
-		if len(c.spare) < size {
-			want := size * max(1, min(len(c.order), c.stored)-len(c.m))
-			c.spare = make([]byte, max(size, min(want, len(c.order)*c.blockSize)))
+		if n > size || len(c.m) == 0 {
+			c.own += n + n/4
+			return make([]byte, 0, n+n/4)
 		}
-		b := c.spare[:0:size]
-		c.spare = c.spare[size:]
-		return b
 	}
 	k := c.order[c.head]
 	c.head = (c.head + 1) % len(c.order)

@@ -39,7 +39,7 @@ func WithTracer(tr *trace.Tracer) ClientOption {
 }
 
 // WithDictResolver gives the client the dictionaries its replies may be
-// coded against (Server.RegisterAppendDict): resolve returns the bytes of
+// coded against (a Server.RegisterAppendBody handler's Coder.CodeDict): resolve returns the bytes of
 // the dictionary with a zstd.DictID, or nil when it holds none, and the
 // call then fails with UnknownDictError. The client asks once per
 // dictionary it switches to; resolve must be safe for concurrent use when

@@ -81,7 +81,25 @@ type Body struct {
 	method string
 	raw    int    // payload length, for the raw-bytes counters
 	wire   []byte // what the frame carries
-	flags  byte   // flagCompressed when wire is the coding
+	flags  byte   // flagCompressed or flagDict when wire is a coding
+}
+
+// DictCoding returns what the frame of a Body CodeDict coded against a
+// dictionary carries — the zstd frame, in its checksum frame — and nil for
+// any other Body. It aliases what the Body does.
+func (b Body) DictCoding() []byte {
+	if b.flags&flagDict == 0 {
+		return nil
+	}
+	return b.wire
+}
+
+// DictBody is the Body for method of a payload of raw bytes whose coding
+// against a dictionary is coding, a Body's DictCoding kept from an earlier
+// CodeDict by this Coder's Compression: it sends those bytes as they are,
+// coding nothing, and aliases them.
+func (c *Coder) DictBody(method string, raw int, coding []byte) Body {
+	return Body{comp: c.comp, method: method, raw: raw, wire: coding, flags: flagDict}
 }
 
 // errBodyCompression fails a call whose Body was coded for another link.

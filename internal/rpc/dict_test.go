@@ -59,13 +59,69 @@ func dictServer(comp Compression, d *Dict) (*Server, [][]byte) {
 		recs = append(recs, corpus.Records(int64(500+i), 1<<10))
 	}
 	s := NewServer(comp)
-	s.RegisterAppendDict("get", func(_ context.Context, dst, req []byte) ([]byte, error) {
-		if req[0] == 0xff {
-			return append(dst, "small"...), nil
+	s.RegisterAppendBody("get", func(ctx context.Context, c *Coder, dst, req []byte) ([]byte, Body, error) {
+		resp := append(dst, "small"...)
+		if req[0] != 0xff {
+			resp = append(dst, recs[int(req[0])%len(recs)]...)
 		}
-		return append(dst, recs[int(req[0])%len(recs)]...), nil
-	}, func() Dict { return *d })
+		b, err := c.CodeDict(ctx, "get", resp, *d)
+		return resp, b, err
+	})
 	return s, recs
+}
+
+// TestDictBodyResent: a body-form handler that keeps the coding of its
+// first reply for a record (Body.DictCoding) and sends it again
+// (Coder.DictBody) codes nothing for them, and counts them raw, wire and
+// as a dictionary frame as it counted the coding.
+func TestDictBodyResent(t *testing.T) {
+	comp := Compression{Codec: "lz4", Level: 1, Checksum: true}
+	ctx := context.Background()
+	d := trainedDict(t, 1)
+	rec := corpus.Records(501, 1<<10)
+	var kept []byte
+	s := NewServer(comp)
+	s.RegisterAppendBody("get", func(ctx context.Context, c *Coder, dst, req []byte) ([]byte, Body, error) {
+		if kept != nil {
+			resp := append(dst, kept...)
+			return resp, c.DictBody("get", len(rec), resp), nil
+		}
+		resp := append(dst, rec...)
+		b, err := c.CodeDict(ctx, "get", resp, d)
+		kept = bytes.Clone(b.DictCoding())
+		return resp, b, err
+	})
+	var r resolver
+	r.add(d)
+	c := dictClient(t, s, comp, &r)
+	var counts [2]Stats
+	for i := range counts {
+		before, client := counted(), c.Stats()
+		got, err := c.Call(ctx, "get", []byte{1})
+		if err != nil || !bytes.Equal(got, rec) {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		now, cs := counted(), c.Stats()
+		counts[i] = Stats{
+			RawBytes:     now.RawBytes - before.RawBytes - (cs.RawBytes - client.RawBytes),
+			WireBytes:    now.WireBytes - before.WireBytes - (cs.WireBytes - client.WireBytes),
+			DictFrames:   now.DictFrames - before.DictFrames - (cs.DictFrames - client.DictFrames),
+			CompressTime: now.CompressTime - before.CompressTime - (cs.CompressTime - client.CompressTime),
+		}
+	}
+	if kept == nil {
+		t.Fatal("the reply was not coded against the dictionary")
+	}
+	first, again := counts[0], counts[1]
+	if again.RawBytes != first.RawBytes || again.WireBytes != first.WireBytes || again.DictFrames != 1 {
+		t.Fatalf("resent %+v, first %+v: want the same raw and wire bytes, one dictionary frame", again, first)
+	}
+	if first.CompressTime <= 0 || again.CompressTime != 0 {
+		t.Fatalf("compress time first %d, resent %d: want the resend to code nothing", first.CompressTime, again.CompressTime)
+	}
+	if b := (Body{wire: rec}); b.DictCoding() != nil {
+		t.Fatal("a raw Body reports a dictionary coding")
+	}
 }
 
 func dictClient(t *testing.T, s *Server, comp Compression, r *resolver) *Client {

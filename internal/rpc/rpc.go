@@ -197,7 +197,7 @@ var (
 // flagDict marks a payload that is a checksum-wrapped zstd frame
 // (codec.WithChecksum) coded against the dictionary its header names. On a
 // reply that is the server's own, which the client resolves by ID
-// (Server.RegisterAppendDict, WithDictResolver); on a request, one the
+// (Server.RegisterAppendBody, Coder.CodeDict, WithDictResolver); on a request, one the
 // caller gave the server, which resolves it by ID for the methods
 // registered with a resolver (Server.RegisterCodedDict, Coder.CodeDict) —
 // on a request for any other method it is corrupt. It never rides with

@@ -24,6 +24,16 @@ import (
 // handler calls through context-aware codec paths lands in the trace.
 type AppendHandlerFunc func(ctx context.Context, dst, req []byte) ([]byte, error)
 
+// BodyHandlerFunc serves one method as an AppendHandlerFunc does — its reply
+// appended to dst, the connection's reply buffer, and the extended slice
+// returned for the server to keep as the next request's dst — and returns
+// with it the Body the server sends: one that c, the connection's Coder,
+// coded from the reply (Coder.Code, Coder.CodeDict), or one built from a
+// coding made earlier (Coder.DictBody). The server writes the Body before
+// it calls the handler again, so the Body may alias c's scratch or the
+// returned slice.
+type BodyHandlerFunc func(ctx context.Context, c *Coder, dst, req []byte) ([]byte, Body, error)
+
 // HandlerFunc serves one method with a response it builds itself: the
 // server writes it and keeps nothing of it, so it may return req or memory
 // it shares. Handlers that ignore the context can wrap a plain func with
@@ -75,12 +85,14 @@ type Server struct {
 	handlers map[string]handler
 }
 
-// handler is a registered method: the one dispatch shape, and whether the
-// server may keep what it returns as the connection's reply buffer.
+// handler is a registered method: the dispatch shape the server codes the
+// replies of, and whether it may keep what serve returns as the
+// connection's reply buffer; or a body-form handler, which codes its own
+// replies and whose reply buffer the server always keeps.
 type handler struct {
 	serve   func(ctx context.Context, dst, req []byte, coded Coded) ([]byte, error)
 	appends bool
-	dict    func() Dict            // nil: replies are coded as the link codes them
+	body    BodyHandlerFunc        // non-nil: serves the method in place of serve
 	resolve func(id uint32) []byte // nil: a request coded against a dictionary is corrupt
 }
 
@@ -106,16 +118,14 @@ func (s *Server) RegisterAppend(method string, h AppendHandlerFunc) {
 	s.register(method, handler{serve: func(ctx context.Context, dst, req []byte, _ Coded) ([]byte, error) { return h(ctx, dst, req) }, appends: true})
 }
 
-// RegisterAppendDict installs the append-form handler for method, with its
-// replies of at least MinSize coded against the dictionary dict returns,
-// asked for each such reply: on a compressed link the reply goes
-// out as a flagDict frame (zstd at the Dict's level, in a checksum frame)
-// when that is smaller, and its coding counts in rpc_compress_ns_total as
-// the link's own does. A zero Dict or an
-// uncompressed link codes the reply as the link does. The client
-// resolves the dictionary by ID (WithDictResolver).
-func (s *Server) RegisterAppendDict(method string, h AppendHandlerFunc, dict func() Dict) {
-	s.register(method, handler{serve: func(ctx context.Context, dst, req []byte, _ Coded) ([]byte, error) { return h(ctx, dst, req) }, appends: true, dict: dict})
+// RegisterAppendBody installs the body-form handler for method: its replies
+// go out as the Bodies it returns, counted raw by their payload's length as
+// a reply the server codes is. It is the form for a handler that codes its
+// own replies — against a dictionary the client resolves by ID
+// (WithDictResolver), say — or that keeps codings it made and sends them
+// again.
+func (s *Server) RegisterAppendBody(method string, h BodyHandlerFunc) {
+	s.register(method, handler{body: h})
 }
 
 // Register installs the handler for method. It serves through the append
@@ -238,24 +248,31 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) error {
 		h, ok := s.handlers[string(method)] // map lookup does not allocate
 		s.mu.RUnlock()
 		var resp []byte
+		var b Body
 		flags := byte(0)
-		kept := true // resp's backing array is this connection's to reuse
-		if !ok {
+		kept := true   // resp's backing array is this connection's to reuse
+		coded := false // b is the reply, as the handler coded it
+		switch {
+		case !ok:
 			flags = flagError
 			resp = fmt.Appendf(reply[:0], "rpc: unknown method %q", method)
-		} else if resp, err = h.serve(hctx, reply[:0], req, t.coded(inFlags, coding)); err != nil {
+		case h.body != nil:
+			resp, b, err = h.body(hctx, &t.Coder, reply[:0], req)
+			coded = err == nil
+		default:
+			if resp, err = h.serve(hctx, reply[:0], req, t.coded(inFlags, coding)); err == nil {
+				kept = h.appends
+			}
+		}
+		if ok && err != nil {
 			flags = flagError
 			resp = append(reply[:0], err.Error()...)
-		} else {
-			kept = h.appends
 		}
 		tmCalls.Inc()
-		var d Dict
-		if flags == 0 && h.dict != nil && len(resp) >= MinSize {
-			d = h.dict()
+		if !coded {
+			b, err = t.code(resp, t.cur)
 		}
-		var b Body
-		if b, err = t.codeDict(d, resp, t.cur); err == nil {
+		if err == nil {
 			err = t.writeBody(flags, method, &b)
 		}
 		if kept && resp != nil && cap(resp) <= maxKeptBuffer {

@@ -24,6 +24,7 @@ import (
 
 	"github.com/datacomp/datacomp/internal/codec"
 	"github.com/datacomp/datacomp/internal/corpus"
+	"github.com/datacomp/datacomp/internal/dict"
 	"github.com/datacomp/datacomp/internal/kvstore"
 	"github.com/datacomp/datacomp/internal/xxhash"
 )
@@ -56,15 +57,22 @@ type referenceInput struct {
 
 // referenceRow is one codec at one level over one input: the reference's
 // ratio, ours when the file was written, and for zstd-1 the reference's
-// frames broken down by section.
+// frames broken down by section. A row with Dict codes every item against a
+// dictionary of at most that many bytes, each side trained by its own
+// trainer on the input's dictionary samples (referenceDictSamples).
 type referenceRow struct {
 	Codec    string        `json:"codec"`
 	Level    int           `json:"level"`
 	Input    string        `json:"input"`
+	Dict     int           `json:"dict,omitempty"`
 	Real     float64       `json:"real"`
 	Ours     float64       `json:"ours"`
 	Sections *frameSection `json:"sections,omitempty"`
 }
+
+// referenceDictBytes is the dictionary rows' size bound: a store's and a
+// node's replies' dictionary (kvstore's dictBytes).
+const referenceDictBytes = 2 << 10
 
 // referenceLevels are the rows the file holds: codec → levels, our codec.
 var referenceLevels = []struct {
@@ -76,7 +84,9 @@ var referenceLevels = []struct {
 	{"lz4", "lz4", []int{1}},
 }
 
-// referenceInputs are benchsnap's payloads and the store-block set.
+// referenceInputs are benchsnap's payloads, the store-block set, and
+// benchsnap's 1 KiB records (its "records-1KiB" rows: 64 items, each coded
+// as its own frame, as a node codes a get reply).
 func referenceInputs(t *testing.T) map[string][][]byte {
 	t.Helper()
 	_, blocks, _ := storeShaped(t)
@@ -85,10 +95,45 @@ func referenceInputs(t *testing.T) map[string][][]byte {
 		"source":       {corpus.SourceCode(7, 128<<10)},
 		"records":      {corpus.Records(7, 128<<10)},
 		"store-blocks": blocks,
+		"records-1k":   smallRecords(7),
 	}
 }
 
-var referenceInputOrder = []string{"logs", "source", "records", "store-blocks"}
+var referenceInputOrder = []string{"logs", "source", "records", "store-blocks", "records-1k"}
+
+// smallRecords are 64 benchsnap-shaped 1 KiB records from seed.
+func smallRecords(seed int64) [][]byte {
+	items := make([][]byte, 64)
+	for i := range items {
+		items[i] = corpus.Records(int64(31*i)+seed, 1<<10)
+	}
+	return items
+}
+
+// referenceDictSamples are what the dictionary rows train on, per input:
+// for the store blocks, the records the store holds, as its own dictionary
+// trains on values; for the 1 KiB records, other records of the size, as
+// benchsnap's "/dict2KiB" rows train.
+func referenceDictSamples(t *testing.T) map[string][][]byte {
+	t.Helper()
+	records, _, _ := storeShaped(t)
+	return map[string][][]byte{
+		"store-blocks": records,
+		"records-1k":   smallRecords(1000),
+	}
+}
+
+// ourDict trains our zstd-1 dictionary for input: content from samples,
+// tables from the items it codes, as a store trains its tables on its
+// blocks.
+func ourDict(t *testing.T, samples, items [][]byte) []byte {
+	t.Helper()
+	d, err := dict.TrainZstd(1, referenceDictBytes, samples, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
 func inputDigest(items [][]byte) string {
 	h := sha256.New()
@@ -179,26 +224,47 @@ func TestZstdReferenceRatios(t *testing.T) {
 		}
 	}
 	t.Logf("reference tools: %v", ref.Tools)
-	ratchets := 0
+	samples := referenceDictSamples(t)
+	ratchets, dictRows := 0, 0
 	for _, row := range ref.Rows {
-		ours := ourRatio(t, referenceOurs(row.Codec), row.Level, inputs[row.Input])
+		items := inputs[row.Input]
+		var d []byte
+		if row.Dict != 0 {
+			dictRows++
+			d = ourDict(t, samples[row.Input], items)
+		}
+		ours := ourRatio(t, referenceOurs(row.Codec), row.Level, items, d)
 		gap, pinned := ours/row.Real-1, row.Ours/row.Real-1
-		t.Logf("%-4s %3d %-12s real %.4f ours %.4f gap %+6.2f%% (pinned %+6.2f%%)", row.Codec, row.Level, row.Input, row.Real, ours, 100*gap, 100*pinned)
+		name := row.Input
+		if row.Dict != 0 {
+			name += fmt.Sprintf("+dict%d", row.Dict)
+		}
+		t.Logf("%-4s %3d %-17s real %.4f ours %.4f gap %+6.2f%% (pinned %+6.2f%%); %.1f B against %.1f B a frame",
+			row.Codec, row.Level, name, row.Real, ours, 100*gap, 100*pinned, meanFrame(items, row.Real), meanFrame(items, ours))
 		if row.Sections != nil {
-			mine := ourSections(t, row.Level, inputs[row.Input])
+			mine := ourSections(t, row.Level, items)
 			t.Logf("     real: %s", row.Sections)
 			t.Logf("     ours: %s", mine)
 		}
 		if row.Codec == "zstd" && row.Level == 1 {
 			ratchets++
 			if gap < pinned-referenceGapSlack {
-				t.Errorf("zstd-1 on %s: gap to the reference widened to %+.2f%% from %+.2f%%", row.Input, 100*gap, 100*pinned)
+				t.Errorf("zstd-1 on %s: gap to the reference widened to %+.2f%% from %+.2f%%", name, 100*gap, 100*pinned)
 			}
 		}
 	}
-	if ratchets != len(referenceInputOrder) {
-		t.Fatalf("%d zstd-1 rows in %s, want one per input", ratchets, referencePath)
+	if want := len(referenceInputOrder) + len(samples); ratchets != want || dictRows != len(samples) {
+		t.Fatalf("%d zstd-1 rows, %d of them with a dictionary, in %s: want one per input and one more per input with dictionary samples", ratchets, dictRows, referencePath)
 	}
+}
+
+// meanFrame is the mean frame size in bytes of items coded at ratio.
+func meanFrame(items [][]byte, ratio float64) float64 {
+	n := 0
+	for _, it := range items {
+		n += len(it)
+	}
+	return float64(n) / ratio / float64(len(items))
 }
 
 func referenceOurs(tool string) string {
@@ -210,10 +276,15 @@ func referenceOurs(tool string) string {
 	return ""
 }
 
-// ourRatio codes each item as its own frame and returns in/out.
-func ourRatio(t *testing.T, name string, level int, items [][]byte) float64 {
+// ourRatio codes each item as its own frame, against d when it is not nil,
+// and returns in/out.
+func ourRatio(t *testing.T, name string, level int, items [][]byte, d []byte) float64 {
 	t.Helper()
-	eng, err := codec.NewEngine(name, codec.WithLevel(level))
+	opts := []codec.Option{codec.WithLevel(level)}
+	if d != nil {
+		opts = append(opts, codec.WithDict(d))
+	}
+	eng, err := codec.NewEngine(name, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,9 +341,10 @@ func writeReference(t *testing.T, inputs map[string][][]byte) {
 		tools[tool] = version
 	}
 	ref := referenceFile{
-		Note:  "ratios of the reference codecs (each input item coded as its own file: zstd --no-check, gzip -n, lz4 --no-frame-crc) beside this repository's when the file was written; regenerate with go test -run TestZstdReferenceRatios -update . and the tools on PATH",
+		Note:  "ratios of the reference codecs (each input item coded as its own file: zstd --no-check, gzip -n, lz4 --no-frame-crc) beside this repository's when the file was written; rows with dict code against a dictionary of at most that many bytes, zstd's from zstd --train --maxdict, ours from dict.TrainZstd, on the same samples; regenerate with go test -run TestZstdReferenceRatios -update . and the tools on PATH",
 		Tools: tools,
 	}
+	dictSamples := referenceDictSamples(t)
 	for _, name := range referenceInputOrder {
 		items := inputs[name]
 		n := 0
@@ -298,7 +370,7 @@ func writeReference(t *testing.T, inputs map[string][][]byte) {
 				row := referenceRow{
 					Codec: c.codec, Level: level, Input: name,
 					Real: round4(float64(n) / float64(out)),
-					Ours: round4(ourRatio(t, c.ours, level, items)),
+					Ours: round4(ourRatio(t, c.ours, level, items, nil)),
 				}
 				if c.codec == "zstd" && level == 1 {
 					var s frameSection
@@ -313,6 +385,18 @@ func writeReference(t *testing.T, inputs map[string][][]byte) {
 				}
 				ref.Rows = append(ref.Rows, row)
 			}
+		}
+		if samples := dictSamples[name]; samples != nil {
+			dictFile := trainReferenceDict(t, dir, samples)
+			out := 0
+			for _, f := range runReferenceTool(t, "zstd", 1, files, "-D", dictFile) {
+				out += len(f)
+			}
+			ref.Rows = append(ref.Rows, referenceRow{
+				Codec: "zstd", Level: 1, Input: name, Dict: referenceDictBytes,
+				Real: round4(float64(n) / float64(out)),
+				Ours: round4(ourRatio(t, "zstd", 1, items, ourDict(t, samples, items))),
+			})
 		}
 	}
 	raw, err := json.MarshalIndent(ref, "", "  ")
@@ -329,11 +413,34 @@ func writeReference(t *testing.T, inputs map[string][][]byte) {
 
 func round4(x float64) float64 { return math.Round(x*1e4) / 1e4 }
 
-// runReferenceTool codes each file with tool at level, in one run of the
-// tool, and returns the frames in file order.
-func runReferenceTool(t *testing.T, tool string, level int, files []string) [][]byte {
+// trainReferenceDict writes samples under dir and trains zstd's dictionary
+// on them, of at most referenceDictBytes; it returns the dictionary's file.
+func trainReferenceDict(t *testing.T, dir string, samples [][]byte) string {
 	t.Helper()
-	var args []string
+	sdir := filepath.Join(dir, "samples")
+	if err := os.MkdirAll(sdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files := make([]string, len(samples))
+	for i, s := range samples {
+		files[i] = filepath.Join(sdir, fmt.Sprintf("sample-%04d", i))
+		if err := os.WriteFile(files[i], s, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := filepath.Join(dir, "dict")
+	args := append([]string{"--train", fmt.Sprintf("--maxdict=%d", referenceDictBytes), "-q", "-f", "-o", out}, files...)
+	if msg, err := exec.Command("zstd", args...).CombinedOutput(); err != nil {
+		t.Fatalf("zstd --train: %v\n%s", err, msg)
+	}
+	return out
+}
+
+// runReferenceTool codes each file with tool at level, in one run of the
+// tool with extra arguments, and returns the frames in file order.
+func runReferenceTool(t *testing.T, tool string, level int, files []string, extra ...string) [][]byte {
+	t.Helper()
+	args := extra
 	var ext string
 	switch tool {
 	case "zstd":
@@ -344,9 +451,9 @@ func runReferenceTool(t *testing.T, tool string, level int, files []string) [][]
 		}
 		args, ext = append(args, "-q", "-f", "--no-check", "--no-progress"), ".zst"
 	case "gzip":
-		args, ext = []string{fmt.Sprintf("-%d", level), "-k", "-n", "-f"}, ".gz"
+		args, ext = append(args, fmt.Sprintf("-%d", level), "-k", "-n", "-f"), ".gz"
 	case "lz4":
-		args, ext = []string{fmt.Sprintf("-%d", level), "-m", "-q", "-f", "--no-frame-crc"}, ".lz4"
+		args, ext = append(args, fmt.Sprintf("-%d", level), "-m", "-q", "-f", "--no-frame-crc"), ".lz4"
 	}
 	if out, err := exec.Command(tool, append(args, files...)...).CombinedOutput(); err != nil {
 		t.Fatalf("%s %v: %v\n%s", tool, args, err, out)
